@@ -24,12 +24,6 @@
 //	                   exchange batch size (-exchange-batches, 1 = the
 //	                   binding-at-a-time baseline) × probe parallelism
 //	                   (-exchange-par), reporting bindings/sec throughput
-//	-experiment columnar
-//	                   data-plane ablation: the LSLOD query mix in-process
-//	                   under the row-at-a-time reference exchange vs the
-//	                   default dictionary-encoded columnar exchange, per
-//	                   batch size (-exchange-batches), reporting
-//	                   bindings/sec and the columnar/row speedup
 //	-experiment cluster
 //	                   distributed scale-out: the query mix against a
 //	                   coordinator shuffling fragments over N in-process
@@ -63,7 +57,7 @@ import (
 
 func main() {
 	var (
-		which    = flag.String("experiment", "all", "grid | fig2 | h1 | h2 | bind | optimizer | serve | exchange | columnar | cluster | all")
+		which    = flag.String("experiment", "all", "grid | fig2 | h1 | h2 | bind | optimizer | serve | exchange | cluster | all")
 		small    = flag.Bool("small", false, "use the small data scale")
 		seed     = flag.Int64("seed", 1, "data and network seed")
 		scalef   = flag.Float64("net-scale", 1.0, "network sleep scale (0 disables sleeping, 1 real time)")
@@ -82,8 +76,6 @@ func main() {
 		exchBatches = flag.String("exchange-batches", "1,16,64,256,1024", "comma-separated exchange batch sizes for -experiment exchange")
 		exchPar     = flag.String("exchange-par", "1,4", "comma-separated probe parallelism levels for -experiment exchange")
 		exchNetwork = flag.String("exchange-network", "none", "network profile for -experiment exchange")
-
-		columnarRepeats = flag.Int("columnar-repeats", 0, "query-mix repetitions per cell for -experiment columnar (0 = default)")
 
 		clusterWorkers = flag.String("cluster-workers", "1,2,3,4", "comma-separated worker pool sizes for -experiment cluster")
 		clusterNet     = flag.String("cluster-network", "gamma1", "simulated source-latency profile for -experiment cluster (none disables)")
@@ -309,31 +301,6 @@ func main() {
 		exp.WriteClusterTable(os.Stdout, rows)
 		emitJSON(func(dir string) (string, error) {
 			return exp.WriteClusterJSON(dir, rows)
-		})
-	}
-
-	if run == "columnar" {
-		batches, err := parseIntList(*exchBatches, 1)
-		if err != nil {
-			fail(err)
-		}
-		net, err := netsim.ProfileByName(*exchNetwork)
-		if err != nil {
-			fail(err)
-		}
-		header(fmt.Sprintf("columnar: row vs columnar exchange on the LSLOD query mix, batch sizes %v (%s)",
-			batches, net.Name))
-		rows, err := runner.RunColumnar(ctx, exp.ColumnarConfig{
-			BatchSizes: batches,
-			Network:    net,
-			Repeats:    *columnarRepeats,
-		})
-		if err != nil {
-			fail(err)
-		}
-		exp.WriteColumnarTable(os.Stdout, rows)
-		emitJSON(func(dir string) (string, error) {
-			return exp.WriteColumnarJSON(dir, rows)
 		})
 	}
 }

@@ -8,16 +8,19 @@ import (
 	"testing"
 
 	"ontario"
-	"ontario/internal/bridge"
 	"ontario/internal/lslod"
+	"ontario/internal/rdf"
+	"ontario/internal/sparql"
 )
 
 // The columnar data plane (dictionary IDs, ColBatch exchange, presence
-// bitmaps) must be answer-equivalent to the row-at-a-time reference
-// pipeline for every execution configuration: same solution multisets
-// across batch sizes, probe parallelism, and plan modes, with OPTIONAL
-// unbound columns, ORDER BY over materialized values, and typed literals
-// decoded from SQL wrappers all surviving the ID round-trip.
+// bitmaps) must return exactly what a naive evaluator returns — the
+// reference is sparql.EvalQuery over the whole lake materialized as one
+// RDF graph, which shares no code with planner, wrappers or operators —
+// for every execution configuration: same solution multisets across batch
+// sizes, probe parallelism, and plan modes, with OPTIONAL unbound columns,
+// ORDER BY over materialized values, and typed literals decoded from SQL
+// wrappers all surviving the ID round-trip.
 
 const rdfTypeIRI = "http://www.w3.org/1999/02/22-rdf-syntax-ns#type"
 
@@ -30,17 +33,23 @@ func buildEquivLake(t *testing.T) *lslod.Lake {
 	return lk
 }
 
-func rowExchangeOpt(t *testing.T) ontario.Option {
+// referenceGraph materializes every source of the lake into one graph.
+func referenceGraph(t *testing.T, lk *lslod.Lake) *rdf.Graph {
 	t.Helper()
-	opt, ok := bridge.RowExchangeOption.(ontario.Option)
-	if !ok {
-		t.Fatal("bridge.RowExchangeOption is not wired")
+	g := rdf.NewGraph()
+	for _, id := range lk.Catalog.SourceIDs() {
+		sg, err := lslod.GraphFromSource(lk.Catalog.Source(id))
+		if err != nil {
+			t.Fatalf("materializing source %s: %v", id, err)
+		}
+		g.AddAll(sg.Triples())
 	}
-	return opt
+	return g
 }
 
-// canonRow renders a solution canonically: variables sorted, every term
-// field included, so two bindings collide exactly when they are equal.
+// canonRow renders a solution canonically: variables sorted, all four
+// term fields included, so two bindings collide exactly when they are
+// equal.
 func canonRow(b ontario.Binding) string {
 	vars := make([]string, 0, len(b))
 	for v := range b {
@@ -55,19 +64,47 @@ func canonRow(b ontario.Binding) string {
 	return sb.String()
 }
 
-// runCanon executes the query and returns its solutions both in delivery
-// order and as a sorted multiset.
-func runCanon(t *testing.T, eng *ontario.Engine, text string, opts ...ontario.Option) (ordered, multiset []string) {
+// reference evaluates the query with the naive evaluator over the
+// reference graph and returns its solutions, canonically rendered, both in
+// evaluation order and as a sorted multiset.
+func reference(t *testing.T, g *rdf.Graph, text string) (ordered, multiset []string) {
+	t.Helper()
+	q, err := sparql.Parse(text)
+	if err != nil {
+		t.Fatalf("parsing reference query: %v", err)
+	}
+	for _, sol := range sparql.EvalQuery(g, q) {
+		b := make(ontario.Binding, len(sol))
+		for v, tm := range sol {
+			b[v] = ontario.Term{Kind: ontario.TermKind(tm.Kind), Value: tm.Value, Datatype: tm.Datatype, Lang: tm.Lang}
+		}
+		ordered = append(ordered, canonRow(b))
+	}
+	multiset = append([]string(nil), ordered...)
+	sort.Strings(multiset)
+	return ordered, multiset
+}
+
+// runResults executes the query, drains it and returns the closed cursor
+// (for its stats and plan) with the delivered solutions.
+func runResults(t *testing.T, eng *ontario.Engine, text string, opts ...ontario.Option) (*ontario.Results, []ontario.Binding) {
 	t.Helper()
 	res, err := eng.Query(context.Background(), text, opts...)
 	if err != nil {
 		t.Fatalf("query: %v", err)
 	}
-	defer res.Close()
 	rows, err := res.Collect()
 	if err != nil {
 		t.Fatalf("collect: %v", err)
 	}
+	return res, rows
+}
+
+// runCanon executes the query and returns its solutions both in delivery
+// order and as a sorted multiset.
+func runCanon(t *testing.T, eng *ontario.Engine, text string, opts ...ontario.Option) (ordered, multiset []string) {
+	t.Helper()
+	_, rows := runResults(t, eng, text, opts...)
 	ordered = make([]string, len(rows))
 	for i, b := range rows {
 		ordered[i] = canonRow(b)
@@ -80,45 +117,80 @@ func runCanon(t *testing.T, eng *ontario.Engine, text string, opts ...ontario.Op
 func diffMultisets(t *testing.T, label string, want, got []string) {
 	t.Helper()
 	if len(want) != len(got) {
-		t.Fatalf("%s: row reference has %d solutions, columnar has %d", label, len(want), len(got))
+		t.Fatalf("%s: the reference has %d solutions, the engine returned %d", label, len(want), len(got))
 	}
 	for i := range want {
 		if want[i] != got[i] {
-			t.Fatalf("%s: multisets differ at sorted position %d:\n  row:      %q\n  columnar: %q", label, i, want[i], got[i])
+			t.Fatalf("%s: multisets differ at sorted position %d:\n  reference: %q\n  engine:    %q", label, i, want[i], got[i])
 		}
 	}
 }
 
-// TestColumnarRowEquivalenceLSLOD sweeps the five LSLOD benchmark queries
+// diffSequences requires the exact delivery order of the reference.
+func diffSequences(t *testing.T, label string, want, got []string) {
+	t.Helper()
+	if len(want) != len(got) {
+		t.Fatalf("%s: sequence length %d, want %d", label, len(got), len(want))
+	}
+	for i := range want {
+		if want[i] != got[i] {
+			t.Fatalf("%s: sequences diverge at position %d:\n  reference: %q\n  engine:    %q", label, i, want[i], got[i])
+		}
+	}
+}
+
+// mergesStars reports whether the plan pushes a multi-star join down to
+// one relational source (Heuristic 1).
+func mergesStars(p *ontario.PlanSummary) bool {
+	if p.Operator == "merged-service" {
+		return true
+	}
+	for _, c := range p.Children {
+		if mergesStars(c) {
+			return true
+		}
+	}
+	return false
+}
+
+// TestColumnarEquivalenceLSLOD sweeps the five LSLOD benchmark queries
 // across batch size x probe parallelism x plan mode and requires every
-// columnar configuration to reproduce the row reference's multiset. Each
-// columnar cell also runs twice on the same engine, so a repeated query —
-// the configuration the lake-level response cache memoizes — must return
-// the identical multiset.
-func TestColumnarRowEquivalenceLSLOD(t *testing.T) {
+// configuration to reproduce the reference multiset. Each cell also runs
+// twice on the same engine, so a repeated query — the configuration the
+// lake-level response cache memoizes — must return the identical multiset.
+//
+// The aware-naive mode is the unoptimized multi-star SPARQL-to-SQL
+// translation on the plane that ships: same answers, but where the aware
+// plan merges stars every intermediate star row still crosses the
+// simulated network, so it must retrieve strictly more messages than the
+// optimized translation of the same plan.
+func TestColumnarEquivalenceLSLOD(t *testing.T) {
 	lk := buildEquivLake(t)
-	rowOpt := rowExchangeOpt(t)
+	ref := referenceGraph(t, lk)
 	eng := ontario.New(lk.Lake)
 
 	modes := []struct {
 		name string
-		opt  ontario.Option
+		opts []ontario.Option
 	}{
-		{"aware", ontario.WithAwarePlan()},
-		{"unaware", ontario.WithUnawarePlan()},
+		{"aware", []ontario.Option{ontario.WithAwarePlan()}},
+		{"unaware", []ontario.Option{ontario.WithUnawarePlan()}},
+		{"aware-naive", []ontario.Option{ontario.WithAwarePlan(), ontario.WithNaiveTranslation()}},
 	}
+	mergedQueries := 0
 	for _, q := range lslod.Queries() {
+		_, want := reference(t, ref, q.Text)
+		if len(want) == 0 {
+			t.Fatalf("%s: the reference returned no solutions", q.ID)
+		}
+		messages := map[string]int{}
+		merged := false
 		for _, mode := range modes {
-			base := []ontario.Option{
-				mode.opt,
+			base := append([]ontario.Option{
 				ontario.WithNetwork(ontario.NoDelay),
 				ontario.WithNetworkScale(0),
 				ontario.WithSeed(1),
-			}
-			_, want := runCanon(t, eng, q.Text, append([]ontario.Option{rowOpt}, base...)...)
-			if len(want) == 0 {
-				t.Fatalf("%s/%s: row reference returned no solutions", q.ID, mode.name)
-			}
+			}, mode.opts...)
 			for _, batch := range []int{1, 16, 64, 256} {
 				for _, par := range []int{1, 4} {
 					label := fmt.Sprintf("%s/%s/batch=%d/par=%d", q.ID, mode.name, batch, par)
@@ -132,103 +204,127 @@ func TestColumnarRowEquivalenceLSLOD(t *testing.T) {
 					diffMultisets(t, label+"/repeat", want, again)
 				}
 			}
+			res, _ := runResults(t, eng, q.Text, base...)
+			messages[mode.name] = res.Stats().Messages
+			merged = merged || (mode.name == "aware" && mergesStars(res.Plan()))
 		}
+		if merged {
+			mergedQueries++
+			if messages["aware-naive"] <= messages["aware"] {
+				t.Errorf("%s: naive translation retrieved %d messages, optimized %d — every intermediate star row must still cross the network",
+					q.ID, messages["aware-naive"], messages["aware"])
+			}
+		}
+	}
+	if mergedQueries == 0 {
+		t.Fatal("no LSLOD query's aware plan merges stars; the naive-translation message check is not exercised")
 	}
 }
 
 // TestColumnarEquivalenceOptional exercises OPTIONAL through the presence
 // bitmaps: diseases without a possibleDrug link must come back with the
-// ?drug column unbound — absent from the binding — identically in both
-// exchanges, and the small scale's sparse drug links guarantee both bound
-// and unbound rows exist.
+// ?drug column unbound — absent from the binding — exactly as in the
+// reference, and the small scale's sparse drug links guarantee both bound
+// and unbound rows exist. The filtered variant puts the condition inside
+// the OPTIONAL group, so a failing filter unbinds instead of dropping.
 func TestColumnarEquivalenceOptional(t *testing.T) {
 	lk := buildEquivLake(t)
-	rowOpt := rowExchangeOpt(t)
+	ref := referenceGraph(t, lk)
 	eng := ontario.New(lk.Lake)
 
-	query := fmt.Sprintf(`
+	optional := map[string]string{
+		"optional": fmt.Sprintf(`{ ?disease <%s> ?drug }`, lslod.PredPossibleDrug),
+		"optional+filter": fmt.Sprintf(`{ ?disease <%s> ?drug . ?disease <%s> ?degree . FILTER (?degree > 2) }`,
+			lslod.PredPossibleDrug, lslod.PredDegree),
+	}
+	base := []ontario.Option{
+		ontario.WithAwarePlan(),
+		ontario.WithNetwork(ontario.NoDelay),
+		ontario.WithNetworkScale(0),
+		ontario.WithSeed(1),
+	}
+	for name, group := range optional {
+		query := fmt.Sprintf(`
 SELECT ?disease ?name ?drug WHERE {
   ?disease <%s> <%s> .
   ?disease <%s> ?name .
-  OPTIONAL { ?disease <%s> ?drug }
-}`, rdfTypeIRI, lslod.ClassDisease, lslod.PredDiseaseName, lslod.PredPossibleDrug)
+  OPTIONAL %s
+}`, rdfTypeIRI, lslod.ClassDisease, lslod.PredDiseaseName, group)
 
-	base := []ontario.Option{
-		ontario.WithAwarePlan(),
-		ontario.WithNetwork(ontario.NoDelay),
-		ontario.WithNetworkScale(0),
-		ontario.WithSeed(1),
-	}
-	_, want := runCanon(t, eng, query, append([]ontario.Option{rowOpt}, base...)...)
-	bound, unbound := 0, 0
-	for _, row := range want {
-		if strings.Contains(row, "drug=") {
-			bound++
-		} else {
-			unbound++
+		_, want := reference(t, ref, query)
+		bound, unbound := 0, 0
+		for _, row := range want {
+			if strings.Contains(row, "drug=") {
+				bound++
+			} else {
+				unbound++
+			}
 		}
-	}
-	if bound == 0 || unbound == 0 {
-		t.Fatalf("OPTIONAL coverage needs both bound and unbound ?drug rows, got bound=%d unbound=%d", bound, unbound)
-	}
-	for _, batch := range []int{1, 64, 256} {
-		for _, par := range []int{1, 4} {
-			opts := append([]ontario.Option{
-				ontario.WithBatchSize(batch),
-				ontario.WithProbeParallelism(par),
-			}, base...)
-			_, got := runCanon(t, eng, query, opts...)
-			diffMultisets(t, fmt.Sprintf("optional/batch=%d/par=%d", batch, par), want, got)
+		if bound == 0 || unbound == 0 {
+			t.Fatalf("%s: coverage needs both bound and unbound ?drug rows, got bound=%d unbound=%d", name, bound, unbound)
 		}
-	}
-}
-
-// TestColumnarEquivalenceOrderBy checks ORDER BY over late-materialized
-// values: sorting happens on terms resolved from dictionary IDs, and the
-// disease names are pairwise distinct, so both exchanges must deliver the
-// exact same sequence, not just the same multiset.
-func TestColumnarEquivalenceOrderBy(t *testing.T) {
-	lk := buildEquivLake(t)
-	rowOpt := rowExchangeOpt(t)
-	eng := ontario.New(lk.Lake)
-
-	query := fmt.Sprintf(`
-SELECT ?disease ?name WHERE {
-  ?disease <%s> <%s> .
-  ?disease <%s> ?name .
-} ORDER BY ?name LIMIT 40`, rdfTypeIRI, lslod.ClassDisease, lslod.PredDiseaseName)
-
-	base := []ontario.Option{
-		ontario.WithAwarePlan(),
-		ontario.WithNetwork(ontario.NoDelay),
-		ontario.WithNetworkScale(0),
-		ontario.WithSeed(1),
-	}
-	wantSeq, _ := runCanon(t, eng, query, append([]ontario.Option{rowOpt}, base...)...)
-	if len(wantSeq) != 40 {
-		t.Fatalf("expected LIMIT 40 solutions, got %d", len(wantSeq))
-	}
-	for _, batch := range []int{1, 64} {
-		gotSeq, _ := runCanon(t, eng, query,
-			append([]ontario.Option{ontario.WithBatchSize(batch)}, base...)...)
-		if len(gotSeq) != len(wantSeq) {
-			t.Fatalf("batch=%d: sequence length %d, want %d", batch, len(gotSeq), len(wantSeq))
-		}
-		for i := range wantSeq {
-			if gotSeq[i] != wantSeq[i] {
-				t.Fatalf("batch=%d: ORDER BY sequences diverge at position %d:\n  row:      %q\n  columnar: %q", batch, i, wantSeq[i], gotSeq[i])
+		for _, batch := range []int{1, 64, 256} {
+			for _, par := range []int{1, 4} {
+				opts := append([]ontario.Option{
+					ontario.WithBatchSize(batch),
+					ontario.WithProbeParallelism(par),
+				}, base...)
+				_, got := runCanon(t, eng, query, opts...)
+				diffMultisets(t, fmt.Sprintf("%s/batch=%d/par=%d", name, batch, par), want, got)
 			}
 		}
 	}
 }
 
+// TestColumnarEquivalenceOrderBy checks the solution modifiers over
+// late-materialized values: sorting happens on terms resolved from
+// dictionary IDs, and the sort keys are pairwise distinct, so the engine
+// must deliver the exact sequence of the reference, not just the same
+// multiset — through ORDER BY + LIMIT and through DISTINCT + ORDER BY +
+// OFFSET + LIMIT.
+func TestColumnarEquivalenceOrderBy(t *testing.T) {
+	lk := buildEquivLake(t)
+	ref := referenceGraph(t, lk)
+	eng := ontario.New(lk.Lake)
+
+	queries := map[string]string{
+		"order-limit": fmt.Sprintf(`
+SELECT ?disease ?name WHERE {
+  ?disease <%s> <%s> .
+  ?disease <%s> ?name .
+} ORDER BY ?name LIMIT 40`, rdfTypeIRI, lslod.ClassDisease, lslod.PredDiseaseName),
+		"distinct-order-offset-limit": fmt.Sprintf(`
+SELECT DISTINCT ?class WHERE {
+  ?disease <%s> <%s> .
+  ?disease <%s> ?class .
+} ORDER BY DESC(?class) OFFSET 1 LIMIT 3`, rdfTypeIRI, lslod.ClassDisease, lslod.PredDiseaseClass),
+	}
+	base := []ontario.Option{
+		ontario.WithAwarePlan(),
+		ontario.WithNetwork(ontario.NoDelay),
+		ontario.WithNetworkScale(0),
+		ontario.WithSeed(1),
+	}
+	for name, query := range queries {
+		wantSeq, _ := reference(t, ref, query)
+		if len(wantSeq) == 0 {
+			t.Fatalf("%s: the reference returned no solutions", name)
+		}
+		for _, batch := range []int{1, 64} {
+			gotSeq, _ := runCanon(t, eng, query,
+				append([]ontario.Option{ontario.WithBatchSize(batch)}, base...)...)
+			diffSequences(t, fmt.Sprintf("%s/batch=%d", name, batch), wantSeq, gotSeq)
+		}
+	}
+}
+
 // TestColumnarEquivalenceTypedLiterals pulls typed literals out of the
-// relational Diseasome source (gene lengths are integers, disease degrees
-// too) and checks the SQL wrapper's decoded datatypes survive the
-// dictionary round-trip bit-for-bit in both exchanges.
+// relational Diseasome source (gene lengths are integers) and checks the
+// SQL wrapper's decoded datatypes survive the dictionary round-trip
+// bit-for-bit against the reference.
 func TestColumnarEquivalenceTypedLiterals(t *testing.T) {
 	lk := buildEquivLake(t)
-	rowOpt := rowExchangeOpt(t)
+	ref := referenceGraph(t, lk)
 	eng := ontario.New(lk.Lake)
 
 	query := fmt.Sprintf(`
@@ -243,36 +339,25 @@ SELECT ?gene ?len WHERE {
 		ontario.WithNetworkScale(0),
 		ontario.WithSeed(1),
 	}
-	res, err := eng.Query(context.Background(), query, append([]ontario.Option{rowOpt}, base...)...)
-	if err != nil {
-		t.Fatalf("row query: %v", err)
-	}
-	rows, err := res.Collect()
-	res.Close()
-	if err != nil {
-		t.Fatalf("collect: %v", err)
-	}
-	if len(rows) == 0 {
+	_, want := reference(t, ref, query)
+	if len(want) == 0 {
 		t.Fatal("no gene length solutions")
 	}
-	typed := 0
-	for _, b := range rows {
-		if tm, ok := b["len"]; ok && tm.Kind == ontario.KindLiteral && tm.Datatype != "" {
-			typed++
-		}
-	}
-	if typed == 0 {
-		t.Fatal("expected typed ?len literals from the SQL wrapper")
-	}
-
-	want := make([]string, len(rows))
-	for i, b := range rows {
-		want[i] = canonRow(b)
-	}
-	sort.Strings(want)
 	for _, batch := range []int{1, 64} {
-		_, got := runCanon(t, eng, query,
+		_, rows := runResults(t, eng, query,
 			append([]ontario.Option{ontario.WithBatchSize(batch)}, base...)...)
+		typed := 0
+		got := make([]string, len(rows))
+		for i, b := range rows {
+			if tm, ok := b["len"]; ok && tm.Kind == ontario.KindLiteral && tm.Datatype != "" {
+				typed++
+			}
+			got[i] = canonRow(b)
+		}
+		if typed == 0 {
+			t.Fatal("expected typed ?len literals from the SQL wrapper")
+		}
+		sort.Strings(got)
 		diffMultisets(t, fmt.Sprintf("typed/batch=%d", batch), want, got)
 	}
 }

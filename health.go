@@ -40,7 +40,7 @@ type Resilience struct {
 // health accounting, so one query's failures protect the next.
 func WithResilience(r Resilience) EngineOption {
 	return func(e *Engine) {
-		e.inner.Executor.Health = wrapper.NewHealthRegistry(wrapper.ResilienceConfig{
+		e.executor.Health = wrapper.NewHealthRegistry(wrapper.ResilienceConfig{
 			Timeout:          r.Timeout,
 			MaxRetries:       r.MaxRetries,
 			RetryBase:        r.RetryBase,
@@ -81,10 +81,10 @@ type SourceHealth struct {
 // SourceHealth reports the engine's per-source health gauges, sorted by
 // source ID. Sources appear after their first request.
 func (e *Engine) SourceHealth() []SourceHealth {
-	if e.inner.Executor.Health == nil {
+	if e.executor.Health == nil {
 		return nil
 	}
-	snap := e.inner.Executor.Health.Snapshot()
+	snap := e.executor.Health.Snapshot()
 	out := make([]SourceHealth, len(snap))
 	for i, s := range snap {
 		out[i] = SourceHealth{

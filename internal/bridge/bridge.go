@@ -12,14 +12,6 @@ import "ontario/internal/catalog"
 // value.
 var LakeCatalog func(lake any) *catalog.Catalog
 
-// ResultsNextBatch pulls the next whole exchange batch of solutions from a
-// public *ontario.Results cursor; it is set by the root ontario package's
-// init function. The returned batch is a []ontario.Binding (the caller
-// type-asserts), ok is false once the cursor is exhausted or closed. It
-// exists so the internal server can encode one batch per write without the
-// exported cursor API growing a batch method.
-var ResultsNextBatch func(results any) (batch any, ok bool)
-
 // ResultsNextJSON pulls the next exchange batch from a public
 // *ontario.Results cursor pre-encoded as sparql-results+json binding
 // objects; it is set by the root ontario package's init function. The
@@ -28,19 +20,10 @@ var ResultsNextBatch func(results any) (batch any, ok bool)
 // of solutions encoded, and ok is false once the cursor is exhausted,
 // closed, or not an *ontario.Results. The payload aliases a buffer reused
 // by the next call — write it out before pulling again. It exists so the
-// server can stream results without materializing public Binding maps:
-// in the default columnar mode the cursor encodes each distinct term once
-// per query, keyed by its dictionary ID.
+// server can stream results without materializing public Binding maps and
+// without the exported cursor API growing a batch method: the cursor
+// encodes each distinct term once per lake, keyed by its dictionary ID.
 var ResultsNextJSON func(results any) (payload []byte, n int, ok bool)
-
-// RowExchangeOption holds an ontario.Option (as any, the caller
-// type-asserts) that switches one query execution to the row-at-a-time
-// reference exchange instead of the default dictionary-encoded columnar
-// data plane; it is set by the root ontario package's init function. It
-// exists for in-module equivalence tests and the bench harness's
-// row-vs-columnar ablation — the public option surface stays columnar-
-// only on purpose.
-var RowExchangeOption any
 
 // ClusterOption holds a factory (set by the root ontario package's init
 // function) turning a core.Distributor — passed as any — into an

@@ -1,7 +1,6 @@
 package core
 
 import (
-	"context"
 	"fmt"
 	"strings"
 	"testing"
@@ -134,14 +133,7 @@ func blockBindQuery(t *testing.T) *sparql.Query {
 
 func runBlockBind(t *testing.T, cat *catalog.Catalog, opts Options) ([]sparql.Binding, int, *Plan) {
 	t.Helper()
-	eng := NewEngine(cat)
-	eng.Executor.NetworkScale = 0
-	stream, plan, err := eng.Run(context.Background(), blockBindQuery(t), opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	answers := stream.Collect()
-	return answers, eng.Executor.TotalMessages(), plan
+	return runWithMessages(t, cat, blockBindQuery(t), opts)
 }
 
 // TestBlockBindJoinMessageReduction is the end-to-end regression test of

@@ -60,7 +60,7 @@ func (x *Execution) RunService(ctx context.Context, sourceID string, req *wrappe
 	if err != nil {
 		return nil, err
 	}
-	return wrapper.ExecuteColumnar(ctx, w, req, schema, x.dict)
+	return w.ExecuteColumnar(ctx, req, schema, x.dict)
 }
 
 // Dict returns the executor's shared term dictionary (the lake-lifetime

@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"ontario/internal/catalog"
+	"ontario/internal/engine"
 	"ontario/internal/lslod"
 	"ontario/internal/netsim"
 	"ontario/internal/rdf"
@@ -40,15 +41,42 @@ func referenceGraph(t *testing.T, lake *lslod.Lake) *rdf.Graph {
 	return g
 }
 
-func runQuery(t *testing.T, lake *lslod.Lake, q *sparql.Query, opts Options) []sparql.Binding {
+// executePlan runs the plan the way production does — a fresh execution
+// of an executor over cat, on the columnar plane — with no real sleeping,
+// and decodes the answers. The execution is returned for its accounting.
+func executePlan(t *testing.T, cat *catalog.Catalog, plan *Plan) ([]sparql.Binding, *Execution) {
 	t.Helper()
-	eng := NewEngine(lake.Catalog)
-	eng.Executor.NetworkScale = 0 // no real sleeping in tests
-	stream, _, err := eng.Run(context.Background(), q, opts)
+	x := NewExecutor(cat).NewExecution(0, 1)
+	stream, d, err := x.ExecuteColumnar(context.Background(), plan)
 	if err != nil {
 		t.Fatal(err)
 	}
-	return stream.Collect()
+	var out []sparql.Binding
+	for batch := range stream.Batches() {
+		out = append(out, engine.DecodeBatch(batch, d)...)
+	}
+	if err := x.Err(); err != nil {
+		t.Fatal(err)
+	}
+	return out, x
+}
+
+// runWithMessages plans and executes q over cat, returning the answers,
+// the simulated messages the execution retrieved, and the plan.
+func runWithMessages(t *testing.T, cat *catalog.Catalog, q *sparql.Query, opts Options) ([]sparql.Binding, int, *Plan) {
+	t.Helper()
+	plan, err := NewPlanner(cat).Plan(q, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	answers, x := executePlan(t, cat, plan)
+	return answers, x.Messages(), plan
+}
+
+func runQuery(t *testing.T, lake *lslod.Lake, q *sparql.Query, opts Options) []sparql.Binding {
+	t.Helper()
+	answers, _, _ := runWithMessages(t, lake.Catalog, q, opts)
+	return answers
 }
 
 func sortedKeys(bs []sparql.Binding, vars []string) []string {
@@ -134,13 +162,7 @@ func TestMixedLakeMatchesReference(t *testing.T) {
 		q := lslod.Query(id)
 		want := sparql.EvalQuery(ref, q)
 		for _, opts := range []Options{UnawareOptions(netsim.NoDelay), AwareOptions(netsim.NoDelay)} {
-			eng := NewEngine(mixed.Catalog)
-			eng.Executor.NetworkScale = 0
-			stream, _, err := eng.Run(context.Background(), q, opts)
-			if err != nil {
-				t.Fatal(err)
-			}
-			got := stream.Collect()
+			got := runQuery(t, mixed, q, opts)
 			assertSameBindings(t, "mixed/"+id, got, want, q.ProjectedVars())
 		}
 	}
@@ -355,21 +377,15 @@ func TestUnionWhenClassAmbiguous(t *testing.T) {
 	cat.AddMT(&catalog.RDFMT{Class: "http://x/C1", Predicates: []catalog.PredicateDesc{{Predicate: p}}, Sources: []string{"s1"}})
 	cat.AddMT(&catalog.RDFMT{Class: "http://x/C2", Predicates: []catalog.PredicateDesc{{Predicate: p}}, Sources: []string{"s2"}})
 
-	eng := NewEngine(cat)
-	eng.Executor.NetworkScale = 0
 	q := sparql.MustParse(`SELECT ?s ?v WHERE { ?s <` + p + `> ?v . }`)
-	plan, err := eng.Planner.Plan(q, UnawareOptions(netsim.NoDelay))
+	plan, err := NewPlanner(cat).Plan(q, UnawareOptions(netsim.NoDelay))
 	if err != nil {
 		t.Fatal(err)
 	}
 	if _, ok := plan.Root.(*UnionNode); !ok {
 		t.Fatalf("expected a union plan, got:\n%s", plan.Explain())
 	}
-	stream, err := eng.Executor.Execute(context.Background(), plan)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got := stream.Collect(); len(got) != 2 {
+	if got, _ := executePlan(t, cat, plan); len(got) != 2 {
 		t.Fatalf("union answered %d, want 2: %v", len(got), got)
 	}
 }
@@ -410,22 +426,23 @@ func TestExplainOutput(t *testing.T) {
 
 func TestExecutorAccounting(t *testing.T) {
 	lake := testLake(t)
-	eng := NewEngine(lake.Catalog)
-	eng.Executor.NetworkScale = 0
-	stream, _, err := eng.Run(context.Background(), lslod.Query("Q3"), UnawareOptions(netsim.Gamma2))
+	plan, err := NewPlanner(lake.Catalog).Plan(lslod.Query("Q3"), UnawareOptions(netsim.Gamma2))
 	if err != nil {
 		t.Fatal(err)
 	}
-	stream.Collect()
-	if eng.Executor.TotalMessages() == 0 {
+	_, x := executePlan(t, lake.Catalog, plan)
+	if x.Messages() == 0 {
 		t.Error("no messages accounted")
 	}
-	if eng.Executor.TotalSimulatedDelay() == 0 {
+	if x.SimulatedDelay() == 0 {
 		t.Error("no simulated delay accounted")
 	}
-	eng.Executor.Reset()
-	if eng.Executor.TotalMessages() != 0 || eng.Executor.TotalSimulatedDelay() != 0 {
-		t.Error("Reset did not clear accounting")
+	perSource := 0
+	for _, n := range x.SourceMessages() {
+		perSource += n
+	}
+	if perSource != x.Messages() {
+		t.Errorf("per-source messages sum to %d, total is %d", perSource, x.Messages())
 	}
 }
 

@@ -4,10 +4,9 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"strings"
 	"sync"
 	"time"
-
-	"strings"
 
 	"ontario/internal/catalog"
 	"ontario/internal/dict"
@@ -21,10 +20,7 @@ import (
 // Executor runs plans against the data lake. It is a factory for
 // per-query Executions: each execution owns its wrappers and network
 // simulators, so any number of queries can run concurrently over the same
-// executor without sharing mutable state. The NetworkScale/Seed fields and
-// the Execute/Reset/Total* methods remain as the single-query convenience
-// API used by tests and the CLI; they delegate to one lazily-created
-// execution.
+// executor without sharing mutable state.
 type Executor struct {
 	cat *catalog.Catalog
 
@@ -37,14 +33,6 @@ type Executor struct {
 	// and failure rate. Like the limiter it is shared across every
 	// execution, so breaker state and measured gamma reflect all traffic.
 	Health *wrapper.HealthRegistry
-
-	// NetworkScale multiplies real sleeping in the network simulation
-	// (1.0 reproduces the sampled delays; 0 disables sleeping). Consulted
-	// when the next single-query execution is created.
-	NetworkScale float64
-	// Seed fixes the latency random streams of the next single-query
-	// execution.
-	Seed int64
 
 	// terms is the lake-lifetime term dictionary shared by every
 	// execution's columnar data plane. The lake is static, so the
@@ -62,9 +50,6 @@ type Executor struct {
 	// still runs live. Shared at lake lifetime alongside the dictionary
 	// whose IDs its entries hold.
 	responses *wrapper.ResponseCache
-
-	mu     sync.Mutex
-	legacy *Execution
 }
 
 // NewExecutor returns an executor over the catalog. The term dictionary
@@ -75,18 +60,19 @@ func NewExecutor(cat *catalog.Catalog) *Executor {
 	terms := cat.Shared("dict", func() any { return dict.New() }).(*dict.Dict)
 	responses := cat.Shared("wrapper.responses", func() any { return wrapper.NewResponseCache() }).(*wrapper.ResponseCache)
 	return &Executor{
-		cat:          cat,
-		NetworkScale: 1.0,
-		Seed:         1,
-		Health:       wrapper.NewHealthRegistry(wrapper.ResilienceConfig{}),
-		terms:        terms,
-		responses:    responses,
+		cat:       cat,
+		Health:    wrapper.NewHealthRegistry(wrapper.ResilienceConfig{}),
+		terms:     terms,
+		responses: responses,
 	}
 }
 
 // NewExecution returns an isolated execution with its own wrappers and
 // simulators; concurrent executions only share the catalog (concurrent-
 // read-safe) and the optional per-source limiter (that is its purpose).
+// scale multiplies real sleeping in the network simulation (1.0 reproduces
+// the sampled delays; 0 disables sleeping) and seed fixes its latency
+// random streams.
 func (e *Executor) NewExecution(scale float64, seed int64) *Execution {
 	return &Execution{
 		cat:       e.cat,
@@ -99,41 +85,6 @@ func (e *Executor) NewExecution(scale float64, seed int64) *Execution {
 		wrappers:  make(map[string]wrapper.Wrapper),
 		sims:      make(map[string]*netsim.Simulator),
 	}
-}
-
-func (e *Executor) current() *Execution {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	if e.legacy == nil {
-		e.legacy = e.NewExecution(e.NetworkScale, e.Seed)
-	}
-	return e.legacy
-}
-
-// Reset discards the cached single-query execution (e.g. when switching
-// the network profile between runs); the next Execute starts fresh with
-// the executor's current NetworkScale and Seed.
-func (e *Executor) Reset() {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	e.legacy = nil
-}
-
-// TotalSimulatedDelay sums the sampled network delay across sources since
-// the last Reset.
-func (e *Executor) TotalSimulatedDelay() time.Duration {
-	return e.current().SimulatedDelay()
-}
-
-// TotalMessages sums the simulated network messages since the last Reset.
-func (e *Executor) TotalMessages() int {
-	return e.current().Messages()
-}
-
-// Execute runs the plan on the executor's single-query execution. For
-// concurrent queries use NewExecution.
-func (e *Executor) Execute(ctx context.Context, p *Plan) (*engine.Stream, error) {
-	return e.current().Execute(ctx, p)
 }
 
 // Execution is one query's executor state: wrappers and per-source
@@ -161,14 +112,15 @@ type Execution struct {
 
 	// qt is the query trace every operator's runtime stats register into;
 	// nodeStats maps plan nodes to their stats so EXPLAIN ANALYZE can pair
-	// actuals with the plan's estimates. Both are set by Execute (adopting
-	// a trace from the context or creating one) and guarded by mu.
+	// actuals with the plan's estimates. Both are set by ExecuteColumnar
+	// (adopting a trace from the context or creating one) and guarded by mu.
 	qt        *trace.QueryTrace
 	nodeStats map[PlanNode]*engine.OpStats
 	modStats  []*engine.OpStats
 }
 
-// Trace returns the query trace of the last Execute (nil before the first).
+// Trace returns the query trace of the last ExecuteColumnar (nil before
+// the first).
 func (x *Execution) Trace() *trace.QueryTrace {
 	x.mu.Lock()
 	defer x.mu.Unlock()
@@ -176,7 +128,8 @@ func (x *Execution) Trace() *trace.QueryTrace {
 }
 
 // NodeActuals returns the observed runtime stats of one plan node,
-// populated while Execute's stream runs (safe to snapshot mid-flight).
+// populated while ExecuteColumnar's stream runs (safe to snapshot
+// mid-flight).
 func (x *Execution) NodeActuals(n PlanNode) (engine.OpActuals, bool) {
 	x.mu.Lock()
 	st, ok := x.nodeStats[n]
@@ -290,24 +243,15 @@ func (x *Execution) wrapperFor(sourceID string, opts Options) (wrapper.Wrapper, 
 	case catalog.ModelCustom:
 		w = wrapper.NewExternalWrapper(sourceID, src.External, sim, batch)
 	case catalog.ModelSPARQLEndpoint:
-		w = wrapper.NewRemoteSPARQLWrapper(sourceID, src.Endpoint, x.healthRegistry(), sim, batch)
+		w = wrapper.NewRemoteSPARQLWrapper(sourceID, src.Endpoint, x.health, sim, batch)
 	case catalog.ModelSQLDatabase:
-		w = wrapper.NewDBSQLWrapper(src, x.healthRegistry(), sim, batch)
+		w = wrapper.NewDBSQLWrapper(src, x.health, sim, batch)
 	default:
 		return nil, fmt.Errorf("core: source %s has unsupported model", sourceID)
 	}
 	w = wrapper.Limited(w, x.limiter)
 	x.wrappers[sourceID] = w
 	return w, nil
-}
-
-// healthRegistry returns the shared registry, creating a default one when
-// the execution was built without an executor (tests).
-func (x *Execution) healthRegistry() *wrapper.HealthRegistry {
-	if x.health == nil {
-		x.health = wrapper.NewHealthRegistry(wrapper.ResilienceConfig{})
-	}
-	return x.health
 }
 
 // SimulatedDelay sums the sampled network delay across this execution's
@@ -355,10 +299,14 @@ func (x *Execution) SourceMessages() map[string]int {
 	return out
 }
 
-// Execute runs the plan and returns the answer stream. The stream applies
-// the query's solution modifiers (projection, DISTINCT, ORDER BY,
-// LIMIT/OFFSET).
-func (x *Execution) Execute(ctx context.Context, p *Plan) (*engine.Stream, error) {
+// ExecuteColumnar runs the plan on the dictionary-encoded columnar data
+// plane and returns the answer stream, plus the dictionary the consumer
+// needs to materialize terms from the IDs (the Results cursor and the
+// server's JSON writer do this late, at the very edge). The dictionary is
+// the executor's lake-lifetime one, so repeated queries over the static
+// lake re-intern nothing new. The stream applies the query's solution
+// modifiers (projection, DISTINCT, ORDER BY, LIMIT/OFFSET).
+func (x *Execution) ExecuteColumnar(ctx context.Context, p *Plan) (*engine.CStream, *dict.Dict, error) {
 	// Adopt the query trace from the context (the server attaches one per
 	// request) or start a fresh one, so every execution is traced.
 	qt := trace.FromContext(ctx)
@@ -370,64 +318,125 @@ func (x *Execution) Execute(ctx context.Context, p *Plan) (*engine.Stream, error
 	x.qt = qt
 	x.mu.Unlock()
 
-	root, err := x.run(ctx, p.Root, p.Opts)
+	d := x.dict
+	rootNode := p.Root
+	if p.Opts.Cluster != nil {
+		// Partitioned workers cannot answer a pushed-down intra-source
+		// join over rows split across partitions; route merged stars
+		// through the distributed shuffle instead.
+		rootNode = unmergeServices(rootNode)
+	}
+	root, err := x.runColumnar(ctx, rootNode, p.Opts)
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
 	q := p.Query
 	s := root
 	batch := p.Opts.EffectiveBatchSize()
 	if vars := q.ProjectedVars(); len(vars) > 0 {
 		mctx := engine.WithOpStats(ctx, x.modifierStats("project", strings.Join(vars, ",")))
-		s = engine.Project(mctx, s, vars, batch)
+		s = engine.CProject(mctx, s, vars, batch)
 	}
 	if q.Distinct {
 		mctx := engine.WithOpStats(ctx, x.modifierStats("distinct", ""))
-		s = engine.Distinct(mctx, s, batch)
+		s = engine.CDistinct(mctx, s, batch)
 	}
 	if len(q.OrderBy) > 0 {
 		mctx := engine.WithOpStats(ctx, x.modifierStats("order-by", ""))
-		s = engine.OrderBy(mctx, s, q.OrderBy, batch)
+		s = engine.COrderBy(mctx, s, q.OrderBy, d, batch)
 	}
 	if q.Offset > 0 {
 		mctx := engine.WithOpStats(ctx, x.modifierStats("offset", ""))
-		s = engine.Offset(mctx, s, q.Offset, batch)
+		s = engine.COffset(mctx, s, q.Offset, batch)
 	}
 	if q.Limit >= 0 {
 		mctx := engine.WithOpStats(ctx, x.modifierStats("limit", ""))
-		s = engine.Limit(mctx, s, q.Limit, batch)
+		s = engine.CLimit(mctx, s, q.Limit, batch)
 	}
-	return s, nil
+	return s, d, nil
 }
 
-func (x *Execution) run(ctx context.Context, n PlanNode, opts Options) (*engine.Stream, error) {
+// emptyCStream returns a closed columnar stream (a failed service's
+// stand-in while the join keeps draining).
+func emptyCStream(schema *engine.Schema) *engine.CStream {
+	s := engine.NewCStream(schema, 0)
+	s.Close()
+	return s
+}
+
+// runColumnar builds the operator tree of a plan node, registering each
+// operator's stats record and fixing its output schema to the plan node's
+// variables.
+func (x *Execution) runColumnar(ctx context.Context, n PlanNode, opts Options) (*engine.CStream, error) {
+	d := x.dict
 	switch v := n.(type) {
 	case *ServiceNode:
+		schema := engine.NewSchema(v.Vars())
+		if dist := opts.Cluster; dist != nil {
+			s, err := dist.Service(ctx, v.SourceID, v.Req, schema, d, x.fragmentEnv(opts))
+			if err != nil {
+				return nil, err
+			}
+			return engine.CMeter(ctx, s, x.stats(v, "service", v.SourceID)), nil
+		}
 		w, err := x.wrapperFor(v.SourceID, opts)
 		if err != nil {
 			return nil, err
 		}
-		s, err := w.Execute(ctx, v.Req)
+		s, err := w.ExecuteColumnar(ctx, v.Req, schema, d)
 		if err != nil {
 			return nil, err
 		}
 		// Leaf streams are produced inside the wrapper; a metering relay
 		// attributes the production to the service node's stats.
-		return engine.Meter(ctx, s, x.stats(v, "service", v.SourceID)), nil
+		return engine.CMeter(ctx, s, x.stats(v, "service", v.SourceID)), nil
 	case *JoinNode:
+		out := engine.NewSchema(v.Vars())
+		if dist := opts.Cluster; dist != nil && coPartitioned(v) && dist.Colocated(ctx, d) {
+			// Both sides are partitioned by a shared join variable and the
+			// pool is a complete co-partitioned cut of the lake: ship the
+			// subtree whole, each worker joins its own partition locally,
+			// and only results cross the wire — zero shuffled batches.
+			st := x.stats(v, "co-join", strings.Join(v.JoinVars, ","))
+			jctx := engine.WithOpStats(ctx, st)
+			s, err := dist.RunFragment(jctx, v, out, d, x.fragmentEnv(opts))
+			if err != nil {
+				return nil, err
+			}
+			return engine.CMeter(jctx, s, st), nil
+		}
 		if v.Op == JoinBind || v.Op == JoinBlockBind {
 			if svc, ok := v.R.(*ServiceNode); ok {
-				left, err := x.run(ctx, v.L, opts)
+				left, err := x.runColumnar(ctx, v.L, opts)
 				if err != nil {
 					return nil, err
 				}
-				w, err := x.wrapperFor(svc.SourceID, opts)
-				if err != nil {
-					return nil, err
+				// Under cluster execution seeded requests fan out to the
+				// worker pool instead of a local wrapper; the partitions are
+				// disjoint so the union over workers answers each seed
+				// exactly once.
+				dist := opts.Cluster
+				var w wrapper.Wrapper
+				if dist == nil {
+					var err error
+					w, err = x.wrapperFor(svc.SourceID, opts)
+					if err != nil {
+						return nil, err
+					}
+				}
+				runSvc := func(ctx context.Context, req *wrapper.Request, schema *engine.Schema) (*engine.CStream, error) {
+					if dist != nil {
+						return dist.Service(ctx, svc.SourceID, req, schema, d, x.fragmentEnv(opts))
+					}
+					return w.ExecuteColumnar(ctx, req, schema, d)
 				}
 				svcStats := x.stats(svc, "service", svc.SourceID)
+				// One schema per service node: every seeded invocation of
+				// the right side shares it, so the join resolves the right
+				// layout once.
+				svcSchema := engine.NewSchema(svc.Vars())
 				if v.Op == JoinBlockBind {
-					service := func(ctx context.Context, seeds []sparql.Binding) *engine.Stream {
+					service := func(ctx context.Context, seeds []sparql.Binding) *engine.CStream {
 						if len(seeds) == 0 {
 							// An unconstrained block (cross product) is still
 							// one block request — and one response message —
@@ -439,50 +448,47 @@ func (x *Execution) run(ctx context.Context, n PlanNode, opts Options) (*engine.
 							Filters: svc.Req.Filters,
 							Seeds:   seeds,
 						}
-						s, err := w.Execute(ctx, req)
+						s, err := runSvc(ctx, req, svcSchema)
 						if err != nil {
 							// The join keeps draining other blocks; park the
 							// failure so the consumer sees it after the stream.
 							x.fail(fmt.Errorf("source %s: %w", svc.SourceID, err))
-							empty := engine.NewStream(0)
-							empty.Close()
-							return empty
+							return emptyCStream(svcSchema)
 						}
-						return engine.Meter(ctx, s, svcStats)
+						return engine.CMeter(ctx, s, svcStats)
 					}
 					jctx := engine.WithOpStats(ctx,
 						x.stats(v, "block-bind-join", strings.Join(v.JoinVars, ",")))
-					return engine.BlockBindJoin(jctx, left, service, v.JoinVars,
+					return engine.CBlockBindJoin(jctx, left, service, v.JoinVars, out, d,
 						opts.EffectiveBindBlockSize(), opts.EffectiveBindConcurrency(),
 						opts.EffectiveBatchSize()), nil
 				}
-				service := func(ctx context.Context, seed sparql.Binding) *engine.Stream {
+				service := func(ctx context.Context, seed sparql.Binding) *engine.CStream {
 					req := &wrapper.Request{
 						Stars:   svc.Req.Stars,
 						Filters: svc.Req.Filters,
 						Seed:    seed,
 					}
-					s, err := w.Execute(ctx, req)
+					s, err := runSvc(ctx, req, svcSchema)
 					if err != nil {
 						x.fail(fmt.Errorf("source %s: %w", svc.SourceID, err))
-						empty := engine.NewStream(0)
-						empty.Close()
-						return empty
+						return emptyCStream(svcSchema)
 					}
-					return engine.Meter(ctx, s, svcStats)
+					return engine.CMeter(ctx, s, svcStats)
 				}
 				jctx := engine.WithOpStats(ctx,
 					x.stats(v, "bind-join", strings.Join(v.JoinVars, ",")))
-				return engine.BindJoin(jctx, left, service, v.JoinVars, opts.EffectiveBatchSize()), nil
+				return engine.CBindJoin(jctx, left, service, v.JoinVars, out, d,
+					opts.EffectiveBatchSize()), nil
 			}
 			// Fall through to symmetric hash when the right side is not a
 			// plain service.
 		}
-		left, err := x.run(ctx, v.L, opts)
+		left, err := x.runColumnar(ctx, v.L, opts)
 		if err != nil {
 			return nil, err
 		}
-		right, err := x.run(ctx, v.R, opts)
+		right, err := x.runColumnar(ctx, v.R, opts)
 		if err != nil {
 			return nil, err
 		}
@@ -490,69 +496,53 @@ func (x *Execution) run(ctx context.Context, n PlanNode, opts Options) (*engine.
 		case JoinNestedLoop:
 			jctx := engine.WithOpStats(ctx,
 				x.stats(v, "nested-loop-join", strings.Join(v.JoinVars, ",")))
-			return engine.NestedLoopJoin(jctx, left, right, v.JoinVars, opts.EffectiveBatchSize()), nil
+			return engine.CNestedLoopJoin(jctx, left, right, v.JoinVars, out,
+				opts.EffectiveBatchSize()), nil
 		default:
+			if dist := opts.Cluster; dist != nil {
+				// The morsel-sharded exchange becomes the distributed
+				// shuffle: rows shard by join-key hash across workers
+				// instead of across local shard workers.
+				jctx := engine.WithOpStats(ctx,
+					x.stats(v, "shuffle-join", strings.Join(v.JoinVars, ",")))
+				return dist.ShuffleJoin(jctx, left, right, v.JoinVars, out, d, x.fragmentEnv(opts))
+			}
 			jctx := engine.WithOpStats(ctx,
 				x.stats(v, "hash-join", strings.Join(v.JoinVars, ",")))
-			return engine.SymmetricHashJoin(jctx, left, right, v.JoinVars,
+			return engine.CSymmetricHashJoin(jctx, left, right, v.JoinVars, out,
 				opts.EffectiveProbeParallelism(), opts.EffectiveBatchSize()), nil
 		}
 	case *LeftJoinNode:
-		left, err := x.run(ctx, v.L, opts)
+		left, err := x.runColumnar(ctx, v.L, opts)
 		if err != nil {
 			return nil, err
 		}
-		right, err := x.run(ctx, v.R, opts)
+		right, err := x.runColumnar(ctx, v.R, opts)
 		if err != nil {
 			return nil, err
 		}
 		jctx := engine.WithOpStats(ctx, x.stats(v, "left-join", ""))
-		return engine.LeftJoin(jctx, left, right, v.Filters, opts.EffectiveBatchSize()), nil
+		return engine.CLeftJoin(jctx, left, right, v.Filters, engine.NewSchema(v.Vars()), d,
+			opts.EffectiveBatchSize()), nil
 	case *FilterNode:
-		in, err := x.run(ctx, v.Child, opts)
+		in, err := x.runColumnar(ctx, v.Child, opts)
 		if err != nil {
 			return nil, err
 		}
 		fctx := engine.WithOpStats(ctx, x.stats(v, "filter", ""))
-		return engine.Filter(fctx, in, v.Exprs, opts.EffectiveBatchSize()), nil
+		return engine.CFilter(fctx, in, v.Exprs, d, opts.EffectiveBatchSize()), nil
 	case *UnionNode:
-		var streams []*engine.Stream
+		var streams []*engine.CStream
 		for _, c := range v.Children {
-			s, err := x.run(ctx, c, opts)
+			s, err := x.runColumnar(ctx, c, opts)
 			if err != nil {
 				return nil, err
 			}
 			streams = append(streams, s)
 		}
 		uctx := engine.WithOpStats(ctx, x.stats(v, "union", ""))
-		return engine.Union(uctx, opts.EffectiveBatchSize(), streams...), nil
+		return engine.CUnion(uctx, engine.NewSchema(v.Vars()), opts.EffectiveBatchSize(), streams...), nil
 	default:
 		return nil, fmt.Errorf("core: unknown plan node %T", n)
 	}
-}
-
-// Engine bundles planner and executor behind the public entry point used
-// by the facade package and the benchmark harness.
-type Engine struct {
-	Planner  *Planner
-	Executor *Executor
-}
-
-// NewEngine returns an engine over the catalog.
-func NewEngine(cat *catalog.Catalog) *Engine {
-	return &Engine{Planner: NewPlanner(cat), Executor: NewExecutor(cat)}
-}
-
-// Run plans and executes the query, returning the answer stream and the
-// plan.
-func (e *Engine) Run(ctx context.Context, q *sparql.Query, opts Options) (*engine.Stream, *Plan, error) {
-	p, err := e.Planner.Plan(q, opts)
-	if err != nil {
-		return nil, nil, err
-	}
-	s, err := e.Executor.Execute(ctx, p)
-	if err != nil {
-		return nil, nil, err
-	}
-	return s, p, nil
 }

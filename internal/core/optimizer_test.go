@@ -1,7 +1,6 @@
 package core
 
 import (
-	"context"
 	"fmt"
 	"strings"
 	"testing"
@@ -12,18 +11,6 @@ import (
 	"ontario/internal/rdf"
 	"ontario/internal/sparql"
 )
-
-func runWithMessages(t *testing.T, cat *catalog.Catalog, q *sparql.Query, opts Options) ([]sparql.Binding, int, *Plan) {
-	t.Helper()
-	eng := NewEngine(cat)
-	eng.Executor.NetworkScale = 0
-	stream, plan, err := eng.Run(context.Background(), q, opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	answers := stream.Collect()
-	return answers, eng.Executor.TotalMessages(), plan
-}
 
 // TestCostOptimizerMessageParity is the headline property of the cost-based
 // optimizer: on every LSLOD benchmark query it sends no more simulated

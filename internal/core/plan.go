@@ -172,12 +172,6 @@ type Options struct {
 	// so cached prepared plans stay shareable between clustered and
 	// single-node runs.
 	Cluster Distributor
-	// RowExchange opts out of the dictionary-encoded columnar exchange
-	// and runs the row-at-a-time reference pipeline (batches of
-	// map[var]Term). The columnar data plane is the default; the row
-	// pipeline remains as the semantics reference for equivalence tests
-	// and ablation. Internal-only: the public API always uses the default.
-	RowExchange bool
 }
 
 // EffectiveBindBlockSize returns BindBlockSize with the default applied.

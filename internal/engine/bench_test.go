@@ -24,10 +24,42 @@ func benchRelation(n, nKeys int, payloadVar string) []sparql.Binding {
 	return out
 }
 
-func drain(s *Stream) int {
+// benchInput is a relation pre-encoded into exchange batches, so a
+// benchmark iteration measures the operator and not term interning.
+// Operators never modify a received batch, which makes the batches safe to
+// replay across iterations.
+type benchInput struct {
+	schema  *Schema
+	batches []*ColBatch
+}
+
+func encodeInput(d *dict.Dict, rows []sparql.Binding, batch int) benchInput {
+	if batch <= 0 {
+		batch = DefaultBatchSize
+	}
+	in := benchInput{schema: NewSchema(varsOf(rows))}
+	for len(rows) > 0 {
+		n := min(batch, len(rows))
+		in.batches = append(in.batches, EncodeBatch(rows[:n], in.schema, d))
+		rows = rows[n:]
+	}
+	return in
+}
+
+// stream replays the encoded batches on a fresh closed stream.
+func (in benchInput) stream() *CStream {
+	s := NewCStream(in.schema, len(in.batches))
+	for _, b := range in.batches {
+		s.ch <- b
+	}
+	s.Close()
+	return s
+}
+
+func drain(s *CStream) int {
 	n := 0
 	for batch := range s.Batches() {
-		n += len(batch)
+		n += batch.Len
 	}
 	return n
 }
@@ -38,12 +70,14 @@ func BenchmarkSymmetricHashJoinPar8(b *testing.B) { benchSymmetricHashJoin(b, 8)
 
 func benchSymmetricHashJoin(b *testing.B, par int) {
 	ctx := context.Background()
-	left := benchRelation(2048, 256, "l")
-	right := benchRelation(2048, 256, "r")
+	d := dict.New()
+	left := encodeInput(d, benchRelation(2048, 256, "l"), 0)
+	right := encodeInput(d, benchRelation(2048, 256, "r"), 0)
+	out := NewSchema([]string{"k", "l", "r"})
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		n := drain(SymmetricHashJoin(ctx, FromSlice(ctx, left), FromSlice(ctx, right), []string{"k"}, par, 0))
+		n := drain(CSymmetricHashJoin(ctx, left.stream(), right.stream(), []string{"k"}, out, par, 0))
 		if n != 2048*8 {
 			b.Fatalf("join produced %d, want %d", n, 2048*8)
 		}
@@ -53,83 +87,89 @@ func benchSymmetricHashJoin(b *testing.B, par int) {
 // BenchmarkSymmetricHashJoinProbeAllocs is the allocation guard for the
 // probe path: every input shares ONE join key but no pair is compatible,
 // so nothing is emitted and the measured allocs/op are pure insert+probe
-// overhead. The pre-batching operator defensively copied the whole
-// opposite-side match list for every arriving binding (quadratic bytes on
-// this workload); the sharded rewrite probes in place. A regression shows
-// up as an explosion of B/op here.
+// overhead. A probe that copies the opposite side's match list per
+// arriving row allocates quadratic bytes on this workload; the sharded
+// operator probes in place. A regression shows up as an explosion of B/op
+// here.
 func BenchmarkSymmetricHashJoinProbeAllocs(b *testing.B) {
 	ctx := context.Background()
-	n := 2048
-	left := make([]sparql.Binding, n)
-	right := make([]sparql.Binding, n)
-	for i := 0; i < n; i++ {
-		// Same key "k", clashing common var "v": compatible with nothing.
-		left[i] = sparql.Binding{"k": rdf.NewLiteral("1"), "v": rdf.NewLiteral(fmt.Sprint(i))}
-		right[i] = sparql.Binding{"k": rdf.NewLiteral("1"), "v": rdf.NewLiteral(fmt.Sprint(n + i))}
-	}
+	left, right := incompatibleInputs(dict.New(), 2048)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if got := drain(SymmetricHashJoin(ctx, FromSlice(ctx, left), FromSlice(ctx, right), []string{"k"}, 1, 0)); got != 0 {
+		if got := drain(CSymmetricHashJoin(ctx, left.stream(), right.stream(), []string{"k"}, left.schema, 1, 0)); got != 0 {
 			b.Fatalf("incompatible workload emitted %d bindings", got)
 		}
 	}
 }
 
+// incompatibleInputs builds two n-row relations sharing ONE join key "k"
+// but clashing on the common variable "v": every probe walks the whole
+// opposite bucket and no pair is compatible.
+func incompatibleInputs(d *dict.Dict, n int) (left, right benchInput) {
+	l := make([]sparql.Binding, n)
+	r := make([]sparql.Binding, n)
+	for i := 0; i < n; i++ {
+		l[i] = sparql.Binding{"k": rdf.NewLiteral("1"), "v": rdf.NewLiteral(fmt.Sprint(i))}
+		r[i] = sparql.Binding{"k": rdf.NewLiteral("1"), "v": rdf.NewLiteral(fmt.Sprint(n + i))}
+	}
+	return encodeInput(d, l, 0), encodeInput(d, r, 0)
+}
+
 // TestSymmetricHashJoinNoQuadraticProbeCopy asserts the same property with
 // a hard byte bound: on the incompatible single-key workload the join must
-// allocate a roughly linear number of bytes per input binding. The old
-// per-binding match-list copy allocated ~n/2 slice elements per input
-// (about 8 KB per input at n=2048) and trips the bound by an order of
+// allocate a roughly linear number of bytes per input row. A per-row copy
+// of the opposite side's match list allocates ~n/2 slice elements per
+// input (kilobytes per input at n=2048) and trips the bound by an order of
 // magnitude.
 func TestSymmetricHashJoinNoQuadraticProbeCopy(t *testing.T) {
 	ctx := context.Background()
 	const n = 2048
-	left := make([]sparql.Binding, n)
-	right := make([]sparql.Binding, n)
-	for i := 0; i < n; i++ {
-		left[i] = sparql.Binding{"k": rdf.NewLiteral("1"), "v": rdf.NewLiteral(fmt.Sprint(i))}
-		right[i] = sparql.Binding{"k": rdf.NewLiteral("1"), "v": rdf.NewLiteral(fmt.Sprint(n + i))}
-	}
+	left, right := incompatibleInputs(dict.New(), n)
 	var before, after runtime.MemStats
 	runtime.GC()
 	runtime.ReadMemStats(&before)
-	if got := drain(SymmetricHashJoin(ctx, FromSlice(ctx, left), FromSlice(ctx, right), []string{"k"}, 1, 0)); got != 0 {
+	if got := drain(CSymmetricHashJoin(ctx, left.stream(), right.stream(), []string{"k"}, left.schema, 1, 0)); got != 0 {
 		t.Fatalf("incompatible workload emitted %d bindings", got)
 	}
 	runtime.ReadMemStats(&after)
 	perInput := (after.TotalAlloc - before.TotalAlloc) / (2 * n)
-	// Generous linear budget: key strings, table growth, morsel slices.
-	if perInput > 2048 {
-		t.Errorf("probe allocated %d bytes per input binding (budget 2048): defensive match-list copy reintroduced?", perInput)
+	// Generous linear budget: hash slices, table arena and bucket growth.
+	if perInput > 1024 {
+		t.Errorf("probe allocated %d bytes per input row (budget 1024): per-row match-list copy introduced?", perInput)
 	}
 }
 
 func BenchmarkBindJoin(b *testing.B) {
 	ctx := context.Background()
-	left := benchRelation(256, 64, "l")
+	d := dict.New()
+	left := encodeInput(d, benchRelation(256, 64, "l"), 0)
 	right := benchRelation(512, 64, "r")
-	svc := func(ctx context.Context, seed sparql.Binding) *Stream {
+	rSchema := NewSchema(varsOf(right))
+	svc := func(ctx context.Context, seed sparql.Binding) *CStream {
 		var rows []sparql.Binding
 		for _, rb := range right {
 			if seed.Compatible(rb) {
 				rows = append(rows, rb)
 			}
 		}
-		return FromSlice(ctx, rows)
+		return CFromBindings(ctx, rows, rSchema, d, 0)
 	}
+	out := NewSchema([]string{"k", "l", "r"})
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		drain(BindJoin(ctx, FromSlice(ctx, left), svc, []string{"k"}, 0))
+		drain(CBindJoin(ctx, left.stream(), svc, []string{"k"}, out, d, 0))
 	}
 }
 
 func BenchmarkBlockBindJoin(b *testing.B) {
 	ctx := context.Background()
-	left := benchRelation(256, 64, "l")
+	d := dict.New()
+	left := encodeInput(d, benchRelation(256, 64, "l"), 0)
 	right := benchRelation(512, 64, "r")
-	svc := func(ctx context.Context, seeds []sparql.Binding) *Stream {
+	rSchema := NewSchema(varsOf(right))
+	svc := func(ctx context.Context, seeds []sparql.Binding) *CStream {
 		var rows []sparql.Binding
 		for _, rb := range right {
 			for _, s := range seeds {
@@ -139,137 +179,153 @@ func BenchmarkBlockBindJoin(b *testing.B) {
 				}
 			}
 		}
-		return FromSlice(ctx, rows)
+		return CFromBindings(ctx, rows, rSchema, d, 0)
 	}
+	out := NewSchema([]string{"k", "l", "r"})
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		drain(BlockBindJoin(ctx, FromSlice(ctx, left), svc, []string{"k"}, 16, 4, 0))
+		drain(CBlockBindJoin(ctx, left.stream(), svc, []string{"k"}, out, d, 16, 4, 0))
 	}
 }
 
 func BenchmarkNestedLoopJoin(b *testing.B) {
 	ctx := context.Background()
-	left := benchRelation(512, 64, "l")
-	right := benchRelation(512, 64, "r")
+	d := dict.New()
+	left := encodeInput(d, benchRelation(512, 64, "l"), 0)
+	right := encodeInput(d, benchRelation(512, 64, "r"), 0)
+	out := NewSchema([]string{"k", "l", "r"})
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		drain(NestedLoopJoin(ctx, FromSlice(ctx, left), FromSlice(ctx, right), []string{"k"}, 0))
+		drain(CNestedLoopJoin(ctx, left.stream(), right.stream(), []string{"k"}, out, 0))
 	}
 }
 
 func BenchmarkLeftJoin(b *testing.B) {
 	ctx := context.Background()
-	left := benchRelation(512, 64, "l")
-	right := benchRelation(256, 128, "r")
+	d := dict.New()
+	left := encodeInput(d, benchRelation(512, 64, "l"), 0)
+	right := encodeInput(d, benchRelation(256, 128, "r"), 0)
+	out := NewSchema([]string{"k", "l", "r"})
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		drain(LeftJoin(ctx, FromSlice(ctx, left), FromSlice(ctx, right), nil, 0))
+		drain(CLeftJoin(ctx, left.stream(), right.stream(), nil, out, d, 0))
 	}
 }
 
 func BenchmarkFilter(b *testing.B) {
 	ctx := context.Background()
 	q := sparql.MustParse(`SELECT ?x WHERE { ?s ?p ?x . FILTER (?v > 512) }`)
-	in := make([]sparql.Binding, 2048)
-	for i := range in {
-		in[i] = sparql.Binding{"v": rdf.IntLiteral(int64(i))}
+	rows := make([]sparql.Binding, 2048)
+	for i := range rows {
+		rows[i] = sparql.Binding{"v": rdf.IntLiteral(int64(i))}
 	}
+	d := dict.New()
+	in := encodeInput(d, rows, 0)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		drain(Filter(ctx, FromSlice(ctx, in), q.Filters, 0))
+		drain(CFilter(ctx, in.stream(), q.Filters, d, 0))
 	}
 }
 
 func BenchmarkProjectDistinct(b *testing.B) {
 	ctx := context.Background()
-	in := benchRelation(2048, 128, "x")
+	in := encodeInput(dict.New(), benchRelation(2048, 128, "x"), 0)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		drain(Distinct(ctx, Project(ctx, FromSlice(ctx, in), []string{"k"}, 0), 0))
+		drain(CDistinct(ctx, CProject(ctx, in.stream(), []string{"k"}, 0), 0))
 	}
 }
 
 func BenchmarkUnion(b *testing.B) {
 	ctx := context.Background()
-	a := benchRelation(1024, 64, "a")
-	c := benchRelation(1024, 64, "c")
+	d := dict.New()
+	a := encodeInput(d, benchRelation(1024, 64, "a"), 0)
+	c := encodeInput(d, benchRelation(1024, 64, "c"), 0)
+	out := NewSchema([]string{"a", "c", "k"})
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		drain(Union(ctx, 0, FromSlice(ctx, a), FromSlice(ctx, c)))
+		drain(CUnion(ctx, out, 0, a.stream(), c.stream()))
 	}
 }
 
 func BenchmarkOrderBy(b *testing.B) {
 	ctx := context.Background()
-	in := make([]sparql.Binding, 2048)
-	for i := range in {
-		in[i] = sparql.Binding{"v": rdf.IntLiteral(int64((i * 7919) % 2048))}
+	rows := make([]sparql.Binding, 2048)
+	for i := range rows {
+		rows[i] = sparql.Binding{"v": rdf.IntLiteral(int64((i * 7919) % 2048))}
 	}
+	d := dict.New()
+	in := encodeInput(d, rows, 0)
 	keys := []sparql.OrderKey{{Var: "v"}}
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		drain(OrderBy(ctx, FromSlice(ctx, in), keys, 0))
+		drain(COrderBy(ctx, in.stream(), keys, d, 0))
 	}
 }
 
 func BenchmarkLimitOffset(b *testing.B) {
 	ctx := context.Background()
-	in := benchRelation(2048, 64, "x")
+	in := encodeInput(dict.New(), benchRelation(2048, 64, "x"), 0)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		drain(Limit(ctx, Offset(ctx, FromSlice(ctx, in), 512, 0), 1024, 0))
+		drain(CLimit(ctx, COffset(ctx, in.stream(), 512, 0), 1024, 0))
 	}
 }
 
 // BenchmarkExchangeBatchSize measures the raw exchange cost of pushing a
 // fixed workload through a two-operator pipeline at different batch
-// granularities: batch=1 is the pre-vectorization binding-at-a-time
-// baseline paying one channel send per binding.
+// granularities: batch=1 is the row-at-a-time baseline paying one channel
+// send per row.
 func BenchmarkExchangeBatchSize(b *testing.B) {
 	ctx := context.Background()
-	in := benchRelation(4096, 256, "x")
+	rows := benchRelation(4096, 256, "x")
+	d := dict.New()
 	for _, batch := range []int{1, 16, 64, 256, 1024} {
+		in := encodeInput(d, rows, batch)
 		b.Run(fmt.Sprintf("batch=%d", batch), func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				s := FromSliceBatch(ctx, in, batch)
-				if n := drain(Project(ctx, s, []string{"k", "x"}, batch)); n != len(in) {
-					b.Fatalf("pipeline produced %d, want %d", n, len(in))
+				if n := drain(CProject(ctx, in.stream(), []string{"k", "x"}, batch)); n != len(rows) {
+					b.Fatalf("pipeline produced %d, want %d", n, len(rows))
 				}
 			}
 		})
 	}
 }
 
-// BenchmarkBatchWriter measures the leaf-producer path: per-binding Send
+// BenchmarkColWriter measures the leaf-producer path: per-row AppendIDs
 // through the size/interval flush rules.
-func BenchmarkBatchWriter(b *testing.B) {
+func BenchmarkColWriter(b *testing.B) {
 	ctx := context.Background()
-	in := benchRelation(4096, 256, "x")
+	in := benchColBatch([]string{"k", "x"}, 4096)
+	ids := make([]dict.ID, len(in.Cols))
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		out := NewStream(4)
+		out := NewCStream(in.Schema, 4)
 		go func() {
 			defer out.Close()
-			w := NewBatchWriter(ctx, out, DefaultBatchSize)
+			w := NewColWriter(ctx, out, DefaultBatchSize)
 			defer w.Close()
-			for _, bd := range in {
-				if !w.Send(bd) {
+			for r := 0; r < in.Len; r++ {
+				for c := range ids {
+					ids[c] = in.Cols[c][r]
+				}
+				if !w.AppendIDs(ids) {
 					return
 				}
 			}
 		}()
-		if n := drain(out); n != len(in) {
-			b.Fatalf("writer delivered %d, want %d", n, len(in))
+		if n := drain(out); n != in.Len {
+			b.Fatalf("writer delivered %d, want %d", n, in.Len)
 		}
 	}
 }
@@ -301,7 +357,7 @@ func BenchmarkColBatchHash(b *testing.B) {
 	var sink uint64
 	for i := 0; i < b.N; i++ {
 		for r := 0; r < batch.Len; r++ {
-			sink ^= hashRowIDs(batch, r, cols)
+			sink ^= hashRowPos(batch, r, cols)
 		}
 	}
 	_ = sink
@@ -359,12 +415,12 @@ func TestProbeInnerLoopZeroAlloc(t *testing.T) {
 	keyCols := []int{0}
 	tbl := newColTable(2)
 	for r := 0; r < batch.Len; r++ {
-		tbl.insert(batch, r, hashRowIDs(batch, r, keyCols))
+		tbl.insert(batch, r, hashRowPos(batch, r, keyCols))
 	}
 	var matches int
 	allocs := testing.AllocsPerRun(100, func() {
 		for r := 0; r < batch.Len; r++ {
-			h := hashRowIDs(batch, r, keyCols)
+			h := hashRowPos(batch, r, keyCols)
 			for _, cand := range tbl.buckets[h] {
 				if keysEqualBT(batch, r, keyCols, tbl, cand, keyCols) {
 					matches++

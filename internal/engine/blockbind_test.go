@@ -9,6 +9,7 @@ import (
 	"testing"
 	"time"
 
+	"ontario/internal/dict"
 	"ontario/internal/rdf"
 	"ontario/internal/sparql"
 )
@@ -16,22 +17,24 @@ import (
 // sliceService mimics a wrapper's sequential bind-join contract over a
 // materialized right relation: rights compatible with the seed, merged
 // with it.
-func sliceService(rights []sparql.Binding) Service {
-	return func(ctx context.Context, seed sparql.Binding) *Stream {
+func sliceService(d *dict.Dict, rights []sparql.Binding) CService {
+	schema := NewSchema(varsOf(rights))
+	return func(ctx context.Context, seed sparql.Binding) *CStream {
 		var out []sparql.Binding
 		for _, rb := range rights {
 			if seed.Compatible(rb) {
 				out = append(out, seed.Merge(rb))
 			}
 		}
-		return FromSlice(ctx, out)
+		return CFromBindings(ctx, out, schema, d, 0)
 	}
 }
 
 // sliceBlockService mimics a wrapper's multi-seed contract: every right
 // binding compatible with at least one seed, each exactly once, unmerged.
-func sliceBlockService(rights []sparql.Binding) BlockService {
-	return func(ctx context.Context, seeds []sparql.Binding) *Stream {
+func sliceBlockService(d *dict.Dict, rights []sparql.Binding) CBlockService {
+	schema := NewSchema(varsOf(rights))
+	return func(ctx context.Context, seeds []sparql.Binding) *CStream {
 		var out []sparql.Binding
 		for _, rb := range rights {
 			ok := len(seeds) == 0
@@ -45,7 +48,7 @@ func sliceBlockService(rights []sparql.Binding) BlockService {
 				out = append(out, rb)
 			}
 		}
-		return FromSlice(ctx, out)
+		return CFromBindings(ctx, out, schema, d, 0)
 	}
 }
 
@@ -87,8 +90,8 @@ func randomRelation(rng *rand.Rand, vars []string, n int) []sparql.Binding {
 
 // TestJoinOperatorEquivalence is the property test: on randomized inputs —
 // including empty sides and an empty join-variable set (cross product) —
-// BlockBindJoin, BindJoin, SymmetricHashJoin and NestedLoopJoin must all
-// produce the reference multiset of answers.
+// CBlockBindJoin, CBindJoin, CSymmetricHashJoin and CNestedLoopJoin must
+// all produce the reference multiset of answers.
 func TestJoinOperatorEquivalence(t *testing.T) {
 	shapes := []struct {
 		leftVars, rightVars, joinVars []string
@@ -112,23 +115,26 @@ func TestJoinOperatorEquivalence(t *testing.T) {
 		rights := randomRelation(rng, shape.rightVars, nr)
 		want := referenceJoin(lefts, rights)
 		ctx := context.Background()
+		d := dict.New()
+		out := outSchema(lefts, rights)
+		batch := 1 + iter%5
 
 		label := func(op string) string {
 			return fmt.Sprintf("iter %d, %s join on %v (%dx%d)", iter, op, shape.joinVars, nl, nr)
 		}
-		got := BindJoin(ctx, FromSlice(ctx, lefts), sliceService(rights), shape.joinVars, 1+iter%5).Collect()
+		got := collect(CBindJoin(ctx, feed(ctx, d, lefts, batch), sliceService(d, rights), shape.joinVars, out, d, batch), d)
 		assertSameMultiset(t, label("bind"), got, want)
 
 		for _, cfg := range [][2]int{{1, 1}, {3, 2}, {16, 4}, {100, 8}} {
-			got = BlockBindJoin(ctx, FromSlice(ctx, lefts), sliceBlockService(rights),
-				shape.joinVars, cfg[0], cfg[1], 1+iter%5).Collect()
+			got = collect(CBlockBindJoin(ctx, feed(ctx, d, lefts, batch), sliceBlockService(d, rights),
+				shape.joinVars, out, d, cfg[0], cfg[1], batch), d)
 			assertSameMultiset(t, label(fmt.Sprintf("block-bind B=%d W=%d", cfg[0], cfg[1])), got, want)
 		}
 
-		got = SymmetricHashJoin(ctx, FromSlice(ctx, lefts), FromSlice(ctx, rights), shape.joinVars, 1+iter%4, 1+iter%5).Collect()
+		got = collect(CSymmetricHashJoin(ctx, feed(ctx, d, lefts, batch), feed(ctx, d, rights, batch), shape.joinVars, out, 1+iter%4, batch), d)
 		assertSameMultiset(t, label("symmetric-hash"), got, want)
 
-		got = NestedLoopJoin(ctx, FromSlice(ctx, lefts), FromSlice(ctx, rights), shape.joinVars, 1+iter%5).Collect()
+		got = collect(CNestedLoopJoin(ctx, feed(ctx, d, lefts, batch), feed(ctx, d, rights, batch), shape.joinVars, out, batch), d)
 		assertSameMultiset(t, label("nested-loop"), got, want)
 	}
 }
@@ -148,12 +154,14 @@ func TestBlockBindJoinUnboundLeftJoinVar(t *testing.T) {
 		rights := randomRelation(rng, []string{"x", "b"}, 20)
 		want := referenceJoin(lefts, rights)
 		ctx := context.Background()
+		d := dict.New()
+		out := outSchema(lefts, rights)
 		for _, blockSize := range []int{1, 4, 64} {
-			got := BlockBindJoin(ctx, FromSlice(ctx, lefts), sliceBlockService(rights),
-				[]string{"x"}, blockSize, 3, 0).Collect()
+			got := collect(CBlockBindJoin(ctx, feed(ctx, d, lefts, 0), sliceBlockService(d, rights),
+				[]string{"x"}, out, d, blockSize, 3, 0), d)
 			assertSameMultiset(t, fmt.Sprintf("iter %d B=%d", iter, blockSize), got, want)
 		}
-		got := BindJoin(ctx, FromSlice(ctx, lefts), sliceService(rights), []string{"x"}, 0).Collect()
+		got := collect(CBindJoin(ctx, feed(ctx, d, lefts, 0), sliceService(d, rights), []string{"x"}, out, d, 0), d)
 		assertSameMultiset(t, fmt.Sprintf("iter %d bind", iter), got, want)
 	}
 }
@@ -169,14 +177,16 @@ func TestBlockBindJoinBatchesRequests(t *testing.T) {
 		lefts := randomRelation(rng, []string{"x"}, tc.n)
 		var mu sync.Mutex
 		calls := 0
-		svc := func(ctx context.Context, seeds []sparql.Binding) *Stream {
+		d := dict.New()
+		schema := NewSchema([]string{"x"})
+		svc := func(ctx context.Context, seeds []sparql.Binding) *CStream {
 			mu.Lock()
 			calls++
 			mu.Unlock()
-			return FromSlice(ctx, nil)
+			return CFromBindings(ctx, nil, schema, d, 0)
 		}
 		ctx := context.Background()
-		BlockBindJoin(ctx, FromSlice(ctx, lefts), svc, []string{"x"}, tc.block, 4, 0).Collect()
+		collect(CBlockBindJoin(ctx, feed(ctx, d, lefts, 0), svc, []string{"x"}, schema, d, tc.block, 4, 0), d)
 		if calls != tc.want {
 			t.Errorf("n=%d B=%d: %d service calls, want %d", tc.n, tc.block, calls, tc.want)
 		}
@@ -190,18 +200,20 @@ func TestBlockBindJoinCancellation(t *testing.T) {
 	lefts := randomRelation(rng, []string{"x", "a"}, 5000)
 	rights := randomRelation(rng, []string{"x", "b"}, 200)
 
-	streams := map[string]func(ctx context.Context) *Stream{
-		"bind": func(ctx context.Context) *Stream {
-			return BindJoin(ctx, FromSlice(ctx, lefts), sliceService(rights), []string{"x"}, 0)
+	d := dict.New()
+	out := outSchema(lefts, rights)
+	streams := map[string]func(ctx context.Context) *CStream{
+		"bind": func(ctx context.Context) *CStream {
+			return CBindJoin(ctx, feed(ctx, d, lefts, 0), sliceService(d, rights), []string{"x"}, out, d, 0)
 		},
-		"block-bind": func(ctx context.Context) *Stream {
-			return BlockBindJoin(ctx, FromSlice(ctx, lefts), sliceBlockService(rights), []string{"x"}, 16, 4, 0)
+		"block-bind": func(ctx context.Context) *CStream {
+			return CBlockBindJoin(ctx, feed(ctx, d, lefts, 0), sliceBlockService(d, rights), []string{"x"}, out, d, 16, 4, 0)
 		},
-		"symmetric-hash": func(ctx context.Context) *Stream {
-			return SymmetricHashJoin(ctx, FromSlice(ctx, lefts), FromSlice(ctx, rights), []string{"x"}, 4, 0)
+		"symmetric-hash": func(ctx context.Context) *CStream {
+			return CSymmetricHashJoin(ctx, feed(ctx, d, lefts, 0), feed(ctx, d, rights, 0), []string{"x"}, out, 4, 0)
 		},
-		"nested-loop": func(ctx context.Context) *Stream {
-			return NestedLoopJoin(ctx, FromSlice(ctx, lefts), FromSlice(ctx, rights), []string{"x"}, 0)
+		"nested-loop": func(ctx context.Context) *CStream {
+			return CNestedLoopJoin(ctx, feed(ctx, d, lefts, 0), feed(ctx, d, rights, 0), []string{"x"}, out, 0)
 		},
 	}
 	for name, mk := range streams {
@@ -209,7 +221,7 @@ func TestBlockBindJoinCancellation(t *testing.T) {
 		out := mk(ctx)
 		got := 0
 		for batch := range out.Batches() {
-			got += len(batch)
+			got += batch.Len
 			if got >= 10 {
 				cancel()
 			}
@@ -230,7 +242,8 @@ func TestBlockBindJoinCancellationDoesNotLeak(t *testing.T) {
 	lefts := randomRelation(rng, []string{"x"}, 10000)
 	rights := randomRelation(rng, []string{"x", "b"}, 500)
 	ctx, cancel := context.WithCancel(context.Background())
-	out := BlockBindJoin(ctx, FromSlice(ctx, lefts), sliceBlockService(rights), []string{"x"}, 8, 4, 0)
+	d := dict.New()
+	out := CBlockBindJoin(ctx, feed(ctx, d, lefts, 0), sliceBlockService(d, rights), []string{"x"}, outSchema(lefts, rights), d, 8, 4, 0)
 	<-out.Batches() // first answers prove the pipeline is running
 	cancel()
 	done := make(chan struct{})

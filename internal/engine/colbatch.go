@@ -95,17 +95,6 @@ func mix64(x uint64) uint64 {
 	return x
 }
 
-// hashRowIDs combines the IDs of one row's key columns into a hash.
-// Unbound (0) participates like any value: the row model's string join
-// keys distinguish "?v unbound" from every bound value, and so does this.
-func hashRowIDs(b *ColBatch, row int, cols []int) uint64 {
-	h := uint64(0x9e3779b97f4a7c15)
-	for _, c := range cols {
-		h = mix64(h ^ uint64(b.Cols[c][row]))
-	}
-	return h
-}
-
 // HashRowKey combines the IDs of row's key columns (given as column
 // positions; -1 contributes Unbound) into the exchange's row hash. It is
 // the exported face of the morsel exchange's shard hash, so a
@@ -254,8 +243,7 @@ func (b *ColBuilder) AppendMerged(l *ColBatch, lr int, lmap []int, r *ColBatch, 
 }
 
 // AppendBinding appends a row-model binding, interning its terms into d.
-// Variables outside the schema are dropped (the row operators tolerate
-// extra variables; a columnar batch cannot carry them).
+// Variables outside the schema are dropped (a batch cannot carry them).
 func (b *ColBuilder) AppendBinding(bind sparql.Binding, d *dict.Dict) {
 	r := b.growRow()
 	for c, v := range b.schema.Vars {

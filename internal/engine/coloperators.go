@@ -10,20 +10,18 @@ import (
 	"ontario/internal/sparql"
 )
 
-// The columnar operators mirror the row operators' semantics exactly —
-// same join compatibility, same streaming/flush behaviour, same
-// draining discipline after a cancelled send — over the dictionary-
-// encoded layout. The hot paths hash and compare raw uint64 IDs; terms
-// are only materialized where a value is genuinely needed (FILTER
-// expressions, ORDER BY keys, bind-join seeds crossing the wrapper
-// boundary).
+// The operators run over the dictionary-encoded layout: the hot paths
+// hash and compare raw uint64 IDs, and terms are only materialized where
+// a value is genuinely needed (FILTER expressions, ORDER BY keys, bind-join
+// seeds crossing the wrapper boundary). After a cancelled send an operator
+// stops producing but keeps draining its inputs, so upstream producers can
+// finish instead of blocking forever.
 //
-// Join-key semantics, matching Binding.Key: two rows fall in the same
-// bucket only when their join-variable IDs are EXACTLY equal, with
-// unbound (0) a value of its own — a row with ?v unbound never hash-joins
-// a row with ?v bound, just like the row model's string keys. The
-// remaining shared variables are then checked with the laxer Compatible
-// rule (unbound matches anything).
+// Join-key semantics: two rows fall in the same bucket only when their
+// join-variable IDs are EXACTLY equal, with unbound (0) a value of its own
+// — a row with ?v unbound never hash-joins a row with ?v bound. The
+// remaining shared variables are then checked with the laxer
+// sparql.Binding.Compatible rule (unbound matches anything).
 
 // sharedPairs returns the column-position pairs of the variables both
 // schemas carry, excluding the given join variables (those are handled by
@@ -141,9 +139,14 @@ func compatBT(b *ColBatch, r int, bPos []int, t *colTable, tr int32, tPos []int)
 	return true
 }
 
-// cEmitter is the columnar emitter: it accumulates result rows and
-// forwards batches of at most size, going dead after a failed send like
-// its row counterpart. Not safe for concurrent use.
+// cEmitter is the shared output side of the batch-building operators: it
+// accumulates result rows and forwards them as batches of at most size.
+// After a failed send (context cancelled) it goes dead — every further
+// append/flush is a cheap no-op and ok() reports false — so callers fall
+// through to draining their inputs without special-casing dropped
+// batches. Not safe for concurrent use; concurrent producers (block bind
+// join dispatches, hash-join shard workers) each own one emitter. Sends
+// are accounted to st (nil records nothing).
 type cEmitter struct {
 	ctx  context.Context
 	out  *CStream
@@ -265,11 +268,21 @@ type cMorsel struct {
 	batch    *ColBatch
 }
 
-// CSymmetricHashJoin is the columnar symmetric hash join: identical
-// morsel-sharded dataflow to SymmetricHashJoin, but the shard hash, the
-// bucket key and the compatibility check all operate on raw dictionary
-// IDs — no string key is ever built. out is the operator's output schema
-// (the plan node's variables); par and batch as in the row operator.
+// CSymmetricHashJoin joins two streams on joinVars without blocking: each
+// arriving row is inserted into its side's hash table and immediately
+// probed against the other side's table, so answers are emitted as soon as
+// both matching inputs have arrived (the adaptive operator ANAPSID calls
+// agjoin). The shard hash, the bucket key and the compatibility check all
+// operate on raw dictionary IDs — no string key is ever built.
+//
+// The hash tables are sharded by join-key hash across par probe workers,
+// morsel-style: each input batch is partitioned by key hash and each
+// fragment is handed to the worker owning that shard. A worker owns its
+// shard's two hash tables exclusively, so insert and probe run without any
+// lock. par <= 1 degrades to a single worker; when joinVars is empty every
+// row lands in one shard and the operator degrades to a cross product. out
+// is the operator's output schema (the plan node's variables); batch
+// bounds the output batches (<= 0 means DefaultBatchSize).
 func CSymmetricHashJoin(ctx context.Context, left, right *CStream, joinVars []string, out *Schema, par, batch int) *CStream {
 	if par < 1 {
 		par = 1
@@ -412,10 +425,16 @@ func seedBinding(b *ColBatch, r int, joinVars []string, pos []int, d *dict.Dict)
 	return seed
 }
 
-// CBindJoin is the columnar dependent join: per left row it extracts the
-// bound join variables as a seed, invokes the right service, and merges
-// compatible results. Output batching matches the row operator: a
-// flush-interval writer accumulates across seeds.
+// CBindJoin is a dependent (nested-loop) join: per left row it extracts
+// the bound join variables as a seed, invokes the right service
+// instantiated with it and merges the compatible results. It trades
+// per-answer requests for smaller transfers. Results trickle in per
+// sequential service call, so the output is batched like a leaf
+// producer's: a ColWriter accumulates across seeds and its flush interval
+// preserves time-to-first-answer while service calls are slow. After a
+// failed send the output is abandoned: the join stops invoking the right
+// service but keeps draining the left (and any in-flight right) stream so
+// producers can finish.
 func CBindJoin(ctx context.Context, left *CStream, right CService, joinVars []string, out *Schema, d *dict.Dict, batch int) *CStream {
 	if batch <= 0 {
 		batch = DefaultBatchSize
@@ -474,14 +493,25 @@ func CBindJoin(ctx context.Context, left *CStream, right CService, joinVars []st
 	return outS
 }
 
-// CBlockService answers a whole block of seeds in one invocation (see
-// BlockService for the contract; an empty seed list means unconstrained).
+// CBlockService produces a stream for a request instantiated with a whole
+// block of seed bindings in a single invocation; it abstracts a multi-seed
+// wrapper call for the block bind join. The service returns the union of
+// the right solutions compatible with at least one seed, each underlying
+// solution exactly once and NOT merged with the seeds (the solutions bind
+// the join variables themselves, so the join matches them back to the
+// block's left rows by compatibility). An empty seed list means an
+// unconstrained request.
 type CBlockService func(ctx context.Context, seeds []sparql.Binding) *CStream
 
-// CBlockBindJoin is the columnar block bind join: left rows are gathered
-// into blocks, each block's distinct seeds (deduplicated on raw ID tuples
-// — no string keys) go to the right service in one invocation, and up to
-// concurrency blocks are in flight at once.
+// CBlockBindJoin is the block-based variant of CBindJoin (the FedX/ANAPSID
+// lineage "bound join"): left rows are gathered into blocks of blockSize,
+// each block's distinct seeds (deduplicated on raw ID tuples) are pushed
+// to the right service in ONE invocation — and hence one simulated network
+// message — and up to concurrency block requests are in flight at once.
+// Output stays streaming: a block's answers are emitted as soon as its
+// service call returns, independent of later blocks. When joinVars is
+// empty the operator degrades to a cross product, like its sequential
+// counterpart.
 func CBlockBindJoin(ctx context.Context, left *CStream, right CBlockService, joinVars []string, out *Schema, d *dict.Dict, blockSize, concurrency, batch int) *CStream {
 	if blockSize < 1 {
 		blockSize = 1
@@ -888,8 +918,8 @@ func CProject(ctx context.Context, in *CStream, vars []string, batch int) *CStre
 }
 
 // CDistinct drops duplicate rows: the seen-set hashes the full ID tuple
-// and verifies collisions against an arena of stored rows — the full-key
-// string of the row model is gone.
+// and verifies collisions against an arena of stored rows — no full-key
+// string is ever built.
 func CDistinct(ctx context.Context, in *CStream, batch int) *CStream {
 	st := StatsFrom(ctx)
 	out := NewCStream(in.schema, bufBatches(batch))

@@ -1,7 +1,22 @@
+// Package engine provides the physical operators of the federated query
+// engine. Following ANAPSID (which Ontario inherits its operators from),
+// joins are non-blocking: the symmetric hash join probes and emits answers
+// as soon as they arrive from either input, so results are produced
+// incrementally even under network delays.
+//
+// Execution is batch-at-a-time (vectorized) over a dictionary-encoded
+// columnar layout: operators exchange ColBatch values — one dict.ID column
+// per variable — instead of single solutions, amortizing the per-tuple
+// channel send and context select over DefaultBatchSize rows. The
+// streaming semantics are preserved by the flush rules of ColWriter: leaf
+// producers flush a partial batch after DefaultFlushInterval (so the first
+// answer is never held back behind an unfilled batch) and on close;
+// interior operators forward their output at every input-batch boundary.
 package engine
 
 import (
 	"context"
+	"runtime"
 	"sync"
 	"time"
 
@@ -9,9 +24,49 @@ import (
 	"ontario/internal/sparql"
 )
 
-// CStream is the columnar counterpart of Stream: an asynchronous exchange
-// of ColBatch values sharing one schema. The buffer is counted in
-// batches. A batch, once sent, is owned by the receiver.
+// DefaultBatchSize is the batch granularity of the exchange when no
+// explicit size is configured: leaf producers and rebatching operators cut
+// batches of at most this many rows.
+const DefaultBatchSize = 256
+
+// DefaultFlushInterval bounds how long a leaf producer may hold a partial
+// batch: once the oldest buffered row has waited this long the batch is
+// flushed regardless of fill, preserving time-to-first-answer under slow
+// (simulated-latency) production.
+const DefaultFlushInterval = time.Millisecond
+
+// DefaultProbeParallelism derives the default number of morsel-parallel
+// probe workers (and hash-table shards) of a symmetric hash join from the
+// machine, capped so a deep plan of many joins does not explode into
+// thousands of goroutines.
+func DefaultProbeParallelism() int {
+	n := runtime.GOMAXPROCS(0)
+	if n > 8 {
+		n = 8
+	}
+	if n < 1 {
+		n = 1
+	}
+	return n
+}
+
+// bufBatches sizes an operator's output buffer in batches so the buffered
+// row count stays roughly constant across batch sizes: small batches get
+// more buffered batches (batch=1 keeps 64 in-flight rows), large batches
+// the minimum of 4.
+func bufBatches(batch int) int {
+	if batch <= 0 {
+		batch = DefaultBatchSize
+	}
+	if n := 64 / batch; n > 4 {
+		return n
+	}
+	return 4
+}
+
+// CStream is an asynchronous exchange of ColBatch values sharing one
+// schema. The buffer is counted in batches. A batch, once sent, is owned
+// by the receiver: producers must not retain or modify it.
 type CStream struct {
 	ch     chan *ColBatch
 	schema *Schema
@@ -60,8 +115,9 @@ func (s *CStream) Close() { close(s.ch) }
 // Batches exposes the receive side of the exchange.
 func (s *CStream) Batches() <-chan *ColBatch { return s.ch }
 
-// recvC receives the next columnar batch from in, accounting the blocked
-// time and the consumed batch like recv does for row streams.
+// recvC receives the next batch from in, accounting the blocked time and
+// the consumed batch. The fast path (a batch already buffered) skips the
+// clock reads entirely.
 func (o *OpStats) recvC(in *CStream) (*ColBatch, bool) {
 	if o == nil {
 		b, ok := <-in.ch
@@ -84,8 +140,9 @@ func (o *OpStats) recvC(in *CStream) (*ColBatch, bool) {
 	return b, ok
 }
 
-// sendC delivers a columnar batch to out, accounting the blocked time and
-// the produced rows; it mirrors OpStats.send.
+// sendC delivers a batch to out, accounting the blocked time and the
+// produced rows; it mirrors CStream.SendBatch's contract (true on
+// delivery, false when ctx is cancelled).
 func (o *OpStats) sendC(ctx context.Context, out *CStream, b *ColBatch) bool {
 	if o == nil {
 		return out.SendBatch(ctx, b)
@@ -108,10 +165,11 @@ func (o *OpStats) sendC(ctx context.Context, out *CStream, b *ColBatch) bool {
 	return ok
 }
 
-// CMeter relays a columnar leaf stream through a counting stage
-// attributed to st, mirroring Meter: produced batches count as st's
-// output, blocked time is split into recv/send, and st closes when the
-// relayed stream completes. st == nil returns in unchanged.
+// CMeter relays in through a counting stage attributed to st: produced
+// batches count as st's output, time waiting on in as blocked-recv, time
+// waiting on the consumer as blocked-send, and st is closed when the
+// relayed stream completes. It instruments leaf (service) streams, whose
+// producers live inside the wrappers; st == nil returns in unchanged.
 func CMeter(ctx context.Context, in *CStream, st *OpStats) *CStream {
 	if st == nil {
 		return in
@@ -145,10 +203,10 @@ func CMeter(ctx context.Context, in *CStream, st *OpStats) *CStream {
 	return out
 }
 
-// ColWriter is the columnar BatchWriter: a leaf producer appends rows and
-// the writer cuts batches of at most size, flushing a partial batch after
-// the flush interval (preserving time-to-first-answer under slow,
-// simulated-latency production) and on Close. Safe for concurrent use.
+// ColWriter accumulates rows into batches on behalf of a leaf producer
+// and flushes to the underlying stream when a batch fills, when the flush
+// interval elapses with a partial batch pending, and on Close. It is safe
+// for concurrent use (the flush timer fires on its own goroutine).
 type ColWriter struct {
 	ctx   context.Context
 	out   *CStream
@@ -159,7 +217,11 @@ type ColWriter struct {
 	b      *ColBuilder
 	timer  *time.Timer
 	failed bool
-	first  time.Time
+	// first is the arrival time of the oldest buffered row; timed flushes
+	// only fire once that row has waited out the interval, so a timer armed
+	// before a size-triggered flush cannot flush the next partial batch
+	// early.
+	first time.Time
 
 	st *OpStats
 }
@@ -205,18 +267,6 @@ func (w *ColWriter) AppendMerged(l *ColBatch, lr int, lmap []int, r *ColBatch, r
 		return false
 	}
 	w.b.AppendMerged(l, lr, lmap, r, rr, rmap)
-	return w.appendedLocked()
-}
-
-// AppendBinding appends a row-model binding, interning its terms into d;
-// it returns false once the context is cancelled.
-func (w *ColWriter) AppendBinding(bind sparql.Binding, d *dict.Dict) bool {
-	w.mu.Lock()
-	defer w.mu.Unlock()
-	if w.failed {
-		return false
-	}
-	w.b.AppendBinding(bind, d)
 	return w.appendedLocked()
 }
 
@@ -282,52 +332,9 @@ func (w *ColWriter) flushLocked() bool {
 	return true
 }
 
-// EncodeStream adapts a row-model stream to the columnar exchange:
-// every row batch becomes one columnar batch over schema with its terms
-// interned into d. Batch boundaries are preserved, so the producer's
-// flush cadence — and with it time-to-first-answer — carries through
-// unchanged. It is the fallback wrapper boundary for sources without a
-// native columnar path.
-func EncodeStream(ctx context.Context, in *Stream, schema *Schema, d *dict.Dict) *CStream {
-	out := NewCStream(schema, 1)
-	go func() {
-		defer out.Close()
-		dead := false
-		for rows := range in.Batches() {
-			if dead {
-				continue // drain so the producer can finish
-			}
-			if !out.SendBatch(ctx, EncodeBatch(rows, schema, d)) {
-				dead = true
-			}
-		}
-	}()
-	return out
-}
-
-// DecodeStream adapts a columnar stream back to the row model, resolving
-// IDs through d; batch boundaries are preserved. It exists for consumers
-// that need materialized bindings (tests, the reference row pipeline).
-func DecodeStream(ctx context.Context, in *CStream, d *dict.Dict) *Stream {
-	out := NewStream(1)
-	go func() {
-		defer out.Close()
-		dead := false
-		for b := range in.ch {
-			if dead {
-				continue
-			}
-			if !out.SendBatch(ctx, DecodeBatch(b, d)) {
-				dead = true
-			}
-		}
-	}()
-	return out
-}
-
 // CFromBindings returns a closed columnar stream delivering the given
-// rows in batches of batch (<= 0 means DefaultBatchSize); a test helper
-// mirroring FromSliceBatch.
+// rows in batches of batch (<= 0 means DefaultBatchSize); the input side
+// of operator tests (DecodeBatch is the output side).
 func CFromBindings(ctx context.Context, rows []sparql.Binding, schema *Schema, d *dict.Dict, batch int) *CStream {
 	if batch <= 0 {
 		batch = DefaultBatchSize

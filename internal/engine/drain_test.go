@@ -6,23 +6,27 @@ import (
 	"testing"
 	"time"
 
+	"ontario/internal/dict"
 	"ontario/internal/rdf"
 	"ontario/internal/sparql"
 )
 
-// rawProducer feeds n bindings into a stream with plain channel sends — a
-// producer that does NOT watch the context, the worst case for operators
-// that stop consuming their inputs. It closes done when it finished.
-func rawProducer(s *Stream, n int, v string) chan struct{} {
+// rawProducer feeds n single-row batches binding ?x into a new stream with
+// plain channel sends — a producer that does NOT watch the context, the
+// worst case for operators that stop consuming their inputs. It closes
+// done when it finished.
+func rawProducer(d *dict.Dict, n int) (*CStream, chan struct{}) {
+	schema := NewSchema([]string{"x"})
+	s := NewCStream(schema, 4)
 	done := make(chan struct{})
 	go func() {
 		defer close(done)
 		defer s.Close()
 		for i := 0; i < n; i++ {
-			s.ch <- []sparql.Binding{{v: rdf.NewLiteral(fmt.Sprint(i))}}
+			s.ch <- EncodeBatch([]sparql.Binding{{"x": rdf.NewLiteral(fmt.Sprint(i))}}, schema, d)
 		}
 	}()
-	return done
+	return s, done
 }
 
 func awaitDone(t *testing.T, label string, done chan struct{}) {
@@ -39,12 +43,12 @@ func awaitDone(t *testing.T, label string, done chan struct{}) {
 // can finish — the goroutine-leak regression under client disconnects.
 func TestBindJoinDrainsInputsOnCancel(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
-	left := NewStream(4)
-	leftDone := rawProducer(left, 500, "x")
-	service := func(ctx context.Context, seed sparql.Binding) *Stream {
-		return FromSlice(ctx, []sparql.Binding{seed})
+	d := dict.New()
+	left, leftDone := rawProducer(d, 500)
+	service := func(ctx context.Context, seed sparql.Binding) *CStream {
+		return CFromBindings(ctx, []sparql.Binding{seed}, left.Schema(), d, 0)
 	}
-	out := BindJoin(ctx, left, service, []string{"x"}, 0)
+	out := CBindJoin(ctx, left, service, []string{"x"}, left.Schema(), d, 0)
 	<-out.Batches() // one answer arrived, then the client goes away
 	cancel()
 	awaitDone(t, "bind-join", leftDone)
@@ -56,10 +60,10 @@ func TestBindJoinDrainsInputsOnCancel(t *testing.T) {
 // join, on both inputs.
 func TestSymmetricHashJoinDrainsInputsOnCancel(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
-	left, right := NewStream(4), NewStream(4)
-	leftDone := rawProducer(left, 500, "x")
-	rightDone := rawProducer(right, 500, "x")
-	out := SymmetricHashJoin(ctx, left, right, []string{"x"}, 4, 0)
+	d := dict.New()
+	left, leftDone := rawProducer(d, 500)
+	right, rightDone := rawProducer(d, 500)
+	out := CSymmetricHashJoin(ctx, left, right, []string{"x"}, left.Schema(), 4, 0)
 	<-out.Batches()
 	cancel()
 	awaitDone(t, "hash-join left", leftDone)
@@ -72,12 +76,12 @@ func TestSymmetricHashJoinDrainsInputsOnCancel(t *testing.T) {
 // the left input and the in-flight block responses.
 func TestBlockBindJoinDrainsInputsOnCancel(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
-	left := NewStream(4)
-	leftDone := rawProducer(left, 500, "x")
-	service := func(ctx context.Context, seeds []sparql.Binding) *Stream {
-		return FromSlice(ctx, seeds)
+	d := dict.New()
+	left, leftDone := rawProducer(d, 500)
+	service := func(ctx context.Context, seeds []sparql.Binding) *CStream {
+		return CFromBindings(ctx, seeds, left.Schema(), d, 0)
 	}
-	out := BlockBindJoin(ctx, left, service, []string{"x"}, 8, 2, 0)
+	out := CBlockBindJoin(ctx, left, service, []string{"x"}, left.Schema(), d, 8, 2, 0)
 	<-out.Batches()
 	cancel()
 	awaitDone(t, "block-bind-join", leftDone)

@@ -8,9 +8,51 @@ import (
 	"testing/quick"
 	"time"
 
+	"ontario/internal/dict"
 	"ontario/internal/rdf"
 	"ontario/internal/sparql"
 )
+
+// varsOf returns the sorted distinct variables the relations bind — the
+// schema a test input or a join output is laid out over.
+func varsOf(rels ...[]sparql.Binding) []string {
+	seen := map[string]bool{}
+	var out []string
+	for _, rel := range rels {
+		for _, row := range rel {
+			for v := range row {
+				if !seen[v] {
+					seen[v] = true
+					out = append(out, v)
+				}
+			}
+		}
+	}
+	sort.Strings(out)
+	return out
+}
+
+// feed is the input side of every operator test: rows enter the columnar
+// exchange through CFromBindings over the variables they bind, in batches
+// of batch (0 means the default).
+func feed(ctx context.Context, d *dict.Dict, rows []sparql.Binding, batch int) *CStream {
+	return CFromBindings(ctx, rows, NewSchema(varsOf(rows)), d, batch)
+}
+
+// collect is the output side: it drains the stream and materializes every
+// batch back into bindings through DecodeBatch.
+func collect(s *CStream, d *dict.Dict) []sparql.Binding {
+	var out []sparql.Binding
+	for batch := range s.Batches() {
+		out = append(out, DecodeBatch(batch, d)...)
+	}
+	return out
+}
+
+// outSchema is a join's output layout: every variable either side binds.
+func outSchema(left, right []sparql.Binding) *Schema {
+	return NewSchema(varsOf(left, right))
+}
 
 func b(kv ...string) sparql.Binding {
 	out := sparql.NewBinding()
@@ -59,7 +101,8 @@ func TestSymmetricHashJoinBasic(t *testing.T) {
 	ctx := context.Background()
 	left := []sparql.Binding{b("x", "1", "y", "a"), b("x", "2", "y", "b"), b("x", "3", "y", "c")}
 	right := []sparql.Binding{b("x", "2", "z", "q"), b("x", "3", "z", "r"), b("x", "3", "z", "s"), b("x", "9", "z", "t")}
-	got := SymmetricHashJoin(ctx, FromSlice(ctx, left), FromSlice(ctx, right), []string{"x"}, 4, 0).Collect()
+	d := dict.New()
+	got := collect(CSymmetricHashJoin(ctx, feed(ctx, d, left, 0), feed(ctx, d, right, 0), []string{"x"}, outSchema(left, right), DefaultProbeParallelism(), 0), d)
 	assertSame(t, got, referenceJoin(left, right))
 	if len(got) != 3 {
 		t.Fatalf("join produced %d, want 3", len(got))
@@ -70,7 +113,8 @@ func TestSymmetricHashJoinCrossProduct(t *testing.T) {
 	ctx := context.Background()
 	left := []sparql.Binding{b("a", "1"), b("a", "2")}
 	right := []sparql.Binding{b("c", "x"), b("c", "y"), b("c", "z")}
-	got := SymmetricHashJoin(ctx, FromSlice(ctx, left), FromSlice(ctx, right), nil, 4, 0).Collect()
+	d := dict.New()
+	got := collect(CSymmetricHashJoin(ctx, feed(ctx, d, left, 0), feed(ctx, d, right, 0), nil, outSchema(left, right), 4, 0), d)
 	if len(got) != 6 {
 		t.Fatalf("cross product produced %d, want 6", len(got))
 	}
@@ -85,10 +129,11 @@ func TestSymmetricHashJoinEmitsExactlyOncePerPair(t *testing.T) {
 		left = append(left, b("k", fmt.Sprint(i%5), "l", fmt.Sprint(i)))
 		right = append(right, b("k", fmt.Sprint(i%5), "r", fmt.Sprint(i)))
 	}
+	d := dict.New()
 	for round := 0; round < 20; round++ {
 		// Alternate probe parallelism so both the serial and the sharded
 		// paths prove exactly-once emission.
-		got := SymmetricHashJoin(ctx, FromSlice(ctx, left), FromSlice(ctx, right), []string{"k"}, 1+round%4, 1+round%3).Collect()
+		got := collect(CSymmetricHashJoin(ctx, feed(ctx, d, left, 0), feed(ctx, d, right, 0), []string{"k"}, outSchema(left, right), 1+round%4, 1+round%3), d)
 		if len(got) != 500 { // 5 groups x 10 x 10
 			t.Fatalf("round %d: got %d, want 500", round, len(got))
 		}
@@ -99,7 +144,8 @@ func TestNestedLoopJoinMatchesReference(t *testing.T) {
 	ctx := context.Background()
 	left := []sparql.Binding{b("x", "1", "y", "a"), b("x", "2", "y", "b")}
 	right := []sparql.Binding{b("x", "1", "z", "p"), b("x", "1", "z", "q"), b("x", "5", "z", "r")}
-	got := NestedLoopJoin(ctx, FromSlice(ctx, left), FromSlice(ctx, right), []string{"x"}, 0).Collect()
+	d := dict.New()
+	got := collect(CNestedLoopJoin(ctx, feed(ctx, d, left, 0), feed(ctx, d, right, 0), []string{"x"}, outSchema(left, right), 0), d)
 	assertSame(t, got, referenceJoin(left, right))
 }
 
@@ -107,7 +153,9 @@ func TestBindJoin(t *testing.T) {
 	ctx := context.Background()
 	left := []sparql.Binding{b("x", "1"), b("x", "2"), b("x", "3")}
 	// The right service answers only for x in {2,3} with two rows each.
-	svc := func(ctx context.Context, seed sparql.Binding) *Stream {
+	d := dict.New()
+	svcSchema := NewSchema([]string{"w", "x"})
+	svc := func(ctx context.Context, seed sparql.Binding) *CStream {
 		var rows []sparql.Binding
 		if v, ok := seed["x"]; ok && (v.Value == "2" || v.Value == "3") {
 			rows = []sparql.Binding{
@@ -115,9 +163,9 @@ func TestBindJoin(t *testing.T) {
 				seed.Merge(b("w", "b"+v.Value)),
 			}
 		}
-		return FromSlice(ctx, rows)
+		return CFromBindings(ctx, rows, svcSchema, d, 0)
 	}
-	got := BindJoin(ctx, FromSlice(ctx, left), svc, []string{"x"}, 0).Collect()
+	got := collect(CBindJoin(ctx, feed(ctx, d, left, 0), svc, []string{"x"}, svcSchema, d, 0), d)
 	if len(got) != 4 {
 		t.Fatalf("bind join produced %d, want 4: %v", len(got), got)
 	}
@@ -140,7 +188,8 @@ func TestQuickJoinEquivalence(t *testing.T) {
 		for i, k := range rKeys {
 			right = append(right, b("k", fmt.Sprint(k%8), "r", fmt.Sprint(i)))
 		}
-		got := SymmetricHashJoin(ctx, FromSlice(ctx, left), FromSlice(ctx, right), []string{"k"}, 3, 0).Collect()
+		d := dict.New()
+		got := collect(CSymmetricHashJoin(ctx, feed(ctx, d, left, 0), feed(ctx, d, right, 0), []string{"k"}, outSchema(left, right), 3, 0), d)
 		want := referenceJoin(left, right)
 		if len(got) != len(want) {
 			return false
@@ -166,13 +215,18 @@ func TestFilterOperator(t *testing.T) {
 		{"v": rdf.IntLiteral(7)},
 		{"v": rdf.IntLiteral(10)},
 	}
-	got := Filter(ctx, FromSlice(ctx, in), q.Filters, 0).Collect()
+	d := dict.New()
+	got := collect(CFilter(ctx, feed(ctx, d, in, 0), q.Filters, d, 0), d)
 	if len(got) != 2 {
 		t.Fatalf("filter kept %d, want 2", len(got))
 	}
+	// A batch the filter only partly keeps is rebuilt, not forwarded.
+	if got := collect(CFilter(ctx, feed(ctx, d, in, 1), q.Filters, d, 0), d); len(got) != 2 {
+		t.Fatalf("filter over single-row batches kept %d, want 2", len(got))
+	}
 	// No filters: pass-through.
-	s := FromSlice(ctx, in)
-	if Filter(ctx, s, nil, 0) != s {
+	s := feed(ctx, d, in, 0)
+	if CFilter(ctx, s, nil, d, 0) != s {
 		t.Error("empty filter should return the input stream")
 	}
 }
@@ -185,21 +239,36 @@ func TestProjectDistinctLimitOffset(t *testing.T) {
 		b("x", "2", "y", "c"),
 		b("x", "2", "y", "d"),
 	}
-	got := Distinct(ctx, Project(ctx, FromSlice(ctx, in), []string{"x"}, 0), 0).Collect()
-	if len(got) != 2 {
-		t.Fatalf("distinct projection = %d, want 2", len(got))
+	d := dict.New()
+	// Batch sizes 0 (one batch) and 1/3 (cuts inside and across batches)
+	// cover both the forward-untouched and the rebuild paths.
+	for _, batch := range []int{0, 1, 3} {
+		got := collect(CDistinct(ctx, CProject(ctx, feed(ctx, d, in, batch), []string{"x"}, 0), 0), d)
+		if len(got) != 2 {
+			t.Fatalf("batch %d: distinct projection = %d, want 2", batch, len(got))
+		}
+		got = collect(CLimit(ctx, feed(ctx, d, in, batch), 3, 0), d)
+		if len(got) != 3 {
+			t.Fatalf("batch %d: limit = %d, want 3", batch, len(got))
+		}
+		got = collect(COffset(ctx, feed(ctx, d, in, batch), 3, 0), d)
+		if len(got) != 1 || got[0]["y"].Value != "d" {
+			t.Fatalf("batch %d: offset = %v, want the last row", batch, got)
+		}
+		got = collect(CLimit(ctx, feed(ctx, d, in, batch), 0, 0), d)
+		if len(got) != 0 {
+			t.Fatalf("batch %d: limit 0 = %d, want 0", batch, len(got))
+		}
 	}
-	got = Limit(ctx, FromSlice(ctx, in), 3, 0).Collect()
-	if len(got) != 3 {
-		t.Fatalf("limit = %d, want 3", len(got))
+	// A projected variable the input does not carry stays unbound.
+	got := collect(CProject(ctx, feed(ctx, d, in, 0), []string{"x", "missing"}, 0), d)
+	if len(got) != 4 {
+		t.Fatalf("projection onto a missing variable = %d rows, want 4", len(got))
 	}
-	got = Offset(ctx, FromSlice(ctx, in), 3, 0).Collect()
-	if len(got) != 1 {
-		t.Fatalf("offset = %d, want 1", len(got))
-	}
-	got = Limit(ctx, FromSlice(ctx, in), 0, 0).Collect()
-	if len(got) != 0 {
-		t.Fatalf("limit 0 = %d, want 0", len(got))
+	for _, g := range got {
+		if _, ok := g["missing"]; ok || len(g) != 1 {
+			t.Fatalf("projection onto a missing variable bound it: %v", g)
+		}
 	}
 }
 
@@ -207,10 +276,11 @@ func TestUnionOperator(t *testing.T) {
 	ctx := context.Background()
 	a := []sparql.Binding{b("x", "1"), b("x", "2")}
 	c := []sparql.Binding{b("x", "3")}
-	got := Union(ctx, 0, FromSlice(ctx, a), FromSlice(ctx, c), FromSlice(ctx, nil)).Collect()
-	if len(got) != 3 {
-		t.Fatalf("union = %d, want 3", len(got))
-	}
+	e := []sparql.Binding{b("y", "4")} // a child binding other variables is padded
+	d := dict.New()
+	got := collect(CUnion(ctx, NewSchema(varsOf(a, c, e)), 0,
+		feed(ctx, d, a, 0), feed(ctx, d, c, 0), feed(ctx, d, e, 0), feed(ctx, d, nil, 0)), d)
+	assertSame(t, got, append(append(append([]sparql.Binding{}, a...), c...), e...))
 }
 
 func TestOrderByOperator(t *testing.T) {
@@ -220,11 +290,17 @@ func TestOrderByOperator(t *testing.T) {
 		{"v": rdf.IntLiteral(1)},
 		{"v": rdf.IntLiteral(3)},
 	}
-	got := OrderBy(ctx, FromSlice(ctx, in), []sparql.OrderKey{{Var: "v", Desc: true}}, 0).Collect()
+	d := dict.New()
 	want := []int64{5, 3, 1}
-	for i, w := range want {
-		if got[i]["v"].Value != fmt.Sprint(w) {
-			t.Fatalf("order by desc: %v", got)
+	for _, batch := range []int{0, 2} { // one output batch, and a cut mid-result
+		got := collect(COrderBy(ctx, feed(ctx, d, in, 0), []sparql.OrderKey{{Var: "v", Desc: true}}, d, batch), d)
+		if len(got) != len(want) {
+			t.Fatalf("batch %d: order by returned %d rows, want %d", batch, len(got), len(want))
+		}
+		for i, w := range want {
+			if got[i]["v"].Value != fmt.Sprint(w) {
+				t.Fatalf("batch %d: order by desc: %v", batch, got)
+			}
 		}
 	}
 }
@@ -232,16 +308,18 @@ func TestOrderByOperator(t *testing.T) {
 func TestContextCancellation(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	// An infinite producer.
-	src := NewStream(0)
+	d := dict.New()
+	schema := NewSchema([]string{"x"})
+	src := NewCStream(schema, 0)
 	go func() {
 		for i := 0; ; i++ {
-			if !src.Send(ctx, b("x", fmt.Sprint(i))) {
+			if !src.SendBatch(ctx, EncodeBatch([]sparql.Binding{b("x", fmt.Sprint(i))}, schema, d)) {
 				src.Close()
 				return
 			}
 		}
 	}()
-	out := Project(ctx, src, []string{"x"}, 0)
+	out := CProject(ctx, src, []string{"x"}, 0)
 	<-out.Batches() // take one batch
 	cancel()
 	// The pipeline must terminate quickly after cancellation.
@@ -262,7 +340,8 @@ func TestLeftJoinOperator(t *testing.T) {
 	ctx := context.Background()
 	left := []sparql.Binding{b("x", "1"), b("x", "2"), b("x", "3")}
 	right := []sparql.Binding{b("x", "1", "y", "a"), b("x", "1", "y", "b"), b("x", "9", "y", "z")}
-	got := LeftJoin(ctx, FromSlice(ctx, left), FromSlice(ctx, right), nil, 0).Collect()
+	d := dict.New()
+	got := collect(CLeftJoin(ctx, feed(ctx, d, left, 0), feed(ctx, d, right, 0), nil, outSchema(left, right), d, 0), d)
 	// x=1 extends twice; x=2 and x=3 pass through unextended.
 	if len(got) != 4 {
 		t.Fatalf("left join produced %d, want 4: %v", len(got), got)
@@ -288,7 +367,8 @@ func TestLeftJoinWithFilter(t *testing.T) {
 		{"v": rdf.IntLiteral(3)},
 		{"v": rdf.IntLiteral(9)},
 	}
-	got := LeftJoin(ctx, FromSlice(ctx, left), FromSlice(ctx, right), q.Filters, 0).Collect()
+	d := dict.New()
+	got := collect(CLeftJoin(ctx, feed(ctx, d, left, 0), feed(ctx, d, right, 0), q.Filters, outSchema(left, right), d, 0), d)
 	// Only v=9 passes; the left row is extended once (not also emitted bare).
 	if len(got) != 1 {
 		t.Fatalf("left join with filter: %v", got)
@@ -303,7 +383,8 @@ func TestLeftJoinAllFilteredOutKeepsLeft(t *testing.T) {
 	q := sparql.MustParse(`SELECT ?x WHERE { ?s ?p ?o . FILTER (?v > 100) }`)
 	left := []sparql.Binding{{"x": rdf.IntLiteral(1)}}
 	right := []sparql.Binding{{"v": rdf.IntLiteral(3)}}
-	got := LeftJoin(ctx, FromSlice(ctx, left), FromSlice(ctx, right), q.Filters, 0).Collect()
+	d := dict.New()
+	got := collect(CLeftJoin(ctx, feed(ctx, d, left, 0), feed(ctx, d, right, 0), q.Filters, outSchema(left, right), d, 0), d)
 	if len(got) != 1 {
 		t.Fatalf("left join: %v", got)
 	}

@@ -4,8 +4,6 @@ import (
 	"context"
 	"sync/atomic"
 	"time"
-
-	"ontario/internal/sparql"
 )
 
 // OpStats is the per-operator runtime instrumentation record: every engine
@@ -114,57 +112,6 @@ func (o *OpStats) in(bindings int) {
 	o.bindingsIn.Add(int64(bindings))
 }
 
-// recv receives the next batch from in, accounting the blocked time and the
-// consumed batch. The fast path (a batch already buffered) skips the clock
-// reads entirely.
-func (o *OpStats) recv(in *Stream) ([]sparql.Binding, bool) {
-	if o == nil {
-		b, ok := <-in.Batches()
-		return b, ok
-	}
-	select {
-	case b, ok := <-in.Batches():
-		if ok {
-			o.in(len(b))
-		}
-		return b, ok
-	default:
-	}
-	t0 := time.Now()
-	b, ok := <-in.Batches()
-	o.recvNS.Add(time.Since(t0).Nanoseconds())
-	if ok {
-		o.in(len(b))
-	}
-	return b, ok
-}
-
-// send delivers a batch to out, accounting the blocked time and the
-// produced batch; it mirrors Stream.SendBatch's contract (true on
-// delivery, false when ctx is cancelled).
-func (o *OpStats) send(ctx context.Context, out *Stream, batch []sparql.Binding) bool {
-	if o == nil {
-		return out.SendBatch(ctx, batch)
-	}
-	if len(batch) == 0 {
-		return true
-	}
-	// Fast path: room in the exchange buffer, no clock reads.
-	if out.TrySendBatch(batch) {
-		o.batchesOut.Add(1)
-		o.bindingsOut.Add(int64(len(batch)))
-		return true
-	}
-	t0 := time.Now()
-	ok := out.SendBatch(ctx, batch)
-	o.sendNS.Add(time.Since(t0).Nanoseconds())
-	if ok {
-		o.batchesOut.Add(1)
-		o.bindingsOut.Add(int64(len(batch)))
-	}
-	return ok
-}
-
 // addHashEntries accounts hash-table insertions (one call per morsel).
 func (o *OpStats) addHashEntries(n int) {
 	if o == nil {
@@ -198,42 +145,4 @@ func WithOpStats(ctx context.Context, st *OpStats) context.Context {
 func StatsFrom(ctx context.Context) *OpStats {
 	st, _ := ctx.Value(opStatsKey{}).(*OpStats)
 	return st
-}
-
-// Meter relays in through a counting stage attributed to st: produced
-// batches count as st's output, time waiting on in as blocked-recv, time
-// waiting on the consumer as blocked-send, and st is closed when the
-// relayed stream completes. It instruments leaf (service) streams, whose
-// producers live inside the wrappers; st == nil returns in unchanged.
-func Meter(ctx context.Context, in *Stream, st *OpStats) *Stream {
-	if st == nil {
-		return in
-	}
-	out := NewStream(1)
-	go func() {
-		defer out.Close()
-		defer st.close()
-		dead := false
-		for {
-			var batch []sparql.Binding
-			var ok bool
-			select {
-			case batch, ok = <-in.Batches():
-			default:
-				t0 := time.Now()
-				batch, ok = <-in.Batches()
-				st.recvNS.Add(time.Since(t0).Nanoseconds())
-			}
-			if !ok {
-				return
-			}
-			if dead {
-				continue // drain so the wrapper's producer can finish
-			}
-			if !st.send(ctx, out, batch) {
-				dead = true
-			}
-		}
-	}()
-	return out
 }

@@ -5,6 +5,7 @@ import (
 	"testing"
 	"time"
 
+	"ontario/internal/dict"
 	"ontario/internal/rdf"
 	"ontario/internal/sparql"
 )
@@ -19,13 +20,14 @@ func TestOpStatsNilSafe(t *testing.T) {
 	// pay for nil checks beyond the receiver test.
 	var st *OpStats
 	ctx := context.Background()
-	in := FromSlice(ctx, []sparql.Binding{b("x", "1")})
-	got, ok := st.recv(in)
-	if !ok || len(got) != 1 {
+	d := dict.New()
+	in := feed(ctx, d, []sparql.Binding{b("x", "1")}, 0)
+	got, ok := st.recvC(in)
+	if !ok || got.Len != 1 {
 		t.Fatalf("nil recv = %v, %v", got, ok)
 	}
-	out := NewStream(4)
-	if !st.send(ctx, out, []sparql.Binding{b("x", "1")}) {
+	out := NewCStream(in.Schema(), 4)
+	if !st.sendC(ctx, out, got) {
 		t.Fatal("nil send failed")
 	}
 	st.in(3)
@@ -49,8 +51,9 @@ func TestOpStatsCountsThroughContext(t *testing.T) {
 	}
 
 	q := sparql.MustParse(`SELECT ?x WHERE { ?s ?p ?x . FILTER (?x >= 0) }`)
-	in := FromSlice(ctx, []sparql.Binding{bi("x", 1), bi("x", 2), bi("x", 3)})
-	got := Filter(sctx, in, q.Filters, 2).Collect()
+	d := dict.New()
+	in := feed(ctx, d, []sparql.Binding{bi("x", 1), bi("x", 2), bi("x", 3)}, 0)
+	got := collect(CFilter(sctx, in, q.Filters, d, 2), d)
 	if len(got) != 3 {
 		t.Fatalf("filter passed %d, want 3", len(got))
 	}
@@ -74,9 +77,10 @@ func TestOpStatsChildrenNotShared(t *testing.T) {
 	// attaching stats for operator A must not leak into inputs it consumes.
 	ctx := WithOpStats(context.Background(), NewOpStats("hash-join", "x"))
 	inner := StatsFrom(ctx)
-	left := FromSlice(context.Background(), []sparql.Binding{b("x", "1")})
-	right := FromSlice(context.Background(), []sparql.Binding{b("x", "1", "y", "2")})
-	got := SymmetricHashJoin(ctx, left, right, []string{"x"}, 4, 0).Collect()
+	d := dict.New()
+	left := feed(context.Background(), d, []sparql.Binding{b("x", "1")}, 0)
+	right := feed(context.Background(), d, []sparql.Binding{b("x", "1", "y", "2")}, 0)
+	got := collect(CSymmetricHashJoin(ctx, left, right, []string{"x"}, right.Schema(), 4, 0), d)
 	if len(got) != 1 {
 		t.Fatalf("join produced %d, want 1", len(got))
 	}
@@ -95,8 +99,9 @@ func TestOpStatsChildrenNotShared(t *testing.T) {
 func TestMeterAttributesLeafStream(t *testing.T) {
 	ctx := context.Background()
 	st := NewOpStats("service", "diseasome")
-	src := FromSlice(ctx, []sparql.Binding{b("x", "1"), b("x", "2")})
-	got := Meter(ctx, src, st).Collect()
+	d := dict.New()
+	src := feed(ctx, d, []sparql.Binding{b("x", "1"), b("x", "2")}, 0)
+	got := collect(CMeter(ctx, src, st), d)
 	if len(got) != 2 {
 		t.Fatalf("metered stream delivered %d, want 2", len(got))
 	}
@@ -107,10 +112,10 @@ func TestMeterAttributesLeafStream(t *testing.T) {
 	if snap.Wall <= 0 {
 		t.Fatalf("wall = %v, want > 0", snap.Wall)
 	}
-	// Meter with nil stats must degrade to a passthrough.
-	src2 := FromSlice(ctx, []sparql.Binding{b("x", "9")})
-	if got := Meter(ctx, src2, nil).Collect(); len(got) != 1 {
-		t.Fatalf("nil-stats Meter delivered %d, want 1", len(got))
+	// CMeter with nil stats must degrade to a passthrough.
+	src2 := feed(ctx, d, []sparql.Binding{b("x", "9")}, 0)
+	if CMeter(ctx, src2, nil) != src2 {
+		t.Fatal("nil-stats CMeter did not return its input")
 	}
 }
 

@@ -35,58 +35,10 @@ func (e *resultsEncoder) writeHead() error {
 	return err
 }
 
-// jsonTerm is one RDF term in the results-JSON encoding.
-type jsonTerm struct {
-	Type     string `json:"type"`
-	Value    string `json:"value"`
-	Datatype string `json:"datatype,omitempty"`
-	Lang     string `json:"xml:lang,omitempty"`
-}
-
-func encodeTerm(t ontario.Term) jsonTerm {
-	switch t.Kind {
-	case ontario.KindIRI:
-		return jsonTerm{Type: "uri", Value: t.Value}
-	case ontario.KindBlank:
-		return jsonTerm{Type: "bnode", Value: t.Value}
-	default:
-		return jsonTerm{Type: "literal", Value: t.Value, Datatype: t.Datatype, Lang: t.Lang}
-	}
-}
-
-// writeBatch encodes a whole exchange batch of solutions as one Write to
-// the underlying connection: the per-answer syscall and flush of the
-// binding-at-a-time writer are amortized over the batch, while the
-// batch-boundary flush in the handler keeps the first solutions streaming
-// out at time-to-first-answer.
-func (e *resultsEncoder) writeBatch(batch []ontario.Binding) error {
-	if len(batch) == 0 {
-		return nil
-	}
-	var payload []byte
-	for _, b := range batch {
-		obj := make(map[string]jsonTerm, len(b))
-		for v, t := range b {
-			obj[v] = encodeTerm(t)
-		}
-		one, err := json.Marshal(obj)
-		if err != nil {
-			return err
-		}
-		if e.wrote > 0 {
-			payload = append(payload, ',')
-		}
-		payload = append(payload, one...)
-		e.wrote++
-	}
-	_, err := e.w.Write(payload)
-	return err
-}
-
 // writeRaw writes a payload of n binding objects pre-encoded by the
 // cursor (see bridge.ResultsNextJSON). The payload leads with a ','
 // separator before its first object; it is dropped when nothing has been
-// written yet, so the convention composes with writeBatch either way.
+// written yet.
 func (e *resultsEncoder) writeRaw(payload []byte, n int) error {
 	if n == 0 || len(payload) == 0 {
 		return nil

@@ -601,51 +601,26 @@ func (s *Server) handleSparql(w http.ResponseWriter, r *http.Request) {
 	// one Write and one Flush per batch instead of per solution. The
 	// cursor pre-encodes the batch (ResultsNextJSON) so terms are
 	// materialized from dictionary IDs straight into the response bytes,
-	// each distinct term marshaled once per query; the per-Binding batch
-	// hook remains as the fallback.
+	// each distinct term marshaled once per lake.
 	answers := 0
 	flushedAnswers := false
 	for {
-		var batchLen int
-		if bridge.ResultsNextJSON != nil {
-			payload, n, ok := bridge.ResultsNextJSON(res)
-			if !ok {
-				break
-			}
-			batchLen = n
-			if answers == 0 && n > 0 {
-				s.metrics.Observe(MetricTTFA, res.Stats().TimeToFirstAnswer)
-			}
-			answers += n
-			if writeOK {
-				if enc.writeRaw(payload, n) != nil {
-					// The connection is gone (or broken): stop writing but
-					// keep draining; cancellation closes the cursor promptly.
-					writeOK = false
-					cancel()
-					continue
-				}
-			}
-		} else {
-			raw, ok := bridge.ResultsNextBatch(res)
-			if !ok {
-				break
-			}
-			batch := raw.([]ontario.Binding)
-			batchLen = len(batch)
-			if answers == 0 && len(batch) > 0 {
-				s.metrics.Observe(MetricTTFA, res.Stats().TimeToFirstAnswer)
-			}
-			answers += len(batch)
-			if writeOK {
-				if enc.writeBatch(batch) != nil {
-					writeOK = false
-					cancel()
-					continue
-				}
-			}
+		payload, n, ok := bridge.ResultsNextJSON(res)
+		if !ok {
+			break
 		}
-		if writeOK && batchLen > 0 && !flushedAnswers && flusher != nil {
+		if answers == 0 && n > 0 {
+			s.metrics.Observe(MetricTTFA, res.Stats().TimeToFirstAnswer)
+		}
+		answers += n
+		if writeOK && enc.writeRaw(payload, n) != nil {
+			// The connection is gone (or broken): stop writing but keep
+			// draining; cancellation closes the cursor promptly.
+			writeOK = false
+			cancel()
+			continue
+		}
+		if writeOK && n > 0 && !flushedAnswers && flusher != nil {
 			// Push the first solutions to the client immediately — the
 			// time-to-first-answer clients measure is real. Later batches
 			// ride the response's own chunk buffer: one write syscall per

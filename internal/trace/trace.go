@@ -8,9 +8,6 @@ import (
 	"fmt"
 	"io"
 	"time"
-
-	"ontario/internal/engine"
-	"ontario/internal/sparql"
 )
 
 // Point is one answer arrival.
@@ -29,34 +26,6 @@ type Trace struct {
 	Points []Point
 	// Total is the time from start to stream completion.
 	Total time.Duration
-	// Answers caches the bindings when collected with CollectAnswers.
-	Answers []sparql.Binding
-}
-
-// Collect drains the stream, timestamping every answer relative to start.
-func Collect(label string, start time.Time, s *engine.Stream) *Trace {
-	return collect(label, start, s, false)
-}
-
-// CollectAnswers is Collect but also retains the bindings.
-func CollectAnswers(label string, start time.Time, s *engine.Stream) *Trace {
-	return collect(label, start, s, true)
-}
-
-func collect(label string, start time.Time, s *engine.Stream, keep bool) *Trace {
-	t := &Trace{Label: label}
-	n := 0
-	for batch := range s.Batches() {
-		for _, b := range batch {
-			n++
-			t.Points = append(t.Points, Point{Elapsed: time.Since(start), Count: n})
-			if keep {
-				t.Answers = append(t.Answers, b)
-			}
-		}
-	}
-	t.Total = time.Since(start)
-	return t
 }
 
 // Count returns the number of answers.

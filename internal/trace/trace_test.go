@@ -2,14 +2,9 @@ package trace
 
 import (
 	"bytes"
-	"context"
 	"strings"
 	"testing"
 	"time"
-
-	"ontario/internal/engine"
-	"ontario/internal/rdf"
-	"ontario/internal/sparql"
 )
 
 func mkTrace(times ...time.Duration) *Trace {
@@ -21,32 +16,6 @@ func mkTrace(times ...time.Duration) *Trace {
 		t.Total = times[len(times)-1] + 10*time.Millisecond
 	}
 	return t
-}
-
-func TestCollect(t *testing.T) {
-	ctx := context.Background()
-	bindings := []sparql.Binding{
-		{"x": rdf.IntLiteral(1)},
-		{"x": rdf.IntLiteral(2)},
-	}
-	start := time.Now()
-	tr := CollectAnswers("lbl", start, engine.FromSlice(ctx, bindings))
-	if tr.Count() != 2 || len(tr.Answers) != 2 {
-		t.Fatalf("collected %d/%d", tr.Count(), len(tr.Answers))
-	}
-	if tr.Label != "lbl" {
-		t.Error("label lost")
-	}
-	if tr.Points[1].Elapsed < tr.Points[0].Elapsed {
-		t.Error("timestamps not monotone")
-	}
-	if tr.Total < tr.Points[1].Elapsed {
-		t.Error("total before last answer")
-	}
-	tr2 := Collect("x", time.Now(), engine.FromSlice(ctx, bindings))
-	if tr2.Answers != nil {
-		t.Error("Collect retained answers")
-	}
 }
 
 func TestTimeToFirst(t *testing.T) {

@@ -8,6 +8,7 @@ import (
 	"time"
 
 	"ontario/internal/catalog"
+	"ontario/internal/dict"
 	"ontario/internal/engine"
 	"ontario/internal/netsim"
 	"ontario/internal/rdb"
@@ -40,34 +41,34 @@ func NewDBSQLWrapper(src *catalog.Source, health *HealthRegistry, sim *netsim.Si
 // SourceID implements Wrapper.
 func (w *DBSQLWrapper) SourceID() string { return w.src.ID }
 
-// Execute implements Wrapper.
-func (w *DBSQLWrapper) Execute(ctx context.Context, req *Request) (*engine.Stream, error) {
+// ExecuteColumnar implements Wrapper.
+func (w *DBSQLWrapper) ExecuteColumnar(ctx context.Context, req *Request, schema *engine.Schema, d *dict.Dict) (*engine.CStream, error) {
 	if len(req.Stars) == 0 {
 		return nil, fmt.Errorf("wrapper %s: empty request", w.src.ID)
 	}
-	stars := req.Stars
-	if len(req.Seeds) == 0 && len(req.Seed) > 0 {
-		seeded := make([]*StarQuery, len(stars))
-		for i, s := range stars {
-			seeded[i] = &StarQuery{
-				SubjectVar: s.SubjectVar,
-				Class:      s.Class,
-				Patterns:   substituteSeed(s.Patterns, req.Seed),
-			}
-		}
-		stars = seeded
-	}
-	tl, err := translateRequest(w.src, stars, req.Filters)
+	sols, err := w.solutions(ctx, req)
 	if err != nil {
 		return nil, err
 	}
-	if tl.empty {
-		return streamBlock(ctx, w.sim, nil, w.batch), nil
+	return newRespEntry(req, sols, schema, d).stream(ctx, w.sim, schema, w.batch), nil
+}
+
+// solutions translates the request, runs it on the live connection and
+// decodes the matching rows; a request the translation proves empty
+// returns no solutions without touching the database.
+func (w *DBSQLWrapper) solutions(ctx context.Context, req *Request) ([]sparql.Binding, error) {
+	stars := req.Stars
+	if len(req.Seeds) == 0 {
+		stars = seedStars(stars, req.Seed)
+	}
+	tl, err := translateRequest(w.src, stars, req.Filters)
+	if err != nil || tl.empty {
+		return nil, err
 	}
 	if len(req.Seeds) > 0 {
 		seedCond, provablyEmpty := tl.seedPredicate(req.Seeds)
 		if provablyEmpty {
-			return streamBlock(ctx, w.sim, nil, w.batch), nil
+			return nil, nil
 		}
 		if seedCond != nil {
 			if tl.sel.Where == nil {
@@ -95,10 +96,7 @@ func (w *DBSQLWrapper) Execute(ctx context.Context, req *Request) (*engine.Strea
 		}
 		sols = append(sols, b)
 	}
-	if len(req.Seeds) > 0 {
-		return streamBlock(ctx, w.sim, sols, w.batch), nil
-	}
-	return streamWithDelay(ctx, w.sim, req.Seed, sols, w.batch), nil
+	return sols, nil
 }
 
 // query runs the translated SELECT on the live connection under the

@@ -144,11 +144,7 @@ func TestDBSQLWrapperTranslatesAndDecodes(t *testing.T) {
 	}
 	src := personSQLSource(t, conn)
 	w := NewDBSQLWrapper(src, NewHealthRegistry(fastResilience()), nil, 0)
-	s, err := w.Execute(context.Background(), &Request{Stars: []*StarQuery{personSQLStar()}})
-	if err != nil {
-		t.Fatalf("Execute: %v", err)
-	}
-	sols := drain(t, s)
+	sols := collect(t, w, &Request{Stars: []*StarQuery{personSQLStar()}})
 	if len(sols) != 2 {
 		t.Fatalf("got %d solutions, want 2", len(sols))
 	}
@@ -173,11 +169,7 @@ func TestDBSQLWrapperRetriesFlakyDatabase(t *testing.T) {
 	src := personSQLSource(t, conn)
 	h := NewHealthRegistry(fastResilience())
 	w := NewDBSQLWrapper(src, h, nil, 0)
-	s, err := w.Execute(context.Background(), &Request{Stars: []*StarQuery{personSQLStar()}})
-	if err != nil {
-		t.Fatalf("Execute after 2 connection resets: %v", err)
-	}
-	if sols := drain(t, s); len(sols) != 1 {
+	if sols := collect(t, w, &Request{Stars: []*StarQuery{personSQLStar()}}); len(sols) != 1 {
 		t.Fatalf("got %d solutions, want 1", len(sols))
 	}
 	if snap := h.Snapshot(); len(snap) != 1 || snap[0].Retries != 2 {
@@ -196,11 +188,7 @@ func TestDBSQLWrapperSeedBlockPushdown(t *testing.T) {
 	src := personSQLSource(t, conn)
 	w := NewDBSQLWrapper(src, NewHealthRegistry(fastResilience()), nil, 0)
 	seeds := []sparql.Binding{{"s": rdf.NewIRI("http://ex/person/1")}}
-	s, err := w.Execute(context.Background(), &Request{Stars: []*StarQuery{personSQLStar()}, Seeds: seeds})
-	if err != nil {
-		t.Fatalf("Execute: %v", err)
-	}
-	sols := drain(t, s)
+	sols := collect(t, w, &Request{Stars: []*StarQuery{personSQLStar()}, Seeds: seeds})
 	// The stub ignores WHERE, so the local seed re-check must drop row 2.
 	if len(sols) != 1 || sols[0]["s"] != rdf.NewIRI("http://ex/person/1") {
 		t.Fatalf("block solutions = %v, want just person/1", sols)
@@ -221,11 +209,7 @@ func TestDBSQLWrapperNullRowSkipped(t *testing.T) {
 	}
 	src := personSQLSource(t, conn)
 	w := NewDBSQLWrapper(src, NewHealthRegistry(fastResilience()), nil, 0)
-	s, err := w.Execute(context.Background(), &Request{Stars: []*StarQuery{personSQLStar()}})
-	if err != nil {
-		t.Fatalf("Execute: %v", err)
-	}
-	sols := drain(t, s)
+	sols := collect(t, w, &Request{Stars: []*StarQuery{personSQLStar()}})
 	if len(sols) != 1 || sols[0]["name"] != rdf.NewLiteral("Grace") {
 		t.Fatalf("solutions = %v, want just Grace", sols)
 	}

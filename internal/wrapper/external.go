@@ -5,6 +5,7 @@ import (
 	"fmt"
 
 	"ontario/internal/catalog"
+	"ontario/internal/dict"
 	"ontario/internal/engine"
 	"ontario/internal/netsim"
 	"ontario/internal/sparql"
@@ -33,8 +34,8 @@ func NewExternalWrapper(id string, src catalog.ExternalSource, sim *netsim.Simul
 // SourceID implements Wrapper.
 func (w *ExternalWrapper) SourceID() string { return w.id }
 
-// Execute implements Wrapper.
-func (w *ExternalWrapper) Execute(ctx context.Context, req *Request) (*engine.Stream, error) {
+// ExecuteColumnar implements Wrapper.
+func (w *ExternalWrapper) ExecuteColumnar(ctx context.Context, req *Request, schema *engine.Schema, d *dict.Dict) (*engine.CStream, error) {
 	if len(req.Stars) == 0 {
 		return nil, fmt.Errorf("wrapper %s: empty request", w.id)
 	}
@@ -72,8 +73,5 @@ func (w *ExternalWrapper) Execute(ctx context.Context, req *Request) (*engine.St
 			kept = append(kept, b)
 		}
 	}
-	if len(req.Seeds) > 0 {
-		return streamBlock(ctx, w.sim, kept, w.batch), nil
-	}
-	return streamWithDelay(ctx, w.sim, req.Seed, kept, w.batch), nil
+	return newRespEntry(req, kept, schema, d).stream(ctx, w.sim, schema, w.batch), nil
 }

@@ -4,8 +4,8 @@ import (
 	"context"
 	"sync"
 
+	"ontario/internal/dict"
 	"ontario/internal/engine"
-	"ontario/internal/sparql"
 )
 
 // SourceLimiter bounds the number of in-flight requests per source. It is
@@ -104,12 +104,12 @@ func (l *SourceLimiter) Sources() []string {
 	return out
 }
 
-// Limited wraps w so that every Execute holds one of the limiter's
+// Limited wraps w so that every request holds one of the limiter's
 // in-flight slots for the source from invocation until the response stream
 // is drained (or the context is cancelled), except when a slow consumer
 // falls relayBacklogCap batches behind — then the slot is released early
-// rather than held while blocked (see Execute). A nil limiter returns w
-// unchanged.
+// rather than held while blocked (see ExecuteColumnar). A nil limiter
+// returns w unchanged.
 func Limited(w Wrapper, l *SourceLimiter) Wrapper {
 	if l == nil {
 		return w
@@ -133,9 +133,9 @@ func (w *limitedWrapper) SourceID() string { return w.inner.SourceID() }
 // response in memory.
 const relayBacklogCap = 64
 
-// Execute implements Wrapper. The slot is held while the source produces
-// the response — from invocation until the inner stream closes (all
-// simulated response messages transferred) — but never while blocked on
+// ExecuteColumnar implements Wrapper. The slot is held while the source
+// produces the response — from invocation until the inner stream closes
+// (all simulated response messages transferred) — but never while blocked on
 // the downstream consumer: up to relayBacklogCap batches the consumer is
 // slow to read are buffered locally (and opportunistically drained
 // between receives), and once the consumer falls the full cap behind, the
@@ -143,17 +143,17 @@ const relayBacklogCap = 64
 // dependent join waiting on another request to the same source cannot
 // deadlock the limiter — at the price, past the cap, of the source's true
 // concurrency briefly exceeding the limit.
-func (w *limitedWrapper) Execute(ctx context.Context, req *Request) (*engine.Stream, error) {
+func (w *limitedWrapper) ExecuteColumnar(ctx context.Context, req *Request, schema *engine.Schema, d *dict.Dict) (*engine.CStream, error) {
 	id := w.inner.SourceID()
 	if err := w.lim.Acquire(ctx, id); err != nil {
 		return nil, err
 	}
-	in, err := w.inner.Execute(ctx, req)
+	in, err := w.inner.ExecuteColumnar(ctx, req, schema, d)
 	if err != nil {
 		w.lim.Release(id)
 		return nil, err
 	}
-	out := engine.NewStream(4)
+	out := engine.NewCStream(schema, 4)
 	go func() {
 		defer out.Close()
 		released := false
@@ -164,7 +164,7 @@ func (w *limitedWrapper) Execute(ctx context.Context, req *Request) (*engine.Str
 			}
 		}
 		defer release()
-		var backlog [][]sparql.Binding
+		var backlog []*engine.ColBatch
 		for batch := range in.Batches() {
 			// Drain whatever the consumer will take before growing the
 			// backlog; order is preserved because the backlog always goes

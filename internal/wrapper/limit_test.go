@@ -8,13 +8,21 @@ import (
 	"testing"
 	"time"
 
+	"ontario/internal/dict"
 	"ontario/internal/engine"
-	"ontario/internal/sparql"
 )
 
-// slowWrapper is a test wrapper whose Execute tracks its own concurrency
-// and emits a fixed number of bindings with a small delay, so that many
-// overlapping invocations are observable.
+// oneRow is the batch the test wrappers emit: a single row binding
+// nothing, over the empty schema of an empty Request.
+func oneRow(schema *engine.Schema) *engine.ColBatch {
+	b := engine.NewColBuilder(schema)
+	b.AppendIDs(nil)
+	return b.Take()
+}
+
+// slowWrapper is a test wrapper whose ExecuteColumnar tracks its own
+// concurrency and emits a fixed number of single-row batches with a small
+// delay, so that many overlapping invocations are observable.
 type slowWrapper struct {
 	id      string
 	delay   time.Duration
@@ -26,7 +34,7 @@ type slowWrapper struct {
 
 func (w *slowWrapper) SourceID() string { return w.id }
 
-func (w *slowWrapper) Execute(ctx context.Context, req *Request) (*engine.Stream, error) {
+func (w *slowWrapper) ExecuteColumnar(ctx context.Context, req *Request, schema *engine.Schema, d *dict.Dict) (*engine.CStream, error) {
 	n := w.cur.Add(1)
 	for {
 		p := w.peak.Load()
@@ -34,13 +42,13 @@ func (w *slowWrapper) Execute(ctx context.Context, req *Request) (*engine.Stream
 			break
 		}
 	}
-	out := engine.NewStream(0)
+	out := engine.NewCStream(schema, 0)
 	go func() {
 		defer out.Close()
 		defer w.cur.Add(-1)
 		for i := 0; i < w.answers; i++ {
 			time.Sleep(w.delay)
-			if !out.Send(ctx, sparql.NewBinding()) {
+			if !out.SendBatch(ctx, oneRow(schema)) {
 				return
 			}
 		}
@@ -59,9 +67,9 @@ func TestSourceLimiterBoundsInFlight(t *testing.T) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			s, err := w.Execute(context.Background(), &Request{})
+			s, err := execute(context.Background(), w, &Request{})
 			if err != nil {
-				t.Errorf("Execute: %v", err)
+				t.Errorf("ExecuteColumnar: %v", err)
 				return
 			}
 			for range s.Batches() {
@@ -133,7 +141,7 @@ func TestLimitedReleasesOnConsumerCancellation(t *testing.T) {
 	w := Limited(inner, lim)
 
 	ctx, cancel := context.WithCancel(context.Background())
-	s, err := w.Execute(ctx, &Request{})
+	s, err := execute(ctx, w, &Request{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -149,7 +157,7 @@ func TestLimitedReleasesOnConsumerCancellation(t *testing.T) {
 	}
 }
 
-// fountainWrapper produces n single-binding batches as fast as the
+// fountainWrapper produces n single-row batches as fast as the
 // consumer will take them, counting how many it managed to hand over.
 type fountainWrapper struct {
 	id   string
@@ -159,12 +167,12 @@ type fountainWrapper struct {
 
 func (w *fountainWrapper) SourceID() string { return w.id }
 
-func (w *fountainWrapper) Execute(ctx context.Context, req *Request) (*engine.Stream, error) {
-	out := engine.NewStream(0)
+func (w *fountainWrapper) ExecuteColumnar(ctx context.Context, req *Request, schema *engine.Schema, d *dict.Dict) (*engine.CStream, error) {
+	out := engine.NewCStream(schema, 0)
 	go func() {
 		defer out.Close()
 		for i := 0; i < w.n; i++ {
-			if !out.SendBatch(ctx, []sparql.Binding{sparql.NewBinding()}) {
+			if !out.SendBatch(ctx, oneRow(schema)) {
 				return
 			}
 			w.sent.Add(1)
@@ -185,7 +193,7 @@ func TestLimitedReleasesSlotAtBacklogCap(t *testing.T) {
 	lim := NewSourceLimiter(1)
 	w := Limited(inner, lim)
 
-	out, err := w.Execute(context.Background(), &Request{})
+	out, err := execute(context.Background(), w, &Request{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -200,7 +208,7 @@ func TestLimitedReleasesSlotAtBacklogCap(t *testing.T) {
 	}
 	// A second request to the same source — what a dependent join issues
 	// while the first response is still pending — runs to completion.
-	out2, err := w.Execute(context.Background(), &Request{})
+	out2, err := execute(context.Background(), w, &Request{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -229,7 +237,7 @@ func TestLimitedBacklogBounded(t *testing.T) {
 	const total = relayBacklogCap * 20
 	inner := &fountainWrapper{id: "src", n: total}
 	w := Limited(inner, NewSourceLimiter(1))
-	out, err := w.Execute(context.Background(), &Request{})
+	out, err := execute(context.Background(), w, &Request{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,0 +1,103 @@
+package wrapper
+
+import (
+	"context"
+	"fmt"
+	"net/http"
+	"net/http/httptest"
+	"testing"
+
+	"ontario/internal/catalog"
+	"ontario/internal/rdf"
+	"ontario/internal/sparql"
+)
+
+// cannedSource is an ExternalSource returning fixed solutions whatever the
+// seeds — the wrapper re-checks seed compatibility itself.
+type cannedSource []sparql.Binding
+
+func (c cannedSource) ExecuteStars(context.Context, []catalog.ExternalStar, []sparql.Binding) ([]sparql.Binding, error) {
+	return append([]sparql.Binding(nil), c...), nil
+}
+
+// TestResponseMessageModel pins the paper's network model where it now
+// lives for every wrapper — respEntry.stream: a per-answer request
+// retrieving N solutions costs N simulated messages, a seed-block request
+// costs exactly one (also when its response is empty), and a repeated
+// request — a response-cache hit where the wrapper caches — is charged the
+// same again.
+func TestResponseMessageModel(t *testing.T) {
+	people := []sparql.Binding{
+		{"s": rdf.NewIRI("http://ex/p1"), "name": rdf.NewLiteral("Ada")},
+		{"s": rdf.NewIRI("http://ex/p2"), "name": rdf.NewLiteral("Grace")},
+	}
+	g := rdf.NewGraph()
+	for _, p := range people {
+		g.Add(rdf.Triple{S: p["s"], P: rdf.NewIRI("http://ex/name"), O: p["name"]})
+	}
+	srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		fmt.Fprint(w, resultsDoc)
+	}))
+	defer srv.Close()
+
+	cache := NewResponseCache()
+	rdfSim, sqlSim, extSim, remSim := NoDelaySim(1), NoDelaySim(2), NoDelaySim(3), NoDelaySim(4)
+	rdfW := NewRDFWrapper("g", g, rdfSim, 0)
+	rdfW.SetResponseCache(cache)
+	sqlW := NewSQLWrapper(testSource(t), sqlSim, TranslationOptimized, 0)
+	sqlW.SetResponseCache(cache)
+
+	exStars := []*StarQuery{personStar()}
+	exSeed := func(id string) []sparql.Binding {
+		return []sparql.Binding{{"s": rdf.NewIRI("http://ex/" + id)}}
+	}
+	cases := []struct {
+		name      string
+		w         Wrapper
+		messages  func() int
+		stars     []*StarQuery
+		n         int // solutions of the unseeded request
+		hit, miss []sparql.Binding
+		cached    bool
+	}{
+		{"rdf", rdfW, rdfSim.Messages, exStars, 2, exSeed("p1"), exSeed("p9"), true},
+		{"sql", sqlW, sqlSim.Messages,
+			[]*StarQuery{star(t, "p", "http://c/Person", `?p <http://p/name> ?n .`)}, 5,
+			[]sparql.Binding{personSeed("1")}, []sparql.Binding{personSeed("77")}, true},
+		{"external", NewExternalWrapper("x", cannedSource(people), extSim, 0), extSim.Messages,
+			exStars, 2, exSeed("p1"), exSeed("p9"), false},
+		{"remote", NewRemoteSPARQLWrapper("remote", srv.URL, NewHealthRegistry(fastResilience()), remSim, 0), remSim.Messages,
+			exStars, 2, exSeed("p1"), exSeed("p9"), false},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			// The same request values both rounds: the response cache keys on
+			// the identity of the plan's star slice.
+			requests := []struct {
+				label             string
+				req               *Request
+				answers, wantMsgs int
+			}{
+				{"per-answer", &Request{Stars: tc.stars}, tc.n, tc.n},
+				{"block", &Request{Stars: tc.stars, Seeds: tc.hit}, 1, 1},
+				{"empty block", &Request{Stars: tc.stars, Seeds: tc.miss}, 0, 1},
+			}
+			stored := len(cache.entries)
+			for round, what := range []string{"first request", "repeat"} {
+				for _, r := range requests {
+					before := tc.messages()
+					if got := collect(t, tc.w, r.req); len(got) != r.answers {
+						t.Fatalf("%s, %s: %d answers, want %d", what, r.label, len(got), r.answers)
+					}
+					if msgs := tc.messages() - before; msgs != r.wantMsgs {
+						t.Errorf("%s, %s: %d messages for %d answers, want %d", what, r.label, msgs, r.answers, r.wantMsgs)
+					}
+				}
+				if tc.cached && len(cache.entries) != stored+len(requests) {
+					t.Fatalf("round %d: cache holds %d new entries, want %d (repeats must hit, not re-store)",
+						round, len(cache.entries)-stored, len(requests))
+				}
+			}
+		})
+	}
+}

@@ -11,6 +11,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"ontario/internal/dict"
 	"ontario/internal/engine"
 	"ontario/internal/netsim"
 	"ontario/internal/rdf"
@@ -57,8 +58,9 @@ func (w *RemoteSPARQLWrapper) SourceID() string { return w.id }
 // Endpoint returns the wrapped query URL.
 func (w *RemoteSPARQLWrapper) Endpoint() string { return w.endpoint }
 
-// Execute implements Wrapper.
-func (w *RemoteSPARQLWrapper) Execute(ctx context.Context, req *Request) (*engine.Stream, error) {
+// ExecuteColumnar implements Wrapper: the peer keeps speaking
+// sparql-results+json and its decoded rows are interned on arrival.
+func (w *RemoteSPARQLWrapper) ExecuteColumnar(ctx context.Context, req *Request, schema *engine.Schema, d *dict.Dict) (*engine.CStream, error) {
 	if len(req.Stars) == 0 {
 		return nil, fmt.Errorf("wrapper %s: empty request", w.id)
 	}
@@ -103,9 +105,9 @@ func (w *RemoteSPARQLWrapper) Execute(ctx context.Context, req *Request) (*engin
 				kept = append(kept, b)
 			}
 		}
-		return streamBlock(ctx, w.sim, kept, w.batch), nil
+		sols = kept
 	}
-	return streamWithDelay(ctx, w.sim, req.Seed, sols, w.batch), nil
+	return newRespEntry(req, sols, schema, d).stream(ctx, w.sim, schema, w.batch), nil
 }
 
 // buildRemoteQuery compiles the request back to SPARQL text. A single

@@ -35,17 +35,6 @@ func newRemote(t *testing.T, url string, cfg ResilienceConfig) *RemoteSPARQLWrap
 	return NewRemoteSPARQLWrapper("remote", url, NewHealthRegistry(cfg), nil, 0)
 }
 
-func drain(t *testing.T, s interface {
-	Batches() <-chan []sparql.Binding
-}) []sparql.Binding {
-	t.Helper()
-	var out []sparql.Binding
-	for batch := range s.Batches() {
-		out = append(out, batch...)
-	}
-	return out
-}
-
 func TestRemoteWrapperFetchesAndDecodes(t *testing.T) {
 	var gotQuery atomic.Value
 	srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
@@ -58,11 +47,7 @@ func TestRemoteWrapperFetchesAndDecodes(t *testing.T) {
 	}))
 	defer srv.Close()
 	w := newRemote(t, srv.URL, fastResilience())
-	s, err := w.Execute(context.Background(), &Request{Stars: []*StarQuery{personStar()}})
-	if err != nil {
-		t.Fatalf("Execute: %v", err)
-	}
-	sols := drain(t, s)
+	sols := collect(t, w, &Request{Stars: []*StarQuery{personStar()}})
 	if len(sols) != 2 {
 		t.Fatalf("got %d solutions, want 2", len(sols))
 	}
@@ -94,11 +79,7 @@ func TestRemoteWrapperRetriesFlakyEndpoint(t *testing.T) {
 	}))
 	defer srv.Close()
 	w := newRemote(t, srv.URL, fastResilience())
-	s, err := w.Execute(context.Background(), &Request{Stars: []*StarQuery{personStar()}})
-	if err != nil {
-		t.Fatalf("Execute after 2x503: %v", err)
-	}
-	if sols := drain(t, s); len(sols) != 2 {
+	if sols := collect(t, w, &Request{Stars: []*StarQuery{personStar()}}); len(sols) != 2 {
 		t.Fatalf("got %d solutions, want 2", len(sols))
 	}
 	if calls != 3 {
@@ -130,11 +111,7 @@ func TestRemoteWrapperTruncatedBodyIsRetryable(t *testing.T) {
 	}))
 	defer srv.Close()
 	w := newRemote(t, srv.URL, fastResilience())
-	s, err := w.Execute(context.Background(), &Request{Stars: []*StarQuery{personStar()}})
-	if err != nil {
-		t.Fatalf("Execute after truncated first attempt: %v", err)
-	}
-	if sols := drain(t, s); len(sols) != 2 {
+	if sols := collect(t, w, &Request{Stars: []*StarQuery{personStar()}}); len(sols) != 2 {
 		t.Fatalf("got %d solutions, want 2", len(sols))
 	}
 	if calls < 2 {
@@ -150,7 +127,7 @@ func TestRemoteWrapperBadRequestIsPermanent(t *testing.T) {
 	}))
 	defer srv.Close()
 	w := newRemote(t, srv.URL, fastResilience())
-	_, err := w.Execute(context.Background(), &Request{Stars: []*StarQuery{personStar()}})
+	_, err := execute(context.Background(), w, &Request{Stars: []*StarQuery{personStar()}})
 	if err == nil || !strings.Contains(err.Error(), "HTTP 400") {
 		t.Fatalf("Execute = %v, want HTTP 400 error", err)
 	}
@@ -169,13 +146,13 @@ func TestRemoteWrapperDownEndpointOpensCircuit(t *testing.T) {
 	h := NewHealthRegistry(cfg)
 	w := NewRemoteSPARQLWrapper("remote", url, h, nil, 0)
 	req := &Request{Stars: []*StarQuery{personStar()}}
-	if _, err := w.Execute(context.Background(), req); err == nil {
+	if _, err := execute(context.Background(), w, req); err == nil {
 		t.Fatal("Execute against a down endpoint succeeded")
 	}
 	if st := h.State("remote"); st != BreakerOpen {
 		t.Fatalf("breaker = %v after %d consecutive failures, want open", st, cfg.BreakerThreshold)
 	}
-	_, err := w.Execute(context.Background(), req)
+	_, err := execute(context.Background(), w, req)
 	if !errors.Is(err, ErrCircuitOpen) {
 		t.Fatalf("Execute with open circuit = %v, want ErrCircuitOpen", err)
 	}
@@ -194,11 +171,7 @@ func TestRemoteWrapperSeedBlockFilter(t *testing.T) {
 		{"s": rdf.NewIRI("http://ex/p1")},
 		{"s": rdf.NewIRI("http://ex/p3")},
 	}
-	s, err := w.Execute(context.Background(), &Request{Stars: []*StarQuery{personStar()}, Seeds: seeds})
-	if err != nil {
-		t.Fatalf("Execute: %v", err)
-	}
-	sols := drain(t, s)
+	sols := collect(t, w, &Request{Stars: []*StarQuery{personStar()}, Seeds: seeds})
 	// p2 is not among the seeds: the local re-check drops it even though the
 	// canned endpoint returned it.
 	if len(sols) != 1 || sols[0]["s"] != rdf.NewIRI("http://ex/p1") {
@@ -224,11 +197,7 @@ func TestRemoteWrapperSingleSeedSubstitutedAndMerged(t *testing.T) {
 	defer srv.Close()
 	w := newRemote(t, srv.URL, fastResilience())
 	seed := sparql.Binding{"s": rdf.NewIRI("http://ex/p1")}
-	s, err := w.Execute(context.Background(), &Request{Stars: []*StarQuery{personStar()}, Seed: seed})
-	if err != nil {
-		t.Fatalf("Execute: %v", err)
-	}
-	sols := drain(t, s)
+	sols := collect(t, w, &Request{Stars: []*StarQuery{personStar()}, Seed: seed})
 	if len(sols) != 1 {
 		t.Fatalf("got %d solutions, want 1", len(sols))
 	}

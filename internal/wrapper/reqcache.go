@@ -185,10 +185,16 @@ func (c *ResponseCache) store(k respKey, e *respEntry) {
 	c.mu.Unlock()
 }
 
-// stream replays the response on a fresh columnar stream, sampling the
-// network simulation live — a cache hit changes where the rows come from,
-// not what the execution observes: same rows, same per-message delay
-// accounting, batched at the wrapper's current batch size.
+// stream sends the response on a fresh columnar stream, sampling the
+// network simulation live. It is the one place the paper's network model
+// is applied: one latency sample per solution for per-answer retrieval
+// (the batch size never changes the accounting — a flush interval keeps
+// answers streaming under real, scaled sleeps), one per block response,
+// which is charged even when empty because the response itself still
+// crosses the network. A cache hit changes where the rows come from, not
+// what the execution observes: same rows, same per-message delay
+// accounting, batched at the wrapper's current batch size. sim may be nil
+// for no network simulation.
 func (e *respEntry) stream(ctx context.Context, sim *netsim.Simulator, schema *engine.Schema, batch int) *engine.CStream {
 	out := engine.NewCStream(schema, 4)
 	go func() {
@@ -227,6 +233,22 @@ func (e *respEntry) stream(ctx context.Context, sim *netsim.Simulator, schema *e
 		}
 	}()
 	return out
+}
+
+// newRespEntry flattens the materialized solutions of req into a response
+// entry following the request's delay contract: per-answer unless req
+// carries a seed block. Wrappers that evaluate terms before the boundary
+// (BGP matching, remote hops, unpushable filters) build their response
+// through it.
+func newRespEntry(req *Request, sols []sparql.Binding, schema *engine.Schema, d *dict.Dict) *respEntry {
+	e := &respEntry{stride: len(schema.Vars), perRow: len(req.Seeds) == 0}
+	if e.perRow {
+		e.seed = req.Seed
+	} else {
+		e.seeds = append([]sparql.Binding(nil), req.Seeds...)
+	}
+	e.rows, e.nrows = flattenSolutions(e.seed, sols, schema, d)
+	return e
 }
 
 // flattenSolutions interns row-model solutions into one flat ID block in

@@ -21,8 +21,7 @@ import (
 type sqlColDecoder struct {
 	d *dict.Dict
 	// template carries the IDs fixed for every row: the translation's
-	// constant bindings overlaid by the request seed (seed wins, matching
-	// seed.Merge(row) in the row pipeline).
+	// constant bindings overlaid by the request seed (seed wins).
 	template []dict.ID
 	row      []dict.ID
 	cols     []sqlDecoderCol
@@ -165,11 +164,11 @@ func (w *SQLWrapper) blockTranslation(req *Request, stars []*StarQuery) (*transl
 	return tl, false, nil
 }
 
-// ExecuteColumnar implements ColumnarWrapper: the request is translated
-// and queried exactly as in Execute, and the result rows are decoded
-// straight into dictionary IDs (sqlColDecoder). Paths that must evaluate
-// terms in the wrapper — unpushable local filters, the naive multi-star
-// translation — decode rows as before and intern at the boundary.
+// ExecuteColumnar implements Wrapper: the request is translated to SQL
+// and the result rows are decoded straight into dictionary IDs
+// (sqlColDecoder). Paths that must evaluate terms in the wrapper —
+// unpushable local filters, the naive multi-star translation — decode
+// rows into bindings and intern at the boundary.
 //
 // The decoded response is built as a respEntry and streamed from it, so a
 // repeated request — the engine's response cache hits on the prepared
@@ -181,14 +180,15 @@ func (w *SQLWrapper) ExecuteColumnar(ctx context.Context, req *Request, schema *
 		return nil, fmt.Errorf("wrapper %s: empty request", w.src.ID)
 	}
 	if w.mode == TranslationNaive && len(req.Stars) > 1 && len(req.Seeds) == 0 {
-		// The naive translation joins star results inside the wrapper over
-		// row bindings; reuse it through the boundary adapter (uncached —
-		// the path exists to reproduce the paper's unoptimized behaviour).
-		s, err := w.Execute(ctx, req)
+		// Uncached: the path exists to reproduce the paper's unoptimized
+		// behaviour, one latency sample per intermediate star row. Multi-seed
+		// block requests always use the single-query translation — the whole
+		// point of the block is one pushed-down query per block.
+		e, err := w.executeNaive(req, schema, d)
 		if err != nil {
 			return nil, err
 		}
-		return engine.EncodeStream(ctx, s, schema, d), nil
+		return e.stream(ctx, nil, schema, w.batch), nil
 	}
 	gen := w.src.DB.Gen()
 	var key respKey
@@ -224,21 +224,9 @@ func (w *SQLWrapper) ExecuteColumnar(ctx context.Context, req *Request, schema *
 // columnarEntry translates, executes and decodes a per-answer request
 // into a response entry (one latency sample per row on replay).
 func (w *SQLWrapper) columnarEntry(req *Request, schema *engine.Schema, d *dict.Dict) (*respEntry, error) {
-	stars := req.Stars
-	if len(req.Seed) > 0 {
-		seeded := make([]*StarQuery, len(stars))
-		for i, s := range stars {
-			seeded[i] = &StarQuery{
-				SubjectVar: s.SubjectVar,
-				Class:      s.Class,
-				Patterns:   substituteSeed(s.Patterns, req.Seed),
-			}
-		}
-		stars = seeded
-	}
 	e := &respEntry{perRow: true, stride: len(schema.Vars), seed: req.Seed}
 	w.resetSQL()
-	tl, err := translateRequest(w.src, stars, req.Filters)
+	tl, err := translateRequest(w.src, seedStars(req.Stars, req.Seed), req.Filters)
 	if err != nil {
 		return nil, err
 	}

@@ -1,11 +1,11 @@
 package wrapper
 
 import (
-	"context"
 	"fmt"
 	"sync"
 
 	"ontario/internal/catalog"
+	"ontario/internal/dict"
 	"ontario/internal/engine"
 	"ontario/internal/netsim"
 	"ontario/internal/sparql"
@@ -70,7 +70,7 @@ func (w *SQLWrapper) SourceID() string { return w.src.ID }
 // into — entries hold its IDs.
 func (w *SQLWrapper) SetResponseCache(c *ResponseCache) { w.cache = c }
 
-// LastSQL returns the SQL statements issued by the most recent Execute.
+// LastSQL returns the SQL statements issued by the most recent request.
 func (w *SQLWrapper) LastSQL() []string {
 	w.sqlMu.Lock()
 	defer w.sqlMu.Unlock()
@@ -89,98 +89,21 @@ func (w *SQLWrapper) recordSQL(stmt string) {
 	w.sqlMu.Unlock()
 }
 
-// Execute implements Wrapper.
-func (w *SQLWrapper) Execute(ctx context.Context, req *Request) (*engine.Stream, error) {
-	if len(req.Stars) == 0 {
-		return nil, fmt.Errorf("wrapper %s: empty request", w.src.ID)
+// seedStars substitutes the per-answer seed into every star's patterns
+// (the stars themselves belong to a shared, read-only plan).
+func seedStars(stars []*StarQuery, seed sparql.Binding) []*StarQuery {
+	if len(seed) == 0 {
+		return stars
 	}
-	stars := req.Stars
-	if len(req.Seeds) > 0 {
-		// Multi-seed block requests always use the single-query translation:
-		// the whole point of the block is one pushed-down query per block.
-		w.resetSQL()
-		return w.executeBlock(ctx, req, stars)
-	}
-	if len(req.Seed) > 0 {
-		seeded := make([]*StarQuery, len(stars))
-		for i, s := range stars {
-			seeded[i] = &StarQuery{
-				SubjectVar: s.SubjectVar,
-				Class:      s.Class,
-				Patterns:   substituteSeed(s.Patterns, req.Seed),
-			}
+	seeded := make([]*StarQuery, len(stars))
+	for i, s := range stars {
+		seeded[i] = &StarQuery{
+			SubjectVar: s.SubjectVar,
+			Class:      s.Class,
+			Patterns:   substituteSeed(s.Patterns, seed),
 		}
-		stars = seeded
 	}
-	w.resetSQL()
-	if w.mode == TranslationNaive && len(stars) > 1 {
-		return w.executeNaive(ctx, req, stars)
-	}
-	return w.executeOptimized(ctx, req, stars)
-}
-
-// executeBlock answers a multi-seed block request with a single SQL query:
-// the seed block is pushed down as an IN (...) predicate (one seeded
-// variable) or an OR-of-conjunctions (several), and the result rows cross
-// the simulated network as one batched response message.
-func (w *SQLWrapper) executeBlock(ctx context.Context, req *Request, stars []*StarQuery) (*engine.Stream, error) {
-	tl, empty, err := w.blockTranslation(req, stars)
-	if err != nil {
-		return nil, err
-	}
-	if empty {
-		return streamBlock(ctx, w.sim, nil, w.batch), nil
-	}
-	w.recordSQL(tl.sel.String())
-	res, err := w.src.DB.QueryAST(tl.sel)
-	if err != nil {
-		return nil, fmt.Errorf("wrapper %s: %w", w.src.ID, err)
-	}
-	var sols []sparql.Binding
-	for _, row := range res.Rows {
-		b, ok := tl.decodeRow(row)
-		if !ok {
-			continue
-		}
-		// The pushed predicate may be lossy (a seeded variable may not be
-		// translatable); re-check seed compatibility on the decoded row.
-		if !matchesAnySeed(b, req.Seeds) {
-			continue
-		}
-		if !passes(b, tl.localFilters) {
-			continue
-		}
-		sols = append(sols, b)
-	}
-	return streamBlock(ctx, w.sim, sols, w.batch), nil
-}
-
-// executeOptimized issues one flattened SQL query for all stars.
-func (w *SQLWrapper) executeOptimized(ctx context.Context, req *Request, stars []*StarQuery) (*engine.Stream, error) {
-	tl, err := translateRequest(w.src, stars, req.Filters)
-	if err != nil {
-		return nil, err
-	}
-	if tl.empty {
-		return emptyStream(), nil
-	}
-	w.recordSQL(tl.sel.String())
-	res, err := w.src.DB.QueryAST(tl.sel)
-	if err != nil {
-		return nil, fmt.Errorf("wrapper %s: %w", w.src.ID, err)
-	}
-	var sols []sparql.Binding
-	for _, row := range res.Rows {
-		b, ok := tl.decodeRow(row)
-		if !ok {
-			continue
-		}
-		if !passes(withSeed(b, req.Seed), tl.localFilters) {
-			continue
-		}
-		sols = append(sols, b)
-	}
-	return streamWithDelay(ctx, w.sim, req.Seed, sols, w.batch), nil
+	return seeded
 }
 
 // withSeed merges the seed into b for filter evaluation; filters may
@@ -195,8 +118,11 @@ func withSeed(b, seed sparql.Binding) sparql.Binding {
 // executeNaive translates and fetches each star separately (every row of
 // every star crossing the simulated network) and joins the results with a
 // nested loop inside the wrapper — Ontario's unoptimized combined-star
-// translation.
-func (w *SQLWrapper) executeNaive(ctx context.Context, req *Request, stars []*StarQuery) (*engine.Stream, error) {
+// translation. The joined rows were already transferred, so the caller
+// streams the returned entry without a simulator.
+func (w *SQLWrapper) executeNaive(req *Request, schema *engine.Schema, d *dict.Dict) (*respEntry, error) {
+	stars := seedStars(req.Stars, req.Seed)
+	w.resetSQL()
 	perStar := make([][]sparql.Binding, len(stars))
 	var leftoverFilters []sparql.Expr
 	usedFilter := make([]bool, len(req.Filters))
@@ -229,7 +155,7 @@ func (w *SQLWrapper) executeNaive(ctx context.Context, req *Request, stars []*St
 			return nil, err
 		}
 		if tl.empty {
-			return emptyStream(), nil
+			return newRespEntry(req, nil, schema, d), nil
 		}
 		w.recordSQL(tl.sel.String())
 		res, err := w.src.DB.QueryAST(tl.sel)
@@ -276,9 +202,7 @@ func (w *SQLWrapper) executeNaive(ctx context.Context, req *Request, stars []*St
 			sols = append(sols, b)
 		}
 	}
-	// The joined rows were already transferred; stream without extra
-	// delay.
-	return streamWithDelay(ctx, nil, req.Seed, sols, w.batch), nil
+	return newRespEntry(req, sols, schema, d), nil
 }
 
 func passes(b sparql.Binding, filters []sparql.Expr) bool {
@@ -288,10 +212,4 @@ func passes(b sparql.Binding, filters []sparql.Expr) bool {
 		}
 	}
 	return true
-}
-
-func emptyStream() *engine.Stream {
-	s := engine.NewStream(0)
-	s.Close()
-	return s
 }

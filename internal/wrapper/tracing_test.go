@@ -32,7 +32,7 @@ func TestRemoteWrapperPropagatesTraceparent(t *testing.T) {
 	qt := trace.NewQueryTrace()
 	ctx := trace.WithQuery(context.Background(), qt)
 	w := newRemote(t, srv.URL, fastResilience())
-	s, err := w.Execute(ctx, &Request{Stars: []*StarQuery{personStar()}})
+	s, err := execute(ctx, w, &Request{Stars: []*StarQuery{personStar()}})
 	if err != nil {
 		t.Fatalf("Execute: %v", err)
 	}
@@ -83,7 +83,7 @@ func TestRemoteWrapperNoTraceNoHeader(t *testing.T) {
 	}))
 	defer srv.Close()
 	w := newRemote(t, srv.URL, fastResilience())
-	s, err := w.Execute(context.Background(), &Request{Stars: []*StarQuery{personStar()}})
+	s, err := execute(context.Background(), w, &Request{Stars: []*StarQuery{personStar()}})
 	if err != nil {
 		t.Fatalf("Execute: %v", err)
 	}
@@ -104,7 +104,7 @@ func TestRemoteWrapperRecordsFailedHop(t *testing.T) {
 	qt := trace.NewQueryTrace()
 	ctx := trace.WithQuery(context.Background(), qt)
 	w := newRemote(t, srv.URL, fastResilience())
-	if _, err := w.Execute(ctx, &Request{Stars: []*StarQuery{personStar()}}); err == nil {
+	if _, err := execute(ctx, w, &Request{Stars: []*StarQuery{personStar()}}); err == nil {
 		t.Fatal("Execute should fail against an always-500 endpoint")
 	}
 	spans := qt.RemoteSpans()

@@ -181,11 +181,11 @@ func TestRepeatedObjectVariableAddsEquality(t *testing.T) {
 func TestEmptyRequestRejected(t *testing.T) {
 	src := testSource(t)
 	w := NewSQLWrapper(src, nil, TranslationOptimized, 0)
-	if _, err := w.Execute(context.Background(), &Request{}); err == nil {
+	if _, err := execute(context.Background(), w, &Request{}); err == nil {
 		t.Error("empty request accepted")
 	}
 	rw := NewRDFWrapper("r", rdf.NewGraph(), nil, 0)
-	if _, err := rw.Execute(context.Background(), &Request{}); err == nil {
+	if _, err := execute(context.Background(), rw, &Request{}); err == nil {
 		t.Error("empty RDF request accepted")
 	}
 }
@@ -196,7 +196,7 @@ func TestUnknownClassRejected(t *testing.T) {
 	req := &Request{Stars: []*StarQuery{
 		star(t, "p", "http://c/Unknown", `?p <http://p/name> ?n .`),
 	}}
-	if _, err := w.Execute(context.Background(), req); err == nil {
+	if _, err := execute(context.Background(), w, req); err == nil {
 		t.Error("unknown class accepted")
 	}
 }

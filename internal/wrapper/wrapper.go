@@ -11,6 +11,7 @@ import (
 	"context"
 	"fmt"
 
+	"ontario/internal/dict"
 	"ontario/internal/engine"
 	"ontario/internal/netsim"
 	"ontario/internal/rdf"
@@ -88,14 +89,21 @@ func (r *Request) Vars() []string {
 	return out
 }
 
-// Wrapper answers requests against one source.
+// Wrapper answers requests against one source. Terms are interned into the
+// execution's dictionary at the source and only uint64 IDs cross the
+// exchange.
 type Wrapper interface {
 	// SourceID identifies the wrapped source.
 	SourceID() string
-	// Execute runs the request, streaming bindings as they are retrieved
-	// across the simulated network.
-	Execute(ctx context.Context, req *Request) (*engine.Stream, error)
+	// ExecuteColumnar runs the request, streaming columnar batches over
+	// schema with all terms interned into d as they are retrieved across
+	// the simulated network: one latency sample per solution for
+	// per-answer retrieval, one per block response (see respEntry.stream).
+	ExecuteColumnar(ctx context.Context, req *Request, schema *engine.Schema, d *dict.Dict) (*engine.CStream, error)
 }
+
+// ColumnarWrapper is the name the benchmark module knows Wrapper by.
+type ColumnarWrapper = Wrapper
 
 // substituteSeed replaces seed-bound variables in the patterns with
 // constant terms.
@@ -115,52 +123,6 @@ func substituteSeed(patterns []sparql.TriplePattern, seed sparql.Binding) []spar
 	for i, tp := range patterns {
 		out[i] = sparql.TriplePattern{S: sub(tp.S), P: sub(tp.P), O: sub(tp.O)}
 	}
-	return out
-}
-
-// streamWithDelay emits the bindings on a new stream, delaying each message
-// by one latency sample, then re-merging the seed (bind-join semantics).
-// The per-answer latency accounting is unchanged by batching: one sample
-// per binding, however many bindings share a channel send. Batches are cut
-// at batch bindings and flushed on the engine's flush interval so answers
-// keep streaming under real (scaled) network sleeps.
-func streamWithDelay(ctx context.Context, sim *netsim.Simulator, seed sparql.Binding, sols []sparql.Binding, batch int) *engine.Stream {
-	out := engine.NewStream(4)
-	go func() {
-		defer out.Close()
-		w := engine.NewBatchWriter(ctx, out, batch)
-		defer w.Close()
-		for _, b := range sols {
-			if sim != nil {
-				sim.Delay()
-			}
-			if len(seed) > 0 {
-				b = seed.Merge(b)
-			}
-			if !w.Send(b) {
-				return
-			}
-		}
-	}()
-	return out
-}
-
-// streamBlock emits the solutions of a multi-seed block request as one
-// batched response: a single latency sample — one simulated network
-// message — covers the whole block, regardless of how many solutions it
-// carries. The message is accounted even for an empty result, because the
-// response itself still crosses the network. The materialized response is
-// relayed in batch-sized chunks; no flush timer is needed because nothing
-// trickles after the block's single delay.
-func streamBlock(ctx context.Context, sim *netsim.Simulator, sols []sparql.Binding, batch int) *engine.Stream {
-	out := engine.NewStream(4)
-	go func() {
-		defer out.Close()
-		if sim != nil {
-			sim.Delay()
-		}
-		out.SendChunked(ctx, sols, batch)
-	}()
 	return out
 }
 
@@ -192,25 +154,40 @@ func (w *RDFWrapper) SourceID() string { return w.id }
 // SQLWrapper.SetResponseCache).
 func (w *RDFWrapper) SetResponseCache(c *ResponseCache) { w.cache = c }
 
-// Execute implements Wrapper.
-func (w *RDFWrapper) Execute(ctx context.Context, req *Request) (*engine.Stream, error) {
+// ExecuteColumnar implements Wrapper: the BGP is evaluated over the graph
+// and the solutions cross the exchange as interned IDs. The decoded
+// response is built as a respEntry so repeated requests replay from the
+// engine's response cache instead of re-walking the graph.
+func (w *RDFWrapper) ExecuteColumnar(ctx context.Context, req *Request, schema *engine.Schema, d *dict.Dict) (*engine.CStream, error) {
 	if len(req.Stars) == 0 {
 		return nil, fmt.Errorf("wrapper %s: empty request", w.id)
+	}
+	var key respKey
+	if w.cache != nil {
+		key = respKeyFor(w.id, 0, req, d)
+		if e := w.cache.lookup(key, req, 0); e != nil {
+			return e.stream(ctx, w.sim, schema, w.batch), nil
+		}
 	}
 	var patterns []sparql.TriplePattern
 	for _, s := range req.Stars {
 		patterns = append(patterns, s.Patterns...)
 	}
+	var sols []sparql.Binding
 	if len(req.Seeds) > 0 {
-		return w.executeBlock(ctx, req, patterns)
+		sols = w.blockSolutions(req, patterns)
+	} else {
+		sols = w.filteredSolutions(req, substituteSeed(patterns, req.Seed))
 	}
-	patterns = substituteSeed(patterns, req.Seed)
-	sols := w.filteredSolutions(req, patterns)
-	return streamWithDelay(ctx, w.sim, req.Seed, sols, w.batch), nil
+	e := newRespEntry(req, sols, schema, d)
+	if w.cache != nil {
+		w.cache.store(key, e)
+	}
+	return e.stream(ctx, w.sim, schema, w.batch), nil
 }
 
 // filteredSolutions evaluates the (already seed-substituted) patterns and
-// applies the pushed filters; shared by the row and columnar paths.
+// applies the pushed filters.
 func (w *RDFWrapper) filteredSolutions(req *Request, patterns []sparql.TriplePattern) []sparql.Binding {
 	sols := sparql.EvalBGP(w.graph, patterns)
 	if len(req.Filters) == 0 {
@@ -238,16 +215,9 @@ func (w *RDFWrapper) filteredSolutions(req *Request, patterns []sparql.TriplePat
 	return kept
 }
 
-// executeBlock answers a multi-seed block request in one graph pass: the
-// patterns are evaluated un-instantiated, the solutions are restricted to
-// those compatible with at least one seed, and the whole block crosses the
-// simulated network as a single message.
-func (w *RDFWrapper) executeBlock(ctx context.Context, req *Request, patterns []sparql.TriplePattern) (*engine.Stream, error) {
-	return streamBlock(ctx, w.sim, w.blockSolutions(req, patterns), w.batch), nil
-}
-
-// blockSolutions answers a multi-seed block request's solution set in one
-// graph pass; shared by the row and columnar paths.
+// blockSolutions answers a multi-seed block request in one graph pass:
+// the patterns are evaluated un-instantiated and the solutions restricted
+// to those compatible with at least one seed.
 func (w *RDFWrapper) blockSolutions(req *Request, patterns []sparql.TriplePattern) []sparql.Binding {
 	var sols []sparql.Binding
 	for _, b := range sparql.EvalBGP(w.graph, patterns) {

@@ -7,6 +7,8 @@ import (
 	"testing"
 
 	"ontario/internal/catalog"
+	"ontario/internal/dict"
+	"ontario/internal/engine"
 	"ontario/internal/netsim"
 	"ontario/internal/rdb"
 	"ontario/internal/rdf"
@@ -91,13 +93,35 @@ func star(t *testing.T, subjectVar, class, patterns string) *StarQuery {
 	return &StarQuery{SubjectVar: subjectVar, Class: class, Patterns: q.Patterns}
 }
 
+// testDict is the dictionary every test request interns into — one per
+// package run, like the lake-lifetime dictionary of an engine, so response
+// cache entries stay valid across requests.
+var testDict = dict.New()
+
+// execute issues req on w over the request's own variables.
+func execute(ctx context.Context, w Wrapper, req *Request) (*engine.CStream, error) {
+	return w.ExecuteColumnar(ctx, req, engine.NewSchema(req.Vars()), testDict)
+}
+
+// drain materializes a response stream back into bindings.
+func drain(t *testing.T, s *engine.CStream) []sparql.Binding {
+	t.Helper()
+	var out []sparql.Binding
+	for batch := range s.Batches() {
+		out = append(out, engine.DecodeBatch(batch, testDict)...)
+	}
+	return out
+}
+
+// collect is how the wrapper tests read results: issue the request, fail
+// the test on a setup error, decode every answer.
 func collect(t *testing.T, w Wrapper, req *Request) []sparql.Binding {
 	t.Helper()
-	s, err := w.Execute(context.Background(), req)
+	s, err := execute(context.Background(), w, req)
 	if err != nil {
 		t.Fatal(err)
 	}
-	return s.Collect()
+	return drain(t, s)
 }
 
 func TestSQLWrapperSingleStar(t *testing.T) {
@@ -314,7 +338,7 @@ func TestSQLWrapperVariablePredicateRejected(t *testing.T) {
 	req := &Request{Stars: []*StarQuery{
 		star(t, "p", "http://c/Person", `?p ?any ?o .`),
 	}}
-	if _, err := w.Execute(context.Background(), req); err == nil {
+	if _, err := execute(context.Background(), w, req); err == nil {
 		t.Fatal("variable predicate accepted at a relational source")
 	}
 }

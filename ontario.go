@@ -112,8 +112,9 @@ func Blank(label string) Term { return lake.Blank(label) }
 // wrappers, own network simulators), so any number of queries may be in
 // flight at once.
 type Engine struct {
-	inner *core.Engine
-	lake  *lake.Lake
+	planner  *core.Planner
+	executor *core.Executor
+	lake     *lake.Lake
 
 	// jsonTerms caches the sparql-results+json encoding of terms by
 	// dictionary ID across queries. The dictionary lives as long as the
@@ -136,7 +137,7 @@ type EngineOption func(*Engine)
 // semaphore instead of stampeding it. n < 1 is treated as 1.
 func WithSourceLimit(n int) EngineOption {
 	return func(e *Engine) {
-		e.inner.Executor.Limiter = wrapper.NewSourceLimiter(n)
+		e.executor.Limiter = wrapper.NewSourceLimiter(n)
 	}
 }
 
@@ -148,7 +149,7 @@ func New(l *lake.Lake, opts ...EngineOption) *Engine {
 	}
 	jt := cat.Shared("json.terms", func() any { return newTermJSONCache() }).(*termJSONCache)
 	pc := cat.Shared("prepared.plans", func() any { return newPreparedCache() }).(*preparedCache)
-	e := &Engine{inner: core.NewEngine(cat), lake: l, jsonTerms: jt, plans: pc}
+	e := &Engine{planner: core.NewPlanner(cat), executor: core.NewExecutor(cat), lake: l, jsonTerms: jt, plans: pc}
 	for _, o := range opts {
 		o(e)
 	}
@@ -158,10 +159,10 @@ func New(l *lake.Lake, opts ...EngineOption) *Engine {
 // SourceLimits reports on the per-source in-flight limiter installed with
 // WithSourceLimit; it returns nil when the engine is unlimited.
 func (e *Engine) SourceLimits() *SourceLimits {
-	if e.inner.Executor.Limiter == nil {
+	if e.executor.Limiter == nil {
 		return nil
 	}
-	return &SourceLimits{lim: e.inner.Executor.Limiter}
+	return &SourceLimits{lim: e.executor.Limiter}
 }
 
 // SourceLimits exposes the state of the engine's per-source in-flight
@@ -200,7 +201,7 @@ func (e *Engine) Query(ctx context.Context, queryText string, options ...Option)
 // latency and failure rate instead of the static network profile.
 func (e *Engine) planOptions(cfg config) core.Options {
 	opts := cfg.resolve()
-	if h := e.inner.Executor.Health; h != nil {
+	if h := e.executor.Health; h != nil {
 		opts.MeasuredLatency = h.MeasuredLatency
 	}
 	return opts
@@ -218,27 +219,27 @@ func (e *Engine) start(ctx context.Context, plan *core.Plan, cfg config) (*Resul
 		plan = &p2
 	}
 	ctx, cancel := context.WithCancel(ctx)
-	exec := e.inner.Executor.NewExecution(cfg.scale, cfg.seed)
+	exec := e.executor.NewExecution(cfg.scale, cfg.seed)
 	start := time.Now()
-	if plan.Opts.RowExchange {
-		stream, err := exec.Execute(ctx, plan)
-		if err != nil {
-			cancel()
-			return nil, err
-		}
-		return newResults(ctx, cancel, plan, exec, stream, start), nil
-	}
-	// The default data plane: terms are interned into dictionary IDs at
-	// the wrapper boundary and only columnar ID batches flow between
-	// operators; the cursor materializes terms on delivery.
+	// Terms are interned into dictionary IDs at the wrapper boundary and
+	// only columnar ID batches flow between operators; the cursor
+	// materializes terms on delivery.
 	cs, d, err := exec.ExecuteColumnar(ctx, plan)
 	if err != nil {
 		cancel()
 		return nil, err
 	}
-	r := newColumnarResults(ctx, cancel, plan, exec, cs, d, start)
-	r.jsonCache = e.jsonTerms
-	return r, nil
+	return &Results{
+		vars:      plan.Query.ProjectedVars(),
+		plan:      plan,
+		ctx:       ctx,
+		cancel:    cancel,
+		exec:      exec,
+		cstream:   cs,
+		dict:      d,
+		start:     start,
+		jsonCache: e.jsonTerms,
+	}, nil
 }
 
 // Prepared is a planned query ready for repeated execution. The plan tree
@@ -271,7 +272,7 @@ func (e *Engine) Prepare(queryText string, options ...Option) (*Prepared, error)
 	if err != nil {
 		return nil, err
 	}
-	plan, err := e.inner.Planner.Plan(q, e.planOptions(cfg))
+	plan, err := e.planner.Plan(q, e.planOptions(cfg))
 	if err != nil {
 		return nil, err
 	}

@@ -185,11 +185,6 @@ type config struct {
 	probePar   int
 	scale      float64
 	seed       int64
-	// rowExchange selects the row-at-a-time reference pipeline instead of
-	// the default dictionary-encoded columnar exchange. Internal-only (via
-	// internal/bridge): kept for equivalence testing and ablation, not part
-	// of the public option surface.
-	rowExchange bool
 	// cluster distributes the execution over a partitioned worker pool.
 	// Internal-only (via internal/bridge, wired by cmd/ontario-server's
 	// coordinator role). Like scale/seed it is an execution-time setting:
@@ -239,7 +234,6 @@ func (c config) resolve() core.Options {
 	opts.BindConcurrency = c.bindConc
 	opts.BatchSize = c.batchSize
 	opts.ProbeParallelism = c.probePar
-	opts.RowExchange = c.rowExchange
 	return opts
 }
 

@@ -58,8 +58,8 @@ func (c config) fingerprint() string {
 	if c.joinOp != nil {
 		fmt.Fprintf(&b, "|join=%d", *c.joinOp)
 	}
-	fmt.Fprintf(&b, "|naive=%t|triples=%t|bb=%d|bc=%d|bs=%d|pp=%d|rx=%t",
-		c.naive, c.triples, c.bindBlock, c.bindConc, c.batchSize, c.probePar, c.rowExchange)
+	fmt.Fprintf(&b, "|naive=%t|triples=%t|bb=%d|bc=%d|bs=%d|pp=%d",
+		c.naive, c.triples, c.bindBlock, c.bindConc, c.batchSize, c.probePar)
 	return b.String()
 }
 

@@ -56,13 +56,14 @@ type Results struct {
 	ctx    context.Context
 	cancel context.CancelFunc
 	exec   *core.Execution
-	stream *engine.Stream
 	start  time.Time
 
-	// Columnar mode (the default): the cursor consumes dictionary-encoded
-	// batches and materializes terms only when a solution is actually
-	// served — through Binding, or pre-encoded JSON via nextBatchJSON.
-	// stream is nil in this mode; cstream/dict are nil in row mode.
+	// The cursor consumes dictionary-encoded batches and materializes
+	// terms only when a solution is actually served — through Binding, or
+	// pre-encoded JSON via nextBatchJSON. cbuf is the exchange batch being
+	// iterated: Next serves rows from cbuf[cidx:] and only touches the
+	// stream channel when the batch is exhausted, so the per-answer cost of
+	// the cursor is an index, not a channel receive.
 	cstream *engine.CStream
 	dict    *dict.Dict
 	cbuf    *engine.ColBatch
@@ -74,13 +75,6 @@ type Results struct {
 	json      *resultsJSON
 	jsonCache *termJSONCache
 
-	// buf is the exchange batch the cursor is currently iterating: Next
-	// serves bindings from buf[idx:] and only touches the stream channel
-	// when the batch is exhausted, so the per-answer cost of the cursor is
-	// a slice index, not a channel receive.
-	buf []sparql.Binding
-	idx int
-
 	cur     Binding
 	err     error
 	n       int
@@ -88,31 +82,6 @@ type Results struct {
 	total   time.Duration
 	done    bool
 	closed  bool
-}
-
-func newResults(ctx context.Context, cancel context.CancelFunc, plan *core.Plan, exec *core.Execution, stream *engine.Stream, start time.Time) *Results {
-	return &Results{
-		vars:   plan.Query.ProjectedVars(),
-		plan:   plan,
-		ctx:    ctx,
-		cancel: cancel,
-		exec:   exec,
-		stream: stream,
-		start:  start,
-	}
-}
-
-func newColumnarResults(ctx context.Context, cancel context.CancelFunc, plan *core.Plan, exec *core.Execution, cs *engine.CStream, d *dict.Dict, start time.Time) *Results {
-	return &Results{
-		vars:    plan.Query.ProjectedVars(),
-		plan:    plan,
-		ctx:     ctx,
-		cancel:  cancel,
-		exec:    exec,
-		cstream: cs,
-		dict:    d,
-		start:   start,
-	}
 }
 
 // Vars returns the projected variable names.
@@ -125,49 +94,14 @@ func (r *Results) Next() bool {
 	if !r.fill() {
 		return false
 	}
-	var b sparql.Binding
-	if r.cstream != nil {
-		b = r.cbuf.Binding(r.cidx, r.dict)
-		r.cidx++
-	} else {
-		b = r.buf[r.idx]
-		r.idx++
-	}
+	b := r.cbuf.Binding(r.cidx, r.dict)
+	r.cidx++
 	r.n++
 	if r.n == 1 {
 		r.firstAt = time.Since(r.start)
 	}
 	r.cur = bindingFromInternal(b)
 	return true
-}
-
-// nextBatch returns the rest of the buffered batch — or pulls the next one
-// — converted to public bindings. It backs the internal server's
-// batch-per-write JSON encoder through internal/bridge, keeping the
-// exported cursor API unchanged.
-func (r *Results) nextBatch() ([]Binding, bool) {
-	if !r.fill() {
-		return nil, false
-	}
-	var out []Binding
-	if r.cstream != nil {
-		out = make([]Binding, 0, r.cbuf.Len-r.cidx)
-		for ; r.cidx < r.cbuf.Len; r.cidx++ {
-			out = append(out, bindingFromInternal(r.cbuf.Binding(r.cidx, r.dict)))
-		}
-	} else {
-		part := r.buf[r.idx:]
-		r.idx = len(r.buf)
-		out = make([]Binding, len(part))
-		for i, b := range part {
-			out[i] = bindingFromInternal(b)
-		}
-	}
-	if r.n == 0 {
-		r.firstAt = time.Since(r.start)
-	}
-	r.n += len(out)
-	return out, true
 }
 
 // fill ensures the cursor's buffered batch holds an unserved solution,
@@ -178,24 +112,13 @@ func (r *Results) fill() bool {
 	if r.done || r.closed {
 		return false
 	}
-	if r.cstream != nil {
-		for r.cbuf == nil || r.cidx >= r.cbuf.Len {
-			batch, ok := <-r.cstream.Batches()
-			if !ok {
-				r.finish()
-				return false
-			}
-			r.cbuf, r.cidx = batch, 0
-		}
-		return true
-	}
-	for r.idx >= len(r.buf) {
-		batch, ok := <-r.stream.Batches()
+	for r.cbuf == nil || r.cidx >= r.cbuf.Len {
+		batch, ok := <-r.cstream.Batches()
 		if !ok {
 			r.finish()
 			return false
 		}
-		r.buf, r.idx = batch, 0
+		r.cbuf, r.cidx = batch, 0
 	}
 	return true
 }
@@ -220,12 +143,7 @@ func (r *Results) Close() error {
 	if r.json != nil {
 		r.json.release()
 	}
-	if r.cstream != nil {
-		for range r.cstream.Batches() {
-		}
-	} else {
-		for range r.stream.Batches() {
-		}
+	for range r.cstream.Batches() {
 	}
 	if !r.done {
 		r.done = true
@@ -300,24 +218,12 @@ func bindingFromInternal(b sparql.Binding) Binding {
 
 func init() {
 	// Hand the internal server batch-granular access to the cursor without
-	// widening the exported Results API (see internal/bridge).
-	bridge.ResultsNextBatch = func(results any) (any, bool) {
-		r, ok := results.(*Results)
-		if !ok {
-			return nil, false
-		}
-		batch, ok := r.nextBatch()
-		if !ok {
-			return nil, false
-		}
-		return batch, true
-	}
-	// The server's fast path: the cursor hands over the next batch already
-	// encoded as sparql-results+json binding objects, skipping the public
-	// Binding materialization entirely. In columnar mode each distinct term
-	// is marshaled once per engine (the encoding is cached by dictionary
-	// ID across queries), so the JSON writer's per-answer cost collapses
-	// to cache lookups and byte appends.
+	// widening the exported Results API (see internal/bridge): the cursor
+	// hands over the next batch already encoded as sparql-results+json
+	// binding objects, skipping the public Binding materialization
+	// entirely. Each distinct term is marshaled once per lake (the encoding
+	// is cached by dictionary ID across queries), so the JSON writer's
+	// per-answer cost collapses to cache lookups and byte appends.
 	bridge.ResultsNextJSON = func(results any) ([]byte, int, bool) {
 		r, ok := results.(*Results)
 		if !ok {
@@ -325,9 +231,6 @@ func init() {
 		}
 		return r.nextBatchJSON()
 	}
-	// Equivalence tests and the bench harness flip one execution back to
-	// the row-at-a-time reference pipeline through this internal option.
-	bridge.RowExchangeOption = Option(func(c *config) { c.rowExchange = true })
 	// The cluster coordinator attaches its worker-pool distributor to a
 	// query execution through this internal option factory.
 	bridge.ClusterOption = func(dist any) any {

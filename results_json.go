@@ -8,7 +8,6 @@ import (
 
 	"ontario/internal/dict"
 	"ontario/internal/rdf"
-	"ontario/internal/sparql"
 )
 
 // termJSONCache memoizes marshaled terms by dictionary ID across every
@@ -47,18 +46,14 @@ var jsonBufPool = sync.Pool{
 // resultsJSON is the cursor's pre-encoding state for the server's JSON
 // fast path. The encoding it produces is byte-identical to marshaling a
 // map[var]term object per solution (keys sorted, no whitespace), but the
-// work is memoized: variable keys are marshaled once per schema, and in
-// columnar mode each distinct term is marshaled once per query, keyed by
-// its dictionary ID.
+// work is memoized: variable keys are marshaled once per schema, and each
+// distinct term is marshaled once per lake, keyed by its dictionary ID.
 type resultsJSON struct {
 	// cols pairs each output column with its pre-marshaled `"var":` key
 	// prefix, ordered by variable name so the object keys come out sorted.
 	cols []jsonCol
-	// shared is the engine's cross-query term cache; terms is the
-	// per-cursor fallback used when the cursor has no engine behind it
-	// (columnar mode only; exactly one of the two is set).
+	// shared is the engine's cross-query term cache.
 	shared *termJSONCache
-	terms  map[dict.ID][]byte
 	// buf is the encode buffer, borrowed from jsonBufPool via pooled and
 	// handed back when the cursor closes.
 	buf    []byte
@@ -77,7 +72,7 @@ func (j *resultsJSON) release() {
 }
 
 type jsonCol struct {
-	pos int // column in the batch schema (columnar mode)
+	pos int // column in the batch schema
 	key []byte
 }
 
@@ -120,20 +115,15 @@ func (r *Results) jsonState() *resultsJSON {
 	if r.json != nil {
 		return r.json
 	}
-	j := &resultsJSON{pooled: jsonBufPool.Get().(*[]byte)}
+	j := &resultsJSON{pooled: jsonBufPool.Get().(*[]byte), shared: r.jsonCache}
 	j.buf = (*j.pooled)[:0]
-	if r.cstream != nil {
-		if j.shared = r.jsonCache; j.shared == nil {
-			j.terms = make(map[dict.ID][]byte)
-		}
-		schema := r.cstream.Schema()
-		for pos, v := range schema.Vars {
-			j.cols = append(j.cols, jsonCol{pos: pos, key: marshalKey(v)})
-		}
-		sort.Slice(j.cols, func(a, b int) bool {
-			return schema.Vars[j.cols[a].pos] < schema.Vars[j.cols[b].pos]
-		})
+	schema := r.cstream.Schema()
+	for pos, v := range schema.Vars {
+		j.cols = append(j.cols, jsonCol{pos: pos, key: marshalKey(v)})
 	}
+	sort.Slice(j.cols, func(a, b int) bool {
+		return schema.Vars[j.cols[a].pos] < schema.Vars[j.cols[b].pos]
+	})
 	r.json = j
 	return j
 }
@@ -141,19 +131,11 @@ func (r *Results) jsonState() *resultsJSON {
 // term returns the cached encoding of the term behind id, marshaling and
 // memoizing it on first sight.
 func (j *resultsJSON) term(d *dict.Dict, id dict.ID) []byte {
-	if j.shared != nil {
-		if enc, ok := j.shared.get(id); ok {
-			return enc
-		}
-		enc := marshalTerm(nil, d.MustLookup(id))
-		j.shared.put(id, enc)
-		return enc
-	}
-	if enc, ok := j.terms[id]; ok {
+	if enc, ok := j.shared.get(id); ok {
 		return enc
 	}
 	enc := marshalTerm(nil, d.MustLookup(id))
-	j.terms[id] = enc
+	j.shared.put(id, enc)
 	return enc
 }
 
@@ -170,30 +152,23 @@ func (r *Results) nextBatchJSON() ([]byte, int, bool) {
 	j := r.jsonState()
 	buf := j.buf[:0]
 	n := 0
-	if r.cstream != nil {
-		b := r.cbuf
-		for ; r.cidx < b.Len; r.cidx++ {
-			buf = append(buf, ',', '{')
-			rowStart := len(buf)
-			for _, c := range j.cols {
-				id := b.Cols[c.pos][r.cidx]
-				if id == dict.Unbound {
-					continue
-				}
-				if len(buf) > rowStart {
-					buf = append(buf, ',')
-				}
-				buf = append(buf, c.key...)
-				buf = append(buf, j.term(r.dict, id)...)
+	b := r.cbuf
+	for ; r.cidx < b.Len; r.cidx++ {
+		buf = append(buf, ',', '{')
+		rowStart := len(buf)
+		for _, c := range j.cols {
+			id := b.Cols[c.pos][r.cidx]
+			if id == dict.Unbound {
+				continue
 			}
-			buf = append(buf, '}')
-			n++
+			if len(buf) > rowStart {
+				buf = append(buf, ',')
+			}
+			buf = append(buf, c.key...)
+			buf = append(buf, j.term(r.dict, id)...)
 		}
-	} else {
-		for ; r.idx < len(r.buf); r.idx++ {
-			buf = appendRowJSON(buf, r.buf[r.idx])
-			n++
-		}
+		buf = append(buf, '}')
+		n++
 	}
 	j.buf = buf
 	if r.n == 0 {
@@ -201,24 +176,4 @@ func (r *Results) nextBatchJSON() ([]byte, int, bool) {
 	}
 	r.n += n
 	return buf, n, true
-}
-
-// appendRowJSON encodes one row-mode solution with sorted keys (the
-// reference pipeline has no dictionary to cache by, so terms are
-// marshaled in place).
-func appendRowJSON(dst []byte, b sparql.Binding) []byte {
-	vars := make([]string, 0, len(b))
-	for v := range b {
-		vars = append(vars, v)
-	}
-	sort.Strings(vars)
-	dst = append(dst, ',', '{')
-	for i, v := range vars {
-		if i > 0 {
-			dst = append(dst, ',')
-		}
-		dst = append(dst, marshalKey(v)...)
-		dst = marshalTerm(dst, b[v])
-	}
-	return append(dst, '}')
 }
