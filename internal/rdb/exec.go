@@ -133,6 +133,9 @@ type execution struct {
 	rels []relation
 	// conjuncts of WHERE plus all JOIN ... ON conditions
 	preds []sql.BoolExpr
+	// inSets holds each IN list coerced to its column's type, built on the
+	// first tuple the filter tests.
+	inSets map[*sql.In]map[Value]bool
 }
 
 func newExecution(db *Database, sel *sql.Select) (*execution, error) {
@@ -251,12 +254,16 @@ func (ex *execution) predRels(e sql.BoolExpr) ([]string, error) {
 	return out, nil
 }
 
-// tupleSet is a materialized intermediate relation: a flattened schema of
-// bound columns plus tuples.
+// tupleSet is an intermediate relation: a flattened schema of bound columns
+// plus tuples.
 type tupleSet struct {
 	cols   []boundCol
-	tuples [][]Value
-	plan   *PlanNode
+	tuples []Row
+	// raw, when set, marks an unfiltered base relation: tuples is the
+	// table's own row slice — read it, never reorder it — and an index
+	// nested-loop join can probe the table instead.
+	raw  *Table
+	plan *PlanNode
 	// rels are the relation names this set covers.
 	rels map[string]bool
 }

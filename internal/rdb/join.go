@@ -2,15 +2,16 @@ package rdb
 
 import (
 	"fmt"
+	"slices"
 	"strings"
 
 	"ontario/internal/sql"
 )
 
 // join combines cur with next using the cross predicates that connect them.
-// It prefers an index nested-loop join when next is an unfiltered base
-// relation with an index on its join column, then a hash join, and falls
-// back to a nested-loop cross product with residual filtering.
+// It prefers an index nested-loop join when next is a raw base relation
+// with an index on its join column, then a hash join, and falls back to a
+// nested-loop cross product with residual filtering.
 //
 // Consumed predicates are nil-ed out of crossPreds.
 func (ex *execution) join(cur, next *tupleSet, crossPreds []sql.BoolExpr, crossRels [][]string) (*tupleSet, error) {
@@ -84,35 +85,17 @@ func (ex *execution) join(cur, next *tupleSet, crossPreds []sql.BoolExpr, crossR
 	first := eqs[0]
 	crossPreds[first.idx] = nil
 
-	// Index nested-loop: possible when next is a single base relation whose
-	// join column is indexed and next was not pre-filtered (its tuple set
-	// is the raw table). We approximate "raw table" by checking its plan is
-	// a SeqScan with no children.
-	useINL := false
-	var nextRel relation
-	if len(next.rels) == 1 && next.plan.Op == "SeqScan" && len(next.plan.Children) == 0 {
-		for name := range next.rels {
-			for _, r := range ex.rels {
-				if r.name == name {
-					nextRel = r
-				}
-			}
-		}
-		if nextRel.table != nil && nextRel.table.HasIndexOn(first.nextColRef.column) &&
-			len(cur.tuples) <= nextRel.table.RowCount() {
-			useINL = true
-		}
-	}
-
-	if useINL {
+	// Index nested-loop: next is a raw base relation whose join column is
+	// indexed, so the table is probed per left tuple and never copied.
+	if t := next.raw; t != nil && t.HasIndexOn(first.nextColRef.column) && len(cur.tuples) <= len(next.tuples) {
 		for _, lt := range cur.tuples {
 			v := lt[first.curCol]
 			if v.Null {
 				continue
 			}
-			ids, _ := nextRel.table.lookupEq(first.nextColRef.column, v)
+			ids, _ := t.lookupEq(first.nextColRef.column, v)
 			for _, id := range ids {
-				out.tuples = append(out.tuples, concatTuple(lt, nextRel.table.Row(id)))
+				out.tuples = append(out.tuples, concatTuple(lt, t.Row(id)))
 			}
 		}
 		out.plan = &PlanNode{
@@ -124,16 +107,16 @@ func (ex *execution) join(cur, next *tupleSet, crossPreds []sql.BoolExpr, crossR
 		}
 	} else {
 		// Hash join: build on the smaller side.
-		build, probe := next, cur
+		build, probe := next.tuples, cur.tuples
 		buildCol, probeCol := first.nextCol, first.curCol
 		swapped := false
-		if len(cur.tuples) < len(next.tuples) {
-			build, probe = cur, next
-			buildCol, probeCol = first.curCol, first.nextCol
+		if len(probe) < len(build) {
+			build, probe = probe, build
+			buildCol, probeCol = probeCol, buildCol
 			swapped = true
 		}
-		ht := make(map[string][][]Value, len(build.tuples))
-		for _, bt := range build.tuples {
+		ht := make(map[string][]Row, len(build))
+		for _, bt := range build {
 			v := bt[buildCol]
 			if v.Null {
 				continue
@@ -141,7 +124,7 @@ func (ex *execution) join(cur, next *tupleSet, crossPreds []sql.BoolExpr, crossR
 			k := v.IndexKey()
 			ht[k] = append(ht[k], bt)
 		}
-		for _, pt := range probe.tuples {
+		for _, pt := range probe {
 			v := pt[probeCol]
 			if v.Null {
 				continue
@@ -304,6 +287,9 @@ func (ex *execution) finalize(ts *tupleSet) (*Result, error) {
 
 	tuples := ts.tuples
 	if len(orders) > 0 {
+		if ts.raw != nil {
+			tuples = slices.Clone(tuples) // the table's own rows keep their order
+		}
 		sortTuples(tuples, func(a, b []Value) int {
 			for _, o := range orders {
 				c, ok := a[o.idx].Compare(b[o.idx])
@@ -388,15 +374,15 @@ func rowKey(r Row) string {
 
 // sortTuples is a stable merge sort over tuples with a three-way
 // comparator.
-func sortTuples(ts [][]Value, cmp func(a, b []Value) int) {
+func sortTuples(ts []Row, cmp func(a, b []Value) int) {
 	if len(ts) < 2 {
 		return
 	}
-	buf := make([][]Value, len(ts))
+	buf := make([]Row, len(ts))
 	mergeSort(ts, buf, cmp)
 }
 
-func mergeSort(ts, buf [][]Value, cmp func(a, b []Value) int) {
+func mergeSort(ts, buf []Row, cmp func(a, b []Value) int) {
 	if len(ts) < 2 {
 		return
 	}

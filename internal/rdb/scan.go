@@ -7,125 +7,193 @@ import (
 	"ontario/internal/sql"
 )
 
-// scanRelation materializes one base relation, choosing the best access
-// path for the local predicates: primary-key/hash lookup for equality on an
-// indexed column, B+tree range scan for inequalities on a tree-indexed
-// column, else a sequential scan. Remaining predicates are applied as a
-// residual filter.
+// scanRelation builds one base relation, choosing the best access path for
+// the local predicates: a point lookup (primary key, hash or B+tree) when
+// a predicate pins an indexed column to a finite set of values — an
+// equality or an IN list; a B+tree range scan for inequalities on a
+// tree-indexed column; else a sequential scan. Remaining predicates are
+// applied as a residual filter, and a relation without predicates stays
+// the table's own rows (raw).
 func (ex *execution) scanRelation(r relation, preds []sql.BoolExpr) (*tupleSet, error) {
 	schema := r.table.Schema
 	cols := make([]boundCol, len(schema.Columns))
 	for i, c := range schema.Columns {
 		cols[i] = boundCol{rel: r.name, column: c.Name, typ: c.Type}
 	}
-
-	// Find the best indexable predicate.
-	type eqCand struct {
-		predIdx int
-		column  string
-		value   Value
-	}
-	type rangeCand struct {
-		predIdx int
-		column  string
-		lo, hi  *Value
-		loIncl  bool
-		hiIncl  bool
-	}
-	var bestEq *eqCand
-	var bestRange *rangeCand
+	ts := &tupleSet{cols: cols, rels: map[string]bool{r.name: true}}
 	stats := r.table.Stats()
+
+	var point *pointCand
+	var rng *rangeCand
 	for i, p := range preds {
-		cmp, ok := p.(*sql.Comparison)
-		if !ok {
-			continue
-		}
-		col, lit, op, ok := normalizeComparison(cmp)
-		if !ok || (col.Table != "" && col.Table != r.name) {
-			continue
-		}
-		colType, err := schema.ColumnType(col.Column)
-		if err != nil {
-			continue
-		}
-		v, err := FromLiteral(lit, colType)
-		if err != nil {
-			continue
-		}
-		hasHash, hasTree := r.table.indexKindOn(col.Column)
-		switch op {
-		case sql.CmpEq:
-			if !hasHash && !hasTree {
-				continue
+		if c := pointCandFor(r, p); c != nil {
+			c.pred = i
+			c.est = float64(stats.RowCount) * stats.Selectivity(c.column) * float64(len(c.vals))
+			if point == nil || c.est < point.est {
+				point = c
 			}
-			if bestEq == nil || stats.Selectivity(col.Column) < stats.Selectivity(bestEq.column) {
-				v := v
-				bestEq = &eqCand{predIdx: i, column: col.Column, value: v}
-			}
-		case sql.CmpLt, sql.CmpLe:
-			if !hasTree {
-				continue
-			}
-			v := v
-			bestRange = &rangeCand{predIdx: i, column: col.Column, hi: &v, hiIncl: op == sql.CmpLe}
-		case sql.CmpGt, sql.CmpGe:
-			if !hasTree {
-				continue
-			}
-			v := v
-			bestRange = &rangeCand{predIdx: i, column: col.Column, lo: &v, loIncl: op == sql.CmpGe}
 		}
+		rng = rng.narrow(r, i, p)
 	}
 
-	var ids []int
-	var plan *PlanNode
-	used := -1
+	used := make([]bool, len(preds))
 	switch {
-	case bestEq != nil:
-		ids, _ = r.table.lookupEq(bestEq.column, bestEq.value)
-		used = bestEq.predIdx
-		op := "IndexLookup"
-		if bestEq.column == schema.PrimaryKey {
-			op = "IndexLookup/PK"
+	case point != nil:
+		ts.tuples = r.table.lookupIn(point.column, point.vals)
+		used[point.pred] = true
+		shown := make([]string, len(point.vals))
+		for i, v := range point.vals {
+			shown[i] = v.String()
 		}
-		plan = &PlanNode{
-			Op:      op,
-			Detail:  fmt.Sprintf("%s.%s = %s", r.name, bestEq.column, bestEq.value),
-			EstRows: float64(stats.RowCount) * stats.Selectivity(bestEq.column),
+		op, detail := "IndexLookup/IN", " IN ("+strings.Join(shown, ", ")+")"
+		if !point.multi {
+			op, detail = "IndexLookup", " = "+shown[0]
 		}
-	case bestRange != nil:
-		var ok bool
-		ids, ok = r.table.lookupRange(bestRange.column, bestRange.lo, bestRange.loIncl, bestRange.hi, bestRange.hiIncl)
-		if ok {
-			used = bestRange.predIdx
-			plan = &PlanNode{
-				Op:      "IndexRangeScan",
-				Detail:  fmt.Sprintf("%s.%s %s", r.name, bestRange.column, rangeDetail(bestRange.lo, bestRange.loIncl, bestRange.hi, bestRange.hiIncl)),
-				EstRows: float64(stats.RowCount) / 3,
-			}
-		} else {
-			ids = r.table.scanIDs()
-			plan = &PlanNode{Op: "SeqScan", Detail: r.name, EstRows: float64(stats.RowCount)}
+		if point.column == schema.PrimaryKey {
+			op += "/PK"
+		}
+		ts.plan = &PlanNode{Op: op, Detail: r.name + "." + point.column + detail, EstRows: point.est}
+	case rng != nil:
+		ts.tuples = r.table.lookupRange(rng.column, rng.lo, rng.loIncl, rng.hi, rng.hiIncl)
+		for _, i := range rng.preds {
+			used[i] = true
+		}
+		ts.plan = &PlanNode{
+			Op:      "IndexRangeScan",
+			Detail:  fmt.Sprintf("%s.%s %s", r.name, rng.column, rangeDetail(rng.lo, rng.loIncl, rng.hi, rng.hiIncl)),
+			EstRows: float64(stats.RowCount) / 3,
 		}
 	default:
-		ids = r.table.scanIDs()
-		plan = &PlanNode{Op: "SeqScan", Detail: r.name, EstRows: float64(stats.RowCount)}
+		ts.tuples, ts.raw = r.table.snapshot(), r.table
+		ts.plan = &PlanNode{Op: "SeqScan", Detail: r.name, EstRows: float64(stats.RowCount)}
 	}
 
-	ts := &tupleSet{cols: cols, plan: plan, rels: map[string]bool{r.name: true}}
 	var residual []sql.BoolExpr
 	for i, p := range preds {
-		if i != used {
+		if !used[i] {
 			residual = append(residual, p)
 		}
-	}
-	for _, id := range ids {
-		ts.tuples = append(ts.tuples, r.table.Row(id))
 	}
 	if len(residual) > 0 {
 		return ex.filterTuples(ts, residual, "Filter")
 	}
 	return ts, nil
+}
+
+// pointCand is an index lookup for the finite set of values a predicate
+// pins one indexed column to.
+type pointCand struct {
+	pred   int
+	column string
+	vals   []Value
+	multi  bool    // an IN list, reported as IndexLookup/IN
+	est    float64 // estimated rows
+}
+
+// pointCandFor returns the point lookup predicate p allows on r's indexes:
+// `col = literal` or `col IN (literals)` on an indexed column. An OR stays
+// on the filter path.
+func pointCandFor(r relation, p sql.BoolExpr) *pointCand {
+	var col sql.ColumnRef
+	var lits []sql.Literal
+	multi := false
+	switch v := p.(type) {
+	case *sql.In:
+		if v.Not {
+			return nil
+		}
+		col, lits, multi = v.Col, v.List, true
+	case *sql.Comparison:
+		c, lit, op, ok := normalizeComparison(v)
+		if !ok || op != sql.CmpEq {
+			return nil
+		}
+		col, lits = c, []sql.Literal{lit}
+	default:
+		return nil
+	}
+	typ, hash, tree := indexedColumn(r, col)
+	if !hash && !tree {
+		return nil
+	}
+	vals := make([]Value, 0, len(lits))
+	for _, lit := range lits {
+		// A literal that does not coerce to the column type equals no
+		// stored value.
+		if v, err := FromLiteral(lit, typ); err == nil {
+			vals = append(vals, v)
+		}
+	}
+	if len(vals) == 0 && !multi {
+		return nil // a lone equality keeps the filter's own coercion rules
+	}
+	return &pointCand{column: col.Column, vals: vals, multi: multi}
+}
+
+// indexedColumn resolves a column reference against relation r and reports
+// its type and index kinds; both kinds are false when the column belongs
+// to another relation, does not exist or has no index.
+func indexedColumn(r relation, col sql.ColumnRef) (typ Type, hash, tree bool) {
+	if col.Table != "" && col.Table != r.name {
+		return 0, false, false
+	}
+	typ, err := r.table.Schema.ColumnType(col.Column)
+	if err != nil {
+		return 0, false, false
+	}
+	hash, tree = r.table.indexKindOn(col.Column)
+	return typ, hash, tree
+}
+
+// rangeCand is a B+tree range scan assembled from the inequalities on one
+// tree-indexed column.
+type rangeCand struct {
+	preds          []int
+	column         string
+	lo, hi         *Value
+	loIncl, hiIncl bool
+}
+
+// narrow folds predicate i into the candidate when it is an inequality
+// against a literal on a tree-indexed column of r: a bound on the
+// candidate's own column tightens it, a bound on another column starts a
+// new candidate.
+func (rc *rangeCand) narrow(r relation, i int, p sql.BoolExpr) *rangeCand {
+	cmp, ok := p.(*sql.Comparison)
+	if !ok {
+		return rc
+	}
+	col, lit, op, ok := normalizeComparison(cmp)
+	if !ok || op == sql.CmpEq || op == sql.CmpNeq {
+		return rc
+	}
+	typ, _, tree := indexedColumn(r, col)
+	v, err := FromLiteral(lit, typ)
+	if !tree || err != nil || v.Null {
+		return rc
+	}
+	if rc == nil || rc.column != col.Column {
+		rc = &rangeCand{column: col.Column}
+	}
+	rc.preds = append(rc.preds, i)
+	incl := op == sql.CmpGe || op == sql.CmpLe
+	// tighter reports whether v beats the bound held so far; want is the
+	// sign of v.Compare(old) that narrows the range on this side.
+	tighter := func(old *Value, oldIncl bool, want int) bool {
+		if old == nil {
+			return true
+		}
+		c, _ := v.Compare(*old)
+		return c == want || c == 0 && oldIncl && !incl
+	}
+	if op == sql.CmpGt || op == sql.CmpGe {
+		if tighter(rc.lo, rc.loIncl, 1) {
+			rc.lo, rc.loIncl = &v, incl
+		}
+	} else if tighter(rc.hi, rc.hiIncl, -1) {
+		rc.hi, rc.hiIncl = &v, incl
+	}
+	return rc
 }
 
 func rangeDetail(lo *Value, loIncl bool, hi *Value, hiIncl bool) string {
@@ -179,11 +247,11 @@ func flipOp(op sql.CmpOp) sql.CmpOp {
 // filterTuples applies the predicates to every tuple.
 func (ex *execution) filterTuples(ts *tupleSet, preds []sql.BoolExpr, opName string) (*tupleSet, error) {
 	out := &tupleSet{cols: ts.cols, rels: ts.rels}
-	var kept [][]Value
+	var kept []Row
 	for _, tup := range ts.tuples {
 		ok := true
 		for _, p := range preds {
-			v, err := evalPredicate(p, ts, tup)
+			v, err := ex.evalPredicate(p, ts, tup)
 			if err != nil {
 				return nil, err
 			}
@@ -212,7 +280,7 @@ func (ex *execution) filterTuples(ts *tupleSet, preds []sql.BoolExpr, opName str
 
 // evalPredicate evaluates a boolean expression over a tuple. NULL
 // comparisons yield false (SQL unknown treated as not-satisfied).
-func evalPredicate(e sql.BoolExpr, ts *tupleSet, tup []Value) (bool, error) {
+func (ex *execution) evalPredicate(e sql.BoolExpr, ts *tupleSet, tup []Value) (bool, error) {
 	switch v := e.(type) {
 	case *sql.Comparison:
 		lv, err := operandValue(v.L, ts, tup)
@@ -262,21 +330,22 @@ func evalPredicate(e sql.BoolExpr, ts *tupleSet, tup []Value) (bool, error) {
 		if val.Null {
 			return false, nil
 		}
-		hit := false
-		for _, lit := range v.List {
-			lv, err := FromLiteral(lit, val.Type)
-			if err != nil {
-				continue
+		set, ok := ex.inSets[v]
+		if !ok {
+			// Coerced once per statement; a literal that does not coerce to
+			// the column type, like NULL, equals no value.
+			set = make(map[Value]bool, len(v.List))
+			for _, lit := range v.List {
+				if lv, err := FromLiteral(lit, val.Type); err == nil && !lv.Null {
+					set[lv] = true
+				}
 			}
-			if val.Equal(lv) {
-				hit = true
-				break
+			if ex.inSets == nil {
+				ex.inSets = make(map[*sql.In]map[Value]bool)
 			}
+			ex.inSets[v] = set
 		}
-		if v.Not {
-			hit = !hit
-		}
-		return hit, nil
+		return set[val] != v.Not, nil
 	case *sql.IsNull:
 		val, err := columnValue(v.Col, ts, tup)
 		if err != nil {
@@ -287,22 +356,22 @@ func evalPredicate(e sql.BoolExpr, ts *tupleSet, tup []Value) (bool, error) {
 		}
 		return val.Null, nil
 	case *sql.And:
-		l, err := evalPredicate(v.L, ts, tup)
+		l, err := ex.evalPredicate(v.L, ts, tup)
 		if err != nil || !l {
 			return false, err
 		}
-		return evalPredicate(v.R, ts, tup)
+		return ex.evalPredicate(v.R, ts, tup)
 	case *sql.Or:
-		l, err := evalPredicate(v.L, ts, tup)
+		l, err := ex.evalPredicate(v.L, ts, tup)
 		if err != nil {
 			return false, err
 		}
 		if l {
 			return true, nil
 		}
-		return evalPredicate(v.R, ts, tup)
+		return ex.evalPredicate(v.R, ts, tup)
 	case *sql.Not:
-		x, err := evalPredicate(v.X, ts, tup)
+		x, err := ex.evalPredicate(v.X, ts, tup)
 		if err != nil {
 			return false, err
 		}

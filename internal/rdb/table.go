@@ -2,6 +2,8 @@ package rdb
 
 import (
 	"fmt"
+	"slices"
+	"sort"
 	"sync"
 
 	"ontario/internal/btree"
@@ -208,6 +210,10 @@ func (t *Table) Stats() *Stats {
 func (t *Table) lookupEq(column string, v Value) (ids []int, usedIndex bool) {
 	t.mu.RLock()
 	defer t.mu.RUnlock()
+	return t.lookupEqLocked(column, v)
+}
+
+func (t *Table) lookupEqLocked(column string, v Value) (ids []int, usedIndex bool) {
 	if v.Null {
 		return nil, true // NULL matches nothing under '='
 	}
@@ -233,15 +239,37 @@ func (t *Table) lookupEq(column string, v Value) (ids []int, usedIndex bool) {
 	return ids, false
 }
 
-// lookupRange returns ids of rows with column in the given bounds using a
-// B+tree index when available. ok is false when no ordered index exists.
-func (t *Table) lookupRange(column string, lo *Value, loIncl bool, hi *Value, hiIncl bool) (ids []int, ok bool) {
+// lookupIn is the multi-point lookup: the rows whose column equals any of
+// vals, probed under one lock and returned once each in row order — the
+// rows and the order a scan filtered by the same list yields.
+func (t *Table) lookupIn(column string, vals []Value) []Row {
 	t.mu.RLock()
 	defer t.mu.RUnlock()
-	tr, exists := t.treeIdx[column]
-	if !exists {
-		return nil, false
+	var ids []int
+	for _, v := range vals {
+		hit, _ := t.lookupEqLocked(column, v)
+		ids = append(ids, hit...)
 	}
+	sort.Ints(ids)
+	return t.rowsAt(slices.Compact(ids))
+}
+
+// rowsAt gathers the rows with the given ids; the caller holds the lock.
+func (t *Table) rowsAt(ids []int) []Row {
+	out := make([]Row, len(ids))
+	for i, id := range ids {
+		out[i] = t.rows[id]
+	}
+	return out
+}
+
+// lookupRange returns the rows with column in the given bounds, in key
+// order, from the column's B+tree index.
+func (t *Table) lookupRange(column string, lo *Value, loIncl bool, hi *Value, hiIncl bool) []Row {
+	t.mu.RLock()
+	defer t.mu.RUnlock()
+	tr := t.treeIdx[column]
+	var ids []int
 	loKey, hasLo := "", false
 	if lo != nil {
 		loKey, hasLo = lo.IndexKey(), true
@@ -258,16 +286,14 @@ func (t *Table) lookupRange(column string, lo *Value, loIncl bool, hi *Value, hi
 		ids = append(ids, id)
 		return true
 	})
-	return ids, true
+	return t.rowsAt(ids)
 }
 
-// scanIDs returns all row ids.
-func (t *Table) scanIDs() []int {
+// snapshot returns the rows present now. Rows are only ever appended, so
+// the slice stays valid — and must stay unmodified — after the lock is
+// released.
+func (t *Table) snapshot() []Row {
 	t.mu.RLock()
 	defer t.mu.RUnlock()
-	ids := make([]int, len(t.rows))
-	for i := range ids {
-		ids[i] = i
-	}
-	return ids
+	return t.rows[:len(t.rows):len(t.rows)]
 }

@@ -94,7 +94,26 @@ func (g *Graph) Match(s, p, o *Term) []Triple {
 func (g *Graph) Count(s, p, o *Term) int {
 	g.mu.RLock()
 	defer g.mu.RUnlock()
-	return len(g.matchIDs(s, p, o))
+	// One bound position is a whole index entry: add up its id lists
+	// instead of merging and sorting them as matchIDs must.
+	var entry map[Term][]int
+	switch {
+	case s != nil && p == nil && o == nil:
+		entry = g.spo[*s]
+	case s == nil && p != nil && o == nil:
+		entry = g.pos[*p]
+	case s == nil && p == nil && o != nil:
+		entry = g.osp[*o]
+	case s == nil && p == nil && o == nil:
+		return len(g.triples)
+	default:
+		return len(g.matchIDs(s, p, o))
+	}
+	n := 0
+	for _, ids := range entry {
+		n += len(ids)
+	}
+	return n
 }
 
 func (g *Graph) matchIDs(s, p, o *Term) []int {

@@ -10,12 +10,24 @@ import (
 // solution bindings. Patterns are reordered greedily by estimated
 // selectivity (bound positions first) before evaluation.
 func EvalBGP(g *rdf.Graph, patterns []TriplePattern) []Binding {
-	if len(patterns) == 0 {
-		return []Binding{NewBinding()}
+	return EvalBGPFrom(g, patterns, []Binding{NewBinding()})
+}
+
+// EvalBGPFrom evaluates the pattern starting from the given partial
+// solutions instead of the empty one, so every result extends one of
+// initial and each pattern lookup carries the terms initial binds down to
+// the graph's indexes. All of initial must bind the same variables; they
+// count as bound when the patterns are ordered.
+func EvalBGPFrom(g *rdf.Graph, patterns []TriplePattern, initial []Binding) []Binding {
+	if len(initial) == 0 {
+		return nil
 	}
-	ordered := orderPatterns(g, patterns)
-	solutions := []Binding{NewBinding()}
-	for _, tp := range ordered {
+	bound := map[string]bool{}
+	for v := range initial[0] {
+		bound[v] = true
+	}
+	solutions := initial
+	for _, tp := range orderPatterns(g, patterns, bound) {
 		var next []Binding
 		for _, b := range solutions {
 			next = append(next, matchPattern(g, tp, b)...)
@@ -197,8 +209,9 @@ func compareTermsForOrder(a, b rdf.Term) int {
 // orderPatterns reorders triple patterns greedily: start with the most
 // selective pattern (fewest graph matches), then repeatedly pick the pattern
 // sharing a variable with the already-chosen set that has the fewest
-// matches, falling back to the globally cheapest remaining pattern.
-func orderPatterns(g *rdf.Graph, patterns []TriplePattern) []TriplePattern {
+// matches, falling back to the globally cheapest remaining pattern. bound
+// holds the variables bound before the first pattern; it is updated.
+func orderPatterns(g *rdf.Graph, patterns []TriplePattern, bound map[string]bool) []TriplePattern {
 	if len(patterns) <= 1 {
 		return patterns
 	}
@@ -208,7 +221,6 @@ func orderPatterns(g *rdf.Graph, patterns []TriplePattern) []TriplePattern {
 		return g.Count(s, p, o)
 	}
 	var out []TriplePattern
-	bound := map[string]bool{}
 	pick := func(onlyConnected bool) int {
 		best, bestCost := -1, 0
 		for i, tp := range remaining {
@@ -224,7 +236,7 @@ func orderPatterns(g *rdf.Graph, patterns []TriplePattern) []TriplePattern {
 	}
 	for len(remaining) > 0 {
 		i := -1
-		if len(out) > 0 {
+		if len(bound) > 0 {
 			i = pick(true)
 		}
 		if i == -1 {

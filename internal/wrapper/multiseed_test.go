@@ -1,6 +1,7 @@
 package wrapper
 
 import (
+	"sort"
 	"strings"
 	"testing"
 
@@ -250,5 +251,78 @@ func TestRDFWrapperMultiSeedBlock(t *testing.T) {
 	}
 	if sim.Messages() != 1 {
 		t.Errorf("block answered in %d messages, want 1", sim.Messages())
+	}
+}
+
+// peopleGraph is testSource as an RDF graph, built from the relational
+// wrapper's own answers so both models hold identical terms.
+func peopleGraph(t *testing.T, sqlw *SQLWrapper) *rdf.Graph {
+	t.Helper()
+	g := rdf.NewGraph()
+	add := func(patterns string, pred, v string) {
+		for _, b := range collect(t, sqlw, &Request{Stars: []*StarQuery{star(t, "p", "http://c/Person", patterns)}}) {
+			g.Add(rdf.Triple{S: b["p"], P: rdf.NewIRI(rdf.RDFType), O: rdf.NewIRI("http://c/Person")})
+			g.Add(rdf.Triple{S: b["p"], P: rdf.NewIRI(pred), O: b[v]})
+		}
+	}
+	add(`?p <http://p/name> ?n .`, "http://p/name", "n")
+	add(`?p <http://p/age> ?a .`, "http://p/age", "a")
+	add(`?p <http://p/friend> ?f .`, "http://p/friend", "f")
+	return g
+}
+
+// TestBlockSeededMatchesUninstantiated: a block request — served from the
+// source's indexes — returns exactly the multiset the un-instantiated
+// request restricted to the seeds returns, on both source models.
+func TestBlockSeededMatchesUninstantiated(t *testing.T) {
+	sqlw := NewSQLWrapper(testSource(t), nil, TranslationOptimized, 0)
+	rdfw := NewRDFWrapper("people-rdf", peopleGraph(t, sqlw), nil, 0)
+	person := func(id string) rdf.Term { return rdf.NewIRI("http://e/person/" + id) }
+	stars := map[string][]*StarQuery{
+		"name+age":    {star(t, "p", "http://c/Person", `?p <http://p/name> ?n . ?p <http://p/age> ?a .`)},
+		"name+friend": {star(t, "p", "http://c/Person", `?p <http://p/name> ?n . ?p <http://p/friend> ?f .`)},
+	}
+	blocks := map[string][]sparql.Binding{
+		"iri subjects":     {{"p": person("1")}, {"p": person("3")}, {"p": person("4")}},
+		"iri objects":      {{"f": person("3")}, {"f": person("5")}},
+		"string literals":  {{"n": rdf.NewLiteral("ada")}, {"n": rdf.NewLiteral("alan")}, {"n": rdf.NewLiteral("nobody")}},
+		"typed literals":   {{"a": rdf.IntLiteral(30)}, {"a": rdf.IntLiteral(31)}},
+		"duplicates":       {{"p": person("2")}, {"p": person("2")}, {"p": person("1")}, {"p": person("2")}},
+		"outside":          {{"p": rdf.NewIRI("http://other/42")}, {"p": person("2")}},
+		"all outside":      {{"p": rdf.NewIRI("http://other/42")}, {"p": rdf.NewLiteral("1")}},
+		"two variables":    {{"p": person("1"), "n": rdf.NewLiteral("ada")}, {"p": person("2"), "n": rdf.NewLiteral("ada")}, {"p": person("4"), "n": rdf.NewLiteral("edsger")}},
+		"extra variable":   {{"p": person("1"), "z": rdf.NewLiteral("x")}, {"p": person("4"), "z": rdf.NewLiteral("y")}},
+		"foreign variable": {{"z": rdf.NewLiteral("x")}},                     // binds nothing here: every answer
+		"mixed foreign":    {{"p": person("1")}, {"z": rdf.NewLiteral("x")}}, // fallback pass
+		"mixed variables":  {{"p": person("1")}, {"n": rdf.NewLiteral("ada")}, {"n": rdf.NewLiteral("grace")}},
+	}
+	keys := func(bs []sparql.Binding) string {
+		out := make([]string, len(bs))
+		for i, b := range bs {
+			out[i] = b.FullKey()
+		}
+		sort.Strings(out)
+		return strings.Join(out, "\n")
+	}
+	for _, w := range []Wrapper{sqlw, rdfw} {
+		for sname, st := range stars {
+			all := collect(t, w, &Request{Stars: st})
+			if len(all) == 0 {
+				t.Fatalf("%s/%s: un-instantiated request is empty", w.SourceID(), sname)
+			}
+			for bname, seeds := range blocks {
+				var want []sparql.Binding
+				for _, b := range all {
+					if matchesAnySeed(b, seeds) {
+						want = append(want, b)
+					}
+				}
+				got := collect(t, w, &Request{Stars: st, Seeds: seeds})
+				if keys(got) != keys(want) {
+					t.Errorf("%s/%s/%s: block returned %d answers, un-instantiated pass %d:\n got %v\nwant %v",
+						w.SourceID(), sname, bname, len(got), len(want), got, want)
+				}
+			}
+		}
 	}
 }

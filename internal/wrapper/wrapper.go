@@ -215,27 +215,48 @@ func (w *RDFWrapper) filteredSolutions(req *Request, patterns []sparql.TriplePat
 	return kept
 }
 
-// blockSolutions answers a multi-seed block request in one graph pass:
-// the patterns are evaluated un-instantiated and the solutions restricted
-// to those compatible with at least one seed.
+// blockSolutions answers a multi-seed block request in one evaluation
+// seeded with the block: the walk starts from the seeds' projections, so
+// every pattern lookup reaches the graph's subject/object indexes, and the
+// solutions are then restricted to those compatible with some seed. The
+// order of a block's answers is unspecified (it follows the seeds, not the
+// graph); LIMIT is applied at the mediator, never inside a request.
 func (w *RDFWrapper) blockSolutions(req *Request, patterns []sparql.TriplePattern) []sparql.Binding {
 	var sols []sparql.Binding
-	for _, b := range sparql.EvalBGP(w.graph, patterns) {
-		if !matchesAnySeed(b, req.Seeds) {
-			continue
-		}
-		// Pushed filters only reference the stars' own variables, which the
-		// un-instantiated evaluation binds directly.
-		ok := true
-		for _, f := range req.Filters {
-			if !sparql.EvalBool(f, b) {
-				ok = false
-				break
-			}
-		}
-		if ok {
+	for _, b := range sparql.EvalBGPFrom(w.graph, patterns, seedProjections(req.Seeds, req.Vars())) {
+		// Pushed filters only reference the stars' own variables, which
+		// every solution binds.
+		if matchesAnySeed(b, req.Seeds) && passes(b, req.Filters) {
 			sols = append(sols, b)
 		}
 	}
 	return sols
+}
+
+// seedProjections returns the initial solutions of a seeded evaluation:
+// the distinct projections of the seeds onto the request variables the
+// first seed binds, so each solution extends at most one of them. When
+// some seed does not bind all of those (a seed binding no request variable
+// is compatible with every solution) the evaluation starts un-instantiated,
+// from the single empty solution.
+func seedProjections(seeds []sparql.Binding, vars []string) []sparql.Binding {
+	var on []string
+	for _, v := range vars {
+		if _, ok := seeds[0][v]; ok {
+			on = append(on, v)
+		}
+	}
+	var initial []sparql.Binding
+	seen := map[string]bool{}
+	for _, seed := range seeds {
+		proj := seed.Project(on)
+		if len(proj) == 0 || len(proj) < len(on) {
+			return []sparql.Binding{sparql.NewBinding()}
+		}
+		if k := proj.Key(on); !seen[k] {
+			seen[k] = true
+			initial = append(initial, proj)
+		}
+	}
+	return initial
 }

@@ -375,3 +375,42 @@ func TestFacadeBlockBindJoinOptions(t *testing.T) {
 			blkRes.Stats().Messages, seqRes.Stats().Messages)
 	}
 }
+
+// TestFacadeBlockBindLimitUnordered: the order of a block request's answers
+// is unspecified, so a LIMIT without ORDER BY over a block bind join — on
+// RDF sources, behind the per-source limiter — owes only its count and that
+// every answer belongs to the unlimited result.
+func TestFacadeBlockBindLimitUnordered(t *testing.T) {
+	rdfLake, err := lslod.BuildMixedLake(lslod.SmallScale(), 11, lslod.Datasets())
+	if err != nil {
+		t.Fatal(err)
+	}
+	eng := ontario.New(rdfLake.Lake, ontario.WithSourceLimit(2))
+	opts := []ontario.Option{ontario.WithAwarePlan(), ontario.WithNetworkScale(0),
+		ontario.WithJoinOperator(ontario.JoinBlockBind), ontario.WithBindBlockSize(8)}
+	run := func(q string) []string {
+		res, err := eng.Query(context.Background(), q, opts...)
+		if err != nil {
+			t.Fatal(err)
+		}
+		answers, err := res.Collect()
+		if err != nil {
+			t.Fatal(err)
+		}
+		return canonAnswers(t, answers)
+	}
+	q := lslod.Queries()[2].Text
+	full := map[string]int{}
+	for _, a := range run(q) {
+		full[a]++
+	}
+	limited := run(q + " LIMIT 5")
+	if len(limited) != 5 {
+		t.Fatalf("LIMIT 5 returned %d answers", len(limited))
+	}
+	for _, a := range limited {
+		if full[a]--; full[a] < 0 {
+			t.Errorf("limited answer not in the unlimited result: %s", a)
+		}
+	}
+}
