@@ -484,6 +484,8 @@ func serverWorkerStatus(ws []cluster.WorkerStatus) []server.WorkerStatus {
 			s.Partition, s.Of = w.Info.Partition, w.Info.Of
 			s.Scheme = w.Info.Scheme
 			s.ActiveFragments, s.QueuedFragments = w.Info.Active, w.Info.Queued
+			s.CacheHits, s.CacheMisses = w.Info.CacheHits, w.Info.CacheMisses
+			s.CacheEvictions, s.CacheEntries = w.Info.CacheEvictions, int64(w.Info.CacheEntries)
 		}
 		out[i] = s
 	}

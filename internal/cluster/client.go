@@ -131,7 +131,7 @@ func (c *Client) link(i int, d *dict.Dict) (*link, error) {
 // openStream opens a task stream on worker wi behind the worker's
 // breaker/retry guard. Retrying is safe: no result bytes have been
 // consumed yet, and an abandoned stream's frames drop at the demux.
-func (c *Client) openStream(ctx context.Context, wi int, h *taskHeader, out *engine.Schema, d *dict.Dict) (*clientStream, error) {
+func (c *Client) openStream(ctx context.Context, wi int, task []byte, out *engine.Schema, d *dict.Dict) (*clientStream, error) {
 	l, err := c.link(wi, d)
 	if err != nil {
 		return nil, err
@@ -139,7 +139,7 @@ func (c *Client) openStream(ctx context.Context, wi int, h *taskHeader, out *eng
 	var st *clientStream
 	err = c.health.Do(ctx, c.workerID(wi), func(ctx context.Context) error {
 		var err error
-		st, err = l.open(h, out)
+		st, err = l.open(task, out)
 		return err
 	})
 	if err != nil {
@@ -150,10 +150,10 @@ func (c *Client) openStream(ctx context.Context, wi int, h *taskHeader, out *eng
 
 // openAll opens the task stream on every worker, releasing already-open
 // streams when any worker fails.
-func (c *Client) openAll(ctx context.Context, h *taskHeader, out *engine.Schema, d *dict.Dict) ([]*clientStream, error) {
+func (c *Client) openAll(ctx context.Context, task []byte, out *engine.Schema, d *dict.Dict) ([]*clientStream, error) {
 	streams := make([]*clientStream, len(c.addrs))
 	for i := range c.addrs {
-		st, err := c.openStream(ctx, i, h, out, d)
+		st, err := c.openStream(ctx, i, task, out, d)
 		if err != nil {
 			for _, open := range streams {
 				if open != nil {
@@ -204,10 +204,10 @@ func (c *Client) readOut(ctx context.Context, st *clientStream, out *engine.CStr
 	}
 }
 
-// fanOut opens h on every worker and streams the union of their result
+// fanOut opens task on every worker and streams the union of their result
 // batches (partitions are disjoint, so each answer arrives exactly once).
-func (c *Client) fanOut(ctx context.Context, h *taskHeader, schema *engine.Schema, d *dict.Dict, env core.FragmentEnv, what string) (*engine.CStream, error) {
-	streams, err := c.openAll(ctx, h, schema, d)
+func (c *Client) fanOut(ctx context.Context, task []byte, schema *engine.Schema, d *dict.Dict, env core.FragmentEnv, what string) (*engine.CStream, error) {
+	streams, err := c.openAll(ctx, task, schema, d)
 	if err != nil {
 		return nil, err
 	}
@@ -233,33 +233,28 @@ func (c *Client) fanOut(ctx context.Context, h *taskHeader, schema *engine.Schem
 // Service implements core.Distributor: the request fans out to every
 // worker's partition and the result stream is the union of their batches.
 func (c *Client) Service(ctx context.Context, sourceID string, req *wrapper.Request, schema *engine.Schema, d *dict.Dict, env core.FragmentEnv) (*engine.CStream, error) {
-	wreq, err := requestToWire(req)
+	bp := getWireBuf(0)
+	defer putWireBuf(bp)
+	task, err := appendScanTask(*bp, sourceID, req, schema.Vars, env)
 	if err != nil {
 		return nil, err
 	}
-	h := &taskHeader{Kind: "scan", Scan: &scanTask{
-		SourceID: sourceID,
-		Req:      wreq,
-		Schema:   schema.Vars,
-		Env:      envToWire(env),
-	}}
-	return c.fanOut(ctx, h, schema, d, env, "source "+sourceID)
+	*bp = task
+	return c.fanOut(ctx, task, schema, d, env, "source "+sourceID)
 }
 
 // RunFragment implements core.Distributor: the serializable plan subtree
 // runs whole on every worker's partition — each worker joins locally and
 // streams only results, zero shuffled batches.
 func (c *Client) RunFragment(ctx context.Context, root core.PlanNode, out *engine.Schema, d *dict.Dict, env core.FragmentEnv) (*engine.CStream, error) {
-	wf, err := fragToWire(root)
+	bp := getWireBuf(0)
+	defer putWireBuf(bp)
+	task, err := appendFragTask(*bp, root, env)
 	if err != nil {
 		return nil, err
 	}
-	h := &taskHeader{Kind: "frag", Frag: &fragTask{
-		Root: wf,
-		Out:  out.Vars,
-		Env:  envToWire(env),
-	}}
-	return c.fanOut(ctx, h, out, d, env, "fragment")
+	*bp = task
+	return c.fanOut(ctx, task, out, d, env, "fragment")
 }
 
 // Colocated implements core.Distributor: it reports whether the pool is a
@@ -301,14 +296,10 @@ func (c *Client) Colocated(ctx context.Context, d *dict.Dict) bool {
 // shards by), each worker symmetric-hash-joins its partition, and the
 // output is the union of the per-worker joins.
 func (c *Client) ShuffleJoin(ctx context.Context, left, right *engine.CStream, joinVars []string, out *engine.Schema, d *dict.Dict, env core.FragmentEnv) (*engine.CStream, error) {
-	h := &taskHeader{Kind: "join", Join: &joinTask{
-		JoinVars: joinVars,
-		Left:     left.Schema().Vars,
-		Right:    right.Schema().Vars,
-		Out:      out.Vars,
-		Env:      envToWire(env),
-	}}
-	streams, err := c.openAll(ctx, h, out, d)
+	bp := getWireBuf(0)
+	defer putWireBuf(bp)
+	*bp = appendJoinTask(*bp, joinVars, left.Schema().Vars, right.Schema().Vars, out.Vars, env)
+	streams, err := c.openAll(ctx, *bp, out, d)
 	if err != nil {
 		return nil, err
 	}
@@ -460,7 +451,7 @@ func (c *Client) probeOne(ctx context.Context, wi int, l *link) (*WorkerInfo, er
 			info = i
 			return nil
 		}
-		st, err := l.open(&taskHeader{Kind: "hello"}, nil)
+		st, err := l.open([]byte{taskHello}, nil)
 		if err != nil {
 			return err
 		}

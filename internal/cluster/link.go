@@ -182,10 +182,10 @@ func (l *link) close() {
 	l.fail(gen, fmt.Errorf("client closed"))
 }
 
-// open connects (if needed) and allocates a fresh stream, writing h as
+// open connects (if needed) and allocates a fresh stream, writing task as
 // its opening task frame. out is the schema of the result batches the
 // stream expects (nil for payload-only streams such as probes).
-func (l *link) open(h *taskHeader, out *engine.Schema) (*clientStream, error) {
+func (l *link) open(task []byte, out *engine.Schema) (*clientStream, error) {
 	l.mu.Lock()
 	if err := l.connectLocked(); err != nil {
 		l.mu.Unlock()
@@ -202,7 +202,7 @@ func (l *link) open(h *taskHeader, out *engine.Schema) (*clientStream, error) {
 	}
 	l.streams[st.id] = st
 	l.mu.Unlock()
-	if err := st.enc.Task(st.id, h); err != nil {
+	if err := st.enc.Task(st.id, task); err != nil {
 		st.fail(err)
 		return nil, err
 	}

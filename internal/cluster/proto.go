@@ -1,147 +1,248 @@
 package cluster
 
 import (
+	"encoding/binary"
 	"fmt"
+	"math"
 
 	"ontario/internal/core"
 	"ontario/internal/netsim"
-	"ontario/internal/rdf"
 	"ontario/internal/sparql"
+	"ontario/internal/wirefmt"
 	"ontario/internal/wrapper"
 )
 
-// taskHeader opens every task stream (the JSON payload of the stream's
-// first frame). Exactly one of Scan/Join/Frag is set for those kinds; a
-// hello task carries none and the worker replies with a WorkerInfo frame
-// on the same stream.
-type taskHeader struct {
-	Kind string    `json:"kind"` // "scan", "join", "frag" or "hello"
-	Scan *scanTask `json:"scan,omitempty"`
-	Join *joinTask `json:"join,omitempty"`
-	Frag *fragTask `json:"frag,omitempty"`
+// A task frame opens every task stream. Its payload is binary (wirefmt
+// strings, terms and uvarints):
+//
+//	task  := 'h'                                        (hello: status probe)
+//	       | 's' env source vars shape seeds            (scan)
+//	       | 'j' env joinVars leftVars rightVars outVars (join)
+//	       | 'f' env node                               (frag)
+//	node  := 's' vars source shape | 'j' vars joinVars node node
+//	       | 'F' vars nexprs expr* node | 'u' vars nnodes node*
+//	shape := the request's canonical form as one string (wrapper.Request.Shape)
+//	seeds := 0 | 1 block | 2 block                      (none, Seed, Seeds)
+//	block := vars nrows (0xff | term)*                  (one cell per row and var)
+//
+// A request's shape — stars and pushed filters — is serialised once per
+// plan leaf on the coordinator and resolved through the worker's shape
+// table, so per task only env, schema and seeds are encoded and decoded.
+const (
+	taskHello byte = 'h'
+	taskScan  byte = 's'
+	taskJoin  byte = 'j'
+	taskFrag  byte = 'f'
+
+	fragScan   byte = 's'
+	fragJoin   byte = 'j'
+	fragFilter byte = 'F'
+	fragUnion  byte = 'u'
+
+	seedsNone  byte = 0
+	seedsOne   byte = 1
+	seedsBlock byte = 2
+
+	seedAbsent byte = 0xff // a row's cell for a variable its seed leaves unbound
+
+	// maxFragDepth bounds fragment-tree recursion against hostile nesting.
+	maxFragDepth = 128
+)
+
+// task is one decoded task frame.
+type task struct {
+	kind byte
+	env  wireEnv
+
+	// scan: one wrapper request against the worker's partition of a source,
+	// result batches streamed back as SideOut over schema.
+	source string
+	schema []string
+	req    *wrapper.Request
+
+	// join: symmetric-hash-join the SideLeft/SideRight batches the
+	// coordinator shuffles in, streaming joined SideOut batches back.
+	joinVars, left, right, out []string
+
+	// frag: a whole serializable plan subtree — a co-partitioned join
+	// pushdown — run against the worker's partition, only the local results
+	// streamed back: zero shuffled batches.
+	root *fragNode
 }
 
-// scanTask asks a worker to execute one wrapper request against its
-// partition of a source and stream the result batches back as SideOut.
-type scanTask struct {
-	SourceID string      `json:"source"`
-	Req      wireRequest `json:"req"`
-	Schema   []string    `json:"schema"`
-	Env      wireEnv     `json:"env"`
-}
-
-// joinTask asks a worker to symmetric-hash-join the SideLeft/SideRight
-// batches the coordinator shuffles to it, streaming joined SideOut
-// batches back.
-type joinTask struct {
-	JoinVars []string `json:"join_vars"`
-	Left     []string `json:"left"`
-	Right    []string `json:"right"`
-	Out      []string `json:"out"`
-	Env      wireEnv  `json:"env"`
-}
-
-// fragTask asks a worker to run a whole serializable plan subtree — a
-// co-partitioned join pushdown — against its partition, streaming only
-// the local join results back as SideOut: zero shuffled batches.
-type fragTask struct {
-	Root *wireFrag `json:"root"`
-	Out  []string  `json:"out"`
-	Env  wireEnv   `json:"env"`
-}
-
-// wireFrag is the closed serializable subset of the plan AST a
+// fragNode is the closed serializable subset of the plan AST a
 // co-partitioned fragment can contain: single-star scans, symmetric-hash
-// joins, filters and unions. fragToWire proves membership; anything else
+// joins, filters and unions. appendFrag proves membership; anything else
 // stays on the coordinator.
-type wireFrag struct {
-	Kind     string       `json:"kind"`             // "scan", "join", "filter", "union"
-	Vars     []string     `json:"vars"`             // the node's output schema
-	SourceID string       `json:"source,omitempty"` // scan
-	Req      *wireRequest `json:"req,omitempty"`    // scan
-	JoinVars []string     `json:"join_vars,omitempty"`
-	L        *wireFrag    `json:"l,omitempty"`        // join
-	R        *wireFrag    `json:"r,omitempty"`        // join
-	Filters  []*wireExpr  `json:"filters,omitempty"`  // filter
-	Children []*wireFrag  `json:"children,omitempty"` // union
+type fragNode struct {
+	kind     byte
+	vars     []string // the node's output schema
+	source   string   // scan
+	req      *wrapper.Request
+	joinVars []string
+	filters  []sparql.Expr
+	children []*fragNode // join: left, right; filter: one; union: one or more
 }
 
-// fragToWire serializes a plan subtree for worker-side execution,
+// appendShape writes req's canonical stars-and-filters form.
+func appendShape(buf []byte, req *wrapper.Request) ([]byte, error) {
+	shape, err := req.Shape()
+	if err != nil {
+		return nil, err
+	}
+	return wirefmt.AppendString(buf, shape), nil
+}
+
+// appendFrag serializes a plan subtree for worker-side execution,
 // erroring on any node kind the fragment protocol cannot carry.
-func fragToWire(n core.PlanNode) (*wireFrag, error) {
+func appendFrag(buf []byte, n core.PlanNode) ([]byte, error) {
+	var err error
 	switch v := n.(type) {
 	case *core.ServiceNode:
-		req, err := requestToWire(v.Req)
-		if err != nil {
-			return nil, err
-		}
-		return &wireFrag{Kind: "scan", Vars: v.Vars(), SourceID: v.SourceID, Req: &req}, nil
+		buf = wirefmt.AppendStrings(append(buf, fragScan), v.Vars())
+		buf = wirefmt.AppendString(buf, v.SourceID)
+		return appendShape(buf, v.Req)
 	case *core.JoinNode:
 		if v.Op != core.JoinSymmetricHash {
 			return nil, fmt.Errorf("cluster: fragment cannot carry join operator %v", v.Op)
 		}
-		l, err := fragToWire(v.L)
-		if err != nil {
+		buf = wirefmt.AppendStrings(append(buf, fragJoin), v.Vars())
+		buf = wirefmt.AppendStrings(buf, v.JoinVars)
+		if buf, err = appendFrag(buf, v.L); err != nil {
 			return nil, err
 		}
-		r, err := fragToWire(v.R)
-		if err != nil {
-			return nil, err
-		}
-		return &wireFrag{Kind: "join", Vars: v.Vars(), JoinVars: v.JoinVars, L: l, R: r}, nil
+		return appendFrag(buf, v.R)
 	case *core.FilterNode:
-		ch, err := fragToWire(v.Child)
-		if err != nil {
-			return nil, err
-		}
-		var exprs []*wireExpr
+		buf = wirefmt.AppendStrings(append(buf, fragFilter), v.Vars())
+		buf = binary.AppendUvarint(buf, uint64(len(v.Exprs)))
 		for _, e := range v.Exprs {
-			w, err := exprToWire(e)
-			if err != nil {
+			if buf, err = wrapper.AppendExpr(buf, e); err != nil {
 				return nil, err
 			}
-			exprs = append(exprs, w)
 		}
-		return &wireFrag{Kind: "filter", Vars: v.Vars(), Filters: exprs, Children: []*wireFrag{ch}}, nil
+		return appendFrag(buf, v.Child)
 	case *core.UnionNode:
-		out := &wireFrag{Kind: "union", Vars: v.Vars()}
+		buf = wirefmt.AppendStrings(append(buf, fragUnion), v.Vars())
+		buf = binary.AppendUvarint(buf, uint64(len(v.Children)))
 		for _, c := range v.Children {
-			ch, err := fragToWire(c)
-			if err != nil {
+			if buf, err = appendFrag(buf, c); err != nil {
 				return nil, err
 			}
-			out.Children = append(out.Children, ch)
 		}
-		return out, nil
+		return buf, nil
 	default:
 		return nil, fmt.Errorf("cluster: plan node %T is not fragment-serializable", n)
 	}
+}
+
+// readScan reads a scan's schema, source and shape, resolving the shape
+// through the table and rejecting a schema the shape cannot fill: a
+// duplicated variable or one no star binds.
+func readScan(c *wirefmt.Cursor, shapes *wrapper.ShapeTable) (vars []string, source string, req *wrapper.Request) {
+	vars = c.Strings()
+	source = c.String()
+	shape := c.Bytes(c.Count())
+	if c.Err != nil {
+		return nil, "", nil
+	}
+	req, err := shapes.Resolve(shape)
+	if err != nil {
+		c.Fail("request shape: %v", err)
+		return nil, "", nil
+	}
+	for i, v := range vars {
+		if !req.Binds(v) {
+			c.Fail("schema variable ?%s is not bound by the request", v)
+		}
+		for _, u := range vars[:i] {
+			if u == v {
+				c.Fail("schema repeats variable ?%s", v)
+			}
+		}
+	}
+	return vars, source, req
+}
+
+func readFrag(c *wirefmt.Cursor, shapes *wrapper.ShapeTable, depth int) *fragNode {
+	if depth > maxFragDepth {
+		c.Fail("fragment nested deeper than %d", maxFragDepth)
+		return nil
+	}
+	n := &fragNode{kind: c.Byte()}
+	switch n.kind {
+	case fragScan:
+		n.vars, n.source, n.req = readScan(c, shapes)
+	case fragJoin:
+		n.vars, n.joinVars = c.Strings(), c.Strings()
+		n.children = []*fragNode{readFrag(c, shapes, depth+1), readFrag(c, shapes, depth+1)}
+	case fragFilter:
+		n.vars = c.Strings()
+		for i, ne := 0, c.Count(); i < ne && c.Err == nil; i++ {
+			n.filters = append(n.filters, wrapper.ReadExpr(c))
+		}
+		n.children = []*fragNode{readFrag(c, shapes, depth+1)}
+	case fragUnion:
+		n.vars = c.Strings()
+		nc := c.Count()
+		if nc == 0 {
+			c.Fail("fragment union without children")
+		}
+		for i := 0; i < nc && c.Err == nil; i++ {
+			n.children = append(n.children, readFrag(c, shapes, depth+1))
+		}
+	default:
+		c.Fail("unknown fragment kind 0x%02x", n.kind)
+	}
+	return n
 }
 
 // wireEnv ships the execution-shaping slice of core.Options plus the
 // simulation parameters a worker needs to reproduce the coordinator's
 // behavior on its partition.
 type wireEnv struct {
-	Network string  `json:"network,omitempty"`
-	Alpha   float64 `json:"alpha,omitempty"`
-	Beta    float64 `json:"beta,omitempty"`
-	Naive   bool    `json:"naive,omitempty"`
-	Batch   int     `json:"batch,omitempty"`
-	Par     int     `json:"par,omitempty"`
-	Scale   float64 `json:"scale"`
-	Seed    int64   `json:"seed"`
+	Network     string
+	Alpha, Beta float64
+	Naive       bool
+	Batch, Par  int
+	Scale       float64
+	Seed        int64
 }
 
-func envToWire(env core.FragmentEnv) wireEnv {
+func appendFloat(buf []byte, f float64) []byte {
+	return binary.LittleEndian.AppendUint64(buf, math.Float64bits(f))
+}
+
+func readFloat(c *wirefmt.Cursor) float64 {
+	b := c.Bytes(8)
+	if c.Err != nil {
+		return 0
+	}
+	return math.Float64frombits(binary.LittleEndian.Uint64(b))
+}
+
+func appendEnv(buf []byte, env core.FragmentEnv) []byte {
+	buf = wirefmt.AppendString(buf, env.Opts.Network.Name)
+	buf = appendFloat(appendFloat(buf, env.Opts.Network.Alpha), env.Opts.Network.Beta)
+	var naive byte
+	if env.Opts.Translation == wrapper.TranslationNaive {
+		naive = 1
+	}
+	buf = append(buf, naive)
+	buf = binary.AppendVarint(buf, int64(env.Opts.BatchSize))
+	buf = binary.AppendVarint(buf, int64(env.Opts.ProbeParallelism))
+	return binary.AppendVarint(appendFloat(buf, env.Scale), env.Seed)
+}
+
+func readEnv(c *wirefmt.Cursor) wireEnv {
 	return wireEnv{
-		Network: env.Opts.Network.Name,
-		Alpha:   env.Opts.Network.Alpha,
-		Beta:    env.Opts.Network.Beta,
-		Naive:   env.Opts.Translation == wrapper.TranslationNaive,
-		Batch:   env.Opts.BatchSize,
-		Par:     env.Opts.ProbeParallelism,
-		Scale:   env.Scale,
-		Seed:    env.Seed,
+		Network: c.String(),
+		Alpha:   readFloat(c),
+		Beta:    readFloat(c),
+		Naive:   c.Byte() != 0,
+		Batch:   int(c.Varint()),
+		Par:     int(c.Varint()),
+		Scale:   readFloat(c),
+		Seed:    c.Varint(),
 	}
 }
 
@@ -157,247 +258,151 @@ func (we wireEnv) options() core.Options {
 	return opts
 }
 
-// The wire forms below mirror the closed AST the planner produces. They
-// exist so task headers stay plain JSON: the sparql.Expr interface cannot
-// unmarshal itself, so expressions travel as a type-tagged tree.
-
-type wireTerm struct {
-	Kind     uint8  `json:"k"`
-	Value    string `json:"v"`
-	Datatype string `json:"d,omitempty"`
-	Lang     string `json:"l,omitempty"`
-}
-
-func termToWire(t rdf.Term) wireTerm {
-	return wireTerm{Kind: uint8(t.Kind), Value: t.Value, Datatype: t.Datatype, Lang: t.Lang}
-}
-
-func (w wireTerm) term() rdf.Term {
-	return rdf.Term{Kind: rdf.TermKind(w.Kind), Value: w.Value, Datatype: w.Datatype, Lang: w.Lang}
-}
-
-type wireNode struct {
-	Var  string    `json:"var,omitempty"`
-	Term *wireTerm `json:"term,omitempty"`
-}
-
-func nodeToWire(n sparql.Node) wireNode {
-	if n.IsVar {
-		return wireNode{Var: n.Var}
-	}
-	t := termToWire(n.Term)
-	return wireNode{Term: &t}
-}
-
-func (w wireNode) node() sparql.Node {
-	if w.Term != nil {
-		return sparql.TermNode(w.Term.term())
-	}
-	return sparql.VarNode(w.Var)
-}
-
-type wirePattern struct {
-	S wireNode `json:"s"`
-	P wireNode `json:"p"`
-	O wireNode `json:"o"`
-}
-
-type wireStar struct {
-	SubjectVar string        `json:"subject"`
-	Class      string        `json:"class"`
-	Patterns   []wirePattern `json:"patterns"`
-}
-
-type wireExpr struct {
-	Kind string      `json:"k"` // "var" "const" "cmp" "logic" "not" "func"
-	Name string      `json:"n,omitempty"`
-	Op   int         `json:"o,omitempty"`
-	Term *wireTerm   `json:"t,omitempty"`
-	Args []*wireExpr `json:"a,omitempty"`
-}
-
-func exprToWire(e sparql.Expr) (*wireExpr, error) {
-	switch v := e.(type) {
-	case *sparql.VarExpr:
-		return &wireExpr{Kind: "var", Name: v.Name}, nil
-	case *sparql.ConstExpr:
-		t := termToWire(v.Term)
-		return &wireExpr{Kind: "const", Term: &t}, nil
-	case *sparql.CompareExpr:
-		l, err := exprToWire(v.L)
-		if err != nil {
-			return nil, err
-		}
-		r, err := exprToWire(v.R)
-		if err != nil {
-			return nil, err
-		}
-		return &wireExpr{Kind: "cmp", Op: int(v.Op), Args: []*wireExpr{l, r}}, nil
-	case *sparql.LogicExpr:
-		l, err := exprToWire(v.L)
-		if err != nil {
-			return nil, err
-		}
-		r, err := exprToWire(v.R)
-		if err != nil {
-			return nil, err
-		}
-		return &wireExpr{Kind: "logic", Op: int(v.Op), Args: []*wireExpr{l, r}}, nil
-	case *sparql.NotExpr:
-		x, err := exprToWire(v.X)
-		if err != nil {
-			return nil, err
-		}
-		return &wireExpr{Kind: "not", Args: []*wireExpr{x}}, nil
-	case *sparql.FuncExpr:
-		args := make([]*wireExpr, len(v.Args))
-		for i, a := range v.Args {
-			w, err := exprToWire(a)
-			if err != nil {
-				return nil, err
-			}
-			args[i] = w
-		}
-		return &wireExpr{Kind: "func", Name: v.Name, Args: args}, nil
+// appendSeeds writes req's seed section: the block's variable names once,
+// then one row of cells per seed.
+func appendSeeds(buf []byte, req *wrapper.Request) []byte {
+	seeds := req.Seeds
+	switch {
+	case len(seeds) > 0:
+		buf = append(buf, seedsBlock)
+	case req.Seed != nil:
+		buf = append(buf, seedsOne)
+		seeds = []sparql.Binding{req.Seed}
 	default:
-		return nil, fmt.Errorf("cluster: unsupported filter expression %T", e)
+		return append(buf, seedsNone)
 	}
-}
-
-func (w *wireExpr) expr() (sparql.Expr, error) {
-	if w == nil {
-		return nil, fmt.Errorf("cluster: nil expression on wire")
+	var vars []string
+	for v := range seeds[0] {
+		vars = append(vars, v)
 	}
-	arg := func(i int) (sparql.Expr, error) {
-		if i >= len(w.Args) {
-			return nil, fmt.Errorf("cluster: %s expression missing operand %d", w.Kind, i)
-		}
-		return w.Args[i].expr()
-	}
-	switch w.Kind {
-	case "var":
-		return &sparql.VarExpr{Name: w.Name}, nil
-	case "const":
-		if w.Term == nil {
-			return nil, fmt.Errorf("cluster: const expression without term")
-		}
-		return &sparql.ConstExpr{Term: w.Term.term()}, nil
-	case "cmp":
-		l, err := arg(0)
-		if err != nil {
-			return nil, err
-		}
-		r, err := arg(1)
-		if err != nil {
-			return nil, err
-		}
-		return &sparql.CompareExpr{Op: sparql.CompareOp(w.Op), L: l, R: r}, nil
-	case "logic":
-		l, err := arg(0)
-		if err != nil {
-			return nil, err
-		}
-		r, err := arg(1)
-		if err != nil {
-			return nil, err
-		}
-		return &sparql.LogicExpr{Op: sparql.LogicOp(w.Op), L: l, R: r}, nil
-	case "not":
-		x, err := arg(0)
-		if err != nil {
-			return nil, err
-		}
-		return &sparql.NotExpr{X: x}, nil
-	case "func":
-		args := make([]sparql.Expr, len(w.Args))
-		for i := range w.Args {
-			a, err := w.Args[i].expr()
-			if err != nil {
-				return nil, err
+	for _, s := range seeds[1:] {
+		for v := range s {
+			known := false
+			for _, u := range vars {
+				known = known || u == v
 			}
-			args[i] = a
+			if !known {
+				vars = append(vars, v)
+			}
 		}
-		return &sparql.FuncExpr{Name: w.Name, Args: args}, nil
+	}
+	buf = wirefmt.AppendStrings(buf, vars)
+	buf = binary.AppendUvarint(buf, uint64(len(seeds)))
+	for _, s := range seeds {
+		for _, v := range vars {
+			if t, ok := s[v]; ok {
+				buf = wirefmt.AppendTerm(buf, t)
+			} else {
+				buf = append(buf, seedAbsent)
+			}
+		}
+	}
+	return buf
+}
+
+// readSeeds reads a seed section onto the resolved shape, returning the
+// request the task runs.
+func readSeeds(c *wirefmt.Cursor, shape *wrapper.Request) *wrapper.Request {
+	form := c.Byte()
+	if form == seedsNone || c.Err != nil {
+		return shape
+	}
+	if form > seedsBlock {
+		c.Fail("unknown seed section form %d", form)
+		return shape
+	}
+	vars := c.Strings()
+	nrows := c.Uvarint()
+	// A row is one cell per variable and a cell at least one byte; rows of
+	// a block binding no variable take no bytes, so they get the batch row
+	// limit instead.
+	if nrows > maxWireRows || nrows*uint64(len(vars)) > uint64(c.Rest()) {
+		c.Fail("seed block of %d rows exceeds payload", nrows)
+	}
+	if form == seedsOne && nrows != 1 {
+		c.Fail("per-answer seed section with %d rows", nrows)
+	}
+	if c.Err != nil {
+		return shape
+	}
+	seeds := make([]sparql.Binding, nrows)
+	for i := range seeds {
+		b := make(sparql.Binding, len(vars))
+		for _, v := range vars {
+			if c.Rest() > 0 && c.P[c.Off] == seedAbsent {
+				c.Off++
+				continue
+			}
+			b[v] = c.Term()
+		}
+		seeds[i] = b
+	}
+	if c.Err != nil {
+		return shape
+	}
+	if form == seedsOne {
+		return shape.WithSeed(seeds[0])
+	}
+	return shape.WithSeeds(seeds)
+}
+
+// appendScanTask builds the task frame for one wrapper request.
+func appendScanTask(buf []byte, sourceID string, req *wrapper.Request, schema []string, env core.FragmentEnv) ([]byte, error) {
+	buf = appendEnv(append(buf, taskScan), env)
+	buf = wirefmt.AppendStrings(buf, schema)
+	buf = wirefmt.AppendString(buf, sourceID)
+	buf, err := appendShape(buf, req)
+	if err != nil {
+		return nil, err
+	}
+	return appendSeeds(buf, req), nil
+}
+
+// appendJoinTask builds the task frame for a shuffled symmetric hash join.
+func appendJoinTask(buf []byte, joinVars, left, right, out []string, env core.FragmentEnv) []byte {
+	buf = appendEnv(append(buf, taskJoin), env)
+	for _, vars := range [][]string{joinVars, left, right, out} {
+		buf = wirefmt.AppendStrings(buf, vars)
+	}
+	return buf
+}
+
+// appendFragTask builds the task frame for a co-partitioned plan subtree.
+func appendFragTask(buf []byte, root core.PlanNode, env core.FragmentEnv) ([]byte, error) {
+	return appendFrag(appendEnv(append(buf, taskFrag), env), root)
+}
+
+// parseTask decodes a task frame's payload, resolving request shapes
+// through the worker's shape table. Anything malformed — an unknown kind
+// or tag, a truncated section, a schema its shape cannot fill, trailing
+// bytes — is an error; only shapes that decoded are remembered.
+func parseTask(p []byte, shapes *wrapper.ShapeTable) (*task, error) {
+	c := &wirefmt.Cursor{P: p}
+	t := &task{kind: c.Byte()}
+	switch t.kind {
+	case taskHello:
+	case taskScan:
+		t.env = readEnv(c)
+		t.schema, t.source, t.req = readScan(c, shapes)
+		if c.Err == nil {
+			t.req = readSeeds(c, t.req)
+		}
+	case taskJoin:
+		t.env = readEnv(c)
+		t.joinVars, t.left, t.right, t.out = c.Strings(), c.Strings(), c.Strings(), c.Strings()
+	case taskFrag:
+		t.env = readEnv(c)
+		t.root = readFrag(c, shapes, 0)
 	default:
-		return nil, fmt.Errorf("cluster: unknown wire expression kind %q", w.Kind)
+		c.Fail("unknown task kind 0x%02x", t.kind)
 	}
-}
-
-type wireBinding map[string]wireTerm
-
-func bindingToWire(b sparql.Binding) wireBinding {
-	if b == nil {
-		return nil
+	if c.Err == nil && c.Rest() != 0 {
+		c.Fail("%d trailing bytes after task header", c.Rest())
 	}
-	out := make(wireBinding, len(b))
-	for v, t := range b {
-		out[v] = termToWire(t)
+	if c.Err != nil {
+		return nil, c.Err
 	}
-	return out
-}
-
-func (w wireBinding) binding() sparql.Binding {
-	if w == nil {
-		return nil
-	}
-	out := make(sparql.Binding, len(w))
-	for v, t := range w {
-		out[v] = t.term()
-	}
-	return out
-}
-
-type wireRequest struct {
-	Stars   []wireStar    `json:"stars"`
-	Filters []*wireExpr   `json:"filters,omitempty"`
-	Seed    wireBinding   `json:"seed,omitempty"`
-	Seeds   []wireBinding `json:"seeds,omitempty"`
-}
-
-func requestToWire(r *wrapper.Request) (wireRequest, error) {
-	out := wireRequest{Stars: make([]wireStar, len(r.Stars))}
-	for i, s := range r.Stars {
-		ws := wireStar{SubjectVar: s.SubjectVar, Class: s.Class, Patterns: make([]wirePattern, len(s.Patterns))}
-		for j, tp := range s.Patterns {
-			ws.Patterns[j] = wirePattern{S: nodeToWire(tp.S), P: nodeToWire(tp.P), O: nodeToWire(tp.O)}
-		}
-		out.Stars[i] = ws
-	}
-	for _, f := range r.Filters {
-		w, err := exprToWire(f)
-		if err != nil {
-			return wireRequest{}, err
-		}
-		out.Filters = append(out.Filters, w)
-	}
-	out.Seed = bindingToWire(r.Seed)
-	for _, s := range r.Seeds {
-		out.Seeds = append(out.Seeds, bindingToWire(s))
-	}
-	return out, nil
-}
-
-func (w wireRequest) request() (*wrapper.Request, error) {
-	out := &wrapper.Request{Stars: make([]*wrapper.StarQuery, len(w.Stars))}
-	for i, ws := range w.Stars {
-		s := &wrapper.StarQuery{SubjectVar: ws.SubjectVar, Class: ws.Class, Patterns: make([]sparql.TriplePattern, len(ws.Patterns))}
-		for j, wp := range ws.Patterns {
-			s.Patterns[j] = sparql.TriplePattern{S: wp.S.node(), P: wp.P.node(), O: wp.O.node()}
-		}
-		out.Stars[i] = s
-	}
-	for _, f := range w.Filters {
-		e, err := f.expr()
-		if err != nil {
-			return nil, err
-		}
-		out.Filters = append(out.Filters, e)
-	}
-	out.Seed = w.Seed.binding()
-	for _, s := range w.Seeds {
-		out.Seeds = append(out.Seeds, s.binding())
-	}
-	return out, nil
+	return t, nil
 }
 
 // WorkerInfo is a worker's hello/health reply: its session epoch,
@@ -429,4 +434,11 @@ type WorkerInfo struct {
 	// persistent link, not cumulative across finished tasks).
 	RemapEntries int64 `json:"remap_entries"`
 	Terms        int   `json:"terms"`
+	// The worker's response cache (requests replayed, evaluated, entries
+	// evicted and live) and the size of its task-header shape table.
+	CacheHits      int64 `json:"response_cache_hits"`
+	CacheMisses    int64 `json:"response_cache_misses"`
+	CacheEvictions int64 `json:"response_cache_evictions"`
+	CacheEntries   int   `json:"response_cache_entries"`
+	Shapes         int   `json:"shapes"`
 }

@@ -24,7 +24,7 @@ import (
 
 	"ontario/internal/dict"
 	"ontario/internal/engine"
-	"ontario/internal/rdf"
+	"ontario/internal/wirefmt"
 )
 
 // Frame types of the shuffle wire protocol. Every frame on a link is a
@@ -32,7 +32,7 @@ import (
 // payload. Stream 0 is the link-control stream (the hello handshake);
 // task streams are client-allocated and never reused.
 const (
-	frameTask   = 0x01 // JSON task header; opens a stream
+	frameTask   = 0x01 // binary task header; opens a stream
 	frameBatch  = 0x02 // columnar batch: side byte + dict deltas + columns
 	frameDone   = 0x03 // one side byte: no more batches for that side
 	frameError  = 0x04 // UTF-8 error message; aborts the stream
@@ -59,13 +59,11 @@ const (
 )
 
 // errCorrupt tags every malformed-input failure so tests (and the fuzz
-// harness) can distinguish rejection from a crash.
-type errCorrupt struct{ msg string }
-
-func (e errCorrupt) Error() string { return "cluster: corrupt frame: " + e.msg }
+// harnesses) can distinguish rejection from a crash.
+type errCorrupt = wirefmt.Corrupt
 
 func corrupt(format string, args ...any) error {
-	return errCorrupt{msg: fmt.Sprintf(format, args...)}
+	return errCorrupt{Msg: fmt.Sprintf(format, args...)}
 }
 
 // wireBufPool recycles codec scratch buffers across links and frames, so
@@ -148,16 +146,6 @@ func (e *Encoder) SentTerms() int {
 	return len(e.sent)
 }
 
-func putUvarint(buf []byte, tmp *[binary.MaxVarintLen64]byte, v uint64) []byte {
-	n := binary.PutUvarint(tmp[:], v)
-	return append(buf, tmp[:n]...)
-}
-
-func putString(buf []byte, tmp *[binary.MaxVarintLen64]byte, s string) []byte {
-	buf = putUvarint(buf, tmp, uint64(len(s)))
-	return append(buf, s...)
-}
-
 // writeFrameLocked frames and flushes one payload; callers hold e.mu.
 func (e *Encoder) writeFrameLocked(typ byte, stream uint64, payload []byte) error {
 	if err := e.w.WriteByte(typ); err != nil {
@@ -210,19 +198,16 @@ func (e *Encoder) Batch(stream uint64, side byte, b *engine.ColBatch) error {
 	}
 	e.fresh = fresh[:0]
 	deltaStart := len(buf)
-	buf = putUvarint(buf, &e.tmp, uint64(len(fresh)))
+	buf = binary.AppendUvarint(buf, uint64(len(fresh)))
 	for _, id := range fresh {
 		t := e.d.MustLookup(id)
-		buf = putUvarint(buf, &e.tmp, uint64(id))
-		buf = append(buf, byte(t.Kind))
-		buf = putString(buf, &e.tmp, t.Value)
-		buf = putString(buf, &e.tmp, t.Datatype)
-		buf = putString(buf, &e.tmp, t.Lang)
+		buf = binary.AppendUvarint(buf, uint64(id))
+		buf = wirefmt.AppendTerm(buf, t)
 	}
 	e.deltaBytes.Add(int64(len(buf) - deltaStart))
 
-	buf = putUvarint(buf, &e.tmp, uint64(b.Len))
-	buf = putUvarint(buf, &e.tmp, uint64(len(b.Cols)))
+	buf = binary.AppendUvarint(buf, uint64(b.Len))
+	buf = binary.AppendUvarint(buf, uint64(len(b.Cols)))
 	for _, col := range b.Cols {
 		var bb byte
 		for r := 0; r < b.Len; r++ {
@@ -239,7 +224,7 @@ func (e *Encoder) Batch(stream uint64, side byte, b *engine.ColBatch) error {
 		}
 		for r := 0; r < b.Len; r++ {
 			if id := col[r]; id != dict.Unbound {
-				buf = putUvarint(buf, &e.tmp, uint64(id))
+				buf = binary.AppendUvarint(buf, uint64(id))
 			}
 		}
 	}
@@ -276,25 +261,23 @@ func (e *Encoder) Cancel(stream uint64) error {
 	return e.writeFrameLocked(frameCancel, stream, nil)
 }
 
-// Task writes the JSON task header opening a stream.
-func (e *Encoder) Task(stream uint64, h *taskHeader) error {
-	return e.jsonFrame(frameTask, stream, h)
+// Task writes the task frame opening a stream (proto.go has its layout).
+func (e *Encoder) Task(stream uint64, payload []byte) error {
+	e.mu.Lock()
+	defer e.mu.Unlock()
+	return e.writeFrameLocked(frameTask, stream, payload)
 }
 
 // Hello writes a worker-status frame (the link handshake on stream 0, or
 // a probe reply on the probe's stream).
 func (e *Encoder) Hello(stream uint64, info *WorkerInfo) error {
-	return e.jsonFrame(frameHello, stream, info)
-}
-
-func (e *Encoder) jsonFrame(typ byte, stream uint64, v any) error {
-	p, err := json.Marshal(v)
+	p, err := json.Marshal(info)
 	if err != nil {
 		return err
 	}
 	e.mu.Lock()
 	defer e.mu.Unlock()
-	return e.writeFrameLocked(typ, stream, p)
+	return e.writeFrameLocked(frameHello, stream, p)
 }
 
 // Frame is one decoded wire frame. Payload (for task/hello/error frames)
@@ -433,110 +416,31 @@ func (dec *Decoder) Next() (Frame, error) {
 	}
 }
 
-// cursor walks a fully read payload with sticky error handling: every
-// accessor after a failure returns zero values, and the caller checks err
-// once at the end.
-type cursor struct {
-	p   []byte
-	off int
-	err error
-}
-
-func (c *cursor) fail(format string, args ...any) {
-	if c.err == nil {
-		c.err = corrupt(format, args...)
-	}
-}
-
-func (c *cursor) byte() byte {
-	if c.err != nil || c.off >= len(c.p) {
-		c.fail("unexpected end of payload")
-		return 0
-	}
-	b := c.p[c.off]
-	c.off++
-	return b
-}
-
-func (c *cursor) uvarint() uint64 {
-	if c.err != nil {
-		return 0
-	}
-	v, n := binary.Uvarint(c.p[c.off:])
-	if n <= 0 {
-		c.fail("bad uvarint at offset %d", c.off)
-		return 0
-	}
-	c.off += n
-	return v
-}
-
-func (c *cursor) bytes(n int) []byte {
-	if c.err != nil {
-		return nil
-	}
-	if n < 0 || c.off+n > len(c.p) {
-		c.fail("unexpected end of payload")
-		return nil
-	}
-	b := c.p[c.off : c.off+n]
-	c.off += n
-	return b
-}
-
-// str reads a uvarint-length-prefixed string. The conversion copies, so
-// the result stays valid after the decoder reuses its payload buffer.
-func (c *cursor) str() string {
-	n := c.uvarint()
-	if c.err != nil {
-		return ""
-	}
-	if n > uint64(len(c.p)-c.off) {
-		c.fail("string length %d exceeds payload", n)
-		return ""
-	}
-	return string(c.bytes(int(n)))
-}
-
 func (dec *Decoder) decodeBatch(stream uint64, p []byte) (byte, *engine.ColBatch, error) {
-	c := &cursor{p: p}
-	side := c.byte()
+	c := &wirefmt.Cursor{P: p}
+	side := c.Byte()
 	if side > SideRight {
 		return 0, nil, corrupt("bad batch side %d", side)
 	}
 
-	ndelta := c.uvarint()
-	if ndelta > uint64(len(p)) { // each delta record is several bytes
-		return 0, nil, corrupt("delta count %d exceeds payload", ndelta)
-	}
-	deltaStart := c.off
-	for i := uint64(0); i < ndelta && c.err == nil; i++ {
-		senderID := c.uvarint()
-		kind := c.byte()
-		if kind > uint8(rdf.TermBlank) {
-			return 0, nil, corrupt("bad term kind %d", kind)
-		}
-		value := c.str()
-		datatype := c.str()
-		lang := c.str()
-		if c.err != nil {
+	ndelta := c.Count() // each delta record is several bytes
+	deltaStart := c.Off
+	for i := 0; i < ndelta && c.Err == nil; i++ {
+		senderID := c.Uvarint()
+		t := c.Term()
+		if c.Err != nil {
 			break
 		}
 		if senderID == 0 {
 			return 0, nil, corrupt("delta for reserved unbound ID")
 		}
-		dec.remap[senderID] = dec.d.Intern(rdf.Term{
-			Kind:     rdf.TermKind(kind),
-			Value:    value,
-			Datatype: datatype,
-			Lang:     lang,
-		})
+		dec.remap[senderID] = dec.d.Intern(t)
 		dec.remapN.Add(1)
 	}
-	if c.err != nil {
-		return 0, nil, c.err
+	if c.Err != nil {
+		return 0, nil, c.Err
 	}
-	dec.deltaBytes.Add(int64(c.off - deltaStart))
+	dec.deltaBytes.Add(int64(c.Off - deltaStart))
 
 	var schema *engine.Schema
 	if dec.lookup != nil {
@@ -549,10 +453,10 @@ func (dec *Decoder) decodeBatch(stream uint64, p []byte) (byte, *engine.ColBatch
 		return side, nil, nil
 	}
 
-	rows := c.uvarint()
-	cols := c.uvarint()
-	if c.err != nil {
-		return 0, nil, c.err
+	rows := c.Uvarint()
+	cols := c.Uvarint()
+	if c.Err != nil {
+		return 0, nil, c.Err
 	}
 	if rows > maxWireRows {
 		return 0, nil, corrupt("row count %d exceeds %d", rows, maxWireRows)
@@ -575,17 +479,17 @@ func (dec *Decoder) decodeBatch(stream uint64, p []byte) (byte, *engine.ColBatch
 	for ci := range b.Cols {
 		col := make([]dict.ID, rows)
 		pres := make([]uint64, words)
-		bm := c.bytes(nb)
-		if c.err != nil {
-			return 0, nil, c.err
+		bm := c.Bytes(nb)
+		if c.Err != nil {
+			return 0, nil, c.Err
 		}
 		for r := 0; r < int(rows); r++ {
 			if bm[r>>3]&(1<<(uint(r)&7)) == 0 {
 				continue
 			}
-			senderID := c.uvarint()
-			if c.err != nil {
-				return 0, nil, c.err
+			senderID := c.Uvarint()
+			if c.Err != nil {
+				return 0, nil, c.Err
 			}
 			local, ok := dec.remap[senderID]
 			if !ok {
@@ -597,11 +501,11 @@ func (dec *Decoder) decodeBatch(stream uint64, p []byte) (byte, *engine.ColBatch
 		b.Cols[ci] = col
 		b.Present[ci] = pres
 	}
-	if c.err != nil {
-		return 0, nil, c.err
+	if c.Err != nil {
+		return 0, nil, c.Err
 	}
-	if c.off != len(p) {
-		return 0, nil, corrupt("%d trailing bytes after batch", len(p)-c.off)
+	if c.Off != len(p) {
+		return 0, nil, corrupt("%d trailing bytes after batch", len(p)-c.Off)
 	}
 	return side, b, nil
 }

@@ -389,11 +389,10 @@ func TestWireRejectsCorruptInput(t *testing.T) {
 
 	t.Run("oversized row count", func(t *testing.T) {
 		var payload []byte
-		var tmp [binary.MaxVarintLen64]byte
 		payload = append(payload, SideOut)
-		payload = putUvarint(payload, &tmp, 0)               // no deltas
-		payload = putUvarint(payload, &tmp, uint64(1<<20)+1) // rows over the wire limit
-		payload = putUvarint(payload, &tmp, 2)               // cols
+		payload = binary.AppendUvarint(payload, 0)               // no deltas
+		payload = binary.AppendUvarint(payload, uint64(1<<20)+1) // rows over the wire limit
+		payload = binary.AppendUvarint(payload, 2)               // cols
 		var buf bytes.Buffer
 		e := NewEncoder(&buf, sender)
 		e.mu.Lock()

@@ -2,7 +2,6 @@ package cluster
 
 import (
 	"context"
-	"encoding/json"
 	"errors"
 	"fmt"
 	"log"
@@ -15,7 +14,7 @@ import (
 	"ontario/internal/core"
 	"ontario/internal/dict"
 	"ontario/internal/engine"
-	"ontario/internal/sparql"
+	"ontario/internal/wrapper"
 )
 
 // WorkerConfig configures a cluster worker.
@@ -42,8 +41,12 @@ var epochSeq atomic.Int64
 // every accepted connection with a hello on stream 0 carrying its
 // session epoch, so a coordinator can tell reconnects from restarts.
 type Worker struct {
-	exec   *core.Executor
-	d      *dict.Dict
+	exec *core.Executor
+	d    *dict.Dict
+	// shapes resolves the request shapes of task headers to decoded,
+	// fingerprinted requests: a repeated fragment decodes only its seeds
+	// and env, and its requests hit the executor's response cache.
+	shapes *wrapper.ShapeTable
 	part   int
 	of     int
 	epoch  int64
@@ -101,6 +104,7 @@ func NewWorker(publicLake any, cfg WorkerConfig) (*Worker, error) {
 	return &Worker{
 		exec:   exec,
 		d:      exec.Dict(),
+		shapes: wrapper.NewShapeTable(),
 		part:   cfg.Partition,
 		of:     cfg.Of,
 		epoch:  time.Now().UnixNano() + epochSeq.Add(1),
@@ -171,6 +175,7 @@ func (w *Worker) Shutdown(ctx context.Context) error {
 // totals of closed connections plus the live links' codecs. RemapEntries
 // is the live links' current remap-table sizes.
 func (w *Worker) Info() WorkerInfo {
+	cache := w.exec.ResponseCache().Stats()
 	info := WorkerInfo{
 		Epoch:           w.epoch,
 		Partition:       w.part,
@@ -186,6 +191,11 @@ func (w *Worker) Info() WorkerInfo {
 		ShuffledBytes:   w.fShufBytes.Load(),
 		DictDeltaBytes:  w.fDeltaBytes.Load(),
 		Terms:           w.d.Len(),
+		CacheHits:       cache.Hits,
+		CacheMisses:     cache.Misses,
+		CacheEvictions:  cache.Evictions,
+		CacheEntries:    cache.Entries,
+		Shapes:          w.shapes.Len(),
 	}
 	w.mu.Lock()
 	for wc := range w.conns {
@@ -301,12 +311,12 @@ func (w *Worker) handle(conn net.Conn) {
 		}
 		switch f.Type {
 		case frameTask:
-			var h taskHeader
-			if err := json.Unmarshal(f.Payload, &h); err != nil {
+			t, err := parseTask(f.Payload, w.shapes)
+			if err != nil {
 				wc.enc.Error(f.Stream, "bad task header: "+err.Error())
 				continue
 			}
-			if h.Kind == "hello" {
+			if t.kind == taskHello {
 				// Status probes skip admission: they must answer even when
 				// the fragment queue is saturated.
 				if err := wc.enc.Hello(f.Stream, workerInfoPtr(w.Info())); err != nil {
@@ -316,25 +326,25 @@ func (w *Worker) handle(conn net.Conn) {
 			}
 			st := &workerStream{id: f.Stream, q: newFrameQ()}
 			st.ctx, st.cancel = context.WithCancel(w.ctx)
-			if h.Join != nil {
-				st.schemas[SideLeft] = engine.NewSchema(h.Join.Left)
-				st.schemas[SideRight] = engine.NewSchema(h.Join.Right)
+			if t.kind == taskJoin {
+				st.schemas[SideLeft] = engine.NewSchema(t.left)
+				st.schemas[SideRight] = engine.NewSchema(t.right)
 			}
 			wc.mu.Lock()
 			wc.streams[st.id] = st
 			wc.mu.Unlock()
 			tasks.Add(1)
 			w.taskWG.Add(1)
-			go func(h taskHeader, st *workerStream) {
+			go func() {
 				defer tasks.Done()
 				defer w.taskWG.Done()
-				w.runTask(wc, st, &h)
+				w.runTask(wc, st, t)
 				wc.mu.Lock()
 				delete(wc.streams, st.id)
 				wc.mu.Unlock()
 				st.cancel()
 				st.q.close(nil)
-			}(h, st)
+			}()
 		case frameBatch, frameDone:
 			if st := wc.stream(f.Stream); st != nil {
 				st.q.push(f)
@@ -355,7 +365,7 @@ func (w *Worker) handle(conn net.Conn) {
 
 // runTask admits and executes one task stream, reporting failures as an
 // error frame on the stream.
-func (w *Worker) runTask(wc *workerConn, st *workerStream, h *taskHeader) {
+func (w *Worker) runTask(wc *workerConn, st *workerStream, t *task) {
 	// Admission: a worker executes at most MaxConcurrent fragments; the
 	// rest wait here (the queue-depth gauge readers see via Info).
 	w.queued.Add(1)
@@ -374,18 +384,16 @@ func (w *Worker) runTask(wc *workerConn, st *workerStream, h *taskHeader) {
 	defer w.active.Add(-1)
 
 	var runErr error
-	switch {
-	case h.Kind == "scan" && h.Scan != nil:
-		runErr = w.runScan(st, wc.enc, h.Scan)
-	case h.Kind == "join" && h.Join != nil:
-		runErr = w.runJoin(st, wc.enc, h.Join)
-	case h.Kind == "frag" && h.Frag != nil:
-		runErr = w.runFrag(st, wc.enc, h.Frag)
-	default:
-		runErr = fmt.Errorf("unknown task kind %q", h.Kind)
+	switch t.kind {
+	case taskScan:
+		runErr = w.runScan(st, wc.enc, t)
+	case taskJoin:
+		runErr = w.runJoin(st, wc.enc, t)
+	case taskFrag:
+		runErr = w.runFrag(st, wc.enc, t)
 	}
 	if runErr != nil && st.ctx.Err() == nil {
-		w.logf("cluster worker: task %s: %v", h.Kind, runErr)
+		w.logf("cluster worker: task %c: %v", t.kind, runErr)
 		wc.enc.Error(st.id, runErr.Error())
 	}
 }
@@ -405,39 +413,29 @@ func (w *Worker) sendOut(st *workerStream, enc *Encoder, s *engine.CStream) erro
 
 // runScan executes one wrapper request against this worker's partition
 // and streams the result batches back.
-func (w *Worker) runScan(st *workerStream, enc *Encoder, sc *scanTask) error {
-	req, err := sc.Req.request()
+func (w *Worker) runScan(st *workerStream, enc *Encoder, t *task) error {
+	x := w.exec.NewExecution(t.env.Scale, t.env.Seed)
+	s, err := x.RunService(st.ctx, t.source, t.req, engine.NewSchema(t.schema), t.env.options())
 	if err != nil {
 		return err
 	}
-	opts := sc.Env.options()
-	x := w.exec.NewExecution(sc.Env.Scale, sc.Env.Seed)
-	schema := engine.NewSchema(sc.Schema)
-	s, err := x.RunService(st.ctx, sc.SourceID, req, schema, opts)
-	if err != nil {
-		return err
-	}
-	if err := w.sendOut(st, enc, s); err != nil {
-		return err
-	}
-	if err := x.Err(); err != nil {
-		return err
-	}
-	return enc.Done(st.id, SideOut)
+	return w.finish(st, enc, x, s)
 }
 
 // runFrag executes a co-partitioned plan subtree locally and streams only
 // its results back — the shuffle-elision path.
-func (w *Worker) runFrag(st *workerStream, enc *Encoder, ft *fragTask) error {
-	if ft.Root == nil {
-		return corrupt("fragment without a root")
-	}
-	opts := ft.Env.options()
-	x := w.exec.NewExecution(ft.Env.Scale, ft.Env.Seed)
-	s, err := w.buildFrag(st.ctx, x, ft.Root, opts)
+func (w *Worker) runFrag(st *workerStream, enc *Encoder, t *task) error {
+	x := w.exec.NewExecution(t.env.Scale, t.env.Seed)
+	s, err := w.buildFrag(st.ctx, x, t.root, t.env.options())
 	if err != nil {
 		return err
 	}
+	return w.finish(st, enc, x, s)
+}
+
+// finish streams a task's result out, then reports the execution's
+// deferred error or closes the stream's SideOut.
+func (w *Worker) finish(st *workerStream, enc *Encoder, x *core.Execution, s *engine.CStream) error {
 	if err := w.sendOut(st, enc, s); err != nil {
 		return err
 	}
@@ -447,80 +445,43 @@ func (w *Worker) runFrag(st *workerStream, enc *Encoder, ft *fragTask) error {
 	return enc.Done(st.id, SideOut)
 }
 
-// buildFrag instantiates the serializable fragment tree as local columnar
-// operators over this worker's partition.
-func (w *Worker) buildFrag(ctx context.Context, x *core.Execution, f *wireFrag, opts core.Options) (*engine.CStream, error) {
-	schema := engine.NewSchema(f.Vars)
-	switch f.Kind {
-	case "scan":
-		if f.Req == nil {
-			return nil, corrupt("fragment scan without request")
-		}
-		req, err := f.Req.request()
+// buildFrag instantiates the fragment tree as local columnar operators
+// over this worker's partition (parseTask has checked its structure).
+func (w *Worker) buildFrag(ctx context.Context, x *core.Execution, f *fragNode, opts core.Options) (*engine.CStream, error) {
+	schema := engine.NewSchema(f.vars)
+	if f.kind == fragScan {
+		return x.RunService(ctx, f.source, f.req, schema, opts)
+	}
+	ins := make([]*engine.CStream, len(f.children))
+	for i, ch := range f.children {
+		s, err := w.buildFrag(ctx, x, ch, opts)
 		if err != nil {
 			return nil, err
 		}
-		return x.RunService(ctx, f.SourceID, req, schema, opts)
-	case "join":
-		if f.L == nil || f.R == nil {
-			return nil, corrupt("fragment join missing a side")
-		}
-		l, err := w.buildFrag(ctx, x, f.L, opts)
-		if err != nil {
-			return nil, err
-		}
-		r, err := w.buildFrag(ctx, x, f.R, opts)
-		if err != nil {
-			return nil, err
-		}
-		return engine.CSymmetricHashJoin(ctx, l, r, f.JoinVars, schema,
+		ins[i] = s
+	}
+	switch f.kind {
+	case fragJoin:
+		return engine.CSymmetricHashJoin(ctx, ins[0], ins[1], f.joinVars, schema,
 			opts.EffectiveProbeParallelism(), opts.EffectiveBatchSize()), nil
-	case "filter":
-		if len(f.Children) != 1 {
-			return nil, corrupt("fragment filter needs exactly one child")
-		}
-		in, err := w.buildFrag(ctx, x, f.Children[0], opts)
-		if err != nil {
-			return nil, err
-		}
-		var filters []sparql.Expr
-		for _, we := range f.Filters {
-			e, err := we.expr()
-			if err != nil {
-				return nil, err
-			}
-			filters = append(filters, e)
-		}
-		return engine.CFilter(ctx, in, filters, w.d, opts.EffectiveBatchSize()), nil
-	case "union":
-		if len(f.Children) == 0 {
-			return nil, corrupt("fragment union without children")
-		}
-		ins := make([]*engine.CStream, len(f.Children))
-		for i, ch := range f.Children {
-			s, err := w.buildFrag(ctx, x, ch, opts)
-			if err != nil {
-				return nil, err
-			}
-			ins[i] = s
-		}
-		return engine.CUnion(ctx, schema, opts.EffectiveBatchSize(), ins...), nil
+	case fragFilter:
+		return engine.CFilter(ctx, ins[0], f.filters, w.d, opts.EffectiveBatchSize()), nil
 	default:
-		return nil, corrupt("unknown fragment kind %q", f.Kind)
+		return engine.CUnion(ctx, schema, opts.EffectiveBatchSize(), ins...), nil
 	}
 }
 
 // runJoin symmetric-hash-joins the left/right batches the coordinator
 // shuffles in, streaming joined batches out as both sides build.
-func (w *Worker) runJoin(st *workerStream, enc *Encoder, jt *joinTask) error {
+func (w *Worker) runJoin(st *workerStream, enc *Encoder, t *task) error {
 	leftSchema := st.schemas[SideLeft]
 	rightSchema := st.schemas[SideRight]
-	outSchema := engine.NewSchema(jt.Out)
+	outSchema := engine.NewSchema(t.out)
 
-	opts := jt.Env.options()
+	opts := t.env.options()
 	left := engine.NewCStream(leftSchema, 4)
 	right := engine.NewCStream(rightSchema, 4)
-	out := engine.CSymmetricHashJoin(st.ctx, left, right, jt.JoinVars, outSchema,
+	out := engine.CSymmetricHashJoin(st.ctx, left, right, t.joinVars, outSchema,
 		opts.EffectiveProbeParallelism(), opts.EffectiveBatchSize())
 
 	writeErr := make(chan error, 1)

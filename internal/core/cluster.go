@@ -67,6 +67,10 @@ func (x *Execution) RunService(ctx context.Context, sourceID string, req *wrappe
 // dictionary every execution interns into).
 func (e *Executor) Dict() *dict.Dict { return e.terms }
 
+// ResponseCache returns the executor's shared response cache (for its
+// hit, miss, eviction and entry counters).
+func (e *Executor) ResponseCache() *wrapper.ResponseCache { return e.responses }
+
 // unmergeServices rewrites every Heuristic-1 merged service (one request
 // joining several stars inside a single relational source) into an
 // engine-level symmetric-hash join of single-star services. Partitioned
@@ -74,14 +78,14 @@ func (e *Executor) Dict() *dict.Dict { return e.terms }
 // intra-source join would silently drop every pair of stars living on
 // different partitions; unmerging routes those joins through the
 // distributed shuffle, which sees all partitions. The rewrite builds
-// fresh nodes and leaves the (shared, read-only) plan tree untouched.
+// nodes beside the (shared, read-only) plan tree and leaves it untouched.
 func unmergeServices(n PlanNode) PlanNode {
 	switch v := n.(type) {
 	case *ServiceNode:
 		if v.Req == nil || len(v.Req.Stars) <= 1 {
 			return v
 		}
-		return splitMergedService(v)
+		return v.unmerged()
 	case *JoinNode:
 		l, r := unmergeServices(v.L), unmergeServices(v.R)
 		if l == v.L && r == v.R {
@@ -120,6 +124,18 @@ func unmergeServices(n PlanNode) PlanNode {
 	default:
 		return n
 	}
+}
+
+// unmerged memoizes splitMergedService on the node: the chain is read-only,
+// so every clustered execution of a cached plan shares it and the
+// single-star requests inside keep one fingerprint for the plan's lifetime.
+func (n *ServiceNode) unmerged() PlanNode {
+	if p := n.split.Load(); p != nil {
+		return *p
+	}
+	chain := splitMergedService(n)
+	n.split.CompareAndSwap(nil, &chain)
+	return *n.split.Load()
 }
 
 // splitMergedService turns one merged multi-star service into a left-deep

@@ -443,12 +443,7 @@ func (x *Execution) runColumnar(ctx context.Context, n PlanNode, opts Options) (
 							// not a fallback to per-answer retrieval.
 							seeds = []sparql.Binding{sparql.NewBinding()}
 						}
-						req := &wrapper.Request{
-							Stars:   svc.Req.Stars,
-							Filters: svc.Req.Filters,
-							Seeds:   seeds,
-						}
-						s, err := runSvc(ctx, req, svcSchema)
+						s, err := runSvc(ctx, svc.Req.WithSeeds(seeds), svcSchema)
 						if err != nil {
 							// The join keeps draining other blocks; park the
 							// failure so the consumer sees it after the stream.
@@ -464,12 +459,7 @@ func (x *Execution) runColumnar(ctx context.Context, n PlanNode, opts Options) (
 						opts.EffectiveBatchSize()), nil
 				}
 				service := func(ctx context.Context, seed sparql.Binding) *engine.CStream {
-					req := &wrapper.Request{
-						Stars:   svc.Req.Stars,
-						Filters: svc.Req.Filters,
-						Seed:    seed,
-					}
-					s, err := runSvc(ctx, req, svcSchema)
+					s, err := runSvc(ctx, svc.Req.WithSeed(seed), svcSchema)
 					if err != nil {
 						x.fail(fmt.Errorf("source %s: %w", svc.SourceID, err))
 						return emptyCStream(svcSchema)

@@ -3,6 +3,7 @@ package core
 import (
 	"fmt"
 	"strings"
+	"sync/atomic"
 	"time"
 
 	"ontario/internal/engine"
@@ -250,6 +251,10 @@ type ServiceNode struct {
 	// Est is the cost model's prediction, set when the cost optimizer
 	// planned the node (rendered by EXPLAIN).
 	Est *Estimate
+
+	// split memoizes the node's unmerged form for cluster execution (see
+	// unmerged).
+	split atomic.Pointer[PlanNode]
 }
 
 // Vars implements PlanNode.

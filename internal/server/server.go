@@ -136,6 +136,12 @@ type WorkerStatus struct {
 	// cumulative per-task sum.
 	RemapEntries int64 `json:"remap_entries"`
 	Reconnects   int64 `json:"reconnects"`
+	// The worker's own response cache: requests replayed from it, requests
+	// that evaluated a source, entries evicted at the cap, live entries.
+	CacheHits      int64 `json:"response_cache_hits"`
+	CacheMisses    int64 `json:"response_cache_misses"`
+	CacheEvictions int64 `json:"response_cache_evictions"`
+	CacheEntries   int64 `json:"response_cache_entries"`
 }
 
 func (c Config) withDefaults() Config {
@@ -812,6 +818,11 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 				h.Source, float64(h.Latency)/float64(time.Millisecond))
 		}
 	}
+	rc := eng.ResponseCacheStats()
+	fmt.Fprintf(w, "# TYPE ontario_response_cache_hits_total counter\nontario_response_cache_hits_total %d\n", rc.Hits)
+	fmt.Fprintf(w, "# TYPE ontario_response_cache_misses_total counter\nontario_response_cache_misses_total %d\n", rc.Misses)
+	fmt.Fprintf(w, "# TYPE ontario_response_cache_evictions_total counter\nontario_response_cache_evictions_total %d\n", rc.Evictions)
+	fmt.Fprintf(w, "# TYPE ontario_response_cache_entries gauge\nontario_response_cache_entries %d\n", rc.Entries)
 	if s.cfg.ClusterStatus != nil {
 		if workers := s.cfg.ClusterStatus(); len(workers) > 0 {
 			writeGauge := func(name string, val func(ws WorkerStatus) int64) {
@@ -832,6 +843,10 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 			// per-link gauge, not a per-task cumulative sum.
 			writeGauge("ontario_cluster_remap_entries", func(ws WorkerStatus) int64 { return ws.RemapEntries })
 			writeGauge("ontario_cluster_dict_delta_bytes", func(ws WorkerStatus) int64 { return ws.DictDeltaBytes })
+			writeGauge("ontario_cluster_response_cache_hits", func(ws WorkerStatus) int64 { return ws.CacheHits })
+			writeGauge("ontario_cluster_response_cache_misses", func(ws WorkerStatus) int64 { return ws.CacheMisses })
+			writeGauge("ontario_cluster_response_cache_evictions", func(ws WorkerStatus) int64 { return ws.CacheEvictions })
+			writeGauge("ontario_cluster_response_cache_entries", func(ws WorkerStatus) int64 { return ws.CacheEntries })
 			fmt.Fprintf(w, "# TYPE ontario_cluster_link_reconnects_total counter\n")
 			for _, ws := range workers {
 				fmt.Fprintf(w, "ontario_cluster_link_reconnects_total{worker=%q} %d\n", ws.Addr, ws.Reconnects)

@@ -444,6 +444,10 @@ func TestMetricsEndpoint(t *testing.T) {
 		`ontario_source_delay_ms_bucket{source=`,
 		"ontario_executing_queries 0",
 		"ontario_source_inflight_peak{source=",
+		"ontario_response_cache_hits_total ",
+		"ontario_response_cache_misses_total ",
+		"ontario_response_cache_evictions_total 0",
+		"ontario_response_cache_entries ",
 	} {
 		if !strings.Contains(out, want) {
 			t.Errorf("/metrics missing %q", want)

@@ -25,7 +25,8 @@ func (c cannedSource) ExecuteStars(context.Context, []catalog.ExternalStar, []sp
 // retrieving N solutions costs N simulated messages, a seed-block request
 // costs exactly one (also when its response is empty), and a repeated
 // request — a response-cache hit where the wrapper caches — is charged the
-// same again.
+// same again, whether it is the same request value or an equal one built
+// from scratch (the cache is content-addressed).
 func TestResponseMessageModel(t *testing.T) {
 	people := []sparql.Binding{
 		{"s": rdf.NewIRI("http://ex/p1"), "name": rdf.NewLiteral("Ada")},
@@ -47,7 +48,10 @@ func TestResponseMessageModel(t *testing.T) {
 	sqlW := NewSQLWrapper(testSource(t), sqlSim, TranslationOptimized, 0)
 	sqlW.SetResponseCache(cache)
 
-	exStars := []*StarQuery{personStar()}
+	exStars := func() []*StarQuery { return []*StarQuery{personStar()} }
+	sqlStars := func() []*StarQuery {
+		return []*StarQuery{star(t, "p", "http://c/Person", `?p <http://p/name> ?n .`)}
+	}
 	exSeed := func(id string) []sparql.Binding {
 		return []sparql.Binding{{"s": rdf.NewIRI("http://ex/" + id)}}
 	}
@@ -55,35 +59,44 @@ func TestResponseMessageModel(t *testing.T) {
 		name      string
 		w         Wrapper
 		messages  func() int
-		stars     []*StarQuery
+		stars     func() []*StarQuery
 		n         int // solutions of the unseeded request
-		hit, miss []sparql.Binding
+		hit, miss func() []sparql.Binding
 		cached    bool
 	}{
-		{"rdf", rdfW, rdfSim.Messages, exStars, 2, exSeed("p1"), exSeed("p9"), true},
-		{"sql", sqlW, sqlSim.Messages,
-			[]*StarQuery{star(t, "p", "http://c/Person", `?p <http://p/name> ?n .`)}, 5,
-			[]sparql.Binding{personSeed("1")}, []sparql.Binding{personSeed("77")}, true},
-		{"external", NewExternalWrapper("x", cannedSource(people), extSim, 0), extSim.Messages,
-			exStars, 2, exSeed("p1"), exSeed("p9"), false},
-		{"remote", NewRemoteSPARQLWrapper("remote", srv.URL, NewHealthRegistry(fastResilience()), remSim, 0), remSim.Messages,
-			exStars, 2, exSeed("p1"), exSeed("p9"), false},
+		{"rdf", rdfW, rdfSim.Messages, exStars, 2,
+			func() []sparql.Binding { return exSeed("p1") }, func() []sparql.Binding { return exSeed("p9") }, true},
+		{"sql", sqlW, sqlSim.Messages, sqlStars, 5,
+			func() []sparql.Binding { return []sparql.Binding{personSeed("1")} },
+			func() []sparql.Binding { return []sparql.Binding{personSeed("77")} }, true},
+		{"external", NewExternalWrapper("x", cannedSource(people), extSim, 0), extSim.Messages, exStars, 2,
+			func() []sparql.Binding { return exSeed("p1") }, func() []sparql.Binding { return exSeed("p9") }, false},
+		{"remote", NewRemoteSPARQLWrapper("remote", srv.URL, NewHealthRegistry(fastResilience()), remSim, 0), remSim.Messages, exStars, 2,
+			func() []sparql.Binding { return exSeed("p1") }, func() []sparql.Binding { return exSeed("p9") }, false},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			// The same request values both rounds: the response cache keys on
-			// the identity of the plan's star slice.
-			requests := []struct {
+			type request struct {
 				label             string
 				req               *Request
 				answers, wantMsgs int
-			}{
-				{"per-answer", &Request{Stars: tc.stars}, tc.n, tc.n},
-				{"block", &Request{Stars: tc.stars, Seeds: tc.hit}, 1, 1},
-				{"empty block", &Request{Stars: tc.stars, Seeds: tc.miss}, 0, 1},
 			}
+			// Every call builds the three requests from scratch: fresh star,
+			// pattern and seed values with the same content.
+			build := func() []request {
+				return []request{
+					{"per-answer", &Request{Stars: tc.stars()}, tc.n, tc.n},
+					{"block", &Request{Stars: tc.stars(), Seeds: tc.hit()}, 1, 1},
+					{"empty block", &Request{Stars: tc.stars(), Seeds: tc.miss()}, 0, 1},
+				}
+			}
+			requests := build()
 			stored := len(cache.entries)
-			for round, what := range []string{"first request", "repeat"} {
+			hits := cache.Stats().Hits
+			for round, what := range []string{"first request", "repeat", "equal but distinct request"} {
+				if round == 2 {
+					requests = build()
+				}
 				for _, r := range requests {
 					before := tc.messages()
 					if got := collect(t, tc.w, r.req); len(got) != r.answers {
@@ -93,9 +106,15 @@ func TestResponseMessageModel(t *testing.T) {
 						t.Errorf("%s, %s: %d messages for %d answers, want %d", what, r.label, msgs, r.answers, r.wantMsgs)
 					}
 				}
-				if tc.cached && len(cache.entries) != stored+len(requests) {
+				if !tc.cached {
+					continue
+				}
+				if len(cache.entries) != stored+len(requests) {
 					t.Fatalf("round %d: cache holds %d new entries, want %d (repeats must hit, not re-store)",
 						round, len(cache.entries)-stored, len(requests))
+				}
+				if got, want := cache.Stats().Hits-hits, int64(round*len(requests)); got != want {
+					t.Fatalf("round %d: %d cache hits, want %d", round, got, want)
 				}
 			}
 		})

@@ -2,7 +2,9 @@ package wrapper
 
 import (
 	"context"
+	"slices"
 	"sync"
+	"sync/atomic"
 
 	"ontario/internal/dict"
 	"ontario/internal/engine"
@@ -13,29 +15,30 @@ import (
 // ResponseCache memoizes the decoded, dictionary-encoded response of a
 // wrapper request across the executions of one engine. The lake is static
 // (the rdb generation moves only on loads), so a repeated request —
-// serving layers replay the same prepared plans over and over — can skip
-// translation, source evaluation and term interning entirely and stream
-// its remembered ID rows, while the network-simulation contract is
-// honored live at replay time: one latency sample per solution for
-// per-answer retrieval, one per block response.
+// serving layers replay the same plans over and over, cluster workers the
+// same fragments — can skip translation, source evaluation and term
+// interning entirely and stream its remembered ID rows, while the
+// network-simulation contract is honored live at replay time: one latency
+// sample per solution for per-answer retrieval, one per block response.
 //
-// Keys lean on pointer identity: a prepared plan's star and filter slices
-// are immutable and live as long as the plan, so the slice identity (first
-// element pointer plus length) identifies the request shape without
-// hashing pattern trees. Seeds vary per bind-join invocation and are
-// content-hashed, with the stored bindings compared on every hit so a
-// hash collision degrades to a miss, never to a wrong answer. Entries are
-// tagged with the source's content generation and dropped when it moves.
+// Keys are content-addressed: the request's shape fingerprint (derived
+// once per plan leaf and carried by its seeded forms, see shapeOf), the
+// output schema's variable order and the seed content, folded into one
+// fixed-size hash. Every hit verifies the stored shape, schema and seed
+// bindings, so a hash collision degrades to a miss, never to a wrong
+// answer. Entries are tagged with the source's content generation and
+// dropped when it moves.
 //
 // The cache must be scoped to one engine: entries hold IDs of that
-// engine's dictionary and pointers into its prepared plans.
+// engine's dictionary.
 type ResponseCache struct {
 	mu      sync.RWMutex
 	entries map[respKey]*respEntry
+
+	hits, misses, evictions atomic.Int64
 }
 
-// respCacheCap bounds the cache; crossing it drops everything (request
-// mixes that large are churn — distinct bind-join blocks — not reuse).
+// respCacheCap bounds the cache; crossing it sweeps (see store).
 const respCacheCap = 4096
 
 // NewResponseCache returns an empty cache.
@@ -43,23 +46,37 @@ func NewResponseCache() *ResponseCache {
 	return &ResponseCache{entries: make(map[respKey]*respEntry)}
 }
 
+// ResponseCacheStats is a snapshot of a cache's counters.
+type ResponseCacheStats struct {
+	Hits, Misses, Evictions int64
+	Entries                 int
+}
+
+// Stats snapshots the hit, miss and eviction counters and the entry count.
+func (c *ResponseCache) Stats() ResponseCacheStats {
+	c.mu.RLock()
+	n := len(c.entries)
+	c.mu.RUnlock()
+	return ResponseCacheStats{
+		Hits:      c.hits.Load(),
+		Misses:    c.misses.Load(),
+		Evictions: c.evictions.Load(),
+		Entries:   n,
+	}
+}
+
 type respKey struct {
 	source string
 	// variant disambiguates wrapper configurations that answer the same
 	// request differently (the SQL translation mode).
 	variant uint8
-	// star0/nstars and filt0/nfilt are the identity of the request's star
-	// and filter slices (nil/0 when absent).
-	star0  *StarQuery
-	nstars int
-	filt0  *sparql.Expr
-	nfilt  int
 	// block distinguishes the multi-seed block form, whose response
 	// contract (one message per block) differs from the per-answer form.
 	block bool
-	// seedH is the content hash of Seed (per-answer form) or of the Seeds
-	// list (block form); the entry verifies the actual bindings on hit.
-	seedH uint64
+	// h folds the shape fingerprint, the schema's variable order and the
+	// content hash of Seed (per-answer form) or of the Seeds list (block
+	// form); the entry verifies all three on hit.
+	h uint64
 }
 
 // respEntry is one remembered response: the decoded ID rows flattened in
@@ -79,36 +96,47 @@ type respEntry struct {
 	// empty per-row response samples nothing; an empty block still costs
 	// its one message.
 	perRow bool
+
+	// shape and vars are the request identity the entry was stored under,
+	// compared on every hit; used is its second-chance flag.
+	shape *shape
+	vars  []string
+	used  atomic.Bool
 }
 
-// respKeyFor builds the cache key of req as issued against source.
-// Interning seed terms here is not wasted work: the miss path interns the
-// same terms anyway, and on a hit they are already in the dictionary.
-func respKeyFor(source string, variant uint8, req *Request, d *dict.Dict) respKey {
-	k := respKey{
-		source:  source,
-		variant: variant,
-		nstars:  len(req.Stars),
-		nfilt:   len(req.Filters),
-		block:   len(req.Seeds) > 0,
-	}
-	if len(req.Stars) > 0 {
-		k.star0 = req.Stars[0]
-	}
-	if len(req.Filters) > 0 {
-		k.filt0 = &req.Filters[0]
+// respKeyFor builds the cache key of req as issued against source with
+// the given output schema. Interning seed terms here is not wasted work:
+// the miss path interns the same terms anyway, and on a hit they are
+// already in the dictionary.
+func respKeyFor(source string, variant uint8, req *Request, schema *engine.Schema, d *dict.Dict) respKey {
+	k := respKey{source: source, variant: variant, block: len(req.Seeds) > 0}
+	h := req.shapeOf().h
+	for _, v := range schema.Vars {
+		h = fnvString(h, v) * fnvPrime // the extra round separates the names
 	}
 	if k.block {
-		h := uint64(0x9e3779b97f4a7c15)
 		for _, s := range req.Seeds {
 			h = mixResp(h ^ seedHash(s, d))
 		}
-		k.seedH = h
 	} else {
-		k.seedH = seedHash(req.Seed, d)
+		h = mixResp(h ^ seedHash(req.Seed, d))
 	}
+	k.h = h
 	return k
 }
+
+// fnvString folds s into h, FNV-1a style.
+func fnvString(h uint64, s string) uint64 {
+	for i := 0; i < len(s); i++ {
+		h = (h ^ uint64(s[i])) * fnvPrime
+	}
+	return h
+}
+
+const (
+	fnvOffset = 14695981039346656037
+	fnvPrime  = 1099511628211
+)
 
 // mixResp is the splitmix64 finalizer.
 func mixResp(x uint64) uint64 {
@@ -126,12 +154,7 @@ func mixResp(x uint64) uint64 {
 func seedHash(seed sparql.Binding, d *dict.Dict) uint64 {
 	h := uint64(len(seed))
 	for v, t := range seed {
-		const prime = 1099511628211
-		vh := uint64(14695981039346656037)
-		for i := 0; i < len(v); i++ {
-			vh = (vh ^ uint64(v[i])) * prime
-		}
-		h ^= mixResp(vh ^ (uint64(d.Intern(t)) * 0x9e3779b97f4a7c15))
+		h ^= mixResp(fnvString(fnvOffset, v) ^ (uint64(d.Intern(t)) * 0x9e3779b97f4a7c15))
 	}
 	return h
 }
@@ -148,10 +171,13 @@ func bindingEq(a, b sparql.Binding) bool {
 	return true
 }
 
-// matches verifies the stored seed content against the request, guarding
-// hash collisions in the key.
-func (e *respEntry) matches(req *Request) bool {
-	if len(e.seeds) != len(req.Seeds) {
+// matches verifies the stored request identity — shape, schema order and
+// seed content — against the request, guarding hash collisions in the key.
+func (e *respEntry) matches(req *Request, schema *engine.Schema) bool {
+	if s := req.shapeOf(); e.shape != s && e.shape.canon != s.canon {
+		return false
+	}
+	if !slices.Equal(e.vars, schema.Vars) || len(e.seeds) != len(req.Seeds) {
 		return false
 	}
 	for i := range e.seeds {
@@ -163,23 +189,34 @@ func (e *respEntry) matches(req *Request) bool {
 }
 
 // lookup returns the remembered response for k, or nil when there is
-// none, the source's content moved past it, or the seed content differs
-// (a key hash collision).
-func (c *ResponseCache) lookup(k respKey, req *Request, gen uint64) *respEntry {
+// none, the source's content moved past it, or the request differs from
+// the one stored (a key hash collision).
+func (c *ResponseCache) lookup(k respKey, req *Request, schema *engine.Schema, gen uint64) *respEntry {
 	c.mu.RLock()
 	e := c.entries[k]
 	c.mu.RUnlock()
-	if e == nil || e.gen != gen || !e.matches(req) {
+	if e == nil || e.gen != gen || !e.matches(req, schema) {
+		c.misses.Add(1)
 		return nil
 	}
+	c.hits.Add(1)
+	markUsed(&e.used)
 	return e
 }
 
-// store remembers e under k, dropping the whole cache at the cap.
-func (c *ResponseCache) store(k respKey, e *respEntry) {
+// store remembers e, built for req over schema, under k. At the cap the
+// cache sweeps instead of dropping everything: entries not hit since the
+// previous sweep go first. Seeded entries start cold — the blocks of a
+// bind join whose composition followed the arrival order are stored once
+// and never asked for again — while unseeded ones start with their second
+// chance, so churn in the former cannot wipe the hot leaf responses.
+func (c *ResponseCache) store(k respKey, req *Request, schema *engine.Schema, e *respEntry) {
+	e.shape, e.vars = req.shapeOf(), schema.Vars
+	e.used.Store(len(req.Seeds) == 0 && len(req.Seed) == 0)
 	c.mu.Lock()
 	if len(c.entries) >= respCacheCap {
-		clear(c.entries)
+		n := sweep(c.entries, respCacheCap*3/4, func(e *respEntry) bool { return e.used.Swap(false) })
+		c.evictions.Add(int64(n))
 	}
 	c.entries[k] = e
 	c.mu.Unlock()

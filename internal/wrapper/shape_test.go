@@ -1,0 +1,321 @@
+package wrapper
+
+import (
+	"fmt"
+	"math/rand"
+	"strings"
+	"sync"
+	"testing"
+
+	"ontario/internal/engine"
+	"ontario/internal/rdf"
+	"ontario/internal/sparql"
+)
+
+// reqSpec is the content of a request; build turns it into a request made
+// of fresh *StarQuery, pattern and sparql.Expr values, so two builds of one
+// spec share nothing but what they say.
+type reqSpec struct {
+	class     string
+	constant  rdf.Term // object of the first pattern
+	npatterns int
+	filterOp  sparql.CompareOp
+	filterVal rdf.Term
+	seed      sparql.Binding
+	block     bool
+	variant   uint8
+	schema    []string
+}
+
+func (sp reqSpec) build() (*Request, *engine.Schema) {
+	st := &StarQuery{SubjectVar: "s", Class: sp.class}
+	st.Patterns = append(st.Patterns, sparql.TriplePattern{
+		S: sparql.VarNode("s"), P: sparql.TermNode(rdf.NewIRI(rdf.RDFType)), O: sparql.TermNode(sp.constant)})
+	for i := 0; i < sp.npatterns; i++ {
+		st.Patterns = append(st.Patterns, sparql.TriplePattern{
+			S: sparql.VarNode("s"), P: sparql.TermNode(rdf.NewIRI(fmt.Sprintf("http://p/%d", i))), O: sparql.VarNode(fmt.Sprintf("o%d", i))})
+	}
+	req := &Request{
+		Stars: []*StarQuery{st},
+		Filters: []sparql.Expr{&sparql.LogicExpr{Op: sparql.OpAnd,
+			L: &sparql.CompareExpr{Op: sp.filterOp, L: &sparql.VarExpr{Name: "o0"}, R: &sparql.ConstExpr{Term: sp.filterVal}},
+			R: &sparql.NotExpr{X: &sparql.FuncExpr{Name: "CONTAINS", Args: []sparql.Expr{
+				&sparql.FuncExpr{Name: "STR", Args: []sparql.Expr{&sparql.VarExpr{Name: "s"}}},
+				&sparql.ConstExpr{Term: rdf.NewLiteral("x")}}}},
+		}},
+	}
+	seed := sparql.Binding{}
+	for v, t := range sp.seed {
+		seed[v] = t
+	}
+	switch {
+	case len(seed) == 0:
+	case sp.block:
+		req.Seeds = []sparql.Binding{seed}
+	default:
+		req.Seed = seed
+	}
+	return req, engine.NewSchema(append([]string(nil), sp.schema...))
+}
+
+func randomSpec(rng *rand.Rand) reqSpec {
+	sp := reqSpec{
+		class:     fmt.Sprintf("http://c/%d", rng.Intn(100)),
+		constant:  rdf.NewIRI(fmt.Sprintf("http://c/%d", rng.Intn(100))),
+		npatterns: 1 + rng.Intn(4),
+		filterOp:  sparql.CompareOp(rng.Intn(6)),
+		filterVal: rdf.Term{Kind: rdf.TermLiteral, Value: fmt.Sprint(rng.Intn(50)), Datatype: rdf.XSDInteger},
+		block:     rng.Intn(2) == 0,
+		variant:   uint8(rng.Intn(2)),
+		schema:    []string{"s"},
+	}
+	for i := 0; i < sp.npatterns; i++ {
+		sp.schema = append(sp.schema, fmt.Sprintf("o%d", i))
+	}
+	if rng.Intn(3) > 0 {
+		sp.seed = sparql.Binding{"s": rdf.NewIRI(fmt.Sprintf("http://e/%d", rng.Intn(1000)))}
+	}
+	return sp
+}
+
+// TestResponseCacheKeyIsContent is the key's property: two independently
+// built, structurally equal requests share one entry, and a request that
+// differs in any one of class, a pattern constant, a filter constant, a
+// filter operator, the translation variant, the schema order, block versus
+// per-answer form, or a seed does not.
+func TestResponseCacheKeyIsContent(t *testing.T) {
+	rng := rand.New(rand.NewSource(7))
+	for i := 0; i < 200; i++ {
+		sp := randomSpec(rng)
+		if sp.seed == nil {
+			sp.seed = sparql.Binding{"s": rdf.NewIRI("http://e/seeded")}
+		}
+		c := NewResponseCache()
+		req, schema := sp.build()
+		stored := newRespEntry(req, nil, schema, testDict)
+		c.store(respKeyFor("src", sp.variant, req, schema, testDict), req, schema, stored)
+
+		lookup := func(sp reqSpec) *respEntry {
+			req, schema := sp.build()
+			return c.lookup(respKeyFor("src", sp.variant, req, schema, testDict), req, schema, 0)
+		}
+		if got := lookup(sp); got != stored {
+			t.Fatalf("spec %+v: an equal request built from scratch missed", sp)
+		}
+		mutations := map[string]func(*reqSpec){
+			"class":            func(m *reqSpec) { m.class += "x" },
+			"pattern constant": func(m *reqSpec) { m.constant.Value += "x" },
+			"filter constant":  func(m *reqSpec) { m.filterVal.Value += "0" },
+			"filter operator":  func(m *reqSpec) { m.filterOp = (m.filterOp + 1) % 6 },
+			"variant":          func(m *reqSpec) { m.variant ^= 1 },
+			"schema order": func(m *reqSpec) {
+				m.schema = append([]string(nil), m.schema...)
+				m.schema[0], m.schema[1] = m.schema[1], m.schema[0]
+			},
+			"block vs per-answer": func(m *reqSpec) { m.block = !m.block },
+			"seed":                func(m *reqSpec) { m.seed = sparql.Binding{"s": rdf.NewIRI(m.seed["s"].Value + "x")} },
+			"unseeded":            func(m *reqSpec) { m.seed = nil },
+		}
+		for name, mutate := range mutations {
+			m := sp
+			mutate(&m)
+			if lookup(m) != nil {
+				t.Fatalf("spec %+v: a request differing in %s hit the entry", sp, name)
+			}
+		}
+	}
+}
+
+// TestResponseCacheCollisionIsMiss forces two different requests onto one
+// key: the verification on hit turns the collision into a miss.
+func TestResponseCacheCollisionIsMiss(t *testing.T) {
+	rng := rand.New(rand.NewSource(11))
+	a, b := randomSpec(rng), randomSpec(rng)
+	b.variant, b.block, b.seed, b.schema = a.variant, a.block, a.seed, a.schema
+	reqA, schema := a.build()
+	reqB, _ := b.build()
+	if reqA.shapeOf().canon == reqB.shapeOf().canon {
+		t.Fatal("specs are equal")
+	}
+	c := NewResponseCache()
+	k := respKeyFor("src", a.variant, reqA, schema, testDict)
+	c.store(k, reqA, schema, newRespEntry(reqA, nil, schema, testDict))
+	if c.lookup(k, reqB, schema, 0) != nil {
+		t.Fatal("a different request under the same key was served")
+	}
+	if c.lookup(k, reqA, schema, 0) == nil {
+		t.Fatal("the stored request missed")
+	}
+	if st := c.Stats(); st.Hits != 1 || st.Misses != 1 || st.Entries != 1 {
+		t.Fatalf("stats %+v, want 1 hit, 1 miss, 1 entry", st)
+	}
+}
+
+// TestResponseCacheSweep: at the cap the cache evicts instead of dropping
+// everything — never-reused seeded entries go, the hot unseeded entry and
+// a seeded entry that was hit stay — and it stays bounded.
+func TestResponseCacheSweep(t *testing.T) {
+	sp := randomSpec(rand.New(rand.NewSource(3)))
+	sp.seed = nil
+	c := NewResponseCache()
+	hot, schema := sp.build()
+	hotKey := respKeyFor("src", 0, hot, schema, testDict)
+	c.store(hotKey, hot, schema, newRespEntry(hot, nil, schema, testDict))
+
+	block := func(i int) *Request {
+		return hot.WithSeeds([]sparql.Binding{{"s": rdf.NewIRI(fmt.Sprintf("http://e/%d", i))}})
+	}
+	reused := block(0)
+	reusedKey := respKeyFor("src", 0, reused, schema, testDict)
+	c.store(reusedKey, reused, schema, newRespEntry(reused, nil, schema, testDict))
+	for i := 1; i <= 3*respCacheCap; i++ {
+		req := block(i)
+		c.store(respKeyFor("src", 0, req, schema, testDict), req, schema, newRespEntry(req, nil, schema, testDict))
+		if i%100 == 0 {
+			// The hot entries are asked for between sweeps, as a replayed
+			// workload does; the other blocks never again.
+			if c.lookup(hotKey, hot, schema, 0) == nil || c.lookup(reusedKey, reused, schema, 0) == nil {
+				t.Fatalf("after %d stores: a hot entry was evicted", i)
+			}
+		}
+		if n := c.Stats().Entries; n > respCacheCap {
+			t.Fatalf("after %d stores: %d entries, cap %d", i, n, respCacheCap)
+		}
+	}
+	st := c.Stats()
+	if st.Evictions == 0 || int(st.Evictions)+st.Entries != 3*respCacheCap+2 {
+		t.Fatalf("stats %+v: evictions + entries must account for every store", st)
+	}
+}
+
+// TestSweepFallsBackToArbitrary: when every entry was used since the last
+// sweep the second chance frees nothing, and the sweep still makes room.
+func TestSweepFallsBackToArbitrary(t *testing.T) {
+	m := map[int]*shapeSlot{}
+	for i := 0; i < 100; i++ {
+		m[i] = &shapeSlot{}
+		m[i].used.Store(true)
+	}
+	if n := sweep(m, 75, func(s *shapeSlot) bool { return s.used.Swap(false) }); n != 25 || len(m) != 75 {
+		t.Fatalf("evicted %d, %d left; want 25 and 75", n, len(m))
+	}
+	if n := sweep(m, 75, func(s *shapeSlot) bool { return s.used.Swap(false) }); n != 75 || len(m) != 0 {
+		t.Fatalf("second sweep over unused entries evicted %d, %d left", n, len(m))
+	}
+}
+
+// TestShapeLazyOnBareLiteral: a request written as a struct literal
+// fingerprints itself on first use, race-free under concurrent first uses,
+// and its seeded forms carry the same shape value.
+func TestShapeLazyOnBareLiteral(t *testing.T) {
+	req, _ := randomSpec(rand.New(rand.NewSource(5))).build()
+	var wg sync.WaitGroup
+	shapes := make([]*shape, 8)
+	for i := range shapes {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			shapes[i] = req.shapeOf()
+		}()
+	}
+	wg.Wait()
+	for _, s := range shapes {
+		if s != shapes[0] {
+			t.Fatal("concurrent first uses disagree on the shape")
+		}
+	}
+	seed := sparql.Binding{"s": rdf.NewIRI("http://e/1")}
+	if req.WithSeed(seed).shapeOf() != shapes[0] || req.WithSeeds([]sparql.Binding{seed}).shapeOf() != shapes[0] {
+		t.Fatal("seeded forms do not carry the leaf's shape")
+	}
+	if !req.Binds("s") || !req.Binds("o0") || req.Binds("nope") {
+		t.Fatal("Binds disagrees with the stars' variables")
+	}
+}
+
+// TestShapeRoundTrip: the canonical form decodes to a request with the
+// same canonical form, through every expression and node kind; the table
+// hands the same decoded request to every caller.
+func TestShapeRoundTrip(t *testing.T) {
+	rng := rand.New(rand.NewSource(9))
+	table := NewShapeTable()
+	for i := 0; i < 50; i++ {
+		req, _ := randomSpec(rng).build()
+		canon, err := req.Shape()
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, err := table.Resolve([]byte(canon))
+		if err != nil {
+			t.Fatalf("canonical form rejected: %v", err)
+		}
+		if again, _ := got.Shape(); again != canon {
+			t.Fatal("decoded request has a different canonical form")
+		}
+		if got.shapeOf().h != req.shapeOf().h {
+			t.Fatal("decoded request has a different fingerprint")
+		}
+		if got.Stars[0].Class != req.Stars[0].Class || got.Filters[0].String() != req.Filters[0].String() {
+			t.Fatalf("decoded %v / %v, want %v / %v", got.Stars[0], got.Filters[0], req.Stars[0], req.Filters[0])
+		}
+		if second, _ := table.Resolve([]byte(canon)); second != got {
+			t.Fatal("the table decoded a known shape again")
+		}
+	}
+}
+
+type customExpr struct{ sparql.VarExpr }
+
+// TestShapeRejects: bytes that are not a canonical form are an error and
+// are not remembered; a filter outside the closed AST still fingerprints
+// but does not serialize.
+func TestShapeRejects(t *testing.T) {
+	req, _ := randomSpec(rand.New(rand.NewSource(13))).build()
+	canon, _ := req.Shape()
+	deep := []byte{shapeVersion, 1, 1, 's', 1, 'c', 0, 1}
+	deep = append(deep, []byte(strings.Repeat(string(rune(exprNot)), maxExprDepth+2))...)
+	bad := map[string][]byte{
+		"empty":                nil,
+		"unknown version":      append([]byte{9}, canon[1:]...),
+		"truncated":            []byte(canon[:len(canon)/2]),
+		"trailing bytes":       append([]byte(canon), 0),
+		"no stars":             {shapeVersion, 0, 0},
+		"unknown expr tag":     append([]byte(canon[:len(canon)-1]), 0x55),
+		"huge count":           {shapeVersion, 0xff, 0xff, 0xff, 0xff, 0x0f},
+		"nested too deep":      deep,
+		"non-minimal uvarint":  append([]byte{shapeVersion, 0x81, 0x00}, canon[2:]...),
+		"no-argument function": {shapeVersion, 1, 1, 's', 1, 'c', 0, 1, exprFunc, 3, 'S', 'T', 'R', 0},
+	}
+	table := NewShapeTable()
+	for name, b := range bad {
+		if _, err := table.Resolve(b); err == nil {
+			t.Errorf("%s: accepted", name)
+		}
+	}
+	if table.Len() != 0 {
+		t.Fatalf("rejected bytes were remembered: %d shapes", table.Len())
+	}
+
+	opaque := &Request{Stars: req.Stars, Filters: []sparql.Expr{&customExpr{sparql.VarExpr{Name: "s"}}}}
+	if _, err := opaque.Shape(); err == nil {
+		t.Fatal("a filter outside the closed AST serialized")
+	}
+	if opaque.shapeOf().h == (&Request{Stars: req.Stars}).shapeOf().h {
+		t.Fatal("the opaque filter does not take part in the fingerprint")
+	}
+}
+
+// TestShapeTableBounded: the table sweeps at its cap and keeps resolving.
+func TestShapeTableBounded(t *testing.T) {
+	table := NewShapeTable()
+	for i := 0; i < 2*shapeTableCap; i++ {
+		req := &Request{Stars: []*StarQuery{{SubjectVar: "s", Class: fmt.Sprintf("http://c/%d", i)}}}
+		canon, _ := req.Shape()
+		if _, err := table.Resolve([]byte(canon)); err != nil {
+			t.Fatal(err)
+		}
+		if n := table.Len(); n > shapeTableCap {
+			t.Fatalf("%d shapes, cap %d", n, shapeTableCap)
+		}
+	}
+}

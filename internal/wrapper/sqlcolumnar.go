@@ -171,8 +171,8 @@ func (w *SQLWrapper) blockTranslation(req *Request, stars []*StarQuery) (*transl
 // rows into bindings and intern at the boundary.
 //
 // The decoded response is built as a respEntry and streamed from it, so a
-// repeated request — the engine's response cache hits on the prepared
-// plan's request identity plus seed content — skips translation, SQL
+// repeated request — the engine's response cache hits on the request's
+// content fingerprint, schema order and seed content — skips translation, SQL
 // execution and decoding entirely and replays the remembered ID rows
 // under the live network simulation.
 func (w *SQLWrapper) ExecuteColumnar(ctx context.Context, req *Request, schema *engine.Schema, d *dict.Dict) (*engine.CStream, error) {
@@ -193,8 +193,8 @@ func (w *SQLWrapper) ExecuteColumnar(ctx context.Context, req *Request, schema *
 	gen := w.src.DB.Gen()
 	var key respKey
 	if w.cache != nil {
-		key = respKeyFor(w.src.ID, uint8(w.mode), req, d)
-		if e := w.cache.lookup(key, req, gen); e != nil {
+		key = respKeyFor(w.src.ID, uint8(w.mode), req, schema, d)
+		if e := w.cache.lookup(key, req, schema, gen); e != nil {
 			w.resetSQL()
 			for _, stmt := range e.sql {
 				w.recordSQL(stmt)
@@ -216,7 +216,7 @@ func (w *SQLWrapper) ExecuteColumnar(ctx context.Context, req *Request, schema *
 	}
 	e.gen = gen
 	if w.cache != nil {
-		w.cache.store(key, e)
+		w.cache.store(key, req, schema, e)
 	}
 	return e.stream(ctx, w.sim, schema, w.batch), nil
 }

@@ -10,6 +10,7 @@ package wrapper
 import (
 	"context"
 	"fmt"
+	"sync/atomic"
 
 	"ontario/internal/dict"
 	"ontario/internal/engine"
@@ -43,7 +44,9 @@ func (s *StarQuery) Vars() []string {
 
 // Request is a wrapper invocation: one or more stars (more than one only
 // for relational sources under Heuristic 1) plus the filters the planner
-// decided to push to the source (Heuristic 2).
+// decided to push to the source (Heuristic 2). A bare struct literal is a
+// complete request; derive the seeded forms of a plan leaf with WithSeed /
+// WithSeeds so they carry its fingerprint instead of re-deriving it.
 type Request struct {
 	Stars   []*StarQuery
 	Filters []sparql.Expr
@@ -58,6 +61,10 @@ type Request struct {
 	// query with an IN/OR seed predicate, RDF sources evaluate the patterns
 	// in one graph pass. Seed and Seeds are mutually exclusive.
 	Seeds []sparql.Binding
+
+	// shape memoizes the content-derived identity of Stars and Filters
+	// (see shapeOf).
+	shape atomic.Pointer[shape]
 }
 
 // matchesAnySeed reports whether the solution is compatible with at least
@@ -164,8 +171,8 @@ func (w *RDFWrapper) ExecuteColumnar(ctx context.Context, req *Request, schema *
 	}
 	var key respKey
 	if w.cache != nil {
-		key = respKeyFor(w.id, 0, req, d)
-		if e := w.cache.lookup(key, req, 0); e != nil {
+		key = respKeyFor(w.id, 0, req, schema, d)
+		if e := w.cache.lookup(key, req, schema, 0); e != nil {
 			return e.stream(ctx, w.sim, schema, w.batch), nil
 		}
 	}
@@ -181,7 +188,7 @@ func (w *RDFWrapper) ExecuteColumnar(ctx context.Context, req *Request, schema *
 	}
 	e := newRespEntry(req, sols, schema, d)
 	if w.cache != nil {
-		w.cache.store(key, e)
+		w.cache.store(key, req, schema, e)
 	}
 	return e.stream(ctx, w.sim, schema, w.batch), nil
 }

@@ -183,6 +183,20 @@ func (s *SourceLimits) InFlight(source string) int { return s.lim.InFlight(sourc
 // Peak returns the source's highest observed in-flight request count.
 func (s *SourceLimits) Peak(source string) int { return s.lim.Peak(source) }
 
+// ResponseCacheStats is a snapshot of the engine's source-response cache:
+// requests answered by replaying a remembered response, requests that had
+// to evaluate their source, entries evicted at the cap, and live entries.
+type ResponseCacheStats struct {
+	Hits, Misses, Evictions int64
+	Entries                 int
+}
+
+// ResponseCacheStats reports the counters of the lake's response cache,
+// which every engine over the same lake shares.
+func (e *Engine) ResponseCacheStats() ResponseCacheStats {
+	return ResponseCacheStats(e.executor.ResponseCache().Stats())
+}
+
 // Query parses, plans and starts a SPARQL query, returning a streaming
 // cursor over its solutions. Cancelling ctx aborts the execution: wrappers
 // stop issuing requests and Next returns false with Err reporting the

@@ -414,3 +414,65 @@ func TestFacadeBlockBindLimitUnordered(t *testing.T) {
 		}
 	}
 }
+
+// TestResponsesSurvivePlanEviction: responses are remembered by what a
+// request asks, not by which plan object asked, so a plan that fell out of
+// the prepared-plan cache and was prepared again replays everything its
+// predecessor stored — across a mixed lake (rdb and rdf leaves) and a block
+// bind join (seeded requests), with no source evaluated on the second run.
+func TestResponsesSurvivePlanEviction(t *testing.T) {
+	mixed, err := lslod.BuildMixedLake(lslod.SmallScale(), 11, []string{lslod.DSDrugBank, lslod.DSLinkedCT})
+	if err != nil {
+		t.Fatal(err)
+	}
+	eng := ontario.New(mixed.Lake)
+	opts := []ontario.Option{ontario.WithAwarePlan(), ontario.WithNetworkScale(0),
+		ontario.WithJoinOperator(ontario.JoinBlockBind), ontario.WithBindConcurrency(1)}
+	run := func(q string) []string {
+		res, err := eng.Query(context.Background(), q, opts...)
+		if err != nil {
+			t.Fatal(err)
+		}
+		answers, err := res.Collect()
+		if err != nil {
+			t.Fatal(err)
+		}
+		return canonAnswers(t, answers)
+	}
+	for _, bq := range lslod.Queries() {
+		first, err := eng.Prepare(bq.Text, opts...)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want := run(bq.Text)
+		if len(want) == 0 {
+			t.Fatalf("%s: no answers", bq.ID)
+		}
+		// Churn the prepared-plan cache past its cap: it drops every plan.
+		for i := 0; i < 600; i++ {
+			churn := fmt.Sprintf("SELECT ?d WHERE { ?d <http://lake.tib.eu/diseasome/vocab#name> ?n } LIMIT %d", i+1)
+			if _, err := eng.Prepare(churn, opts...); err != nil {
+				t.Fatal(err)
+			}
+		}
+		again, err := eng.Prepare(bq.Text, opts...)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if again == first {
+			t.Fatalf("%s: the plan was not evicted, the test proves nothing", bq.ID)
+		}
+		before := eng.ResponseCacheStats()
+		got := run(bq.Text)
+		after := eng.ResponseCacheStats()
+		if strings.Join(got, "\n") != strings.Join(want, "\n") {
+			t.Fatalf("%s: the re-prepared plan answers differently", bq.ID)
+		}
+		if after.Misses != before.Misses {
+			t.Errorf("%s: the re-prepared plan evaluated its sources %d times", bq.ID, after.Misses-before.Misses)
+		}
+		if after.Hits == before.Hits {
+			t.Errorf("%s: the re-prepared plan hit no remembered response", bq.ID)
+		}
+	}
+}

@@ -11,9 +11,9 @@ import (
 // deterministic in (query text, resolved plan options, coarse source
 // health), and a plan tree is read-only during execution, so one Prepared
 // can back every engine over the catalog: a freshly built engine serving
-// the same workload starts with the lake's plans — and, because the
-// wrapper response cache keys on plan identity, with its decoded
-// responses — already warm.
+// the same workload starts with the lake's plans already warm. (The
+// wrapper response cache is lake-lifetime too and keys on request content,
+// so its responses outlive any plan dropped here.)
 type preparedCache struct {
 	mu      sync.RWMutex
 	entries map[string]*Prepared
