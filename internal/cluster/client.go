@@ -235,7 +235,7 @@ func (c *Client) fanOut(ctx context.Context, task []byte, schema *engine.Schema,
 func (c *Client) Service(ctx context.Context, sourceID string, req *wrapper.Request, schema *engine.Schema, d *dict.Dict, env core.FragmentEnv) (*engine.CStream, error) {
 	bp := getWireBuf(0)
 	defer putWireBuf(bp)
-	task, err := appendScanTask(*bp, sourceID, req, schema.Vars, env)
+	task, err := appendScanTask(*bp, sourceID, req, schema.Vars, d, env)
 	if err != nil {
 		return nil, err
 	}

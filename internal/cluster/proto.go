@@ -4,9 +4,13 @@ import (
 	"encoding/binary"
 	"fmt"
 	"math"
+	"slices"
 
 	"ontario/internal/core"
+	"ontario/internal/dict"
+	"ontario/internal/engine"
 	"ontario/internal/netsim"
+	"ontario/internal/rdf"
 	"ontario/internal/sparql"
 	"ontario/internal/wirefmt"
 	"ontario/internal/wrapper"
@@ -22,7 +26,7 @@ import (
 //	node  := 's' vars source shape | 'j' vars joinVars node node
 //	       | 'F' vars nexprs expr* node | 'u' vars nnodes node*
 //	shape := the request's canonical form as one string (wrapper.Request.Shape)
-//	seeds := 0 | 1 block | 2 block                      (none, Seed, Seeds)
+//	seeds := 0 | 1 block | 2 block                      (none, per-answer, block)
 //	block := vars nrows (0xff | term)*                  (one cell per row and var)
 //
 // A request's shape — stars and pushed filters — is serialised once per
@@ -258,60 +262,59 @@ func (we wireEnv) options() core.Options {
 	return opts
 }
 
-// appendSeeds writes req's seed section: the block's variable names once,
-// then one row of cells per seed.
-func appendSeeds(buf []byte, req *wrapper.Request) []byte {
-	seeds := req.Seeds
+// appendSeeds writes req's seed section: the seeds' variable names once,
+// then one cell per seed and variable, resolving each ID through d (the
+// coordinator's dictionary the seeds were drawn from).
+func appendSeeds(buf []byte, req *wrapper.Request, d *dict.Dict) []byte {
 	switch {
-	case len(seeds) > 0:
+	case req.Block:
 		buf = append(buf, seedsBlock)
-	case req.Seed != nil:
+	case req.Seeds.Rows > 0:
 		buf = append(buf, seedsOne)
-		seeds = []sparql.Binding{req.Seed}
 	default:
 		return append(buf, seedsNone)
 	}
-	var vars []string
-	for v := range seeds[0] {
-		vars = append(vars, v)
-	}
-	for _, s := range seeds[1:] {
-		for v := range s {
-			known := false
-			for _, u := range vars {
-				known = known || u == v
-			}
-			if !known {
-				vars = append(vars, v)
-			}
-		}
-	}
-	buf = wirefmt.AppendStrings(buf, vars)
-	buf = binary.AppendUvarint(buf, uint64(len(seeds)))
-	for _, s := range seeds {
-		for _, v := range vars {
-			if t, ok := s[v]; ok {
-				buf = wirefmt.AppendTerm(buf, t)
-			} else {
-				buf = append(buf, seedAbsent)
-			}
+	buf = wirefmt.AppendStrings(buf, req.Seeds.Vars)
+	buf = binary.AppendUvarint(buf, uint64(req.Seeds.Rows))
+	for _, id := range req.Seeds.IDs {
+		if id == dict.Unbound {
+			buf = append(buf, seedAbsent)
+		} else {
+			buf = wirefmt.AppendTerm(buf, d.MustLookup(id))
 		}
 	}
 	return buf
 }
 
-// readSeeds reads a seed section onto the resolved shape, returning the
-// request the task runs.
-func readSeeds(c *wirefmt.Cursor, shape *wrapper.Request) *wrapper.Request {
+// seedSection is a decoded seed section whose terms are not yet interned:
+// the worker's dictionary only takes them once the whole header has
+// parsed, so a rejected frame leaves nothing behind.
+type seedSection struct {
+	block bool
+	vars  []string
+	rows  int
+	cells []rdf.Term // row-major; Kind cellAbsent where a seed leaves its variable unbound
+}
+
+// cellAbsent marks an unbound cell; no decoded term has this kind.
+const cellAbsent rdf.TermKind = 0xff
+
+// readSeeds reads a seed section (nil for none).
+func readSeeds(c *wirefmt.Cursor) *seedSection {
 	form := c.Byte()
 	if form == seedsNone || c.Err != nil {
-		return shape
+		return nil
 	}
 	if form > seedsBlock {
 		c.Fail("unknown seed section form %d", form)
-		return shape
+		return nil
 	}
 	vars := c.Strings()
+	for i, v := range vars {
+		if slices.Contains(vars[:i], v) {
+			c.Fail("seed section repeats variable ?%s", v)
+		}
+	}
 	nrows := c.Uvarint()
 	// A row is one cell per variable and a cell at least one byte; rows of
 	// a block binding no variable take no bytes, so they get the batch row
@@ -323,31 +326,38 @@ func readSeeds(c *wirefmt.Cursor, shape *wrapper.Request) *wrapper.Request {
 		c.Fail("per-answer seed section with %d rows", nrows)
 	}
 	if c.Err != nil {
-		return shape
+		return nil
 	}
-	seeds := make([]sparql.Binding, nrows)
-	for i := range seeds {
-		b := make(sparql.Binding, len(vars))
-		for _, v := range vars {
-			if c.Rest() > 0 && c.P[c.Off] == seedAbsent {
-				c.Off++
-				continue
-			}
-			b[v] = c.Term()
+	sec := &seedSection{block: form == seedsBlock, vars: vars, rows: int(nrows), cells: make([]rdf.Term, int(nrows)*len(vars))}
+	for i := range sec.cells {
+		if c.Rest() > 0 && c.P[c.Off] == seedAbsent {
+			c.Off++
+			sec.cells[i].Kind = cellAbsent
+			continue
 		}
-		seeds[i] = b
+		sec.cells[i] = c.Term()
 	}
-	if c.Err != nil {
-		return shape
-	}
-	if form == seedsOne {
-		return shape.WithSeed(seeds[0])
-	}
-	return shape.WithSeeds(seeds)
+	return sec
 }
 
-// appendScanTask builds the task frame for one wrapper request.
-func appendScanTask(buf []byte, sourceID string, req *wrapper.Request, schema []string, env core.FragmentEnv) ([]byte, error) {
+// bind interns the section's terms into d and returns the seeded form of
+// the resolved shape.
+func (sec *seedSection) bind(shape *wrapper.Request, d *dict.Dict) *wrapper.Request {
+	seeds := engine.Seeds{Vars: sec.vars, IDs: make([]dict.ID, len(sec.cells)), Rows: sec.rows}
+	for i, t := range sec.cells {
+		if t.Kind != cellAbsent {
+			seeds.IDs[i] = d.Intern(t)
+		}
+	}
+	if sec.block {
+		return shape.WithSeeds(seeds)
+	}
+	return shape.WithSeed(seeds)
+}
+
+// appendScanTask builds the task frame for one wrapper request whose seed
+// IDs belong to d.
+func appendScanTask(buf []byte, sourceID string, req *wrapper.Request, schema []string, d *dict.Dict, env core.FragmentEnv) ([]byte, error) {
 	buf = appendEnv(append(buf, taskScan), env)
 	buf = wirefmt.AppendStrings(buf, schema)
 	buf = wirefmt.AppendString(buf, sourceID)
@@ -355,7 +365,7 @@ func appendScanTask(buf []byte, sourceID string, req *wrapper.Request, schema []
 	if err != nil {
 		return nil, err
 	}
-	return appendSeeds(buf, req), nil
+	return appendSeeds(buf, req, d), nil
 }
 
 // appendJoinTask builds the task frame for a shuffled symmetric hash join.
@@ -373,19 +383,22 @@ func appendFragTask(buf []byte, root core.PlanNode, env core.FragmentEnv) ([]byt
 }
 
 // parseTask decodes a task frame's payload, resolving request shapes
-// through the worker's shape table. Anything malformed — an unknown kind
-// or tag, a truncated section, a schema its shape cannot fill, trailing
-// bytes — is an error; only shapes that decoded are remembered.
-func parseTask(p []byte, shapes *wrapper.ShapeTable) (*task, error) {
+// through the worker's shape table and interning seed terms straight into
+// d's IDs. Anything malformed — an unknown kind or tag, a truncated
+// section, a schema its shape cannot fill, trailing bytes — is an error;
+// only shapes that decoded are remembered, and only a header that parsed
+// whole interns its seeds.
+func parseTask(p []byte, shapes *wrapper.ShapeTable, d *dict.Dict) (*task, error) {
 	c := &wirefmt.Cursor{P: p}
 	t := &task{kind: c.Byte()}
+	var seeds *seedSection
 	switch t.kind {
 	case taskHello:
 	case taskScan:
 		t.env = readEnv(c)
 		t.schema, t.source, t.req = readScan(c, shapes)
 		if c.Err == nil {
-			t.req = readSeeds(c, t.req)
+			seeds = readSeeds(c)
 		}
 	case taskJoin:
 		t.env = readEnv(c)
@@ -401,6 +414,9 @@ func parseTask(p []byte, shapes *wrapper.ShapeTable) (*task, error) {
 	}
 	if c.Err != nil {
 		return nil, c.Err
+	}
+	if seeds != nil {
+		t.req = seeds.bind(t.req, d)
 	}
 	return t, nil
 }

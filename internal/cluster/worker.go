@@ -311,7 +311,7 @@ func (w *Worker) handle(conn net.Conn) {
 		}
 		switch f.Type {
 		case frameTask:
-			t, err := parseTask(f.Payload, w.shapes)
+			t, err := parseTask(f.Payload, w.shapes, w.d)
 			if err != nil {
 				wc.enc.Error(f.Stream, "bad task header: "+err.Error())
 				continue

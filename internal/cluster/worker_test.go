@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"net"
+	"slices"
 	"sort"
 	"strings"
 	"testing"
@@ -17,6 +18,7 @@ import (
 	"ontario/internal/engine"
 	"ontario/internal/lslod"
 	"ontario/internal/netsim"
+	"ontario/internal/rdf"
 	"ontario/internal/sparql"
 	"ontario/internal/wirefmt"
 	"ontario/internal/wrapper"
@@ -152,13 +154,12 @@ func TestWorkerReplaysScan(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			var seeds []sparql.Binding
 			subject := svc.Req.Stars[0].SubjectVar
+			seeds := engine.Seeds{Vars: []string{subject}}
 			for b := range s.Batches() {
-				for _, sol := range engine.DecodeBatch(b, d) {
-					if len(seeds) < 3 {
-						seeds = append(seeds, sparql.Binding{subject: sol[subject]})
-					}
+				for r := 0; r < b.Len && seeds.Rows < 3; r++ {
+					seeds.IDs = append(seeds.IDs, b.Cols[b.Schema.Pos(subject)][r])
+					seeds.Rows++
 				}
 			}
 			block := svc.Req.WithSeeds(seeds)
@@ -172,7 +173,8 @@ func TestWorkerReplaysScan(t *testing.T) {
 				t.Fatalf("source %s: replayed scan differs:\n%v\nwant\n%v", svc.SourceID, again, first)
 			}
 			// An equal block built from scratch, not the same value.
-			if again := scan(svc, svc.Req.WithSeeds(append([]sparql.Binding(nil), seeds...))); !equalStrings(again, firstBlock) {
+			fresh := engine.Seeds{Vars: []string{subject}, IDs: slices.Clone(seeds.IDs), Rows: seeds.Rows}
+			if again := scan(svc, svc.Req.WithSeeds(fresh)); !equalStrings(again, firstBlock) {
 				t.Fatalf("source %s: replayed block differs", svc.SourceID)
 			}
 			after := tw.w.Info()
@@ -259,7 +261,7 @@ func equalStrings(a, b []string) bool {
 // one valid scan task.
 func badTaskFrames(t testing.TB, svc *core.ServiceNode, env core.FragmentEnv) map[string][]byte {
 	t.Helper()
-	valid, err := appendScanTask(nil, svc.SourceID, svc.Req, svc.Vars(), env)
+	valid, err := appendScanTask(nil, svc.SourceID, svc.Req, svc.Vars(), nil, env)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -282,6 +284,7 @@ func badTaskFrames(t testing.TB, svc *core.ServiceNode, env core.FragmentEnv) ma
 		"schema repeats a var":    scanWith(append(append([]string(nil), vars...), vars[0]), shape),
 		"unknown seed form":       append(append([]byte(nil), valid[:len(valid)-1]...), 9),
 		"seed block over payload": append(append([]byte(nil), valid[:len(valid)-1]...), seedsBlock, 1, 1, 'x', 0xff, 0xff, 0x03),
+		"seeds repeat a var":      append(append([]byte(nil), valid[:len(valid)-1]...), seedsOne, 2, 1, 'x', 1, 'x', 1, seedAbsent, seedAbsent),
 		"unknown fragment kind":   append(appendEnv([]byte{taskFrag}, env), 'z'),
 		"frag union of nothing":   append(appendEnv([]byte{taskFrag}, env), fragUnion, 0, 0),
 	}
@@ -334,7 +337,7 @@ func TestWorkerRejectsBadTaskHeader(t *testing.T) {
 	}
 
 	// The link is not wedged: the valid task still answers.
-	valid, _ := appendScanTask(nil, svc.SourceID, svc.Req, svc.Vars(), env)
+	valid, _ := appendScanTask(nil, svc.SourceID, svc.Req, svc.Vars(), nil, env)
 	stream++
 	if err := enc.Task(stream, valid); err != nil {
 		t.Fatal(err)
@@ -372,6 +375,8 @@ func taskCorpus(t testing.TB) [][]byte {
 	cat := bridge.LakeCatalog(lk.Lake)
 	env := core.FragmentEnv{Opts: core.Options{Network: netsim.Gamma2, BatchSize: 64}, Scale: 0.5, Seed: -3}
 	corpus := [][]byte{{taskHello}}
+	d := dict.New()
+	term := func(t rdf.Term) dict.ID { return d.Intern(t) }
 	add := func(b []byte, err error) {
 		if err != nil {
 			t.Fatal(err)
@@ -380,11 +385,13 @@ func taskCorpus(t testing.TB) [][]byte {
 	}
 	for _, plan := range lslodPlans(t, cat, core.Options{Aware: true, FilterPolicy: core.FilterAtSourceIfIndexed}) {
 		for _, svc := range services(plan.Root) {
-			subject := svc.Req.Stars[0].SubjectVar
-			seed := sparql.Binding{subject: {Value: "http://lake.tib.eu/x/1"}, "other": {Kind: 1, Value: "7", Datatype: "http://www.w3.org/2001/XMLSchema#integer"}}
-			add(appendScanTask(nil, svc.SourceID, svc.Req, svc.Vars(), env))
-			add(appendScanTask(nil, svc.SourceID, svc.Req.WithSeed(seed), svc.Vars(), env))
-			add(appendScanTask(nil, svc.SourceID, svc.Req.WithSeeds([]sparql.Binding{seed, {subject: {Value: "http://lake.tib.eu/x/2"}}, {}}), svc.Vars(), env))
+			vars := []string{svc.Req.Stars[0].SubjectVar, "other"}
+			x1, x2, seven := term(rdf.NewIRI("http://lake.tib.eu/x/1")), term(rdf.NewIRI("http://lake.tib.eu/x/2")), term(rdf.IntLiteral(7))
+			seed := engine.Seeds{Vars: vars, IDs: []dict.ID{x1, seven}, Rows: 1}
+			block := engine.Seeds{Vars: vars, IDs: []dict.ID{x1, seven, x2, dict.Unbound, dict.Unbound, dict.Unbound}, Rows: 3}
+			add(appendScanTask(nil, svc.SourceID, svc.Req, svc.Vars(), d, env))
+			add(appendScanTask(nil, svc.SourceID, svc.Req.WithSeed(seed), svc.Vars(), d, env))
+			add(appendScanTask(nil, svc.SourceID, svc.Req.WithSeeds(block), svc.Vars(), d, env))
 		}
 	}
 	for _, plan := range lslodPlans(t, cat, core.Options{JoinOperator: core.JoinSymmetricHash}) {
@@ -399,9 +406,10 @@ func taskCorpus(t testing.TB) [][]byte {
 // header naming the same shape resolves to the same decoded request.
 func TestTaskHeaderRoundTrip(t *testing.T) {
 	shapes := wrapper.NewShapeTable()
+	d := dict.New()
 	kinds := map[byte]int{}
 	for _, frame := range taskCorpus(t) {
-		tk, err := parseTask(frame, shapes)
+		tk, err := parseTask(frame, shapes, d)
 		if err != nil {
 			t.Fatalf("frame %q: %v", frame, err)
 		}
@@ -415,21 +423,33 @@ func TestTaskHeaderRoundTrip(t *testing.T) {
 		if tk.kind != taskScan {
 			continue
 		}
-		again, err := parseTask(frame, shapes)
+		again, err := parseTask(frame, shapes, d)
 		if err != nil {
 			t.Fatal(err)
 		}
 		if again.req.Stars[0] != tk.req.Stars[0] {
 			t.Fatal("a known shape was decoded again")
 		}
-		if len(again.req.Seeds) != len(tk.req.Seeds) || len(again.req.Seed) != len(tk.req.Seed) {
+		if again.req.Block != tk.req.Block || !slices.Equal(again.req.Seeds.IDs, tk.req.Seeds.IDs) {
 			t.Fatal("seed section decoded differently")
 		}
-		if n := len(tk.req.Seeds); n != 0 && (n != 3 || len(tk.req.Seeds[0]) != 2 || len(tk.req.Seeds[1]) != 1 || len(tk.req.Seeds[2]) != 0) {
-			t.Fatalf("seed block %v lost its shape", tk.req.Seeds)
+		seeds := tk.req.Seeds
+		if seeds.Rows == 0 {
+			continue
 		}
-		if tk.req.Seed != nil && tk.req.Seed["other"].Value != "7" {
-			t.Fatalf("per-answer seed %v lost a term", tk.req.Seed)
+		bound := func(row int) (n int) {
+			for _, id := range seeds.Row(row) {
+				if id != dict.Unbound {
+					n++
+				}
+			}
+			return n
+		}
+		if tk.req.Block && (seeds.Rows != 3 || bound(0) != 2 || bound(1) != 1 || bound(2) != 0) {
+			t.Fatalf("seed block %+v lost its shape", seeds)
+		}
+		if other := seeds.Row(0)[1]; len(seeds.Vars) != 2 || seeds.Vars[1] != "other" || d.MustLookup(other) != rdf.IntLiteral(7) {
+			t.Fatalf("seed %+v lost a term", seeds)
 		}
 	}
 	if kinds[taskScan] == 0 || kinds[taskFrag] != 5 || kinds[taskJoin] != 1 {
@@ -455,11 +475,15 @@ func FuzzTaskHeader(f *testing.F) {
 	}
 	f.Fuzz(func(t *testing.T, data []byte) {
 		shapes := wrapper.NewShapeTable()
-		tk, err := parseTask(data, shapes)
+		d := dict.New()
+		tk, err := parseTask(data, shapes, d)
 		if err != nil {
 			var ce errCorrupt
 			if !errors.As(err, &ce) {
 				t.Fatalf("rejection is not tagged corrupt: %v", err)
+			}
+			if d.Len() != 0 {
+				t.Fatalf("a rejected header interned %d terms", d.Len())
 			}
 			return
 		}

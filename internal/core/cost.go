@@ -398,7 +398,7 @@ func (cm *costModel) chooseJoin(l, r *orderedPlan, shared []string) *orderedPlan
 func partitionVars(n PlanNode) map[string]bool {
 	switch v := n.(type) {
 	case *ServiceNode:
-		if v.Req == nil || len(v.Req.Stars) != 1 || v.Req.Seed != nil || len(v.Req.Seeds) > 0 {
+		if v.Req == nil || len(v.Req.Stars) != 1 || v.Req.Seeds.Rows > 0 {
 			return nil
 		}
 		s := v.Req.Stars[0]

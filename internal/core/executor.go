@@ -12,7 +12,6 @@ import (
 	"ontario/internal/dict"
 	"ontario/internal/engine"
 	"ontario/internal/netsim"
-	"ontario/internal/sparql"
 	"ontario/internal/trace"
 	"ontario/internal/wrapper"
 )
@@ -436,13 +435,7 @@ func (x *Execution) runColumnar(ctx context.Context, n PlanNode, opts Options) (
 				// layout once.
 				svcSchema := engine.NewSchema(svc.Vars())
 				if v.Op == JoinBlockBind {
-					service := func(ctx context.Context, seeds []sparql.Binding) *engine.CStream {
-						if len(seeds) == 0 {
-							// An unconstrained block (cross product) is still
-							// one block request — and one response message —
-							// not a fallback to per-answer retrieval.
-							seeds = []sparql.Binding{sparql.NewBinding()}
-						}
+					service := func(ctx context.Context, seeds engine.Seeds) *engine.CStream {
 						s, err := runSvc(ctx, svc.Req.WithSeeds(seeds), svcSchema)
 						if err != nil {
 							// The join keeps draining other blocks; park the
@@ -454,11 +447,11 @@ func (x *Execution) runColumnar(ctx context.Context, n PlanNode, opts Options) (
 					}
 					jctx := engine.WithOpStats(ctx,
 						x.stats(v, "block-bind-join", strings.Join(v.JoinVars, ",")))
-					return engine.CBlockBindJoin(jctx, left, service, v.JoinVars, out, d,
+					return engine.CBlockBindJoin(jctx, left, service, v.JoinVars, out,
 						opts.EffectiveBindBlockSize(), opts.EffectiveBindConcurrency(),
 						opts.EffectiveBatchSize()), nil
 				}
-				service := func(ctx context.Context, seed sparql.Binding) *engine.CStream {
+				service := func(ctx context.Context, seed engine.Seeds) *engine.CStream {
 					s, err := runSvc(ctx, svc.Req.WithSeed(seed), svcSchema)
 					if err != nil {
 						x.fail(fmt.Errorf("source %s: %w", svc.SourceID, err))
@@ -468,7 +461,7 @@ func (x *Execution) runColumnar(ctx context.Context, n PlanNode, opts Options) (
 				}
 				jctx := engine.WithOpStats(ctx,
 					x.stats(v, "bind-join", strings.Join(v.JoinVars, ",")))
-				return engine.CBindJoin(jctx, left, service, v.JoinVars, out, d,
+				return engine.CBindJoin(jctx, left, service, v.JoinVars, out,
 					opts.EffectiveBatchSize()), nil
 			}
 			// Fall through to symmetric hash when the right side is not a

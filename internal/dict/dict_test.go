@@ -91,6 +91,72 @@ func TestConcurrentInternIsConsistent(t *testing.T) {
 	}
 }
 
+// TestIDsAreDense pins the ID layout Table's memory bound rests on: the
+// largest ID a dictionary has issued is at most 16 × (largest shard + 1),
+// so a table indexed by ID never outgrows the dictionary by more than its
+// shard imbalance.
+func TestIDsAreDense(t *testing.T) {
+	d := New()
+	var maxID ID
+	for i := 0; i < 20000; i++ {
+		var tm rdf.Term
+		switch i % 3 {
+		case 0:
+			tm = rdf.NewIRI(fmt.Sprintf("http://example.org/e/%d", i))
+		case 1:
+			tm = rdf.IntLiteral(int64(i))
+		default:
+			tm = rdf.NewLangLiteral(fmt.Sprintf("label %d", i), "en")
+		}
+		if id := d.Intern(tm); id > maxID {
+			maxID = id
+		}
+		if i%997 == 0 {
+			largest := 0
+			for s := range d.shards {
+				largest = max(largest, len(d.shards[s].terms))
+			}
+			if bound := ID(shardCount * (largest + 1)); maxID > bound {
+				t.Fatalf("after %d terms: max ID %d exceeds 16 x (largest shard %d + 1) = %d", i+1, maxID, largest, bound)
+			}
+		}
+	}
+}
+
+// TestTableConcurrentGrowth stores from several goroutines into ranges
+// that cross chunk boundaries, so growth races with stores and loads:
+// every store must stay visible (chunks never move) and no load may see a
+// value other than the one stored for its ID.
+func TestTableConcurrentGrowth(t *testing.T) {
+	var tbl Table[uint64]
+	const goroutines, n = 4, 5 * (1 << tableChunkBits)
+	var wg sync.WaitGroup
+	for g := 0; g < goroutines; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			for i := g; i < n; i += 2 {
+				id := ID(i)
+				if p := tbl.Load(id); p != nil && *p != uint64(i) {
+					t.Errorf("Load(%d) = %d", i, *p)
+					return
+				}
+				v := uint64(i)
+				tbl.Store(id, &v)
+			}
+		}(g)
+	}
+	wg.Wait()
+	for i := 0; i < n; i++ {
+		if p := tbl.Load(ID(i)); p == nil || *p != uint64(i) {
+			t.Fatalf("slot %d lost its value", i)
+		}
+	}
+	if p := tbl.Load(ID(1 << 40)); p != nil {
+		t.Fatal("Load beyond the table returned a value")
+	}
+}
+
 // BenchmarkIntern measures interning a repeating working set (the common
 // case: most terms of a batch are already in the dictionary).
 func BenchmarkIntern(b *testing.B) {

@@ -146,7 +146,8 @@ func BenchmarkBindJoin(b *testing.B) {
 	left := encodeInput(d, benchRelation(256, 64, "l"), 0)
 	right := benchRelation(512, 64, "r")
 	rSchema := NewSchema(varsOf(right))
-	svc := func(ctx context.Context, seed sparql.Binding) *CStream {
+	svc := func(ctx context.Context, seeds Seeds) *CStream {
+		seed := seeds.Bindings(d)[0]
 		var rows []sparql.Binding
 		for _, rb := range right {
 			if seed.Compatible(rb) {
@@ -159,7 +160,7 @@ func BenchmarkBindJoin(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		drain(CBindJoin(ctx, left.stream(), svc, []string{"k"}, out, d, 0))
+		drain(CBindJoin(ctx, left.stream(), svc, []string{"k"}, out, 0))
 	}
 }
 
@@ -169,8 +170,9 @@ func BenchmarkBlockBindJoin(b *testing.B) {
 	left := encodeInput(d, benchRelation(256, 64, "l"), 0)
 	right := benchRelation(512, 64, "r")
 	rSchema := NewSchema(varsOf(right))
-	svc := func(ctx context.Context, seeds []sparql.Binding) *CStream {
+	svc := func(ctx context.Context, ids Seeds) *CStream {
 		var rows []sparql.Binding
+		seeds := ids.Bindings(d)
 		for _, rb := range right {
 			for _, s := range seeds {
 				if s.Compatible(rb) {
@@ -185,7 +187,7 @@ func BenchmarkBlockBindJoin(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		drain(CBlockBindJoin(ctx, left.stream(), svc, []string{"k"}, out, d, 16, 4, 0))
+		drain(CBlockBindJoin(ctx, left.stream(), svc, []string{"k"}, out, 16, 4, 0))
 	}
 }
 
@@ -357,7 +359,7 @@ func BenchmarkColBatchHash(b *testing.B) {
 	var sink uint64
 	for i := 0; i < b.N; i++ {
 		for r := 0; r < batch.Len; r++ {
-			sink ^= hashRowPos(batch, r, cols)
+			sink ^= HashRowKey(batch, r, cols)
 		}
 	}
 	_ = sink
@@ -415,12 +417,12 @@ func TestProbeInnerLoopZeroAlloc(t *testing.T) {
 	keyCols := []int{0}
 	tbl := newColTable(2)
 	for r := 0; r < batch.Len; r++ {
-		tbl.insert(batch, r, hashRowPos(batch, r, keyCols))
+		tbl.insert(batch, r, HashRowKey(batch, r, keyCols))
 	}
 	var matches int
 	allocs := testing.AllocsPerRun(100, func() {
 		for r := 0; r < batch.Len; r++ {
-			h := hashRowPos(batch, r, keyCols)
+			h := HashRowKey(batch, r, keyCols)
 			for _, cand := range tbl.buckets[h] {
 				if keysEqualBT(batch, r, keyCols, tbl, cand, keyCols) {
 					matches++

@@ -19,7 +19,8 @@ import (
 // with it.
 func sliceService(d *dict.Dict, rights []sparql.Binding) CService {
 	schema := NewSchema(varsOf(rights))
-	return func(ctx context.Context, seed sparql.Binding) *CStream {
+	return func(ctx context.Context, seeds Seeds) *CStream {
+		seed := seeds.Bindings(d)[0]
 		var out []sparql.Binding
 		for _, rb := range rights {
 			if seed.Compatible(rb) {
@@ -34,10 +35,11 @@ func sliceService(d *dict.Dict, rights []sparql.Binding) CService {
 // binding compatible with at least one seed, each exactly once, unmerged.
 func sliceBlockService(d *dict.Dict, rights []sparql.Binding) CBlockService {
 	schema := NewSchema(varsOf(rights))
-	return func(ctx context.Context, seeds []sparql.Binding) *CStream {
+	return func(ctx context.Context, ids Seeds) *CStream {
 		var out []sparql.Binding
+		seeds := ids.Bindings(d)
 		for _, rb := range rights {
-			ok := len(seeds) == 0
+			ok := false
 			for _, s := range seeds {
 				if s.Compatible(rb) {
 					ok = true
@@ -122,12 +124,12 @@ func TestJoinOperatorEquivalence(t *testing.T) {
 		label := func(op string) string {
 			return fmt.Sprintf("iter %d, %s join on %v (%dx%d)", iter, op, shape.joinVars, nl, nr)
 		}
-		got := collect(CBindJoin(ctx, feed(ctx, d, lefts, batch), sliceService(d, rights), shape.joinVars, out, d, batch), d)
+		got := collect(CBindJoin(ctx, feed(ctx, d, lefts, batch), sliceService(d, rights), shape.joinVars, out, batch), d)
 		assertSameMultiset(t, label("bind"), got, want)
 
 		for _, cfg := range [][2]int{{1, 1}, {3, 2}, {16, 4}, {100, 8}} {
 			got = collect(CBlockBindJoin(ctx, feed(ctx, d, lefts, batch), sliceBlockService(d, rights),
-				shape.joinVars, out, d, cfg[0], cfg[1], batch), d)
+				shape.joinVars, out, cfg[0], cfg[1], batch), d)
 			assertSameMultiset(t, label(fmt.Sprintf("block-bind B=%d W=%d", cfg[0], cfg[1])), got, want)
 		}
 
@@ -158,10 +160,10 @@ func TestBlockBindJoinUnboundLeftJoinVar(t *testing.T) {
 		out := outSchema(lefts, rights)
 		for _, blockSize := range []int{1, 4, 64} {
 			got := collect(CBlockBindJoin(ctx, feed(ctx, d, lefts, 0), sliceBlockService(d, rights),
-				[]string{"x"}, out, d, blockSize, 3, 0), d)
+				[]string{"x"}, out, blockSize, 3, 0), d)
 			assertSameMultiset(t, fmt.Sprintf("iter %d B=%d", iter, blockSize), got, want)
 		}
-		got := collect(CBindJoin(ctx, feed(ctx, d, lefts, 0), sliceService(d, rights), []string{"x"}, out, d, 0), d)
+		got := collect(CBindJoin(ctx, feed(ctx, d, lefts, 0), sliceService(d, rights), []string{"x"}, out, 0), d)
 		assertSameMultiset(t, fmt.Sprintf("iter %d bind", iter), got, want)
 	}
 }
@@ -179,14 +181,14 @@ func TestBlockBindJoinBatchesRequests(t *testing.T) {
 		calls := 0
 		d := dict.New()
 		schema := NewSchema([]string{"x"})
-		svc := func(ctx context.Context, seeds []sparql.Binding) *CStream {
+		svc := func(ctx context.Context, seeds Seeds) *CStream {
 			mu.Lock()
 			calls++
 			mu.Unlock()
 			return CFromBindings(ctx, nil, schema, d, 0)
 		}
 		ctx := context.Background()
-		collect(CBlockBindJoin(ctx, feed(ctx, d, lefts, 0), svc, []string{"x"}, schema, d, tc.block, 4, 0), d)
+		collect(CBlockBindJoin(ctx, feed(ctx, d, lefts, 0), svc, []string{"x"}, schema, tc.block, 4, 0), d)
 		if calls != tc.want {
 			t.Errorf("n=%d B=%d: %d service calls, want %d", tc.n, tc.block, calls, tc.want)
 		}
@@ -204,10 +206,10 @@ func TestBlockBindJoinCancellation(t *testing.T) {
 	out := outSchema(lefts, rights)
 	streams := map[string]func(ctx context.Context) *CStream{
 		"bind": func(ctx context.Context) *CStream {
-			return CBindJoin(ctx, feed(ctx, d, lefts, 0), sliceService(d, rights), []string{"x"}, out, d, 0)
+			return CBindJoin(ctx, feed(ctx, d, lefts, 0), sliceService(d, rights), []string{"x"}, out, 0)
 		},
 		"block-bind": func(ctx context.Context) *CStream {
-			return CBlockBindJoin(ctx, feed(ctx, d, lefts, 0), sliceBlockService(d, rights), []string{"x"}, out, d, 16, 4, 0)
+			return CBlockBindJoin(ctx, feed(ctx, d, lefts, 0), sliceBlockService(d, rights), []string{"x"}, out, 16, 4, 0)
 		},
 		"symmetric-hash": func(ctx context.Context) *CStream {
 			return CSymmetricHashJoin(ctx, feed(ctx, d, lefts, 0), feed(ctx, d, rights, 0), []string{"x"}, out, 4, 0)
@@ -243,7 +245,7 @@ func TestBlockBindJoinCancellationDoesNotLeak(t *testing.T) {
 	rights := randomRelation(rng, []string{"x", "b"}, 500)
 	ctx, cancel := context.WithCancel(context.Background())
 	d := dict.New()
-	out := CBlockBindJoin(ctx, feed(ctx, d, lefts, 0), sliceBlockService(d, rights), []string{"x"}, outSchema(lefts, rights), d, 8, 4, 0)
+	out := CBlockBindJoin(ctx, feed(ctx, d, lefts, 0), sliceBlockService(d, rights), []string{"x"}, outSchema(lefts, rights), 8, 4, 0)
 	<-out.Batches() // first answers prove the pipeline is running
 	cancel()
 	done := make(chan struct{})

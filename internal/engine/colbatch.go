@@ -112,6 +112,40 @@ func HashRowKey(b *ColBatch, row int, cols []int) uint64 {
 	return h
 }
 
+// Seeds is a bind join's instantiation of its right side in dictionary-ID
+// form: Vars names the join variables and IDs holds Rows seeds of
+// len(Vars) IDs each, row-major, dict.Unbound where a seed leaves a
+// variable unbound. Rows is explicit because the seeds of a cross product
+// bind no variable at all. A request replayed from the response cache
+// hashes and compares these integers and never sees a term; only a
+// request that evaluates its source materializes them (Bindings).
+type Seeds struct {
+	Vars []string
+	IDs  []dict.ID
+	Rows int
+}
+
+// Row returns seed i's IDs in Vars order.
+func (s Seeds) Row(i int) []dict.ID {
+	return s.IDs[i*len(s.Vars) : (i+1)*len(s.Vars)]
+}
+
+// Bindings materializes the seeds as row-model bindings through d,
+// omitting unbound variables.
+func (s Seeds) Bindings(d *dict.Dict) []sparql.Binding {
+	out := make([]sparql.Binding, s.Rows)
+	for i := range out {
+		b := make(sparql.Binding, len(s.Vars))
+		for c, id := range s.Row(i) {
+			if id != dict.Unbound {
+				b[s.Vars[c]] = d.MustLookup(id)
+			}
+		}
+		out[i] = b
+	}
+	return out
+}
+
 // ColBuilder accumulates rows into a ColBatch. Builders are how every
 // columnar producer — operators, wrappers, the row-to-columnar adapter —
 // assembles output; Take hands the finished batch over and resets the

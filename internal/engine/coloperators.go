@@ -12,10 +12,10 @@ import (
 
 // The operators run over the dictionary-encoded layout: the hot paths
 // hash and compare raw uint64 IDs, and terms are only materialized where
-// a value is genuinely needed (FILTER expressions, ORDER BY keys, bind-join
-// seeds crossing the wrapper boundary). After a cancelled send an operator
-// stops producing but keeps draining its inputs, so upstream producers can
-// finish instead of blocking forever.
+// a value is genuinely needed (FILTER expressions, ORDER BY keys) — even
+// bind-join seeds cross the wrapper boundary as IDs (Seeds). After a
+// cancelled send an operator stops producing but keeps draining its
+// inputs, so upstream producers can finish instead of blocking forever.
 //
 // Join-key semantics: two rows fall in the same bucket only when their
 // join-variable IDs are EXACTLY equal, with unbound (0) a value of its own
@@ -41,21 +41,6 @@ func sharedPairs(l, r *Schema, exclude []string) (lp, rp []int) {
 		}
 	}
 	return lp, rp
-}
-
-// hashRowPos combines the IDs of one row's key columns into a hash; a
-// position of -1 (a variable the schema does not carry) contributes
-// Unbound.
-func hashRowPos(b *ColBatch, row int, pos []int) uint64 {
-	h := uint64(0x9e3779b97f4a7c15)
-	for _, c := range pos {
-		var id dict.ID
-		if c >= 0 {
-			id = b.Cols[c][row]
-		}
-		h = mix64(h ^ uint64(id))
-	}
-	return h
 }
 
 // compatBB reports whether row lr of l and row rr of r agree on the
@@ -97,6 +82,47 @@ func (t *colTable) insert(b *ColBatch, r int, h uint64) int32 {
 	}
 	t.buckets[h] = append(t.buckets[h], idx)
 	return idx
+}
+
+// insertKey appends the projection of row r of b onto the key columns
+// pos (-1 stores Unbound) — a table of keys, not rows, with stride
+// len(pos) — and returns its index.
+func (t *colTable) insertKey(b *ColBatch, r int, pos []int, h uint64) int32 {
+	idx := int32(t.rows)
+	t.rows++
+	for _, p := range pos {
+		id := dict.Unbound
+		if p >= 0 {
+			id = b.Cols[p][r]
+		}
+		t.data = append(t.data, id)
+	}
+	t.buckets[h] = append(t.buckets[h], idx)
+	return idx
+}
+
+// contains reports whether a stored row equals the columns pos of row r of
+// b, h being their hash; the stored rows hold exactly those columns, in
+// pos order (full rows under the identity mapping, or insertKey's keys).
+func (t *colTable) contains(b *ColBatch, r int, pos []int, h uint64) bool {
+	for _, si := range t.buckets[h] {
+		stored := t.data[int(si)*t.stride : int(si+1)*t.stride]
+		eq := true
+		for i, p := range pos {
+			id := dict.Unbound
+			if p >= 0 {
+				id = b.Cols[p][r]
+			}
+			if id != stored[i] {
+				eq = false
+				break
+			}
+		}
+		if eq {
+			return true
+		}
+	}
+	return false
 }
 
 // id returns the ID at column pos of a stored row; pos < 0 means a
@@ -367,7 +393,7 @@ func CSymmetricHashJoin(ctx context.Context, left, right *CStream, joinVars []st
 			}
 			hashes := make([]uint64, b.Len)
 			for r := 0; r < b.Len; r++ {
-				hashes[r] = hashRowPos(b, r, keyPos)
+				hashes[r] = HashRowKey(b, r, keyPos)
 			}
 			if par == 1 {
 				shardCh[0] <- cMorsel{fromLeft: fromLeft, hashes: hashes, batch: b}
@@ -405,28 +431,14 @@ func CSymmetricHashJoin(ctx context.Context, left, right *CStream, joinVars []st
 	return outS
 }
 
-// CService produces a columnar stream for a seed-instantiated request;
-// the seed crosses the wrapper boundary as a materialized binding because
-// remote hops and SQL translation speak terms, not IDs.
-type CService func(ctx context.Context, seed sparql.Binding) *CStream
-
-// seedBinding materializes the bound join variables of one row as a seed
-// (Project semantics: unbound variables are omitted).
-func seedBinding(b *ColBatch, r int, joinVars []string, pos []int, d *dict.Dict) sparql.Binding {
-	seed := sparql.NewBinding()
-	for i, p := range pos {
-		if p < 0 {
-			continue
-		}
-		if id := b.Cols[p][r]; id != dict.Unbound {
-			seed[joinVars[i]] = d.MustLookup(id)
-		}
-	}
-	return seed
-}
+// CService produces a columnar stream for a request instantiated with one
+// seed (Rows == 1): the left row's join-variable IDs, handed to the
+// wrapper as they are — a request the response cache answers never turns
+// them into terms.
+type CService func(ctx context.Context, seed Seeds) *CStream
 
 // CBindJoin is a dependent (nested-loop) join: per left row it extracts
-// the bound join variables as a seed, invokes the right service
+// the join variables' IDs as a seed, invokes the right service
 // instantiated with it and merges the compatible results. It trades
 // per-answer requests for smaller transfers. Results trickle in per
 // sequential service call, so the output is batched like a leaf
@@ -435,7 +447,7 @@ func seedBinding(b *ColBatch, r int, joinVars []string, pos []int, d *dict.Dict)
 // failed send the output is abandoned: the join stops invoking the right
 // service but keeps draining the left (and any in-flight right) stream so
 // producers can finish.
-func CBindJoin(ctx context.Context, left *CStream, right CService, joinVars []string, out *Schema, d *dict.Dict, batch int) *CStream {
+func CBindJoin(ctx context.Context, left *CStream, right CService, joinVars []string, out *Schema, batch int) *CStream {
 	if batch <= 0 {
 		batch = DefaultBatchSize
 	}
@@ -464,7 +476,12 @@ func CBindJoin(ctx context.Context, left *CStream, right CService, joinVars []st
 				if cancelled {
 					continue
 				}
-				seed := seedBinding(lb, lr, joinVars, lPos, d)
+				seed := Seeds{Vars: joinVars, IDs: make([]dict.ID, len(lPos)), Rows: 1}
+				for i, p := range lPos {
+					if p >= 0 {
+						seed.IDs[i] = lb.Cols[p][lr]
+					}
+				}
 				st.AddBlock()
 				rs := right(ctx, seed)
 				if rSchema != rs.Schema() {
@@ -494,25 +511,26 @@ func CBindJoin(ctx context.Context, left *CStream, right CService, joinVars []st
 }
 
 // CBlockService produces a stream for a request instantiated with a whole
-// block of seed bindings in a single invocation; it abstracts a multi-seed
-// wrapper call for the block bind join. The service returns the union of
-// the right solutions compatible with at least one seed, each underlying
-// solution exactly once and NOT merged with the seeds (the solutions bind
-// the join variables themselves, so the join matches them back to the
-// block's left rows by compatibility). An empty seed list means an
-// unconstrained request.
-type CBlockService func(ctx context.Context, seeds []sparql.Binding) *CStream
+// block of seeds in a single invocation; it abstracts a multi-seed wrapper
+// call for the block bind join. The service returns the union of the right
+// solutions compatible with at least one seed, each underlying solution
+// exactly once and NOT merged with the seeds (the solutions bind the join
+// variables themselves, so the join matches them back to the block's left
+// rows by compatibility). A seed binding none of the variables (all
+// Unbound) leaves the request unconstrained.
+type CBlockService func(ctx context.Context, seeds Seeds) *CStream
 
 // CBlockBindJoin is the block-based variant of CBindJoin (the FedX/ANAPSID
 // lineage "bound join"): left rows are gathered into blocks of blockSize,
-// each block's distinct seeds (deduplicated on raw ID tuples) are pushed
-// to the right service in ONE invocation — and hence one simulated network
-// message — and up to concurrency block requests are in flight at once.
+// each block's distinct seeds (deduplicated on raw ID tuples, which are
+// handed over as the block's Seeds) are pushed to the right service in
+// ONE invocation — and hence one simulated network message — and up to
+// concurrency block requests are in flight at once.
 // Output stays streaming: a block's answers are emitted as soon as its
 // service call returns, independent of later blocks. When joinVars is
 // empty the operator degrades to a cross product, like its sequential
 // counterpart.
-func CBlockBindJoin(ctx context.Context, left *CStream, right CBlockService, joinVars []string, out *Schema, d *dict.Dict, blockSize, concurrency, batch int) *CStream {
+func CBlockBindJoin(ctx context.Context, left *CStream, right CBlockService, joinVars []string, out *Schema, blockSize, concurrency, batch int) *CStream {
 	if blockSize < 1 {
 		blockSize = 1
 	}
@@ -541,11 +559,11 @@ func CBlockBindJoin(ctx context.Context, left *CStream, right CBlockService, joi
 		dispatch := func(block *ColBatch) {
 			// Distinct seeds by their join-variable ID tuple; a row with no
 			// bound join variable joins with every right solution, so it
-			// forces an unconstrained request for the whole block.
-			var seeds []sparql.Binding
+			// forces an unconstrained request for the whole block: one seed
+			// binding nothing.
 			seedTbl := newColTable(len(lPos))
-			unconstrained := false
-			for r := 0; r < block.Len && !unconstrained; r++ {
+			seedTbl.data = make([]dict.ID, 0, block.Len*len(lPos))
+			for r := 0; r < block.Len; r++ {
 				allUnbound := true
 				for _, p := range lPos {
 					if p >= 0 && block.Cols[p][r] != dict.Unbound {
@@ -554,43 +572,15 @@ func CBlockBindJoin(ctx context.Context, left *CStream, right CBlockService, joi
 					}
 				}
 				if allUnbound {
-					seeds = nil
-					unconstrained = true
+					seedTbl = newColTable(len(lPos))
+					seedTbl.insertKey(block, r, lPos, 0)
 					break
 				}
-				h := hashRowPos(block, r, lPos)
-				dup := false
-				for _, si := range seedTbl.buckets[h] {
-					eq := true
-					for i, p := range lPos {
-						var id dict.ID
-						if p >= 0 {
-							id = block.Cols[p][r]
-						}
-						if id != seedTbl.id(si, i) {
-							eq = false
-							break
-						}
-					}
-					if eq {
-						dup = true
-						break
-					}
+				if h := HashRowKey(block, r, lPos); !seedTbl.contains(block, r, lPos, h) {
+					seedTbl.insertKey(block, r, lPos, h)
 				}
-				if dup {
-					continue
-				}
-				idx := int32(len(seeds))
-				for _, p := range lPos {
-					var id dict.ID
-					if p >= 0 {
-						id = block.Cols[p][r]
-					}
-					seedTbl.data = append(seedTbl.data, id)
-				}
-				seedTbl.buckets[h] = append(seedTbl.buckets[h], idx)
-				seeds = append(seeds, seedBinding(block, r, joinVars, lPos, d))
 			}
+			seeds := Seeds{Vars: joinVars, IDs: seedTbl.data, Rows: seedTbl.rows}
 			sem <- struct{}{}
 			wg.Add(1)
 			st.AddBlock()
@@ -936,22 +926,8 @@ func CDistinct(ctx context.Context, in *CStream, batch int) *CStream {
 			}
 			kept = kept[:0]
 			for r := 0; r < b.Len; r++ {
-				h := hashRowPos(b, r, allPos)
-				dup := false
-				for _, si := range seen.buckets[h] {
-					eq := true
-					for c := 0; c < seen.stride; c++ {
-						if b.Cols[c][r] != seen.id(si, c) {
-							eq = false
-							break
-						}
-					}
-					if eq {
-						dup = true
-						break
-					}
-				}
-				if dup {
+				h := HashRowKey(b, r, allPos)
+				if seen.contains(b, r, allPos, h) {
 					continue
 				}
 				seen.insert(b, r, h)

@@ -45,10 +45,10 @@ func TestBindJoinDrainsInputsOnCancel(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	d := dict.New()
 	left, leftDone := rawProducer(d, 500)
-	service := func(ctx context.Context, seed sparql.Binding) *CStream {
-		return CFromBindings(ctx, []sparql.Binding{seed}, left.Schema(), d, 0)
+	service := func(ctx context.Context, seed Seeds) *CStream {
+		return CFromBindings(ctx, seed.Bindings(d), left.Schema(), d, 0)
 	}
-	out := CBindJoin(ctx, left, service, []string{"x"}, left.Schema(), d, 0)
+	out := CBindJoin(ctx, left, service, []string{"x"}, left.Schema(), 0)
 	<-out.Batches() // one answer arrived, then the client goes away
 	cancel()
 	awaitDone(t, "bind-join", leftDone)
@@ -78,10 +78,10 @@ func TestBlockBindJoinDrainsInputsOnCancel(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	d := dict.New()
 	left, leftDone := rawProducer(d, 500)
-	service := func(ctx context.Context, seeds []sparql.Binding) *CStream {
-		return CFromBindings(ctx, seeds, left.Schema(), d, 0)
+	service := func(ctx context.Context, seeds Seeds) *CStream {
+		return CFromBindings(ctx, seeds.Bindings(d), left.Schema(), d, 0)
 	}
-	out := CBlockBindJoin(ctx, left, service, []string{"x"}, left.Schema(), d, 8, 2, 0)
+	out := CBlockBindJoin(ctx, left, service, []string{"x"}, left.Schema(), 8, 2, 0)
 	<-out.Batches()
 	cancel()
 	awaitDone(t, "block-bind-join", leftDone)

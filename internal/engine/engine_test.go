@@ -155,7 +155,8 @@ func TestBindJoin(t *testing.T) {
 	// The right service answers only for x in {2,3} with two rows each.
 	d := dict.New()
 	svcSchema := NewSchema([]string{"w", "x"})
-	svc := func(ctx context.Context, seed sparql.Binding) *CStream {
+	svc := func(ctx context.Context, seeds Seeds) *CStream {
+		seed := seeds.Bindings(d)[0]
 		var rows []sparql.Binding
 		if v, ok := seed["x"]; ok && (v.Value == "2" || v.Value == "3") {
 			rows = []sparql.Binding{
@@ -165,7 +166,7 @@ func TestBindJoin(t *testing.T) {
 		}
 		return CFromBindings(ctx, rows, svcSchema, d, 0)
 	}
-	got := collect(CBindJoin(ctx, feed(ctx, d, left, 0), svc, []string{"x"}, svcSchema, d, 0), d)
+	got := collect(CBindJoin(ctx, feed(ctx, d, left, 0), svc, []string{"x"}, svcSchema, 0), d)
 	if len(got) != 4 {
 		t.Fatalf("bind join produced %d, want 4: %v", len(got), got)
 	}

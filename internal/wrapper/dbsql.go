@@ -46,7 +46,7 @@ func (w *DBSQLWrapper) ExecuteColumnar(ctx context.Context, req *Request, schema
 	if len(req.Stars) == 0 {
 		return nil, fmt.Errorf("wrapper %s: empty request", w.src.ID)
 	}
-	sols, err := w.solutions(ctx, req)
+	sols, err := w.solutions(ctx, req, d)
 	if err != nil {
 		return nil, err
 	}
@@ -56,17 +56,14 @@ func (w *DBSQLWrapper) ExecuteColumnar(ctx context.Context, req *Request, schema
 // solutions translates the request, runs it on the live connection and
 // decodes the matching rows; a request the translation proves empty
 // returns no solutions without touching the database.
-func (w *DBSQLWrapper) solutions(ctx context.Context, req *Request) ([]sparql.Binding, error) {
-	stars := req.Stars
-	if len(req.Seeds) == 0 {
-		stars = seedStars(stars, req.Seed)
-	}
-	tl, err := translateRequest(w.src, stars, req.Filters)
+func (w *DBSQLWrapper) solutions(ctx context.Context, req *Request, d *dict.Dict) ([]sparql.Binding, error) {
+	seed, seeds := req.seed(d), req.blockSeeds(d)
+	tl, err := translateRequest(w.src, seedStars(req.Stars, seed), req.Filters)
 	if err != nil || tl.empty {
 		return nil, err
 	}
-	if len(req.Seeds) > 0 {
-		seedCond, provablyEmpty := tl.seedPredicate(req.Seeds)
+	if req.Block {
+		seedCond, provablyEmpty := tl.seedPredicate(seeds)
 		if provablyEmpty {
 			return nil, nil
 		}
@@ -88,10 +85,10 @@ func (w *DBSQLWrapper) solutions(ctx context.Context, req *Request) ([]sparql.Bi
 		if !ok {
 			continue
 		}
-		if !matchesAnySeed(b, req.Seeds) {
+		if !matchesAnySeed(b, seeds) {
 			continue
 		}
-		if !passes(withSeed(b, req.Seed), tl.localFilters) {
+		if !passes(withSeed(b, seed), tl.localFilters) {
 			continue
 		}
 		sols = append(sols, b)

@@ -188,7 +188,7 @@ func TestDBSQLWrapperSeedBlockPushdown(t *testing.T) {
 	src := personSQLSource(t, conn)
 	w := NewDBSQLWrapper(src, NewHealthRegistry(fastResilience()), nil, 0)
 	seeds := []sparql.Binding{{"s": rdf.NewIRI("http://ex/person/1")}}
-	sols := collect(t, w, &Request{Stars: []*StarQuery{personSQLStar()}, Seeds: seeds})
+	sols := collect(t, w, &Request{Stars: []*StarQuery{personSQLStar()}, Block: true, Seeds: seedsOf(seeds...)})
 	// The stub ignores WHERE, so the local seed re-check must drop row 2.
 	if len(sols) != 1 || sols[0]["s"] != rdf.NewIRI("http://ex/person/1") {
 		t.Fatalf("block solutions = %v, want just person/1", sols)

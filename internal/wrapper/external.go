@@ -8,7 +8,6 @@ import (
 	"ontario/internal/dict"
 	"ontario/internal/engine"
 	"ontario/internal/netsim"
-	"ontario/internal/sparql"
 )
 
 // ExternalWrapper adapts a user-provided catalog.ExternalSource (a custom
@@ -43,10 +42,8 @@ func (w *ExternalWrapper) ExecuteColumnar(ctx context.Context, req *Request, sch
 	for i, s := range req.Stars {
 		stars[i] = catalog.ExternalStar{SubjectVar: s.SubjectVar, Class: s.Class, Patterns: s.Patterns}
 	}
-	seeds := req.Seeds
-	if len(seeds) == 0 && len(req.Seed) > 0 {
-		seeds = []sparql.Binding{req.Seed}
-	}
+	seeds := req.seedBindings(d)
+	seed := req.seed(d)
 	sols, err := w.src.ExecuteStars(ctx, stars, seeds)
 	if err != nil {
 		return nil, fmt.Errorf("wrapper %s: %w", w.id, err)
@@ -58,18 +55,7 @@ func (w *ExternalWrapper) ExecuteColumnar(ctx context.Context, req *Request, sch
 		}
 		// Pushed filters reference the stars' own variables; evaluate over
 		// the seed-merged binding so seeded variables resolve too.
-		eval := b
-		if len(req.Seed) > 0 {
-			eval = req.Seed.Merge(b)
-		}
-		ok := true
-		for _, f := range req.Filters {
-			if !sparql.EvalBool(f, eval) {
-				ok = false
-				break
-			}
-		}
-		if ok {
+		if passes(withSeed(b, seed), req.Filters) {
 			kept = append(kept, b)
 		}
 	}

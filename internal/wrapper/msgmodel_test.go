@@ -86,8 +86,8 @@ func TestResponseMessageModel(t *testing.T) {
 			build := func() []request {
 				return []request{
 					{"per-answer", &Request{Stars: tc.stars()}, tc.n, tc.n},
-					{"block", &Request{Stars: tc.stars(), Seeds: tc.hit()}, 1, 1},
-					{"empty block", &Request{Stars: tc.stars(), Seeds: tc.miss()}, 0, 1},
+					{"block", &Request{Stars: tc.stars(), Block: true, Seeds: seedsOf(tc.hit()...)}, 1, 1},
+					{"empty block", &Request{Stars: tc.stars(), Block: true, Seeds: seedsOf(tc.miss()...)}, 0, 1},
 				}
 			}
 			requests := build()

@@ -26,12 +26,12 @@ func TestSQLWrapperMultiSeedIN(t *testing.T) {
 
 	var want []sparql.Binding
 	for _, id := range []string{"1", "3", "5"} {
-		want = append(want, collect(t, w, &Request{Stars: stars, Seed: personSeed(id)})...)
+		want = append(want, collect(t, w, &Request{Stars: stars, Seeds: seedsOf(personSeed(id))})...)
 	}
 
-	got := collect(t, w, &Request{Stars: stars, Seeds: []sparql.Binding{
+	got := collect(t, w, &Request{Stars: stars, Block: true, Seeds: seedsOf(
 		personSeed("1"), personSeed("3"), personSeed("5"),
-	}})
+	)})
 	if len(got) != 3 || len(want) != 3 {
 		t.Fatalf("got %d block answers, %d sequential answers, want 3", len(got), len(want))
 	}
@@ -64,7 +64,7 @@ func TestSQLWrapperMultiSeedOR(t *testing.T) {
 		{"n": rdf.NewLiteral("ada"), "a": rdf.IntLiteral(20)},
 		{"n": rdf.NewLiteral("alan"), "a": rdf.IntLiteral(40)},
 	}
-	got := collect(t, w, &Request{Stars: stars, Seeds: seeds})
+	got := collect(t, w, &Request{Stars: stars, Block: true, Seeds: seedsOf(seeds...)})
 	if len(got) != 2 {
 		t.Fatalf("got %d answers, want 2: %v", len(got), got)
 	}
@@ -152,7 +152,7 @@ func TestSQLWrapperMultiSeedTypeRoundTrip(t *testing.T) {
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			got := collect(t, w, &Request{Stars: stars, Seeds: tc.seed})
+			got := collect(t, w, &Request{Stars: stars, Block: true, Seeds: seedsOf(tc.seed...)})
 			if len(got) != tc.rows {
 				t.Fatalf("got %d rows, want %d: %v", len(got), tc.rows, got)
 			}
@@ -187,9 +187,9 @@ func TestSQLWrapperMultiSeedUnsatisfiableSeeds(t *testing.T) {
 	w := NewSQLWrapper(src, nil, TranslationOptimized, 0)
 	stars := []*StarQuery{star(t, "p", "http://c/Person", `?p <http://p/name> ?n .`)}
 
-	got := collect(t, w, &Request{Stars: stars, Seeds: []sparql.Binding{
-		{"p": rdf.NewIRI("http://other/42")},
-	}})
+	got := collect(t, w, &Request{Stars: stars, Block: true, Seeds: seedsOf(
+		sparql.Binding{"p": rdf.NewIRI("http://other/42")},
+	)})
 	if len(got) != 0 {
 		t.Fatalf("unsatisfiable block returned %d answers", len(got))
 	}
@@ -197,9 +197,9 @@ func TestSQLWrapperMultiSeedUnsatisfiableSeeds(t *testing.T) {
 		t.Errorf("unsatisfiable block still queried the source: %v", sqls)
 	}
 
-	got = collect(t, w, &Request{Stars: stars, Seeds: []sparql.Binding{
-		{"p": rdf.NewIRI("http://other/42")}, personSeed("2"),
-	}})
+	got = collect(t, w, &Request{Stars: stars, Block: true, Seeds: seedsOf(
+		sparql.Binding{"p": rdf.NewIRI("http://other/42")}, personSeed("2"),
+	)})
 	if len(got) != 1 || got[0]["n"].Value != "grace" {
 		t.Fatalf("mixed block: got %v, want person 2 only", got)
 	}
@@ -212,9 +212,9 @@ func TestSQLWrapperMultiSeedSingleMessage(t *testing.T) {
 	sim := netsim.NewSimulator(netsim.NoDelay, 0, 1)
 	w := NewSQLWrapper(src, sim, TranslationOptimized, 0)
 	stars := []*StarQuery{star(t, "p", "http://c/Person", `?p <http://p/name> ?n .`)}
-	got := collect(t, w, &Request{Stars: stars, Seeds: []sparql.Binding{
+	got := collect(t, w, &Request{Stars: stars, Block: true, Seeds: seedsOf(
 		personSeed("1"), personSeed("2"), personSeed("3"), personSeed("4"),
-	}})
+	)})
 	if len(got) != 4 {
 		t.Fatalf("got %d answers, want 4", len(got))
 	}
@@ -240,7 +240,7 @@ func TestRDFWrapperMultiSeedBlock(t *testing.T) {
 		{"s": rdf.NewIRI("http://e/thing/a")},
 		{"s": rdf.NewIRI("http://e/thing/c")},
 	}
-	got := collect(t, w, &Request{Stars: stars, Seeds: seeds})
+	got := collect(t, w, &Request{Stars: stars, Block: true, Seeds: seedsOf(seeds...)})
 	if len(got) != 2 {
 		t.Fatalf("got %d answers, want 2: %v", len(got), got)
 	}
@@ -317,7 +317,7 @@ func TestBlockSeededMatchesUninstantiated(t *testing.T) {
 						want = append(want, b)
 					}
 				}
-				got := collect(t, w, &Request{Stars: st, Seeds: seeds})
+				got := collect(t, w, &Request{Stars: st, Block: true, Seeds: seedsOf(seeds...)})
 				if keys(got) != keys(want) {
 					t.Errorf("%s/%s/%s: block returned %d answers, un-instantiated pass %d:\n got %v\nwant %v",
 						w.SourceID(), sname, bname, len(got), len(want), got, want)

@@ -64,7 +64,7 @@ func (w *RemoteSPARQLWrapper) ExecuteColumnar(ctx context.Context, req *Request,
 	if len(req.Stars) == 0 {
 		return nil, fmt.Errorf("wrapper %s: empty request", w.id)
 	}
-	query := buildRemoteQuery(req)
+	query := buildRemoteQuery(req, d)
 	qt := trace.FromContext(ctx)
 	var sols []sparql.Binding
 	var attempts atomic.Int64
@@ -96,12 +96,13 @@ func (w *RemoteSPARQLWrapper) ExecuteColumnar(ctx context.Context, req *Request,
 	if err != nil {
 		return nil, fmt.Errorf("wrapper %s: endpoint %s: %w", w.id, w.endpoint, err)
 	}
-	if len(req.Seeds) > 0 {
+	if req.Block {
 		// The seed block went down as a FILTER disjunction; re-check locally
 		// so a permissive endpoint cannot widen the join.
+		seeds := req.blockSeeds(d)
 		kept := sols[:0]
 		for _, b := range sols {
-			if matchesAnySeed(b, req.Seeds) {
+			if matchesAnySeed(b, seeds) {
 				kept = append(kept, b)
 			}
 		}
@@ -116,12 +117,12 @@ func (w *RemoteSPARQLWrapper) ExecuteColumnar(ctx context.Context, req *Request,
 // conjunctions (the grammar subset has no VALUES), with the solutions
 // binding the seeded variables themselves — exactly the block-bind
 // contract the in-process wrappers implement.
-func buildRemoteQuery(req *Request) string {
+func buildRemoteQuery(req *Request, d *dict.Dict) string {
 	var patterns []sparql.TriplePattern
 	for _, s := range req.Stars {
 		patterns = append(patterns, s.Patterns...)
 	}
-	patterns = substituteSeed(patterns, req.Seed)
+	patterns = substituteSeed(patterns, req.seed(d))
 	var b strings.Builder
 	b.WriteString("SELECT * WHERE {")
 	for _, tp := range patterns {
@@ -134,7 +135,7 @@ func buildRemoteQuery(req *Request) string {
 		b.WriteString(f.String())
 		b.WriteString(")")
 	}
-	if cond := seedsFilter(req.Seeds, patterns); cond != "" {
+	if cond := seedsFilter(req.blockSeeds(d), patterns); cond != "" {
 		b.WriteString(" FILTER(")
 		b.WriteString(cond)
 		b.WriteString(")")

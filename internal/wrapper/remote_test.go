@@ -171,7 +171,7 @@ func TestRemoteWrapperSeedBlockFilter(t *testing.T) {
 		{"s": rdf.NewIRI("http://ex/p1")},
 		{"s": rdf.NewIRI("http://ex/p3")},
 	}
-	sols := collect(t, w, &Request{Stars: []*StarQuery{personStar()}, Seeds: seeds})
+	sols := collect(t, w, &Request{Stars: []*StarQuery{personStar()}, Block: true, Seeds: seedsOf(seeds...)})
 	// p2 is not among the seeds: the local re-check drops it even though the
 	// canned endpoint returned it.
 	if len(sols) != 1 || sols[0]["s"] != rdf.NewIRI("http://ex/p1") {
@@ -197,7 +197,7 @@ func TestRemoteWrapperSingleSeedSubstitutedAndMerged(t *testing.T) {
 	defer srv.Close()
 	w := newRemote(t, srv.URL, fastResilience())
 	seed := sparql.Binding{"s": rdf.NewIRI("http://ex/p1")}
-	sols := collect(t, w, &Request{Stars: []*StarQuery{personStar()}, Seed: seed})
+	sols := collect(t, w, &Request{Stars: []*StarQuery{personStar()}, Seeds: seedsOf(seed)})
 	if len(sols) != 1 {
 		t.Fatalf("got %d solutions, want 1", len(sols))
 	}

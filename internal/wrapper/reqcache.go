@@ -23,11 +23,11 @@ import (
 //
 // Keys are content-addressed: the request's shape fingerprint (derived
 // once per plan leaf and carried by its seeded forms, see shapeOf), the
-// output schema's variable order and the seed content, folded into one
-// fixed-size hash. Every hit verifies the stored shape, schema and seed
-// bindings, so a hash collision degrades to a miss, never to a wrong
-// answer. Entries are tagged with the source's content generation and
-// dropped when it moves.
+// output schema's variable order and the seeds' dictionary IDs, folded
+// into one fixed-size hash. Every hit verifies the stored shape, schema
+// and seed IDs, so a hash collision degrades to a miss, never to a wrong
+// answer — and a hit never touches a term. Entries are tagged with the
+// source's content generation and dropped when it moves.
 //
 // The cache must be scoped to one engine: entries hold IDs of that
 // engine's dictionary.
@@ -74,8 +74,7 @@ type respKey struct {
 	// contract (one message per block) differs from the per-answer form.
 	block bool
 	// h folds the shape fingerprint, the schema's variable order and the
-	// content hash of Seed (per-answer form) or of the Seeds list (block
-	// form); the entry verifies all three on hit.
+	// seed IDs; the entry verifies all three on hit.
 	h uint64
 }
 
@@ -85,8 +84,6 @@ type respKey struct {
 // delay contract it follows.
 type respEntry struct {
 	gen    uint64
-	seed   sparql.Binding
-	seeds  []sparql.Binding
 	stride int
 	nrows  int
 	rows   []dict.ID
@@ -97,32 +94,30 @@ type respEntry struct {
 	// its one message.
 	perRow bool
 
-	// shape and vars are the request identity the entry was stored under,
-	// compared on every hit; used is its second-chance flag.
+	// shape, vars and seeds are the request identity the entry was stored
+	// under, compared on every hit; used is its second-chance flag.
 	shape *shape
 	vars  []string
+	seeds engine.Seeds
 	used  atomic.Bool
 }
 
 // respKeyFor builds the cache key of req as issued against source with
-// the given output schema. Interning seed terms here is not wasted work:
-// the miss path interns the same terms anyway, and on a hit they are
-// already in the dictionary.
-func respKeyFor(source string, variant uint8, req *Request, schema *engine.Schema, d *dict.Dict) respKey {
-	k := respKey{source: source, variant: variant, block: len(req.Seeds) > 0}
+// the given output schema: integer work over the shape hash, the schema's
+// names and the seed IDs — no term is looked up or interned.
+func respKeyFor(source string, variant uint8, req *Request, schema *engine.Schema) respKey {
 	h := req.shapeOf().h
 	for _, v := range schema.Vars {
 		h = fnvString(h, v) * fnvPrime // the extra round separates the names
 	}
-	if k.block {
-		for _, s := range req.Seeds {
-			h = mixResp(h ^ seedHash(s, d))
-		}
-	} else {
-		h = mixResp(h ^ seedHash(req.Seed, d))
+	for _, v := range req.Seeds.Vars {
+		h = fnvString(h, v) * fnvPrime
 	}
-	k.h = h
-	return k
+	h = mixResp(h ^ uint64(req.Seeds.Rows))
+	for _, id := range req.Seeds.IDs {
+		h = mixResp(h ^ uint64(id))
+	}
+	return respKey{source: source, variant: variant, block: req.Block, h: h}
 }
 
 // fnvString folds s into h, FNV-1a style.
@@ -148,44 +143,15 @@ func mixResp(x uint64) uint64 {
 	return x
 }
 
-// seedHash is an order-independent content hash of one seed binding: the
-// dictionary makes term content a uint64, so each entry hashes as
-// var-name-hash mixed with the term's ID, combined by XOR.
-func seedHash(seed sparql.Binding, d *dict.Dict) uint64 {
-	h := uint64(len(seed))
-	for v, t := range seed {
-		h ^= mixResp(fnvString(fnvOffset, v) ^ (uint64(d.Intern(t)) * 0x9e3779b97f4a7c15))
-	}
-	return h
-}
-
-func bindingEq(a, b sparql.Binding) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for v, t := range a {
-		if u, ok := b[v]; !ok || u != t {
-			return false
-		}
-	}
-	return true
-}
-
 // matches verifies the stored request identity — shape, schema order and
-// seed content — against the request, guarding hash collisions in the key.
+// seed IDs — against the request, guarding hash collisions in the key (the
+// key itself carries the per-answer / block form).
 func (e *respEntry) matches(req *Request, schema *engine.Schema) bool {
 	if s := req.shapeOf(); e.shape != s && e.shape.canon != s.canon {
 		return false
 	}
-	if !slices.Equal(e.vars, schema.Vars) || len(e.seeds) != len(req.Seeds) {
-		return false
-	}
-	for i := range e.seeds {
-		if !bindingEq(e.seeds[i], req.Seeds[i]) {
-			return false
-		}
-	}
-	return bindingEq(e.seed, req.Seed)
+	return slices.Equal(e.vars, schema.Vars) && e.seeds.Rows == req.Seeds.Rows &&
+		slices.Equal(e.seeds.Vars, req.Seeds.Vars) && slices.Equal(e.seeds.IDs, req.Seeds.IDs)
 }
 
 // lookup returns the remembered response for k, or nil when there is
@@ -211,8 +177,8 @@ func (c *ResponseCache) lookup(k respKey, req *Request, schema *engine.Schema, g
 // and never asked for again — while unseeded ones start with their second
 // chance, so churn in the former cannot wipe the hot leaf responses.
 func (c *ResponseCache) store(k respKey, req *Request, schema *engine.Schema, e *respEntry) {
-	e.shape, e.vars = req.shapeOf(), schema.Vars
-	e.used.Store(len(req.Seeds) == 0 && len(req.Seed) == 0)
+	e.shape, e.vars, e.seeds = req.shapeOf(), schema.Vars, req.Seeds
+	e.used.Store(req.Seeds.Rows == 0)
 	c.mu.Lock()
 	if len(c.entries) >= respCacheCap {
 		n := sweep(c.entries, respCacheCap*3/4, func(e *respEntry) bool { return e.used.Swap(false) })
@@ -278,27 +244,35 @@ func (e *respEntry) stream(ctx context.Context, sim *netsim.Simulator, schema *e
 // (BGP matching, remote hops, unpushable filters) build their response
 // through it.
 func newRespEntry(req *Request, sols []sparql.Binding, schema *engine.Schema, d *dict.Dict) *respEntry {
-	e := &respEntry{stride: len(schema.Vars), perRow: len(req.Seeds) == 0}
-	if e.perRow {
-		e.seed = req.Seed
-	} else {
-		e.seeds = append([]sparql.Binding(nil), req.Seeds...)
-	}
-	e.rows, e.nrows = flattenSolutions(e.seed, sols, schema, d)
+	e := &respEntry{stride: len(schema.Vars), perRow: !req.Block}
+	e.rows, e.nrows = flattenSolutions(seedTemplate(req, schema), sols, schema, d)
 	return e
 }
 
-// flattenSolutions interns row-model solutions into one flat ID block in
-// schema order, reproducing the stream encoders' layout: the seed is
-// interned once into a row template and each solution overwrites the
-// positions it binds.
-func flattenSolutions(seed sparql.Binding, sols []sparql.Binding, schema *engine.Schema, d *dict.Dict) ([]dict.ID, int) {
-	stride := len(schema.Vars)
-	template := make([]dict.ID, stride)
-	for i, v := range schema.Vars {
-		if t, ok := seed[v]; ok {
-			template[i] = d.Intern(t)
+// seedTemplate places a per-answer request's seed IDs at their schema
+// positions (nil for an unseeded or block request, whose solutions bind
+// the seeded variables themselves).
+func seedTemplate(req *Request, schema *engine.Schema) []dict.ID {
+	if req.Block || req.Seeds.Rows == 0 {
+		return nil
+	}
+	template := make([]dict.ID, len(schema.Vars))
+	for i, id := range req.Seeds.Row(0) {
+		if p := schema.Pos(req.Seeds.Vars[i]); p >= 0 && id != dict.Unbound {
+			template[p] = id
 		}
+	}
+	return template
+}
+
+// flattenSolutions interns row-model solutions into one flat ID block in
+// schema order, reproducing the stream encoders' layout: each row starts
+// from the seed template (nil: all unbound) and each solution overwrites
+// the positions it binds.
+func flattenSolutions(template []dict.ID, sols []sparql.Binding, schema *engine.Schema, d *dict.Dict) ([]dict.ID, int) {
+	stride := len(schema.Vars)
+	if template == nil {
+		template = make([]dict.ID, stride)
 	}
 	rows := make([]dict.ID, 0, len(sols)*stride)
 	for _, b := range sols {

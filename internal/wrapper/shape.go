@@ -6,6 +6,7 @@ import (
 	"sync"
 	"sync/atomic"
 
+	"ontario/internal/engine"
 	"ontario/internal/sparql"
 	"ontario/internal/wirefmt"
 )
@@ -195,18 +196,18 @@ func (r *Request) shapeOf() *shape {
 	return r.shape.Load()
 }
 
-// WithSeed returns r's per-answer form for one bind-join seed. The derived
-// request shares r's stars, filters and fingerprint.
-func (r *Request) WithSeed(seed sparql.Binding) *Request {
-	out := &Request{Stars: r.Stars, Filters: r.Filters, Seed: seed}
+// WithSeed returns r's per-answer form for one bind-join seed (seed.Rows
+// == 1). The derived request shares r's stars, filters and fingerprint.
+func (r *Request) WithSeed(seed engine.Seeds) *Request {
+	out := &Request{Stars: r.Stars, Filters: r.Filters, Seeds: seed}
 	out.shape.Store(r.shapeOf())
 	return out
 }
 
 // WithSeeds returns r's block form for one block of bind-join seeds,
 // sharing r's stars, filters and fingerprint.
-func (r *Request) WithSeeds(seeds []sparql.Binding) *Request {
-	out := &Request{Stars: r.Stars, Filters: r.Filters, Seeds: seeds}
+func (r *Request) WithSeeds(seeds engine.Seeds) *Request {
+	out := &Request{Stars: r.Stars, Filters: r.Filters, Seeds: seeds, Block: true}
 	out.shape.Store(r.shapeOf())
 	return out
 }

@@ -3,10 +3,12 @@ package wrapper
 import (
 	"fmt"
 	"math/rand"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
 
+	"ontario/internal/dict"
 	"ontario/internal/engine"
 	"ontario/internal/rdf"
 	"ontario/internal/sparql"
@@ -21,7 +23,7 @@ type reqSpec struct {
 	npatterns int
 	filterOp  sparql.CompareOp
 	filterVal rdf.Term
-	seed      sparql.Binding
+	seeds     engine.Seeds // Rows == 0: unseeded
 	block     bool
 	variant   uint8
 	schema    []string
@@ -44,16 +46,9 @@ func (sp reqSpec) build() (*Request, *engine.Schema) {
 				&sparql.ConstExpr{Term: rdf.NewLiteral("x")}}}},
 		}},
 	}
-	seed := sparql.Binding{}
-	for v, t := range sp.seed {
-		seed[v] = t
-	}
-	switch {
-	case len(seed) == 0:
-	case sp.block:
-		req.Seeds = []sparql.Binding{seed}
-	default:
-		req.Seed = seed
+	if sp.seeds.Rows > 0 {
+		req.Seeds = engine.Seeds{Vars: slices.Clone(sp.seeds.Vars), IDs: slices.Clone(sp.seeds.IDs), Rows: sp.seeds.Rows}
+		req.Block = sp.block
 	}
 	return req, engine.NewSchema(append([]string(nil), sp.schema...))
 }
@@ -73,31 +68,51 @@ func randomSpec(rng *rand.Rand) reqSpec {
 		sp.schema = append(sp.schema, fmt.Sprintf("o%d", i))
 	}
 	if rng.Intn(3) > 0 {
-		sp.seed = sparql.Binding{"s": rdf.NewIRI(fmt.Sprintf("http://e/%d", rng.Intn(1000)))}
+		sp.seeds = randomSeeds(rng, sp.block)
 	}
 	return sp
+}
+
+// randomSeeds draws seeds over ?s and ?o0 as the bind joins hand them
+// over: one row for the per-answer form, one to three distinct rows for a
+// block. The IDs need not be interned — a cache key never resolves them.
+func randomSeeds(rng *rand.Rand, block bool) engine.Seeds {
+	s := engine.Seeds{Vars: []string{"s", "o0"}, Rows: 1}
+	if block {
+		s.Rows += rng.Intn(3)
+	}
+	for i := 0; i < s.Rows*len(s.Vars); i++ {
+		s.IDs = append(s.IDs, dict.ID(1+1000*i+rng.Intn(1000)))
+	}
+	return s
 }
 
 // TestResponseCacheKeyIsContent is the key's property: two independently
 // built, structurally equal requests share one entry, and a request that
 // differs in any one of class, a pattern constant, a filter constant, a
 // filter operator, the translation variant, the schema order, block versus
-// per-answer form, or a seed does not.
+// per-answer form (a per-answer seed against a block of that one seed
+// included), or the seed IDs — one ID changed, a variable turned Unbound,
+// two seeds of a block swapped, no seed at all — does not.
 func TestResponseCacheKeyIsContent(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
+	formsOfOneSeed := 0
 	for i := 0; i < 200; i++ {
 		sp := randomSpec(rng)
-		if sp.seed == nil {
-			sp.seed = sparql.Binding{"s": rdf.NewIRI("http://e/seeded")}
+		if sp.seeds.Rows == 0 {
+			sp.seeds = randomSeeds(rng, sp.block)
+		}
+		if sp.seeds.Rows == 1 {
+			formsOfOneSeed++
 		}
 		c := NewResponseCache()
 		req, schema := sp.build()
 		stored := newRespEntry(req, nil, schema, testDict)
-		c.store(respKeyFor("src", sp.variant, req, schema, testDict), req, schema, stored)
+		c.store(respKeyFor("src", sp.variant, req, schema), req, schema, stored)
 
 		lookup := func(sp reqSpec) *respEntry {
 			req, schema := sp.build()
-			return c.lookup(respKeyFor("src", sp.variant, req, schema, testDict), req, schema, 0)
+			return c.lookup(respKeyFor("src", sp.variant, req, schema), req, schema, 0)
 		}
 		if got := lookup(sp); got != stored {
 			t.Fatalf("spec %+v: an equal request built from scratch missed", sp)
@@ -113,8 +128,24 @@ func TestResponseCacheKeyIsContent(t *testing.T) {
 				m.schema[0], m.schema[1] = m.schema[1], m.schema[0]
 			},
 			"block vs per-answer": func(m *reqSpec) { m.block = !m.block },
-			"seed":                func(m *reqSpec) { m.seed = sparql.Binding{"s": rdf.NewIRI(m.seed["s"].Value + "x")} },
-			"unseeded":            func(m *reqSpec) { m.seed = nil },
+			"one ID changed": func(m *reqSpec) {
+				m.seeds.IDs = slices.Clone(m.seeds.IDs)
+				m.seeds.IDs[len(m.seeds.IDs)-1]++
+			},
+			"variable turned Unbound": func(m *reqSpec) {
+				m.seeds.IDs = slices.Clone(m.seeds.IDs)
+				m.seeds.IDs[0] = dict.Unbound
+			},
+			"unseeded": func(m *reqSpec) { m.seeds = engine.Seeds{} },
+		}
+		if sp.seeds.Rows > 1 {
+			mutations["two seeds swapped"] = func(m *reqSpec) {
+				m.seeds.IDs = slices.Clone(m.seeds.IDs)
+				r0, r1 := m.seeds.Row(0), m.seeds.Row(1)
+				for c := range r0 {
+					r0[c], r1[c] = r1[c], r0[c]
+				}
+			}
 		}
 		for name, mutate := range mutations {
 			m := sp
@@ -124,6 +155,9 @@ func TestResponseCacheKeyIsContent(t *testing.T) {
 			}
 		}
 	}
+	if formsOfOneSeed == 0 {
+		t.Fatal("no spec compared a per-answer seed with a one-seed block")
+	}
 }
 
 // TestResponseCacheCollisionIsMiss forces two different requests onto one
@@ -131,14 +165,14 @@ func TestResponseCacheKeyIsContent(t *testing.T) {
 func TestResponseCacheCollisionIsMiss(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
 	a, b := randomSpec(rng), randomSpec(rng)
-	b.variant, b.block, b.seed, b.schema = a.variant, a.block, a.seed, a.schema
+	b.variant, b.block, b.seeds, b.schema = a.variant, a.block, a.seeds, a.schema
 	reqA, schema := a.build()
 	reqB, _ := b.build()
 	if reqA.shapeOf().canon == reqB.shapeOf().canon {
 		t.Fatal("specs are equal")
 	}
 	c := NewResponseCache()
-	k := respKeyFor("src", a.variant, reqA, schema, testDict)
+	k := respKeyFor("src", a.variant, reqA, schema)
 	c.store(k, reqA, schema, newRespEntry(reqA, nil, schema, testDict))
 	if c.lookup(k, reqB, schema, 0) != nil {
 		t.Fatal("a different request under the same key was served")
@@ -156,21 +190,21 @@ func TestResponseCacheCollisionIsMiss(t *testing.T) {
 // a seeded entry that was hit stay — and it stays bounded.
 func TestResponseCacheSweep(t *testing.T) {
 	sp := randomSpec(rand.New(rand.NewSource(3)))
-	sp.seed = nil
+	sp.seeds = engine.Seeds{}
 	c := NewResponseCache()
 	hot, schema := sp.build()
-	hotKey := respKeyFor("src", 0, hot, schema, testDict)
+	hotKey := respKeyFor("src", 0, hot, schema)
 	c.store(hotKey, hot, schema, newRespEntry(hot, nil, schema, testDict))
 
 	block := func(i int) *Request {
-		return hot.WithSeeds([]sparql.Binding{{"s": rdf.NewIRI(fmt.Sprintf("http://e/%d", i))}})
+		return hot.WithSeeds(engine.Seeds{Vars: []string{"s"}, IDs: []dict.ID{dict.ID(i + 1)}, Rows: 1})
 	}
 	reused := block(0)
-	reusedKey := respKeyFor("src", 0, reused, schema, testDict)
+	reusedKey := respKeyFor("src", 0, reused, schema)
 	c.store(reusedKey, reused, schema, newRespEntry(reused, nil, schema, testDict))
 	for i := 1; i <= 3*respCacheCap; i++ {
 		req := block(i)
-		c.store(respKeyFor("src", 0, req, schema, testDict), req, schema, newRespEntry(req, nil, schema, testDict))
+		c.store(respKeyFor("src", 0, req, schema), req, schema, newRespEntry(req, nil, schema, testDict))
 		if i%100 == 0 {
 			// The hot entries are asked for between sweeps, as a replayed
 			// workload does; the other blocks never again.
@@ -224,8 +258,8 @@ func TestShapeLazyOnBareLiteral(t *testing.T) {
 			t.Fatal("concurrent first uses disagree on the shape")
 		}
 	}
-	seed := sparql.Binding{"s": rdf.NewIRI("http://e/1")}
-	if req.WithSeed(seed).shapeOf() != shapes[0] || req.WithSeeds([]sparql.Binding{seed}).shapeOf() != shapes[0] {
+	seed := engine.Seeds{Vars: []string{"s"}, IDs: []dict.ID{1}, Rows: 1}
+	if req.WithSeed(seed).shapeOf() != shapes[0] || req.WithSeeds(seed).shapeOf() != shapes[0] {
 		t.Fatal("seeded forms do not carry the leaf's shape")
 	}
 	if !req.Binds("s") || !req.Binds("o0") || req.Binds("nope") {

@@ -21,7 +21,7 @@ import (
 type sqlColDecoder struct {
 	d *dict.Dict
 	// template carries the IDs fixed for every row: the translation's
-	// constant bindings overlaid by the request seed (seed wins).
+	// constant bindings overlaid by the request's seed IDs (seed wins).
 	template []dict.ID
 	row      []dict.ID
 	cols     []sqlDecoderCol
@@ -36,7 +36,10 @@ type sqlDecoderCol struct {
 	memo    map[rdb.Value]dict.ID
 }
 
-func newSQLColDecoder(tl *translation, seed sparql.Binding, schema *engine.Schema, d *dict.Dict) *sqlColDecoder {
+// newSQLColDecoder builds the decoder of a translation; seed is the
+// request's seed template (seedTemplate: seed IDs at schema positions, nil
+// for none).
+func newSQLColDecoder(tl *translation, seed []dict.ID, schema *engine.Schema, d *dict.Dict) *sqlColDecoder {
 	dec := &sqlColDecoder{
 		d:        d,
 		template: make([]dict.ID, len(schema.Vars)),
@@ -47,15 +50,15 @@ func newSQLColDecoder(tl *translation, seed sparql.Binding, schema *engine.Schem
 			dec.template[p] = d.Intern(t)
 		}
 	}
-	for i, v := range schema.Vars {
-		if t, ok := seed[v]; ok {
-			dec.template[i] = d.Intern(t)
+	for i, id := range seed {
+		if id != dict.Unbound {
+			dec.template[i] = id
 		}
 	}
 	dec.cols = make([]sqlDecoderCol, len(tl.varOrder))
 	for i, v := range tl.varOrder {
 		pos := schema.Pos(v)
-		if _, seeded := seed[v]; seeded {
+		if pos >= 0 && seed != nil && seed[pos] != dict.Unbound {
 			pos = -1
 		}
 		dec.cols[i] = sqlDecoderCol{
@@ -105,17 +108,17 @@ type seedIDCheck struct {
 	ids []dict.ID
 }
 
-func buildSeedIDChecks(seeds []sparql.Binding, schema *engine.Schema, d *dict.Dict) []seedIDCheck {
-	out := make([]seedIDCheck, 0, len(seeds))
-	for _, seed := range seeds {
-		var c seedIDCheck
-		for v, t := range seed {
-			if p := schema.Pos(v); p >= 0 {
-				c.pos = append(c.pos, p)
-				c.ids = append(c.ids, d.Intern(t))
+func buildSeedIDChecks(seeds engine.Seeds, schema *engine.Schema) []seedIDCheck {
+	pos := schema.Positions(seeds.Vars)
+	out := make([]seedIDCheck, seeds.Rows)
+	for r := range out {
+		c := &out[r]
+		for i, id := range seeds.Row(r) {
+			if pos[i] >= 0 && id != dict.Unbound {
+				c.pos = append(c.pos, pos[i])
+				c.ids = append(c.ids, id)
 			}
 		}
-		out = append(out, c)
 	}
 	return out
 }
@@ -142,15 +145,15 @@ func matchesAnySeedIDs(ids []dict.ID, checks []seedIDCheck) bool {
 // blockTranslation translates a multi-seed block request and pushes the
 // seed predicate into the WHERE clause; empty is true when the
 // translation proves the result empty before touching the database.
-func (w *SQLWrapper) blockTranslation(req *Request, stars []*StarQuery) (*translation, bool, error) {
-	tl, err := translateRequest(w.src, stars, req.Filters)
+func (w *SQLWrapper) blockTranslation(req *Request, seeds []sparql.Binding) (*translation, bool, error) {
+	tl, err := translateRequest(w.src, req.Stars, req.Filters)
 	if err != nil {
 		return nil, false, err
 	}
 	if tl.empty {
 		return nil, true, nil
 	}
-	seedCond, provablyEmpty := tl.seedPredicate(req.Seeds)
+	seedCond, provablyEmpty := tl.seedPredicate(seeds)
 	if provablyEmpty {
 		return nil, true, nil
 	}
@@ -172,14 +175,14 @@ func (w *SQLWrapper) blockTranslation(req *Request, stars []*StarQuery) (*transl
 //
 // The decoded response is built as a respEntry and streamed from it, so a
 // repeated request — the engine's response cache hits on the request's
-// content fingerprint, schema order and seed content — skips translation, SQL
+// content fingerprint, schema order and seed IDs — skips translation, SQL
 // execution and decoding entirely and replays the remembered ID rows
 // under the live network simulation.
 func (w *SQLWrapper) ExecuteColumnar(ctx context.Context, req *Request, schema *engine.Schema, d *dict.Dict) (*engine.CStream, error) {
 	if len(req.Stars) == 0 {
 		return nil, fmt.Errorf("wrapper %s: empty request", w.src.ID)
 	}
-	if w.mode == TranslationNaive && len(req.Stars) > 1 && len(req.Seeds) == 0 {
+	if w.mode == TranslationNaive && len(req.Stars) > 1 && !req.Block {
 		// Uncached: the path exists to reproduce the paper's unoptimized
 		// behaviour, one latency sample per intermediate star row. Multi-seed
 		// block requests always use the single-query translation — the whole
@@ -193,7 +196,7 @@ func (w *SQLWrapper) ExecuteColumnar(ctx context.Context, req *Request, schema *
 	gen := w.src.DB.Gen()
 	var key respKey
 	if w.cache != nil {
-		key = respKeyFor(w.src.ID, uint8(w.mode), req, schema, d)
+		key = respKeyFor(w.src.ID, uint8(w.mode), req, schema)
 		if e := w.cache.lookup(key, req, schema, gen); e != nil {
 			w.resetSQL()
 			for _, stmt := range e.sql {
@@ -206,7 +209,7 @@ func (w *SQLWrapper) ExecuteColumnar(ctx context.Context, req *Request, schema *
 		e   *respEntry
 		err error
 	)
-	if len(req.Seeds) > 0 {
+	if req.Block {
 		e, err = w.columnarBlockEntry(req, schema, d)
 	} else {
 		e, err = w.columnarEntry(req, schema, d)
@@ -224,9 +227,10 @@ func (w *SQLWrapper) ExecuteColumnar(ctx context.Context, req *Request, schema *
 // columnarEntry translates, executes and decodes a per-answer request
 // into a response entry (one latency sample per row on replay).
 func (w *SQLWrapper) columnarEntry(req *Request, schema *engine.Schema, d *dict.Dict) (*respEntry, error) {
-	e := &respEntry{perRow: true, stride: len(schema.Vars), seed: req.Seed}
+	e := &respEntry{perRow: true, stride: len(schema.Vars)}
+	seed := req.seed(d)
 	w.resetSQL()
-	tl, err := translateRequest(w.src, seedStars(req.Stars, req.Seed), req.Filters)
+	tl, err := translateRequest(w.src, seedStars(req.Stars, seed), req.Filters)
 	if err != nil {
 		return nil, err
 	}
@@ -249,15 +253,15 @@ func (w *SQLWrapper) columnarEntry(req *Request, schema *engine.Schema, d *dict.
 			if !ok {
 				continue
 			}
-			if !passes(withSeed(b, req.Seed), tl.localFilters) {
+			if !passes(withSeed(b, seed), tl.localFilters) {
 				continue
 			}
 			sols = append(sols, b)
 		}
-		e.rows, e.nrows = flattenSolutions(req.Seed, sols, schema, d)
+		e.rows, e.nrows = flattenSolutions(seedTemplate(req, schema), sols, schema, d)
 		return e, nil
 	}
-	dec := newSQLColDecoder(tl, req.Seed, schema, d)
+	dec := newSQLColDecoder(tl, seedTemplate(req, schema), schema, d)
 	for _, row := range res.Rows {
 		ids, ok := dec.decode(row)
 		if !ok {
@@ -274,12 +278,10 @@ func (w *SQLWrapper) columnarEntry(req *Request, schema *engine.Schema, d *dict.
 // (possibly lossy) seed predicate re-checked by integer comparison. The
 // response is one simulated network message, sampled on replay.
 func (w *SQLWrapper) columnarBlockEntry(req *Request, schema *engine.Schema, d *dict.Dict) (*respEntry, error) {
-	e := &respEntry{
-		stride: len(schema.Vars),
-		seeds:  append([]sparql.Binding(nil), req.Seeds...),
-	}
+	e := &respEntry{stride: len(schema.Vars)}
+	seeds := req.blockSeeds(d)
 	w.resetSQL()
-	tl, empty, err := w.blockTranslation(req, req.Stars)
+	tl, empty, err := w.blockTranslation(req, seeds)
 	if err != nil {
 		return nil, err
 	}
@@ -301,7 +303,7 @@ func (w *SQLWrapper) columnarBlockEntry(req *Request, schema *engine.Schema, d *
 			if !ok {
 				continue
 			}
-			if !matchesAnySeed(b, req.Seeds) {
+			if !matchesAnySeed(b, seeds) {
 				continue
 			}
 			if !passes(b, tl.localFilters) {
@@ -313,7 +315,7 @@ func (w *SQLWrapper) columnarBlockEntry(req *Request, schema *engine.Schema, d *
 		return e, nil
 	}
 	dec := newSQLColDecoder(tl, nil, schema, d)
-	checks := buildSeedIDChecks(req.Seeds, schema, d)
+	checks := buildSeedIDChecks(req.Seeds, schema)
 	for _, row := range res.Rows {
 		ids, ok := dec.decode(row)
 		if !ok || !matchesAnySeedIDs(ids, checks) {

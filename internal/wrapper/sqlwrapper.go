@@ -121,7 +121,8 @@ func withSeed(b, seed sparql.Binding) sparql.Binding {
 // translation. The joined rows were already transferred, so the caller
 // streams the returned entry without a simulator.
 func (w *SQLWrapper) executeNaive(req *Request, schema *engine.Schema, d *dict.Dict) (*respEntry, error) {
-	stars := seedStars(req.Stars, req.Seed)
+	seed := req.seed(d)
+	stars := seedStars(req.Stars, seed)
 	w.resetSQL()
 	perStar := make([][]sparql.Binding, len(stars))
 	var leftoverFilters []sparql.Expr
@@ -167,7 +168,7 @@ func (w *SQLWrapper) executeNaive(req *Request, schema *engine.Schema, d *dict.D
 			if !ok {
 				continue
 			}
-			if !passes(withSeed(b, req.Seed), tl.localFilters) {
+			if !passes(withSeed(b, seed), tl.localFilters) {
 				continue
 			}
 			// Every intermediate row is retrieved across the network.
@@ -198,7 +199,7 @@ func (w *SQLWrapper) executeNaive(req *Request, schema *engine.Schema, d *dict.D
 	}
 	var sols []sparql.Binding
 	for _, b := range joined {
-		if passes(withSeed(b, req.Seed), leftoverFilters) {
+		if passes(withSeed(b, seed), leftoverFilters) {
 			sols = append(sols, b)
 		}
 	}

@@ -50,21 +50,59 @@ func (s *StarQuery) Vars() []string {
 type Request struct {
 	Stars   []*StarQuery
 	Filters []sparql.Expr
-	// Seed instantiates variables before execution (used by the sequential
-	// bind join).
-	Seed sparql.Binding
-	// Seeds is the multi-seed block of the block bind join: one invocation
-	// — and one simulated network message — answers the union of the
-	// request over every seed. The wrapper returns each matching solution
-	// exactly once, unmerged (the solutions bind the seeded variables
-	// themselves); relational sources push the block down as a single SQL
-	// query with an IN/OR seed predicate, RDF sources evaluate the patterns
-	// in one graph pass. Seed and Seeds are mutually exclusive.
-	Seeds []sparql.Binding
+	// Seeds instantiates the request for a bind join, as dictionary IDs of
+	// the execution's dictionary. Without Block it holds at most one seed —
+	// the sequential bind join's per-answer instantiation. With Block it is
+	// the block bind join's multi-seed block: one invocation — and one
+	// simulated network message — answers the union of the request over
+	// every seed. The wrapper returns each matching solution exactly once,
+	// unmerged (the solutions bind the seeded variables themselves);
+	// relational sources push the block down as a single SQL query with an
+	// IN/OR seed predicate, RDF sources evaluate the patterns in one graph
+	// pass. The IDs are the request's seed identity in the response cache,
+	// which keeps them: like Stars and Filters they must not change once
+	// the request has been executed. The terms behind them are materialized
+	// only when the wrapper evaluates its source (seedBindings).
+	Seeds engine.Seeds
+	Block bool
 
 	// shape memoizes the content-derived identity of Stars and Filters
-	// (see shapeOf).
+	// (see shapeOf); terms memoizes seedBindings.
 	shape atomic.Pointer[shape]
+	terms atomic.Pointer[[]sparql.Binding]
+}
+
+// seedBindings returns the seeds as row-model bindings, materialized from
+// d once per request: the term-evaluating paths — SQL translation, BGP
+// matching, remote and custom sources — share them, and a request the
+// response cache answers never builds them.
+func (r *Request) seedBindings(d *dict.Dict) []sparql.Binding {
+	if r.Seeds.Rows == 0 {
+		return nil
+	}
+	if p := r.terms.Load(); p != nil {
+		return *p
+	}
+	b := r.Seeds.Bindings(d)
+	r.terms.Store(&b)
+	return b
+}
+
+// seed returns the per-answer seed as a binding (nil for an unseeded or
+// block request).
+func (r *Request) seed(d *dict.Dict) sparql.Binding {
+	if r.Block || r.Seeds.Rows == 0 {
+		return nil
+	}
+	return r.seedBindings(d)[0]
+}
+
+// blockSeeds returns a block request's seeds as bindings (nil otherwise).
+func (r *Request) blockSeeds(d *dict.Dict) []sparql.Binding {
+	if !r.Block {
+		return nil
+	}
+	return r.seedBindings(d)
 }
 
 // matchesAnySeed reports whether the solution is compatible with at least
@@ -171,7 +209,7 @@ func (w *RDFWrapper) ExecuteColumnar(ctx context.Context, req *Request, schema *
 	}
 	var key respKey
 	if w.cache != nil {
-		key = respKeyFor(w.id, 0, req, schema, d)
+		key = respKeyFor(w.id, 0, req, schema)
 		if e := w.cache.lookup(key, req, schema, 0); e != nil {
 			return e.stream(ctx, w.sim, schema, w.batch), nil
 		}
@@ -181,10 +219,11 @@ func (w *RDFWrapper) ExecuteColumnar(ctx context.Context, req *Request, schema *
 		patterns = append(patterns, s.Patterns...)
 	}
 	var sols []sparql.Binding
-	if len(req.Seeds) > 0 {
-		sols = w.blockSolutions(req, patterns)
+	if req.Block {
+		sols = w.blockSolutions(req, req.blockSeeds(d), patterns)
 	} else {
-		sols = w.filteredSolutions(req, substituteSeed(patterns, req.Seed))
+		seed := req.seed(d)
+		sols = w.filteredSolutions(req, seed, substituteSeed(patterns, seed))
 	}
 	e := newRespEntry(req, sols, schema, d)
 	if w.cache != nil {
@@ -195,7 +234,7 @@ func (w *RDFWrapper) ExecuteColumnar(ctx context.Context, req *Request, schema *
 
 // filteredSolutions evaluates the (already seed-substituted) patterns and
 // applies the pushed filters.
-func (w *RDFWrapper) filteredSolutions(req *Request, patterns []sparql.TriplePattern) []sparql.Binding {
+func (w *RDFWrapper) filteredSolutions(req *Request, seed sparql.Binding, patterns []sparql.TriplePattern) []sparql.Binding {
 	sols := sparql.EvalBGP(w.graph, patterns)
 	if len(req.Filters) == 0 {
 		return sols
@@ -204,18 +243,7 @@ func (w *RDFWrapper) filteredSolutions(req *Request, patterns []sparql.TriplePat
 	for _, b := range sols {
 		// Filters may reference seeded variables that became constants;
 		// evaluate them over the merged binding.
-		eval := b
-		if len(req.Seed) > 0 {
-			eval = req.Seed.Merge(b)
-		}
-		ok := true
-		for _, f := range req.Filters {
-			if !sparql.EvalBool(f, eval) {
-				ok = false
-				break
-			}
-		}
-		if ok {
+		if passes(withSeed(b, seed), req.Filters) {
 			kept = append(kept, b)
 		}
 	}
@@ -228,12 +256,12 @@ func (w *RDFWrapper) filteredSolutions(req *Request, patterns []sparql.TriplePat
 // solutions are then restricted to those compatible with some seed. The
 // order of a block's answers is unspecified (it follows the seeds, not the
 // graph); LIMIT is applied at the mediator, never inside a request.
-func (w *RDFWrapper) blockSolutions(req *Request, patterns []sparql.TriplePattern) []sparql.Binding {
+func (w *RDFWrapper) blockSolutions(req *Request, seeds []sparql.Binding, patterns []sparql.TriplePattern) []sparql.Binding {
 	var sols []sparql.Binding
-	for _, b := range sparql.EvalBGPFrom(w.graph, patterns, seedProjections(req.Seeds, req.Vars())) {
+	for _, b := range sparql.EvalBGPFrom(w.graph, patterns, seedProjections(seeds, req.Vars())) {
 		// Pushed filters only reference the stars' own variables, which
 		// every solution binds.
-		if matchesAnySeed(b, req.Seeds) && passes(b, req.Filters) {
+		if matchesAnySeed(b, seeds) && passes(b, req.Filters) {
 			sols = append(sols, b)
 		}
 	}

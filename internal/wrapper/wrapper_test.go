@@ -2,6 +2,7 @@ package wrapper
 
 import (
 	"context"
+	"slices"
 	"sort"
 	"strings"
 	"testing"
@@ -97,6 +98,32 @@ func star(t *testing.T, subjectVar, class, patterns string) *StarQuery {
 // package run, like the lake-lifetime dictionary of an engine, so response
 // cache entries stay valid across requests.
 var testDict = dict.New()
+
+// seedsOf encodes row-model seeds the way the bind joins hand them to a
+// wrapper: ID rows over the sorted union of their variables, interned into
+// testDict, Unbound where a seed omits a variable.
+func seedsOf(bs ...sparql.Binding) engine.Seeds {
+	var vars []string
+	for _, b := range bs {
+		for v := range b {
+			if !slices.Contains(vars, v) {
+				vars = append(vars, v)
+			}
+		}
+	}
+	sort.Strings(vars)
+	s := engine.Seeds{Vars: vars, IDs: make([]dict.ID, 0, len(bs)*len(vars)), Rows: len(bs)}
+	for _, b := range bs {
+		for _, v := range vars {
+			id := dict.Unbound
+			if t, ok := b[v]; ok {
+				id = testDict.Intern(t)
+			}
+			s.IDs = append(s.IDs, id)
+		}
+	}
+	return s
+}
 
 // execute issues req on w over the request's own variables.
 func execute(ctx context.Context, w Wrapper, req *Request) (*engine.CStream, error) {
@@ -321,7 +348,7 @@ func TestSQLWrapperSeed(t *testing.T) {
 	w := NewSQLWrapper(src, nil, TranslationOptimized, 0)
 	req := &Request{
 		Stars: []*StarQuery{star(t, "p", "http://c/Person", `?p <http://p/name> ?n .`)},
-		Seed:  sparql.Binding{"p": rdf.NewIRI("http://e/person/4")},
+		Seeds: seedsOf(sparql.Binding{"p": rdf.NewIRI("http://e/person/4")}),
 	}
 	got := collect(t, w, req)
 	if len(got) != 1 || got[0]["n"].Value != "edsger" {
@@ -378,8 +405,7 @@ func TestRDFWrapper(t *testing.T) {
 		t.Errorf("messages = %d, want 2", sim.Messages())
 	}
 	// Seeded execution.
-	req.Seed = sparql.Binding{"n": rdf.NewLiteral("ada")}
-	got = collect(t, w, req)
+	got = collect(t, w, req.WithSeed(seedsOf(sparql.Binding{"n": rdf.NewLiteral("ada")})))
 	if len(got) != 1 {
 		t.Fatalf("seeded RDF wrapper: %v", got)
 	}

@@ -121,7 +121,7 @@ type Engine struct {
 	// lake's catalog and its IDs are stable, so a term crossing the HTTP
 	// boundary is marshaled once per lake — shared, like the dictionary
 	// itself, by every engine over the same catalog.
-	jsonTerms *termJSONCache
+	jsonTerms *termJSON
 
 	// plans memoizes prepared plans at lake lifetime (see preparedCache).
 	plans *preparedCache
@@ -147,7 +147,7 @@ func New(l *lake.Lake, opts ...EngineOption) *Engine {
 	if cat == nil {
 		panic("ontario: New requires a lake built with lake.NewBuilder")
 	}
-	jt := cat.Shared("json.terms", func() any { return newTermJSONCache() }).(*termJSONCache)
+	jt := cat.Shared("json.terms", func() any { return new(termJSON) }).(*termJSON)
 	pc := cat.Shared("prepared.plans", func() any { return newPreparedCache() }).(*preparedCache)
 	e := &Engine{planner: core.NewPlanner(cat), executor: core.NewExecutor(cat), lake: l, jsonTerms: jt, plans: pc}
 	for _, o := range opts {

@@ -70,10 +70,10 @@ type Results struct {
 	cidx    int
 
 	// json holds the lazily-built JSON encoding state (pre-marshaled
-	// keys, term cache) backing the server's fast path; jsonCache is the
-	// engine's cross-query term cache it draws from.
+	// keys, term encodings) backing the server's fast path; jsonCache is
+	// the engine's cross-query term table it draws from.
 	json      *resultsJSON
-	jsonCache *termJSONCache
+	jsonCache *termJSON
 
 	cur     Binding
 	err     error

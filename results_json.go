@@ -10,31 +10,11 @@ import (
 	"ontario/internal/rdf"
 )
 
-// termJSONCache memoizes marshaled terms by dictionary ID across every
-// query of a lake. IDs come from the catalog's lake-lifetime dictionary,
-// so an entry stays valid as long as the catalog; concurrent cursors (of
-// any engine over that catalog) share it under a read-mostly lock.
-type termJSONCache struct {
-	mu    sync.RWMutex
-	terms map[dict.ID][]byte
-}
-
-func newTermJSONCache() *termJSONCache {
-	return &termJSONCache{terms: make(map[dict.ID][]byte)}
-}
-
-func (c *termJSONCache) get(id dict.ID) ([]byte, bool) {
-	c.mu.RLock()
-	enc, ok := c.terms[id]
-	c.mu.RUnlock()
-	return enc, ok
-}
-
-func (c *termJSONCache) put(id dict.ID, enc []byte) {
-	c.mu.Lock()
-	c.terms[id] = enc
-	c.mu.Unlock()
-}
+// termJSON memoizes the marshaled encoding of terms by dictionary ID
+// across every query of a lake. IDs come from the catalog's lake-lifetime
+// dictionary, so an entry stays valid as long as the catalog; concurrent
+// cursors (of any engine over that catalog) read it without a lock.
+type termJSON = dict.Table[[]byte]
 
 // jsonBufPool recycles encode buffers between cursors: a query's payload
 // buffer grows to one batch's JSON and is returned on Close, so steady
@@ -52,8 +32,8 @@ type resultsJSON struct {
 	// cols pairs each output column with its pre-marshaled `"var":` key
 	// prefix, ordered by variable name so the object keys come out sorted.
 	cols []jsonCol
-	// shared is the engine's cross-query term cache.
-	shared *termJSONCache
+	// shared is the engine's cross-query term encodings.
+	shared *termJSON
 	// buf is the encode buffer, borrowed from jsonBufPool via pooled and
 	// handed back when the cursor closes.
 	buf    []byte
@@ -83,8 +63,8 @@ func marshalKey(v string) []byte {
 
 // marshalTerm appends the sparql-results+json encoding of one term:
 // {"type":...,"value":...} with datatype and xml:lang only when present —
-// the same member set and order encoding/json produces for the server's
-// jsonTerm struct.
+// byte for byte what encoding/json produces for the equivalent struct with
+// omitempty datatype and xml:lang members (TestMarshalTermMatchesJSON).
 func marshalTerm(dst []byte, t rdf.Term) []byte {
 	dst = append(dst, `{"type":`...)
 	switch t.Kind {
@@ -128,14 +108,14 @@ func (r *Results) jsonState() *resultsJSON {
 	return j
 }
 
-// term returns the cached encoding of the term behind id, marshaling and
+// encodedTerm returns the encoding of the term behind id, marshaling and
 // memoizing it on first sight.
-func (j *resultsJSON) term(d *dict.Dict, id dict.ID) []byte {
-	if enc, ok := j.shared.get(id); ok {
-		return enc
+func encodedTerm(shared *termJSON, d *dict.Dict, id dict.ID) []byte {
+	if enc := shared.Load(id); enc != nil {
+		return *enc
 	}
 	enc := marshalTerm(nil, d.MustLookup(id))
-	j.shared.put(id, enc)
+	shared.Store(id, &enc)
 	return enc
 }
 
@@ -165,7 +145,7 @@ func (r *Results) nextBatchJSON() ([]byte, int, bool) {
 				buf = append(buf, ',')
 			}
 			buf = append(buf, c.key...)
-			buf = append(buf, j.term(r.dict, id)...)
+			buf = append(buf, encodedTerm(j.shared, r.dict, id)...)
 		}
 		buf = append(buf, '}')
 		n++
