@@ -35,7 +35,7 @@ SELECT ?disease ?name ?glabel WHERE {
 	for _, mode := range []string{"unaware", "aware"} {
 		opts := []ontario.Option{
 			ontario.WithNetwork(ontario.Gamma2), // ~3 ms mean latency per answer
-			ontario.WithNetworkScale(0.2),      // sleep at 20% of sampled delays
+			ontario.WithNetworkScale(0.2),       // sleep at 20% of sampled delays
 		}
 		if mode == "aware" {
 			opts = append(opts, ontario.WithAwarePlan())

@@ -677,18 +677,25 @@ func CNestedLoopJoin(ctx context.Context, left, right *CStream, joinVars []strin
 	return outS
 }
 
-// scratchEval evaluates row-model filter expressions against columnar
+// ScratchEval evaluates row-model filter expressions against columnar
 // rows through one reusable scratch binding: only the variables the
 // expressions actually reference are materialized, and the map is cleared
-// and refilled per row instead of allocated.
-type scratchEval struct {
-	vars []string
-	pos  []int
-	m    sparql.Binding
-	d    *dict.Dict
+// and refilled per row instead of allocated. The wrappers evaluate the
+// filters they apply themselves through it too.
+type ScratchEval struct {
+	exprs []sparql.Expr
+	vars  []string
+	pos   []int
+	m     sparql.Binding
+	d     *dict.Dict
 }
 
-func newScratchEval(exprs []sparql.Expr, s *Schema, d *dict.Dict) *scratchEval {
+// NewScratchEval returns the evaluator of exprs over rows laid out as s,
+// or nil — which passes every row — when there are no expressions.
+func NewScratchEval(exprs []sparql.Expr, s *Schema, d *dict.Dict) *ScratchEval {
+	if len(exprs) == 0 {
+		return nil
+	}
 	seen := map[string]bool{}
 	var vars []string
 	for _, e := range exprs {
@@ -699,13 +706,29 @@ func newScratchEval(exprs []sparql.Expr, s *Schema, d *dict.Dict) *scratchEval {
 			}
 		}
 	}
-	return &scratchEval{vars: vars, pos: s.Positions(vars), m: sparql.NewBinding(), d: d}
+	return &ScratchEval{exprs: exprs, vars: vars, pos: s.Positions(vars), m: sparql.NewBinding(), d: d}
+}
+
+// passes reports whether the filled binding satisfies every expression.
+func (s *ScratchEval) passes(m sparql.Binding) bool {
+	for _, e := range s.exprs {
+		if !sparql.EvalBool(e, m) {
+			return false
+		}
+	}
+	return true
+}
+
+// PassesIDs reports whether a raw row in the schema's order satisfies
+// every expression.
+func (s *ScratchEval) PassesIDs(ids []dict.ID) bool {
+	return s == nil || s.passes(s.bindIDs(ids))
 }
 
 // bind fills the scratch binding from row r of b (a variable the schema
 // does not carry, or an unbound column, stays absent — expression
 // evaluation then errors and EvalBool yields false, the row semantics).
-func (s *scratchEval) bind(b *ColBatch, r int) sparql.Binding {
+func (s *ScratchEval) bind(b *ColBatch, r int) sparql.Binding {
 	clear(s.m)
 	for i, p := range s.pos {
 		if p < 0 {
@@ -719,7 +742,7 @@ func (s *scratchEval) bind(b *ColBatch, r int) sparql.Binding {
 }
 
 // bindIDs fills the scratch binding from a raw output-schema row.
-func (s *scratchEval) bindIDs(ids []dict.ID) sparql.Binding {
+func (s *ScratchEval) bindIDs(ids []dict.ID) sparql.Binding {
 	clear(s.m)
 	for i, p := range s.pos {
 		if p < 0 {
@@ -752,10 +775,7 @@ func CLeftJoin(ctx context.Context, left, right *CStream, filters []sparql.Expr,
 			outL[i] = left.schema.Pos(v)
 			outR[i] = right.schema.Pos(v)
 		}
-		var ev *scratchEval
-		if len(filters) > 0 {
-			ev = newScratchEval(filters, out, d)
-		}
+		ev := NewScratchEval(filters, out, d)
 		merged := make([]dict.ID, len(out.Vars))
 		em := newCEmitter(ctx, outS, batch, st)
 		for {
@@ -785,15 +805,7 @@ func CLeftJoin(ctx context.Context, left, right *CStream, filters []sparql.Expr,
 							}
 							merged[c] = id
 						}
-						m := ev.bindIDs(merged)
-						ok := true
-						for _, f := range filters {
-							if !sparql.EvalBool(f, m) {
-								ok = false
-								break
-							}
-						}
-						if !ok {
+						if !ev.PassesIDs(merged) {
 							continue
 						}
 						matched = true
@@ -824,7 +836,7 @@ func CFilter(ctx context.Context, in *CStream, exprs []sparql.Expr, d *dict.Dict
 	go func() {
 		defer out.Close()
 		defer st.close()
-		ev := newScratchEval(exprs, in.schema, d)
+		ev := NewScratchEval(exprs, in.schema, d)
 		ident := in.schema.Positions(in.schema.Vars)
 		var kept []int32
 		for {
@@ -834,15 +846,7 @@ func CFilter(ctx context.Context, in *CStream, exprs []sparql.Expr, d *dict.Dict
 			}
 			kept = kept[:0]
 			for r := 0; r < b.Len; r++ {
-				m := ev.bind(b, r)
-				ok := true
-				for _, e := range exprs {
-					if !sparql.EvalBool(e, m) {
-						ok = false
-						break
-					}
-				}
-				if ok {
+				if ev.passes(ev.bind(b, r)) {
 					kept = append(kept, int32(r))
 				}
 			}

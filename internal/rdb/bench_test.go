@@ -13,8 +13,8 @@ var benchRows int
 
 // BenchmarkSeedBlockIN times the statement a 16-seed block-bind request
 // becomes — a 16-literal IN on a foreign key of a 20k-row table — with the
-// foreign key indexed and with the index dropped. Statements run below the
-// result cache, so every iteration pays the access path.
+// foreign key indexed and with the index dropped. Every iteration pays the
+// access path.
 func BenchmarkSeedBlockIN(b *testing.B) {
 	const rows, genes, block = 20000, 2500, 16
 	for _, indexed := range []bool{true, false} {

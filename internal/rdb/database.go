@@ -16,26 +16,10 @@ type Database struct {
 	tables map[string]*Table
 
 	// gen versions the database's contents: every table create, row
-	// insert, and index create bumps it, invalidating the result cache.
-	// In the federated setting the lake loads once and is then read-only,
-	// so after loading the generation never moves and a repeated SELECT
-	// (the same statement text) is answered from the cache.
-	gen   atomic.Uint64
-	resMu sync.RWMutex
-	// results caches materialized results by statement text, tagged with
-	// the generation they were computed under. Entries and their rows are
-	// shared read-only between cache hits.
-	results map[string]cachedResult
+	// insert, and index create bumps it. In the federated setting the lake
+	// loads once and is then read-only, so after loading it never moves.
+	gen atomic.Uint64
 }
-
-type cachedResult struct {
-	gen uint64
-	res *Result
-}
-
-// resultCacheCap bounds the result cache; crossing it drops the whole
-// cache (statement mixes that large are churn, not reuse).
-const resultCacheCap = 1024
 
 // Gen returns the database's current content generation. Consumers that
 // cache derived data (the wrapper's response cache) tag entries with the
@@ -45,9 +29,8 @@ func (db *Database) Gen() uint64 { return db.gen.Load() }
 // NewDatabase returns an empty database.
 func NewDatabase(name string) *Database {
 	return &Database{
-		Name:    name,
-		tables:  make(map[string]*Table),
-		results: make(map[string]cachedResult),
+		Name:   name,
+		tables: make(map[string]*Table),
 	}
 }
 

@@ -71,37 +71,15 @@ func (db *Database) Query(stmt string) (*Result, error) {
 	return db.QueryAST(sel)
 }
 
-// QueryAST executes a parsed SELECT statement. Results for the current
-// database generation are served from the statement cache — a loaded
-// lake is read-only, so the federation's repeated per-block and repeated
-// per-query statements hit without re-scanning; any mutation invalidates
-// every cached entry at once. Cached results (rows included) are shared:
-// callers must treat a Result as read-only, which every consumer already
-// does.
+// QueryAST executes a parsed SELECT statement. There is no statement
+// cache: repeated requests are answered above the database, by the
+// wrapper response cache.
 func (db *Database) QueryAST(sel *sql.Select) (*Result, error) {
-	key := sel.String()
-	gen := db.gen.Load()
-	db.resMu.RLock()
-	c, ok := db.results[key]
-	db.resMu.RUnlock()
-	if ok && c.gen == gen {
-		return c.res, nil
-	}
 	ex, err := newExecution(db, sel)
 	if err != nil {
 		return nil, err
 	}
-	res, err := ex.run()
-	if err != nil {
-		return nil, err
-	}
-	db.resMu.Lock()
-	if len(db.results) >= resultCacheCap {
-		clear(db.results)
-	}
-	db.results[key] = cachedResult{gen: gen, res: res}
-	db.resMu.Unlock()
-	return res, nil
+	return ex.run()
 }
 
 // Explain plans the statement without running the final projection; it

@@ -25,7 +25,7 @@ type Table struct {
 
 	// mutated, when set by the owning database, is called (under the
 	// table lock) on every successful Insert or CreateIndex so the
-	// database can invalidate its result cache.
+	// database can move its content generation.
 	mutated func()
 }
 

@@ -78,15 +78,20 @@ func (g *Graph) Contains(t Triple) bool {
 // Match returns all triples matching the pattern. A nil position is a
 // wildcard. The result order is deterministic (insertion order).
 func (g *Graph) Match(s, p, o *Term) []Triple {
+	var out []Triple
+	g.ForEachMatch(s, p, o, func(_ int, t *Triple) { out = append(out, *t) })
+	return out
+}
+
+// ForEachMatch calls fn with the ID (insertion index) and the triple of
+// every match of the pattern, in Match's order, without copying the
+// matches out. fn must not modify the graph or call back into it.
+func (g *Graph) ForEachMatch(s, p, o *Term, fn func(id int, t *Triple)) {
 	g.mu.RLock()
 	defer g.mu.RUnlock()
-
-	ids := g.matchIDs(s, p, o)
-	out := make([]Triple, 0, len(ids))
-	for _, id := range ids {
-		out = append(out, g.triples[id])
+	for _, id := range g.matchIDs(s, p, o) {
+		fn(id, &g.triples[id])
 	}
-	return out
 }
 
 // Count returns the number of triples matching the pattern without

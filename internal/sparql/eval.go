@@ -8,26 +8,11 @@ import (
 
 // EvalBGP evaluates a basic graph pattern against a graph and returns the
 // solution bindings. Patterns are reordered greedily by estimated
-// selectivity (bound positions first) before evaluation.
+// selectivity (bound positions first) before evaluation. It is the
+// reference the RDF wrapper's dictionary-ID walk reproduces row for row.
 func EvalBGP(g *rdf.Graph, patterns []TriplePattern) []Binding {
-	return EvalBGPFrom(g, patterns, []Binding{NewBinding()})
-}
-
-// EvalBGPFrom evaluates the pattern starting from the given partial
-// solutions instead of the empty one, so every result extends one of
-// initial and each pattern lookup carries the terms initial binds down to
-// the graph's indexes. All of initial must bind the same variables; they
-// count as bound when the patterns are ordered.
-func EvalBGPFrom(g *rdf.Graph, patterns []TriplePattern, initial []Binding) []Binding {
-	if len(initial) == 0 {
-		return nil
-	}
-	bound := map[string]bool{}
-	for v := range initial[0] {
-		bound[v] = true
-	}
-	solutions := initial
-	for _, tp := range orderPatterns(g, patterns, bound) {
+	solutions := []Binding{NewBinding()}
+	for _, tp := range OrderPatterns(g, patterns, map[string]bool{}) {
 		var next []Binding
 		for _, b := range solutions {
 			next = append(next, matchPattern(g, tp, b)...)
@@ -206,12 +191,12 @@ func compareTermsForOrder(a, b rdf.Term) int {
 	}
 }
 
-// orderPatterns reorders triple patterns greedily: start with the most
+// OrderPatterns reorders triple patterns greedily: start with the most
 // selective pattern (fewest graph matches), then repeatedly pick the pattern
 // sharing a variable with the already-chosen set that has the fewest
 // matches, falling back to the globally cheapest remaining pattern. bound
 // holds the variables bound before the first pattern; it is updated.
-func orderPatterns(g *rdf.Graph, patterns []TriplePattern, bound map[string]bool) []TriplePattern {
+func OrderPatterns(g *rdf.Graph, patterns []TriplePattern, bound map[string]bool) []TriplePattern {
 	if len(patterns) <= 1 {
 		return patterns
 	}

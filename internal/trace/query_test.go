@@ -96,10 +96,10 @@ func TestQueryTraceRegisterAndRemoteSpans(t *testing.T) {
 
 func TestEscapeLabel(t *testing.T) {
 	cases := map[string]string{
-		"plain":        "plain",
-		`quo"te`:       `quo\"te`,
-		"back\\slash":  `back\\slash`,
-		"new\nline":    `new\nline`,
+		"plain":             "plain",
+		`quo"te`:            `quo\"te`,
+		"back\\slash":       `back\\slash`,
+		"new\nline":         `new\nline`,
 		`all"three\` + "\n": `all\"three\\\n`,
 	}
 	for in, want := range cases {

@@ -58,7 +58,7 @@ func (w *DBSQLWrapper) ExecuteColumnar(ctx context.Context, req *Request, schema
 // returns no solutions without touching the database.
 func (w *DBSQLWrapper) solutions(ctx context.Context, req *Request, d *dict.Dict) ([]sparql.Binding, error) {
 	seed, seeds := req.seed(d), req.blockSeeds(d)
-	tl, err := translateRequest(w.src, seedStars(req.Stars, seed), req.Filters)
+	tl, err := translateRequest(w.src, seedStars(req, d), req.Filters)
 	if err != nil || tl.empty {
 		return nil, err
 	}

@@ -1,0 +1,234 @@
+package wrapper
+
+import (
+	"encoding/binary"
+	"slices"
+	"sync"
+	"sync/atomic"
+
+	"ontario/internal/dict"
+	"ontario/internal/engine"
+	"ontario/internal/rdf"
+	"ontario/internal/sparql"
+)
+
+// tripleIDs is a graph's triples in dictionary IDs: three slots per triple
+// (S, P, O), each filled by Intern the first time a walk touches it and
+// read with one atomic load afterwards. It is bounded by the graph and
+// holds no pointers, so the collector never scans it. Racing fills store
+// the same ID: Intern is idempotent.
+type tripleIDs struct {
+	d   *dict.Dict
+	ids []atomic.Uint64
+}
+
+// id returns the ID of t, the term in slot i.
+func (v *tripleIDs) id(i int, t *rdf.Term) dict.ID {
+	if i >= len(v.ids) { // the graph grew after the view was sized
+		return v.d.Intern(*t)
+	}
+	if id := v.ids[i].Load(); id != 0 {
+		return dict.ID(id)
+	}
+	id := v.d.Intern(*t)
+	v.ids[i].Store(uint64(id))
+	return id
+}
+
+// tripleViews holds one triple-ID view per graph and dictionary, created
+// on the graph's first miss.
+type tripleViews struct {
+	mu sync.Mutex
+	m  map[viewKey]*tripleIDs
+}
+
+type viewKey struct {
+	g *rdf.Graph
+	d *dict.Dict
+}
+
+func (vs *tripleViews) get(g *rdf.Graph, d *dict.Dict) *tripleIDs {
+	vs.mu.Lock()
+	defer vs.mu.Unlock()
+	v := vs.m[viewKey{g, d}]
+	if v == nil {
+		if vs.m == nil {
+			vs.m = make(map[viewKey]*tripleIDs)
+		}
+		v = &tripleIDs{d: d, ids: make([]atomic.Uint64, 3*g.Len())}
+		vs.m[viewKey{g, d}] = v
+	}
+	return v
+}
+
+// walkEntry answers a missed RDF request in dictionary IDs. Solutions are
+// flat rows over req.Vars(), walked as sparql.EvalBGP walks them —
+// patterns in OrderPatterns' order, each one's matches in the graph's
+// index order — so the rows and their order are EvalBGP's. A per-answer
+// seed becomes constants, as the reference substitutes it, and its IDs
+// start the row; a block starts from its seeds' projections (blockStarts)
+// and its rows are re-checked against the seeds by ID. Pushed filters see
+// only the rows that reach them, and rows land at their schema positions.
+func walkEntry(g *rdf.Graph, view *tripleIDs, req *Request, schema *engine.Schema, d *dict.Dict) *respEntry {
+	vars := req.Vars()
+	var patterns []sparql.TriplePattern
+	for _, s := range req.Stars {
+		patterns = append(patterns, s.Patterns...)
+	}
+	// Rows keep at least one cell, so a variable-free row still counts.
+	wk := &bgpWalk{g: g, view: view, d: d, stride: max(len(vars), 1)}
+	bound := map[string]bool{}
+	var checks []seedIDCheck
+	if req.Block {
+		wk.cur = blockStarts(req.Seeds, vars, wk.stride, bound)
+		checks = buildSeedIDChecks(req.Seeds, engine.NewSchema(vars))
+	} else {
+		patterns = substituteSeed(patterns, req, d)
+		wk.cur = make([]dict.ID, wk.stride)
+		for i, id := range req.Seeds.IDs { // at most one seed
+			if c := slices.Index(vars, req.Seeds.Vars[i]); c >= 0 {
+				wk.cur[c] = id
+			}
+		}
+	}
+	rows := wk.run(sparql.OrderPatterns(g, patterns, bound), vars)
+
+	var ev *engine.ScratchEval
+	if len(req.Filters) > 0 {
+		ev = engine.NewScratchEval(req.Filters, engine.NewSchema(vars), d)
+	}
+	e := &respEntry{stride: len(schema.Vars), perRow: !req.Block}
+	template := seedTemplate(req, schema)
+	place := schema.Positions(vars)
+	for r := 0; r < len(rows); r += wk.stride {
+		row := rows[r : r+wk.stride]
+		if !matchesAnySeedIDs(row, checks) || !ev.PassesIDs(row) {
+			continue
+		}
+		e.rows = append(e.rows, template...)
+		out := e.rows[len(e.rows)-e.stride:]
+		for i, p := range place {
+			if p >= 0 && row[i] != dict.Unbound {
+				out[p] = row[i]
+			}
+		}
+		e.nrows++
+	}
+	return e
+}
+
+// bgpWalk extends flat ID rows pattern by pattern in two reused buffers.
+type bgpWalk struct {
+	g         *rdf.Graph
+	view      *tripleIDs
+	d         *dict.Dict
+	stride    int
+	cur, next []dict.ID
+
+	// For extend: the row being extended, and per pattern position its
+	// variable's column, or -1 for a constant or a variable the row binds
+	// (the index probe fixed those).
+	base  []dict.ID
+	cols  [3]int
+	probe [3]rdf.Term
+}
+
+func (wk *bgpWalk) run(patterns []sparql.TriplePattern, vars []string) []dict.ID {
+	extend := wk.extend
+	for _, tp := range patterns {
+		nodes := [3]sparql.Node{tp.S, tp.P, tp.O}
+		cols := [3]int{-1, -1, -1}
+		for k, n := range nodes {
+			if n.IsVar {
+				cols[k] = slices.Index(vars, n.Var)
+			}
+		}
+		wk.next = wk.next[:0]
+		for r := 0; r < len(wk.cur); r += wk.stride {
+			wk.base = wk.cur[r : r+wk.stride]
+			var at [3]*rdf.Term
+			for k, c := range cols {
+				wk.cols[k] = -1
+				switch {
+				case c < 0:
+					wk.probe[k] = nodes[k].Term
+				case wk.base[c] != dict.Unbound:
+					wk.probe[k] = wk.d.MustLookup(wk.base[c])
+				default:
+					wk.cols[k] = c
+					continue
+				}
+				at[k] = &wk.probe[k]
+			}
+			wk.g.ForEachMatch(at[0], at[1], at[2], extend)
+		}
+		wk.cur, wk.next = wk.next, wk.cur
+		if len(wk.cur) == 0 {
+			return nil
+		}
+	}
+	return wk.cur
+}
+
+// extend appends the current row extended by one match, checking the
+// unprobed variable positions in order: a variable repeated inside the
+// pattern binds at its first position and must agree at the next.
+func (wk *bgpWalk) extend(tid int, t *rdf.Triple) {
+	start := len(wk.next)
+	wk.next = append(wk.next, wk.base...)
+	row := wk.next[start:]
+	for k, term := range [3]*rdf.Term{&t.S, &t.P, &t.O} {
+		c := wk.cols[k]
+		if c < 0 {
+			continue
+		}
+		if id := wk.view.id(3*tid+k, term); row[c] == dict.Unbound {
+			row[c] = id
+		} else if row[c] != id {
+			wk.next = wk.next[:start]
+			return
+		}
+	}
+}
+
+// blockStarts returns a block's first rows: the distinct projections of
+// the seeds onto the request variables the first seed binds (marked in
+// bound), so each solution extends at most one of them. When some seed
+// does not bind all of those — a seed binding no request variable is
+// compatible with every solution — the walk starts from the empty row.
+func blockStarts(seeds engine.Seeds, vars []string, stride int, bound map[string]bool) []dict.ID {
+	var on, from []int
+	for i, v := range vars {
+		if c := slices.Index(seeds.Vars, v); c >= 0 && seeds.Row(0)[c] != dict.Unbound {
+			on, from = append(on, i), append(from, c)
+		}
+	}
+	empty := make([]dict.ID, stride)
+	if len(on) == 0 {
+		return empty
+	}
+	var rows []dict.ID
+	seen := make(map[string]bool, seeds.Rows)
+	var key []byte
+	for r := 0; r < seeds.Rows; r++ {
+		seed := seeds.Row(r)
+		key = key[:0]
+		for _, c := range from {
+			if seed[c] == dict.Unbound {
+				return empty
+			}
+			key = binary.LittleEndian.AppendUint64(key, uint64(seed[c]))
+		}
+		if !seen[string(key)] {
+			seen[string(key)] = true
+			rows = append(rows, empty...)
+			for k, i := range on {
+				rows[len(rows)-stride+i] = seed[from[k]]
+			}
+		}
+	}
+	for _, i := range on {
+		bound[vars[i]] = true
+	}
+	return rows
+}

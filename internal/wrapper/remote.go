@@ -122,7 +122,7 @@ func buildRemoteQuery(req *Request, d *dict.Dict) string {
 	for _, s := range req.Stars {
 		patterns = append(patterns, s.Patterns...)
 	}
-	patterns = substituteSeed(patterns, req.seed(d))
+	patterns = substituteSeed(patterns, req, d)
 	var b strings.Builder
 	b.WriteString("SELECT * WHERE {")
 	for _, tp := range patterns {

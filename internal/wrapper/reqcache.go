@@ -36,6 +36,10 @@ type ResponseCache struct {
 	entries map[respKey]*respEntry
 
 	hits, misses, evictions atomic.Int64
+
+	// views holds the RDF sources' triple-ID views: like the entries they
+	// live as long as the lake and hold IDs of its dictionary.
+	views tripleViews
 }
 
 // respCacheCap bounds the cache; crossing it sweeps (see store).
@@ -238,52 +242,40 @@ func (e *respEntry) stream(ctx context.Context, sim *netsim.Simulator, schema *e
 	return out
 }
 
-// newRespEntry flattens the materialized solutions of req into a response
-// entry following the request's delay contract: per-answer unless req
-// carries a seed block. Wrappers that evaluate terms before the boundary
-// (BGP matching, remote hops, unpushable filters) build their response
-// through it.
+// newRespEntry interns the materialized solutions of req into a response
+// entry following the request's delay contract — per-answer unless req
+// carries a seed block — in schema order: each row starts from the seed
+// template and each solution overwrites the positions it binds. Wrappers
+// that evaluate terms before the boundary (remote hops, custom sources,
+// the naive translation) build their response through it.
 func newRespEntry(req *Request, sols []sparql.Binding, schema *engine.Schema, d *dict.Dict) *respEntry {
-	e := &respEntry{stride: len(schema.Vars), perRow: !req.Block}
-	e.rows, e.nrows = flattenSolutions(seedTemplate(req, schema), sols, schema, d)
-	return e
-}
-
-// seedTemplate places a per-answer request's seed IDs at their schema
-// positions (nil for an unseeded or block request, whose solutions bind
-// the seeded variables themselves).
-func seedTemplate(req *Request, schema *engine.Schema) []dict.ID {
-	if req.Block || req.Seeds.Rows == 0 {
-		return nil
-	}
-	template := make([]dict.ID, len(schema.Vars))
-	for i, id := range req.Seeds.Row(0) {
-		if p := schema.Pos(req.Seeds.Vars[i]); p >= 0 && id != dict.Unbound {
-			template[p] = id
-		}
-	}
-	return template
-}
-
-// flattenSolutions interns row-model solutions into one flat ID block in
-// schema order, reproducing the stream encoders' layout: each row starts
-// from the seed template (nil: all unbound) and each solution overwrites
-// the positions it binds.
-func flattenSolutions(template []dict.ID, sols []sparql.Binding, schema *engine.Schema, d *dict.Dict) ([]dict.ID, int) {
-	stride := len(schema.Vars)
-	if template == nil {
-		template = make([]dict.ID, stride)
-	}
-	rows := make([]dict.ID, 0, len(sols)*stride)
+	e := &respEntry{stride: len(schema.Vars), perRow: !req.Block, nrows: len(sols)}
+	template := seedTemplate(req, schema)
+	e.rows = make([]dict.ID, 0, len(sols)*e.stride)
 	for _, b := range sols {
-		start := len(rows)
-		rows = append(rows, template...)
-		row := rows[start:]
+		e.rows = append(e.rows, template...)
+		row := e.rows[len(e.rows)-e.stride:]
 		for i, v := range schema.Vars {
 			if t, ok := b[v]; ok {
 				row[i] = d.Intern(t)
 			}
 		}
 	}
-	return rows, len(sols)
+	return e
+}
+
+// seedTemplate places a per-answer request's seed IDs at their schema
+// positions (all Unbound for an unseeded or block request, whose solutions
+// bind the seeded variables themselves).
+func seedTemplate(req *Request, schema *engine.Schema) []dict.ID {
+	template := make([]dict.ID, len(schema.Vars))
+	if req.Block || req.Seeds.Rows == 0 {
+		return template
+	}
+	for i, id := range req.Seeds.Row(0) {
+		if p := schema.Pos(req.Seeds.Vars[i]); p >= 0 && id != dict.Unbound {
+			template[p] = id
+		}
+	}
+	return template
 }

@@ -14,10 +14,7 @@ import (
 // sqlColDecoder decodes SQL result rows straight into interned ID rows —
 // the relational wrapper's native columnar boundary. No sparql.Binding is
 // materialized per row: each projected column resolves to a schema
-// position once, and each distinct storage value is converted to a term
-// and interned exactly once per query (the per-column memo), so repeated
-// foreign-key values cost a map hit instead of a template render plus a
-// dictionary probe.
+// position once, and each cell is converted to a term and interned.
 type sqlColDecoder struct {
 	d *dict.Dict
 	// template carries the IDs fixed for every row: the translation's
@@ -33,38 +30,23 @@ type sqlDecoderCol struct {
 	// only NULL-checked).
 	pos     int
 	iriTmpl string
-	memo    map[rdb.Value]dict.ID
 }
 
 // newSQLColDecoder builds the decoder of a translation; seed is the
-// request's seed template (seedTemplate: seed IDs at schema positions, nil
-// for none).
+// request's seed template (seedTemplate), which becomes the decoder's.
 func newSQLColDecoder(tl *translation, seed []dict.ID, schema *engine.Schema, d *dict.Dict) *sqlColDecoder {
-	dec := &sqlColDecoder{
-		d:        d,
-		template: make([]dict.ID, len(schema.Vars)),
-		row:      make([]dict.ID, len(schema.Vars)),
-	}
-	for v, t := range tl.constBindings {
-		if p := schema.Pos(v); p >= 0 {
-			dec.template[p] = d.Intern(t)
-		}
-	}
-	for i, id := range seed {
-		if id != dict.Unbound {
-			dec.template[i] = id
-		}
-	}
+	dec := &sqlColDecoder{d: d, template: seed, row: make([]dict.ID, len(schema.Vars))}
 	dec.cols = make([]sqlDecoderCol, len(tl.varOrder))
 	for i, v := range tl.varOrder {
 		pos := schema.Pos(v)
-		if pos >= 0 && seed != nil && seed[pos] != dict.Unbound {
+		if pos >= 0 && seed[pos] != dict.Unbound {
 			pos = -1
 		}
-		dec.cols[i] = sqlDecoderCol{
-			pos:     pos,
-			iriTmpl: tl.varCols[v].template,
-			memo:    make(map[rdb.Value]dict.ID),
+		dec.cols[i] = sqlDecoderCol{pos: pos, iriTmpl: tl.varCols[v].template}
+	}
+	for v, t := range tl.constBindings {
+		if p := schema.Pos(v); p >= 0 && seed[p] == dict.Unbound {
+			seed[p] = d.Intern(t)
 		}
 	}
 	return dec
@@ -82,18 +64,10 @@ func (dec *sqlColDecoder) decode(row rdb.Row) ([]dict.ID, bool) {
 	}
 	ids := dec.row
 	copy(ids, dec.template)
-	for i := range dec.cols {
-		c := &dec.cols[i]
-		if c.pos < 0 {
-			continue
+	for i, c := range dec.cols {
+		if c.pos >= 0 {
+			ids[c.pos] = dec.d.Intern(valueToTerm(row[i], c.iriTmpl))
 		}
-		val := row[i]
-		id, ok := c.memo[val]
-		if !ok {
-			id = dec.d.Intern(valueToTerm(val, c.iriTmpl))
-			c.memo[val] = id
-		}
-		ids[c.pos] = id
 	}
 	return ids, true
 }
@@ -169,9 +143,9 @@ func (w *SQLWrapper) blockTranslation(req *Request, seeds []sparql.Binding) (*tr
 
 // ExecuteColumnar implements Wrapper: the request is translated to SQL
 // and the result rows are decoded straight into dictionary IDs
-// (sqlColDecoder). Paths that must evaluate terms in the wrapper —
-// unpushable local filters, the naive multi-star translation — decode
-// rows into bindings and intern at the boundary.
+// (sqlColDecoder), unpushable filters included (see fill). Only the naive
+// multi-star translation decodes rows into bindings and interns at the
+// boundary.
 //
 // The decoded response is built as a respEntry and streamed from it, so a
 // repeated request — the engine's response cache hits on the request's
@@ -228,9 +202,8 @@ func (w *SQLWrapper) ExecuteColumnar(ctx context.Context, req *Request, schema *
 // into a response entry (one latency sample per row on replay).
 func (w *SQLWrapper) columnarEntry(req *Request, schema *engine.Schema, d *dict.Dict) (*respEntry, error) {
 	e := &respEntry{perRow: true, stride: len(schema.Vars)}
-	seed := req.seed(d)
 	w.resetSQL()
-	tl, err := translateRequest(w.src, seedStars(req.Stars, seed), req.Filters)
+	tl, err := translateRequest(w.src, seedStars(req, d), req.Filters)
 	if err != nil {
 		return nil, err
 	}
@@ -239,38 +212,7 @@ func (w *SQLWrapper) columnarEntry(req *Request, schema *engine.Schema, d *dict.
 		// and on replay no latency samples.
 		return e, nil
 	}
-	stmt := tl.sel.String()
-	w.recordSQL(stmt)
-	e.sql = []string{stmt}
-	res, err := w.src.DB.QueryAST(tl.sel)
-	if err != nil {
-		return nil, fmt.Errorf("wrapper %s: %w", w.src.ID, err)
-	}
-	if len(tl.localFilters) > 0 {
-		var sols []sparql.Binding
-		for _, row := range res.Rows {
-			b, ok := tl.decodeRow(row)
-			if !ok {
-				continue
-			}
-			if !passes(withSeed(b, seed), tl.localFilters) {
-				continue
-			}
-			sols = append(sols, b)
-		}
-		e.rows, e.nrows = flattenSolutions(seedTemplate(req, schema), sols, schema, d)
-		return e, nil
-	}
-	dec := newSQLColDecoder(tl, seedTemplate(req, schema), schema, d)
-	for _, row := range res.Rows {
-		ids, ok := dec.decode(row)
-		if !ok {
-			continue
-		}
-		e.rows = append(e.rows, ids...)
-		e.nrows++
-	}
-	return e, nil
+	return e, w.fill(e, tl, seedTemplate(req, schema), nil, schema, d)
 }
 
 // columnarBlockEntry answers a multi-seed block request natively: one
@@ -279,9 +221,8 @@ func (w *SQLWrapper) columnarEntry(req *Request, schema *engine.Schema, d *dict.
 // response is one simulated network message, sampled on replay.
 func (w *SQLWrapper) columnarBlockEntry(req *Request, schema *engine.Schema, d *dict.Dict) (*respEntry, error) {
 	e := &respEntry{stride: len(schema.Vars)}
-	seeds := req.blockSeeds(d)
 	w.resetSQL()
-	tl, empty, err := w.blockTranslation(req, seeds)
+	tl, empty, err := w.blockTranslation(req, req.blockSeeds(d))
 	if err != nil {
 		return nil, err
 	}
@@ -289,40 +230,31 @@ func (w *SQLWrapper) columnarBlockEntry(req *Request, schema *engine.Schema, d *
 		// The (empty) response still crosses the network as one message.
 		return e, nil
 	}
+	return e, w.fill(e, tl, seedTemplate(req, schema), buildSeedIDChecks(req.Seeds, schema), schema, d)
+}
+
+// fill runs the translated statement and decodes its rows into e as ID
+// rows over the seed template. A row is kept when it matches some seed of
+// checks (by ID) and passes the filters the translation left to the
+// wrapper, evaluated over a scratch binding of their variables filled
+// from the decoded row — constants and the per-answer seed included.
+func (w *SQLWrapper) fill(e *respEntry, tl *translation, template []dict.ID, checks []seedIDCheck, schema *engine.Schema, d *dict.Dict) error {
 	stmt := tl.sel.String()
 	w.recordSQL(stmt)
 	e.sql = []string{stmt}
 	res, err := w.src.DB.QueryAST(tl.sel)
 	if err != nil {
-		return nil, fmt.Errorf("wrapper %s: %w", w.src.ID, err)
+		return fmt.Errorf("wrapper %s: %w", w.src.ID, err)
 	}
-	if len(tl.localFilters) > 0 {
-		var sols []sparql.Binding
-		for _, row := range res.Rows {
-			b, ok := tl.decodeRow(row)
-			if !ok {
-				continue
-			}
-			if !matchesAnySeed(b, seeds) {
-				continue
-			}
-			if !passes(b, tl.localFilters) {
-				continue
-			}
-			sols = append(sols, b)
-		}
-		e.rows, e.nrows = flattenSolutions(nil, sols, schema, d)
-		return e, nil
-	}
-	dec := newSQLColDecoder(tl, nil, schema, d)
-	checks := buildSeedIDChecks(req.Seeds, schema)
+	dec := newSQLColDecoder(tl, template, schema, d)
+	ev := engine.NewScratchEval(tl.localFilters, schema, d)
 	for _, row := range res.Rows {
 		ids, ok := dec.decode(row)
-		if !ok || !matchesAnySeedIDs(ids, checks) {
+		if !ok || !matchesAnySeedIDs(ids, checks) || !ev.PassesIDs(ids) {
 			continue
 		}
 		e.rows = append(e.rows, ids...)
 		e.nrows++
 	}
-	return e, nil
+	return nil
 }

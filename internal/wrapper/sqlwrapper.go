@@ -91,16 +91,16 @@ func (w *SQLWrapper) recordSQL(stmt string) {
 
 // seedStars substitutes the per-answer seed into every star's patterns
 // (the stars themselves belong to a shared, read-only plan).
-func seedStars(stars []*StarQuery, seed sparql.Binding) []*StarQuery {
-	if len(seed) == 0 {
-		return stars
+func seedStars(req *Request, d *dict.Dict) []*StarQuery {
+	if req.Block || req.Seeds.Rows == 0 {
+		return req.Stars
 	}
-	seeded := make([]*StarQuery, len(stars))
-	for i, s := range stars {
+	seeded := make([]*StarQuery, len(req.Stars))
+	for i, s := range req.Stars {
 		seeded[i] = &StarQuery{
 			SubjectVar: s.SubjectVar,
 			Class:      s.Class,
-			Patterns:   substituteSeed(s.Patterns, seed),
+			Patterns:   substituteSeed(s.Patterns, req, d),
 		}
 	}
 	return seeded
@@ -122,7 +122,7 @@ func withSeed(b, seed sparql.Binding) sparql.Binding {
 // streams the returned entry without a simulator.
 func (w *SQLWrapper) executeNaive(req *Request, schema *engine.Schema, d *dict.Dict) (*respEntry, error) {
 	seed := req.seed(d)
-	stars := seedStars(req.Stars, seed)
+	stars := seedStars(req, d)
 	w.resetSQL()
 	perStar := make([][]sparql.Binding, len(stars))
 	var leftoverFilters []sparql.Expr

@@ -1,0 +1,466 @@
+package wrapper
+
+import (
+	"context"
+	"fmt"
+	"math/rand"
+	"slices"
+	"sort"
+	"strings"
+	"sync"
+	"testing"
+
+	"ontario/internal/catalog"
+	"ontario/internal/dict"
+	"ontario/internal/engine"
+	"ontario/internal/lslod"
+	"ontario/internal/rdf"
+	"ontario/internal/sparql"
+)
+
+// selfPred links some drugs to themselves and others elsewhere, so a
+// variable repeated inside one pattern has matches to keep and to reject.
+const selfPred = "http://test/self"
+
+var walkLakeOnce struct {
+	sync.Once
+	src *catalog.Source
+	g   *rdf.Graph
+	err error
+}
+
+// walkLake is the DrugBank source of a small LSLOD lake and its RDF view
+// (lslod.GraphFromSource) plus the self links, built once per test binary.
+func walkLake(t *testing.T) (*catalog.Source, *rdf.Graph) {
+	t.Helper()
+	l := &walkLakeOnce
+	l.Do(func() {
+		lk, err := lslod.BuildLake(lslod.SmallScale(), 1)
+		if err != nil {
+			l.err = err
+			return
+		}
+		l.src = lk.Catalog.Source(lslod.DSDrugBank)
+		if l.g, l.err = lslod.GraphFromSource(l.src); l.err != nil {
+			return
+		}
+		typ, drug := rdf.NewIRI(rdf.RDFType), rdf.NewIRI(lslod.ClassDrug)
+		for i, s := range l.g.Subjects(&typ, &drug) {
+			switch i % 3 {
+			case 0:
+				l.g.Add(rdf.Triple{S: s, P: rdf.NewIRI(selfPred), O: s})
+			case 1:
+				l.g.Add(rdf.Triple{S: s, P: rdf.NewIRI(selfPred), O: rdf.NewIRI("http://test/other")})
+			}
+		}
+	})
+	if l.err != nil {
+		t.Fatal(l.err)
+	}
+	return l.src, l.g
+}
+
+// walkCase is one generated request; what lists the features it drew, for
+// the failure message and the coverage check.
+type walkCase struct {
+	req    *Request
+	schema *engine.Schema
+	what   []string
+}
+
+// genWalkCase draws a star over one class of src: constants in any
+// position, optionally (RDF only) a variable predicate and a variable
+// repeated inside one pattern; a per-answer seed or a block (duplicates,
+// Unbound cells, all-Unbound rows, foreign variables) drawn from the
+// star's own solutions; filters over request variables, seeded ones
+// included; a shuffled output schema. relational keeps to what the SQL translation
+// accepts and always adds a filter the translation leaves to the wrapper.
+func genWalkCase(rng *rand.Rand, src *catalog.Source, g *rdf.Graph, d *dict.Dict, relational bool) walkCase {
+	var c walkCase
+	note := func(s string) { c.what = append(c.what, s) }
+	classes := []string{lslod.ClassDrug, lslod.ClassTarget}
+	class := classes[rng.Intn(len(classes))]
+	var preds []string
+	for p := range src.Mappings[class].Properties {
+		preds = append(preds, p)
+	}
+	sort.Strings(preds)
+	typ, cls := rdf.NewIRI(rdf.RDFType), rdf.NewIRI(class)
+
+	subj := sparql.VarNode("s")
+	if rng.Intn(6) == 0 {
+		subjects := g.Subjects(&typ, &cls)
+		subj = sparql.TermNode(subjects[rng.Intn(len(subjects))])
+		note("constant subject")
+	}
+	var pats []sparql.TriplePattern
+	switch rng.Intn(4) {
+	case 0, 1:
+		pats = append(pats, sparql.TriplePattern{S: subj, P: sparql.TermNode(typ), O: sparql.TermNode(cls)})
+	case 2:
+		pats = append(pats, sparql.TriplePattern{S: subj, P: sparql.TermNode(typ), O: sparql.VarNode("t")})
+	}
+	for i, pi := range rng.Perm(len(preds))[:1+rng.Intn(min(3, len(preds)))] {
+		p := rdf.NewIRI(preds[pi])
+		o := sparql.VarNode(fmt.Sprintf("o%d", i))
+		if rng.Intn(4) == 0 {
+			objs := g.Objects(nil, &p)
+			o = sparql.TermNode(objs[rng.Intn(len(objs))])
+			note("constant object")
+		}
+		pats = append(pats, sparql.TriplePattern{S: subj, P: sparql.TermNode(p), O: o})
+	}
+	if !relational {
+		if rng.Intn(4) == 0 {
+			pats = append(pats, sparql.TriplePattern{S: subj, P: sparql.VarNode("pv"), O: sparql.VarNode("ov")})
+			note("variable predicate")
+		}
+		if class == lslod.ClassDrug && rng.Intn(3) == 0 {
+			pats = append(pats, sparql.TriplePattern{S: sparql.VarNode("s"), P: sparql.TermNode(rdf.NewIRI(selfPred)), O: sparql.VarNode("s")})
+			note("repeated variable")
+		}
+	}
+	c.req = &Request{Stars: []*StarQuery{{SubjectVar: "s", Class: class, Patterns: pats}}}
+	vars := c.req.Vars()
+
+	// Seeds project the star's own solutions, so most of them match.
+	if rng.Intn(3) > 0 {
+		sols := sparql.EvalBGP(g, pats)
+		seedVars := slices.Clone(vars)
+		rng.Shuffle(len(seedVars), func(i, j int) { seedVars[i], seedVars[j] = seedVars[j], seedVars[i] })
+		seedVars = seedVars[:min(len(seedVars), 1+rng.Intn(2))]
+		if len(seedVars) == 0 || rng.Intn(5) == 0 {
+			seedVars = append(seedVars, "z")
+			note("foreign seed variable")
+		}
+		c.req.Block = rng.Intn(2) == 0
+		rows := 1
+		if c.req.Block {
+			rows += rng.Intn(5)
+			note("block")
+		}
+		s := engine.Seeds{Vars: seedVars, Rows: rows}
+		for r := 0; r < rows; r++ {
+			switch {
+			case r > 0 && rng.Intn(4) == 0:
+				s.IDs = append(s.IDs, s.Row(rng.Intn(r))...)
+				note("duplicate seed")
+				continue
+			case c.req.Block && rng.Intn(8) == 0:
+				s.IDs = append(s.IDs, make([]dict.ID, len(seedVars))...)
+				note("all-Unbound seed")
+				continue
+			}
+			var sol sparql.Binding
+			if len(sols) > 0 {
+				sol = sols[rng.Intn(len(sols))]
+			}
+			for _, v := range seedVars {
+				t, ok := sol[v]
+				switch {
+				case rng.Intn(6) == 0:
+					s.IDs = append(s.IDs, dict.Unbound)
+					note("Unbound seed cell")
+					continue
+				case v == "z":
+					t = rdf.NewLiteral("z")
+				case !ok || rng.Intn(6) == 0:
+					t = rdf.NewIRI(fmt.Sprintf("http://nowhere/%d", rng.Intn(3)))
+				}
+				s.IDs = append(s.IDs, d.Intern(t))
+			}
+		}
+		c.req.Seeds = s
+	}
+
+	// Filters reference request variables, seeded ones included, as the
+	// planner pushes them; the relational ones always include one the SQL
+	// translation cannot push.
+	if len(vars) > 0 && (relational || rng.Intn(2) == 0) {
+		v := &sparql.VarExpr{Name: vars[rng.Intn(len(vars))]}
+		if slices.Contains(c.req.Seeds.Vars, v.Name) {
+			note("filter on a seeded variable")
+		}
+		str := &sparql.FuncExpr{Name: "STR", Args: []sparql.Expr{v}}
+		lit := func(s string) sparql.Expr { return &sparql.ConstExpr{Term: rdf.NewLiteral(s)} }
+		local := []sparql.Expr{
+			&sparql.FuncExpr{Name: "REGEX", Args: []sparql.Expr{str, lit("[13]")}},
+			&sparql.FuncExpr{Name: "BOUND", Args: []sparql.Expr{v}},
+			&sparql.NotExpr{X: &sparql.FuncExpr{Name: "BOUND", Args: []sparql.Expr{v}}},
+			&sparql.FuncExpr{Name: "STRSTARTS", Args: []sparql.Expr{str, lit("http")}},
+			&sparql.CompareExpr{Op: sparql.OpNeq, L: v, R: &sparql.ConstExpr{Term: rdf.NewIRI("http://nowhere/0")}},
+		}
+		c.req.Filters = append(c.req.Filters, local[rng.Intn(len(local))])
+		if rng.Intn(3) == 0 {
+			c.req.Filters = append(c.req.Filters, &sparql.CompareExpr{Op: sparql.OpGt, L: v, R: &sparql.ConstExpr{Term: rdf.IntLiteral(10)}})
+		}
+		note("filter")
+	}
+
+	schemaVars := slices.Clone(vars)
+	rng.Shuffle(len(schemaVars), func(i, j int) { schemaVars[i], schemaVars[j] = schemaVars[j], schemaVars[i] })
+	if !relational && rng.Intn(4) == 0 {
+		schemaVars = append(schemaVars, "extra")
+	}
+	c.schema = engine.NewSchema(schemaVars)
+	return c
+}
+
+// refBGP is the binding-model BGP evaluation the wrapper used before it
+// walked in IDs: patterns in sparql.OrderPatterns' order with the
+// variables initial binds counted as bound, each level extending every
+// solution by its matches in the graph's order. From the single empty
+// solution it is sparql.EvalBGP, which the property test checks.
+func refBGP(g *rdf.Graph, patterns []sparql.TriplePattern, initial []sparql.Binding) []sparql.Binding {
+	bound := map[string]bool{}
+	for v := range initial[0] {
+		bound[v] = true
+	}
+	sols := initial
+	for _, tp := range sparql.OrderPatterns(g, patterns, bound) {
+		var next []sparql.Binding
+		for _, b := range sols {
+			at := func(n sparql.Node) *rdf.Term {
+				if !n.IsVar {
+					return &n.Term
+				}
+				if t, ok := b[n.Var]; ok {
+					return &t
+				}
+				return nil
+			}
+			for _, tr := range g.Match(at(tp.S), at(tp.P), at(tp.O)) {
+				if nb, ok := extendBinding(b, tp, tr); ok {
+					next = append(next, nb)
+				}
+			}
+		}
+		if sols = next; len(sols) == 0 {
+			return nil
+		}
+	}
+	return sols
+}
+
+func extendBinding(b sparql.Binding, tp sparql.TriplePattern, tr rdf.Triple) (sparql.Binding, bool) {
+	nb := b.Copy()
+	for _, p := range []struct {
+		n sparql.Node
+		t rdf.Term
+	}{{tp.S, tr.S}, {tp.P, tr.P}, {tp.O, tr.O}} {
+		if !p.n.IsVar {
+			continue
+		}
+		if cur, ok := nb[p.n.Var]; ok && cur != p.t {
+			return nil, false
+		}
+		nb[p.n.Var] = p.t
+	}
+	return nb, true
+}
+
+// refSeedProjections is the binding-model start of a block walk (see
+// blockStarts).
+func refSeedProjections(seeds []sparql.Binding, vars []string) []sparql.Binding {
+	var on []string
+	for _, v := range vars {
+		if _, ok := seeds[0][v]; ok {
+			on = append(on, v)
+		}
+	}
+	var initial []sparql.Binding
+	seen := map[string]bool{}
+	for _, seed := range seeds {
+		proj := seed.Project(on)
+		if len(proj) == 0 || len(proj) < len(on) {
+			return []sparql.Binding{sparql.NewBinding()}
+		}
+		if k := proj.Key(on); !seen[k] {
+			seen[k] = true
+			initial = append(initial, proj)
+		}
+	}
+	return initial
+}
+
+// refRDFEntry is the RDF wrapper's response built the way it was before
+// the ID walk: binding-model solutions, then the seed checks and filters,
+// flattened by newRespEntry.
+func refRDFEntry(g *rdf.Graph, req *Request, schema *engine.Schema, d *dict.Dict) *respEntry {
+	patterns := req.Stars[0].Patterns
+	var sols []sparql.Binding
+	if req.Block {
+		seeds := req.Seeds.Bindings(d)
+		for _, b := range refBGP(g, patterns, refSeedProjections(seeds, req.Vars())) {
+			if matchesAnySeed(b, seeds) && passes(b, req.Filters) {
+				sols = append(sols, b)
+			}
+		}
+	} else {
+		seed := req.seed(d)
+		for _, b := range sparql.EvalBGP(g, substituteSeed(patterns, req, d)) {
+			if passes(withSeed(b, seed), req.Filters) {
+				sols = append(sols, b)
+			}
+		}
+	}
+	return newRespEntry(req, sols, schema, d)
+}
+
+// refSQLEntry is the SQL wrapper's response built the way it was before
+// unpushable filters ran on the decoder: rows decoded into bindings, seed
+// checks and filters over them, flattened by newRespEntry.
+func refSQLEntry(t *testing.T, w *SQLWrapper, req *Request, schema *engine.Schema, d *dict.Dict) *respEntry {
+	seed, seeds := req.seed(d), req.blockSeeds(d)
+	var tl *translation
+	var err error
+	empty := false
+	if req.Block {
+		tl, empty, err = w.blockTranslation(req, seeds)
+	} else if tl, err = translateRequest(w.src, seedStars(req, d), req.Filters); err == nil {
+		empty = tl.empty
+	}
+	if err != nil {
+		t.Fatal(err)
+	}
+	var sols []sparql.Binding
+	if !empty {
+		res, err := w.src.DB.QueryAST(tl.sel)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, row := range res.Rows {
+			if b, ok := tl.decodeRow(row); ok && matchesAnySeed(b, seeds) && passes(withSeed(b, seed), tl.localFilters) {
+				sols = append(sols, b)
+			}
+		}
+	}
+	return newRespEntry(req, sols, schema, d)
+}
+
+// TestWalkEntriesMatchReference is the ID walk's property: on generated
+// stars over the RDF view of an LSLOD source, the RDF wrapper's response
+// rows are exactly — same rows, same order — those of the binding-model
+// reference over sparql.EvalBGP; on the relational source, the SQL
+// wrapper's entries with unpushable filters are exactly those of the
+// binding-decoding path they replace.
+func TestWalkEntriesMatchReference(t *testing.T) {
+	src, g := walkLake(t)
+	d := dict.New()
+	var views tripleViews
+	sqlw := NewSQLWrapper(src, nil, TranslationOptimized, 0)
+	seen := map[string]int{}
+	check := func(i int, relational bool, c walkCase, got, want *respEntry) {
+		t.Helper()
+		if got.nrows != want.nrows || got.perRow != want.perRow || !slices.Equal(got.rows, want.rows) {
+			diff := 0
+			for diff < min(len(got.rows), len(want.rows)) && got.rows[diff] == want.rows[diff] {
+				diff++
+			}
+			t.Fatalf("case %d (relational=%v, %s):\n%v\nfilters %v, seeds %+v, schema %v\ngot %d rows, want %d; first difference at row %d",
+				i, relational, strings.Join(c.what, ", "), c.req.Stars[0].Patterns, c.req.Filters, c.req.Seeds, c.schema.Vars,
+				got.nrows, want.nrows, diff/max(got.stride, 1))
+		}
+		if got.nrows > 0 {
+			for _, w := range c.what {
+				seen[w]++
+			}
+		}
+	}
+	rng := rand.New(rand.NewSource(1))
+	for i := 0; i < 400; i++ {
+		c := genWalkCase(rng, src, g, d, false)
+		pats := c.req.Stars[0].Patterns
+		ref, oracle := refBGP(g, pats, []sparql.Binding{{}}), sparql.EvalBGP(g, pats)
+		if !slices.EqualFunc(ref, oracle, func(a, b sparql.Binding) bool { return a.FullKey() == b.FullKey() }) {
+			t.Fatalf("case %d: the reference walk disagrees with sparql.EvalBGP on %v", i, pats)
+		}
+		check(i, false, c, walkEntry(g, views.get(g, d), c.req, c.schema, d), refRDFEntry(g, c.req, c.schema, d))
+	}
+	for i := 0; i < 200; i++ {
+		c := genWalkCase(rng, src, g, d, true)
+		var got *respEntry
+		var err error
+		if c.req.Block {
+			got, err = sqlw.columnarBlockEntry(c.req, c.schema, d)
+		} else {
+			got, err = sqlw.columnarEntry(c.req, c.schema, d)
+		}
+		if err != nil {
+			t.Fatal(err)
+		}
+		check(i, true, c, got, refSQLEntry(t, sqlw, c.req, c.schema, d))
+	}
+	// The generator must reach every feature with a non-empty answer.
+	for _, w := range []string{"constant subject", "constant object", "variable predicate", "repeated variable",
+		"foreign seed variable", "block", "duplicate seed", "all-Unbound seed", "Unbound seed cell",
+		"filter on a seeded variable", "filter"} {
+		if seen[w] == 0 {
+			t.Errorf("no generated case with a non-empty answer drew %q", w)
+		}
+	}
+}
+
+// TestTripleIDViewConcurrentMisses: goroutines run overlapping misses —
+// per-answer, block and unseeded, each under its own source ID so none
+// replays another's response — over one graph and one response cache.
+// Every slot of the shared triple-ID view they filled holds d.Intern of
+// its term.
+func TestTripleIDViewConcurrentMisses(t *testing.T) {
+	_, g := walkLake(t)
+	d := dict.New()
+	cache := NewResponseCache()
+	typ, drug := rdf.NewIRI(rdf.RDFType), rdf.NewIRI(lslod.ClassDrug)
+	drugs := g.Subjects(&typ, &drug)
+	st := []*StarQuery{{SubjectVar: "s", Class: lslod.ClassDrug, Patterns: []sparql.TriplePattern{
+		{S: sparql.VarNode("s"), P: sparql.TermNode(typ), O: sparql.TermNode(drug)},
+		{S: sparql.VarNode("s"), P: sparql.TermNode(rdf.NewIRI(lslod.PredGenericName)), O: sparql.VarNode("n")},
+		{S: sparql.VarNode("s"), P: sparql.VarNode("p"), O: sparql.VarNode("o")},
+	}}}
+	schema := engine.NewSchema((&Request{Stars: st}).Vars())
+	var wg sync.WaitGroup
+	for gi := 0; gi < 4; gi++ {
+		w := NewRDFWrapper(fmt.Sprintf("g%d", gi), g, nil, 0)
+		w.SetResponseCache(cache)
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			run := func(req *Request) {
+				s, err := w.ExecuteColumnar(context.Background(), req, schema, d)
+				if err != nil {
+					t.Error(err)
+					return
+				}
+				for range s.Batches() {
+				}
+			}
+			run(&Request{Stars: st})
+			for i := range drugs {
+				s := drugs[(i*(gi+1))%len(drugs)]
+				seed := engine.Seeds{Vars: []string{"s"}, IDs: []dict.ID{d.Intern(s)}, Rows: 1}
+				run((&Request{Stars: st}).WithSeed(seed))
+				if i%8 == 0 {
+					seed.IDs = append(seed.IDs, d.Intern(drugs[(i+gi)%len(drugs)]))
+					seed.Rows++
+					run((&Request{Stars: st}).WithSeeds(seed))
+				}
+			}
+		}()
+	}
+	wg.Wait()
+	v := cache.views.get(g, d)
+	triples := g.Triples()
+	filled := 0
+	for i := range v.ids {
+		if id := dict.ID(v.ids[i].Load()); id != dict.Unbound {
+			filled++
+			tr := triples[i/3]
+			if want := d.Intern([3]rdf.Term{tr.S, tr.P, tr.O}[i%3]); id != want {
+				t.Fatalf("slot %d (triple %d position %d) holds %d, want %d", i, i/3, i%3, id, want)
+			}
+		}
+	}
+	if filled == 0 {
+		t.Fatal("the walks filled no slot of the cache's view")
+	}
+}

@@ -10,6 +10,7 @@ package wrapper
 import (
 	"context"
 	"fmt"
+	"slices"
 	"sync/atomic"
 
 	"ontario/internal/dict"
@@ -150,17 +151,18 @@ type Wrapper interface {
 // ColumnarWrapper is the name the benchmark module knows Wrapper by.
 type ColumnarWrapper = Wrapper
 
-// substituteSeed replaces seed-bound variables in the patterns with
-// constant terms.
-func substituteSeed(patterns []sparql.TriplePattern, seed sparql.Binding) []sparql.TriplePattern {
-	if len(seed) == 0 {
+// substituteSeed replaces the variables a per-answer request's seed binds
+// in the patterns with their terms, looked up by ID (an unseeded or block
+// request keeps its patterns).
+func substituteSeed(patterns []sparql.TriplePattern, req *Request, d *dict.Dict) []sparql.TriplePattern {
+	if req.Block || req.Seeds.Rows == 0 {
 		return patterns
 	}
 	out := make([]sparql.TriplePattern, len(patterns))
 	sub := func(n sparql.Node) sparql.Node {
 		if n.IsVar {
-			if t, ok := seed[n.Var]; ok {
-				return sparql.TermNode(t)
+			if i := slices.Index(req.Seeds.Vars, n.Var); i >= 0 && req.Seeds.IDs[i] != dict.Unbound {
+				return sparql.TermNode(d.MustLookup(req.Seeds.IDs[i]))
 			}
 		}
 		return n
@@ -180,10 +182,13 @@ type RDFWrapper struct {
 	batch int
 
 	// cache, when non-nil, memoizes decoded columnar responses across
-	// executions. The graph is loaded once and treated as read-only by the
-	// engine (there is no content generation to track), matching the
-	// static-lake premise of the shared dictionary.
+	// executions and holds the graph's triple-ID view. The graph is loaded
+	// once and treated as read-only by the engine (there is no content
+	// generation to track), matching the static-lake premise of the shared
+	// dictionary.
 	cache *ResponseCache
+	// views holds the wrapper's own triple-ID view when it has no cache.
+	views tripleViews
 }
 
 // NewRDFWrapper wraps an RDF graph. sim may be nil for no network
@@ -199,99 +204,26 @@ func (w *RDFWrapper) SourceID() string { return w.id }
 // SQLWrapper.SetResponseCache).
 func (w *RDFWrapper) SetResponseCache(c *ResponseCache) { w.cache = c }
 
-// ExecuteColumnar implements Wrapper: the BGP is evaluated over the graph
-// and the solutions cross the exchange as interned IDs. The decoded
-// response is built as a respEntry so repeated requests replay from the
-// engine's response cache instead of re-walking the graph.
+// ExecuteColumnar implements Wrapper: the BGP is walked over the graph in
+// dictionary IDs (walkEntry) and the solutions cross the exchange as those
+// IDs. The response is built as a respEntry so repeated requests replay
+// from the engine's response cache instead of re-walking the graph.
 func (w *RDFWrapper) ExecuteColumnar(ctx context.Context, req *Request, schema *engine.Schema, d *dict.Dict) (*engine.CStream, error) {
 	if len(req.Stars) == 0 {
 		return nil, fmt.Errorf("wrapper %s: empty request", w.id)
 	}
 	var key respKey
+	views := &w.views
 	if w.cache != nil {
 		key = respKeyFor(w.id, 0, req, schema)
 		if e := w.cache.lookup(key, req, schema, 0); e != nil {
 			return e.stream(ctx, w.sim, schema, w.batch), nil
 		}
+		views = &w.cache.views
 	}
-	var patterns []sparql.TriplePattern
-	for _, s := range req.Stars {
-		patterns = append(patterns, s.Patterns...)
-	}
-	var sols []sparql.Binding
-	if req.Block {
-		sols = w.blockSolutions(req, req.blockSeeds(d), patterns)
-	} else {
-		seed := req.seed(d)
-		sols = w.filteredSolutions(req, seed, substituteSeed(patterns, seed))
-	}
-	e := newRespEntry(req, sols, schema, d)
+	e := walkEntry(w.graph, views.get(w.graph, d), req, schema, d)
 	if w.cache != nil {
 		w.cache.store(key, req, schema, e)
 	}
 	return e.stream(ctx, w.sim, schema, w.batch), nil
-}
-
-// filteredSolutions evaluates the (already seed-substituted) patterns and
-// applies the pushed filters.
-func (w *RDFWrapper) filteredSolutions(req *Request, seed sparql.Binding, patterns []sparql.TriplePattern) []sparql.Binding {
-	sols := sparql.EvalBGP(w.graph, patterns)
-	if len(req.Filters) == 0 {
-		return sols
-	}
-	var kept []sparql.Binding
-	for _, b := range sols {
-		// Filters may reference seeded variables that became constants;
-		// evaluate them over the merged binding.
-		if passes(withSeed(b, seed), req.Filters) {
-			kept = append(kept, b)
-		}
-	}
-	return kept
-}
-
-// blockSolutions answers a multi-seed block request in one evaluation
-// seeded with the block: the walk starts from the seeds' projections, so
-// every pattern lookup reaches the graph's subject/object indexes, and the
-// solutions are then restricted to those compatible with some seed. The
-// order of a block's answers is unspecified (it follows the seeds, not the
-// graph); LIMIT is applied at the mediator, never inside a request.
-func (w *RDFWrapper) blockSolutions(req *Request, seeds []sparql.Binding, patterns []sparql.TriplePattern) []sparql.Binding {
-	var sols []sparql.Binding
-	for _, b := range sparql.EvalBGPFrom(w.graph, patterns, seedProjections(seeds, req.Vars())) {
-		// Pushed filters only reference the stars' own variables, which
-		// every solution binds.
-		if matchesAnySeed(b, seeds) && passes(b, req.Filters) {
-			sols = append(sols, b)
-		}
-	}
-	return sols
-}
-
-// seedProjections returns the initial solutions of a seeded evaluation:
-// the distinct projections of the seeds onto the request variables the
-// first seed binds, so each solution extends at most one of them. When
-// some seed does not bind all of those (a seed binding no request variable
-// is compatible with every solution) the evaluation starts un-instantiated,
-// from the single empty solution.
-func seedProjections(seeds []sparql.Binding, vars []string) []sparql.Binding {
-	var on []string
-	for _, v := range vars {
-		if _, ok := seeds[0][v]; ok {
-			on = append(on, v)
-		}
-	}
-	var initial []sparql.Binding
-	seen := map[string]bool{}
-	for _, seed := range seeds {
-		proj := seed.Project(on)
-		if len(proj) == 0 || len(proj) < len(on) {
-			return []sparql.Binding{sparql.NewBinding()}
-		}
-		if k := proj.Key(on); !seen[k] {
-			seen[k] = true
-			initial = append(initial, proj)
-		}
-	}
-	return initial
 }
