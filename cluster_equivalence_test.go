@@ -147,8 +147,9 @@ func TestClusterEquivalenceLSLOD(t *testing.T) {
 }
 
 // TestClusterEquivalenceOptional shuffles OPTIONAL-unbound rows across
-// the wire: the presence bitmap for the absent ?drug column must survive
-// the worker hop in both directions.
+// the wire: the absent ?drug cells, Unbound in memory and clear bits in
+// the wire-only presence bitmap, must survive the worker hop in both
+// directions.
 func TestClusterEquivalenceOptional(t *testing.T) {
 	lk := buildEquivLake(t)
 	eng := ontario.New(lk.Lake)

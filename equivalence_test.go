@@ -13,8 +13,9 @@ import (
 	"ontario/internal/sparql"
 )
 
-// The columnar data plane (dictionary IDs, ColBatch exchange, presence
-// bitmaps) must return exactly what a naive evaluator returns — the
+// The columnar data plane (dictionary IDs, ColBatch exchange, Unbound
+// cells for absent values; presence bitmaps exist on the cluster wire
+// only) must return exactly what a naive evaluator returns — the
 // reference is sparql.EvalQuery over the whole lake materialized as one
 // RDF graph, which shares no code with planner, wrappers or operators —
 // for every execution configuration: same solution multisets across batch
@@ -221,8 +222,8 @@ func TestColumnarEquivalenceLSLOD(t *testing.T) {
 	}
 }
 
-// TestColumnarEquivalenceOptional exercises OPTIONAL through the presence
-// bitmaps: diseases without a possibleDrug link must come back with the
+// TestColumnarEquivalenceOptional exercises OPTIONAL through Unbound
+// cells: diseases without a possibleDrug link must come back with the
 // ?drug column unbound — absent from the binding — exactly as in the
 // reference, and the small scale's sparse drug links guarantee both bound
 // and unbound rows exist. The filtered variant puts the condition inside

@@ -7,10 +7,11 @@
 // so concurrent tasks interleave on the link, and the dictionary-delta
 // remap state is link-lifetime — each term's lexical form crosses a link
 // once ever, after which only integer IDs flow. Intermediate results
-// cross as binary columnar batches: varint-framed dict.ID columns plus
-// presence bitmaps. The package also provides a router mode that spreads
-// clients over N coordinator replicas with plan-cache affinity and a
-// shared admission budget.
+// cross as binary columnar batches: varint-framed dict.ID columns, each
+// preceded by a wire-only presence bitmap so unbound cells cost one bit
+// (in memory an unbound cell is dict.Unbound). The package also provides
+// a router mode that spreads clients over N coordinator replicas with
+// plan-cache affinity and a shared admission budget.
 package cluster
 
 import (
@@ -170,10 +171,10 @@ func (e *Encoder) writeFrameLocked(typ byte, stream uint64, payload []byte) erro
 	return e.w.Flush()
 }
 
-// Batch writes b as a batch frame for the given stream and side. The
-// batch's presence bitmaps are re-derived from the ID columns
-// (Unbound == absent) so the wire image is self-consistent by
-// construction.
+// Batch writes b as a batch frame for the given stream and side. Each
+// column's presence bitmap exists on the wire only: it is derived from
+// the ID column (Unbound == absent), and the decoder turns a clear bit
+// back into Unbound.
 func (e *Encoder) Batch(stream uint64, side byte, b *engine.ColBatch) error {
 	e.mu.Lock()
 	defer e.mu.Unlock()
@@ -468,17 +469,10 @@ func (dec *Decoder) decodeBatch(stream uint64, p []byte) (byte, *engine.ColBatch
 		return 0, nil, corrupt("batch has %d columns, schema %d", cols, len(schema.Vars))
 	}
 
-	b := &engine.ColBatch{
-		Schema:  schema,
-		Len:     int(rows),
-		Cols:    make([][]dict.ID, cols),
-		Present: make([][]uint64, cols),
-	}
-	words := (int(rows) + 63) / 64
+	b := &engine.ColBatch{Schema: schema, Len: int(rows), Cols: make([][]dict.ID, cols)}
 	nb := (int(rows) + 7) / 8
 	for ci := range b.Cols {
 		col := make([]dict.ID, rows)
-		pres := make([]uint64, words)
 		bm := c.Bytes(nb)
 		if c.Err != nil {
 			return 0, nil, c.Err
@@ -496,10 +490,8 @@ func (dec *Decoder) decodeBatch(stream uint64, p []byte) (byte, *engine.ColBatch
 				return 0, nil, corrupt("ID %d has no dictionary delta", senderID)
 			}
 			col[r] = local
-			pres[r>>6] |= 1 << (uint(r) & 63)
 		}
 		b.Cols[ci] = col
-		b.Present[ci] = pres
 	}
 	if c.Err != nil {
 		return 0, nil, c.Err

@@ -115,14 +115,13 @@ func TestWireBatchRoundTrip(t *testing.T) {
 	for r, row := range rows {
 		for c, want := range row {
 			id := got.Cols[c][r]
-			present := got.Present[c][r>>6]&(1<<(uint(r)&63)) != 0
 			if want == nil {
-				if id != dict.Unbound || present {
-					t.Fatalf("row %d col %d: want unbound, got ID %d (present=%v)", r, c, id, present)
+				if id != dict.Unbound {
+					t.Fatalf("row %d col %d: want unbound, got ID %d", r, c, id)
 				}
 				continue
 			}
-			if id == dict.Unbound || !present {
+			if id == dict.Unbound {
 				t.Fatalf("row %d col %d: want bound, got unbound", r, c)
 			}
 			if have := receiver.MustLookup(id); have != *want {

@@ -23,9 +23,11 @@ func newWriter(ctx context.Context, buf, size int, every time.Duration) (*ColWri
 	return w, out
 }
 
-// appendX appends one row binding ?x to the literal v.
+// appendX appends one row binding ?x to the literal v, as the merge of a
+// one-row batch with nothing.
 func appendX(w *ColWriter, d *dict.Dict, v string) bool {
-	return w.AppendIDs([]dict.ID{d.Intern(b("x", v)["x"])})
+	row := &ColBatch{Schema: xSchema, Len: 1, Cols: [][]dict.ID{{d.Intern(b("x", v)["x"])}}}
+	return w.AppendMerged(row, 0, []int{0}, row, 0, []int{-1})
 }
 
 func TestColWriterFlushOnSize(t *testing.T) {

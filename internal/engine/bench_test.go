@@ -303,12 +303,12 @@ func BenchmarkExchangeBatchSize(b *testing.B) {
 	}
 }
 
-// BenchmarkColWriter measures the leaf-producer path: per-row AppendIDs
-// through the size/interval flush rules.
+// BenchmarkColWriter measures the bind join's producer path: per-row
+// AppendMerged through the size/interval flush rules.
 func BenchmarkColWriter(b *testing.B) {
 	ctx := context.Background()
 	in := benchColBatch([]string{"k", "x"}, 4096)
-	ids := make([]dict.ID, len(in.Cols))
+	ident, none := []int{0, 1}, []int{-1, -1}
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -318,10 +318,7 @@ func BenchmarkColWriter(b *testing.B) {
 			w := NewColWriter(ctx, out, DefaultBatchSize)
 			defer w.Close()
 			for r := 0; r < in.Len; r++ {
-				for c := range ids {
-					ids[c] = in.Cols[c][r]
-				}
-				if !w.AppendIDs(ids) {
+				if !w.AppendMerged(in, r, ident, in, r, none) {
 					return
 				}
 			}

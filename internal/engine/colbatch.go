@@ -45,32 +45,18 @@ func (s *Schema) Positions(vars []string) []int {
 }
 
 // ColBatch is one columnar exchange batch: Len solution rows laid out as
-// one dictionary-ID column per schema variable, plus a presence bitmap
-// per column marking the bound rows (OPTIONAL leaves columns partially
-// bound). The two encodings are kept in lockstep — Cols[c][r] ==
-// dict.Unbound exactly when bit r of Present[c] is clear — so hot loops
-// test IDs directly while bitmap consumers (presence counts, padding)
-// work a word at a time.
+// one dictionary-ID column per schema variable. dict.Unbound marks an
+// absent value (OPTIONAL leaves columns partially bound), so presence is
+// read off the IDs themselves.
 //
 // Len is explicit rather than derived from a column length because a
 // schema may be empty (a cross-product input binding nothing) while the
 // batch still carries rows.
 type ColBatch struct {
-	Schema  *Schema
-	Len     int
-	Cols    [][]dict.ID
-	Present [][]uint64
+	Schema *Schema
+	Len    int
+	Cols   [][]dict.ID
 }
-
-// Bound reports whether row r of column c is bound, reading the presence
-// bitmap.
-func (b *ColBatch) Bound(c, r int) bool {
-	return b.Present[c][r>>6]&(1<<(uint(r)&63)) != 0
-}
-
-// ID returns the dictionary ID at column c, row r (dict.Unbound for an
-// absent OPTIONAL value).
-func (b *ColBatch) ID(c, r int) dict.ID { return b.Cols[c][r] }
 
 // Binding materializes row r as a solution mapping, resolving IDs
 // through d; unbound columns are omitted, like a row-model binding.
@@ -153,7 +139,6 @@ func (s Seeds) Bindings(d *dict.Dict) []sparql.Binding {
 type ColBuilder struct {
 	schema *Schema
 	cols   [][]dict.ID
-	pres   [][]uint64
 	rows   int
 	// hint is the expected batch size; alloc seeds each column with a
 	// small initial block when it is set (see colBuilderInitCap).
@@ -185,14 +170,12 @@ func NewColBuilderCap(schema *Schema, capacity int) *ColBuilder {
 // alloc starts fresh column slices at the clamped capacity hint.
 func (b *ColBuilder) alloc() {
 	b.cols = make([][]dict.ID, len(b.schema.Vars))
-	b.pres = make([][]uint64, len(b.schema.Vars))
 	if h := b.hint; h > 0 {
 		if h > colBuilderInitCap {
 			h = colBuilderInitCap
 		}
 		for c := range b.cols {
 			b.cols[c] = make([]dict.ID, 0, h)
-			b.pres[c] = make([]uint64, 0, (h+63)/64)
 		}
 	}
 }
@@ -200,26 +183,13 @@ func (b *ColBuilder) alloc() {
 // Rows returns the number of buffered rows.
 func (b *ColBuilder) Rows() int { return b.rows }
 
-// setBit marks row r of column c bound, growing the bitmap as needed.
-func (b *ColBuilder) setBit(c, r int) {
-	w := r >> 6
-	for len(b.pres[c]) <= w {
-		b.pres[c] = append(b.pres[c], 0)
-	}
-	b.pres[c][w] |= 1 << (uint(r) & 63)
-}
-
 // growRow appends one all-unbound row to every column, returning its
 // index; callers then overwrite the bound positions.
 func (b *ColBuilder) growRow() int {
 	r := b.rows
 	b.rows++
-	w := r >> 6
 	for c := range b.cols {
 		b.cols[c] = append(b.cols[c], dict.Unbound)
-		for len(b.pres[c]) <= w {
-			b.pres[c] = append(b.pres[c], 0)
-		}
 	}
 	return r
 }
@@ -229,10 +199,7 @@ func (b *ColBuilder) growRow() int {
 func (b *ColBuilder) AppendIDs(ids []dict.ID) {
 	r := b.growRow()
 	for c, id := range ids {
-		if id != dict.Unbound {
-			b.cols[c][r] = id
-			b.setBit(c, r)
-		}
+		b.cols[c][r] = id
 	}
 }
 
@@ -242,12 +209,8 @@ func (b *ColBuilder) AppendIDs(ids []dict.ID) {
 func (b *ColBuilder) AppendRow(from *ColBatch, src int, mapping []int) {
 	r := b.growRow()
 	for c, fc := range mapping {
-		if fc < 0 {
-			continue
-		}
-		if id := from.Cols[fc][src]; id != dict.Unbound {
-			b.cols[c][r] = id
-			b.setBit(c, r)
+		if fc >= 0 {
+			b.cols[c][r] = from.Cols[fc][src]
 		}
 	}
 }
@@ -269,10 +232,7 @@ func (b *ColBuilder) AppendMerged(l *ColBatch, lr int, lmap []int, r *ColBatch, 
 				id = r.Cols[rc][rr]
 			}
 		}
-		if id != dict.Unbound {
-			b.cols[c][row] = id
-			b.setBit(c, row)
-		}
+		b.cols[c][row] = id
 	}
 }
 
@@ -283,7 +243,6 @@ func (b *ColBuilder) AppendBinding(bind sparql.Binding, d *dict.Dict) {
 	for c, v := range b.schema.Vars {
 		if t, ok := bind[v]; ok {
 			b.cols[c][r] = d.Intern(t)
-			b.setBit(c, r)
 		}
 	}
 }
@@ -291,7 +250,7 @@ func (b *ColBuilder) AppendBinding(bind sparql.Binding, d *dict.Dict) {
 // Take returns the accumulated batch and resets the builder (the returned
 // batch owns its columns; the builder starts fresh slices).
 func (b *ColBuilder) Take() *ColBatch {
-	out := &ColBatch{Schema: b.schema, Len: b.rows, Cols: b.cols, Present: b.pres}
+	out := &ColBatch{Schema: b.schema, Len: b.rows, Cols: b.cols}
 	b.alloc()
 	b.rows = 0
 	return out

@@ -238,10 +238,7 @@ func (e *cEmitter) mergeBT(l *ColBatch, lr int, lmap []int, t *colTable, tr int3
 				id = t.id(tr, tc)
 			}
 		}
-		if id != dict.Unbound {
-			e.b.cols[c][row] = id
-			e.b.setBit(c, row)
-		}
+		e.b.cols[c][row] = id
 	}
 	e.full()
 }
@@ -263,10 +260,7 @@ func (e *cEmitter) mergeTB(t *colTable, tr int32, tmap []int, r *ColBatch, rr in
 				id = r.Cols[rc][rr]
 			}
 		}
-		if id != dict.Unbound {
-			e.b.cols[c][row] = id
-			e.b.setBit(c, row)
-		}
+		e.b.cols[c][row] = id
 	}
 	e.full()
 }
@@ -888,19 +882,12 @@ func CProject(ctx context.Context, in *CStream, vars []string, batch int) *CStre
 			if !open {
 				return
 			}
-			nb := &ColBatch{
-				Schema:  schema,
-				Len:     b.Len,
-				Cols:    make([][]dict.ID, len(vars)),
-				Present: make([][]uint64, len(vars)),
-			}
+			nb := &ColBatch{Schema: schema, Len: b.Len, Cols: make([][]dict.ID, len(vars))}
 			for c, p := range pos {
 				if p >= 0 {
 					nb.Cols[c] = b.Cols[p]
-					nb.Present[c] = b.Present[p]
 				} else {
 					nb.Cols[c] = make([]dict.ID, b.Len)
-					nb.Present[c] = make([]uint64, (b.Len+63)/64)
 				}
 			}
 			if !st.sendC(ctx, out, nb) {

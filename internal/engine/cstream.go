@@ -8,10 +8,11 @@
 // columnar layout: operators exchange ColBatch values — one dict.ID column
 // per variable — instead of single solutions, amortizing the per-tuple
 // channel send and context select over DefaultBatchSize rows. The
-// streaming semantics are preserved by the flush rules of ColWriter: leaf
-// producers flush a partial batch after DefaultFlushInterval (so the first
-// answer is never held back behind an unfilled batch) and on close;
-// interior operators forward their output at every input-batch boundary.
+// streaming semantics are preserved by flush rules: a producer whose rows
+// trickle in flushes a partial batch once its oldest row has waited
+// DefaultFlushInterval (so the first answer is never held back behind an
+// unfilled batch) and on close; interior operators forward their output at
+// every input-batch boundary.
 package engine
 
 import (
@@ -65,8 +66,11 @@ func bufBatches(batch int) int {
 }
 
 // CStream is an asynchronous exchange of ColBatch values sharing one
-// schema. The buffer is counted in batches. A batch, once sent, is owned
-// by the receiver: producers must not retain or modify it.
+// schema. The buffer is counted in batches. A batch is read-only once
+// sent: its columns may be shared — a response-cache replay sends slices
+// of the stored response to every hit, and CProject forwards its input's
+// columns — so no producer or consumer may write into them. A consumer
+// that needs different rows builds a new batch.
 type CStream struct {
 	ch     chan *ColBatch
 	schema *Schema
@@ -203,10 +207,11 @@ func CMeter(ctx context.Context, in *CStream, st *OpStats) *CStream {
 	return out
 }
 
-// ColWriter accumulates rows into batches on behalf of a leaf producer
-// and flushes to the underlying stream when a batch fills, when the flush
-// interval elapses with a partial batch pending, and on Close. It is safe
-// for concurrent use (the flush timer fires on its own goroutine).
+// ColWriter accumulates rows into batches on behalf of a producer whose
+// rows trickle in (the bind join's probes) and flushes to the underlying
+// stream when a batch fills, when the flush interval elapses with a
+// partial batch pending, and on Close. It is safe for concurrent use (the
+// flush timer fires on its own goroutine).
 type ColWriter struct {
 	ctx   context.Context
 	out   *CStream
@@ -242,19 +247,6 @@ func (w *ColWriter) SetStats(st *OpStats) {
 	w.mu.Lock()
 	w.st = st
 	w.mu.Unlock()
-}
-
-// AppendIDs appends one row (one ID per schema variable, in schema
-// order), flushing a full batch through to the stream. It returns false
-// once the context is cancelled.
-func (w *ColWriter) AppendIDs(ids []dict.ID) bool {
-	w.mu.Lock()
-	defer w.mu.Unlock()
-	if w.failed {
-		return false
-	}
-	w.b.AppendIDs(ids)
-	return w.appendedLocked()
 }
 
 // AppendMerged appends the merge of two batch rows (left wins when

@@ -120,24 +120,39 @@ func (s *Simulator) Profile() Profile { return s.profile }
 // sampled latency.
 func (s *Simulator) Delay() time.Duration {
 	d := s.Sample()
-	if d > 0 && s.scale > 0 {
-		time.Sleep(time.Duration(float64(d) * s.scale))
-	}
+	time.Sleep(s.Pause(d))
 	return d
 }
 
 // Sample draws one latency without sleeping.
-func (s *Simulator) Sample() time.Duration {
+func (s *Simulator) Sample() time.Duration { return s.SampleN(1) }
+
+// SampleN draws the latencies of n messages under one lock — the same
+// random stream as n Sample calls — without sleeping, and returns their
+// sum.
+func (s *Simulator) SampleN(n int) time.Duration {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	s.messages++
+	s.messages += n
 	if s.profile.Alpha == 0 {
 		return 0
 	}
-	ms := gammaSample(s.rng, s.profile.Alpha, s.profile.Beta)
-	d := time.Duration(ms * float64(time.Millisecond))
-	s.simulated += d
-	return d
+	var sum time.Duration
+	for i := 0; i < n; i++ {
+		ms := gammaSample(s.rng, s.profile.Alpha, s.profile.Beta)
+		sum += time.Duration(ms * float64(time.Millisecond))
+	}
+	s.simulated += sum
+	return sum
+}
+
+// Sleeps reports whether Delay really waits: a profile with latency at a
+// positive time scale.
+func (s *Simulator) Sleeps() bool { return s.profile.Alpha > 0 && s.scale > 0 }
+
+// Pause returns the real time a sampled latency d takes: scale×d.
+func (s *Simulator) Pause(d time.Duration) time.Duration {
+	return time.Duration(float64(d) * s.scale)
 }
 
 // SimulatedDelay returns the total sampled delay so far.

@@ -131,3 +131,32 @@ func TestDelaySleepsScaled(t *testing.T) {
 		t.Error("simulated delay not accounted")
 	}
 }
+
+// TestSampleNIsNSamples: one SampleN(n) call charges exactly what n Sample
+// calls charge — messages, simulated delay and the position in the random
+// stream — and a profile without latency counts n messages and draws
+// nothing from the stream.
+func TestSampleNIsNSamples(t *testing.T) {
+	const n = 37
+	one, each := NewSimulator(Gamma2, 0, 11), NewSimulator(Gamma2, 0, 11)
+	got := one.SampleN(n)
+	var want time.Duration
+	for i := 0; i < n; i++ {
+		want += each.Sample()
+	}
+	if got != want || one.SimulatedDelay() != each.SimulatedDelay() || one.Messages() != n || each.Messages() != n {
+		t.Fatalf("SampleN(%d) = %v, %v simulated, %d messages; %d Sample calls = %v, %v simulated, %d messages",
+			n, got, one.SimulatedDelay(), one.Messages(), n, want, each.SimulatedDelay(), each.Messages())
+	}
+	if a, b := one.Sample(), each.Sample(); a != b {
+		t.Fatalf("the streams diverged after the batch: next sample %v vs %v", a, b)
+	}
+
+	none, fresh := NewSimulator(NoDelay, 0, 11), NewSimulator(NoDelay, 0, 11)
+	if d := none.SampleN(n); d != 0 || none.Messages() != n || none.SimulatedDelay() != 0 {
+		t.Fatalf("NoDelay SampleN(%d) = %v with %d messages, %v simulated", n, d, none.Messages(), none.SimulatedDelay())
+	}
+	if none.rng.Int63() != fresh.rng.Int63() {
+		t.Fatal("NoDelay SampleN drew from the random stream")
+	}
+}

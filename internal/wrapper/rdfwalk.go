@@ -97,24 +97,26 @@ func walkEntry(g *rdf.Graph, view *tripleIDs, req *Request, schema *engine.Schem
 	if len(req.Filters) > 0 {
 		ev = engine.NewScratchEval(req.Filters, engine.NewSchema(vars), d)
 	}
-	e := &respEntry{stride: len(schema.Vars), perRow: !req.Block}
+	stride := len(schema.Vars)
 	template := seedTemplate(req, schema)
 	place := schema.Positions(vars)
+	var kept []dict.ID
+	n := 0
 	for r := 0; r < len(rows); r += wk.stride {
 		row := rows[r : r+wk.stride]
 		if !matchesAnySeedIDs(row, checks) || !ev.PassesIDs(row) {
 			continue
 		}
-		e.rows = append(e.rows, template...)
-		out := e.rows[len(e.rows)-e.stride:]
+		kept = append(kept, template...)
+		out := kept[len(kept)-stride:]
 		for i, p := range place {
 			if p >= 0 && row[i] != dict.Unbound {
 				out[p] = row[i]
 			}
 		}
-		e.nrows++
+		n++
 	}
-	return e
+	return newColEntry(!req.Block, kept, n, stride)
 }
 
 // bgpWalk extends flat ID rows pattern by pattern in two reused buffers.

@@ -5,6 +5,7 @@ import (
 	"slices"
 	"sync"
 	"sync/atomic"
+	"time"
 
 	"ontario/internal/dict"
 	"ontario/internal/engine"
@@ -82,16 +83,16 @@ type respKey struct {
 	h uint64
 }
 
-// respEntry is one remembered response: the decoded ID rows flattened in
-// schema order (stride IDs per row), plus everything needed to replay the
-// request's observable side effects — the SQL texts it recorded and the
-// delay contract it follows.
+// respEntry is one remembered response: the decoded ID rows stored
+// column-major — one []dict.ID of nrows IDs per schema column, read-only
+// once built, so a replay sends slices of them — plus everything needed
+// to replay the request's observable side effects: the SQL texts it
+// recorded and the delay contract it follows.
 type respEntry struct {
-	gen    uint64
-	stride int
-	nrows  int
-	rows   []dict.ID
-	sql    []string
+	gen   uint64
+	nrows int
+	cols  [][]dict.ID
+	sql   []string
 	// perRow selects the delay contract: one latency sample per row
 	// (per-answer retrieval) versus one per response (block form). An
 	// empty per-row response samples nothing; an empty block still costs
@@ -192,51 +193,90 @@ func (c *ResponseCache) store(k respKey, req *Request, schema *engine.Schema, e 
 	c.mu.Unlock()
 }
 
+// newColEntry builds the entry of a complete response given as n rows of
+// stride IDs each, row-major: the rows are transposed once into columns
+// sharing one backing array, and the row buffer stays the caller's to
+// drop.
+func newColEntry(perRow bool, rows []dict.ID, n, stride int) *respEntry {
+	e := &respEntry{perRow: perRow, nrows: n, cols: make([][]dict.ID, stride)}
+	flat := make([]dict.ID, n*stride)
+	for c := range e.cols {
+		col := flat[c*n : (c+1)*n : (c+1)*n]
+		for r := range col {
+			col[r] = rows[r*stride+c]
+		}
+		e.cols[c] = col
+	}
+	return e
+}
+
 // stream sends the response on a fresh columnar stream, sampling the
 // network simulation live. It is the one place the paper's network model
-// is applied: one latency sample per solution for per-answer retrieval
-// (the batch size never changes the accounting — a flush interval keeps
-// answers streaming under real, scaled sleeps), one per block response,
-// which is charged even when empty because the response itself still
-// crosses the network. A cache hit changes where the rows come from, not
-// what the execution observes: same rows, same per-message delay
-// accounting, batched at the wrapper's current batch size. sim may be nil
-// for no network simulation.
+// is applied: one latency sample per solution for per-answer retrieval,
+// one per block response, which is charged even when empty because the
+// response itself still crosses the network. A cache hit changes where
+// the rows come from, not what the execution observes: same rows, same
+// per-message delay accounting, batched at the wrapper's current batch
+// size. Every batch is a view of the stored columns, so a replay copies
+// no row. sim may be nil for no network simulation.
 func (e *respEntry) stream(ctx context.Context, sim *netsim.Simulator, schema *engine.Schema, batch int) *engine.CStream {
 	out := engine.NewCStream(schema, 4)
+	if batch <= 0 {
+		batch = engine.DefaultBatchSize
+	}
+	send := func(lo, hi int) bool {
+		b := &engine.ColBatch{Schema: schema, Len: hi - lo, Cols: make([][]dict.ID, len(e.cols))}
+		for c, col := range e.cols {
+			b.Cols[c] = col[lo:hi:hi]
+		}
+		return out.SendBatch(ctx, b)
+	}
 	go func() {
 		defer out.Close()
-		if e.perRow {
-			w := engine.NewColWriter(ctx, out, batch)
-			defer w.Close()
-			for i := 0; i < e.nrows; i++ {
-				if sim != nil {
-					sim.Delay()
-				}
-				if !w.AppendIDs(e.rows[i*e.stride : (i+1)*e.stride]) {
+		if !e.perRow {
+			// Block form: the (possibly empty) response is one message.
+			if sim != nil {
+				sim.Delay()
+			}
+			for lo := 0; lo < e.nrows; lo += batch {
+				if !send(lo, min(lo+batch, e.nrows)) {
 					return
 				}
 			}
 			return
 		}
-		// Block form: the (possibly empty) response is one message.
-		if sim != nil {
-			sim.Delay()
+		// Per-answer form: each chunk's rows are charged just before it
+		// goes out. Under a simulator that really sleeps, rows trickle one
+		// sample at a time instead, and the pending rows go out before any
+		// sleep that would hold the oldest of them past the flush interval,
+		// so a first answer is never held back behind later ones.
+		step := batch
+		if sim != nil && sim.Sleeps() {
+			step = 1
 		}
-		if batch <= 0 {
-			batch = engine.DefaultBatchSize
-		}
-		b := engine.NewColBuilderCap(schema, batch)
-		for i := 0; i < e.nrows; i++ {
-			b.AppendIDs(e.rows[i*e.stride : (i+1)*e.stride])
-			if b.Rows() >= batch {
-				if !out.SendBatch(ctx, b.Take()) {
+		var first time.Time // when the oldest pending row arrived
+		for lo, hi := 0, 0; hi < e.nrows; {
+			next := min(hi+step, e.nrows)
+			var pause time.Duration
+			if sim != nil {
+				pause = sim.Pause(sim.SampleN(next - hi))
+			}
+			if hi > lo && time.Since(first)+pause > engine.DefaultFlushInterval {
+				if !send(lo, hi) {
 					return
 				}
+				lo = hi
 			}
-		}
-		if b.Rows() > 0 {
-			out.SendBatch(ctx, b.Take())
+			time.Sleep(pause)
+			if lo == hi {
+				first = time.Now()
+			}
+			if hi = next; hi-lo >= batch || hi == e.nrows {
+				if !send(lo, hi) {
+					return
+				}
+				lo = hi
+			}
 		}
 	}()
 	return out
@@ -249,19 +289,19 @@ func (e *respEntry) stream(ctx context.Context, sim *netsim.Simulator, schema *e
 // that evaluate terms before the boundary (remote hops, custom sources,
 // the naive translation) build their response through it.
 func newRespEntry(req *Request, sols []sparql.Binding, schema *engine.Schema, d *dict.Dict) *respEntry {
-	e := &respEntry{stride: len(schema.Vars), perRow: !req.Block, nrows: len(sols)}
+	stride := len(schema.Vars)
 	template := seedTemplate(req, schema)
-	e.rows = make([]dict.ID, 0, len(sols)*e.stride)
+	rows := make([]dict.ID, 0, len(sols)*stride)
 	for _, b := range sols {
-		e.rows = append(e.rows, template...)
-		row := e.rows[len(e.rows)-e.stride:]
+		rows = append(rows, template...)
+		row := rows[len(rows)-stride:]
 		for i, v := range schema.Vars {
 			if t, ok := b[v]; ok {
 				row[i] = d.Intern(t)
 			}
 		}
 	}
-	return e
+	return newColEntry(!req.Block, rows, len(sols), stride)
 }
 
 // seedTemplate places a per-answer request's seed IDs at their schema

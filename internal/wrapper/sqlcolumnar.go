@@ -201,7 +201,6 @@ func (w *SQLWrapper) ExecuteColumnar(ctx context.Context, req *Request, schema *
 // columnarEntry translates, executes and decodes a per-answer request
 // into a response entry (one latency sample per row on replay).
 func (w *SQLWrapper) columnarEntry(req *Request, schema *engine.Schema, d *dict.Dict) (*respEntry, error) {
-	e := &respEntry{perRow: true, stride: len(schema.Vars)}
 	w.resetSQL()
 	tl, err := translateRequest(w.src, seedStars(req, d), req.Filters)
 	if err != nil {
@@ -210,9 +209,9 @@ func (w *SQLWrapper) columnarEntry(req *Request, schema *engine.Schema, d *dict.
 	if tl.empty {
 		// Provably empty before touching the database: no SQL, no rows,
 		// and on replay no latency samples.
-		return e, nil
+		return newColEntry(true, nil, 0, len(schema.Vars)), nil
 	}
-	return e, w.fill(e, tl, seedTemplate(req, schema), nil, schema, d)
+	return w.fill(true, tl, seedTemplate(req, schema), nil, schema, d)
 }
 
 // columnarBlockEntry answers a multi-seed block request natively: one
@@ -220,7 +219,6 @@ func (w *SQLWrapper) columnarEntry(req *Request, schema *engine.Schema, d *dict.
 // (possibly lossy) seed predicate re-checked by integer comparison. The
 // response is one simulated network message, sampled on replay.
 func (w *SQLWrapper) columnarBlockEntry(req *Request, schema *engine.Schema, d *dict.Dict) (*respEntry, error) {
-	e := &respEntry{stride: len(schema.Vars)}
 	w.resetSQL()
 	tl, empty, err := w.blockTranslation(req, req.blockSeeds(d))
 	if err != nil {
@@ -228,33 +226,36 @@ func (w *SQLWrapper) columnarBlockEntry(req *Request, schema *engine.Schema, d *
 	}
 	if empty {
 		// The (empty) response still crosses the network as one message.
-		return e, nil
+		return newColEntry(false, nil, 0, len(schema.Vars)), nil
 	}
-	return e, w.fill(e, tl, seedTemplate(req, schema), buildSeedIDChecks(req.Seeds, schema), schema, d)
+	return w.fill(false, tl, seedTemplate(req, schema), buildSeedIDChecks(req.Seeds, schema), schema, d)
 }
 
-// fill runs the translated statement and decodes its rows into e as ID
-// rows over the seed template. A row is kept when it matches some seed of
-// checks (by ID) and passes the filters the translation left to the
-// wrapper, evaluated over a scratch binding of their variables filled
+// fill runs the translated statement and decodes its rows into an entry
+// of ID rows over the seed template. A row is kept when it matches some
+// seed of checks (by ID) and passes the filters the translation left to
+// the wrapper, evaluated over a scratch binding of their variables filled
 // from the decoded row — constants and the per-answer seed included.
-func (w *SQLWrapper) fill(e *respEntry, tl *translation, template []dict.ID, checks []seedIDCheck, schema *engine.Schema, d *dict.Dict) error {
+func (w *SQLWrapper) fill(perRow bool, tl *translation, template []dict.ID, checks []seedIDCheck, schema *engine.Schema, d *dict.Dict) (*respEntry, error) {
 	stmt := tl.sel.String()
 	w.recordSQL(stmt)
-	e.sql = []string{stmt}
 	res, err := w.src.DB.QueryAST(tl.sel)
 	if err != nil {
-		return fmt.Errorf("wrapper %s: %w", w.src.ID, err)
+		return nil, fmt.Errorf("wrapper %s: %w", w.src.ID, err)
 	}
 	dec := newSQLColDecoder(tl, template, schema, d)
 	ev := engine.NewScratchEval(tl.localFilters, schema, d)
+	var rows []dict.ID
+	n := 0
 	for _, row := range res.Rows {
 		ids, ok := dec.decode(row)
 		if !ok || !matchesAnySeedIDs(ids, checks) || !ev.PassesIDs(ids) {
 			continue
 		}
-		e.rows = append(e.rows, ids...)
-		e.nrows++
+		rows = append(rows, ids...)
+		n++
 	}
-	return nil
+	e := newColEntry(perRow, rows, n, len(schema.Vars))
+	e.sql = []string{stmt}
+	return e, nil
 }

@@ -352,14 +352,14 @@ func TestWalkEntriesMatchReference(t *testing.T) {
 	seen := map[string]int{}
 	check := func(i int, relational bool, c walkCase, got, want *respEntry) {
 		t.Helper()
-		if got.nrows != want.nrows || got.perRow != want.perRow || !slices.Equal(got.rows, want.rows) {
+		if got.nrows != want.nrows || got.perRow != want.perRow || !slices.EqualFunc(got.cols, want.cols, slices.Equal[[]dict.ID]) {
 			diff := 0
-			for diff < min(len(got.rows), len(want.rows)) && got.rows[diff] == want.rows[diff] {
+			for diff < min(got.nrows, want.nrows) && slices.EqualFunc(got.cols, want.cols, func(g, w []dict.ID) bool { return g[diff] == w[diff] }) {
 				diff++
 			}
 			t.Fatalf("case %d (relational=%v, %s):\n%v\nfilters %v, seeds %+v, schema %v\ngot %d rows, want %d; first difference at row %d",
 				i, relational, strings.Join(c.what, ", "), c.req.Stars[0].Patterns, c.req.Filters, c.req.Seeds, c.schema.Vars,
-				got.nrows, want.nrows, diff/max(got.stride, 1))
+				got.nrows, want.nrows, diff)
 		}
 		if got.nrows > 0 {
 			for _, w := range c.what {
