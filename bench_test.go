@@ -14,8 +14,6 @@ import (
 	"testing"
 
 	"ontario"
-	"ontario/internal/core"
-	"ontario/internal/exp"
 	"ontario/internal/lslod"
 	"ontario/internal/netsim"
 	"ontario/internal/rdb"
@@ -44,24 +42,38 @@ func benchLake(b *testing.B) *lslod.Lake {
 	return benchL
 }
 
-func runCell(b *testing.B, cfg exp.Config) {
+// runCell runs one LSLOD query per iteration under opts, at
+// benchNetScale, and reports its answer and message counts.
+func runCell(b *testing.B, queryID string, opts []ontario.Option) {
 	b.Helper()
-	lake := benchLake(b)
-	runner := exp.NewRunner(lake)
-	runner.NetworkScale = benchNetScale
+	eng := ontario.New(benchLake(b).Lake)
+	opts = append(opts, ontario.WithNetworkScale(benchNetScale))
+	text := lslod.QueryText(queryID)
 	ctx := context.Background()
 	b.ReportAllocs()
 	b.ResetTimer()
 	var answers, messages int
 	for i := 0; i < b.N; i++ {
-		row, err := runner.Run(ctx, cfg)
+		res, err := eng.Query(ctx, text, opts...)
 		if err != nil {
 			b.Fatal(err)
 		}
-		answers, messages = row.Answers, row.Messages
+		if _, err := res.Collect(); err != nil {
+			b.Fatal(err)
+		}
+		st := res.Stats()
+		answers, messages = st.Answers, st.Messages
 	}
 	b.ReportMetric(float64(answers), "answers")
 	b.ReportMetric(float64(messages), "messages")
+}
+
+// planOption is the plan-mode option of a cell.
+func planOption(aware bool) ontario.Option {
+	if aware {
+		return ontario.WithAwarePlan()
+	}
+	return ontario.WithUnawarePlan()
 }
 
 // BenchmarkGrid regenerates E3: the paper's eight configurations (2 QEP
@@ -70,14 +82,14 @@ func runCell(b *testing.B, cfg exp.Config) {
 func BenchmarkGrid(b *testing.B) {
 	for _, q := range []string{"Q1", "Q2", "Q3", "Q4", "Q5"} {
 		for _, aware := range []bool{false, true} {
-			for _, net := range netsim.Profiles() {
+			for _, net := range ontario.Profiles() {
 				mode := "unaware"
 				if aware {
 					mode = "aware"
 				}
 				name := fmt.Sprintf("%s/%s/%s", q, mode, profileSlug(net.Name))
 				b.Run(name, func(b *testing.B) {
-					runCell(b, exp.Config{QueryID: q, Aware: aware, Network: net})
+					runCell(b, q, []ontario.Option{planOption(aware), ontario.WithNetwork(net)})
 				})
 			}
 		}
@@ -90,13 +102,13 @@ func BenchmarkGrid(b *testing.B) {
 // slow networks hit the unaware plan hardest.
 func BenchmarkFig2AnswerTraces(b *testing.B) {
 	for _, aware := range []bool{false, true} {
-		for _, net := range netsim.Profiles() {
+		for _, net := range ontario.Profiles() {
 			mode := "unaware"
 			if aware {
 				mode = "aware"
 			}
 			b.Run(fmt.Sprintf("%s/%s", mode, profileSlug(net.Name)), func(b *testing.B) {
-				runCell(b, exp.Config{QueryID: "Q3", Aware: aware, Network: net})
+				runCell(b, "Q3", []ontario.Option{planOption(aware), ontario.WithNetwork(net)})
 			})
 		}
 	}
@@ -107,14 +119,14 @@ func BenchmarkFig2AnswerTraces(b *testing.B) {
 // indexed equality the source serves well).
 func BenchmarkH2FilterPlacement(b *testing.B) {
 	for _, q := range []string{"Q1", "Q3"} {
-		for _, net := range []netsim.Profile{netsim.NoDelay, netsim.Gamma3} {
+		for _, net := range []ontario.Profile{ontario.NoDelay, ontario.Gamma3} {
 			for _, aware := range []bool{false, true} {
 				place := "engine"
 				if aware {
 					place = "source"
 				}
 				b.Run(fmt.Sprintf("%s/filter-at-%s/%s", q, place, profileSlug(net.Name)), func(b *testing.B) {
-					runCell(b, exp.Config{QueryID: q, Aware: aware, Network: net})
+					runCell(b, q, []ontario.Option{planOption(aware), ontario.WithNetwork(net)})
 				})
 			}
 		}
@@ -126,15 +138,15 @@ func BenchmarkH2FilterPlacement(b *testing.B) {
 // pushdown useless or worse; the optimized translation at least halves the
 // unaware time.
 func BenchmarkH1TranslationQuality(b *testing.B) {
-	for _, net := range []netsim.Profile{netsim.NoDelay, netsim.Gamma2} {
+	for _, net := range []ontario.Profile{ontario.NoDelay, ontario.Gamma2} {
 		b.Run("unaware/"+profileSlug(net.Name), func(b *testing.B) {
-			runCell(b, exp.Config{QueryID: "Q2", Aware: false, Network: net})
+			runCell(b, "Q2", []ontario.Option{ontario.WithUnawarePlan(), ontario.WithNetwork(net)})
 		})
 		b.Run("aware-naive/"+profileSlug(net.Name), func(b *testing.B) {
-			runCell(b, exp.Config{QueryID: "Q2", Aware: true, Naive: true, Network: net})
+			runCell(b, "Q2", []ontario.Option{ontario.WithAwarePlan(), ontario.WithNaiveTranslation(), ontario.WithNetwork(net)})
 		})
 		b.Run("aware-optimized/"+profileSlug(net.Name), func(b *testing.B) {
-			runCell(b, exp.Config{QueryID: "Q2", Aware: true, Network: net})
+			runCell(b, "Q2", []ontario.Option{ontario.WithAwarePlan(), ontario.WithNetwork(net)})
 		})
 	}
 }
@@ -145,16 +157,20 @@ func BenchmarkH1TranslationQuality(b *testing.B) {
 func BenchmarkJoinOperators(b *testing.B) {
 	ops := []struct {
 		name string
-		op   core.JoinOperator
+		op   ontario.JoinOperator
 	}{
-		{"symmetric-hash", core.JoinSymmetricHash},
-		{"nested-loop", core.JoinNestedLoop},
-		{"bind", core.JoinBind},
+		{"symmetric-hash", ontario.JoinSymmetricHash},
+		{"nested-loop", ontario.JoinNestedLoop},
+		{"bind", ontario.JoinBind},
 	}
 	for _, o := range ops {
-		for _, net := range []netsim.Profile{netsim.NoDelay, netsim.Gamma2} {
+		for _, net := range []ontario.Profile{ontario.NoDelay, ontario.Gamma2} {
 			b.Run(o.name+"/"+profileSlug(net.Name), func(b *testing.B) {
-				runCell(b, exp.Config{QueryID: "Q5", Aware: false, Network: net, JoinOp: o.op})
+				opts := []ontario.Option{ontario.WithUnawarePlan(), ontario.WithNetwork(net)}
+				if o.op != ontario.JoinSymmetricHash {
+					opts = append(opts, ontario.WithJoinOperator(o.op))
+				}
+				runCell(b, "Q5", opts)
 			})
 		}
 	}

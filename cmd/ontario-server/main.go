@@ -17,8 +17,8 @@
 //	/debug/queries slow-query log (?threshold=250ms filters).
 //	/debug/pprof/  runtime profiling (disable with -pprof=false).
 //
-// Plans are cached server-side in an LRU keyed by normalized query text
-// plus the plan-shaping parameters (-plan-cache bounds it); a repeated
+// Plans are cached at lake lifetime in the engine's LRU, keyed by
+// normalized query text plus the plan-shaping parameters; a repeated
 // query skips parsing and planning.
 //
 // Admission control: at most -max-concurrent queries execute at once; up
@@ -104,7 +104,6 @@ func main() {
 		queue     = flag.Int("queue-depth", 16, "max queries waiting for an execution slot (negative disables queueing)")
 		srcLimit  = flag.Int("source-limit", 4, "max in-flight wrapper requests per source (0 = unlimited)")
 		timeout   = flag.Duration("timeout", 30*time.Second, "per-query deadline")
-		planCache = flag.Int("plan-cache", 128, "plan cache capacity (negative disables)")
 		slowLog   = flag.Int("slow-query-log", 128, "slow-query log capacity for /debug/queries (negative disables)")
 		enablePpf = flag.Bool("pprof", true, "mount net/http/pprof under /debug/pprof/")
 		logJSON   = flag.Bool("log-json", false, "emit access and server logs as JSON instead of text")
@@ -314,7 +313,6 @@ func main() {
 		MaxConcurrent:    *maxConc,
 		QueueDepth:       *queue,
 		QueryTimeout:     *timeout,
-		PlanCacheSize:    *planCache,
 		SlowQueryLogSize: *slowLog,
 		EnablePprof:      *enablePpf,
 		Logger:           logger,

@@ -13,7 +13,7 @@ import (
 	"sync/atomic"
 	"time"
 
-	"ontario/internal/server"
+	"ontario/internal/bridge"
 )
 
 // RouterConfig configures a replica router.
@@ -160,7 +160,7 @@ func (rt *Router) serveQuery(w http.ResponseWriter, r *http.Request) {
 	}
 	rt.inflight.Add(1)
 	defer rt.inflight.Add(-1)
-	idx := rt.pick(server.NormalizeQuery(q))
+	idx := rt.pick(bridge.NormalizeQuery(q))
 	rt.routed[idx].Add(1)
 	rt.proxy(w, r, idx, body)
 }

@@ -425,8 +425,10 @@ func (w *Worker) runScan(st *workerStream, enc *Encoder, t *task) error {
 // runFrag executes a co-partitioned plan subtree locally and streams only
 // its results back — the shuffle-elision path.
 func (w *Worker) runFrag(st *workerStream, enc *Encoder, t *task) error {
+	ctx, cancel := context.WithCancel(st.ctx)
+	defer cancel()
 	x := w.exec.NewExecution(t.env.Scale, t.env.Seed)
-	s, err := w.buildFrag(st.ctx, x, t.root, t.env.options())
+	s, err := w.buildFrag(ctx, cancel, x, t.root, t.env.options())
 	if err != nil {
 		return err
 	}
@@ -447,18 +449,25 @@ func (w *Worker) finish(st *workerStream, enc *Encoder, x *core.Execution, s *en
 
 // buildFrag instantiates the fragment tree as local columnar operators
 // over this worker's partition (parseTask has checked its structure).
-func (w *Worker) buildFrag(ctx context.Context, x *core.Execution, f *fragNode, opts core.Options) (*engine.CStream, error) {
+// When a child fails to build, its started siblings are cancelled through
+// cancel, which must cancel ctx, and drained before the error returns.
+func (w *Worker) buildFrag(ctx context.Context, cancel context.CancelFunc, x *core.Execution, f *fragNode, opts core.Options) (*engine.CStream, error) {
 	schema := engine.NewSchema(f.vars)
 	if f.kind == fragScan {
 		return x.RunService(ctx, f.source, f.req, schema, opts)
 	}
-	ins := make([]*engine.CStream, len(f.children))
-	for i, ch := range f.children {
-		s, err := w.buildFrag(ctx, x, ch, opts)
+	ins := make([]*engine.CStream, 0, len(f.children))
+	for _, ch := range f.children {
+		s, err := w.buildFrag(ctx, cancel, x, ch, opts)
 		if err != nil {
+			cancel()
+			for _, in := range ins {
+				for range in.Batches() {
+				}
+			}
 			return nil, err
 		}
-		ins[i] = s
+		ins = append(ins, s)
 	}
 	switch f.kind {
 	case fragJoin:

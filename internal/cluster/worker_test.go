@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"net"
+	"runtime"
 	"slices"
 	"sort"
 	"strings"
@@ -242,6 +243,59 @@ func TestWorkerReplaysFrag(t *testing.T) {
 	}
 	if filters == 0 {
 		t.Fatal("no plan carried an engine-level filter into its fragment")
+	}
+}
+
+// TestBuildFragReleasesStartedChildren: a fragment join whose right child
+// names a source the worker does not have fails to build after its left
+// child's scan has started. The error comes back, and the left scan —
+// far more batches than its stream buffers — is cancelled and drained
+// rather than left blocked on a send nobody will receive.
+func TestBuildFragReleasesStartedChildren(t *testing.T) {
+	tw := bootWorker(t)
+	// The largest scan of the unaware plans.
+	var svc *core.ServiceNode
+	most := 0
+	for _, plan := range lslodPlans(t, tw.cat, core.Options{JoinOperator: core.JoinSymmetricHash}) {
+		for _, s := range services(plan.Root) {
+			out, err := tw.w.exec.NewExecution(0, 1).RunService(context.Background(), s.SourceID, s.Req, engine.NewSchema(s.Vars()), core.Options{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if n := len(rows(out, tw.w.d)); n > most {
+				svc, most = s, n
+			}
+		}
+	}
+	if most < 100 {
+		t.Fatalf("the largest scan has %d rows, too few to fill a stream's buffer", most)
+	}
+	left := &fragNode{kind: fragScan, vars: svc.Vars(), source: svc.SourceID, req: svc.Req}
+	right := &fragNode{kind: fragScan, vars: svc.Vars(), source: "no-such-source", req: svc.Req}
+	root := &fragNode{kind: fragJoin, vars: svc.Vars(), joinVars: svc.Vars()[:1], children: []*fragNode{left, right}}
+	settle := func() int {
+		runtime.GC()
+		time.Sleep(50 * time.Millisecond)
+		return runtime.NumGoroutine()
+	}
+	before := settle()
+	var cancels []context.CancelFunc // called only after the count: buildFrag must not rely on them
+	defer func() {
+		for _, cancel := range cancels {
+			cancel()
+		}
+	}()
+	for i := 0; i < 3; i++ {
+		ctx, cancel := context.WithCancel(context.Background())
+		cancels = append(cancels, cancel)
+		x := tw.w.exec.NewExecution(0, 1)
+		s, err := tw.w.buildFrag(ctx, cancel, x, root, core.Options{BatchSize: 1})
+		if err == nil || !strings.Contains(err.Error(), "no-such-source") {
+			t.Fatalf("build %d: stream %v, error %v, want the unknown source's error", i, s, err)
+		}
+	}
+	if after := settle(); after > before {
+		t.Fatalf("%d goroutines before, %d after three failed builds: the started left scans leaked", before, after)
 	}
 }
 

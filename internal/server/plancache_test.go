@@ -7,20 +7,21 @@ import (
 	"net/url"
 	"strings"
 	"testing"
-	"time"
 
 	"ontario"
 	"ontario/lake"
 )
 
+// cacheTestQuery is used by no other test: the server tests share one
+// lake, and with it one plan cache.
 const cacheTestQuery = `SELECT ?probe ?gene WHERE {
   ?probe <http://lake.tib.eu/affymetrix/vocab#transcribedFrom> ?gene .
   ?probe <http://lake.tib.eu/affymetrix/vocab#chromosome> "chr11" .
 }`
 
 // TestPlanCacheHitSkipsPlanning: the second identical request must be
-// served from the plan cache — the hit counter increments and the miss
-// counter does not.
+// served from the engine's plan cache — the hit counter increments and the
+// miss counter does not.
 func TestPlanCacheHitSkipsPlanning(t *testing.T) {
 	srv, ts, _ := newTestServer(t, Config{
 		DefaultOptions: []ontario.Option{ontario.WithAwarePlan(), ontario.WithNetworkScale(0)},
@@ -57,10 +58,6 @@ func TestPlanCacheHitSkipsPlanning(t *testing.T) {
 	if misses := srv.Metrics().Counter(MetricPlanCacheMiss); misses != 1 {
 		t.Errorf("misses after second request = %d, want 1", misses)
 	}
-	if n := srv.plans.len(); n != 1 {
-		t.Errorf("plan cache holds %d plans, want 1", n)
-	}
-
 	// A different plan-shaping parameter must be a separate cache entry.
 	resp = postQuery(t, ts.URL, cacheTestQuery, url.Values{"mode": {"unaware"}})
 	io.Copy(io.Discard, resp.Body)
@@ -70,83 +67,9 @@ func TestPlanCacheHitSkipsPlanning(t *testing.T) {
 	}
 }
 
-// TestNormalizeQueryPreservesLiterals: whitespace outside string literals
-// collapses (formatting must not defeat the cache) but whitespace INSIDE a
-// literal is significant — two queries differing only there must get
-// distinct keys.
-func TestNormalizeQueryPreservesLiterals(t *testing.T) {
-	a := "SELECT ?v  WHERE {\n\t?s <http://p> ?v .\n FILTER (?v = \"New York\") }"
-	b := "SELECT ?v WHERE { ?s <http://p> ?v . FILTER (?v = \"New York\") }"
-	if normalizeQuery(a) != normalizeQuery(b) {
-		t.Errorf("formatting-only difference changed the key:\n%q\n%q", normalizeQuery(a), normalizeQuery(b))
-	}
-	c := strings.Replace(a, "New York", "New  York", 1)
-	if normalizeQuery(a) == normalizeQuery(c) {
-		t.Errorf("whitespace inside a literal was collapsed: %q", normalizeQuery(c))
-	}
-	d := `SELECT ?v WHERE { ?s <http://p> "esc\" quote  here" }`
-	e := `SELECT ?v WHERE { ?s <http://p> "esc\" quote here" }`
-	if normalizeQuery(d) == normalizeQuery(e) {
-		t.Error("escaped quote ended the literal early")
-	}
-	f := "SELECT ?v WHERE { ?s <http://p> 'single  quoted' }"
-	g := "SELECT ?v WHERE { ?s <http://p> 'single quoted' }"
-	if normalizeQuery(f) == normalizeQuery(g) {
-		t.Error("single-quoted literal was collapsed")
-	}
-}
-
-// TestPlanCacheEviction: the LRU must not grow past its capacity.
-func TestPlanCacheEviction(t *testing.T) {
-	c := newPlanCache(2)
-	c.put("a", &ontario.Prepared{})
-	c.put("b", &ontario.Prepared{})
-	c.put("a", &ontario.Prepared{}) // refresh a: now a is most recent
-	c.put("c", &ontario.Prepared{}) // evicts b
-	if c.len() != 2 {
-		t.Fatalf("cache len = %d, want 2", c.len())
-	}
-	if c.get("b") != nil {
-		t.Error("b survived eviction")
-	}
-	if c.get("a") == nil || c.get("c") == nil {
-		t.Error("a/c missing after eviction")
-	}
-}
-
-// TestLatencyFingerprintBuckets pins the adaptive part of the plan-cache
-// key: a plan optimized with measured remote latency must be re-planned
-// when a source's observed health drifts materially (different bucket ⇒
-// different key ⇒ cache miss), while sample jitter within a bucket and
-// engines with no remote observations leave the key unchanged.
-func TestLatencyFingerprintBuckets(t *testing.T) {
-	mk := func(lat time.Duration, rate float64) []ontario.SourceHealth {
-		return []ontario.SourceHealth{{Source: "peer", Latency: lat, FailureRate: rate}}
-	}
-	if got := latencyFingerprint(nil); got != "" {
-		t.Errorf("fingerprint with no health = %q, want empty", got)
-	}
-	if got := latencyFingerprint(mk(0, 0)); got != "" {
-		t.Errorf("fingerprint with no successful observation = %q, want empty", got)
-	}
-	// Jitter inside one power-of-two bucket: same key.
-	if a, b := latencyFingerprint(mk(9*time.Millisecond, 0)), latencyFingerprint(mk(11*time.Millisecond, 0)); a != b {
-		t.Errorf("in-bucket jitter changed the key: %q vs %q", a, b)
-	}
-	// An order-of-magnitude drift: different key.
-	if a, b := latencyFingerprint(mk(4*time.Millisecond, 0)), latencyFingerprint(mk(40*time.Millisecond, 0)); a == b {
-		t.Errorf("4ms and 40ms share the key %q — stale plans would never re-optimize", a)
-	}
-	// Health drift at constant latency: a source going from reliable to 50%
-	// failures doubles its effective cost and must change the key.
-	if a, b := latencyFingerprint(mk(10*time.Millisecond, 0)), latencyFingerprint(mk(10*time.Millisecond, 0.5)); a == b {
-		t.Errorf("failure-rate drift did not change the key %q", a)
-	}
-}
-
 // TestSetEngineSwapsServingEngineAndDropsPlans: SetEngine (deferred
-// federation) must route subsequent requests to the new engine and
-// invalidate plans prepared against the old one.
+// federation) must route subsequent requests to the new engine, whose
+// lake holds none of the plans prepared against the old one.
 func TestSetEngineSwapsServingEngineAndDropsPlans(t *testing.T) {
 	oldSrc := &fnSource{id: "old", mols: []lake.Molecule{molB()},
 		exec: func(ctx context.Context, req *lake.Request) ([]lake.Binding, error) {
@@ -168,8 +91,11 @@ func TestSetEngineSwapsServingEngineAndDropsPlans(t *testing.T) {
 	if out := get(); !strings.Contains(out, "old") {
 		t.Fatalf("answer before swap = %s, want the old source's binding", out)
 	}
-	if n := srv.plans.len(); n != 1 {
-		t.Fatalf("plan cache holds %d plans before swap, want 1", n)
+	if out := get(); !strings.Contains(out, "old") {
+		t.Fatalf("repeated answer before swap = %s", out)
+	}
+	if hits, misses := srv.Metrics().Counter(MetricPlanCacheHits), srv.Metrics().Counter(MetricPlanCacheMiss); hits != 1 || misses != 1 {
+		t.Fatalf("before swap: %d hits, %d misses, want 1 and 1", hits, misses)
 	}
 
 	newSrc := &fnSource{id: "new", mols: []lake.Molecule{molB()},
@@ -184,11 +110,11 @@ func TestSetEngineSwapsServingEngineAndDropsPlans(t *testing.T) {
 	}
 	srv.SetEngine(ontario.New(l))
 
-	if n := srv.plans.len(); n != 0 {
-		t.Fatalf("plan cache holds %d plans after swap, want 0", n)
-	}
 	if out := get(); !strings.Contains(out, "new") {
 		t.Fatalf("answer after swap = %s, want the new source's binding", out)
+	}
+	if misses := srv.Metrics().Counter(MetricPlanCacheMiss); misses != 2 {
+		t.Fatalf("the first query after the swap was not planned afresh (%d misses, want 2)", misses)
 	}
 }
 
@@ -198,7 +124,8 @@ func TestExplainEndpoint(t *testing.T) {
 	srv, ts, _ := newTestServer(t, Config{
 		DefaultOptions: []ontario.Option{ontario.WithAwarePlan(), ontario.WithNetworkScale(0)},
 	})
-	resp := postQuery(t, ts.URL, cacheTestQuery, url.Values{"explain": {"1"}})
+	query := strings.Replace(cacheTestQuery, "chr11", "chr12", 1)
+	resp := postQuery(t, ts.URL, query, url.Values{"explain": {"1"}})
 	defer resp.Body.Close()
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("status = %d", resp.StatusCode)
@@ -221,10 +148,32 @@ func TestExplainEndpoint(t *testing.T) {
 	}
 
 	// The plan cached by EXPLAIN serves the real execution as a hit.
-	resp = postQuery(t, ts.URL, cacheTestQuery, nil)
+	resp = postQuery(t, ts.URL, query, nil)
 	io.Copy(io.Discard, resp.Body)
 	resp.Body.Close()
 	if hits := srv.Metrics().Counter(MetricPlanCacheHits); hits != 1 {
 		t.Errorf("execution after explain was not a cache hit (hits = %d)", hits)
+	}
+}
+
+// TestLibraryPlanIsServerHit: the server has no plan cache of its own, so a
+// plan prepared through the library is a server-side hit for the same
+// text, even with different whitespace.
+func TestLibraryPlanIsServerHit(t *testing.T) {
+	srv, ts, eng := newTestServer(t, Config{
+		DefaultOptions: []ontario.Option{ontario.WithAwarePlan(), ontario.WithNetworkScale(0)},
+	})
+	query := strings.Replace(cacheTestQuery, "chr11", "chr13", 1)
+	if _, err := eng.Prepare(query, ontario.WithAwarePlan(), ontario.WithNetworkScale(0)); err != nil {
+		t.Fatal(err)
+	}
+	resp := postQuery(t, ts.URL, "  "+strings.Join(strings.Fields(query), "\n\t "), nil)
+	io.Copy(io.Discard, resp.Body)
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("status = %d", resp.StatusCode)
+	}
+	if hits, misses := srv.Metrics().Counter(MetricPlanCacheHits), srv.Metrics().Counter(MetricPlanCacheMiss); hits != 1 || misses != 0 {
+		t.Errorf("library-prepared text: %d hits, %d misses, want 1 and 0", hits, misses)
 	}
 }

@@ -14,12 +14,9 @@
 //   - cancellation: every query runs under the request context with a
 //     per-query deadline; a client disconnect tears the whole plan down
 //     through context.Context;
-//   - plan caching: an LRU keyed by normalized query text, the
-//     plan-shaping request parameters, and a coarse bucketing of each
-//     remote source's measured latency — a repeated query skips parsing
-//     and planning entirely (hits/misses exported on /metrics), but a
-//     material drift in a source's observed health re-plans instead of
-//     serving the stale plan forever;
+//   - plan caching: requests go through the engine's lake-lifetime plan
+//     cache (see ontario.Engine.PrepareCached), so a repeated query skips
+//     parsing and planning; hits and misses are exported on /metrics;
 //   - EXPLAIN: ?explain=1 renders the (cached) plan with the cost model's
 //     estimates instead of executing it;
 //   - observability: /metrics exports the counters and latency histograms
@@ -89,10 +86,6 @@ type Config struct {
 	// RetryAfter is the hint returned in the Retry-After header of 503
 	// responses (default 1s).
 	RetryAfter time.Duration
-	// PlanCacheSize bounds the server's LRU plan cache: repeated queries
-	// (same normalized text, same plan-shaping parameters) skip parsing and
-	// planning (default 128; negative disables caching).
-	PlanCacheSize int
 	// DefaultOptions are applied to every query before the per-request
 	// mode/network parameters.
 	DefaultOptions []ontario.Option
@@ -159,9 +152,6 @@ func (c Config) withDefaults() Config {
 	if c.RetryAfter <= 0 {
 		c.RetryAfter = time.Second
 	}
-	if c.PlanCacheSize == 0 {
-		c.PlanCacheSize = 128
-	}
 	if c.SlowQueryLogSize == 0 {
 		c.SlowQueryLogSize = 128
 	}
@@ -186,8 +176,7 @@ type Server struct {
 	metrics *trace.Metrics
 	mux     *http.ServeMux
 	admit   chan struct{}
-	plans   *planCache // nil when caching is disabled
-	slow    *slowLog   // nil when the slow-query log is disabled
+	slow    *slowLog // nil when the slow-query log is disabled
 	started time.Time
 
 	mu            sync.Mutex
@@ -207,7 +196,6 @@ func New(eng *ontario.Engine, cfg Config) *Server {
 		metrics: trace.NewMetrics(),
 		mux:     http.NewServeMux(),
 		admit:   make(chan struct{}, cfg.MaxConcurrent),
-		plans:   newPlanCache(cfg.PlanCacheSize),
 		slow:    newSlowLog(cfg.SlowQueryLogSize),
 		started: time.Now(),
 	}
@@ -240,14 +228,12 @@ func (s *Server) engine() *ontario.Engine {
 
 // SetEngine atomically replaces the serving engine — ontario-server uses
 // this when deferred peer discovery completes and the lake is rebuilt
-// with remote sources. The plan cache is dropped (its prepared plans
-// belong to the old engine); in-flight queries finish on the engine they
-// started with.
+// with remote sources. Plans come from the new engine's lake; in-flight
+// queries finish on the engine they started with.
 func (s *Server) SetEngine(eng *ontario.Engine) {
 	s.mu.Lock()
 	s.eng = eng
 	s.mu.Unlock()
-	s.plans.clear()
 }
 
 // Metrics exposes the server's metric registry.
@@ -367,94 +353,48 @@ func qparam(r *http.Request, name string) string {
 }
 
 // requestOptions derives the per-query options: the server defaults, then
-// the request's mode/network/optimizer parameters. The second return value
-// is the plan-shaping fingerprint of the request, part of the plan-cache
-// key.
-func (s *Server) requestOptions(r *http.Request) ([]ontario.Option, string, error) {
+// the request's mode/network/optimizer parameters.
+func (s *Server) requestOptions(r *http.Request) ([]ontario.Option, error) {
 	opts := append([]ontario.Option(nil), s.cfg.DefaultOptions...)
-	mode := qparam(r, "mode")
-	switch mode {
+	switch mode := qparam(r, "mode"); mode {
 	case "":
 	case "aware":
 		opts = append(opts, ontario.WithAwarePlan())
 	case "unaware":
 		opts = append(opts, ontario.WithUnawarePlan())
 	default:
-		return nil, "", fmt.Errorf("unknown mode %q (want aware or unaware)", mode)
+		return nil, fmt.Errorf("unknown mode %q (want aware or unaware)", mode)
 	}
-	// The fingerprint uses the RESOLVED parameter values (profile name,
-	// canonical optimizer name), so accepted aliases of the same setting
-	// ("nodelay"/"none", "Cost"/"cost") share one cache entry; the empty
-	// string means "server default", distinct from any explicit value.
-	network := ""
 	if net := qparam(r, "network"); net != "" {
 		profile, err := ontario.ProfileByName(net)
 		if err != nil {
-			return nil, "", err
+			return nil, err
 		}
 		opts = append(opts, ontario.WithNetwork(profile))
-		network = profile.Name
 	}
-	optimizer := ""
 	if opt := qparam(r, "optimizer"); opt != "" {
 		m, err := ontario.OptimizerByName(opt)
 		if err != nil {
-			return nil, "", err
+			return nil, err
 		}
 		opts = append(opts, ontario.WithOptimizer(m))
-		optimizer = m.String()
 	}
-	return opts, "mode=" + mode + "|network=" + network + "|optimizer=" + optimizer, nil
+	return opts, nil
 }
 
-// prepare resolves the request's plan through the LRU plan cache: a hit
-// skips parsing and planning and bumps the hit counter; a miss plans and
-// stores. The key folds in the engine's measured per-source latency
-// (coarsely bucketed), so a plan optimized with live cost-model gamma is
-// re-planned when a source's observed health drifts materially instead
-// of being served stale forever.
-func (s *Server) prepare(eng *ontario.Engine, text, fingerprint string, opts []ontario.Option) (prep *ontario.Prepared, cacheHit bool, err error) {
-	key := normalizeQuery(text) + "|" + fingerprint + latencyFingerprint(eng.SourceHealth())
-	if prep := s.plans.get(key); prep != nil {
-		s.metrics.Inc(MetricPlanCacheHits)
-		return prep, true, nil
-	}
-	prep, err = eng.Prepare(text, opts...)
+// prepare resolves the request's plan through the engine's plan cache and
+// counts the lookup as a hit or a miss.
+func (s *Server) prepare(eng *ontario.Engine, text string, opts []ontario.Option) (*ontario.Prepared, bool, error) {
+	prep, hit, err := eng.PrepareCached(text, opts...)
 	if err != nil {
 		return nil, false, err
 	}
-	s.metrics.Inc(MetricPlanCacheMiss)
-	s.plans.put(key, prep)
-	return prep, false, nil
-}
-
-// latencyFingerprint is the plan-cache key component derived from the
-// engine's measured per-source health. Each observed source contributes
-// its failure-inflated latency EWMA (the same quantity the cost model
-// prices with, see wrapper.HealthRegistry.MeasuredLatency) bucketed to a
-// power of two of milliseconds — coarse enough that sample jitter keeps
-// one bucket, but a source drifting from 4ms to 40ms, or from healthy to
-// 50% failures, changes the key and forces a re-plan. Engines without
-// remote observations contribute nothing, keeping their keys unchanged.
-func latencyFingerprint(health []ontario.SourceHealth) string {
-	var b strings.Builder
-	for _, h := range health {
-		if h.Latency <= 0 {
-			continue
-		}
-		ms := float64(h.Latency) / float64(time.Millisecond)
-		rate := h.FailureRate
-		if rate > 0.9 {
-			rate = 0.9
-		}
-		ms /= 1 - rate
-		bucket := 0
-		for v := ms; v >= 1; v /= 2 {
-			bucket++
-		}
-		fmt.Fprintf(&b, "|%s:%d", h.Source, bucket)
+	if hit {
+		s.metrics.Inc(MetricPlanCacheHits)
+	} else {
+		s.metrics.Inc(MetricPlanCacheMiss)
 	}
-	return b.String()
+	return prep, hit, nil
 }
 
 // queryDeadline resolves the effective per-query timeout: the server's
@@ -517,7 +457,7 @@ func (s *Server) handleSparql(w http.ResponseWriter, r *http.Request) {
 		accessLog(http.StatusBadRequest, slog.String("error", err.Error()))
 		return
 	}
-	opts, fingerprint, err := s.requestOptions(r)
+	opts, err := s.requestOptions(r)
 	if err != nil {
 		http.Error(w, err.Error(), http.StatusBadRequest)
 		accessLog(http.StatusBadRequest, slog.String("error", err.Error()))
@@ -529,7 +469,7 @@ func (s *Server) handleSparql(w http.ResponseWriter, r *http.Request) {
 	// EXPLAIN: plan (through the cache) and render without executing — no
 	// admission slot needed, planning is engine-local.
 	if explain := qparam(r, "explain"); explain == "1" || explain == "true" {
-		prep, cacheHit, err := s.prepare(eng, text, fingerprint, opts)
+		prep, cacheHit, err := s.prepare(eng, text, opts)
 		if err != nil {
 			s.metrics.Inc(MetricFailed)
 			http.Error(w, err.Error(), http.StatusBadRequest)
@@ -570,7 +510,7 @@ func (s *Server) handleSparql(w http.ResponseWriter, r *http.Request) {
 	}
 	defer release()
 
-	prep, cacheHit, err := s.prepare(eng, text, fingerprint, opts)
+	prep, cacheHit, err := s.prepare(eng, text, opts)
 	if err != nil {
 		s.metrics.Inc(MetricFailed)
 		http.Error(w, err.Error(), http.StatusBadRequest)

@@ -258,8 +258,7 @@ func (e *Engine) start(ctx context.Context, plan *core.Plan, cfg config) (*Resul
 
 // Prepared is a planned query ready for repeated execution. The plan tree
 // is read-only during execution, so one Prepared may back any number of
-// concurrent QueryPrepared calls — the unit a server-side plan cache
-// stores.
+// concurrent QueryPrepared calls — the unit the plan cache stores.
 type Prepared struct {
 	plan *core.Plan
 }
@@ -273,26 +272,34 @@ func (p *Prepared) Summary() *PlanSummary { return summarize(p.plan.Root) }
 
 // Prepare parses and plans a query without executing it. All plan-shaping
 // options (mode, network, optimizer, join operator, ...) are fixed at
-// Prepare time. Plans are memoized at lake lifetime: a repeated Prepare —
-// same query text, same plan options, source health in the same coarse
-// bucket — returns the lake's cached Prepared instead of planning again.
+// Prepare time. Plans are memoized at lake lifetime (see PrepareCached).
 func (e *Engine) Prepare(queryText string, options ...Option) (*Prepared, error) {
+	prep, _, err := e.PrepareCached(queryText, options...)
+	return prep, err
+}
+
+// PrepareCached is Prepare reporting whether the plan came from the lake's
+// plan cache: a repeated query (same text up to whitespace outside
+// literals, same plan options, source health in the same coarse bucket)
+// returns the cached Prepared instead of parsing and planning again. The
+// cache is a bounded LRU shared by every engine over the same lake.
+func (e *Engine) PrepareCached(queryText string, options ...Option) (prep *Prepared, hit bool, err error) {
 	cfg := newConfig(options)
-	key := queryText + "\x00" + cfg.fingerprint() + "\x00" + e.healthFingerprint()
+	key := e.planKey(queryText, cfg)
 	if p := e.plans.get(key); p != nil {
-		return p, nil
+		return p, true, nil
 	}
 	q, err := sparql.Parse(queryText)
 	if err != nil {
-		return nil, err
+		return nil, false, err
 	}
 	plan, err := e.planner.Plan(q, e.planOptions(cfg))
 	if err != nil {
-		return nil, err
+		return nil, false, err
 	}
 	p := &Prepared{plan: plan}
-	e.plans.put(key, p)
-	return p, nil
+	e.plans.put(string(key), p)
+	return p, false, nil
 }
 
 // QueryPrepared starts a prepared query on its own execution, skipping

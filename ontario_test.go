@@ -448,7 +448,7 @@ func TestResponsesSurvivePlanEviction(t *testing.T) {
 		if len(want) == 0 {
 			t.Fatalf("%s: no answers", bq.ID)
 		}
-		// Churn the prepared-plan cache past its cap: it drops every plan.
+		// Churn the plan cache past its cap: the LRU evicts this plan.
 		for i := 0; i < 600; i++ {
 			churn := fmt.Sprintf("SELECT ?d WHERE { ?d <http://lake.tib.eu/diseasome/vocab#name> ?n } LIMIT %d", i+1)
 			if _, err := eng.Prepare(churn, opts...); err != nil {

@@ -1,94 +1,185 @@
 package ontario
 
 import (
-	"fmt"
-	"strings"
+	"container/list"
+	"strconv"
 	"sync"
 	"time"
 )
 
-// preparedCache memoizes Prepared plans at lake lifetime. Planning is
-// deterministic in (query text, resolved plan options, coarse source
-// health), and a plan tree is read-only during execution, so one Prepared
-// can back every engine over the catalog: a freshly built engine serving
-// the same workload starts with the lake's plans already warm. (The
-// wrapper response cache is lake-lifetime too and keys on request content,
-// so its responses outlive any plan dropped here.)
+// preparedCache is the one plan cache: a size-bounded LRU of Prepared
+// plans at lake lifetime. Planning is deterministic in (query text,
+// resolved plan options, coarse source health), and a plan tree is
+// read-only during execution, so one Prepared can back every engine over
+// the catalog and any number of concurrent executions: a freshly built
+// engine serving the same workload starts with the lake's plans already
+// warm. (The wrapper response cache is lake-lifetime too and keys on
+// request content, so its responses outlive any plan evicted here.)
 type preparedCache struct {
-	mu      sync.RWMutex
-	entries map[string]*Prepared
+	mu sync.Mutex
+	ll *list.List // front = most recently used
+	m  map[string]*list.Element
 }
 
-// preparedCacheCap bounds the cache; crossing it drops everything (a
-// workload with that many distinct plan keys is churn, not reuse).
+type preparedEntry struct {
+	key  string
+	prep *Prepared
+}
+
+// preparedCacheCap bounds the cache; the least recently used plan goes
+// first.
 const preparedCacheCap = 512
 
 func newPreparedCache() *preparedCache {
-	return &preparedCache{entries: make(map[string]*Prepared)}
+	return &preparedCache{ll: list.New(), m: make(map[string]*list.Element)}
 }
 
-func (c *preparedCache) get(key string) *Prepared {
-	c.mu.RLock()
-	p := c.entries[key]
-	c.mu.RUnlock()
-	return p
+// get returns the cached plan for key, promoting it to most recently used.
+func (c *preparedCache) get(key []byte) *Prepared {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	el, ok := c.m[string(key)]
+	if !ok {
+		return nil
+	}
+	c.ll.MoveToFront(el)
+	return el.Value.(*preparedEntry).prep
 }
 
+// put stores the plan, evicting the least recently used entry when full.
 func (c *preparedCache) put(key string, p *Prepared) {
 	c.mu.Lock()
-	if len(c.entries) >= preparedCacheCap {
-		clear(c.entries)
+	defer c.mu.Unlock()
+	if el, ok := c.m[key]; ok {
+		c.ll.MoveToFront(el)
+		el.Value.(*preparedEntry).prep = p
+		return
 	}
-	c.entries[key] = p
-	c.mu.Unlock()
+	c.m[key] = c.ll.PushFront(&preparedEntry{key: key, prep: p})
+	if c.ll.Len() > preparedCacheCap {
+		oldest := c.ll.Back()
+		c.ll.Remove(oldest)
+		delete(c.m, oldest.Value.(*preparedEntry).key)
+	}
 }
 
-// fingerprint canonically renders every plan-shaping field of the config.
-// The execution-time fields (network scale, seed) are excluded: they are
-// honored when a prepared plan starts, not when it is planned.
-func (c config) fingerprint() string {
-	var b strings.Builder
-	fmt.Fprintf(&b, "m%d|h2=%t", c.mode, c.heuristic2)
+// planKey is the cache key of a query: its whitespace-normalized text, the
+// plan-shaping options, and the engine's coarse source health.
+func (e *Engine) planKey(queryText string, cfg config) []byte {
+	b := make([]byte, 0, len(queryText)+128)
+	b = appendNormalized(b, queryText)
+	b = append(b, 0)
+	b = cfg.appendFingerprint(b)
+	b = append(b, 0)
+	return appendHealth(b, e.SourceHealth())
+}
+
+// normalizeQuery is the text part of the plan-cache key; the cluster
+// router keys replica affinity on it (through internal/bridge), so a query
+// lands on the replica whose cache already holds its plan.
+func normalizeQuery(text string) string { return string(appendNormalized(nil, text)) }
+
+// appendNormalized appends text with whitespace runs OUTSIDE string
+// literals collapsed, so formatting differences do not defeat the cache,
+// while queries differing only inside a literal (e.g. FILTER (?v = "New
+// York")) keep distinct keys. Quotes follow SPARQL literal syntax: " or '
+// delimited, backslash escapes.
+func appendNormalized(b []byte, text string) []byte {
+	start := len(b)
+	var quote byte
+	escaped := false
+	pendingSpace := false
+	for i := 0; i < len(text); i++ {
+		c := text[i]
+		if quote != 0 {
+			b = append(b, c)
+			switch {
+			case escaped:
+				escaped = false
+			case c == '\\':
+				escaped = true
+			case c == quote:
+				quote = 0
+			}
+			continue
+		}
+		switch {
+		case c == ' ' || c == '\t' || c == '\n' || c == '\r':
+			if len(b) > start {
+				pendingSpace = true
+			}
+			continue
+		case c == '"' || c == '\'':
+			quote = c
+		}
+		if pendingSpace {
+			b = append(b, ' ')
+			pendingSpace = false
+		}
+		b = append(b, c)
+	}
+	return b
+}
+
+// appendFingerprint canonically renders every plan-shaping field of the
+// config. The execution-time fields (network scale, seed, cluster) are
+// excluded: they are honored when a prepared plan starts, not when it is
+// planned.
+func (c config) appendFingerprint(b []byte) []byte {
+	b = append(b, 'm')
+	b = strconv.AppendInt(b, int64(c.mode), 10)
+	b = append(b, "|h2="...)
+	b = strconv.AppendBool(b, c.heuristic2)
 	if c.networkSet {
-		fmt.Fprintf(&b, "|net=%s:%g:%g", c.network.Name, c.network.Alpha, c.network.Beta)
+		b = append(b, "|net="...)
+		b = append(b, c.network.Name...)
+		b = append(b, ':')
+		b = strconv.AppendFloat(b, c.network.Alpha, 'g', -1, 64)
+		b = append(b, ':')
+		b = strconv.AppendFloat(b, c.network.Beta, 'g', -1, 64)
 	}
 	if c.optimizer != nil {
-		fmt.Fprintf(&b, "|opt=%d", *c.optimizer)
+		b = append(b, "|opt="...)
+		b = strconv.AppendInt(b, int64(*c.optimizer), 10)
 	}
 	if c.joinOp != nil {
-		fmt.Fprintf(&b, "|join=%d", *c.joinOp)
+		b = append(b, "|join="...)
+		b = strconv.AppendInt(b, int64(*c.joinOp), 10)
 	}
-	fmt.Fprintf(&b, "|naive=%t|triples=%t|bb=%d|bc=%d|bs=%d|pp=%d",
-		c.naive, c.triples, c.bindBlock, c.bindConc, c.batchSize, c.probePar)
-	return b.String()
+	b = append(b, "|naive="...)
+	b = strconv.AppendBool(b, c.naive)
+	b = append(b, "|triples="...)
+	b = strconv.AppendBool(b, c.triples)
+	for _, n := range [...]int{c.bindBlock, c.bindConc, c.batchSize, c.probePar} {
+		b = append(b, '|')
+		b = strconv.AppendInt(b, int64(n), 10)
+	}
+	return b
 }
 
-// healthFingerprint buckets the engine's measured per-source health the
-// same way the serving layer's plan cache does (failure-inflated latency
-// EWMA to a power of two of milliseconds): a plan priced with live
-// cost-model gamma is re-planned when a source drifts materially, and
-// engines without remote observations share one key.
-func (e *Engine) healthFingerprint() string {
-	health := e.SourceHealth()
-	if len(health) == 0 {
-		return ""
-	}
-	var b strings.Builder
+// appendHealth appends the measured per-source health, each
+// observed source's failure-inflated latency EWMA (the quantity the cost
+// model prices with, see wrapper.HealthRegistry.MeasuredLatency) bucketed
+// to a power of two of milliseconds: coarse enough that sample jitter
+// keeps one bucket, but a source drifting from 4ms to 40ms, or from
+// healthy to 50% failures, changes the key and forces a re-plan. Sources
+// without a successful observation contribute nothing, so engines without
+// remote observations share one key.
+func appendHealth(b []byte, health []SourceHealth) []byte {
 	for _, h := range health {
 		if h.Latency <= 0 {
 			continue
 		}
 		ms := float64(h.Latency) / float64(time.Millisecond)
-		rate := h.FailureRate
-		if rate > 0.9 {
-			rate = 0.9
-		}
-		ms /= 1 - rate
+		ms /= 1 - min(h.FailureRate, 0.9)
 		bucket := 0
 		for v := ms; v >= 1; v /= 2 {
 			bucket++
 		}
-		fmt.Fprintf(&b, "|%s:%d", h.Source, bucket)
+		b = append(b, '|')
+		b = append(b, h.Source...)
+		b = append(b, ':')
+		b = strconv.AppendInt(b, int64(bucket), 10)
 	}
-	return b.String()
+	return b
 }
