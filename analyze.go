@@ -17,7 +17,7 @@ import (
 // closed.
 type Actual struct {
 	// Kind is the physical operator as executed ("service", "hash-join",
-	// "bind-join", "block-bind-join", "nested-loop-join", ...); it may be
+	// "bind-join", "block-bind-join", "filter", ...); it may be
 	// more specific than the plan node's Operator.
 	Kind string `json:"kind"`
 	// Label carries operator detail: the source ID of a service, the join
@@ -33,7 +33,9 @@ type Actual struct {
 	BatchesOut  int64 `json:"batches_out"`
 	// Wall is construction-to-completion wall time; BlockedRecv/BlockedSend
 	// the time spent waiting on the input exchange and on the downstream
-	// consumer.
+	// consumer. A wait is charged once, to the operator that receives:
+	// services, filters and the modifiers after ORDER BY run inside their
+	// consumer and report none.
 	Wall        time.Duration `json:"wall_ns"`
 	BlockedRecv time.Duration `json:"blocked_recv_ns"`
 	BlockedSend time.Duration `json:"blocked_send_ns"`

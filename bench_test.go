@@ -152,15 +152,14 @@ func BenchmarkH1TranslationQuality(b *testing.B) {
 }
 
 // BenchmarkJoinOperators is ablation A2: the engine-level join operator
-// under network delay. The non-blocking symmetric hash join (ANAPSID's
-// adaptive operator) should dominate the blocking nested loop.
+// under network delay — the non-blocking symmetric hash join (ANAPSID's
+// adaptive operator) against the bind join's one request per left row.
 func BenchmarkJoinOperators(b *testing.B) {
 	ops := []struct {
 		name string
 		op   ontario.JoinOperator
 	}{
 		{"symmetric-hash", ontario.JoinSymmetricHash},
-		{"nested-loop", ontario.JoinNestedLoop},
 		{"bind", ontario.JoinBind},
 	}
 	for _, o := range ops {

@@ -281,8 +281,8 @@ SELECT ?disease ?name ?drug WHERE {
 // late-materialized values: sorting happens on terms resolved from
 // dictionary IDs, and the sort keys are pairwise distinct, so the engine
 // must deliver the exact sequence of the reference, not just the same
-// multiset — through ORDER BY + LIMIT and through DISTINCT + ORDER BY +
-// OFFSET + LIMIT.
+// multiset — through ORDER BY + LIMIT, through DISTINCT + ORDER BY +
+// OFFSET + LIMIT, and ordered by a variable the query does not select.
 func TestColumnarEquivalenceOrderBy(t *testing.T) {
 	lk := buildEquivLake(t)
 	ref := referenceGraph(t, lk)
@@ -299,6 +299,13 @@ SELECT DISTINCT ?class WHERE {
   ?disease <%s> <%s> .
   ?disease <%s> ?class .
 } ORDER BY DESC(?class) OFFSET 1 LIMIT 3`, rdfTypeIRI, lslod.ClassDisease, lslod.PredDiseaseClass),
+		// ORDER BY precedes the projection (SPARQL 1.1 §18.2.5): the sort
+		// key ?disease is not selected, yet it orders the names.
+		"order-by-unselected": fmt.Sprintf(`
+SELECT ?name WHERE {
+  ?disease <%s> <%s> .
+  ?disease <%s> ?name .
+} ORDER BY DESC(?disease) LIMIT 5`, rdfTypeIRI, lslod.ClassDisease, lslod.PredDiseaseName),
 	}
 	base := []ontario.Option{
 		ontario.WithAwarePlan(),
@@ -317,6 +324,17 @@ SELECT DISTINCT ?class WHERE {
 			diffSequences(t, fmt.Sprintf("%s/batch=%d", name, batch), wantSeq, gotSeq)
 		}
 	}
+
+	// Selecting the sort key as well must not change the order of the
+	// names: the unselected key sorts exactly like a selected one.
+	unselected := queries["order-by-unselected"]
+	_, keyed := runResults(t, eng, strings.Replace(unselected, "SELECT ?name", "SELECT ?disease ?name", 1), base...)
+	wantSeq := make([]string, len(keyed))
+	for i, b := range keyed {
+		wantSeq[i] = canonRow(ontario.Binding{"name": b["name"]})
+	}
+	gotSeq, _ := runCanon(t, eng, unselected, base...)
+	diffSequences(t, "order-by-unselected/keyed", wantSeq, gotSeq)
 }
 
 // TestColumnarEquivalenceTypedLiterals pulls typed literals out of the

@@ -339,7 +339,7 @@ func (c *Client) ShuffleJoin(ctx context.Context, left, right *engine.CStream, j
 				fail(wi, err)
 			}
 		}
-		for b := range in.Batches() {
+		for b, ok := in.Recv(nil); ok; b, ok = in.Recv(nil) {
 			for r := 0; r < b.Len; r++ {
 				wi := int(engine.HashRowKey(b, r, pos) % uint64(W))
 				if dead[wi].Load() {
@@ -387,7 +387,7 @@ func (c *Client) ShuffleJoin(ctx context.Context, left, right *engine.CStream, j
 		recvWG.Wait()
 		outS.Close()
 	}()
-	return engine.CMeter(ctx, outS, engine.StatsFrom(ctx)), nil
+	return engine.CMeter(outS, engine.StatsFrom(ctx)), nil
 }
 
 // Probe asks every worker for its status over a hello stream on the

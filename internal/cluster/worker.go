@@ -400,11 +400,10 @@ func (w *Worker) runTask(wc *workerConn, st *workerStream, t *task) {
 
 // sendOut streams s's batches to the coordinator as the stream's SideOut.
 func (w *Worker) sendOut(st *workerStream, enc *Encoder, s *engine.CStream) error {
-	for b := range s.Batches() {
+	for b, ok := s.Recv(nil); ok; b, ok = s.Recv(nil) {
 		if err := enc.Batch(st.id, SideOut, b); err != nil {
 			st.cancel()
-			for range s.Batches() {
-			}
+			s.Drain()
 			return err
 		}
 	}
@@ -462,8 +461,7 @@ func (w *Worker) buildFrag(ctx context.Context, cancel context.CancelFunc, x *co
 		if err != nil {
 			cancel()
 			for _, in := range ins {
-				for range in.Batches() {
-				}
+				in.Drain()
 			}
 			return nil, err
 		}
@@ -474,7 +472,7 @@ func (w *Worker) buildFrag(ctx context.Context, cancel context.CancelFunc, x *co
 		return engine.CSymmetricHashJoin(ctx, ins[0], ins[1], f.joinVars, schema,
 			opts.EffectiveProbeParallelism(), opts.EffectiveBatchSize()), nil
 	case fragFilter:
-		return engine.CFilter(ctx, ins[0], f.filters, w.d, opts.EffectiveBatchSize()), nil
+		return engine.CFilter(ctx, ins[0], f.filters, w.d), nil
 	default:
 		return engine.CUnion(ctx, schema, opts.EffectiveBatchSize(), ins...), nil
 	}
@@ -495,14 +493,9 @@ func (w *Worker) runJoin(st *workerStream, enc *Encoder, t *task) error {
 
 	writeErr := make(chan error, 1)
 	go func() {
-		for b := range out.Batches() {
-			if err := enc.Batch(st.id, SideOut, b); err != nil {
-				st.cancel()
-				for range out.Batches() {
-				}
-				writeErr <- err
-				return
-			}
+		if err := w.sendOut(st, enc, out); err != nil {
+			writeErr <- err
+			return
 		}
 		writeErr <- enc.Done(st.id, SideOut)
 	}()

@@ -111,7 +111,7 @@ func testEnv(t *testing.T) core.FragmentEnv {
 // rows drains a result stream into its rows, rendered, in arrival order.
 func rows(s *engine.CStream, d *dict.Dict) []string {
 	var out []string
-	for b := range s.Batches() {
+	for b, ok := s.Recv(nil); ok; b, ok = s.Recv(nil) {
 		for _, sol := range engine.DecodeBatch(b, d) {
 			out = append(out, fmt.Sprint(sol))
 		}

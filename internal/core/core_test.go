@@ -52,9 +52,10 @@ func executePlan(t *testing.T, cat *catalog.Catalog, plan *Plan) ([]sparql.Bindi
 		t.Fatal(err)
 	}
 	var out []sparql.Binding
-	for batch := range stream.Batches() {
+	for batch, ok := stream.Recv(nil); ok; batch, ok = stream.Recv(nil) {
 		out = append(out, engine.DecodeBatch(batch, d)...)
 	}
+	stream.Drain()
 	if err := x.Err(); err != nil {
 		t.Fatal(err)
 	}
@@ -129,11 +130,6 @@ func TestQueriesMatchReference(t *testing.T) {
 			{"aware-h2", func() Options {
 				o := AwareOptions(netsim.Gamma3)
 				o.FilterPolicy = FilterHeuristic2
-				return o
-			}()},
-			{"unaware-nl", func() Options {
-				o := UnawareOptions(netsim.NoDelay)
-				o.JoinOperator = JoinNestedLoop
 				return o
 			}()},
 			{"aware-bind", func() Options {
@@ -452,7 +448,7 @@ func TestPlanNodeStringAndPolicyNames(t *testing.T) {
 			t.Error("empty policy name")
 		}
 	}
-	for _, j := range []JoinOperator{JoinSymmetricHash, JoinNestedLoop, JoinBind} {
+	for _, j := range []JoinOperator{JoinSymmetricHash, JoinBind, JoinBlockBind} {
 		if j.String() == "" {
 			t.Error("empty join operator name")
 		}

@@ -139,42 +139,28 @@ func (x *Execution) NodeActuals(n PlanNode) (engine.OpActuals, bool) {
 	return st.Snapshot(), true
 }
 
-// stats registers one plan operator's stats record, remembering which plan
-// node it belongs to.
+// stats registers one operator's stats record, remembering the plan node
+// it belongs to; n == nil registers a solution modifier.
 func (x *Execution) stats(n PlanNode, kind, label string) *engine.OpStats {
 	x.mu.Lock()
-	qt := x.qt
-	x.mu.Unlock()
-	if qt == nil {
+	defer x.mu.Unlock()
+	if x.qt == nil {
 		return nil
 	}
-	st := qt.Register(kind, label)
-	x.mu.Lock()
+	st := x.qt.Register(kind, label)
+	if n == nil {
+		x.modStats = append(x.modStats, st)
+		return st
+	}
 	if x.nodeStats == nil {
 		x.nodeStats = make(map[PlanNode]*engine.OpStats)
 	}
 	x.nodeStats[n] = st
-	x.mu.Unlock()
-	return st
-}
-
-// modifierStats registers a solution-modifier operator (no plan node).
-func (x *Execution) modifierStats(kind, label string) *engine.OpStats {
-	x.mu.Lock()
-	qt := x.qt
-	x.mu.Unlock()
-	if qt == nil {
-		return nil
-	}
-	st := qt.Register(kind, label)
-	x.mu.Lock()
-	x.modStats = append(x.modStats, st)
-	x.mu.Unlock()
 	return st
 }
 
 // ModifierActuals returns the observed runtime stats of the solution
-// modifiers (projection, DISTINCT, ORDER BY, OFFSET, LIMIT) in pipeline
+// modifiers (ORDER BY, projection, DISTINCT, OFFSET, LIMIT) in pipeline
 // order.
 func (x *Execution) ModifierActuals() []engine.OpActuals {
 	x.mu.Lock()
@@ -304,7 +290,7 @@ func (x *Execution) SourceMessages() map[string]int {
 // server's JSON writer do this late, at the very edge). The dictionary is
 // the executor's lake-lifetime one, so repeated queries over the static
 // lake re-intern nothing new. The stream applies the query's solution
-// modifiers (projection, DISTINCT, ORDER BY, LIMIT/OFFSET).
+// modifiers (ORDER BY, projection, DISTINCT, OFFSET, LIMIT).
 func (x *Execution) ExecuteColumnar(ctx context.Context, p *Plan) (*engine.CStream, *dict.Dict, error) {
 	// Adopt the query trace from the context (the server attaches one per
 	// request) or start a fresh one, so every execution is traced.
@@ -329,28 +315,27 @@ func (x *Execution) ExecuteColumnar(ctx context.Context, p *Plan) (*engine.CStre
 	if err != nil {
 		return nil, nil, err
 	}
+	// The solution modifiers in SPARQL 1.1's order (§18.2.5): ORDER BY
+	// sees every variable, so it may sort on one the projection drops.
 	q := p.Query
 	s := root
-	batch := p.Opts.EffectiveBatchSize()
-	if vars := q.ProjectedVars(); len(vars) > 0 {
-		mctx := engine.WithOpStats(ctx, x.modifierStats("project", strings.Join(vars, ",")))
-		s = engine.CProject(mctx, s, vars, batch)
-	}
-	if q.Distinct {
-		mctx := engine.WithOpStats(ctx, x.modifierStats("distinct", ""))
-		s = engine.CDistinct(mctx, s, batch)
+	modifier := func(kind, label string) context.Context {
+		return engine.WithOpStats(ctx, x.stats(nil, kind, label))
 	}
 	if len(q.OrderBy) > 0 {
-		mctx := engine.WithOpStats(ctx, x.modifierStats("order-by", ""))
-		s = engine.COrderBy(mctx, s, q.OrderBy, d, batch)
+		s = engine.COrderBy(modifier("order-by", ""), s, q.OrderBy, d, p.Opts.EffectiveBatchSize())
+	}
+	if vars := q.ProjectedVars(); len(vars) > 0 {
+		s = engine.CProject(modifier("project", strings.Join(vars, ",")), s, vars)
+	}
+	if q.Distinct {
+		s = engine.CDistinct(modifier("distinct", ""), s)
 	}
 	if q.Offset > 0 {
-		mctx := engine.WithOpStats(ctx, x.modifierStats("offset", ""))
-		s = engine.COffset(mctx, s, q.Offset, batch)
+		s = engine.COffset(modifier("offset", ""), s, q.Offset)
 	}
 	if q.Limit >= 0 {
-		mctx := engine.WithOpStats(ctx, x.modifierStats("limit", ""))
-		s = engine.CLimit(mctx, s, q.Limit, batch)
+		s = engine.CLimit(modifier("limit", ""), s, q.Limit)
 	}
 	return s, d, nil
 }
@@ -376,7 +361,7 @@ func (x *Execution) runColumnar(ctx context.Context, n PlanNode, opts Options) (
 			if err != nil {
 				return nil, err
 			}
-			return engine.CMeter(ctx, s, x.stats(v, "service", v.SourceID)), nil
+			return engine.CMeter(s, x.stats(v, "service", v.SourceID)), nil
 		}
 		w, err := x.wrapperFor(v.SourceID, opts)
 		if err != nil {
@@ -386,9 +371,9 @@ func (x *Execution) runColumnar(ctx context.Context, n PlanNode, opts Options) (
 		if err != nil {
 			return nil, err
 		}
-		// Leaf streams are produced inside the wrapper; a metering relay
+		// Leaf streams are produced inside the wrapper; a metering stage
 		// attributes the production to the service node's stats.
-		return engine.CMeter(ctx, s, x.stats(v, "service", v.SourceID)), nil
+		return engine.CMeter(s, x.stats(v, "service", v.SourceID)), nil
 	case *JoinNode:
 		out := engine.NewSchema(v.Vars())
 		if dist := opts.Cluster; dist != nil && coPartitioned(v) && dist.Colocated(ctx, d) {
@@ -402,7 +387,7 @@ func (x *Execution) runColumnar(ctx context.Context, n PlanNode, opts Options) (
 			if err != nil {
 				return nil, err
 			}
-			return engine.CMeter(jctx, s, st), nil
+			return engine.CMeter(s, st), nil
 		}
 		if v.Op == JoinBind || v.Op == JoinBlockBind {
 			if svc, ok := v.R.(*ServiceNode); ok {
@@ -443,7 +428,7 @@ func (x *Execution) runColumnar(ctx context.Context, n PlanNode, opts Options) (
 							x.fail(fmt.Errorf("source %s: %w", svc.SourceID, err))
 							return emptyCStream(svcSchema)
 						}
-						return engine.CMeter(ctx, s, svcStats)
+						return engine.CMeter(s, svcStats)
 					}
 					jctx := engine.WithOpStats(ctx,
 						x.stats(v, "block-bind-join", strings.Join(v.JoinVars, ",")))
@@ -457,7 +442,7 @@ func (x *Execution) runColumnar(ctx context.Context, n PlanNode, opts Options) (
 						x.fail(fmt.Errorf("source %s: %w", svc.SourceID, err))
 						return emptyCStream(svcSchema)
 					}
-					return engine.CMeter(ctx, s, svcStats)
+					return engine.CMeter(s, svcStats)
 				}
 				jctx := engine.WithOpStats(ctx,
 					x.stats(v, "bind-join", strings.Join(v.JoinVars, ",")))
@@ -475,26 +460,18 @@ func (x *Execution) runColumnar(ctx context.Context, n PlanNode, opts Options) (
 		if err != nil {
 			return nil, err
 		}
-		switch v.Op {
-		case JoinNestedLoop:
+		if dist := opts.Cluster; dist != nil {
+			// The morsel-sharded exchange becomes the distributed shuffle:
+			// rows shard by join-key hash across workers instead of across
+			// local shard workers.
 			jctx := engine.WithOpStats(ctx,
-				x.stats(v, "nested-loop-join", strings.Join(v.JoinVars, ",")))
-			return engine.CNestedLoopJoin(jctx, left, right, v.JoinVars, out,
-				opts.EffectiveBatchSize()), nil
-		default:
-			if dist := opts.Cluster; dist != nil {
-				// The morsel-sharded exchange becomes the distributed
-				// shuffle: rows shard by join-key hash across workers
-				// instead of across local shard workers.
-				jctx := engine.WithOpStats(ctx,
-					x.stats(v, "shuffle-join", strings.Join(v.JoinVars, ",")))
-				return dist.ShuffleJoin(jctx, left, right, v.JoinVars, out, d, x.fragmentEnv(opts))
-			}
-			jctx := engine.WithOpStats(ctx,
-				x.stats(v, "hash-join", strings.Join(v.JoinVars, ",")))
-			return engine.CSymmetricHashJoin(jctx, left, right, v.JoinVars, out,
-				opts.EffectiveProbeParallelism(), opts.EffectiveBatchSize()), nil
+				x.stats(v, "shuffle-join", strings.Join(v.JoinVars, ",")))
+			return dist.ShuffleJoin(jctx, left, right, v.JoinVars, out, d, x.fragmentEnv(opts))
 		}
+		jctx := engine.WithOpStats(ctx,
+			x.stats(v, "hash-join", strings.Join(v.JoinVars, ",")))
+		return engine.CSymmetricHashJoin(jctx, left, right, v.JoinVars, out,
+			opts.EffectiveProbeParallelism(), opts.EffectiveBatchSize()), nil
 	case *LeftJoinNode:
 		left, err := x.runColumnar(ctx, v.L, opts)
 		if err != nil {
@@ -513,7 +490,7 @@ func (x *Execution) runColumnar(ctx context.Context, n PlanNode, opts Options) (
 			return nil, err
 		}
 		fctx := engine.WithOpStats(ctx, x.stats(v, "filter", ""))
-		return engine.CFilter(fctx, in, v.Exprs, d, opts.EffectiveBatchSize()), nil
+		return engine.CFilter(fctx, in, v.Exprs, d), nil
 	case *UnionNode:
 		var streams []*engine.CStream
 		for _, c := range v.Children {

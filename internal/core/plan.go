@@ -48,8 +48,6 @@ type JoinOperator int
 const (
 	// JoinSymmetricHash is the non-blocking adaptive operator (default).
 	JoinSymmetricHash JoinOperator = iota
-	// JoinNestedLoop is the blocking baseline.
-	JoinNestedLoop
 	// JoinBind re-invokes the right service once per left binding,
 	// strictly sequentially.
 	JoinBind
@@ -64,8 +62,6 @@ func (j JoinOperator) String() string {
 	switch j {
 	case JoinSymmetricHash:
 		return "symmetric-hash"
-	case JoinNestedLoop:
-		return "nested-loop"
 	case JoinBlockBind:
 		return "block-bind"
 	default:

@@ -58,9 +58,10 @@ func (in benchInput) stream() *CStream {
 
 func drain(s *CStream) int {
 	n := 0
-	for batch := range s.Batches() {
+	for batch, ok := s.Recv(nil); ok; batch, ok = s.Recv(nil) {
 		n += batch.Len
 	}
+	s.Drain()
 	return n
 }
 
@@ -191,19 +192,6 @@ func BenchmarkBlockBindJoin(b *testing.B) {
 	}
 }
 
-func BenchmarkNestedLoopJoin(b *testing.B) {
-	ctx := context.Background()
-	d := dict.New()
-	left := encodeInput(d, benchRelation(512, 64, "l"), 0)
-	right := encodeInput(d, benchRelation(512, 64, "r"), 0)
-	out := NewSchema([]string{"k", "l", "r"})
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		drain(CNestedLoopJoin(ctx, left.stream(), right.stream(), []string{"k"}, out, 0))
-	}
-}
-
 func BenchmarkLeftJoin(b *testing.B) {
 	ctx := context.Background()
 	d := dict.New()
@@ -229,7 +217,7 @@ func BenchmarkFilter(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		drain(CFilter(ctx, in.stream(), q.Filters, d, 0))
+		drain(CFilter(ctx, in.stream(), q.Filters, d))
 	}
 }
 
@@ -239,7 +227,7 @@ func BenchmarkProjectDistinct(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		drain(CDistinct(ctx, CProject(ctx, in.stream(), []string{"k"}, 0), 0))
+		drain(CDistinct(ctx, CProject(ctx, in.stream(), []string{"k"})))
 	}
 }
 
@@ -278,14 +266,53 @@ func BenchmarkLimitOffset(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		drain(CLimit(ctx, COffset(ctx, in.stream(), 512, 0), 1024, 0))
+		drain(CLimit(ctx, COffset(ctx, in.stream(), 512), 1024))
+	}
+}
+
+// BenchmarkFusedPipeline measures the linear pipeline the executor builds
+// over one service: a producer goroutine sending batches, as a wrapper
+// does, with filter, projection and LIMIT fused onto its stream and
+// applied by the receiving goroutine. The LIMIT ends the stream halfway,
+// so each iteration also pays the cancel and drain of the producer.
+func BenchmarkFusedPipeline(b *testing.B) {
+	q := sparql.MustParse(`SELECT ?k WHERE { ?s ?p ?v . FILTER (?v >= 1024) }`)
+	rows := make([]sparql.Binding, 4096)
+	for i := range rows {
+		rows[i] = sparql.Binding{"k": rdf.NewLiteral(fmt.Sprint(i % 256)), "v": rdf.IntLiteral(int64(i))}
+	}
+	d := dict.New()
+	in := encodeInput(d, rows, 0)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		ctx, cancel := context.WithCancel(context.Background())
+		src := NewCStream(in.schema, 1)
+		go func() {
+			defer src.Close()
+			for _, batch := range in.batches {
+				if !src.SendBatch(ctx, batch) {
+					return
+				}
+			}
+		}()
+		s := CLimit(ctx, CProject(ctx, CFilter(ctx, src, q.Filters, d), []string{"k"}), 1536)
+		n := 0
+		for batch, ok := s.Recv(nil); ok; batch, ok = s.Recv(nil) {
+			n += batch.Len
+		}
+		cancel()
+		s.Drain()
+		if n != 1536 {
+			b.Fatalf("pipeline produced %d, want 1536", n)
+		}
 	}
 }
 
 // BenchmarkExchangeBatchSize measures the raw exchange cost of pushing a
-// fixed workload through a two-operator pipeline at different batch
-// granularities: batch=1 is the row-at-a-time baseline paying one channel
-// send per row.
+// fixed workload through one channel and a projection stage at different
+// batch granularities: batch=1 is the row-at-a-time baseline paying one
+// channel receive per row.
 func BenchmarkExchangeBatchSize(b *testing.B) {
 	ctx := context.Background()
 	rows := benchRelation(4096, 256, "x")
@@ -295,7 +322,7 @@ func BenchmarkExchangeBatchSize(b *testing.B) {
 		b.Run(fmt.Sprintf("batch=%d", batch), func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				if n := drain(CProject(ctx, in.stream(), []string{"k", "x"}, batch)); n != len(rows) {
+				if n := drain(CProject(ctx, in.stream(), []string{"k", "x"})); n != len(rows) {
 					b.Fatalf("pipeline produced %d, want %d", n, len(rows))
 				}
 			}

@@ -16,6 +16,8 @@ import (
 // bind-join seeds cross the wrapper boundary as IDs (Seeds). After a
 // cancelled send an operator stops producing but keeps draining its
 // inputs, so upstream producers can finish instead of blocking forever.
+// The streaming operators at the end of the file are stages: they run in
+// the goroutine of the operator that receives their stream.
 //
 // Join-key semantics: two rows fall in the same bucket only when their
 // join-variable IDs are EXACTLY equal, with unbound (0) a value of its own
@@ -316,12 +318,7 @@ func CSymmetricHashJoin(ctx context.Context, left, right *CStream, joinVars []st
 	lKey := left.schema.Positions(joinVars)
 	rKey := right.schema.Positions(joinVars)
 	pairL, pairR := sharedPairs(left.schema, right.schema, joinVars)
-	outL := make([]int, len(out.Vars))
-	outR := make([]int, len(out.Vars))
-	for i, v := range out.Vars {
-		outL[i] = left.schema.Pos(v)
-		outR[i] = right.schema.Pos(v)
-	}
+	outL, outR := left.schema.Positions(out.Vars), right.schema.Positions(out.Vars)
 
 	shardCh := make([]chan cMorsel, par)
 	for i := range shardCh {
@@ -381,7 +378,7 @@ func CSymmetricHashJoin(ctx context.Context, left, right *CStream, joinVars []st
 		defer readers.Done()
 		ident := in.schema.Positions(in.schema.Vars)
 		for {
-			b, open := st.recvC(in)
+			b, open := in.Recv(st)
 			if !open {
 				return
 			}
@@ -451,10 +448,7 @@ func CBindJoin(ctx context.Context, left *CStream, right CService, joinVars []st
 		defer outS.Close()
 		defer st.close()
 		lPos := left.schema.Positions(joinVars)
-		outL := make([]int, len(out.Vars))
-		for i, v := range out.Vars {
-			outL[i] = left.schema.Pos(v)
-		}
+		outL := left.schema.Positions(out.Vars)
 		w := NewColWriter(ctx, outS, batch)
 		w.SetStats(st)
 		defer w.Close()
@@ -462,7 +456,7 @@ func CBindJoin(ctx context.Context, left *CStream, right CService, joinVars []st
 		var pairL, pairR, outR []int
 		var rSchema *Schema
 		for {
-			lb, open := st.recvC(left)
+			lb, open := left.Recv(st)
 			if !open {
 				break
 			}
@@ -483,21 +477,16 @@ func CBindJoin(ctx context.Context, left *CStream, right CService, joinVars []st
 					// (service streams share one schema per plan node).
 					rSchema = rs.Schema()
 					pairL, pairR = sharedPairs(left.schema, rSchema, nil)
-					outR = make([]int, len(out.Vars))
-					for i, v := range out.Vars {
-						outR[i] = rSchema.Pos(v)
-					}
+					outR = rSchema.Positions(out.Vars)
 				}
-				for rb := range rs.Batches() {
-					for rr := 0; rr < rb.Len; rr++ {
-						if cancelled || !compatBB(lb, lr, rb, rr, pairL, pairR) {
-							continue
-						}
-						if !w.AppendMerged(lb, lr, outL, rb, rr, outR) {
+				for rb, ok := rs.Recv(st); ok && !cancelled; rb, ok = rs.Recv(st) {
+					for rr := 0; rr < rb.Len && !cancelled; rr++ {
+						if compatBB(lb, lr, rb, rr, pairL, pairR) && !w.AppendMerged(lb, lr, outL, rb, rr, outR) {
 							cancelled = true
 						}
 					}
 				}
+				rs.Drain()
 			}
 		}
 	}()
@@ -541,10 +530,7 @@ func CBlockBindJoin(ctx context.Context, left *CStream, right CBlockService, joi
 		defer st.close()
 		lPos := left.schema.Positions(joinVars)
 		ident := left.schema.Positions(left.schema.Vars)
-		outL := make([]int, len(out.Vars))
-		for i, v := range out.Vars {
-			outL[i] = left.schema.Pos(v)
-		}
+		outL := left.schema.Positions(out.Vars)
 		sem := make(chan struct{}, concurrency)
 		var wg sync.WaitGroup
 		var pmu sync.Mutex // guards the lazily resolved right-side layout
@@ -587,17 +573,11 @@ func CBlockBindJoin(ctx context.Context, left *CStream, right CBlockService, joi
 				if rSchema != rs.Schema() {
 					rSchema = rs.Schema()
 					pairL, pairR = sharedPairs(left.schema, rSchema, nil)
-					outR = make([]int, len(out.Vars))
-					for i, v := range out.Vars {
-						outR[i] = rSchema.Pos(v)
-					}
+					outR = rSchema.Positions(out.Vars)
 				}
 				pL, pR, oR := pairL, pairR, outR
 				pmu.Unlock()
-				for rb := range rs.Batches() {
-					if !em.ok() {
-						continue // drain so the service's producer can finish
-					}
+				for rb, ok := rs.Recv(st); ok && em.ok(); rb, ok = rs.Recv(st) {
 					for rr := 0; rr < rb.Len; rr++ {
 						for lr := 0; lr < block.Len; lr++ {
 							if compatBB(block, lr, rb, rr, pL, pR) {
@@ -607,11 +587,12 @@ func CBlockBindJoin(ctx context.Context, left *CStream, right CBlockService, joi
 					}
 					em.flush()
 				}
+				rs.Drain() // so the service's producer can finish
 			}()
 		}
 		blockB := NewColBuilder(left.schema)
 		for {
-			lb, open := st.recvC(left)
+			lb, open := left.Recv(st)
 			if !open {
 				break
 			}
@@ -626,47 +607,6 @@ func CBlockBindJoin(ctx context.Context, left *CStream, right CBlockService, joi
 			dispatch(blockB.Take())
 		}
 		wg.Wait()
-	}()
-	return outS
-}
-
-// CNestedLoopJoin materializes the right input and joins every left row
-// against it; the blocking baseline, columnar.
-func CNestedLoopJoin(ctx context.Context, left, right *CStream, joinVars []string, out *Schema, batch int) *CStream {
-	if batch <= 0 {
-		batch = DefaultBatchSize
-	}
-	st := StatsFrom(ctx)
-	outS := NewCStream(out, bufBatches(batch))
-	go func() {
-		defer outS.Close()
-		defer st.close()
-		rights := st.collectC(right)
-		pairL, pairR := sharedPairs(left.schema, right.schema, nil)
-		outL := make([]int, len(out.Vars))
-		outR := make([]int, len(out.Vars))
-		for i, v := range out.Vars {
-			outL[i] = left.schema.Pos(v)
-			outR[i] = right.schema.Pos(v)
-		}
-		em := newCEmitter(ctx, outS, batch, st)
-		for {
-			lb, open := st.recvC(left)
-			if !open {
-				break
-			}
-			if !em.ok() {
-				continue // drain the left so its producer can finish
-			}
-			for lr := 0; lr < lb.Len; lr++ {
-				for rr := 0; rr < rights.Len; rr++ {
-					if compatBB(lb, lr, rights, rr, pairL, pairR) {
-						em.merge(lb, lr, outL, rights, rr, outR)
-					}
-				}
-			}
-			em.flush()
-		}
 	}()
 	return outS
 }
@@ -763,17 +703,12 @@ func CLeftJoin(ctx context.Context, left, right *CStream, filters []sparql.Expr,
 		defer st.close()
 		rights := st.collectC(right)
 		pairL, pairR := sharedPairs(left.schema, right.schema, nil)
-		outL := make([]int, len(out.Vars))
-		outR := make([]int, len(out.Vars))
-		for i, v := range out.Vars {
-			outL[i] = left.schema.Pos(v)
-			outR[i] = right.schema.Pos(v)
-		}
+		outL, outR := left.schema.Positions(out.Vars), right.schema.Positions(out.Vars)
 		ev := NewScratchEval(filters, out, d)
 		merged := make([]dict.ID, len(out.Vars))
 		em := newCEmitter(ctx, outS, batch, st)
 		for {
-			lb, open := st.recvC(left)
+			lb, open := left.Recv(st)
 			if !open {
 				break
 			}
@@ -819,198 +754,115 @@ func CLeftJoin(ctx context.Context, left, right *CStream, filters []sparql.Expr,
 	return outS
 }
 
+// pick returns the rows of b listed in rows (ascending): b itself when
+// every row is listed, nil when none is.
+func pick(b *ColBatch, rows []int32) *ColBatch {
+	switch len(rows) {
+	case b.Len:
+		return b
+	case 0:
+		return nil
+	}
+	cols := make([][]dict.ID, len(b.Cols))
+	for c, col := range b.Cols {
+		kept := make([]dict.ID, len(rows))
+		for i, r := range rows {
+			kept[i] = col[r]
+		}
+		cols[c] = kept
+	}
+	return &ColBatch{Schema: b.Schema, Len: len(rows), Cols: cols}
+}
+
+// slice returns rows [from, to) of b as views of its columns.
+func slice(b *ColBatch, from, to int) *ColBatch {
+	if from == 0 && to == b.Len {
+		return b
+	}
+	cols := make([][]dict.ID, len(b.Cols))
+	for c, col := range b.Cols {
+		cols[c] = col[from:to:to]
+	}
+	return &ColBatch{Schema: b.Schema, Len: to - from, Cols: cols}
+}
+
 // CFilter keeps the rows satisfying every expression. All-pass batches
 // are forwarded without a copy.
-func CFilter(ctx context.Context, in *CStream, exprs []sparql.Expr, d *dict.Dict, batch int) *CStream {
+func CFilter(ctx context.Context, in *CStream, exprs []sparql.Expr, d *dict.Dict) *CStream {
 	if len(exprs) == 0 {
 		return in
 	}
-	st := StatsFrom(ctx)
-	out := NewCStream(in.schema, bufBatches(batch))
-	go func() {
-		defer out.Close()
-		defer st.close()
-		ev := NewScratchEval(exprs, in.schema, d)
-		ident := in.schema.Positions(in.schema.Vars)
-		var kept []int32
-		for {
-			b, open := st.recvC(in)
-			if !open {
-				return
-			}
-			kept = kept[:0]
-			for r := 0; r < b.Len; r++ {
-				if ev.passes(ev.bind(b, r)) {
-					kept = append(kept, int32(r))
-				}
-			}
-			if len(kept) == b.Len {
-				if !st.sendC(ctx, out, b) {
-					return
-				}
-				continue
-			}
-			if len(kept) == 0 {
-				continue
-			}
-			nb := NewColBuilder(in.schema)
-			for _, r := range kept {
-				nb.AppendRow(b, int(r), ident)
-			}
-			if !st.sendC(ctx, out, nb.Take()) {
-				return
+	ev := NewScratchEval(exprs, in.schema, d)
+	var kept []int32
+	return in.with(in.schema, StatsFrom(ctx), func(b *ColBatch) (*ColBatch, bool) {
+		kept = kept[:0]
+		for r := 0; r < b.Len; r++ {
+			if ev.passes(ev.bind(b, r)) {
+				kept = append(kept, int32(r))
 			}
 		}
-	}()
-	return out
+		return pick(b, kept), true
+	})
 }
 
 // CProject restricts batches to vars. Projection is column selection: a
 // projected batch shares the kept columns' backing arrays with its input
 // — O(columns) per batch, no per-row work at all. A projected variable
 // the input schema does not carry yields an all-unbound column.
-func CProject(ctx context.Context, in *CStream, vars []string, batch int) *CStream {
-	st := StatsFrom(ctx)
+func CProject(ctx context.Context, in *CStream, vars []string) *CStream {
 	schema := NewSchema(vars)
 	pos := in.schema.Positions(vars)
-	out := NewCStream(schema, bufBatches(batch))
-	go func() {
-		defer out.Close()
-		defer st.close()
-		for {
-			b, open := st.recvC(in)
-			if !open {
-				return
-			}
-			nb := &ColBatch{Schema: schema, Len: b.Len, Cols: make([][]dict.ID, len(vars))}
-			for c, p := range pos {
-				if p >= 0 {
-					nb.Cols[c] = b.Cols[p]
-				} else {
-					nb.Cols[c] = make([]dict.ID, b.Len)
-				}
-			}
-			if !st.sendC(ctx, out, nb) {
-				return
+	return in.with(schema, StatsFrom(ctx), func(b *ColBatch) (*ColBatch, bool) {
+		nb := &ColBatch{Schema: schema, Len: b.Len, Cols: make([][]dict.ID, len(vars))}
+		for c, p := range pos {
+			if p >= 0 {
+				nb.Cols[c] = b.Cols[p]
+			} else {
+				nb.Cols[c] = make([]dict.ID, b.Len)
 			}
 		}
-	}()
-	return out
+		return nb, true
+	})
 }
 
 // CDistinct drops duplicate rows: the seen-set hashes the full ID tuple
 // and verifies collisions against an arena of stored rows — no full-key
 // string is ever built.
-func CDistinct(ctx context.Context, in *CStream, batch int) *CStream {
-	st := StatsFrom(ctx)
-	out := NewCStream(in.schema, bufBatches(batch))
-	go func() {
-		defer out.Close()
-		defer st.close()
-		allPos := in.schema.Positions(in.schema.Vars)
-		seen := newColTable(len(in.schema.Vars))
-		var kept []int32
-		for {
-			b, open := st.recvC(in)
-			if !open {
-				return
-			}
-			kept = kept[:0]
-			for r := 0; r < b.Len; r++ {
-				h := HashRowKey(b, r, allPos)
-				if seen.contains(b, r, allPos, h) {
-					continue
-				}
+func CDistinct(ctx context.Context, in *CStream) *CStream {
+	allPos := in.schema.Positions(in.schema.Vars)
+	seen := newColTable(len(in.schema.Vars))
+	var kept []int32
+	return in.with(in.schema, StatsFrom(ctx), func(b *ColBatch) (*ColBatch, bool) {
+		kept = kept[:0]
+		for r := 0; r < b.Len; r++ {
+			h := HashRowKey(b, r, allPos)
+			if !seen.contains(b, r, allPos, h) {
 				seen.insert(b, r, h)
 				kept = append(kept, int32(r))
 			}
-			if len(kept) == b.Len {
-				if !st.sendC(ctx, out, b) {
-					return
-				}
-				continue
-			}
-			if len(kept) == 0 {
-				continue
-			}
-			nb := NewColBuilder(in.schema)
-			for _, r := range kept {
-				nb.AppendRow(b, int(r), allPos)
-			}
-			if !st.sendC(ctx, out, nb.Take()) {
-				return
-			}
 		}
-	}()
-	return out
+		return pick(b, kept), true
+	})
 }
 
-// CLimit passes through at most n rows, draining the rest.
-func CLimit(ctx context.Context, in *CStream, n, batch int) *CStream {
-	st := StatsFrom(ctx)
-	out := NewCStream(in.schema, bufBatches(batch))
-	go func() {
-		defer out.Close()
-		defer st.close()
-		ident := in.schema.Positions(in.schema.Vars)
-		count := 0
-		for {
-			b, open := st.recvC(in)
-			if !open {
-				return
-			}
-			if count >= n {
-				continue // keep draining so producers are not blocked forever
-			}
-			if count+b.Len > n {
-				nb := NewColBuilder(in.schema)
-				for r := 0; r < n-count; r++ {
-					nb.AppendRow(b, r, ident)
-				}
-				b = nb.Take()
-			}
-			count += b.Len
-			if !st.sendC(ctx, out, b) {
-				return
-			}
-		}
-	}()
-	return out
+// CLimit passes through at most n rows, then ends the stream: its
+// consumer sees the end as soon as the n-th row arrives, however much
+// the producers still have.
+func CLimit(ctx context.Context, in *CStream, n int) *CStream {
+	return in.with(in.schema, StatsFrom(ctx), func(b *ColBatch) (*ColBatch, bool) {
+		take := min(n, b.Len)
+		n -= take
+		return slice(b, 0, take), n > 0
+	})
 }
 
 // COffset skips the first n rows.
-func COffset(ctx context.Context, in *CStream, n, batch int) *CStream {
-	st := StatsFrom(ctx)
-	out := NewCStream(in.schema, bufBatches(batch))
-	go func() {
-		defer out.Close()
-		defer st.close()
-		ident := in.schema.Positions(in.schema.Vars)
-		skipped := 0
-		for {
-			b, open := st.recvC(in)
-			if !open {
-				return
-			}
-			if skipped < n {
-				drop := n - skipped
-				if drop >= b.Len {
-					skipped += b.Len
-					continue
-				}
-				skipped += drop
-				nb := NewColBuilder(in.schema)
-				for r := drop; r < b.Len; r++ {
-					nb.AppendRow(b, r, ident)
-				}
-				b = nb.Take()
-			}
-			if !st.sendC(ctx, out, b) {
-				return
-			}
-		}
-	}()
-	return out
+func COffset(ctx context.Context, in *CStream, n int) *CStream {
+	return in.with(in.schema, StatsFrom(ctx), func(b *ColBatch) (*ColBatch, bool) {
+		drop := min(n, b.Len)
+		n -= drop
+		return slice(b, drop, b.Len), true
+	})
 }
 
 // CUnion merges the inputs in batch-arrival order, padding each child's
@@ -1035,14 +887,10 @@ func CUnion(ctx context.Context, out *Schema, batch int, ins ...*CStream) *CStre
 		}
 		go func(in *CStream, mapping []int, same bool) {
 			defer wg.Done()
-			draining := false
 			for {
-				b, open := st.recvC(in)
+				b, open := in.Recv(st)
 				if !open {
 					return
-				}
-				if draining {
-					continue // drain the input so its producer can finish
 				}
 				if !same {
 					nb := NewColBuilder(out)
@@ -1053,7 +901,8 @@ func CUnion(ctx context.Context, out *Schema, batch int, ins ...*CStream) *CStre
 					b.Schema = out
 				}
 				if !st.sendC(ctx, outS, b) {
-					draining = true
+					in.Drain() // so its producer can finish
+					return
 				}
 			}
 		}(in, mapping, same)

@@ -7,12 +7,17 @@
 // Execution is batch-at-a-time (vectorized) over a dictionary-encoded
 // columnar layout: operators exchange ColBatch values — one dict.ID column
 // per variable — instead of single solutions, amortizing the per-tuple
-// channel send and context select over DefaultBatchSize rows. The
-// streaming semantics are preserved by flush rules: a producer whose rows
-// trickle in flushes a partial batch once its oldest row has waited
+// channel send and context select over DefaultBatchSize rows. Only real
+// producers and pipeline breakers own a goroutine and an output channel:
+// wrapper responses, bind-join dispatch, hash-join readers and shards, the
+// left join, union branches and ORDER BY. The streaming operators between
+// them — the service meter, FILTER, projection, DISTINCT, OFFSET and
+// LIMIT — are stages fused onto the stream they read, applied batch by
+// batch by whichever operator receives it (CStream.Recv), so a linear
+// pipeline runs in one goroutine. A producer whose rows trickle in
+// flushes a partial batch once its oldest row has waited
 // DefaultFlushInterval (so the first answer is never held back behind an
-// unfilled batch) and on close; interior operators forward their output at
-// every input-batch boundary.
+// unfilled batch) and on close.
 package engine
 
 import (
@@ -65,15 +70,31 @@ func bufBatches(batch int) int {
 	return 4
 }
 
-// CStream is an asynchronous exchange of ColBatch values sharing one
-// schema. The buffer is counted in batches. A batch is read-only once
-// sent: its columns may be shared — a response-cache replay sends slices
-// of the stored response to every hit, and CProject forwards its input's
-// columns — so no producer or consumer may write into them. A consumer
-// that needs different rows builds a new batch.
+// CStream is an asynchronous exchange of ColBatch values plus the stages
+// fused onto it. The buffer is counted in batches. A batch is read-only
+// once sent: its columns may be shared — a response-cache replay sends
+// slices of the stored response to every hit, and projection, OFFSET and
+// LIMIT forward their input's columns — so no producer, stage or consumer
+// may write into them. A consumer that needs different rows builds a new
+// batch.
+//
+// A stream has one consumer. The stage constructors (CMeter, CFilter,
+// CProject, CDistinct, COffset, CLimit) return a stream over the same
+// exchange with one stage appended; the consumer applies the stages in
+// its own goroutine as it receives through Recv.
 type CStream struct {
 	ch     chan *ColBatch
 	schema *Schema
+	stages []stage
+	ended  bool
+}
+
+// stage is one fused streaming operator. fn maps an input batch to its
+// output (nil or empty drops the batch); more == false ends the stream
+// after this batch. st is the operator's stats record.
+type stage struct {
+	fn func(*ColBatch) (*ColBatch, bool)
+	st *OpStats
 }
 
 // NewCStream returns a columnar stream over schema with the given buffer
@@ -82,7 +103,7 @@ func NewCStream(schema *Schema, buf int) *CStream {
 	return &CStream{ch: make(chan *ColBatch, buf), schema: schema}
 }
 
-// Schema returns the stream's batch layout.
+// Schema returns the layout of the batches Recv delivers.
 func (s *CStream) Schema() *Schema { return s.schema }
 
 // SendBatch delivers a batch; it returns false when the context is
@@ -116,31 +137,92 @@ func (s *CStream) TrySendBatch(b *ColBatch) bool {
 // Close marks the stream complete.
 func (s *CStream) Close() { close(s.ch) }
 
-// Batches exposes the receive side of the exchange.
-func (s *CStream) Batches() <-chan *ColBatch { return s.ch }
+// Batches exposes the raw exchange to wrapper-level consumers. It panics
+// on a stream with stages: only Recv applies them.
+func (s *CStream) Batches() <-chan *ColBatch {
+	if len(s.stages) > 0 {
+		panic("engine: Batches on a stream with stages; receive with Recv")
+	}
+	return s.ch
+}
 
-// recvC receives the next batch from in, accounting the blocked time and
-// the consumed batch. The fast path (a batch already buffered) skips the
-// clock reads entirely.
-func (o *OpStats) recvC(in *CStream) (*ColBatch, bool) {
+// with returns a stream over the same exchange with one more stage,
+// delivering batches laid out as schema.
+func (s *CStream) with(schema *Schema, st *OpStats, fn func(*ColBatch) (*ColBatch, bool)) *CStream {
+	stages := append(s.stages[:len(s.stages):len(s.stages)], stage{fn: fn, st: st})
+	return &CStream{ch: s.ch, schema: schema, stages: stages}
+}
+
+// Recv returns the next non-empty batch with the stream's stages applied,
+// or false once the stream has ended: its producer closed it, or a stage
+// (a satisfied LIMIT) ended it early. The time blocked on the exchange and
+// the delivered batch are charged to st, the receiving operator (nil
+// records nothing); stages charge no wait. A consumer whose stream a stage
+// ended, or that stops receiving early, cancels the producers' context and
+// calls Drain so they can finish.
+func (s *CStream) Recv(st *OpStats) (*ColBatch, bool) {
+	for !s.ended {
+		b, ok := st.wait(s.ch)
+		if !ok {
+			s.end()
+			break
+		}
+		more := true
+		for _, g := range s.stages {
+			g.st.in(b.Len)
+			var m bool
+			b, m = g.fn(b)
+			more = more && m
+			if b == nil || b.Len == 0 {
+				break
+			}
+			g.st.out(b.Len)
+		}
+		if !more {
+			s.end()
+		}
+		if b != nil && b.Len > 0 {
+			st.in(b.Len)
+			return b, true
+		}
+	}
+	return nil, false
+}
+
+// Drain discards the rest of the exchange, so its producers can finish,
+// and ends the stream.
+func (s *CStream) Drain() {
+	for range s.ch {
+	}
+	s.end()
+}
+
+// end closes the stages' stats once, freezing their wall times.
+func (s *CStream) end() {
+	if s.ended {
+		return
+	}
+	s.ended = true
+	for _, g := range s.stages {
+		g.st.close()
+	}
+}
+
+// wait receives from the exchange, accounting the blocked time. The fast
+// path (a batch already buffered) skips the clock reads entirely.
+func (o *OpStats) wait(ch chan *ColBatch) (*ColBatch, bool) {
 	if o == nil {
-		b, ok := <-in.ch
+		b, ok := <-ch
 		return b, ok
 	}
 	select {
-	case b, ok := <-in.ch:
-		if ok {
-			o.in(b.Len)
-		}
+	case b, ok := <-ch:
 		return b, ok
 	default:
 	}
 	t0 := time.Now()
-	b, ok := <-in.ch
+	b, ok := <-ch
 	o.recvNS.Add(time.Since(t0).Nanoseconds())
-	if ok {
-		o.in(b.Len)
-	}
 	return b, ok
 }
 
@@ -148,63 +230,30 @@ func (o *OpStats) recvC(in *CStream) (*ColBatch, bool) {
 // produced rows; it mirrors CStream.SendBatch's contract (true on
 // delivery, false when ctx is cancelled).
 func (o *OpStats) sendC(ctx context.Context, out *CStream, b *ColBatch) bool {
-	if o == nil {
+	if o == nil || b == nil || b.Len == 0 {
 		return out.SendBatch(ctx, b)
 	}
-	if b == nil || b.Len == 0 {
-		return true
+	if !out.TrySendBatch(b) {
+		t0 := time.Now()
+		ok := out.SendBatch(ctx, b)
+		o.sendNS.Add(time.Since(t0).Nanoseconds())
+		if !ok {
+			return false
+		}
 	}
-	if out.TrySendBatch(b) {
-		o.batchesOut.Add(1)
-		o.bindingsOut.Add(int64(b.Len))
-		return true
-	}
-	t0 := time.Now()
-	ok := out.SendBatch(ctx, b)
-	o.sendNS.Add(time.Since(t0).Nanoseconds())
-	if ok {
-		o.batchesOut.Add(1)
-		o.bindingsOut.Add(int64(b.Len))
-	}
-	return ok
+	o.out(b.Len)
+	return true
 }
 
-// CMeter relays in through a counting stage attributed to st: produced
-// batches count as st's output, time waiting on in as blocked-recv, time
-// waiting on the consumer as blocked-send, and st is closed when the
-// relayed stream completes. It instruments leaf (service) streams, whose
-// producers live inside the wrappers; st == nil returns in unchanged.
-func CMeter(ctx context.Context, in *CStream, st *OpStats) *CStream {
+// CMeter attributes a leaf (service) stream, whose producer lives inside a
+// wrapper, to st: the batches the consumer receives count as st's input
+// and output, and st is closed when the stream ends. st == nil returns in
+// unchanged.
+func CMeter(in *CStream, st *OpStats) *CStream {
 	if st == nil {
 		return in
 	}
-	out := NewCStream(in.schema, 1)
-	go func() {
-		defer out.Close()
-		defer st.close()
-		dead := false
-		for {
-			var b *ColBatch
-			var ok bool
-			select {
-			case b, ok = <-in.ch:
-			default:
-				t0 := time.Now()
-				b, ok = <-in.ch
-				st.recvNS.Add(time.Since(t0).Nanoseconds())
-			}
-			if !ok {
-				return
-			}
-			if dead {
-				continue // drain so the producer can finish
-			}
-			if !st.sendC(ctx, out, b) {
-				dead = true
-			}
-		}
-	}()
-	return out
+	return in.with(in.schema, st, func(b *ColBatch) (*ColBatch, bool) { return b, true })
 }
 
 // ColWriter accumulates rows into batches on behalf of a producer whose
@@ -354,7 +403,7 @@ func (o *OpStats) collectC(in *CStream) *ColBatch {
 	b := NewColBuilder(in.schema)
 	ident := in.schema.Positions(in.schema.Vars)
 	for {
-		batch, ok := o.recvC(in)
+		batch, ok := in.Recv(o)
 		if !ok {
 			return b.Take()
 		}

@@ -49,11 +49,10 @@ func TestBindJoinDrainsInputsOnCancel(t *testing.T) {
 		return CFromBindings(ctx, seed.Bindings(d), left.Schema(), d, 0)
 	}
 	out := CBindJoin(ctx, left, service, []string{"x"}, left.Schema(), 0)
-	<-out.Batches() // one answer arrived, then the client goes away
+	out.Recv(nil) // one answer arrived, then the client goes away
 	cancel()
 	awaitDone(t, "bind-join", leftDone)
-	for range out.Batches() {
-	}
+	out.Drain()
 }
 
 // TestSymmetricHashJoinDrainsInputsOnCancel: same property for the hash
@@ -64,12 +63,11 @@ func TestSymmetricHashJoinDrainsInputsOnCancel(t *testing.T) {
 	left, leftDone := rawProducer(d, 500)
 	right, rightDone := rawProducer(d, 500)
 	out := CSymmetricHashJoin(ctx, left, right, []string{"x"}, left.Schema(), 4, 0)
-	<-out.Batches()
+	out.Recv(nil)
 	cancel()
 	awaitDone(t, "hash-join left", leftDone)
 	awaitDone(t, "hash-join right", rightDone)
-	for range out.Batches() {
-	}
+	out.Drain()
 }
 
 // TestBlockBindJoinDrainsInputsOnCancel: the block variant must drain both
@@ -82,9 +80,8 @@ func TestBlockBindJoinDrainsInputsOnCancel(t *testing.T) {
 		return CFromBindings(ctx, seeds.Bindings(d), left.Schema(), d, 0)
 	}
 	out := CBlockBindJoin(ctx, left, service, []string{"x"}, left.Schema(), 8, 2, 0)
-	<-out.Batches()
+	out.Recv(nil)
 	cancel()
 	awaitDone(t, "block-bind-join", leftDone)
-	for range out.Batches() {
-	}
+	out.Drain()
 }

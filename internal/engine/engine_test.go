@@ -39,13 +39,15 @@ func feed(ctx context.Context, d *dict.Dict, rows []sparql.Binding, batch int) *
 	return CFromBindings(ctx, rows, NewSchema(varsOf(rows)), d, batch)
 }
 
-// collect is the output side: it drains the stream and materializes every
-// batch back into bindings through DecodeBatch.
+// collect is the output side: it receives the stream to its end and
+// materializes every batch back into bindings through DecodeBatch, then
+// drains what a LIMIT left behind.
 func collect(s *CStream, d *dict.Dict) []sparql.Binding {
 	var out []sparql.Binding
-	for batch := range s.Batches() {
+	for batch, ok := s.Recv(nil); ok; batch, ok = s.Recv(nil) {
 		out = append(out, DecodeBatch(batch, d)...)
 	}
+	s.Drain()
 	return out
 }
 
@@ -140,15 +142,6 @@ func TestSymmetricHashJoinEmitsExactlyOncePerPair(t *testing.T) {
 	}
 }
 
-func TestNestedLoopJoinMatchesReference(t *testing.T) {
-	ctx := context.Background()
-	left := []sparql.Binding{b("x", "1", "y", "a"), b("x", "2", "y", "b")}
-	right := []sparql.Binding{b("x", "1", "z", "p"), b("x", "1", "z", "q"), b("x", "5", "z", "r")}
-	d := dict.New()
-	got := collect(CNestedLoopJoin(ctx, feed(ctx, d, left, 0), feed(ctx, d, right, 0), []string{"x"}, outSchema(left, right), 0), d)
-	assertSame(t, got, referenceJoin(left, right))
-}
-
 func TestBindJoin(t *testing.T) {
 	ctx := context.Background()
 	left := []sparql.Binding{b("x", "1"), b("x", "2"), b("x", "3")}
@@ -217,17 +210,17 @@ func TestFilterOperator(t *testing.T) {
 		{"v": rdf.IntLiteral(10)},
 	}
 	d := dict.New()
-	got := collect(CFilter(ctx, feed(ctx, d, in, 0), q.Filters, d, 0), d)
+	got := collect(CFilter(ctx, feed(ctx, d, in, 0), q.Filters, d), d)
 	if len(got) != 2 {
 		t.Fatalf("filter kept %d, want 2", len(got))
 	}
 	// A batch the filter only partly keeps is rebuilt, not forwarded.
-	if got := collect(CFilter(ctx, feed(ctx, d, in, 1), q.Filters, d, 0), d); len(got) != 2 {
+	if got := collect(CFilter(ctx, feed(ctx, d, in, 1), q.Filters, d), d); len(got) != 2 {
 		t.Fatalf("filter over single-row batches kept %d, want 2", len(got))
 	}
 	// No filters: pass-through.
 	s := feed(ctx, d, in, 0)
-	if CFilter(ctx, s, nil, d, 0) != s {
+	if CFilter(ctx, s, nil, d) != s {
 		t.Error("empty filter should return the input stream")
 	}
 }
@@ -244,25 +237,25 @@ func TestProjectDistinctLimitOffset(t *testing.T) {
 	// Batch sizes 0 (one batch) and 1/3 (cuts inside and across batches)
 	// cover both the forward-untouched and the rebuild paths.
 	for _, batch := range []int{0, 1, 3} {
-		got := collect(CDistinct(ctx, CProject(ctx, feed(ctx, d, in, batch), []string{"x"}, 0), 0), d)
+		got := collect(CDistinct(ctx, CProject(ctx, feed(ctx, d, in, batch), []string{"x"})), d)
 		if len(got) != 2 {
 			t.Fatalf("batch %d: distinct projection = %d, want 2", batch, len(got))
 		}
-		got = collect(CLimit(ctx, feed(ctx, d, in, batch), 3, 0), d)
+		got = collect(CLimit(ctx, feed(ctx, d, in, batch), 3), d)
 		if len(got) != 3 {
 			t.Fatalf("batch %d: limit = %d, want 3", batch, len(got))
 		}
-		got = collect(COffset(ctx, feed(ctx, d, in, batch), 3, 0), d)
+		got = collect(COffset(ctx, feed(ctx, d, in, batch), 3), d)
 		if len(got) != 1 || got[0]["y"].Value != "d" {
 			t.Fatalf("batch %d: offset = %v, want the last row", batch, got)
 		}
-		got = collect(CLimit(ctx, feed(ctx, d, in, batch), 0, 0), d)
+		got = collect(CLimit(ctx, feed(ctx, d, in, batch), 0), d)
 		if len(got) != 0 {
 			t.Fatalf("batch %d: limit 0 = %d, want 0", batch, len(got))
 		}
 	}
 	// A projected variable the input does not carry stays unbound.
-	got := collect(CProject(ctx, feed(ctx, d, in, 0), []string{"x", "missing"}, 0), d)
+	got := collect(CProject(ctx, feed(ctx, d, in, 0), []string{"x", "missing"}), d)
 	if len(got) != 4 {
 		t.Fatalf("projection onto a missing variable = %d rows, want 4", len(got))
 	}
@@ -320,14 +313,13 @@ func TestContextCancellation(t *testing.T) {
 			}
 		}
 	}()
-	out := CProject(ctx, src, []string{"x"}, 0)
-	<-out.Batches() // take one batch
+	out := CProject(ctx, src, []string{"x"})
+	out.Recv(nil) // take one batch
 	cancel()
 	// The pipeline must terminate quickly after cancellation.
 	done := make(chan struct{})
 	go func() {
-		for range out.Batches() {
-		}
+		out.Drain()
 		close(done)
 	}()
 	select {

@@ -9,9 +9,9 @@ import (
 // OpStats is the per-operator runtime instrumentation record: every engine
 // operator accumulates its observed batch/binding flow, wall time, and the
 // time it spent blocked on the exchange into one OpStats. The counters are
-// atomics and every update happens at batch granularity (one timed channel
-// operation per exchange batch, not per binding), so the hot-path cost is
-// near zero. A nil *OpStats is valid everywhere and records nothing — the
+// atomics and every update happens at batch granularity (at most one timed
+// channel operation per exchange batch, not per binding), so the hot-path
+// cost is near zero. A nil *OpStats is valid everywhere and records nothing — the
 // operators are instrumented unconditionally and pay only a nil check when
 // no trace is attached.
 //
@@ -59,7 +59,8 @@ type OpActuals struct {
 	// the operator is still live).
 	Wall time.Duration
 	// BlockedRecv is the time spent waiting on input batches, BlockedSend
-	// the time spent waiting for the downstream consumer.
+	// the time spent waiting for the downstream consumer. Both are zero
+	// for a stage, which runs inside the operator receiving its stream.
 	BlockedRecv time.Duration
 	BlockedSend time.Duration
 	// HashEntries is the number of hash-table entries a symmetric hash
@@ -110,6 +111,15 @@ func (o *OpStats) in(bindings int) {
 	}
 	o.batchesIn.Add(1)
 	o.bindingsIn.Add(int64(bindings))
+}
+
+// out counts one produced output batch.
+func (o *OpStats) out(bindings int) {
+	if o == nil {
+		return
+	}
+	o.batchesOut.Add(1)
+	o.bindingsOut.Add(int64(bindings))
 }
 
 // addHashEntries accounts hash-table insertions (one call per morsel).

@@ -22,7 +22,7 @@ func TestOpStatsNilSafe(t *testing.T) {
 	ctx := context.Background()
 	d := dict.New()
 	in := feed(ctx, d, []sparql.Binding{b("x", "1")}, 0)
-	got, ok := st.recvC(in)
+	got, ok := in.Recv(st)
 	if !ok || got.Len != 1 {
 		t.Fatalf("nil recv = %v, %v", got, ok)
 	}
@@ -53,7 +53,7 @@ func TestOpStatsCountsThroughContext(t *testing.T) {
 	q := sparql.MustParse(`SELECT ?x WHERE { ?s ?p ?x . FILTER (?x >= 0) }`)
 	d := dict.New()
 	in := feed(ctx, d, []sparql.Binding{bi("x", 1), bi("x", 2), bi("x", 3)}, 0)
-	got := collect(CFilter(sctx, in, q.Filters, d, 2), d)
+	got := collect(CFilter(sctx, in, q.Filters, d), d)
 	if len(got) != 3 {
 		t.Fatalf("filter passed %d, want 3", len(got))
 	}
@@ -101,7 +101,7 @@ func TestMeterAttributesLeafStream(t *testing.T) {
 	st := NewOpStats("service", "diseasome")
 	d := dict.New()
 	src := feed(ctx, d, []sparql.Binding{b("x", "1"), b("x", "2")}, 0)
-	got := collect(CMeter(ctx, src, st), d)
+	got := collect(CMeter(src, st), d)
 	if len(got) != 2 {
 		t.Fatalf("metered stream delivered %d, want 2", len(got))
 	}
@@ -114,7 +114,7 @@ func TestMeterAttributesLeafStream(t *testing.T) {
 	}
 	// CMeter with nil stats must degrade to a passthrough.
 	src2 := feed(ctx, d, []sparql.Binding{b("x", "9")}, 0)
-	if CMeter(ctx, src2, nil) != src2 {
+	if CMeter(src2, nil) != src2 {
 		t.Fatal("nil-stats CMeter did not return its input")
 	}
 }

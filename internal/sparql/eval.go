@@ -68,6 +68,11 @@ func EvalQuery(g *rdf.Graph, q *Query) []Binding {
 		}
 		sols = kept
 	}
+	// The solution modifiers in SPARQL 1.1's order (§18.2.5): ORDER BY
+	// sees every variable, so it may sort on one the projection drops.
+	if len(q.OrderBy) > 0 {
+		SortBindings(sols, q.OrderBy)
+	}
 	if len(q.SelectVars) > 0 {
 		for i, b := range sols {
 			sols[i] = b.Project(q.SelectVars)
@@ -84,9 +89,6 @@ func EvalQuery(g *rdf.Graph, q *Query) []Binding {
 			}
 		}
 		sols = kept
-	}
-	if len(q.OrderBy) > 0 {
-		SortBindings(sols, q.OrderBy)
 	}
 	if q.Offset > 0 {
 		if q.Offset >= len(sols) {

@@ -177,6 +177,36 @@ func TestEvalQueryWithFilterAndModifiers(t *testing.T) {
 	}
 }
 
+// TestEvalQueryOrderByUnselectedVar: ORDER BY applies before the
+// projection (SPARQL 1.1 §18.2.5), so a query may sort on a variable it
+// does not select. The ranks run against the names' order, and ascending
+// and descending must both hold, so no evaluation order passes by chance.
+func TestEvalQueryOrderByUnselectedVar(t *testing.T) {
+	g := rdf.NewGraph()
+	rank, name := rdf.NewIRI("http://p/rank"), rdf.NewIRI("http://p/name")
+	for i, n := range []string{"d", "b", "c", "a"} {
+		s := rdf.NewIRI("http://s/" + n)
+		g.Add(rdf.Triple{S: s, P: rank, O: rdf.IntLiteral(int64(i))})
+		g.Add(rdf.Triple{S: s, P: name, O: rdf.NewLiteral(n)})
+	}
+	for order, want := range map[string]string{
+		"?r":       "d b c a",
+		"DESC(?r)": "a c b d",
+	} {
+		q := MustParse(`SELECT ?n WHERE { ?s <http://p/rank> ?r . ?s <http://p/name> ?n . } ORDER BY ` + order + ` LIMIT 4`)
+		var got []string
+		for _, sol := range EvalQuery(g, q) {
+			if len(sol) != 1 {
+				t.Fatalf("ORDER BY %s: solution %v binds more than the selected ?n", order, sol)
+			}
+			got = append(got, sol["n"].Value)
+		}
+		if strings.Join(got, " ") != want {
+			t.Errorf("ORDER BY %s: got %v, want %s", order, got, want)
+		}
+	}
+}
+
 func TestEvalQueryDistinct(t *testing.T) {
 	g := testGraph()
 	q := MustParse(`SELECT DISTINCT ?g WHERE { ?g ?p ?o . }`)

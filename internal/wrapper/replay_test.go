@@ -174,12 +174,12 @@ func TestReplaySharedByConcurrentOperators(t *testing.T) {
 		run  func() *engine.CStream
 		rows int
 	}{
-		{"filter", func() *engine.CStream { return engine.CFilter(ctx, replay(), filters, testDict, 0) }, 150},
-		{"project", func() *engine.CStream { return engine.CProject(ctx, replay(), []string{"n"}, 0) }, 300},
+		{"filter", func() *engine.CStream { return engine.CFilter(ctx, replay(), filters, testDict) }, 150},
+		{"project", func() *engine.CStream { return engine.CProject(ctx, replay(), []string{"n"}) }, 300},
 		{"distinct", func() *engine.CStream {
-			return engine.CDistinct(ctx, engine.CProject(ctx, replay(), []string{"s"}, 0), 0)
+			return engine.CDistinct(ctx, engine.CProject(ctx, replay(), []string{"s"}))
 		}, 100},
-		{"limit", func() *engine.CStream { return engine.CLimit(ctx, replay(), 50, 0) }, 50},
+		{"limit", func() *engine.CStream { return engine.CLimit(ctx, replay(), 50) }, 50},
 		{"union", func() *engine.CStream { return engine.CUnion(ctx, schema, 0, replay(), replay()) }, 600},
 	}
 	var wg sync.WaitGroup
@@ -188,10 +188,11 @@ func TestReplaySharedByConcurrentOperators(t *testing.T) {
 			wg.Add(1)
 			go func() {
 				defer wg.Done()
-				n := 0
-				for b := range p.run().Batches() {
+				s, n := p.run(), 0
+				for b, ok := s.Recv(nil); ok; b, ok = s.Recv(nil) {
 					n += b.Len
 				}
+				s.Drain() // what the LIMIT left behind
 				if n != p.rows {
 					t.Errorf("%s: %d rows, want %d", p.name, n, p.rows)
 				}

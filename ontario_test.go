@@ -64,7 +64,7 @@ func TestFacadeModesAgree(t *testing.T) {
 		{ontario.WithAwarePlan()},
 		{ontario.WithAwarePlan(), ontario.WithNaiveTranslation()},
 		{ontario.WithHeuristic2(), ontario.WithNetwork(ontario.Gamma3)},
-		{ontario.WithAwarePlan(), ontario.WithJoinOperator(ontario.JoinNestedLoop)},
+		{ontario.WithAwarePlan(), ontario.WithJoinOperator(ontario.JoinBlockBind)},
 		{ontario.WithAwarePlan(), ontario.WithJoinOperator(ontario.JoinBind)},
 	} {
 		opts = append(opts, ontario.WithNetworkScale(0), ontario.WithSeed(5))

@@ -72,8 +72,6 @@ type JoinOperator int
 const (
 	// JoinSymmetricHash is the non-blocking adaptive operator (default).
 	JoinSymmetricHash JoinOperator = iota
-	// JoinNestedLoop is the blocking baseline.
-	JoinNestedLoop
 	// JoinBind re-invokes the right service once per left binding,
 	// strictly sequentially.
 	JoinBind
@@ -88,8 +86,6 @@ func (j JoinOperator) String() string { return j.core().String() }
 
 func (j JoinOperator) core() core.JoinOperator {
 	switch j {
-	case JoinNestedLoop:
-		return core.JoinNestedLoop
 	case JoinBind:
 		return core.JoinBind
 	case JoinBlockBind:
@@ -106,8 +102,6 @@ func JoinOperatorByName(name string) (JoinOperator, error) {
 	switch strings.ToLower(name) {
 	case "", "hash", "symmetric-hash":
 		return JoinSymmetricHash, nil
-	case "nested", "nested-loop":
-		return JoinNestedLoop, nil
 	case "bind":
 		return JoinBind, nil
 	case "block-bind", "block":

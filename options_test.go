@@ -76,8 +76,8 @@ func TestOptionResolutionV0Trap(t *testing.T) {
 		t.Error("aware mode lost")
 	}
 
-	joinFirst := resolveOptions(WithJoinOperator(JoinNestedLoop), WithUnawarePlan())
-	if joinFirst.JoinOperator != core.JoinNestedLoop {
+	joinFirst := resolveOptions(WithJoinOperator(JoinBind), WithUnawarePlan())
+	if joinFirst.JoinOperator != core.JoinBind {
 		t.Errorf("join operator override lost: %v", joinFirst.JoinOperator)
 	}
 }

@@ -61,9 +61,10 @@ type Results struct {
 	// The cursor consumes dictionary-encoded batches and materializes
 	// terms only when a solution is actually served — through Binding, or
 	// pre-encoded JSON via nextBatchJSON. cbuf is the exchange batch being
-	// iterated: Next serves rows from cbuf[cidx:] and only touches the
-	// stream channel when the batch is exhausted, so the per-answer cost of
-	// the cursor is an index, not a channel receive.
+	// iterated: Next serves rows from cbuf[cidx:] and only receives from
+	// the stream — applying its fused stages (the projection, DISTINCT,
+	// OFFSET and LIMIT among them) — when the batch is exhausted, so the
+	// per-answer cost of the cursor is an index, not a channel receive.
 	cstream *engine.CStream
 	dict    *dict.Dict
 	cbuf    *engine.ColBatch
@@ -113,7 +114,7 @@ func (r *Results) fill() bool {
 		return false
 	}
 	for r.cbuf == nil || r.cidx >= r.cbuf.Len {
-		batch, ok := <-r.cstream.Batches()
+		batch, ok := r.cstream.Recv(nil)
 		if !ok {
 			r.finish()
 			return false
@@ -143,8 +144,7 @@ func (r *Results) Close() error {
 	if r.json != nil {
 		r.json.release()
 	}
-	for range r.cstream.Batches() {
-	}
+	r.cstream.Drain()
 	if !r.done {
 		r.done = true
 		r.total = time.Since(r.start)
