@@ -57,15 +57,11 @@ func BenchmarkSeedBlockIN(b *testing.B) {
 		b.Run(name, func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				ex, err := newExecution(db, stmts[i%len(stmts)])
+				rs, err := db.Execute(stmts[i%len(stmts)])
 				if err != nil {
 					b.Fatal(err)
 				}
-				res, err := ex.run()
-				if err != nil {
-					b.Fatal(err)
-				}
-				benchRows = len(res.Rows)
+				benchRows = rs.Len()
 			}
 		})
 	}

@@ -1,8 +1,9 @@
 package rdb
 
 import (
+	"encoding/binary"
 	"fmt"
-	"sort"
+	"hash/maphash"
 	"strings"
 
 	"ontario/internal/sql"
@@ -21,10 +22,16 @@ type Result struct {
 // PlanNode describes one physical operator for EXPLAIN-style output.
 type PlanNode struct {
 	Op       string  // e.g. "IndexLookup", "SeqScan", "HashJoin"
-	Detail   string  // operator-specific description
 	EstRows  float64 // planner cardinality estimate
 	Children []*PlanNode
+	// detail renders the operator-specific description. It runs only when
+	// the plan is printed, so a statement nobody explains formats no
+	// literal and no predicate.
+	detail func() string
 }
+
+// text is the detail of an operator whose description is already a string.
+func text(s string) func() string { return func() string { return s } }
 
 // String renders the plan as an indented tree.
 func (p *PlanNode) String() string {
@@ -38,8 +45,10 @@ func (p *PlanNode) write(b *strings.Builder, depth int) {
 		b.WriteString("  ")
 	}
 	b.WriteString(p.Op)
-	if p.Detail != "" {
-		b.WriteString("(" + p.Detail + ")")
+	if p.detail != nil {
+		if d := p.detail(); d != "" {
+			b.WriteString("(" + d + ")")
+		}
 	}
 	fmt.Fprintf(b, " est=%.1f", p.EstRows)
 	b.WriteByte('\n')
@@ -62,6 +71,35 @@ func (p *PlanNode) UsesIndex() bool {
 	return false
 }
 
+// Rows is an executed statement in row ordinals: each output row is a
+// tuple holding, per relation of the statement, the ordinal of the row it
+// takes from that relation's table, and each output column names the
+// relation and column it reads. No Value is copied to build it.
+type Rows struct {
+	// Columns are the output column names in projection order.
+	Columns []string
+	// Plan is the physical plan that produced the rows.
+	Plan   *PlanNode
+	cols   []colRef
+	tuples []int32 // Len() tuples of stride ordinals each
+	stride int
+}
+
+// Len returns the number of output rows.
+func (r *Rows) Len() int { return len(r.tuples) / r.stride }
+
+// Source returns the table output column c reads and the column's ordinal
+// in its schema.
+func (r *Rows) Source(c int) (*Table, int) { return r.cols[c].table, r.cols[c].col }
+
+// Ord returns the ordinal, in Source(c)'s table, of the row output row i
+// reads column c from.
+func (r *Rows) Ord(i, c int) int32 { return r.tuples[i*r.stride+r.cols[c].slot] }
+
+// Value returns output row i's cell in column c. It points into the
+// table: read it, never write it.
+func (r *Rows) Value(i, c int) *Value { return r.cols[c].of(r.Ord(i, c)) }
+
 // Query parses and executes a SELECT statement.
 func (db *Database) Query(stmt string) (*Result, error) {
 	sel, err := sql.Parse(stmt)
@@ -71,10 +109,29 @@ func (db *Database) Query(stmt string) (*Result, error) {
 	return db.QueryAST(sel)
 }
 
-// QueryAST executes a parsed SELECT statement. There is no statement
-// cache: repeated requests are answered above the database, by the
-// wrapper response cache.
+// QueryAST executes a parsed SELECT statement and materializes its rows.
+// There is no statement cache: repeated requests are answered above the
+// database, by the wrapper response cache.
 func (db *Database) QueryAST(sel *sql.Select) (*Result, error) {
+	rs, err := db.Execute(sel)
+	if err != nil {
+		return nil, err
+	}
+	n, w := rs.Len(), len(rs.cols)
+	res := &Result{Columns: rs.Columns, Plan: rs.Plan, Rows: make([]Row, n)}
+	cells := make([]Value, n*w)
+	for i := range res.Rows {
+		row := cells[i*w : (i+1)*w : (i+1)*w]
+		for c := range row {
+			row[c] = *rs.Value(i, c)
+		}
+		res.Rows[i] = row
+	}
+	return res, nil
+}
+
+// Execute runs a parsed SELECT statement and returns its rows as ordinals.
+func (db *Database) Execute(sel *sql.Select) (*Rows, error) {
 	ex, err := newExecution(db, sel)
 	if err != nil {
 		return nil, err
@@ -92,32 +149,39 @@ func (db *Database) Explain(stmt string) (*PlanNode, error) {
 	return res.Plan, nil
 }
 
-// relation is one bound FROM/JOIN entry.
+// relation is one bound FROM/JOIN entry, its slot in the statement.
 type relation struct {
 	name  string // alias or table name, unique within the query
 	table *Table
+	// rows and ords are the table's rows and their ordinals when the
+	// statement started; a lookup never yields an ordinal past them.
+	rows []Row
+	ords []int32
 }
 
-// boundCol is one column of the flattened intermediate tuple.
-type boundCol struct {
-	rel    string
-	column string
-	typ    Type
+// colRef is a resolved column: column col of the relation in slot.
+type colRef struct {
+	table     *Table
+	rows      []Row
+	slot, col int
 }
+
+// of returns the column's cell in row ord.
+func (c colRef) of(ord int32) *Value { return &c.rows[ord][c.col] }
+
+// at returns the column's cell in a tuple over every slot.
+func (c colRef) at(t []int32) *Value { return c.of(t[c.slot]) }
 
 type execution struct {
-	db   *Database
 	sel  *sql.Select
 	rels []relation
+	all  []int // every slot, in statement order
 	// conjuncts of WHERE plus all JOIN ... ON conditions
 	preds []sql.BoolExpr
-	// inSets holds each IN list coerced to its column's type, built on the
-	// first tuple the filter tests.
-	inSets map[*sql.In]map[Value]bool
 }
 
 func newExecution(db *Database, sel *sql.Select) (*execution, error) {
-	ex := &execution{db: db, sel: sel}
+	ex := &execution{sel: sel}
 	add := func(ref sql.TableRef) error {
 		t := db.Table(ref.Table)
 		if t == nil {
@@ -129,7 +193,9 @@ func newExecution(db *Database, sel *sql.Select) (*execution, error) {
 				return fmt.Errorf("rdb: duplicate table name/alias %s", name)
 			}
 		}
-		ex.rels = append(ex.rels, relation{name: name, table: t})
+		rows, ords := t.snapshot()
+		ex.all = append(ex.all, len(ex.rels))
+		ex.rels = append(ex.rels, relation{name: name, table: t, rows: rows, ords: ords})
 		return nil
 	}
 	for _, ref := range sel.From {
@@ -147,225 +213,124 @@ func newExecution(db *Database, sel *sql.Select) (*execution, error) {
 	return ex, nil
 }
 
-// resolveCol finds the relation and column ordinal for a reference.
-func (ex *execution) resolveCol(c sql.ColumnRef) (relName string, err error) {
-	if c.Table != "" {
-		for _, r := range ex.rels {
-			if r.name == c.Table {
-				if r.table.Schema.ColumnIndex(c.Column) < 0 {
-					return "", fmt.Errorf("rdb: table %s has no column %s", c.Table, c.Column)
-				}
-				return r.name, nil
-			}
+// lookup finds column c among the given slots, in their order: the first
+// match and the number of matches.
+func (ex *execution) lookup(slots []int, c sql.ColumnRef) (ref colRef, n int) {
+	for _, s := range slots {
+		r := &ex.rels[s]
+		if c.Table != "" && r.name != c.Table {
+			continue
 		}
-		return "", fmt.Errorf("rdb: unknown table %s in column reference", c.Table)
+		if ci := r.table.Schema.ColumnIndex(c.Column); ci >= 0 {
+			if n == 0 {
+				ref = colRef{table: r.table, rows: r.rows, slot: s, col: ci}
+			}
+			n++
+		}
 	}
-	var found string
+	return ref, n
+}
+
+// resolveCol resolves a predicate's column reference against the whole
+// statement.
+func (ex *execution) resolveCol(c sql.ColumnRef) (colRef, error) {
+	ref, n := ex.lookup(ex.all, c)
+	switch {
+	case n == 1:
+		return ref, nil
+	case n > 1:
+		return ref, fmt.Errorf("rdb: ambiguous column %s", c.Column)
+	case c.Table == "":
+		return ref, fmt.Errorf("rdb: unknown column %s", c.Column)
+	}
 	for _, r := range ex.rels {
-		if r.table.Schema.ColumnIndex(c.Column) >= 0 {
-			if found != "" {
-				return "", fmt.Errorf("rdb: ambiguous column %s", c.Column)
-			}
-			found = r.name
+		if r.name == c.Table {
+			return ref, fmt.Errorf("rdb: table %s has no column %s", c.Table, c.Column)
 		}
 	}
-	if found == "" {
-		return "", fmt.Errorf("rdb: unknown column %s", c.Column)
-	}
-	return found, nil
+	return ref, fmt.Errorf("rdb: unknown table %s in column reference", c.Table)
 }
 
-// predRels returns the distinct relation names a predicate references.
-func (ex *execution) predRels(e sql.BoolExpr) ([]string, error) {
-	seen := map[string]bool{}
-	var out []string
-	addCol := func(c sql.ColumnRef) error {
-		rel, err := ex.resolveCol(c)
-		if err != nil {
-			return err
-		}
-		if !seen[rel] {
-			seen[rel] = true
-			out = append(out, rel)
-		}
-		return nil
-	}
-	var walk func(e sql.BoolExpr) error
-	walk = func(e sql.BoolExpr) error {
-		switch v := e.(type) {
-		case *sql.Comparison:
-			if v.L.IsCol {
-				if err := addCol(v.L.Col); err != nil {
-					return err
-				}
-			}
-			if v.R.IsCol {
-				if err := addCol(v.R.Col); err != nil {
-					return err
-				}
-			}
-		case *sql.Like:
-			return addCol(v.Col)
-		case *sql.In:
-			return addCol(v.Col)
-		case *sql.IsNull:
-			return addCol(v.Col)
-		case *sql.And:
-			if err := walk(v.L); err != nil {
-				return err
-			}
-			return walk(v.R)
-		case *sql.Or:
-			if err := walk(v.L); err != nil {
-				return err
-			}
-			return walk(v.R)
-		case *sql.Not:
-			return walk(v.X)
-		}
-		return nil
-	}
-	if err := walk(e); err != nil {
-		return nil, err
-	}
-	sort.Strings(out)
-	return out, nil
-}
-
-// tupleSet is an intermediate relation: a flattened schema of bound columns
-// plus tuples.
-type tupleSet struct {
-	cols   []boundCol
-	tuples []Row
-	// raw, when set, marks an unfiltered base relation: tuples is the
-	// table's own row slice — read it, never reorder it — and an index
-	// nested-loop join can probe the table instead.
-	raw  *Table
-	plan *PlanNode
-	// rels are the relation names this set covers.
-	rels map[string]bool
-}
-
-func (ts *tupleSet) colIndex(rel, column string) int {
-	for i, c := range ts.cols {
-		if c.rel == rel && c.column == column {
-			return i
-		}
-	}
-	return -1
-}
-
-func (ex *execution) run() (*Result, error) {
-	// Validate predicates early (resolve all columns).
-	type classified struct {
-		expr sql.BoolExpr
-		rels []string
-	}
-	var preds []classified
-	for _, p := range ex.preds {
-		rels, err := ex.predRels(p)
+func (ex *execution) run() (*Rows, error) {
+	// Compile every predicate first: an unresolved column fails the
+	// statement before any row is read. Per-relation local predicates and
+	// cross-relation predicates.
+	local := make([][]*pred, len(ex.rels))
+	var cross []*pred
+	for _, e := range ex.preds {
+		p, err := ex.compile(e)
 		if err != nil {
 			return nil, err
 		}
-		preds = append(preds, classified{expr: p, rels: rels})
-	}
-
-	// Per-relation local predicates and cross-relation predicates.
-	local := map[string][]sql.BoolExpr{}
-	var cross []classified
-	for _, p := range preds {
-		if len(p.rels) <= 1 {
-			rel := ""
-			if len(p.rels) == 1 {
-				rel = p.rels[0]
-			} else if len(ex.rels) > 0 {
-				rel = ex.rels[0].name // constant predicate: attach to first
-			}
-			local[rel] = append(local[rel], p.expr)
-		} else {
+		switch {
+		case len(p.slots) > 1:
 			cross = append(cross, p)
+		case len(p.slots) == 1:
+			local[p.slots[0]] = append(local[p.slots[0]], p)
+		default:
+			local[0] = append(local[0], p) // constant predicate: attach to first
 		}
 	}
 
-	// Build base tuple sets with access-path selection.
-	bases := make([]*tupleSet, 0, len(ex.rels))
-	for _, r := range ex.rels {
-		ts, err := ex.scanRelation(r, local[r.name])
-		if err != nil {
-			return nil, err
-		}
-		bases = append(bases, ts)
+	// Build base relations with access-path selection.
+	bases := make([]*relSet, len(ex.rels))
+	for s := range ex.rels {
+		bases[s] = ex.scanRelation(s, local[s])
 	}
 
 	// Greedy join order: start from the smallest base; repeatedly join the
 	// connected base with the smallest cardinality.
-	crossPreds := make([]sql.BoolExpr, len(cross))
-	crossRels := make([][]string, len(cross))
-	for i, c := range cross {
-		crossPreds[i] = c.expr
-		crossRels[i] = c.rels
-	}
 	cur, rest := pickSmallest(bases)
 	for len(rest) > 0 {
 		bestIdx := -1
 		bestConnected := false
-		for i, ts := range rest {
-			connected := connectedTo(cur, ts, crossRels)
+		for i, rs := range rest {
+			connected := connectedTo(cur, rs, cross)
 			switch {
 			case bestIdx == -1,
 				connected && !bestConnected,
-				connected == bestConnected && len(ts.tuples) < len(rest[bestIdx].tuples):
+				connected == bestConnected && rs.len() < rest[bestIdx].len():
 				bestIdx, bestConnected = i, connected
 			}
 		}
 		next := rest[bestIdx]
 		rest = append(rest[:bestIdx], rest[bestIdx+1:]...)
-		joined, err := ex.join(cur, next, crossPreds, crossRels)
-		if err != nil {
-			return nil, err
-		}
-		cur = joined
+		cur = ex.join(cur, next, cross)
 	}
 
-	// Any remaining cross predicates (e.g. referencing 3+ relations or not
-	// consumed during joins) are applied as residual filters.
-	residual, err := ex.residualPreds(cur, crossPreds, crossRels)
-	if err != nil {
-		return nil, err
+	// Any remaining cross predicates (e.g. left by a cross product) are
+	// applied as residual filters.
+	if residual := takeCovered(cur, cross); len(residual) > 0 {
+		cur = ex.filter(cur, residual, "ResidualFilter")
 	}
-	if len(residual) > 0 {
-		cur, err = ex.filterTuples(cur, residual, "ResidualFilter")
-		if err != nil {
-			return nil, err
-		}
-	}
-
 	return ex.finalize(cur)
 }
 
-func pickSmallest(sets []*tupleSet) (*tupleSet, []*tupleSet) {
+func pickSmallest(sets []*relSet) (*relSet, []*relSet) {
 	best := 0
-	for i, ts := range sets {
-		if len(ts.tuples) < len(sets[best].tuples) {
+	for i, rs := range sets {
+		if rs.len() < sets[best].len() {
 			best = i
 		}
 	}
 	cur := sets[best]
-	rest := append(append([]*tupleSet{}, sets[:best]...), sets[best+1:]...)
+	rest := append(append([]*relSet{}, sets[:best]...), sets[best+1:]...)
 	return cur, rest
 }
 
-func connectedTo(cur, other *tupleSet, crossRels [][]string) bool {
-	for _, rels := range crossRels {
-		if rels == nil {
+// connectedTo reports whether a pending cross predicate reads cur and
+// other and no third relation.
+func connectedTo(cur, other *relSet, cross []*pred) bool {
+	for _, p := range cross {
+		if p == nil {
 			continue
 		}
 		hitCur, hitOther, miss := false, false, false
-		for _, r := range rels {
+		for _, s := range p.slots {
 			switch {
-			case cur.rels[r]:
+			case cur.has(s):
 				hitCur = true
-			case other.rels[r]:
+			case other.has(s):
 				hitOther = true
 			default:
 				miss = true
@@ -378,25 +343,187 @@ func connectedTo(cur, other *tupleSet, crossRels [][]string) bool {
 	return false
 }
 
-// residualPreds returns the cross predicates fully covered by ts that have
-// not been nil-ed out by join consumption.
-func (ex *execution) residualPreds(ts *tupleSet, crossPreds []sql.BoolExpr, crossRels [][]string) ([]sql.BoolExpr, error) {
-	var out []sql.BoolExpr
-	for i, p := range crossPreds {
-		if p == nil {
-			continue
-		}
-		covered := true
-		for _, r := range crossRels[i] {
-			if !ts.rels[r] {
-				covered = false
-				break
-			}
-		}
-		if covered {
+// takeCovered removes from cross, and returns, the pending predicates
+// every relation of which rs covers.
+func takeCovered(rs *relSet, cross []*pred) []*pred {
+	var out []*pred
+	for i, p := range cross {
+		if p != nil && rs.covers(p) {
 			out = append(out, p)
-			crossPreds[i] = nil
+			cross[i] = nil
 		}
 	}
+	return out
+}
+
+// finalize applies projection, ORDER BY, DISTINCT and LIMIT/OFFSET.
+func (ex *execution) finalize(rs *relSet) (*Rows, error) {
+	sel, w := ex.sel, len(ex.rels)
+	out := &Rows{stride: w}
+	if len(sel.Columns) == 0 {
+		for _, s := range rs.order {
+			r := &ex.rels[s]
+			for ci, c := range r.table.Schema.Columns {
+				out.cols = append(out.cols, colRef{table: r.table, rows: r.rows, slot: s, col: ci})
+				out.Columns = append(out.Columns, c.Name)
+			}
+		}
+	}
+	for _, item := range sel.Columns {
+		ref, n := ex.lookup(rs.order, item.Col)
+		switch {
+		case n > 1:
+			return nil, fmt.Errorf("rdb: ambiguous projected column %s", item.Col.Column)
+		case n == 0:
+			return nil, fmt.Errorf("rdb: unknown projected column %s", item.Col)
+		}
+		name := item.Alias
+		if name == "" {
+			name = item.Col.Column
+		}
+		out.cols = append(out.cols, ref)
+		out.Columns = append(out.Columns, name)
+	}
+
+	// ORDER BY is resolved against every relation, unprojected columns
+	// included; an unqualified name takes its first relation in join order.
+	orders := make([]colRef, len(sel.OrderBy))
+	for i, o := range sel.OrderBy {
+		ref, n := ex.lookup(rs.order, o.Col)
+		if n == 0 {
+			return nil, fmt.Errorf("rdb: unknown ORDER BY column %s", o.Col)
+		}
+		orders[i] = ref
+	}
+
+	tuples := rs.ords
+	if len(orders) > 0 {
+		perm := make([]int32, len(tuples)/w)
+		for i := range perm {
+			perm[i] = int32(i)
+		}
+		mergeSort(perm, make([]int32, len(perm)), func(a, b int32) int {
+			for k, o := range orders {
+				x, y := o.of(tuples[int(a)*w+o.slot]), o.of(tuples[int(b)*w+o.slot])
+				c, ok := x.Compare(*y)
+				if !ok {
+					// Sort NULLs first.
+					switch {
+					case x.Null && y.Null:
+						continue
+					case x.Null:
+						c = -1
+					default:
+						c = 1
+					}
+				}
+				if c == 0 {
+					continue
+				}
+				if sel.OrderBy[k].Desc {
+					return -c
+				}
+				return c
+			}
+			return 0
+		})
+		sorted := make([]int32, 0, len(tuples))
+		for _, i := range perm {
+			sorted = append(sorted, tuples[int(i)*w:int(i+1)*w]...)
+		}
+		tuples = sorted
+	}
+	if sel.Distinct {
+		tuples = distinct(out.cols, tuples, w)
+	}
+	n := len(tuples) / w
+	lo, hi := min(max(sel.Offset, 0), n), n
+	if sel.Limit >= 0 && lo+sel.Limit < hi {
+		hi = lo + sel.Limit
+	}
+	out.tuples = tuples[lo*w : hi*w]
+
+	out.Plan = &PlanNode{
+		Op:       "Project",
+		EstRows:  float64(hi - lo),
+		Children: []*PlanNode{rs.plan},
+		detail:   func() string { return strings.Join(out.Columns, ", ") },
+	}
 	return out, nil
+}
+
+var distinctSeed = maphash.MakeSeed()
+
+// distinct keeps the first tuple of every run of equal projected cells
+// (equal as IndexKey compares them, NULL equal to NULL), in order: cells
+// are hashed, and tuples sharing a hash are chained and compared.
+func distinct(cols []colRef, tuples []int32, w int) []int32 {
+	var h maphash.Hash
+	h.SetSeed(distinctSeed)
+	head := make(map[uint64]int32)
+	var chain []int32 // per kept tuple, the previous kept one with its hash
+	out := make([]int32, 0, len(tuples))
+	same := func(a, b []int32) bool {
+		for i := range cols {
+			if cols[i].at(a).key() != cols[i].at(b).key() {
+				return false
+			}
+		}
+		return true
+	}
+next:
+	for i := 0; i < len(tuples); i += w {
+		t := tuples[i : i+w]
+		h.Reset()
+		for c := range cols {
+			k := cols[c].at(t).key()
+			var b [8]byte
+			binary.LittleEndian.PutUint64(b[:], k.bits)
+			h.WriteByte(k.kind)
+			h.Write(b[:])
+			h.WriteString(k.str)
+		}
+		sum := h.Sum64()
+		prev, ok := head[sum]
+		if !ok {
+			prev = -1
+		}
+		for k := prev; k >= 0; k = chain[k] {
+			if same(t, out[int(k)*w:]) {
+				continue next
+			}
+		}
+		head[sum] = int32(len(chain))
+		chain = append(chain, prev)
+		out = append(out, t...)
+	}
+	return out
+}
+
+// mergeSort is a stable merge sort with a three-way comparator.
+func mergeSort[T any](ts, buf []T, cmp func(a, b T) int) {
+	if len(ts) < 2 {
+		return
+	}
+	mid := len(ts) / 2
+	mergeSort(ts[:mid], buf[:mid], cmp)
+	mergeSort(ts[mid:], buf[mid:], cmp)
+	copy(buf, ts)
+	i, j, k := 0, mid, 0
+	for i < mid && j < len(ts) {
+		if cmp(buf[i], buf[j]) <= 0 {
+			ts[k] = buf[i]
+			i++
+		} else {
+			ts[k] = buf[j]
+			j++
+		}
+		k++
+	}
+	for i < mid {
+		ts[k] = buf[i]
+		i++
+		k++
+	}
+	// remaining right side already in place
 }

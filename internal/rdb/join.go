@@ -1,410 +1,219 @@
 package rdb
 
 import (
-	"fmt"
 	"slices"
 	"strings"
 
 	"ontario/internal/sql"
 )
 
-// join combines cur with next using the cross predicates that connect them.
-// It prefers an index nested-loop join when next is a raw base relation
-// with an index on its join column, then a hash join, and falls back to a
-// nested-loop cross product with residual filtering.
+// relSet is an intermediate relation in row ordinals. A base relation
+// holds one ordinal per tuple, a row of its one slot; a join output holds
+// one per relation slot of the statement, at the slot's index, so a
+// compiled predicate reads every joined tuple the same way.
+type relSet struct {
+	ords  []int32
+	width int   // ordinals per tuple: 1 for a base relation
+	order []int // the slots covered, in join order
+	// raw, when set, marks an unfiltered base relation: ords is the
+	// table's own ordinal list — read it, never reorder it — and an index
+	// nested-loop join can probe the table instead.
+	raw  *Table
+	plan *PlanNode
+}
+
+func (rs *relSet) len() int { return len(rs.ords) / rs.width }
+
+func (rs *relSet) has(slot int) bool { return slices.Contains(rs.order, slot) }
+
+// covers reports whether rs holds every relation p reads.
+func (rs *relSet) covers(p *pred) bool {
+	for _, s := range p.slots {
+		if !rs.has(s) {
+			return false
+		}
+	}
+	return true
+}
+
+// ord returns tuple i's ordinal for a slot rs covers.
+func (rs *relSet) ord(i, slot int) int32 {
+	if rs.width == 1 {
+		return rs.ords[i]
+	}
+	return rs.ords[i*rs.width+slot]
+}
+
+// tuple returns tuple i over every slot; a base relation's is written
+// into buf, which holds one ordinal per slot.
+func (rs *relSet) tuple(i int, buf []int32) []int32 {
+	if rs.width < len(buf) {
+		buf[rs.order[0]] = rs.ords[i]
+		return buf
+	}
+	return rs.ords[i*rs.width : (i+1)*rs.width]
+}
+
+// filter keeps, in order, the tuples that pass every predicate.
+func (ex *execution) filter(rs *relSet, preds []*pred, op string) *relSet {
+	kept := rs.ords[:0] // in place: only a raw relation's ordinals are shared
+	if rs.raw != nil {
+		kept = nil
+	}
+	buf := make([]int32, len(ex.rels))
+next:
+	for i, n := 0, rs.len(); i < n; i++ {
+		t := rs.tuple(i, buf)
+		for _, p := range preds {
+			if !p.eval(t) {
+				continue next
+			}
+		}
+		kept = append(kept, rs.ords[i*rs.width:(i+1)*rs.width]...)
+	}
+	return &relSet{ords: kept, width: rs.width, order: rs.order, plan: &PlanNode{
+		Op:       op,
+		EstRows:  float64(len(kept) / rs.width),
+		Children: []*PlanNode{rs.plan},
+		detail: func() string {
+			details := make([]string, len(preds))
+			for i, p := range preds {
+				details[i] = p.expr.String()
+			}
+			return strings.Join(details, " AND ")
+		},
+	}}
+}
+
+// join combines cur with next, a base relation, using the cross
+// predicates that connect them. It prefers an index nested-loop join when
+// next is a raw base relation with an index on its join column, then a
+// hash join, and falls back to a nested-loop cross product.
 //
-// Consumed predicates are nil-ed out of crossPreds.
-func (ex *execution) join(cur, next *tupleSet, crossPreds []sql.BoolExpr, crossRels [][]string) (*tupleSet, error) {
-	// Collect equi-join predicates connecting cur and next.
+// Consumed predicates are nil-ed out of cross.
+func (ex *execution) join(cur, next *relSet, cross []*pred) *relSet {
+	ns := next.order[0]
+	// Equi-join predicates connecting cur and next: cur's column, next's.
 	type eqPred struct {
-		idx        int
-		curCol     int // index into cur.cols
-		nextCol    int // index into next.cols
-		nextColRef boundCol
+		idx       int
+		cur, next colRef
 	}
 	var eqs []eqPred
-	for i, p := range crossPreds {
+	for i, p := range cross {
 		if p == nil {
 			continue
 		}
-		cmp, ok := p.(*sql.Comparison)
+		cmp, ok := p.expr.(*sql.Comparison)
 		if !ok || cmp.Op != sql.CmpEq || !cmp.L.IsCol || !cmp.R.IsCol {
 			continue
 		}
-		covered := true
-		for _, r := range crossRels[i] {
-			if !cur.rels[r] && !next.rels[r] {
-				covered = false
-				break
-			}
-		}
-		if !covered {
-			continue
-		}
-		lIdx, lIn := findCol(cur, next, cmp.L.Col)
-		rIdx, rIn := findCol(cur, next, cmp.R.Col)
-		if lIn == 0 || rIn == 0 || lIn == rIn {
-			continue
-		}
-		if lIn == 1 { // L in cur, R in next
-			eqs = append(eqs, eqPred{idx: i, curCol: lIdx, nextCol: rIdx, nextColRef: next.cols[rIdx]})
-		} else {
-			eqs = append(eqs, eqPred{idx: i, curCol: rIdx, nextCol: lIdx, nextColRef: next.cols[lIdx]})
+		l, _ := ex.resolveCol(cmp.L.Col)
+		r, _ := ex.resolveCol(cmp.R.Col)
+		switch {
+		case cur.has(l.slot) && r.slot == ns:
+			eqs = append(eqs, eqPred{i, l, r})
+		case cur.has(r.slot) && l.slot == ns:
+			eqs = append(eqs, eqPred{i, r, l})
 		}
 	}
 
-	outCols := append(append([]boundCol{}, cur.cols...), next.cols...)
-	outRels := map[string]bool{}
-	for r := range cur.rels {
-		outRels[r] = true
+	w := len(ex.rels)
+	out := &relSet{width: w, order: append(slices.Clone(cur.order), ns)}
+	buf := make([]int32, w)
+	emit := func(t []int32, ord int32) {
+		out.ords = append(out.ords, t...)
+		out.ords[len(out.ords)-w+ns] = ord
 	}
-	for r := range next.rels {
-		outRels[r] = true
-	}
-
-	out := &tupleSet{cols: outCols, rels: outRels}
+	children := []*PlanNode{cur.plan, next.plan}
 
 	if len(eqs) == 0 {
 		// Cross product.
-		for _, lt := range cur.tuples {
-			for _, rt := range next.tuples {
-				out.tuples = append(out.tuples, concatTuple(lt, rt))
+		for i, n := 0, cur.len(); i < n; i++ {
+			t := cur.tuple(i, buf)
+			for _, o := range next.ords {
+				emit(t, o)
 			}
 		}
-		out.plan = &PlanNode{
-			Op:       "NestedLoopJoin",
-			Detail:   "cross",
-			EstRows:  float64(len(cur.tuples)) * float64(len(next.tuples)),
-			Children: []*PlanNode{cur.plan, next.plan},
-		}
-		return out, nil
+		out.plan = &PlanNode{Op: "NestedLoopJoin", detail: text("cross"),
+			EstRows: float64(cur.len()) * float64(next.len()), Children: children}
+		return out
 	}
 
-	// Hash join on the first equi predicate; remaining ones become
-	// residual checks on the joined tuples.
+	// Join on the first equi predicate; remaining ones become residual
+	// checks on the joined tuples.
 	first := eqs[0]
-	crossPreds[first.idx] = nil
+	cross[first.idx] = nil
+	col := first.next.table.Schema.Columns[first.next.col].Name
+	on := ex.rels[ns].name + "." + col
 
 	// Index nested-loop: next is a raw base relation whose join column is
 	// indexed, so the table is probed per left tuple and never copied.
-	if t := next.raw; t != nil && t.HasIndexOn(first.nextColRef.column) && len(cur.tuples) <= len(next.tuples) {
-		for _, lt := range cur.tuples {
-			v := lt[first.curCol]
+	if t := next.raw; t != nil && t.HasIndexOn(col) && cur.len() <= next.len() {
+		limit := len(ex.rels[ns].rows)
+		for i, n := 0, cur.len(); i < n; i++ {
+			tup := cur.tuple(i, buf)
+			v := first.cur.at(tup)
 			if v.Null {
 				continue
 			}
-			ids, _ := t.lookupEq(first.nextColRef.column, v)
+			ids, _ := t.lookupEq(col, *v)
 			for _, id := range ids {
-				out.tuples = append(out.tuples, concatTuple(lt, t.Row(id)))
+				if id < limit {
+					emit(tup, int32(id))
+				}
 			}
 		}
-		out.plan = &PlanNode{
-			Op: "IndexNLJoin",
-			Detail: fmt.Sprintf("%s.%s", first.nextColRef.rel,
-				first.nextColRef.column),
-			EstRows:  float64(len(out.tuples)),
-			Children: []*PlanNode{cur.plan, next.plan},
-		}
+		out.plan = &PlanNode{Op: "IndexNLJoin", detail: text(on), Children: children}
 	} else {
-		// Hash join: build on the smaller side.
-		build, probe := next.tuples, cur.tuples
-		buildCol, probeCol := first.nextCol, first.curCol
-		swapped := false
-		if len(probe) < len(build) {
-			build, probe = probe, build
-			buildCol, probeCol = probeCol, buildCol
-			swapped = true
+		// Hash join, built on the smaller side and keyed on typed values:
+		// each key's chain runs in build order, the probe in its own order.
+		build, probe, bcol, pcol := next, cur, first.next, first.cur
+		swapped := cur.len() < next.len()
+		if swapped {
+			build, probe, bcol, pcol = cur, next, first.cur, first.next
 		}
-		ht := make(map[string][]Row, len(build))
-		for _, bt := range build {
-			v := bt[buildCol]
+		head := make(map[valueKey]int32)
+		chain := make([]int32, build.len())
+		for i := len(chain) - 1; i >= 0; i-- { // backwards, so chains run forwards
+			v := bcol.of(build.ord(i, bcol.slot))
 			if v.Null {
 				continue
 			}
-			k := v.IndexKey()
-			ht[k] = append(ht[k], bt)
+			k := v.key()
+			chain[i] = -1
+			if h, ok := head[k]; ok {
+				chain[i] = h
+			}
+			head[k] = int32(i)
 		}
-		for _, pt := range probe {
-			v := pt[probeCol]
+		for j, n := 0, probe.len(); j < n; j++ {
+			v := pcol.of(probe.ord(j, pcol.slot))
 			if v.Null {
 				continue
 			}
-			for _, bt := range ht[v.IndexKey()] {
+			h, ok := head[v.key()]
+			for b := int(h); ok && b >= 0; b = int(chain[b]) {
 				if swapped {
-					// build side is cur (left of output)
-					out.tuples = append(out.tuples, concatTuple(bt, pt))
+					emit(cur.tuple(b, buf), next.ords[j])
 				} else {
-					out.tuples = append(out.tuples, concatTuple(pt, bt))
+					emit(cur.tuple(j, buf), next.ords[b])
 				}
 			}
 		}
-		out.plan = &PlanNode{
-			Op:       "HashJoin",
-			Detail:   fmt.Sprintf("%s.%s = probe", first.nextColRef.rel, first.nextColRef.column),
-			EstRows:  float64(len(out.tuples)),
-			Children: []*PlanNode{cur.plan, next.plan},
-		}
+		out.plan = &PlanNode{Op: "HashJoin", detail: text(on + " = probe"), Children: children}
 	}
+	out.plan.EstRows = float64(out.len())
 
-	// Residual equi predicates between the two inputs.
-	var residual []sql.BoolExpr
+	// Residual equi predicates between the two inputs, then every other
+	// pending predicate the output now covers.
+	var residual []*pred
 	for _, e := range eqs[1:] {
-		if crossPreds[e.idx] != nil {
-			residual = append(residual, crossPreds[e.idx])
-			crossPreds[e.idx] = nil
-		}
+		residual = append(residual, cross[e.idx])
+		cross[e.idx] = nil
 	}
-	// Also any non-equi cross predicate now fully covered.
-	for i, p := range crossPreds {
-		if p == nil {
-			continue
-		}
-		covered := true
-		for _, r := range crossRels[i] {
-			if !outRels[r] {
-				covered = false
-				break
-			}
-		}
-		if covered {
-			residual = append(residual, p)
-			crossPreds[i] = nil
-		}
-	}
+	residual = append(residual, takeCovered(out, cross)...)
 	if len(residual) > 0 {
-		return ex.filterTuples(out, residual, "JoinFilter")
+		return ex.filter(out, residual, "JoinFilter")
 	}
-	return out, nil
-}
-
-// findCol locates a column reference in cur (returns in=1) or next (in=2);
-// in=0 when not found or ambiguous without qualification.
-func findCol(cur, next *tupleSet, c sql.ColumnRef) (idx, in int) {
-	if c.Table != "" {
-		if i := cur.colIndex(c.Table, c.Column); i >= 0 {
-			return i, 1
-		}
-		if i := next.colIndex(c.Table, c.Column); i >= 0 {
-			return i, 2
-		}
-		return -1, 0
-	}
-	found, where := -1, 0
-	for i, bc := range cur.cols {
-		if bc.column == c.Column {
-			if found >= 0 {
-				return -1, 0
-			}
-			found, where = i, 1
-		}
-	}
-	for i, bc := range next.cols {
-		if bc.column == c.Column {
-			if found >= 0 && where != 0 {
-				// present in both inputs: ambiguous
-				if where == 1 {
-					return -1, 0
-				}
-			}
-			if found >= 0 {
-				return -1, 0
-			}
-			found, where = i, 2
-		}
-	}
-	return found, where
-}
-
-func concatTuple(a, b []Value) []Value {
-	out := make([]Value, 0, len(a)+len(b))
-	out = append(out, a...)
-	return append(out, b...)
-}
-
-// finalize applies projection, DISTINCT, ORDER BY, LIMIT/OFFSET.
-func (ex *execution) finalize(ts *tupleSet) (*Result, error) {
-	sel := ex.sel
-
-	// Resolve projection.
-	type proj struct {
-		name string
-		idx  int
-	}
-	var projs []proj
-	if len(sel.Columns) == 0 {
-		for i, c := range ts.cols {
-			projs = append(projs, proj{name: c.column, idx: i})
-		}
-	} else {
-		for _, item := range sel.Columns {
-			idx := -1
-			if item.Col.Table != "" {
-				idx = ts.colIndex(item.Col.Table, item.Col.Column)
-			} else {
-				for i, bc := range ts.cols {
-					if bc.column == item.Col.Column {
-						if idx >= 0 {
-							return nil, fmt.Errorf("rdb: ambiguous projected column %s", item.Col.Column)
-						}
-						idx = i
-					}
-				}
-			}
-			if idx < 0 {
-				return nil, fmt.Errorf("rdb: unknown projected column %s", item.Col)
-			}
-			name := item.Alias
-			if name == "" {
-				name = item.Col.Column
-			}
-			projs = append(projs, proj{name: name, idx: idx})
-		}
-	}
-
-	// ORDER BY must be resolved against the pre-projection tuple.
-	type order struct {
-		idx  int
-		desc bool
-	}
-	var orders []order
-	for _, o := range sel.OrderBy {
-		idx := -1
-		if o.Col.Table != "" {
-			idx = ts.colIndex(o.Col.Table, o.Col.Column)
-		} else {
-			for i, bc := range ts.cols {
-				if bc.column == o.Col.Column {
-					idx = i
-					break
-				}
-			}
-		}
-		if idx < 0 {
-			return nil, fmt.Errorf("rdb: unknown ORDER BY column %s", o.Col)
-		}
-		orders = append(orders, order{idx: idx, desc: o.Desc})
-	}
-
-	tuples := ts.tuples
-	if len(orders) > 0 {
-		if ts.raw != nil {
-			tuples = slices.Clone(tuples) // the table's own rows keep their order
-		}
-		sortTuples(tuples, func(a, b []Value) int {
-			for _, o := range orders {
-				c, ok := a[o.idx].Compare(b[o.idx])
-				if !ok {
-					// Sort NULLs first.
-					switch {
-					case a[o.idx].Null && b[o.idx].Null:
-						continue
-					case a[o.idx].Null:
-						c = -1
-					default:
-						c = 1
-					}
-				}
-				if c == 0 {
-					continue
-				}
-				if o.desc {
-					return -c
-				}
-				return c
-			}
-			return 0
-		})
-	}
-
-	res := &Result{Plan: ts.plan}
-	for _, p := range projs {
-		res.Columns = append(res.Columns, p.name)
-	}
-	seen := map[string]bool{}
-	for _, tup := range tuples {
-		row := make(Row, len(projs))
-		for i, p := range projs {
-			row[i] = tup[p.idx]
-		}
-		if sel.Distinct {
-			k := rowKey(row)
-			if seen[k] {
-				continue
-			}
-			seen[k] = true
-		}
-		res.Rows = append(res.Rows, row)
-	}
-	if sel.Offset > 0 {
-		if sel.Offset >= len(res.Rows) {
-			res.Rows = nil
-		} else {
-			res.Rows = res.Rows[sel.Offset:]
-		}
-	}
-	if sel.Limit >= 0 && sel.Limit < len(res.Rows) {
-		res.Rows = res.Rows[:sel.Limit]
-	}
-
-	detail := make([]string, len(projs))
-	for i, p := range projs {
-		detail[i] = p.name
-	}
-	res.Plan = &PlanNode{
-		Op:       "Project",
-		Detail:   strings.Join(detail, ", "),
-		EstRows:  float64(len(res.Rows)),
-		Children: []*PlanNode{ts.plan},
-	}
-	return res, nil
-}
-
-func rowKey(r Row) string {
-	var b strings.Builder
-	for _, v := range r {
-		if v.Null {
-			b.WriteString("\x00N")
-		} else {
-			b.WriteString(v.IndexKey())
-		}
-		b.WriteByte('\x01')
-	}
-	return b.String()
-}
-
-// sortTuples is a stable merge sort over tuples with a three-way
-// comparator.
-func sortTuples(ts []Row, cmp func(a, b []Value) int) {
-	if len(ts) < 2 {
-		return
-	}
-	buf := make([]Row, len(ts))
-	mergeSort(ts, buf, cmp)
-}
-
-func mergeSort(ts, buf []Row, cmp func(a, b []Value) int) {
-	if len(ts) < 2 {
-		return
-	}
-	mid := len(ts) / 2
-	mergeSort(ts[:mid], buf[:mid], cmp)
-	mergeSort(ts[mid:], buf[mid:], cmp)
-	copy(buf, ts)
-	i, j, k := 0, mid, 0
-	for i < mid && j < len(ts) {
-		if cmp(buf[i], buf[j]) <= 0 {
-			ts[k] = buf[i]
-			i++
-		} else {
-			ts[k] = buf[j]
-			j++
-		}
-		k++
-	}
-	for i < mid {
-		ts[k] = buf[i]
-		i++
-		k++
-	}
-	// remaining right side already in place
+	return out
 }

@@ -7,6 +7,7 @@ import (
 	"strings"
 	"testing"
 	"testing/quick"
+	"time"
 
 	"ontario/internal/sql"
 )
@@ -200,7 +201,7 @@ func TestQuickOrderByIsSorted(t *testing.T) {
 func TestQuickLikeMatchesContains(t *testing.T) {
 	f := func(hay string, needle uint8) bool {
 		n := fmt.Sprintf("s%d", needle%30)
-		return likeMatch("%"+n+"%", hay) == strings.Contains(hay, n)
+		return likeMatcher("%"+n+"%")(hay) == strings.Contains(hay, n)
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
 		t.Fatal(err)
@@ -228,8 +229,8 @@ func TestLikeMatchPatterns(t *testing.T) {
 		{"_", "x", true},
 		{"_", "", false},
 	} {
-		if got := likeMatch(tc.pattern, tc.s); got != tc.want {
-			t.Errorf("likeMatch(%q, %q) = %v, want %v", tc.pattern, tc.s, got, tc.want)
+		if got := likeMatcher(tc.pattern)(tc.s); got != tc.want {
+			t.Errorf("likeMatcher(%q)(%q) = %v, want %v", tc.pattern, tc.s, got, tc.want)
 		}
 	}
 }
@@ -373,7 +374,7 @@ func TestMultiPointLookupMatchesScan(t *testing.T) {
 					t.Fatalf("%s [%s]: %d rows, scan returns %d\n%s", q, kind, len(got.Rows), len(want.Rows), got.Plan)
 				}
 				for j := range want.Rows {
-					if rowKey(got.Rows[j]) != rowKey(want.Rows[j]) {
+					if fmt.Sprint(got.Rows[j]) != fmt.Sprint(want.Rows[j]) {
 						t.Fatalf("%s [%s]: row %d is %v, scan returns %v", q, kind, j, got.Rows[j], want.Rows[j])
 					}
 				}
@@ -425,12 +426,9 @@ func TestIndexNLJoinProbesRawRelation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ts, err := ex.scanRelation(ex.rels[0], nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if ts.raw == nil || len(ts.tuples) != 200 || &ts.tuples[0] != &ts.raw.rows[0] {
-		t.Fatalf("unfiltered relation was copied: raw=%v tuples=%d", ts.raw != nil, len(ts.tuples))
+	rs := ex.scanRelation(0, nil)
+	if rs.raw == nil || rs.len() != 200 || &rs.ords[0] != &rs.raw.ords[0] {
+		t.Fatalf("unfiltered relation was copied: raw=%v tuples=%d", rs.raw != nil, rs.len())
 	}
 
 	rng := rand.New(rand.NewSource(11))
@@ -486,5 +484,83 @@ func TestRangeBoundsMerge(t *testing.T) {
 		if a, b := rowsKey(ri), rowsKey(rp); strings.Join(a, "\n") != strings.Join(b, "\n") {
 			t.Errorf("%s: range scan returned %d rows, filter %d, or different rows", where, len(a), len(b))
 		}
+	}
+}
+
+// likeTable returns a database whose table t(id PK, s) holds the strings.
+func likeTable(t *testing.T, strs ...string) *Database {
+	t.Helper()
+	db := NewDatabase("like")
+	tab, err := db.CreateTable(&Schema{Name: "t", PrimaryKey: "id", Columns: []Column{
+		{Name: "id", Type: TypeInt, NotNull: true}, {Name: "s", Type: TypeString}}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, s := range strs {
+		if err := tab.Insert(Row{IntValue(int64(i)), StringValue(s)}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	return db
+}
+
+// TestLikeUnderscoreMatchesOneRune: '_' matches one character — a rune,
+// however many bytes it takes — not one byte.
+func TestLikeUnderscoreMatchesOneRune(t *testing.T) {
+	db := likeTable(t, "é", "xéy", "ab", "x")
+	for _, tc := range []struct {
+		pattern string
+		want    []string
+	}{
+		{"_", []string{"é", "x"}},
+		{"x_y", []string{"xéy"}},
+		{"__", []string{"ab"}},
+		{"_é_", []string{"xéy"}},
+		{"%_y", []string{"xéy"}},
+	} {
+		res, err := db.Query("SELECT s FROM t WHERE s LIKE '" + tc.pattern + "'")
+		if err != nil {
+			t.Fatal(err)
+		}
+		var got []string
+		for _, r := range res.Rows {
+			got = append(got, r[0].Str)
+		}
+		if strings.Join(got, ",") != strings.Join(tc.want, ",") {
+			t.Errorf("LIKE %q matched %q, want %q", tc.pattern, got, tc.want)
+		}
+	}
+}
+
+// TestLikeManyWildcardsIsPolynomial: a pattern of many '%' runs against a
+// subject that almost matches it takes O(len(pattern)·len(subject)), not
+// an exponential number of backtracking steps.
+func TestLikeManyWildcardsIsPolynomial(t *testing.T) {
+	db := likeTable(t, strings.Repeat("a", 200))
+	type outcome struct {
+		rows int
+		err  error
+		took time.Duration
+	}
+	done := make(chan outcome, 1)
+	go func() {
+		start := time.Now()
+		res, err := db.Query("SELECT id FROM t WHERE s LIKE '%a%a%a%a%a%a%b'")
+		o := outcome{err: err, took: time.Since(start)}
+		if err == nil {
+			o.rows = len(res.Rows)
+		}
+		done <- o
+	}()
+	select {
+	case o := <-done:
+		if o.err != nil || o.rows != 0 {
+			t.Fatalf("rows %d, err %v; want no row", o.rows, o.err)
+		}
+		if o.took > 50*time.Millisecond {
+			t.Fatalf("the match took %v, want under 50ms", o.took)
+		}
+	case <-time.After(5 * time.Second):
+		t.Fatal("the match was still running after 5s")
 	}
 }

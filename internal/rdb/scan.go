@@ -14,70 +14,70 @@ import (
 // tree-indexed column; else a sequential scan. Remaining predicates are
 // applied as a residual filter, and a relation without predicates stays
 // the table's own rows (raw).
-func (ex *execution) scanRelation(r relation, preds []sql.BoolExpr) (*tupleSet, error) {
+func (ex *execution) scanRelation(slot int, preds []*pred) *relSet {
+	r := ex.rels[slot]
 	schema := r.table.Schema
-	cols := make([]boundCol, len(schema.Columns))
-	for i, c := range schema.Columns {
-		cols[i] = boundCol{rel: r.name, column: c.Name, typ: c.Type}
-	}
-	ts := &tupleSet{cols: cols, rels: map[string]bool{r.name: true}}
+	rs := &relSet{width: 1, order: []int{slot}}
 	stats := r.table.Stats()
 
 	var point *pointCand
 	var rng *rangeCand
 	for i, p := range preds {
-		if c := pointCandFor(r, p); c != nil {
+		if c := pointCandFor(r, p.expr); c != nil {
 			c.pred = i
 			c.est = float64(stats.RowCount) * stats.Selectivity(c.column) * float64(len(c.vals))
 			if point == nil || c.est < point.est {
 				point = c
 			}
 		}
-		rng = rng.narrow(r, i, p)
+		rng = rng.narrow(r, i, p.expr)
 	}
 
 	used := make([]bool, len(preds))
 	switch {
 	case point != nil:
-		ts.tuples = r.table.lookupIn(point.column, point.vals)
+		rs.ords = r.table.lookupIn(point.column, point.vals, len(r.rows))
 		used[point.pred] = true
-		shown := make([]string, len(point.vals))
-		for i, v := range point.vals {
-			shown[i] = v.String()
-		}
-		op, detail := "IndexLookup/IN", " IN ("+strings.Join(shown, ", ")+")"
+		op := "IndexLookup/IN"
 		if !point.multi {
-			op, detail = "IndexLookup", " = "+shown[0]
+			op = "IndexLookup"
 		}
 		if point.column == schema.PrimaryKey {
 			op += "/PK"
 		}
-		ts.plan = &PlanNode{Op: op, Detail: r.name + "." + point.column + detail, EstRows: point.est}
+		rs.plan = &PlanNode{Op: op, EstRows: point.est, detail: func() string {
+			shown := make([]string, len(point.vals))
+			for i, v := range point.vals {
+				shown[i] = v.String()
+			}
+			if !point.multi {
+				return r.name + "." + point.column + " = " + shown[0]
+			}
+			return r.name + "." + point.column + " IN (" + strings.Join(shown, ", ") + ")"
+		}}
 	case rng != nil:
-		ts.tuples = r.table.lookupRange(rng.column, rng.lo, rng.loIncl, rng.hi, rng.hiIncl)
+		rs.ords = r.table.lookupRange(rng.column, rng.lo, rng.loIncl, rng.hi, rng.hiIncl, len(r.rows))
 		for _, i := range rng.preds {
 			used[i] = true
 		}
-		ts.plan = &PlanNode{
-			Op:      "IndexRangeScan",
-			Detail:  fmt.Sprintf("%s.%s %s", r.name, rng.column, rangeDetail(rng.lo, rng.loIncl, rng.hi, rng.hiIncl)),
-			EstRows: float64(stats.RowCount) / 3,
-		}
+		rs.plan = &PlanNode{Op: "IndexRangeScan", EstRows: float64(stats.RowCount) / 3, detail: func() string {
+			return fmt.Sprintf("%s.%s %s", r.name, rng.column, rangeDetail(rng.lo, rng.loIncl, rng.hi, rng.hiIncl))
+		}}
 	default:
-		ts.tuples, ts.raw = r.table.snapshot(), r.table
-		ts.plan = &PlanNode{Op: "SeqScan", Detail: r.name, EstRows: float64(stats.RowCount)}
+		rs.ords, rs.raw = r.ords, r.table
+		rs.plan = &PlanNode{Op: "SeqScan", detail: text(r.name), EstRows: float64(stats.RowCount)}
 	}
 
-	var residual []sql.BoolExpr
+	var residual []*pred
 	for i, p := range preds {
 		if !used[i] {
 			residual = append(residual, p)
 		}
 	}
 	if len(residual) > 0 {
-		return ex.filterTuples(ts, residual, "Filter")
+		return ex.filter(rs, residual, "Filter")
 	}
-	return ts, nil
+	return rs
 }
 
 // pointCand is an index lookup for the finite set of values a predicate
@@ -118,16 +118,28 @@ func pointCandFor(r relation, p sql.BoolExpr) *pointCand {
 	}
 	vals := make([]Value, 0, len(lits))
 	for _, lit := range lits {
-		// A literal that does not coerce to the column type equals no
-		// stored value.
-		if v, err := FromLiteral(lit, typ); err == nil {
+		if !multi {
+			v, exact := coerceExact(lit, typ)
+			if !exact {
+				return nil // a lone equality keeps the filter's own comparison rules
+			}
+			vals = append(vals, v)
+		} else if v, err := FromLiteral(lit, typ); err == nil {
+			// A literal that does not coerce to the column type equals no
+			// stored value.
 			vals = append(vals, v)
 		}
 	}
-	if len(vals) == 0 && !multi {
-		return nil // a lone equality keeps the filter's own coercion rules
-	}
 	return &pointCand{column: col.Column, vals: vals, multi: multi}
+}
+
+// coerceExact coerces lit to typ for an index probe; exact is false unless
+// the result is the value a filter, which types literals naturally, would
+// compare against: 3.7 is no INTEGER, and '5' no DOUBLE.
+func coerceExact(lit sql.Literal, typ Type) (v Value, exact bool) {
+	v, err := FromLiteral(lit, typ)
+	c, ok := v.Compare(literalValue(lit))
+	return v, err == nil && (v.Null || ok && c == 0)
 }
 
 // indexedColumn resolves a column reference against relation r and reports
@@ -168,8 +180,8 @@ func (rc *rangeCand) narrow(r relation, i int, p sql.BoolExpr) *rangeCand {
 		return rc
 	}
 	typ, _, tree := indexedColumn(r, col)
-	v, err := FromLiteral(lit, typ)
-	if !tree || err != nil || v.Null {
+	v, exact := coerceExact(lit, typ)
+	if !tree || !exact || v.Null {
 		return rc
 	}
 	if rc == nil || rc.column != col.Column {
@@ -241,223 +253,5 @@ func flipOp(op sql.CmpOp) sql.CmpOp {
 		return sql.CmpLe
 	default:
 		return op
-	}
-}
-
-// filterTuples applies the predicates to every tuple.
-func (ex *execution) filterTuples(ts *tupleSet, preds []sql.BoolExpr, opName string) (*tupleSet, error) {
-	out := &tupleSet{cols: ts.cols, rels: ts.rels}
-	var kept []Row
-	for _, tup := range ts.tuples {
-		ok := true
-		for _, p := range preds {
-			v, err := ex.evalPredicate(p, ts, tup)
-			if err != nil {
-				return nil, err
-			}
-			if !v {
-				ok = false
-				break
-			}
-		}
-		if ok {
-			kept = append(kept, tup)
-		}
-	}
-	out.tuples = kept
-	details := make([]string, len(preds))
-	for i, p := range preds {
-		details[i] = p.String()
-	}
-	out.plan = &PlanNode{
-		Op:       opName,
-		Detail:   strings.Join(details, " AND "),
-		EstRows:  float64(len(kept)),
-		Children: []*PlanNode{ts.plan},
-	}
-	return out, nil
-}
-
-// evalPredicate evaluates a boolean expression over a tuple. NULL
-// comparisons yield false (SQL unknown treated as not-satisfied).
-func (ex *execution) evalPredicate(e sql.BoolExpr, ts *tupleSet, tup []Value) (bool, error) {
-	switch v := e.(type) {
-	case *sql.Comparison:
-		lv, err := operandValue(v.L, ts, tup)
-		if err != nil {
-			return false, err
-		}
-		rv, err := operandValue(v.R, ts, tup)
-		if err != nil {
-			return false, err
-		}
-		c, ok := lv.Compare(rv)
-		if !ok {
-			return false, nil
-		}
-		switch v.Op {
-		case sql.CmpEq:
-			return c == 0, nil
-		case sql.CmpNeq:
-			return c != 0, nil
-		case sql.CmpLt:
-			return c < 0, nil
-		case sql.CmpLe:
-			return c <= 0, nil
-		case sql.CmpGt:
-			return c > 0, nil
-		default:
-			return c >= 0, nil
-		}
-	case *sql.Like:
-		val, err := columnValue(v.Col, ts, tup)
-		if err != nil {
-			return false, err
-		}
-		if val.Null || val.Type != TypeString {
-			return false, nil
-		}
-		m := likeMatch(v.Pattern, val.Str)
-		if v.Not {
-			m = !m
-		}
-		return m, nil
-	case *sql.In:
-		val, err := columnValue(v.Col, ts, tup)
-		if err != nil {
-			return false, err
-		}
-		if val.Null {
-			return false, nil
-		}
-		set, ok := ex.inSets[v]
-		if !ok {
-			// Coerced once per statement; a literal that does not coerce to
-			// the column type, like NULL, equals no value.
-			set = make(map[Value]bool, len(v.List))
-			for _, lit := range v.List {
-				if lv, err := FromLiteral(lit, val.Type); err == nil && !lv.Null {
-					set[lv] = true
-				}
-			}
-			if ex.inSets == nil {
-				ex.inSets = make(map[*sql.In]map[Value]bool)
-			}
-			ex.inSets[v] = set
-		}
-		return set[val] != v.Not, nil
-	case *sql.IsNull:
-		val, err := columnValue(v.Col, ts, tup)
-		if err != nil {
-			return false, err
-		}
-		if v.Not {
-			return !val.Null, nil
-		}
-		return val.Null, nil
-	case *sql.And:
-		l, err := ex.evalPredicate(v.L, ts, tup)
-		if err != nil || !l {
-			return false, err
-		}
-		return ex.evalPredicate(v.R, ts, tup)
-	case *sql.Or:
-		l, err := ex.evalPredicate(v.L, ts, tup)
-		if err != nil {
-			return false, err
-		}
-		if l {
-			return true, nil
-		}
-		return ex.evalPredicate(v.R, ts, tup)
-	case *sql.Not:
-		x, err := ex.evalPredicate(v.X, ts, tup)
-		if err != nil {
-			return false, err
-		}
-		return !x, nil
-	default:
-		return false, fmt.Errorf("rdb: unsupported predicate %T", e)
-	}
-}
-
-func operandValue(o sql.Operand, ts *tupleSet, tup []Value) (Value, error) {
-	if o.IsCol {
-		return columnValue(o.Col, ts, tup)
-	}
-	// Untyped literal: infer a natural type.
-	switch o.Lit.Kind {
-	case sql.LitString:
-		return StringValue(o.Lit.Str), nil
-	case sql.LitInt:
-		return IntValue(o.Lit.Int), nil
-	case sql.LitFloat:
-		return FloatValue(o.Lit.Float), nil
-	case sql.LitBool:
-		return BoolValue(o.Lit.Bool), nil
-	default:
-		return NullValue(TypeString), nil
-	}
-}
-
-func columnValue(c sql.ColumnRef, ts *tupleSet, tup []Value) (Value, error) {
-	if c.Table != "" {
-		i := ts.colIndex(c.Table, c.Column)
-		if i < 0 {
-			return Value{}, fmt.Errorf("rdb: unresolved column %s", c)
-		}
-		return tup[i], nil
-	}
-	found := -1
-	for i, bc := range ts.cols {
-		if bc.column == c.Column {
-			if found >= 0 {
-				return Value{}, fmt.Errorf("rdb: ambiguous column %s", c.Column)
-			}
-			found = i
-		}
-	}
-	if found < 0 {
-		return Value{}, fmt.Errorf("rdb: unresolved column %s", c.Column)
-	}
-	return tup[found], nil
-}
-
-// likeMatch implements SQL LIKE: '%' matches any run, '_' one character.
-func likeMatch(pattern, s string) bool {
-	return likeRec(pattern, s)
-}
-
-func likeRec(p, s string) bool {
-	for {
-		if p == "" {
-			return s == ""
-		}
-		switch p[0] {
-		case '%':
-			// collapse consecutive %
-			for len(p) > 0 && p[0] == '%' {
-				p = p[1:]
-			}
-			if p == "" {
-				return true
-			}
-			for i := 0; i <= len(s); i++ {
-				if likeRec(p, s[i:]) {
-					return true
-				}
-			}
-			return false
-		case '_':
-			if s == "" {
-				return false
-			}
-			p, s = p[1:], s[1:]
-		default:
-			if s == "" || p[0] != s[0] {
-				return false
-			}
-			p, s = p[1:], s[1:]
-		}
 	}
 }

@@ -3,7 +3,6 @@ package rdb
 import (
 	"fmt"
 	"slices"
-	"sort"
 	"sync"
 
 	"ontario/internal/btree"
@@ -17,6 +16,7 @@ type Table struct {
 
 	mu      sync.RWMutex
 	rows    []Row
+	ords    []int32        // 0..len(rows)-1: the ordinals of an unfiltered scan
 	pk      map[string]int // primary-key IndexKey -> row id
 	hashIdx map[string]map[string][]int
 	treeIdx map[string]*btree.Tree
@@ -74,6 +74,7 @@ func (t *Table) Insert(r Row) error {
 	}
 	id := len(t.rows)
 	t.rows = append(t.rows, r)
+	t.ords = append(t.ords, int32(id))
 	t.pk[key] = id
 	for _, spec := range t.specs {
 		t.indexRow(spec, r, id)
@@ -239,37 +240,33 @@ func (t *Table) lookupEqLocked(column string, v Value) (ids []int, usedIndex boo
 	return ids, false
 }
 
-// lookupIn is the multi-point lookup: the rows whose column equals any of
-// vals, probed under one lock and returned once each in row order — the
-// rows and the order a scan filtered by the same list yields.
-func (t *Table) lookupIn(column string, vals []Value) []Row {
+// lookupIn is the multi-point lookup: the ordinals below n of the rows
+// whose column equals any of vals, probed under one lock and returned once
+// each in row order — the rows and the order a scan filtered by the same
+// list yields.
+func (t *Table) lookupIn(column string, vals []Value, n int) []int32 {
 	t.mu.RLock()
 	defer t.mu.RUnlock()
-	var ids []int
+	var ids []int32
 	for _, v := range vals {
 		hit, _ := t.lookupEqLocked(column, v)
-		ids = append(ids, hit...)
+		for _, id := range hit {
+			if id < n {
+				ids = append(ids, int32(id))
+			}
+		}
 	}
-	sort.Ints(ids)
-	return t.rowsAt(slices.Compact(ids))
+	slices.Sort(ids)
+	return slices.Compact(ids)
 }
 
-// rowsAt gathers the rows with the given ids; the caller holds the lock.
-func (t *Table) rowsAt(ids []int) []Row {
-	out := make([]Row, len(ids))
-	for i, id := range ids {
-		out[i] = t.rows[id]
-	}
-	return out
-}
-
-// lookupRange returns the rows with column in the given bounds, in key
-// order, from the column's B+tree index.
-func (t *Table) lookupRange(column string, lo *Value, loIncl bool, hi *Value, hiIncl bool) []Row {
+// lookupRange returns the ordinals below n of the rows with column in the
+// given bounds, in key order, from the column's B+tree index.
+func (t *Table) lookupRange(column string, lo *Value, loIncl bool, hi *Value, hiIncl bool, n int) []int32 {
 	t.mu.RLock()
 	defer t.mu.RUnlock()
 	tr := t.treeIdx[column]
-	var ids []int
+	var ids []int32
 	loKey, hasLo := "", false
 	if lo != nil {
 		loKey, hasLo = lo.IndexKey(), true
@@ -280,20 +277,20 @@ func (t *Table) lookupRange(column string, lo *Value, loIncl bool, hi *Value, hi
 	}
 	loExcl := lo != nil && !loIncl
 	tr.Range(loKey, hasLo, hiKey, hasHi, hiExcl, func(k string, id int) bool {
-		if loExcl && k == loKey {
-			return true
+		if id < n && !(loExcl && k == loKey) {
+			ids = append(ids, int32(id))
 		}
-		ids = append(ids, id)
 		return true
 	})
-	return t.rowsAt(ids)
+	return ids
 }
 
-// snapshot returns the rows present now. Rows are only ever appended, so
-// the slice stays valid — and must stay unmodified — after the lock is
-// released.
-func (t *Table) snapshot() []Row {
+// snapshot returns the rows present now and their ordinals. Rows are only
+// ever appended, so both slices stay valid — and must stay unmodified —
+// after the lock is released.
+func (t *Table) snapshot() ([]Row, []int32) {
 	t.mu.RLock()
 	defer t.mu.RUnlock()
-	return t.rows[:len(t.rows):len(t.rows)]
+	n := len(t.rows)
+	return t.rows[:n:n], t.ords[:n:n]
 }

@@ -9,6 +9,12 @@
 // equi-joins over indexed columns become index nested-loop joins — because
 // the paper's heuristics are precisely about whether the federated layer
 // can exploit those indexes.
+//
+// The executor runs over row ordinals, not row copies: a base relation is
+// a list of ordinals into its table, a join output one ordinal per
+// relation, and every predicate is compiled once per statement against
+// (relation, column ordinal). Execute returns the result as ordinals
+// (Rows); Query and QueryAST materialize it.
 package rdb
 
 import (
@@ -218,35 +224,52 @@ func FromLiteral(l sql.Literal, t Type) (Value, error) {
 	return Value{}, fmt.Errorf("rdb: cannot coerce literal %s to %s", l.String(), t)
 }
 
-// IndexKey encodes the value as an order-preserving byte-comparable string
-// so B+tree iteration yields values in type order. NULLs sort first.
-func (v Value) IndexKey() string {
-	if v.Null {
-		return "\x00"
-	}
-	switch v.Type {
-	case TypeInt:
-		var buf [9]byte
-		buf[0] = 0x01
-		binary.BigEndian.PutUint64(buf[1:], uint64(v.Int)^(1<<63))
-		return string(buf[:])
-	case TypeFloat:
+// valueKey is a value's identity under IndexKey's equality, kept typed so
+// a hash join or DISTINCT compares values without building a string.
+type valueKey struct {
+	kind byte // 0 NULL, 1 numeric, 2 bool, 3 string
+	bits uint64
+	str  string
+}
+
+func (v Value) key() valueKey {
+	switch {
+	case v.Null:
+		return valueKey{}
+	case v.Type == TypeInt:
+		return valueKey{kind: 1, bits: uint64(v.Int) ^ (1 << 63)}
+	case v.Type == TypeFloat:
 		bits := math.Float64bits(v.Float)
 		if v.Float >= 0 || bits == 0 {
 			bits |= 1 << 63
 		} else {
 			bits = ^bits
 		}
+		return valueKey{kind: 1, bits: bits}
+	case v.Type == TypeBool:
+		if v.Bool {
+			return valueKey{kind: 2, bits: 1}
+		}
+		return valueKey{kind: 2}
+	default:
+		return valueKey{kind: 3, str: v.Str}
+	}
+}
+
+// IndexKey encodes the value as an order-preserving byte-comparable string
+// so B+tree iteration yields values in type order. NULLs sort first.
+func (v Value) IndexKey() string {
+	switch k := v.key(); k.kind {
+	case 0:
+		return "\x00"
+	case 1:
 		var buf [9]byte
 		buf[0] = 0x01
-		binary.BigEndian.PutUint64(buf[1:], bits)
+		binary.BigEndian.PutUint64(buf[1:], k.bits)
 		return string(buf[:])
-	case TypeBool:
-		if v.Bool {
-			return "\x02\x01"
-		}
-		return "\x02\x00"
+	case 2:
+		return string([]byte{0x02, byte(k.bits)})
 	default:
-		return "\x03" + v.Str
+		return "\x03" + k.str
 	}
 }

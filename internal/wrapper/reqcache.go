@@ -38,9 +38,11 @@ type ResponseCache struct {
 
 	hits, misses, evictions atomic.Int64
 
-	// views holds the RDF sources' triple-ID views: like the entries they
-	// live as long as the lake and hold IDs of its dictionary.
+	// views and cells hold the RDF sources' triple-ID views and the
+	// relational sources' cell-ID views: like the entries they live as
+	// long as the lake and hold IDs of its dictionary.
 	views tripleViews
+	cells cellViews
 }
 
 // respCacheCap bounds the cache; crossing it sweeps (see store).
@@ -85,14 +87,12 @@ type respKey struct {
 
 // respEntry is one remembered response: the decoded ID rows stored
 // column-major — one []dict.ID of nrows IDs per schema column, read-only
-// once built, so a replay sends slices of them — plus everything needed
-// to replay the request's observable side effects: the SQL texts it
-// recorded and the delay contract it follows.
+// once built, so a replay sends slices of them — plus the delay contract
+// its replay follows.
 type respEntry struct {
 	gen   uint64
 	nrows int
 	cols  [][]dict.ID
-	sql   []string
 	// perRow selects the delay contract: one latency sample per row
 	// (per-answer retrieval) versus one per response (block form). An
 	// empty per-row response samples nothing; an empty block still costs

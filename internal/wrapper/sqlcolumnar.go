@@ -3,6 +3,8 @@ package wrapper
 import (
 	"context"
 	"fmt"
+	"sync"
+	"sync/atomic"
 
 	"ontario/internal/dict"
 	"ontario/internal/engine"
@@ -11,16 +13,68 @@ import (
 	"ontario/internal/sql"
 )
 
+// cellIDs is one relational column's cells in dictionary IDs, rendered
+// through one IRI template: a slot per table row, filled by Intern the
+// first time a decode touches it and read with one atomic load afterwards
+// — the relational counterpart of tripleIDs. Racing fills store the same
+// ID: Intern is idempotent.
+type cellIDs struct {
+	d    *dict.Dict
+	tmpl string
+	ids  []atomic.Uint64
+}
+
+// id returns the ID of v, the cell in row ord.
+func (v *cellIDs) id(ord int32, val *rdb.Value) dict.ID {
+	if int(ord) >= len(v.ids) { // the table grew after the view was sized
+		return v.d.Intern(valueToTerm(*val, v.tmpl))
+	}
+	if id := v.ids[ord].Load(); id != 0 {
+		return dict.ID(id)
+	}
+	id := v.d.Intern(valueToTerm(*val, v.tmpl))
+	v.ids[ord].Store(uint64(id))
+	return id
+}
+
+// cellViews holds one cell-ID view per table column, IRI template and
+// dictionary, created on the column's first miss.
+type cellViews struct {
+	mu sync.Mutex
+	m  map[cellKey]*cellIDs
+}
+
+type cellKey struct {
+	t    *rdb.Table
+	col  int
+	tmpl string
+	d    *dict.Dict
+}
+
+func (vs *cellViews) get(k cellKey) *cellIDs {
+	vs.mu.Lock()
+	defer vs.mu.Unlock()
+	v := vs.m[k]
+	if v == nil {
+		if vs.m == nil {
+			vs.m = make(map[cellKey]*cellIDs)
+		}
+		v = &cellIDs{d: k.d, tmpl: k.tmpl, ids: make([]atomic.Uint64, k.t.RowCount())}
+		vs.m[k] = v
+	}
+	return v
+}
+
 // sqlColDecoder decodes SQL result rows straight into interned ID rows —
 // the relational wrapper's native columnar boundary. No sparql.Binding is
-// materialized per row: each projected column resolves to a schema
-// position once, and each cell is converted to a term and interned.
+// materialized per row and no Value is copied: each projected column
+// resolves to a schema position and a cell-ID view once, and each cell is
+// read by its row ordinal.
 type sqlColDecoder struct {
-	d *dict.Dict
+	rows *rdb.Rows
 	// template carries the IDs fixed for every row: the translation's
 	// constant bindings overlaid by the request's seed IDs (seed wins).
 	template []dict.ID
-	row      []dict.ID
 	cols     []sqlDecoderCol
 }
 
@@ -28,21 +82,25 @@ type sqlDecoderCol struct {
 	// pos is the schema position the decoded value lands in; -1 when the
 	// value is seed-overridden or outside the schema (the column is then
 	// only NULL-checked).
-	pos     int
-	iriTmpl string
+	pos  int
+	view *cellIDs
 }
 
-// newSQLColDecoder builds the decoder of a translation; seed is the
+// newSQLColDecoder builds the decoder of a translation's rows; seed is the
 // request's seed template (seedTemplate), which becomes the decoder's.
-func newSQLColDecoder(tl *translation, seed []dict.ID, schema *engine.Schema, d *dict.Dict) *sqlColDecoder {
-	dec := &sqlColDecoder{d: d, template: seed, row: make([]dict.ID, len(schema.Vars))}
+func newSQLColDecoder(tl *translation, rows *rdb.Rows, seed []dict.ID, schema *engine.Schema, d *dict.Dict, views *cellViews) *sqlColDecoder {
+	dec := &sqlColDecoder{rows: rows, template: seed}
 	dec.cols = make([]sqlDecoderCol, len(tl.varOrder))
 	for i, v := range tl.varOrder {
-		pos := schema.Pos(v)
-		if pos >= 0 && seed[pos] != dict.Unbound {
-			pos = -1
+		c := sqlDecoderCol{pos: schema.Pos(v)}
+		if c.pos >= 0 && seed[c.pos] != dict.Unbound {
+			c.pos = -1
 		}
-		dec.cols[i] = sqlDecoderCol{pos: pos, iriTmpl: tl.varCols[v].template}
+		if c.pos >= 0 {
+			t, col := rows.Source(i)
+			c.view = views.get(cellKey{t, col, tl.varCols[v].template, d})
+		}
+		dec.cols[i] = c
 	}
 	for v, t := range tl.constBindings {
 		if p := schema.Pos(v); p >= 0 && seed[p] == dict.Unbound {
@@ -52,24 +110,22 @@ func newSQLColDecoder(tl *translation, seed []dict.ID, schema *engine.Schema, d 
 	return dec
 }
 
-// decode interns one result row; ok is false when a decoded column is
-// NULL (the property is absent, so the row does not match the star). The
-// returned slice is reused by the next call — consumers copy (AppendIDs
-// does).
-func (dec *sqlColDecoder) decode(row rdb.Row) ([]dict.ID, bool) {
-	for i := range dec.cols {
-		if row[i].Null {
-			return nil, false
+// decode writes result row i's IDs over the template into ids. It returns
+// false when a decoded column is NULL (the property is absent, so the row
+// does not match the star).
+func (dec *sqlColDecoder) decode(i int, ids []dict.ID) bool {
+	for c := range dec.cols {
+		if dec.rows.Value(i, c).Null {
+			return false
 		}
 	}
-	ids := dec.row
 	copy(ids, dec.template)
-	for i, c := range dec.cols {
-		if c.pos >= 0 {
-			ids[c.pos] = dec.d.Intern(valueToTerm(row[i], c.iriTmpl))
+	for c, col := range dec.cols {
+		if col.pos >= 0 {
+			ids[col.pos] = col.view.id(dec.rows.Ord(i, c), dec.rows.Value(i, c))
 		}
 	}
-	return ids, true
+	return true
 }
 
 // seedIDCheck is the multi-seed compatibility test over ID rows: one
@@ -172,10 +228,7 @@ func (w *SQLWrapper) ExecuteColumnar(ctx context.Context, req *Request, schema *
 	if w.cache != nil {
 		key = respKeyFor(w.src.ID, uint8(w.mode), req, schema)
 		if e := w.cache.lookup(key, req, schema, gen); e != nil {
-			w.resetSQL()
-			for _, stmt := range e.sql {
-				w.recordSQL(stmt)
-			}
+			w.replayedSQL(req, d)
 			return e.stream(ctx, w.sim, schema, w.batch), nil
 		}
 	}
@@ -198,15 +251,31 @@ func (w *SQLWrapper) ExecuteColumnar(ctx context.Context, req *Request, schema *
 	return e.stream(ctx, w.sim, schema, w.batch), nil
 }
 
+// translate translates a per-answer or block request into the statement
+// a miss runs, with a block's seed predicate pushed into the WHERE clause;
+// the translation is nil when it proves the result empty before touching
+// the database.
+func (w *SQLWrapper) translate(req *Request, d *dict.Dict) (*translation, error) {
+	if req.Block {
+		tl, _, err := w.blockTranslation(req, req.blockSeeds(d))
+		return tl, err
+	}
+	tl, err := translateRequest(w.src, seedStars(req, d), req.Filters)
+	if err != nil || tl.empty {
+		return nil, err
+	}
+	return tl, nil
+}
+
 // columnarEntry translates, executes and decodes a per-answer request
 // into a response entry (one latency sample per row on replay).
 func (w *SQLWrapper) columnarEntry(req *Request, schema *engine.Schema, d *dict.Dict) (*respEntry, error) {
 	w.resetSQL()
-	tl, err := translateRequest(w.src, seedStars(req, d), req.Filters)
-	if err != nil {
+	tl, err := w.translate(req, d)
+	switch {
+	case err != nil:
 		return nil, err
-	}
-	if tl.empty {
+	case tl == nil:
 		// Provably empty before touching the database: no SQL, no rows,
 		// and on replay no latency samples.
 		return newColEntry(true, nil, 0, len(schema.Vars)), nil
@@ -220,11 +289,11 @@ func (w *SQLWrapper) columnarEntry(req *Request, schema *engine.Schema, d *dict.
 // response is one simulated network message, sampled on replay.
 func (w *SQLWrapper) columnarBlockEntry(req *Request, schema *engine.Schema, d *dict.Dict) (*respEntry, error) {
 	w.resetSQL()
-	tl, empty, err := w.blockTranslation(req, req.blockSeeds(d))
-	if err != nil {
+	tl, err := w.translate(req, d)
+	switch {
+	case err != nil:
 		return nil, err
-	}
-	if empty {
+	case tl == nil:
 		// The (empty) response still crosses the network as one message.
 		return newColEntry(false, nil, 0, len(schema.Vars)), nil
 	}
@@ -237,25 +306,28 @@ func (w *SQLWrapper) columnarBlockEntry(req *Request, schema *engine.Schema, d *
 // the wrapper, evaluated over a scratch binding of their variables filled
 // from the decoded row — constants and the per-answer seed included.
 func (w *SQLWrapper) fill(perRow bool, tl *translation, template []dict.ID, checks []seedIDCheck, schema *engine.Schema, d *dict.Dict) (*respEntry, error) {
-	stmt := tl.sel.String()
-	w.recordSQL(stmt)
-	res, err := w.src.DB.QueryAST(tl.sel)
+	w.recordSQL(tl.sel)
+	res, err := w.src.DB.Execute(tl.sel)
 	if err != nil {
 		return nil, fmt.Errorf("wrapper %s: %w", w.src.ID, err)
 	}
-	dec := newSQLColDecoder(tl, template, schema, d)
+	views := &w.cells
+	if w.cache != nil {
+		views = &w.cache.cells
+	}
+	dec := newSQLColDecoder(tl, res, template, schema, d, views)
 	ev := engine.NewScratchEval(tl.localFilters, schema, d)
+	stride := len(schema.Vars)
 	var rows []dict.ID
 	n := 0
-	for _, row := range res.Rows {
-		ids, ok := dec.decode(row)
-		if !ok || !matchesAnySeedIDs(ids, checks) || !ev.PassesIDs(ids) {
+	for i := 0; i < res.Len(); i++ {
+		rows = append(rows, template...)
+		ids := rows[len(rows)-stride:]
+		if !dec.decode(i, ids) || !matchesAnySeedIDs(ids, checks) || !ev.PassesIDs(ids) {
+			rows = rows[:len(rows)-stride]
 			continue
 		}
-		rows = append(rows, ids...)
 		n++
 	}
-	e := newColEntry(perRow, rows, n, len(schema.Vars))
-	e.sql = []string{stmt}
-	return e, nil
+	return newColEntry(perRow, rows, n, stride), nil
 }

@@ -9,6 +9,7 @@ import (
 	"ontario/internal/engine"
 	"ontario/internal/netsim"
 	"ontario/internal/sparql"
+	"ontario/internal/sql"
 )
 
 // TranslationMode selects the quality of the SPARQL-to-SQL translation.
@@ -48,12 +49,19 @@ type SQLWrapper struct {
 	// executions (see ResponseCache); entries are invalidated by the
 	// source database's content generation.
 	cache *ResponseCache
+	// cells holds the wrapper's own cell-ID views when it has no cache.
+	cells cellViews
 
-	// lastSQL records the SQL text(s) of the most recent request, for
-	// EXPLAIN output and tests. The mutex makes the record safe under the
-	// block bind join's concurrent invocations.
+	// lastSQL records the statements of the most recent request, for
+	// EXPLAIN output and tests: the statements a miss ran, or, when the
+	// response cache answered it, the request (lastHit), whose statement
+	// is translated again — a cache entry keeps none. Either is rendered
+	// only when read. The mutex makes the record safe under the block
+	// bind join's concurrent invocations.
 	sqlMu   sync.Mutex
-	lastSQL []string
+	lastSQL []*sql.Select
+	lastHit *Request
+	hitDict *dict.Dict
 }
 
 // NewSQLWrapper wraps a relational source. sim may be nil to disable
@@ -73,17 +81,30 @@ func (w *SQLWrapper) SetResponseCache(c *ResponseCache) { w.cache = c }
 // LastSQL returns the SQL statements issued by the most recent request.
 func (w *SQLWrapper) LastSQL() []string {
 	w.sqlMu.Lock()
-	defer w.sqlMu.Unlock()
-	return append([]string(nil), w.lastSQL...)
+	sels, hit, d := w.lastSQL, w.lastHit, w.hitDict
+	w.sqlMu.Unlock()
+	if hit != nil {
+		if tl, err := w.translate(hit, d); err == nil && tl != nil {
+			sels = []*sql.Select{tl.sel}
+		}
+	}
+	var out []string
+	for _, sel := range sels {
+		out = append(out, sel.String())
+	}
+	return out
 }
 
-func (w *SQLWrapper) resetSQL() {
+func (w *SQLWrapper) resetSQL() { w.replayedSQL(nil, nil) }
+
+// replayedSQL records that the response cache answered req.
+func (w *SQLWrapper) replayedSQL(req *Request, d *dict.Dict) {
 	w.sqlMu.Lock()
-	w.lastSQL = nil
+	w.lastSQL, w.lastHit, w.hitDict = nil, req, d
 	w.sqlMu.Unlock()
 }
 
-func (w *SQLWrapper) recordSQL(stmt string) {
+func (w *SQLWrapper) recordSQL(stmt *sql.Select) {
 	w.sqlMu.Lock()
 	w.lastSQL = append(w.lastSQL, stmt)
 	w.sqlMu.Unlock()
@@ -158,7 +179,7 @@ func (w *SQLWrapper) executeNaive(req *Request, schema *engine.Schema, d *dict.D
 		if tl.empty {
 			return newRespEntry(req, nil, schema, d), nil
 		}
-		w.recordSQL(tl.sel.String())
+		w.recordSQL(tl.sel)
 		res, err := w.src.DB.QueryAST(tl.sel)
 		if err != nil {
 			return nil, fmt.Errorf("wrapper %s: %w", w.src.ID, err)

@@ -2,6 +2,7 @@ package wrapper
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"strconv"
 	"strings"
@@ -51,8 +52,10 @@ type translator struct {
 	empty   bool
 	// extraEq accumulates equality conditions from repeated variables.
 	conds []sql.BoolExpr
-	// notNull tracks direct nullable columns that must be IS NOT NULL.
-	notNull map[string]sql.ColumnRef
+	// notNull tracks direct nullable columns that must be IS NOT NULL, in
+	// the order the variables bind them, so a request always translates
+	// to the same text.
+	notNull []sql.ColumnRef
 	consts  sparql.Binding
 }
 
@@ -64,7 +67,6 @@ func translateRequest(src *catalog.Source, stars []*StarQuery, filters []sparql.
 		src:     src,
 		sel:     &sql.Select{Limit: -1},
 		varCols: map[string]colInfo{},
-		notNull: map[string]sql.ColumnRef{},
 		consts:  sparql.NewBinding(),
 	}
 	for _, star := range stars {
@@ -131,8 +133,8 @@ func (tr *translator) bindVar(v string, info colInfo) {
 	}
 	tr.varCols[v] = info
 	tr.varSeen = append(tr.varSeen, v)
-	if info.nullable {
-		tr.notNull[info.ref.String()] = info.ref
+	if info.nullable && !slices.Contains(tr.notNull, info.ref) {
+		tr.notNull = append(tr.notNull, info.ref)
 	}
 }
 
