@@ -13,7 +13,7 @@ import (
 // equality or an IN list; a B+tree range scan for inequalities on a
 // tree-indexed column; else a sequential scan. Remaining predicates are
 // applied as a residual filter, and a relation without predicates stays
-// the table's own rows (raw).
+// the table's own ordinal list (raw).
 func (ex *execution) scanRelation(slot int, preds []*pred) *relSet {
 	r := ex.rels[slot]
 	schema := r.table.Schema
