@@ -50,9 +50,6 @@
 //   - coordinator: plans queries against the full catalog and distributes
 //     execution over the -workers pool; /healthz and /metrics report
 //     per-worker health and shuffle traffic.
-//   - router: spreads clients over -replicas coordinator/single nodes
-//     with plan-cache affinity (rendezvous hashing on normalized query
-//     text) under a shared -admission-budget.
 //
 // Every role shuts down gracefully on SIGINT/SIGTERM: the HTTP listener
 // stops accepting, in-flight (and admission-queued) queries get
@@ -115,15 +112,18 @@ func main() {
 		breakerThresh = flag.Int("breaker-threshold", 5, "consecutive remote failures that open a source's circuit breaker (negative disables)")
 		breakerCool   = flag.Duration("breaker-cooldown", 5*time.Second, "how long an open breaker rejects requests before a half-open probe")
 
-		role          = flag.String("role", "single", "node role: single | coordinator | worker | router")
+		role          = flag.String("role", "single", "node role: single | coordinator | worker")
 		clusterAddr   = flag.String("cluster-addr", ":9090", "worker role: TCP listen address for the shuffle wire protocol")
 		workers       = flag.String("workers", "", `coordinator role: comma-separated worker shuffle addresses ("host:9090,host2:9090"), in partition order`)
 		partition     = flag.String("partition", "", `worker role: this node's hash-partition as "i/N" (0-based, e.g. "0/2")`)
-		replicas      = flag.String("replicas", "", `router role: comma-separated replica base URLs ("http://host:8080,...")`)
-		admBudget     = flag.Int("admission-budget", 0, "router role: queries in flight across all replicas before 503 (0 = 64 per replica)")
 		shutdownGrace = flag.Duration("shutdown-grace", 10*time.Second, "how long SIGINT/SIGTERM lets in-flight queries drain before forcing exit")
 	)
 	flag.Parse()
+	switch *role {
+	case "single", "coordinator", "worker":
+	default:
+		fail(fmt.Errorf("unknown -role %q (want single, coordinator or worker)", *role))
+	}
 
 	var handler slog.Handler
 	if *logJSON {
@@ -135,13 +135,6 @@ func main() {
 
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()
-
-	if *role == "router" {
-		if err := runRouter(ctx, logger, *addr, *replicas, *admBudget, *shutdownGrace); err != nil {
-			fail(err)
-		}
-		return
-	}
 
 	profile, err := ontario.ProfileByName(*network)
 	if err != nil {
@@ -163,7 +156,7 @@ func main() {
 	var peerSpecs []peerSpec
 	if *federate != "" {
 		if *role != "single" {
-			fail(fmt.Errorf("-federate only applies to -role single (put federation peers behind the coordinator's workers, or route over federated singles)"))
+			fail(fmt.Errorf("-federate only applies to -role single (put federation peers behind the coordinator's workers)"))
 		}
 		for _, part := range strings.Split(*federate, ",") {
 			id, base, ok := strings.Cut(strings.TrimSpace(part), "=")
@@ -270,8 +263,7 @@ func main() {
 	// Coordinator role: every query executes distributed over the worker
 	// pool; /healthz and /metrics report the pool's state.
 	var clusterStatus func() []server.WorkerStatus
-	switch *role {
-	case "coordinator":
+	if *role == "coordinator" {
 		if *workers == "" {
 			fail(fmt.Errorf("-role coordinator requires -workers"))
 		}
@@ -304,9 +296,6 @@ func main() {
 			return serverWorkerStatus(client.Probe(pctx))
 		}
 		logger.Info("coordinating over worker pool", slog.Int("workers", len(addrs)))
-	case "single", "worker":
-	default:
-		fail(fmt.Errorf("unknown -role %q (want single, coordinator, worker or router)", *role))
 	}
 
 	srv := server.New(eng, server.Config{
@@ -421,31 +410,6 @@ func serveHTTP(ctx context.Context, logger *slog.Logger, addr string, h http.Han
 	}
 	logger.Info("shutdown complete")
 	return nil
-}
-
-// runRouter serves the replica router role: no lake, no engine — just
-// plan-cache-affinity routing and the shared admission budget.
-func runRouter(ctx context.Context, logger *slog.Logger, addr, replicas string, budget int, grace time.Duration) error {
-	if replicas == "" {
-		return fmt.Errorf("-role router requires -replicas")
-	}
-	var urls []string
-	for _, r := range strings.Split(replicas, ",") {
-		if r = strings.TrimSpace(r); r != "" {
-			urls = append(urls, r)
-		}
-	}
-	rt, err := cluster.NewRouter(cluster.RouterConfig{Replicas: urls, Budget: budget})
-	if err != nil {
-		return err
-	}
-	version, commit := buildinfo.Info()
-	logger.Info("ontario-server routing",
-		slog.String("addr", addr),
-		slog.String("version", version),
-		slog.String("commit", commit),
-		slog.Int("replicas", len(urls)))
-	return serveHTTP(ctx, logger, addr, rt, grace)
 }
 
 // parsePartition parses a "-partition i/N" value.

@@ -33,9 +33,3 @@ var ResultsNextJSON func(results any) (payload []byte, n int, ok bool)
 // internal/cluster into the engine without the public API surface
 // carrying an internal interface type.
 var ClusterOption func(dist any) any
-
-// NormalizeQuery is the text part of the engine's plan-cache key (set by
-// the root ontario package's init function). The cluster router keys
-// replica affinity on it, so a repeated query — whitespace aside — lands
-// on the replica whose plan cache already holds it.
-var NormalizeQuery func(text string) string

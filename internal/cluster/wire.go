@@ -9,9 +9,7 @@
 // once ever, after which only integer IDs flow. Intermediate results
 // cross as binary columnar batches: varint-framed dict.ID columns, each
 // preceded by a wire-only presence bitmap so unbound cells cost one bit
-// (in memory an unbound cell is dict.Unbound). The package also provides
-// a router mode that spreads clients over N coordinator replicas with
-// plan-cache affinity and a shared admission budget.
+// (in memory an unbound cell is dict.Unbound).
 package cluster
 
 import (

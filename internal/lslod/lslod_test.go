@@ -1,12 +1,14 @@
 package lslod
 
 import (
+	"reflect"
 	"strings"
 	"testing"
 
 	"ontario/internal/catalog"
 	"ontario/internal/rdb"
 	"ontario/internal/sparql"
+	"ontario/lake"
 )
 
 func TestGenerateDeterministic(t *testing.T) {
@@ -144,42 +146,45 @@ func TestBuildLakeIndexRule(t *testing.T) {
 	}
 }
 
+// TestApplyIndexRule: the 15 % rule denies an index on a column whose most
+// frequent value covers more than 15 % of the rows, and grants one at
+// exactly 15 %.
 func TestApplyIndexRule(t *testing.T) {
-	db := rdb.NewDatabase("x")
-	tab, err := db.CreateTable(&rdb.Schema{
+	if indexDenied(MaxIndexValueFraction) || !indexDenied(0.16) {
+		t.Error("the rule's boundary moved off 15 percent")
+	}
+	b := newRelationalBuilder("x")
+	tab := b.table(&rdb.Schema{
 		Name: "t",
 		Columns: []rdb.Column{
 			{Name: "id", Type: rdb.TypeInt, NotNull: true},
 			{Name: "skewed", Type: rdb.TypeString},
 			{Name: "uniform", Type: rdb.TypeInt},
+			{Name: "edge", Type: rdb.TypeInt},
 		},
 		PrimaryKey: "id",
 	})
-	if err != nil {
-		t.Fatal(err)
-	}
 	for i := 0; i < 100; i++ {
 		v := "common"
 		if i%5 == 0 {
 			v = "rare"
 		}
-		if err := tab.Insert(rdb.Row{rdb.IntValue(int64(i)), rdb.StringValue(v), rdb.IntValue(int64(i))}); err != nil {
-			t.Fatal(err)
+		edge := int64(i)
+		if i < 15 {
+			edge = -1 // 15 of 100 rows: exactly at the threshold
 		}
+		b.insert(tab, rdb.Row{rdb.IntValue(int64(i)), rdb.StringValue(v), rdb.IntValue(int64(i)), rdb.IntValue(edge)})
 	}
-	created, err := ApplyIndexRule(tab, "skewed", rdb.IndexHash)
-	if err != nil {
-		t.Fatal(err)
+	b.want("t", "skewed", rdb.IndexHash)
+	b.want("t", "uniform", rdb.IndexHash)
+	b.want("t", "edge", rdb.IndexBTree)
+	spec, denied := b.finish("x")
+	if !reflect.DeepEqual(denied, []string{"t.skewed"}) {
+		t.Errorf("denied = %v, want [t.skewed]", denied)
 	}
-	if created {
-		t.Error("index on a heavily skewed column should be denied")
-	}
-	created, err = ApplyIndexRule(tab, "uniform", rdb.IndexHash)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !created {
-		t.Error("index on unique column should be created")
+	want := []lake.Index{{Column: "uniform", Kind: lake.HashIndex}, {Column: "edge", Kind: lake.BTreeIndex}}
+	if got := spec.tables[0].Indexes; !reflect.DeepEqual(got, want) {
+		t.Errorf("indexes = %+v, want %+v", got, want)
 	}
 }
 

@@ -13,25 +13,11 @@ import (
 // since there are values that are present in more than 15% of the records."
 const MaxIndexValueFraction = 0.15
 
-// indexDenied is the rule's threshold decision, shared by the
-// materialized-table path (ApplyIndexRule) and the pre-build spec path
-// (finish) so the two can never disagree on the boundary.
+// indexDenied is the rule's threshold decision: a column whose most
+// frequent value covers more than MaxIndexValueFraction of the rows gets
+// no index.
 func indexDenied(maxValueFraction float64) bool {
 	return maxValueFraction > MaxIndexValueFraction
-}
-
-// ApplyIndexRule creates the requested index on a materialized table only
-// when the column's most frequent value covers at most
-// MaxIndexValueFraction of the rows. It reports whether the index was
-// created.
-func ApplyIndexRule(t *rdb.Table, column string, kind rdb.IndexKind) (bool, error) {
-	if indexDenied(t.Stats().MaxValueFraction[column]) {
-		return false, nil
-	}
-	if err := t.CreateIndex(rdb.IndexSpec{Column: column, Kind: kind}); err != nil {
-		return false, err
-	}
-	return true, nil
 }
 
 // indexRequest is one desired secondary index, subject to the 15% rule.

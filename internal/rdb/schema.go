@@ -1,9 +1,6 @@
 package rdb
 
-import (
-	"fmt"
-	"sort"
-)
+import "fmt"
 
 // Column describes one table column.
 type Column struct {
@@ -131,12 +128,4 @@ func computeStats(schema *Schema, rows []Row) *Stats {
 		}
 	}
 	return st
-}
-
-// SortedColumns returns column names sorted alphabetically (deterministic
-// iteration helper).
-func (s *Schema) SortedColumns() []string {
-	out := s.ColumnNames()
-	sort.Strings(out)
-	return out
 }

@@ -255,3 +255,43 @@ func TestServerMoleculesEndpoint(t *testing.T) {
 		t.Fatalf("discovered molecules = %+v, want %+v", got, want)
 	}
 }
+
+// TestServerQueryBodyLimit: a request body is capped at 1 MiB on both
+// POST paths, and a body over the cap is refused with 413 rather than cut
+// at the cap and executed. The oversized query is padded so that byte 1<<20
+// falls between "LIMIT 10" and a final "0": cut there, it would run as
+// LIMIT 10 instead of LIMIT 100. A form body had ParseForm's separate
+// 10 MB cap.
+func TestServerQueryBodyLimit(t *testing.T) {
+	src := &fnSource{id: "b", mols: []lake.Molecule{molB()},
+		exec: func(ctx context.Context, req *lake.Request) ([]lake.Binding, error) {
+			return []lake.Binding{{"x": lake.IRI("http://ex/b1"), "n": lake.Literal("n1")}}, nil
+		}}
+	_, base := newCustomServer(t, Config{}, src)
+	const query = "SELECT ?x ?n WHERE { ?x <http://ex/name> ?n } LIMIT 10"
+	pad := func(prefix string, fill byte, size int) string {
+		return prefix + strings.Repeat(string(fill), size-len(prefix))
+	}
+	for _, tc := range []struct {
+		name, contentType, body string
+		want                    int
+	}{
+		{"raw body at the cap", "application/sparql-query", pad(query, ' ', 1<<20), http.StatusOK},
+		{"raw body over the cap", "application/sparql-query", pad(query, ' ', 1<<20) + "0", http.StatusRequestEntityTooLarge},
+		{"comment-padded body over the cap", "application/sparql-query", pad(query+" #", 'x', 1<<20) + "\n0", http.StatusRequestEntityTooLarge},
+		{"form body over the cap", "application/x-www-form-urlencoded",
+			pad("query="+url.QueryEscape(query), '+', 1<<20+1), http.StatusRequestEntityTooLarge},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			resp, err := http.Post(base+"/sparql", tc.contentType, strings.NewReader(tc.body))
+			if err != nil {
+				t.Fatal(err)
+			}
+			io.Copy(io.Discard, resp.Body)
+			resp.Body.Close()
+			if resp.StatusCode != tc.want {
+				t.Fatalf("status = %d, want %d", resp.StatusCode, tc.want)
+			}
+		})
+	}
+}

@@ -34,6 +34,7 @@ import (
 	"net/http"
 	"net/http/pprof"
 	"sort"
+	"strconv"
 	"strings"
 	"sync"
 	"time"
@@ -67,6 +68,13 @@ const (
 	MetricCardError = "ontario_cardinality_error_log10"
 )
 
+// retryAfterSeconds is the Retry-After hint of a 503 response.
+const retryAfterSeconds = "1"
+
+// maxQueryBytes caps a POST body, raw or form-encoded; a longer body is
+// refused with 413 rather than cut short and executed.
+const maxQueryBytes = 1 << 20
+
 // cardErrorBuckets buckets the cardinality error histogram in log10 units
 // (0.3 ≈ 2x off, 1 = 10x off, 2 = 100x off).
 var cardErrorBuckets = []float64{0.1, 0.3, 0.5, 1, 1.5, 2, 3, 4}
@@ -83,9 +91,6 @@ type Config struct {
 	// QueryTimeout is the per-query deadline; a request may lower it with
 	// the timeout form parameter but never raise it (default 30s).
 	QueryTimeout time.Duration
-	// RetryAfter is the hint returned in the Retry-After header of 503
-	// responses (default 1s).
-	RetryAfter time.Duration
 	// DefaultOptions are applied to every query before the per-request
 	// mode/network parameters.
 	DefaultOptions []ontario.Option
@@ -148,9 +153,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.QueryTimeout <= 0 {
 		c.QueryTimeout = 30 * time.Second
-	}
-	if c.RetryAfter <= 0 {
-		c.RetryAfter = time.Second
 	}
 	if c.SlowQueryLogSize == 0 {
 		c.SlowQueryLogSize = 128
@@ -297,7 +299,8 @@ func (s *Server) acquire(ctx context.Context) (release func(), err error) {
 
 // queryText extracts the SPARQL query per the SPARQL Protocol: GET with a
 // query parameter, POST with application/sparql-query (raw body), or POST
-// with form-encoded query=.
+// with form-encoded query=. The caller caps the body with
+// http.MaxBytesReader.
 func queryText(r *http.Request) (string, error) {
 	switch r.Method {
 	case http.MethodGet:
@@ -313,7 +316,7 @@ func queryText(r *http.Request) (string, error) {
 		}
 		switch strings.TrimSpace(ct) {
 		case "application/sparql-query", "text/plain", "":
-			body, err := io.ReadAll(io.LimitReader(r.Body, 1<<20))
+			body, err := io.ReadAll(r.Body)
 			if err != nil {
 				return "", err
 			}
@@ -411,11 +414,7 @@ func (s *Server) queryDeadline(r *http.Request) time.Duration {
 
 func (s *Server) reject(w http.ResponseWriter) {
 	s.metrics.Inc(MetricRejected)
-	secs := int(math.Ceil(s.cfg.RetryAfter.Seconds()))
-	if secs < 1 {
-		secs = 1
-	}
-	w.Header().Set("Retry-After", fmt.Sprintf("%d", secs))
+	w.Header().Set("Retry-After", retryAfterSeconds)
 	http.Error(w, "server saturated: query queue full", http.StatusServiceUnavailable)
 }
 
@@ -451,10 +450,16 @@ func (s *Server) handleSparql(w http.ResponseWriter, r *http.Request) {
 		s.cfg.Logger.Info("sparql", args...)
 	}
 
+	r.Body = http.MaxBytesReader(w, r.Body, maxQueryBytes)
 	text, err := queryText(r)
 	if err != nil {
-		http.Error(w, err.Error(), http.StatusBadRequest)
-		accessLog(http.StatusBadRequest, slog.String("error", err.Error()))
+		status := http.StatusBadRequest
+		var tooLarge *http.MaxBytesError
+		if errors.As(err, &tooLarge) {
+			status = http.StatusRequestEntityTooLarge
+		}
+		http.Error(w, err.Error(), status)
+		accessLog(status, slog.String("error", err.Error()))
 		return
 	}
 	opts, err := s.requestOptions(r)
@@ -708,100 +713,111 @@ func (s *Server) handleMolecules(w http.ResponseWriter, r *http.Request) {
 	_ = json.NewEncoder(w).Encode(docs)
 }
 
+// metricRow is one metric family of /metrics: its name, its type, and the
+// value it takes for one item (a source, a health record, a worker).
+type metricRow[T any] struct {
+	name, typ string
+	value     func(T) string
+}
+
+// writeRows writes one family per row, with one sample per item under the
+// item's label pairs (nil labels: unlabeled). Write errors are dropped:
+// they mean the scraper went away, and there is no one left to tell.
+func writeRows[T any](w io.Writer, items []T, labels func(T) []string, rows []metricRow[T]) {
+	for _, row := range rows {
+		samples := make([]trace.Sample, len(items))
+		for i, it := range items {
+			samples[i].Value = row.value(it)
+			if labels != nil {
+				samples[i].Labels = labels(it)
+			}
+		}
+		_ = trace.WriteFamily(w, row.name, row.typ, samples)
+	}
+}
+
+func itoa[I int | int64](v I) string { return strconv.FormatInt(int64(v), 10) }
+
+func boolInt(b bool) string {
+	if b {
+		return "1"
+	}
+	return "0"
+}
+
+// shuffleStat is one direction of a worker's shuffle traffic.
+type shuffleStat struct {
+	worker, direction string
+	batches, bytes    int64
+}
+
 func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	w.Header().Set("Content-Type", "text/plain; version=0.0.4")
-	st := s.Stats()
 	eng := s.engine()
-	fmt.Fprintf(w, "# TYPE ontario_executing_queries gauge\nontario_executing_queries %d\n", st.Executing)
-	fmt.Fprintf(w, "# TYPE ontario_waiting_queries gauge\nontario_waiting_queries %d\n", st.Waiting)
-	fmt.Fprintf(w, "# TYPE ontario_peak_executing_queries gauge\nontario_peak_executing_queries %d\n", st.PeakExecuting)
+	writeRows(w, []Stats{s.Stats()}, nil, []metricRow[Stats]{
+		{"ontario_executing_queries", "gauge", func(st Stats) string { return itoa(st.Executing) }},
+		{"ontario_waiting_queries", "gauge", func(st Stats) string { return itoa(st.Waiting) }},
+		{"ontario_peak_executing_queries", "gauge", func(st Stats) string { return itoa(st.PeakExecuting) }},
+	})
 	if lim := eng.SourceLimits(); lim != nil {
 		sources := lim.Sources()
 		sort.Strings(sources)
-		fmt.Fprintf(w, "# TYPE ontario_source_inflight gauge\n")
-		for _, src := range sources {
-			fmt.Fprintf(w, "ontario_source_inflight{source=%q} %d\n", src, lim.InFlight(src))
-		}
-		fmt.Fprintf(w, "# TYPE ontario_source_inflight_peak gauge\n")
-		for _, src := range sources {
-			fmt.Fprintf(w, "ontario_source_inflight_peak{source=%q} %d\n", src, lim.Peak(src))
-		}
+		writeRows(w, sources, func(src string) []string { return []string{"source", src} }, []metricRow[string]{
+			{"ontario_source_inflight", "gauge", func(src string) string { return itoa(lim.InFlight(src)) }},
+			{"ontario_source_inflight_peak", "gauge", func(src string) string { return itoa(lim.Peak(src)) }},
+		})
 	}
 	if health := eng.SourceHealth(); len(health) > 0 {
-		fmt.Fprintf(w, "# TYPE ontario_source_breaker_open gauge\n")
-		for _, h := range health {
-			open := 0
-			if h.State != "closed" {
-				open = 1
-			}
-			fmt.Fprintf(w, "ontario_source_breaker_open{source=%q,state=%q} %d\n", h.Source, h.State, open)
-		}
-		fmt.Fprintf(w, "# TYPE ontario_source_requests_total counter\n")
-		for _, h := range health {
-			fmt.Fprintf(w, "ontario_source_requests_total{source=%q} %d\n", h.Source, h.Requests)
-		}
-		fmt.Fprintf(w, "# TYPE ontario_source_failures_total counter\n")
-		for _, h := range health {
-			fmt.Fprintf(w, "ontario_source_failures_total{source=%q} %d\n", h.Source, h.Failures)
-		}
-		fmt.Fprintf(w, "# TYPE ontario_source_retries_total counter\n")
-		for _, h := range health {
-			fmt.Fprintf(w, "ontario_source_retries_total{source=%q} %d\n", h.Source, h.Retries)
-		}
-		fmt.Fprintf(w, "# TYPE ontario_source_failure_rate gauge\n")
-		for _, h := range health {
-			fmt.Fprintf(w, "ontario_source_failure_rate{source=%q} %g\n", h.Source, h.FailureRate)
-		}
-		fmt.Fprintf(w, "# TYPE ontario_source_latency_ms gauge\n")
-		for _, h := range health {
-			fmt.Fprintf(w, "ontario_source_latency_ms{source=%q} %.3f\n",
-				h.Source, float64(h.Latency)/float64(time.Millisecond))
-		}
+		writeRows(w, health, func(h ontario.SourceHealth) []string { return []string{"source", h.Source, "state", h.State} }, []metricRow[ontario.SourceHealth]{
+			{"ontario_source_breaker_open", "gauge", func(h ontario.SourceHealth) string { return boolInt(h.State != "closed") }},
+		})
+		writeRows(w, health, func(h ontario.SourceHealth) []string { return []string{"source", h.Source} }, []metricRow[ontario.SourceHealth]{
+			{"ontario_source_requests_total", "counter", func(h ontario.SourceHealth) string { return itoa(h.Requests) }},
+			{"ontario_source_failures_total", "counter", func(h ontario.SourceHealth) string { return itoa(h.Failures) }},
+			{"ontario_source_retries_total", "counter", func(h ontario.SourceHealth) string { return itoa(h.Retries) }},
+			{"ontario_source_failure_rate", "gauge", func(h ontario.SourceHealth) string {
+				return strconv.FormatFloat(h.FailureRate, 'g', -1, 64)
+			}},
+			{"ontario_source_latency_ms", "gauge", func(h ontario.SourceHealth) string {
+				return strconv.FormatFloat(float64(h.Latency)/float64(time.Millisecond), 'f', 3, 64)
+			}},
+		})
 	}
-	rc := eng.ResponseCacheStats()
-	fmt.Fprintf(w, "# TYPE ontario_response_cache_hits_total counter\nontario_response_cache_hits_total %d\n", rc.Hits)
-	fmt.Fprintf(w, "# TYPE ontario_response_cache_misses_total counter\nontario_response_cache_misses_total %d\n", rc.Misses)
-	fmt.Fprintf(w, "# TYPE ontario_response_cache_evictions_total counter\nontario_response_cache_evictions_total %d\n", rc.Evictions)
-	fmt.Fprintf(w, "# TYPE ontario_response_cache_entries gauge\nontario_response_cache_entries %d\n", rc.Entries)
+	writeRows(w, []ontario.ResponseCacheStats{eng.ResponseCacheStats()}, nil, []metricRow[ontario.ResponseCacheStats]{
+		{"ontario_response_cache_hits_total", "counter", func(rc ontario.ResponseCacheStats) string { return itoa(rc.Hits) }},
+		{"ontario_response_cache_misses_total", "counter", func(rc ontario.ResponseCacheStats) string { return itoa(rc.Misses) }},
+		{"ontario_response_cache_evictions_total", "counter", func(rc ontario.ResponseCacheStats) string { return itoa(rc.Evictions) }},
+		{"ontario_response_cache_entries", "gauge", func(rc ontario.ResponseCacheStats) string { return itoa(rc.Entries) }},
+	})
+	var workers []WorkerStatus
 	if s.cfg.ClusterStatus != nil {
-		if workers := s.cfg.ClusterStatus(); len(workers) > 0 {
-			writeGauge := func(name string, val func(ws WorkerStatus) int64) {
-				fmt.Fprintf(w, "# TYPE %s gauge\n", name)
-				for _, ws := range workers {
-					fmt.Fprintf(w, "%s{worker=%q} %d\n", name, ws.Addr, val(ws))
-				}
-			}
-			writeGauge("ontario_cluster_worker_up", func(ws WorkerStatus) int64 {
-				if ws.Up {
-					return 1
-				}
-				return 0
-			})
-			writeGauge("ontario_cluster_fragment_queue_depth", func(ws WorkerStatus) int64 { return ws.QueuedFragments })
-			writeGauge("ontario_cluster_active_fragments", func(ws WorkerStatus) int64 { return ws.ActiveFragments })
+		workers = s.cfg.ClusterStatus()
+	}
+	if len(workers) > 0 {
+		writeRows(w, workers, func(ws WorkerStatus) []string { return []string{"worker", ws.Addr} }, []metricRow[WorkerStatus]{
+			{"ontario_cluster_worker_up", "gauge", func(ws WorkerStatus) string { return boolInt(ws.Up) }},
+			{"ontario_cluster_fragment_queue_depth", "gauge", func(ws WorkerStatus) string { return itoa(ws.QueuedFragments) }},
+			{"ontario_cluster_active_fragments", "gauge", func(ws WorkerStatus) string { return itoa(ws.ActiveFragments) }},
 			// Current size of each persistent link's remap table — a
 			// per-link gauge, not a per-task cumulative sum.
-			writeGauge("ontario_cluster_remap_entries", func(ws WorkerStatus) int64 { return ws.RemapEntries })
-			writeGauge("ontario_cluster_dict_delta_bytes", func(ws WorkerStatus) int64 { return ws.DictDeltaBytes })
-			writeGauge("ontario_cluster_response_cache_hits", func(ws WorkerStatus) int64 { return ws.CacheHits })
-			writeGauge("ontario_cluster_response_cache_misses", func(ws WorkerStatus) int64 { return ws.CacheMisses })
-			writeGauge("ontario_cluster_response_cache_evictions", func(ws WorkerStatus) int64 { return ws.CacheEvictions })
-			writeGauge("ontario_cluster_response_cache_entries", func(ws WorkerStatus) int64 { return ws.CacheEntries })
-			fmt.Fprintf(w, "# TYPE ontario_cluster_link_reconnects_total counter\n")
-			for _, ws := range workers {
-				fmt.Fprintf(w, "ontario_cluster_link_reconnects_total{worker=%q} %d\n", ws.Addr, ws.Reconnects)
-			}
-			fmt.Fprintf(w, "# TYPE ontario_cluster_shuffled_batches gauge\n")
-			for _, ws := range workers {
-				fmt.Fprintf(w, "ontario_cluster_shuffled_batches{worker=%q,direction=\"in\"} %d\n", ws.Addr, ws.BatchesIn)
-				fmt.Fprintf(w, "ontario_cluster_shuffled_batches{worker=%q,direction=\"out\"} %d\n", ws.Addr, ws.BatchesOut)
-			}
-			fmt.Fprintf(w, "# TYPE ontario_cluster_shuffled_bytes gauge\n")
-			for _, ws := range workers {
-				fmt.Fprintf(w, "ontario_cluster_shuffled_bytes{worker=%q,direction=\"in\"} %d\n", ws.Addr, ws.BytesIn)
-				fmt.Fprintf(w, "ontario_cluster_shuffled_bytes{worker=%q,direction=\"out\"} %d\n", ws.Addr, ws.BytesOut)
-			}
+			{"ontario_cluster_remap_entries", "gauge", func(ws WorkerStatus) string { return itoa(ws.RemapEntries) }},
+			{"ontario_cluster_dict_delta_bytes", "gauge", func(ws WorkerStatus) string { return itoa(ws.DictDeltaBytes) }},
+			{"ontario_cluster_response_cache_hits", "gauge", func(ws WorkerStatus) string { return itoa(ws.CacheHits) }},
+			{"ontario_cluster_response_cache_misses", "gauge", func(ws WorkerStatus) string { return itoa(ws.CacheMisses) }},
+			{"ontario_cluster_response_cache_evictions", "gauge", func(ws WorkerStatus) string { return itoa(ws.CacheEvictions) }},
+			{"ontario_cluster_response_cache_entries", "gauge", func(ws WorkerStatus) string { return itoa(ws.CacheEntries) }},
+			{"ontario_cluster_link_reconnects_total", "counter", func(ws WorkerStatus) string { return itoa(ws.Reconnects) }},
+		})
+		shuffle := make([]shuffleStat, 0, 2*len(workers))
+		for _, ws := range workers {
+			shuffle = append(shuffle,
+				shuffleStat{ws.Addr, "in", ws.BatchesIn, ws.BytesIn},
+				shuffleStat{ws.Addr, "out", ws.BatchesOut, ws.BytesOut})
 		}
+		writeRows(w, shuffle, func(st shuffleStat) []string { return []string{"worker", st.worker, "direction", st.direction} }, []metricRow[shuffleStat]{
+			{"ontario_cluster_shuffled_batches", "gauge", func(st shuffleStat) string { return itoa(st.batches) }},
+			{"ontario_cluster_shuffled_bytes", "gauge", func(st shuffleStat) string { return itoa(st.bytes) }},
+		})
 	}
 	_ = s.metrics.WritePrometheus(w)
 }

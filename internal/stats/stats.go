@@ -4,8 +4,7 @@
 // counts and per-column distinct counts for relational tables, and index
 // availability. Statistics are derived once per source on first use and
 // cached; the catalog's in-memory sources are immutable after load, so the
-// cache never needs invalidation during a run (Invalidate exists for lakes
-// rebuilt in place).
+// cache never needs invalidation.
 package stats
 
 import (
@@ -41,15 +40,6 @@ func (ps *PredicateStats) Fanout() float64 {
 		return 1
 	}
 	return float64(ps.Count) / float64(ps.DistinctSubjects)
-}
-
-// ObjectSelectivity estimates the fraction of the predicate's facts matching
-// an equality constraint on the object (1/distinct objects).
-func (ps *PredicateStats) ObjectSelectivity() float64 {
-	if ps == nil || ps.DistinctObjects <= 0 {
-		return 0.1
-	}
-	return 1.0 / float64(ps.DistinctObjects)
 }
 
 // ClassStats describes the extent of one class at a source.
@@ -125,18 +115,6 @@ func (p *CatalogProvider) Source(id string) *SourceStats {
 	}
 	p.cache[id] = ss
 	return ss
-}
-
-// Invalidate drops the cached statistics of one source (or all when id is
-// empty), e.g. after rebuilding a lake in place.
-func (p *CatalogProvider) Invalidate(id string) {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	if id == "" {
-		p.cache = make(map[string]*SourceStats)
-		return
-	}
-	delete(p.cache, id)
 }
 
 // rdfStats derives class and predicate statistics in two passes over the

@@ -91,7 +91,7 @@ func TestRDFSourceStats(t *testing.T) {
 	}
 }
 
-func TestProviderCachesAndInvalidates(t *testing.T) {
+func TestProviderCaches(t *testing.T) {
 	lake, err := lslod.BuildLake(lslod.SmallScale(), 7)
 	if err != nil {
 		t.Fatal(err)
@@ -100,10 +100,6 @@ func TestProviderCachesAndInvalidates(t *testing.T) {
 	a := prov.Source(lslod.DSDiseasome)
 	if b := prov.Source(lslod.DSDiseasome); a != b {
 		t.Error("second lookup did not hit the cache")
-	}
-	prov.Invalidate(lslod.DSDiseasome)
-	if c := prov.Source(lslod.DSDiseasome); c == a {
-		t.Error("Invalidate did not drop the cached entry")
 	}
 	if prov.Source("no-such-source") != nil {
 		t.Error("unknown source must return nil")

@@ -1,85 +1,59 @@
 package trace
 
 import (
-	"fmt"
 	"io"
-	"math"
 	"sort"
+	"strconv"
 	"strings"
 	"sync"
 	"time"
 )
 
-// DefaultBuckets are the histogram bucket upper bounds in milliseconds,
+// defaultBuckets are the histogram bucket upper bounds in milliseconds,
 // spanning sub-millisecond simulated latencies up to multi-second query
 // executions.
-var DefaultBuckets = []float64{
+var defaultBuckets = []float64{
 	0.5, 1, 2.5, 5, 10, 25, 50, 100, 250, 500, 1000, 2500, 5000, 10000,
 }
 
-// Histogram is a fixed-bucket latency histogram (milliseconds). It mirrors
-// the Prometheus histogram model: cumulative bucket counts plus sum and
-// count.
-type Histogram struct {
+// histogram is a fixed-bucket histogram. It mirrors the Prometheus
+// histogram model: cumulative bucket counts plus sum and count.
+type histogram struct {
 	bounds []float64
 	counts []uint64 // one per bound, plus +Inf at the end
 	sum    float64
 	total  uint64
 }
 
-// NewHistogram returns a histogram over the given bucket upper bounds
-// (must be sorted ascending); nil uses DefaultBuckets.
-func NewHistogram(bounds []float64) *Histogram {
-	if bounds == nil {
-		bounds = DefaultBuckets
-	}
-	return &Histogram{bounds: bounds, counts: make([]uint64, len(bounds)+1)}
-}
-
 // observe records one value (not concurrency-safe; Metrics serializes).
-func (h *Histogram) observe(v float64) {
+func (h *histogram) observe(v float64) {
 	i := sort.SearchFloat64s(h.bounds, v)
 	h.counts[i]++
 	h.sum += v
 	h.total++
 }
 
-// Count returns the number of observations.
-func (h *Histogram) Count() uint64 { return h.total }
-
-// Sum returns the sum of observed values.
-func (h *Histogram) Sum() float64 { return h.sum }
-
-// Quantile returns an estimate of the q-quantile (0 ≤ q ≤ 1) assuming
-// observations sit at their bucket's upper bound — the same upper-bound
-// estimate Prometheus makes without interpolation.
-func (h *Histogram) Quantile(q float64) float64 {
-	if h.total == 0 {
-		return 0
+// samples renders the histogram's _bucket, _sum and _count lines under
+// the given label pairs.
+func (h *histogram) samples(labels []string) []Sample {
+	le := func(bound string) []string {
+		return append(labels[:len(labels):len(labels)], "le", bound)
 	}
-	var rank uint64
-	if r := math.Ceil(q * float64(h.total)); r >= 1 {
-		rank = uint64(r) - 1
-	}
-	if rank >= h.total {
-		rank = h.total - 1
-	}
+	out := make([]Sample, 0, len(h.bounds)+3)
 	var cum uint64
-	for i, c := range h.counts {
-		cum += c
-		if cum > rank {
-			if i < len(h.bounds) {
-				return h.bounds[i]
-			}
-			// +Inf bucket: report the largest finite bound.
-			if len(h.bounds) > 0 {
-				return h.bounds[len(h.bounds)-1]
-			}
-			return 0
-		}
+	for i, bound := range h.bounds {
+		cum += h.counts[i]
+		out = append(out, Sample{Suffix: "_bucket", Labels: le(formatFloat(bound)), Value: formatUint(cum)})
 	}
-	return 0
+	cum += h.counts[len(h.bounds)]
+	return append(out,
+		Sample{Suffix: "_bucket", Labels: le("+Inf"), Value: formatUint(cum)},
+		Sample{Suffix: "_sum", Labels: labels, Value: formatFloat(h.sum)},
+		Sample{Suffix: "_count", Labels: labels, Value: formatUint(h.total)})
 }
+
+func formatFloat(v float64) string { return strconv.FormatFloat(v, 'g', -1, 64) }
+func formatUint(v uint64) string   { return strconv.FormatUint(v, 10) }
 
 // EscapeLabel escapes a Prometheus label value per the text exposition
 // format: backslash, double quote, and newline must be escaped. Label
@@ -106,51 +80,65 @@ func EscapeLabel(v string) string {
 	return b.String()
 }
 
+// Sample is one line of a metric family in the Prometheus text format.
+type Sample struct {
+	// Suffix extends the family name: "_bucket", "_sum" or "_count" for a
+	// histogram's lines, empty otherwise.
+	Suffix string
+	// Labels holds label names and values in turn, in output order.
+	Labels []string
+	// Value is the sample value as it appears on the line.
+	Value string
+}
+
+// WriteFamily writes one metric family in the Prometheus text format: its
+// "# TYPE" line, then one line per sample, with every label value escaped
+// by EscapeLabel.
+func WriteFamily(w io.Writer, name, typ string, samples []Sample) error {
+	b := make([]byte, 0, 64*(len(samples)+1))
+	b = append(append(append(append(b, "# TYPE "...), name...), ' '), typ...)
+	b = append(b, '\n')
+	for _, s := range samples {
+		b = append(append(b, name...), s.Suffix...)
+		for i := 0; i+1 < len(s.Labels); i += 2 {
+			if i == 0 {
+				b = append(b, '{')
+			} else {
+				b = append(b, ',')
+			}
+			b = append(append(b, s.Labels[i]...), `="`...)
+			b = append(append(b, EscapeLabel(s.Labels[i+1])...), '"')
+		}
+		if len(s.Labels) > 0 {
+			b = append(b, '}')
+		}
+		b = append(append(append(b, ' '), s.Value...), '\n')
+	}
+	_, err := w.Write(b)
+	return err
+}
+
 type histKey struct {
 	name       string
 	labelName  string // e.g. "source" or "op"; empty for unlabeled
 	labelValue string
 }
 
-// Metrics is a concurrency-safe registry of counters, gauges and latency
+// Metrics is a concurrency-safe registry of counters and latency
 // histograms, exported in the Prometheus text format by the server's
-// /metrics endpoint. Counter, gauge and histogram names are created on
-// first use.
+// /metrics endpoint. Counter and histogram names are created on first use.
 type Metrics struct {
 	mu       sync.Mutex
 	counters map[string]int64
-	gauges   map[histKey]float64
-	hists    map[histKey]*Histogram
+	hists    map[histKey]*histogram
 }
 
 // NewMetrics returns an empty registry.
 func NewMetrics() *Metrics {
 	return &Metrics{
 		counters: make(map[string]int64),
-		gauges:   make(map[histKey]float64),
-		hists:    make(map[histKey]*Histogram),
+		hists:    make(map[histKey]*histogram),
 	}
-}
-
-// SetGauge sets the named unlabeled gauge to v (gauges report the last
-// set value, unlike monotonically accumulating counters).
-func (m *Metrics) SetGauge(name string, v float64) {
-	m.SetGaugeLabeled(name, "", "", v)
-}
-
-// SetGaugeLabeled sets one series of the named gauge family, keyed by an
-// arbitrary label pair (e.g. worker="0"); both empty means unlabeled.
-func (m *Metrics) SetGaugeLabeled(name, labelName, labelValue string, v float64) {
-	m.mu.Lock()
-	m.gauges[histKey{name: name, labelName: labelName, labelValue: labelValue}] = v
-	m.mu.Unlock()
-}
-
-// Gauge returns the gauge series' current value (0 when never set).
-func (m *Metrics) Gauge(name, labelName, labelValue string) float64 {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	return m.gauges[histKey{name: name, labelName: labelName, labelValue: labelValue}]
 }
 
 // Add increments the named counter by delta.
@@ -193,158 +181,71 @@ func (m *Metrics) ObserveLabeled(name, labelName, labelValue string, d time.Dura
 
 // ObserveValue records a raw value into the named histogram with the given
 // label pair (both empty means unlabeled). bounds selects the bucket
-// layout when the series is created (nil means DefaultBuckets); it is
+// layout when the series is created (nil means defaultBuckets); it is
 // ignored on later observations.
 func (m *Metrics) ObserveValue(name, labelName, labelValue string, v float64, bounds []float64) {
 	m.mu.Lock()
 	k := histKey{name: name, labelName: labelName, labelValue: labelValue}
 	h, ok := m.hists[k]
 	if !ok {
-		h = NewHistogram(bounds)
+		if bounds == nil {
+			bounds = defaultBuckets
+		}
+		h = &histogram{bounds: bounds, counts: make([]uint64, len(bounds)+1)}
 		m.hists[k] = h
 	}
 	h.observe(v)
 	m.mu.Unlock()
 }
 
-// HistogramSnapshot returns a copy of the named histogram (source may be
-// empty for the unlabeled series), or nil when nothing was observed.
-func (m *Metrics) HistogramSnapshot(name, source string) *Histogram {
-	label := ""
-	if source != "" {
-		label = "source"
-	}
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	h, ok := m.hists[histKey{name: name, labelName: label, labelValue: source}]
-	if !ok {
-		return nil
-	}
-	cp := &Histogram{
-		bounds: h.bounds,
-		counts: append([]uint64(nil), h.counts...),
-		sum:    h.sum,
-		total:  h.total,
-	}
-	return cp
-}
-
 // WritePrometheus renders every counter and histogram in the Prometheus
-// text exposition format, sorted by name for deterministic output.
+// text exposition format, sorted by name (then label) for deterministic
+// output.
 func (m *Metrics) WritePrometheus(w io.Writer) error {
+	type series struct {
+		key     histKey
+		samples []Sample
+	}
 	m.mu.Lock()
-	counters := make(map[string]int64, len(m.counters))
-	for k, v := range m.counters {
-		counters[k] = v
+	counters := make([]series, 0, len(m.counters))
+	for n, v := range m.counters {
+		counters = append(counters, series{histKey{name: n}, []Sample{{Value: strconv.FormatInt(v, 10)}}})
 	}
-	type histEntry struct {
-		key histKey
-		h   *Histogram
-	}
-	hists := make([]histEntry, 0, len(m.hists))
+	hists := make([]series, 0, len(m.hists))
 	for k, h := range m.hists {
-		hists = append(hists, histEntry{key: k, h: &Histogram{
-			bounds: h.bounds,
-			counts: append([]uint64(nil), h.counts...),
-			sum:    h.sum,
-			total:  h.total,
-		}})
-	}
-	type gaugeEntry struct {
-		key histKey
-		v   float64
-	}
-	gauges := make([]gaugeEntry, 0, len(m.gauges))
-	for k, v := range m.gauges {
-		gauges = append(gauges, gaugeEntry{key: k, v: v})
+		var labels []string
+		if k.labelName != "" {
+			labels = []string{k.labelName, k.labelValue}
+		}
+		hists = append(hists, series{k, h.samples(labels)})
 	}
 	m.mu.Unlock()
 
-	names := make([]string, 0, len(counters))
-	for n := range counters {
-		names = append(names, n)
-	}
-	sort.Strings(names)
-	for _, n := range names {
-		if _, err := fmt.Fprintf(w, "# TYPE %s counter\n%s %d\n", n, n, counters[n]); err != nil {
-			return err
-		}
-	}
-
-	sort.Slice(gauges, func(i, j int) bool {
-		if gauges[i].key.name != gauges[j].key.name {
-			return gauges[i].key.name < gauges[j].key.name
-		}
-		if gauges[i].key.labelName != gauges[j].key.labelName {
-			return gauges[i].key.labelName < gauges[j].key.labelName
-		}
-		return gauges[i].key.labelValue < gauges[j].key.labelValue
-	})
-	lastGauge := ""
-	for _, g := range gauges {
-		if g.key.name != lastGauge {
-			if _, err := fmt.Fprintf(w, "# TYPE %s gauge\n", g.key.name); err != nil {
-				return err
+	write := func(typ string, all []series) error {
+		sort.Slice(all, func(i, j int) bool {
+			a, b := all[i].key, all[j].key
+			if a.name != b.name {
+				return a.name < b.name
 			}
-			lastGauge = g.key.name
-		}
-		series := g.key.name
-		if g.key.labelName != "" {
-			series += fmt.Sprintf(`{%s="%s"}`, g.key.labelName, EscapeLabel(g.key.labelValue))
-		}
-		if _, err := fmt.Fprintf(w, "%s %g\n", series, g.v); err != nil {
-			return err
-		}
-	}
-
-	sort.Slice(hists, func(i, j int) bool {
-		if hists[i].key.name != hists[j].key.name {
-			return hists[i].key.name < hists[j].key.name
-		}
-		if hists[i].key.labelName != hists[j].key.labelName {
-			return hists[i].key.labelName < hists[j].key.labelName
-		}
-		return hists[i].key.labelValue < hists[j].key.labelValue
-	})
-	lastType := ""
-	for _, e := range hists {
-		if e.key.name != lastType {
-			if _, err := fmt.Fprintf(w, "# TYPE %s histogram\n", e.key.name); err != nil {
-				return err
+			if a.labelName != b.labelName {
+				return a.labelName < b.labelName
 			}
-			lastType = e.key.name
-		}
-		label := func(extra string) string {
-			if e.key.labelName == "" {
-				if extra == "" {
-					return ""
-				}
-				return "{" + extra + "}"
+			return a.labelValue < b.labelValue
+		})
+		for i := 0; i < len(all); {
+			name := all[i].key.name
+			var samples []Sample
+			for ; i < len(all) && all[i].key.name == name; i++ {
+				samples = append(samples, all[i].samples...)
 			}
-			pair := fmt.Sprintf(`%s="%s"`, e.key.labelName, EscapeLabel(e.key.labelValue))
-			if extra == "" {
-				return "{" + pair + "}"
-			}
-			return "{" + pair + "," + extra + "}"
-		}
-		var cum uint64
-		for i, bound := range e.h.bounds {
-			cum += e.h.counts[i]
-			if _, err := fmt.Fprintf(w, "%s_bucket%s %d\n",
-				e.key.name, label(fmt.Sprintf(`le="%g"`, bound)), cum); err != nil {
+			if err := WriteFamily(w, name, typ, samples); err != nil {
 				return err
 			}
 		}
-		cum += e.h.counts[len(e.h.bounds)]
-		if _, err := fmt.Fprintf(w, "%s_bucket%s %d\n", e.key.name, label(`le="+Inf"`), cum); err != nil {
-			return err
-		}
-		if _, err := fmt.Fprintf(w, "%s_sum%s %g\n", e.key.name, label(""), e.h.sum); err != nil {
-			return err
-		}
-		if _, err := fmt.Fprintf(w, "%s_count%s %d\n", e.key.name, label(""), e.h.total); err != nil {
-			return err
-		}
+		return nil
 	}
-	return nil
+	if err := write("counter", counters); err != nil {
+		return err
+	}
+	return write("histogram", hists)
 }

@@ -23,27 +23,42 @@ func TestMetricsCounters(t *testing.T) {
 	}
 }
 
+// prometheus renders the registry.
+func prometheus(t *testing.T, m *Metrics) string {
+	t.Helper()
+	var b strings.Builder
+	if err := m.WritePrometheus(&b); err != nil {
+		t.Fatal(err)
+	}
+	return b.String()
+}
+
 func TestMetricsHistogram(t *testing.T) {
 	m := NewMetrics()
 	for _, ms := range []int{1, 2, 4, 8, 40, 400} {
 		m.Observe("query_ms", time.Duration(ms)*time.Millisecond)
 	}
-	h := m.HistogramSnapshot("query_ms", "")
-	if h == nil {
-		t.Fatal("histogram missing")
-	}
-	if h.Count() != 6 {
-		t.Errorf("count = %d, want 6", h.Count())
-	}
-	if h.Sum() != 455 {
-		t.Errorf("sum = %g, want 455", h.Sum())
-	}
-	// p50 of {1,2,4,8,40,400} sits in the le=5 bucket (value 4).
-	if q := h.Quantile(0.5); q != 5 {
-		t.Errorf("p50 = %g, want bucket bound 5", q)
-	}
-	if q := h.Quantile(1.0); q != 500 {
-		t.Errorf("p100 = %g, want bucket bound 500", q)
+	want := `# TYPE query_ms histogram
+query_ms_bucket{le="0.5"} 0
+query_ms_bucket{le="1"} 1
+query_ms_bucket{le="2.5"} 2
+query_ms_bucket{le="5"} 3
+query_ms_bucket{le="10"} 4
+query_ms_bucket{le="25"} 4
+query_ms_bucket{le="50"} 5
+query_ms_bucket{le="100"} 5
+query_ms_bucket{le="250"} 5
+query_ms_bucket{le="500"} 6
+query_ms_bucket{le="1000"} 6
+query_ms_bucket{le="2500"} 6
+query_ms_bucket{le="5000"} 6
+query_ms_bucket{le="10000"} 6
+query_ms_bucket{le="+Inf"} 6
+query_ms_sum 455
+query_ms_count 6
+`
+	if got := prometheus(t, m); got != want {
+		t.Errorf("exposition:\n%s\nwant:\n%s", got, want)
 	}
 }
 
@@ -54,11 +69,7 @@ func TestMetricsPrometheusOutput(t *testing.T) {
 	m.ObserveSource("ontario_source_delay_ms", "drugbank", 2*time.Millisecond)
 	m.ObserveSource("ontario_source_delay_ms", "kegg", 12*time.Millisecond)
 
-	var b strings.Builder
-	if err := m.WritePrometheus(&b); err != nil {
-		t.Fatal(err)
-	}
-	out := b.String()
+	out := prometheus(t, m)
 	for _, want := range []string{
 		"# TYPE ontario_queries_total counter",
 		"ontario_queries_total 7",
@@ -73,11 +84,7 @@ func TestMetricsPrometheusOutput(t *testing.T) {
 		}
 	}
 	// Deterministic ordering.
-	var b2 strings.Builder
-	if err := m.WritePrometheus(&b2); err != nil {
-		t.Fatal(err)
-	}
-	if b2.String() != out {
+	if prometheus(t, m) != out {
 		t.Error("WritePrometheus output not deterministic")
 	}
 }
@@ -100,7 +107,10 @@ func TestMetricsConcurrentUpdates(t *testing.T) {
 	if got := m.Counter("n"); got != 800 {
 		t.Errorf("n = %d, want 800", got)
 	}
-	if got := m.HistogramSnapshot("h", "").Count(); got != 800 {
-		t.Errorf("h count = %d, want 800", got)
+	out := prometheus(t, m)
+	for _, want := range []string{"\nh_count 800\n", `s_count{source="src"} 800`} {
+		if !strings.Contains(out, want) {
+			t.Errorf("output missing %q:\n%s", want, out)
+		}
 	}
 }

@@ -1,14 +1,9 @@
 // Package trace records answer traces: the arrival time of every answer of
 // a query execution, as plotted in Figure 2 of the paper. It also derives
-// the summary metrics the evaluation reports (execution time, time to
-// first answer, answer count) and the dief@t continuous-efficiency metric.
+// the time to first answer and the dief@t continuous-efficiency metric.
 package trace
 
-import (
-	"fmt"
-	"io"
-	"time"
-)
+import "time"
 
 // Point is one answer arrival.
 type Point struct {
@@ -72,35 +67,4 @@ func (t *Trace) DiefAt(d time.Duration) float64 {
 		area += float64(p.Count) * (end - p.Elapsed).Seconds()
 	}
 	return area
-}
-
-// WriteCSV emits "elapsed_ms,count" rows for plotting.
-func (t *Trace) WriteCSV(w io.Writer) error {
-	if _, err := fmt.Fprintf(w, "label,elapsed_ms,answer\n"); err != nil {
-		return err
-	}
-	for _, p := range t.Points {
-		if _, err := fmt.Fprintf(w, "%s,%.3f,%d\n", t.Label, float64(p.Elapsed)/1e6, p.Count); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-// Summary is the row format of the experiment tables.
-type Summary struct {
-	Label           string
-	ExecutionTime   time.Duration
-	TimeFirstAnswer time.Duration
-	AnswerCount     int
-}
-
-// Summarize extracts the summary metrics.
-func (t *Trace) Summarize() Summary {
-	return Summary{
-		Label:           t.Label,
-		ExecutionTime:   t.Total,
-		TimeFirstAnswer: t.TimeToFirst(),
-		AnswerCount:     t.Count(),
-	}
 }

@@ -1,8 +1,6 @@
 package trace
 
 import (
-	"bytes"
-	"strings"
 	"testing"
 	"time"
 )
@@ -57,28 +55,5 @@ func TestDiefAt(t *testing.T) {
 	}
 	if (&Trace{}).DiefAt(at) != 0 {
 		t.Error("dief of empty trace != 0")
-	}
-}
-
-func TestWriteCSV(t *testing.T) {
-	tr := mkTrace(1500 * time.Microsecond)
-	var buf bytes.Buffer
-	if err := tr.WriteCSV(&buf); err != nil {
-		t.Fatal(err)
-	}
-	out := buf.String()
-	if !strings.HasPrefix(out, "label,elapsed_ms,answer\n") {
-		t.Errorf("missing header: %q", out)
-	}
-	if !strings.Contains(out, "t,1.500,1") {
-		t.Errorf("missing data row: %q", out)
-	}
-}
-
-func TestSummarize(t *testing.T) {
-	tr := mkTrace(2*time.Millisecond, 4*time.Millisecond)
-	s := tr.Summarize()
-	if s.AnswerCount != 2 || s.TimeFirstAnswer != 2*time.Millisecond || s.ExecutionTime != tr.Total {
-		t.Errorf("summary = %+v", s)
 	}
 }

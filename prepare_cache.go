@@ -74,11 +74,6 @@ func (e *Engine) planKey(queryText string, cfg config) []byte {
 	return appendHealth(b, e.SourceHealth())
 }
 
-// normalizeQuery is the text part of the plan-cache key; the cluster
-// router keys replica affinity on it (through internal/bridge), so a query
-// lands on the replica whose cache already holds its plan.
-func normalizeQuery(text string) string { return string(appendNormalized(nil, text)) }
-
 // appendNormalized appends text with whitespace runs OUTSIDE string
 // literals collapsed, so formatting differences do not defeat the cache,
 // while queries differing only inside a literal (e.g. FILTER (?v = "New

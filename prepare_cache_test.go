@@ -12,26 +12,27 @@ import (
 // literal is significant — two queries differing only there must get
 // distinct keys.
 func TestNormalizeQueryPreservesLiterals(t *testing.T) {
+	norm := func(text string) string { return string(appendNormalized(nil, text)) }
 	a := "SELECT ?v  WHERE {\n\t?s <http://p> ?v .\n FILTER (?v = \"New York\") }"
 	b := "SELECT ?v WHERE { ?s <http://p> ?v . FILTER (?v = \"New York\") }"
-	if normalizeQuery(a) != normalizeQuery(b) {
-		t.Errorf("formatting-only difference changed the key:\n%q\n%q", normalizeQuery(a), normalizeQuery(b))
+	if norm(a) != norm(b) {
+		t.Errorf("formatting-only difference changed the key:\n%q\n%q", norm(a), norm(b))
 	}
-	if got := normalizeQuery("  \n" + b + "\n"); got != b {
+	if got := norm("  \n" + b + "\n"); got != b {
 		t.Errorf("leading/trailing whitespace kept: %q", got)
 	}
 	c := strings.Replace(a, "New York", "New  York", 1)
-	if normalizeQuery(a) == normalizeQuery(c) {
-		t.Errorf("whitespace inside a literal was collapsed: %q", normalizeQuery(c))
+	if norm(a) == norm(c) {
+		t.Errorf("whitespace inside a literal was collapsed: %q", norm(c))
 	}
 	d := `SELECT ?v WHERE { ?s <http://p> "esc\" quote  here" }`
 	e := `SELECT ?v WHERE { ?s <http://p> "esc\" quote here" }`
-	if normalizeQuery(d) == normalizeQuery(e) {
+	if norm(d) == norm(e) {
 		t.Error("escaped quote ended the literal early")
 	}
 	f := "SELECT ?v WHERE { ?s <http://p> 'single  quoted' }"
 	g := "SELECT ?v WHERE { ?s <http://p> 'single quoted' }"
-	if normalizeQuery(f) == normalizeQuery(g) {
+	if norm(f) == norm(g) {
 		t.Error("single-quoted literal was collapsed")
 	}
 }

@@ -237,5 +237,4 @@ func init() {
 		d, _ := dist.(core.Distributor)
 		return Option(func(c *config) { c.cluster = d })
 	}
-	bridge.NormalizeQuery = normalizeQuery
 }
