@@ -4,12 +4,13 @@
 // and co-partitioned plan fragments against a pool of workers, each
 // owning one hash-partition of the lake. Every coordinator keeps one
 // persistent multiplexed connection per worker: frames carry a stream ID
-// so concurrent tasks interleave on the link, and the dictionary-delta
-// remap state is link-lifetime — each term's lexical form crosses a link
-// once ever, after which only integer IDs flow. Intermediate results
-// cross as binary columnar batches: varint-framed dict.ID columns, each
-// preceded by a wire-only presence bitmap so unbound cells cost one bit
-// (in memory an unbound cell is dict.Unbound).
+// so concurrent tasks interleave on the link. A link numbers its terms
+// 1, 2, 3, … as they first cross it: a term's lexical form crosses once
+// ever, as a delta whose position is its wire ID, and both ends translate
+// IDs by indexing a slice. Intermediate results cross as binary columnar
+// batches: varint-framed wire-ID columns, each preceded by a wire-only
+// presence bitmap so unbound cells cost one bit (in memory an unbound
+// cell is dict.Unbound).
 package cluster
 
 import (
@@ -18,6 +19,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"math"
 	"sync"
 	"sync/atomic"
 
@@ -32,7 +34,7 @@ import (
 // task streams are client-allocated and never reused.
 const (
 	frameTask   = 0x01 // binary task header; opens a stream
-	frameBatch  = 0x02 // columnar batch: side byte + dict deltas + columns
+	frameBatch  = 0x02 // columnar batch: side byte + dict deltas + wire-ID columns
 	frameDone   = 0x03 // one side byte: no more batches for that side
 	frameError  = 0x04 // UTF-8 error message; aborts the stream
 	frameHello  = 0x05 // JSON worker status (link handshake + probe reply)
@@ -91,16 +93,18 @@ func putWireBuf(bp *[]byte) {
 }
 
 // Encoder writes frames to one end of a link. Terms cross the wire once
-// per link: the first batch carrying a dictionary ID prepends a
-// (senderID, term) delta record, and every later occurrence — on any
-// stream of the link, for the link's whole lifetime — ships as the bare
-// varint ID, resolved by the receiver's remap table. An Encoder is safe
-// for concurrent use: all streams multiplexed on the link share it.
+// per link: the first batch carrying a dictionary ID gives it the link's
+// next wire ID and prepends the term as a delta record, and every
+// occurrence — on any stream, for the link's whole lifetime — ships as
+// the varint wire ID. wire maps local IDs, which are dense (dict.Table
+// says why), to wire IDs (0: not shipped yet). An Encoder is safe for
+// concurrent use: all streams multiplexed on the link share it.
 type Encoder struct {
 	mu    sync.Mutex
 	w     *bufio.Writer
 	d     *dict.Dict
-	sent  map[dict.ID]struct{}
+	wire  []uint32
+	sent  uint64 // wire IDs assigned; the last one is sent
 	fresh []dict.ID
 	tmp   [binary.MaxVarintLen64]byte
 
@@ -114,9 +118,8 @@ type Encoder struct {
 // NewEncoder returns an encoder over w resolving IDs through d.
 func NewEncoder(w io.Writer, d *dict.Dict) *Encoder {
 	return &Encoder{
-		w:    bufio.NewWriterSize(w, 64<<10),
-		d:    d,
-		sent: make(map[dict.ID]struct{}),
+		w: bufio.NewWriterSize(w, 64<<10),
+		d: d,
 	}
 }
 
@@ -137,12 +140,12 @@ func (e *Encoder) ShuffledBytes() int64 { return e.shufBytes.Load() }
 // lexical forms); amortized to ~once per term per link lifetime.
 func (e *Encoder) DeltaBytes() int64 { return e.deltaBytes.Load() }
 
-// SentTerms returns the size of the link's shipped-term set (the
-// receiver's remap table mirrors it).
+// SentTerms returns the number of terms the link has shipped, which is
+// also its last wire ID (the receiver's remap table mirrors it).
 func (e *Encoder) SentTerms() int {
 	e.mu.Lock()
 	defer e.mu.Unlock()
-	return len(e.sent)
+	return int(e.sent)
 }
 
 // writeFrameLocked frames and flushes one payload; callers hold e.mu.
@@ -189,19 +192,27 @@ func (e *Encoder) Batch(stream uint64, side byte, b *engine.ColBatch) error {
 			if id == dict.Unbound {
 				continue
 			}
-			if _, ok := e.sent[id]; !ok {
-				e.sent[id] = struct{}{}
+			if uint64(id) >= uint64(len(e.wire)) {
+				e.wire = append(e.wire, make([]uint32, int(id)+1-len(e.wire))...)
+			}
+			if e.wire[id] == 0 {
 				fresh = append(fresh, id)
+				e.wire[id] = uint32(e.sent + uint64(len(fresh)))
 			}
 		}
 	}
 	e.fresh = fresh[:0]
+	if e.sent+uint64(len(fresh)) > math.MaxUint32 {
+		for _, id := range fresh { // never wrap: unassign and fail
+			e.wire[id] = 0
+		}
+		return fmt.Errorf("cluster: link out of wire IDs after %d terms", e.sent)
+	}
+	e.sent += uint64(len(fresh))
 	deltaStart := len(buf)
 	buf = binary.AppendUvarint(buf, uint64(len(fresh)))
 	for _, id := range fresh {
-		t := e.d.MustLookup(id)
-		buf = binary.AppendUvarint(buf, uint64(id))
-		buf = wirefmt.AppendTerm(buf, t)
+		buf = wirefmt.AppendTerm(buf, e.d.MustLookup(id))
 	}
 	e.deltaBytes.Add(int64(len(buf) - deltaStart))
 
@@ -223,7 +234,7 @@ func (e *Encoder) Batch(stream uint64, side byte, b *engine.ColBatch) error {
 		}
 		for r := 0; r < b.Len; r++ {
 			if id := col[r]; id != dict.Unbound {
-				buf = binary.AppendUvarint(buf, uint64(id))
+				buf = binary.AppendUvarint(buf, uint64(e.wire[id]))
 			}
 		}
 	}
@@ -297,14 +308,14 @@ type Frame struct {
 type SchemaLookup func(stream uint64, side byte) *engine.Schema
 
 // Decoder reads frames from a link, interning dictionary deltas into the
-// local dictionary and remapping the sender's IDs into local ones as
-// batches decode. The remap table is link-lifetime: it grows across
-// every task multiplexed on the link and resets only when the link
-// re-dials.
+// local dictionary and translating wire IDs into local ones as batches
+// decode. The remap table (remap[w] is wire ID w's local ID; 0 is
+// reserved) is link-lifetime: it grows by one entry per delta record,
+// never by a peer-chosen amount, and resets only when the link re-dials.
 type Decoder struct {
 	r      *bufio.Reader
 	d      *dict.Dict
-	remap  map[uint64]dict.ID
+	remap  []dict.ID
 	lookup SchemaLookup
 	buf    []byte
 
@@ -321,7 +332,7 @@ func NewDecoder(r io.Reader, d *dict.Dict) *Decoder {
 	return &Decoder{
 		r:     bufio.NewReaderSize(r, 64<<10),
 		d:     d,
-		remap: make(map[uint64]dict.ID),
+		remap: make([]dict.ID, 1),
 	}
 }
 
@@ -344,9 +355,9 @@ func (dec *Decoder) ShuffledBytes() int64 { return dec.shufBytes.Load() }
 // DeltaBytes returns the bytes read as dictionary-delta records.
 func (dec *Decoder) DeltaBytes() int64 { return dec.deltaBytes.Load() }
 
-// RemapEntries returns the current size of the link's sender-ID remap
-// table (entries are never removed, so this is also the count of terms
-// that crossed the link).
+// RemapEntries returns the number of wire IDs the link's remap table
+// translates (entries are never removed, so this is also the count of
+// terms that crossed the link).
 func (dec *Decoder) RemapEntries() int64 { return dec.remapN.Load() }
 
 // Next reads one frame. It returns io.EOF at a clean end of stream and an
@@ -425,15 +436,11 @@ func (dec *Decoder) decodeBatch(stream uint64, p []byte) (byte, *engine.ColBatch
 	ndelta := c.Count() // each delta record is several bytes
 	deltaStart := c.Off
 	for i := 0; i < ndelta && c.Err == nil; i++ {
-		senderID := c.Uvarint()
 		t := c.Term()
 		if c.Err != nil {
 			break
 		}
-		if senderID == 0 {
-			return 0, nil, corrupt("delta for reserved unbound ID")
-		}
-		dec.remap[senderID] = dec.d.Intern(t)
+		dec.remap = append(dec.remap, dec.d.Intern(t))
 		dec.remapN.Add(1)
 	}
 	if c.Err != nil {
@@ -479,15 +486,14 @@ func (dec *Decoder) decodeBatch(stream uint64, p []byte) (byte, *engine.ColBatch
 			if bm[r>>3]&(1<<(uint(r)&7)) == 0 {
 				continue
 			}
-			senderID := c.Uvarint()
+			w := c.Uvarint()
 			if c.Err != nil {
 				return 0, nil, c.Err
 			}
-			local, ok := dec.remap[senderID]
-			if !ok {
-				return 0, nil, corrupt("ID %d has no dictionary delta", senderID)
+			if w == 0 || w >= uint64(len(dec.remap)) {
+				return 0, nil, corrupt("ID %d has no dictionary delta", w)
 			}
-			col[r] = local
+			col[r] = dec.remap[w]
 		}
 		b.Cols[ci] = col
 	}

@@ -4,12 +4,15 @@ import (
 	"bytes"
 	"encoding/binary"
 	"errors"
+	"fmt"
 	"io"
+	"math"
 	"testing"
 
 	"ontario/internal/dict"
 	"ontario/internal/engine"
 	"ontario/internal/rdf"
+	"ontario/internal/wirefmt"
 )
 
 // buildBatch interns the given terms into d and packs them as one batch;
@@ -356,22 +359,42 @@ func TestWireRejectsCorruptInput(t *testing.T) {
 		}
 	})
 
-	t.Run("unknown dictionary ID", func(t *testing.T) {
-		// A batch whose column references an ID with no preceding delta:
-		// craft by encoding with a second encoder that believes the ID
-		// was already sent.
-		var buf2 bytes.Buffer
-		enc2 := NewEncoder(&buf2, sender)
-		enc2.sent[batch.Cols[0][0]] = struct{}{}
-		enc2.sent[batch.Cols[1][0]] = struct{}{}
-		if err := enc2.Batch(1, SideOut, batch); err != nil {
-			t.Fatal(err)
-		}
-		_, err := decodeAll(t, buf2.Bytes(), dict.New(), map[byte]*engine.Schema{SideOut: schema})
-		if !isCorrupt(err) {
-			t.Fatalf("want corrupt-frame error for unmapped ID, got %v", err)
-		}
-	})
+	// Hand-built one-row batches whose cells carry wire IDs the link has
+	// not defined: each must be rejected, and the decoder's remap table
+	// may grow only by the deltas the input carries, never to a
+	// peer-chosen size.
+	for _, tc := range []struct {
+		name   string
+		deltas int
+		ids    [2]uint64
+	}{
+		{"unknown dictionary ID", 0, [2]uint64{1, 2}},
+		{"wire ID 0", 2, [2]uint64{0, 1}},
+		{"wire ID one past the last delta", 2, [2]uint64{1, 3}},
+		{"wire ID 1<<62", 1, [2]uint64{1, 1 << 62}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			payload := []byte{SideOut}
+			payload = binary.AppendUvarint(payload, uint64(tc.deltas))
+			for i := 0; i < tc.deltas; i++ {
+				payload = wirefmt.AppendTerm(payload, rdf.NewIRI(fmt.Sprintf("http://ex/d%d", i)))
+			}
+			payload = binary.AppendUvarint(payload, 1) // rows
+			payload = binary.AppendUvarint(payload, 2) // cols
+			for _, id := range tc.ids {
+				payload = append(payload, 0x01) // presence bitmap: row 0 bound
+				payload = binary.AppendUvarint(payload, id)
+			}
+			dec := NewDecoder(bytes.NewReader(batchFrame(t, 1, payload)), dict.New())
+			dec.SetLookup(sideLookup(map[byte]*engine.Schema{SideOut: schema}))
+			if _, err := dec.Next(); !isCorrupt(err) {
+				t.Fatalf("want corrupt-frame error for undefined wire ID, got %v", err)
+			}
+			if got := len(dec.remap); got != 1+tc.deltas {
+				t.Fatalf("remap table has %d entries after %d deltas, want %d", got, tc.deltas, 1+tc.deltas)
+			}
+		})
+	}
 
 	t.Run("trailing garbage in batch", func(t *testing.T) {
 		raw := append([]byte(nil), valid.Bytes()...)
@@ -392,24 +415,61 @@ func TestWireRejectsCorruptInput(t *testing.T) {
 		payload = binary.AppendUvarint(payload, 0)               // no deltas
 		payload = binary.AppendUvarint(payload, uint64(1<<20)+1) // rows over the wire limit
 		payload = binary.AppendUvarint(payload, 2)               // cols
-		var buf bytes.Buffer
-		e := NewEncoder(&buf, sender)
-		e.mu.Lock()
-		err := e.writeFrameLocked(frameBatch, 1, payload)
-		e.mu.Unlock()
-		if err != nil {
-			t.Fatal(err)
-		}
-		_, derr := decodeAll(t, buf.Bytes(), dict.New(), map[byte]*engine.Schema{SideOut: schema})
+		_, derr := decodeAll(t, batchFrame(t, 1, payload), dict.New(), map[byte]*engine.Schema{SideOut: schema})
 		if !isCorrupt(derr) {
 			t.Fatalf("want corrupt-frame error for oversized rows, got %v", derr)
 		}
 	})
 }
 
+// batchFrame frames a hand-built batch payload for the given stream.
+func batchFrame(t *testing.T, stream uint64, payload []byte) []byte {
+	t.Helper()
+	var buf bytes.Buffer
+	e := NewEncoder(&buf, dict.New())
+	e.mu.Lock()
+	err := e.writeFrameLocked(frameBatch, stream, payload)
+	e.mu.Unlock()
+	if err != nil {
+		t.Fatal(err)
+	}
+	return buf.Bytes()
+}
+
+// TestWireEncoderRunsOutOfWireIDs pins the no-wrap rule: a batch that
+// would need a wire ID past the last one fails, leaves the link's
+// numbering as it was, and a batch that still fits goes through.
+func TestWireEncoderRunsOutOfWireIDs(t *testing.T) {
+	sender := dict.New()
+	schema := engine.NewSchema([]string{"x", "y"})
+	two := buildBatch(t, sender, schema, [][]*rdf.Term{
+		{term(rdf.NewIRI("http://ex/a")), term(rdf.NewIRI("http://ex/b"))},
+	})
+	var buf bytes.Buffer
+	enc := NewEncoder(&buf, sender)
+	enc.sent = math.MaxUint32 - 1 // one wire ID left
+	if err := enc.Batch(1, SideOut, two); err == nil {
+		t.Fatal("batch needing two wire IDs with one left succeeded")
+	}
+	if buf.Len() != 0 || enc.SentTerms() != math.MaxUint32-1 {
+		t.Fatalf("failed batch wrote %d bytes and left %d terms shipped", buf.Len(), enc.SentTerms())
+	}
+	one := engine.NewColBuilder(engine.NewSchema([]string{"x"}))
+	one.AppendIDs([]dict.ID{two.Cols[1][0]})
+	if err := enc.Batch(1, SideOut, one.Take()); err != nil {
+		t.Fatalf("batch needing the last wire ID: %v", err)
+	}
+	if w := enc.wire[two.Cols[1][0]]; w != math.MaxUint32 {
+		t.Fatalf("last term got wire ID %d, want %d", w, uint32(math.MaxUint32))
+	}
+	if w := enc.wire[two.Cols[0][0]]; w != 0 {
+		t.Fatalf("term of the failed batch kept wire ID %d", w)
+	}
+}
+
 // TestWireEncodeSteadyStateAllocs guards the codec hot path: once a
 // term's delta has shipped, encoding further batches of known terms must
-// not allocate — scratch buffers come from the pool and the delta set
+// not allocate — scratch buffers come from the pool and the wire-ID table
 // stays warm.
 func TestWireEncodeSteadyStateAllocs(t *testing.T) {
 	sender := dict.New()
@@ -429,51 +489,72 @@ func TestWireEncodeSteadyStateAllocs(t *testing.T) {
 	}
 }
 
-func BenchmarkWireEncode(b *testing.B) {
+// TestWireDecodeSteadyStateAllocs is the decoder's side of the guard:
+// once a link's deltas have interned, decoding a batch of known terms
+// allocates only the ColBatch, its column directory and its columns.
+func TestWireDecodeSteadyStateAllocs(t *testing.T) {
 	sender := dict.New()
 	schema := engine.NewSchema([]string{"s", "name", "age"})
-	batch := buildBatch(b, sender, schema, testRows())
-	enc := NewEncoder(io.Discard, sender)
-	if err := enc.Batch(1, SideLeft, batch); err != nil {
-		b.Fatal(err)
-	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if err := enc.Batch(1, SideLeft, batch); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-func BenchmarkWireDecode(b *testing.B) {
-	sender := dict.New()
-	schema := engine.NewSchema([]string{"s", "name", "age"})
-	batch := buildBatch(b, sender, schema, testRows())
+	batch := buildBatch(t, sender, schema, testRows())
 	var warm, steady bytes.Buffer
 	enc := NewEncoder(io.MultiWriter(&warm, &steady), sender)
 	if err := enc.Batch(1, SideOut, batch); err != nil {
-		b.Fatal(err)
+		t.Fatal(err)
 	}
-	steady.Reset() // keep only post-delta frames in the steady buffer
+	steady.Reset()
 	if err := enc.Batch(1, SideOut, batch); err != nil {
-		b.Fatal(err)
+		t.Fatal(err)
 	}
-	receiver := dict.New()
-	dec := NewDecoder(bytes.NewReader(warm.Bytes()), receiver)
+	dec := NewDecoder(bytes.NewReader(warm.Bytes()), dict.New())
 	dec.SetLookup(sideLookup(map[byte]*engine.Schema{SideOut: schema}))
 	if _, err := dec.Next(); err != nil { // intern the deltas once
-		b.Fatal(err)
+		t.Fatal(err)
 	}
-	frame := steady.Bytes()
+	var r bytes.Reader
+	avg := testing.AllocsPerRun(200, func() {
+		r.Reset(steady.Bytes())
+		dec.r.Reset(&r)
+		if f, err := dec.Next(); err != nil || f.Batch == nil {
+			t.Fatalf("decode: %v", err)
+		}
+	})
+	if limit := float64(len(schema.Vars) + 2); avg > limit {
+		t.Fatalf("steady-state decode allocates %.1f objects per batch, want <= %.0f", avg, limit)
+	}
+}
+
+// BenchmarkWireBatch is one link's steady state both ways: encode a
+// 64-row × 4-column batch of already-shipped terms, then decode it.
+func BenchmarkWireBatch(b *testing.B) {
+	sender := dict.New()
+	schema := engine.NewSchema([]string{"a", "b", "c", "d"})
+	rows := make([][]*rdf.Term, 64)
+	for r := range rows {
+		rows[r] = []*rdf.Term{
+			term(rdf.NewIRI(fmt.Sprintf("http://ex/s%d", r))),
+			term(rdf.NewIRI(fmt.Sprintf("http://ex/p%d", r%8))),
+			term(rdf.NewLiteral(fmt.Sprintf("v%d", r))),
+			term(rdf.Term{Kind: rdf.TermLiteral, Value: fmt.Sprint(r), Datatype: "http://www.w3.org/2001/XMLSchema#integer"}),
+		}
+	}
+	batch := buildBatch(b, sender, schema, rows)
+	var link bytes.Buffer
+	enc := NewEncoder(&link, sender)
+	dec := NewDecoder(&link, dict.New())
+	dec.SetLookup(sideLookup(map[byte]*engine.Schema{SideLeft: schema}))
+	step := func() {
+		if err := enc.Batch(1, SideLeft, batch); err != nil {
+			b.Fatal(err)
+		}
+		if f, err := dec.Next(); err != nil || f.Batch == nil {
+			b.Fatalf("decode: %v", err)
+		}
+	}
+	step() // ship and intern the deltas
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		r := bytes.NewReader(frame)
-		dec.r.Reset(r)
-		if _, err := dec.Next(); err != nil {
-			b.Fatal(err)
-		}
+		step()
 	}
 }
 
@@ -523,6 +604,11 @@ func FuzzDecode(f *testing.F) {
 		})
 		for i := 0; i < 1000; i++ {
 			frame, err := dec.Next()
+			// The remap table grows by one entry per delta record read,
+			// so its memory is bounded by the input, not by any ID in it.
+			if n := len(dec.remap) - 1; n > len(raw) {
+				t.Fatalf("remap table has %d entries from %d input bytes", n, len(raw))
+			}
 			if err != nil {
 				return
 			}
