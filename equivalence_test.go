@@ -8,9 +8,11 @@ import (
 	"testing"
 
 	"ontario"
+	"ontario/internal/bridge"
 	"ontario/internal/lslod"
 	"ontario/internal/rdf"
 	"ontario/internal/sparql"
+	"ontario/lake"
 )
 
 // The columnar data plane (dictionary IDs, ColBatch exchange, Unbound
@@ -378,5 +380,78 @@ SELECT ?gene ?len WHERE {
 		}
 		sort.Strings(got)
 		diffMultisets(t, fmt.Sprintf("typed/batch=%d", batch), want, got)
+	}
+}
+
+// TestJoinOperatorsAgreeOnLexicalForms joins an RDF integer written with a
+// leading zero, "01818"^^xsd:integer, with a relational INT column holding
+// 1818. The two are different RDF terms, so the reference joins them to
+// nothing; only the person whose year is written canonically meets a book.
+// Every join operator, in aware and unaware mode, must agree — a bind
+// join's seed reaches the SQL source's index by value, so its rows must
+// still be matched back to the seed by term.
+func TestJoinOperatorsAgreeOnLexicalForms(t *testing.T) {
+	const (
+		classPerson = "http://t/Person"
+		classBook   = "http://t/Book"
+		predBorn    = "http://t/born"
+		predYear    = "http://t/year"
+	)
+	l, err := lake.NewBuilder().
+		AddGraph("people", []lake.Triple{
+			{S: lake.IRI("http://t/person/1"), P: lake.IRI(lake.RDFType), O: lake.IRI(classPerson)},
+			{S: lake.IRI("http://t/person/1"), P: lake.IRI(predBorn), O: lake.TypedLiteral("01818", rdf.XSDInteger)},
+			{S: lake.IRI("http://t/person/2"), P: lake.IRI(lake.RDFType), O: lake.IRI(classPerson)},
+			{S: lake.IRI("http://t/person/2"), P: lake.IRI(predBorn), O: lake.Integer(1887)},
+		}).
+		AddTable("shop", lake.TableSpec{
+			Name: "book",
+			Columns: []lake.Column{
+				{Name: "id", Type: lake.TypeInt, NotNull: true},
+				{Name: "year", Type: lake.TypeInt},
+			},
+			PrimaryKey: "id",
+			Rows:       [][]any{{1, 1887}, {2, 1818}, {3, 1871}},
+			Indexes:    []lake.Index{{Column: "year", Kind: lake.BTreeIndex}},
+		}).
+		MapClass("shop", lake.ClassMapping{
+			Class:           classBook,
+			Table:           "book",
+			SubjectTemplate: "http://t/book/{value}",
+			Properties:      []lake.PropertyMapping{{Predicate: predYear, Column: "year"}},
+		}).
+		Build()
+	if err != nil {
+		t.Fatal(err)
+	}
+	cat := bridge.LakeCatalog(l)
+	ref := rdf.NewGraph()
+	ref.AddAll(cat.Source("people").Graph.Triples())
+	shop, err := lslod.GraphFromSource(cat.Source("shop"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	ref.AddAll(shop.Triples())
+
+	query := fmt.Sprintf(`SELECT ?p ?b WHERE {
+  ?p <%s> <%s> .
+  ?p <%s> ?y .
+  ?b <%s> <%s> .
+  ?b <%s> ?y .
+}`, rdfTypeIRI, classPerson, predBorn, rdfTypeIRI, classBook, predYear)
+	_, want := reference(t, ref, query)
+	if len(want) != 1 || !strings.Contains(want[0], "http://t/person/2") {
+		t.Fatalf("the reference returned %q, want just person/2 with book/1", want)
+	}
+	eng := ontario.New(l)
+	for _, mode := range []struct {
+		name string
+		opt  ontario.Option
+	}{{"aware", ontario.WithAwarePlan()}, {"unaware", ontario.WithUnawarePlan()}} {
+		for _, op := range []ontario.JoinOperator{ontario.JoinSymmetricHash, ontario.JoinBind, ontario.JoinBlockBind} {
+			_, got := runCanon(t, eng, query, mode.opt, ontario.WithJoinOperator(op),
+				ontario.WithNetwork(ontario.NoDelay), ontario.WithNetworkScale(0))
+			diffMultisets(t, fmt.Sprintf("%s/%v", mode.name, op), want, got)
+		}
 	}
 }

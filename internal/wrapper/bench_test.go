@@ -54,13 +54,7 @@ func BenchmarkSQLMiss(b *testing.B) {
 		b.Run(bc.name, func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				r := bc.req(i)
-				var e *respEntry
-				if r.Block {
-					e, err = w.columnarBlockEntry(r, schema, d)
-				} else {
-					e, err = w.columnarEntry(r, schema, d)
-				}
+				e, err := w.columnarEntry(bc.req(i), schema, d)
 				if err != nil {
 					b.Fatal(err)
 				}

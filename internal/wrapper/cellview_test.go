@@ -101,11 +101,10 @@ func mappedClass(src *catalog.Source, s *StarQuery) string {
 	return ""
 }
 
-// sameEntry fails unless got and want hold the same rows in the same order
-// under the same delay contract.
+// sameEntry fails unless got and want hold the same rows in the same order.
 func sameEntry(t *testing.T, what string, got, want *respEntry) {
 	t.Helper()
-	if got.nrows != want.nrows || got.perRow != want.perRow || !slices.EqualFunc(got.cols, want.cols, slices.Equal[[]dict.ID]) {
+	if got.nrows != want.nrows || !slices.EqualFunc(got.cols, want.cols, slices.Equal[[]dict.ID]) {
 		t.Fatalf("%s: decoded %d rows, valueToTerm+Intern decodes %d, or the rows differ", what, got.nrows, want.nrows)
 	}
 }
@@ -133,13 +132,7 @@ func seededForms(req *Request, schema *engine.Schema, e *respEntry) []*Request {
 // entryFor answers req the way a miss does.
 func entryFor(t *testing.T, w *SQLWrapper, req *Request, schema *engine.Schema, d *dict.Dict) *respEntry {
 	t.Helper()
-	var e *respEntry
-	var err error
-	if req.Block {
-		e, err = w.columnarBlockEntry(req, schema, d)
-	} else {
-		e, err = w.columnarEntry(req, schema, d)
-	}
+	e, err := w.columnarEntry(req, schema, d)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -13,7 +13,6 @@ import (
 	"ontario/internal/netsim"
 	"ontario/internal/rdb"
 	"ontario/internal/sparql"
-	"ontario/internal/sql"
 	"ontario/internal/trace"
 )
 
@@ -50,30 +49,18 @@ func (w *DBSQLWrapper) ExecuteColumnar(ctx context.Context, req *Request, schema
 	if err != nil {
 		return nil, err
 	}
-	return newRespEntry(req, sols, schema, d).stream(ctx, w.sim, schema, w.batch), nil
+	return newRespEntry(sols, schema, d).stream(ctx, w.sim, !req.Block, schema, w.batch), nil
 }
 
-// solutions translates the request, runs it on the live connection and
-// decodes the matching rows; a request the translation proves empty
-// returns no solutions without touching the database.
+// solutions translates the request with its seeds pushed down, runs it on
+// the live connection and decodes the rows that match a seed; a request
+// the translation proves empty returns no solutions without touching the
+// database.
 func (w *DBSQLWrapper) solutions(ctx context.Context, req *Request, d *dict.Dict) ([]sparql.Binding, error) {
-	seed, seeds := req.seed(d), req.blockSeeds(d)
-	tl, err := translateRequest(w.src, seedStars(req, d), req.Filters)
-	if err != nil || tl.empty {
+	seeds := req.seedBindings(d)
+	tl, err := translateRequest(w.src, req.Stars, req.Filters)
+	if err != nil || tl.empty || tl.pushSeeds(seeds) {
 		return nil, err
-	}
-	if req.Block {
-		seedCond, provablyEmpty := tl.seedPredicate(seeds)
-		if provablyEmpty {
-			return nil, nil
-		}
-		if seedCond != nil {
-			if tl.sel.Where == nil {
-				tl.sel.Where = seedCond
-			} else {
-				tl.sel.Where = &sql.And{L: tl.sel.Where, R: seedCond}
-			}
-		}
 	}
 	rows, err := w.query(ctx, tl)
 	if err != nil {
@@ -81,17 +68,9 @@ func (w *DBSQLWrapper) solutions(ctx context.Context, req *Request, d *dict.Dict
 	}
 	var sols []sparql.Binding
 	for _, row := range rows {
-		b, ok := tl.decodeRow(row)
-		if !ok {
-			continue
+		if b, ok := tl.decodeRow(row); ok && matchesAnySeed(b, seeds) && passes(b, tl.localFilters) {
+			sols = append(sols, b)
 		}
-		if !matchesAnySeed(b, seeds) {
-			continue
-		}
-		if !passes(withSeed(b, seed), tl.localFilters) {
-			continue
-		}
-		sols = append(sols, b)
 	}
 	return sols, nil
 }

@@ -15,8 +15,8 @@ import (
 // It forwards star sub-queries, re-checks seed compatibility on the results
 // (the custom implementation is free to ignore seeds), evaluates any pushed
 // filters wrapper-side, and charges the simulated network like the built-in
-// wrappers: one latency sample per answer for plain and single-seed
-// requests, one per block for multi-seed block requests.
+// wrappers: one latency sample per answer, or one per response for a block
+// request.
 type ExternalWrapper struct {
 	id    string
 	src   catalog.ExternalSource
@@ -43,21 +43,15 @@ func (w *ExternalWrapper) ExecuteColumnar(ctx context.Context, req *Request, sch
 		stars[i] = catalog.ExternalStar{SubjectVar: s.SubjectVar, Class: s.Class, Patterns: s.Patterns}
 	}
 	seeds := req.seedBindings(d)
-	seed := req.seed(d)
 	sols, err := w.src.ExecuteStars(ctx, stars, seeds)
 	if err != nil {
 		return nil, fmt.Errorf("wrapper %s: %w", w.id, err)
 	}
 	kept := sols[:0:0]
 	for _, b := range sols {
-		if !matchesAnySeed(b, seeds) {
-			continue
-		}
-		// Pushed filters reference the stars' own variables; evaluate over
-		// the seed-merged binding so seeded variables resolve too.
-		if passes(withSeed(b, seed), req.Filters) {
+		if matchesAnySeed(b, seeds) && passes(b, req.Filters) {
 			kept = append(kept, b)
 		}
 	}
-	return newRespEntry(req, kept, schema, d).stream(ctx, w.sim, schema, w.batch), nil
+	return newRespEntry(kept, schema, d).stream(ctx, w.sim, !req.Block, schema, w.batch), nil
 }

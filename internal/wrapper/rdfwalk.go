@@ -64,11 +64,11 @@ func (vs *tripleViews) get(g *rdf.Graph, d *dict.Dict) *tripleIDs {
 // walkEntry answers a missed RDF request in dictionary IDs. Solutions are
 // flat rows over req.Vars(), walked as sparql.EvalBGP walks them —
 // patterns in OrderPatterns' order, each one's matches in the graph's
-// index order — so the rows and their order are EvalBGP's. A per-answer
-// seed becomes constants, as the reference substitutes it, and its IDs
-// start the row; a block starts from its seeds' projections (blockStarts)
-// and its rows are re-checked against the seeds by ID. Pushed filters see
-// only the rows that reach them, and rows land at their schema positions.
+// index order. A seeded request starts from its seeds' projections
+// (blockStarts) and its rows are re-checked against the seeds by ID, so
+// they bind the seeded variables with the graph's own terms. Pushed
+// filters see only the rows that reach them, and rows land at their
+// schema positions.
 func walkEntry(g *rdf.Graph, view *tripleIDs, req *Request, schema *engine.Schema, d *dict.Dict) *respEntry {
 	vars := req.Vars()
 	var patterns []sparql.TriplePattern
@@ -78,27 +78,13 @@ func walkEntry(g *rdf.Graph, view *tripleIDs, req *Request, schema *engine.Schem
 	// Rows keep at least one cell, so a variable-free row still counts.
 	wk := &bgpWalk{g: g, view: view, d: d, stride: max(len(vars), 1)}
 	bound := map[string]bool{}
-	var checks []seedIDCheck
-	if req.Block {
-		wk.cur = blockStarts(req.Seeds, vars, wk.stride, bound)
-		checks = buildSeedIDChecks(req.Seeds, engine.NewSchema(vars))
-	} else {
-		patterns = substituteSeed(patterns, req, d)
-		wk.cur = make([]dict.ID, wk.stride)
-		for i, id := range req.Seeds.IDs { // at most one seed
-			if c := slices.Index(vars, req.Seeds.Vars[i]); c >= 0 {
-				wk.cur[c] = id
-			}
-		}
-	}
+	wk.cur = blockStarts(req.Seeds, vars, wk.stride, bound)
 	rows := wk.run(sparql.OrderPatterns(g, patterns, bound), vars)
 
-	var ev *engine.ScratchEval
-	if len(req.Filters) > 0 {
-		ev = engine.NewScratchEval(req.Filters, engine.NewSchema(vars), d)
-	}
+	walked := engine.NewSchema(vars)
+	checks := buildSeedIDChecks(req.Seeds, walked)
+	ev := engine.NewScratchEval(req.Filters, walked, d)
 	stride := len(schema.Vars)
-	template := seedTemplate(req, schema)
 	place := schema.Positions(vars)
 	var kept []dict.ID
 	n := 0
@@ -107,16 +93,16 @@ func walkEntry(g *rdf.Graph, view *tripleIDs, req *Request, schema *engine.Schem
 		if !matchesAnySeedIDs(row, checks) || !ev.PassesIDs(row) {
 			continue
 		}
-		kept = append(kept, template...)
+		kept = append(kept, make([]dict.ID, stride)...)
 		out := kept[len(kept)-stride:]
 		for i, p := range place {
-			if p >= 0 && row[i] != dict.Unbound {
+			if p >= 0 {
 				out[p] = row[i]
 			}
 		}
 		n++
 	}
-	return newColEntry(!req.Block, kept, n, stride)
+	return newColEntry(kept, n, stride)
 }
 
 // bgpWalk extends flat ID rows pattern by pattern in two reused buffers.
@@ -193,15 +179,16 @@ func (wk *bgpWalk) extend(tid int, t *rdf.Triple) {
 	}
 }
 
-// blockStarts returns a block's first rows: the distinct projections of
+// blockStarts returns a walk's first rows: the distinct projections of
 // the seeds onto the request variables the first seed binds (marked in
-// bound), so each solution extends at most one of them. When some seed
-// does not bind all of those — a seed binding no request variable is
-// compatible with every solution — the walk starts from the empty row.
+// bound), so each solution extends at most one of them. Without seeds, or
+// when some seed does not bind all of those — a seed binding no request
+// variable is compatible with every solution — the walk starts from the
+// empty row.
 func blockStarts(seeds engine.Seeds, vars []string, stride int, bound map[string]bool) []dict.ID {
 	var on, from []int
 	for i, v := range vars {
-		if c := slices.Index(seeds.Vars, v); c >= 0 && seeds.Row(0)[c] != dict.Unbound {
+		if c := slices.Index(seeds.Vars, v); c >= 0 && seeds.Rows > 0 && seeds.Row(0)[c] != dict.Unbound {
 			on, from = append(on, i), append(from, c)
 		}
 	}

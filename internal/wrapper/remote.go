@@ -64,7 +64,8 @@ func (w *RemoteSPARQLWrapper) ExecuteColumnar(ctx context.Context, req *Request,
 	if len(req.Stars) == 0 {
 		return nil, fmt.Errorf("wrapper %s: empty request", w.id)
 	}
-	query := buildRemoteQuery(req, d)
+	seeds := req.seedBindings(d)
+	query := buildRemoteQuery(req, seeds)
 	qt := trace.FromContext(ctx)
 	var sols []sparql.Binding
 	var attempts atomic.Int64
@@ -96,33 +97,37 @@ func (w *RemoteSPARQLWrapper) ExecuteColumnar(ctx context.Context, req *Request,
 	if err != nil {
 		return nil, fmt.Errorf("wrapper %s: endpoint %s: %w", w.id, w.endpoint, err)
 	}
-	if req.Block {
-		// The seed block went down as a FILTER disjunction; re-check locally
-		// so a permissive endpoint cannot widen the join.
-		seeds := req.blockSeeds(d)
-		kept := sols[:0]
-		for _, b := range sols {
-			if matchesAnySeed(b, seeds) {
-				kept = append(kept, b)
-			}
+	// A single seed went down as constants and is merged back; several
+	// went down as a FILTER disjunction. Either way the solutions are
+	// re-checked locally, so a permissive endpoint cannot widen the join.
+	kept := sols[:0]
+	for _, b := range sols {
+		if len(seeds) == 1 {
+			b = seeds[0].Merge(b)
 		}
-		sols = kept
+		if matchesAnySeed(b, seeds) {
+			kept = append(kept, b)
+		}
 	}
-	return newRespEntry(req, sols, schema, d).stream(ctx, w.sim, schema, w.batch), nil
+	return newRespEntry(kept, schema, d).stream(ctx, w.sim, !req.Block, schema, w.batch), nil
 }
 
 // buildRemoteQuery compiles the request back to SPARQL text. A single
-// bind-join seed is substituted into the patterns as constants; a
-// multi-seed block becomes a FILTER disjunction of per-seed equality
-// conjunctions (the grammar subset has no VALUES), with the solutions
-// binding the seeded variables themselves — exactly the block-bind
-// contract the in-process wrappers implement.
-func buildRemoteQuery(req *Request, d *dict.Dict) string {
+// seed row is substituted into the patterns as constants; several become
+// a FILTER disjunction of per-seed equality conjunctions (the grammar
+// subset has no VALUES), with the solutions binding the seeded variables
+// themselves — the seed-set contract the in-process wrappers implement.
+func buildRemoteQuery(req *Request, seeds []sparql.Binding) string {
 	var patterns []sparql.TriplePattern
 	for _, s := range req.Stars {
 		patterns = append(patterns, s.Patterns...)
 	}
-	patterns = substituteSeed(patterns, req, d)
+	cond := ""
+	if len(seeds) == 1 {
+		patterns = substituteSeed(patterns, seeds[0])
+	} else {
+		cond = seedsFilter(seeds, patterns)
+	}
 	var b strings.Builder
 	b.WriteString("SELECT * WHERE {")
 	for _, tp := range patterns {
@@ -135,13 +140,31 @@ func buildRemoteQuery(req *Request, d *dict.Dict) string {
 		b.WriteString(f.String())
 		b.WriteString(")")
 	}
-	if cond := seedsFilter(req.blockSeeds(d), patterns); cond != "" {
+	if cond != "" {
 		b.WriteString(" FILTER(")
 		b.WriteString(cond)
 		b.WriteString(")")
 	}
 	b.WriteString(" }")
 	return b.String()
+}
+
+// substituteSeed replaces the variables seed binds in the patterns with
+// their terms.
+func substituteSeed(patterns []sparql.TriplePattern, seed sparql.Binding) []sparql.TriplePattern {
+	out := make([]sparql.TriplePattern, len(patterns))
+	sub := func(n sparql.Node) sparql.Node {
+		if n.IsVar {
+			if t, ok := seed[n.Var]; ok {
+				return sparql.TermNode(t)
+			}
+		}
+		return n
+	}
+	for i, tp := range patterns {
+		out[i] = sparql.TriplePattern{S: sub(tp.S), P: sub(tp.P), O: sub(tp.O)}
+	}
+	return out
 }
 
 // seedsFilter renders the block's seeds as a disjunction of equality

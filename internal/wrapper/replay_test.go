@@ -154,7 +154,7 @@ func TestReplaySharedByConcurrentOperators(t *testing.T) {
 		})
 	}
 	schema := engine.NewSchema([]string{"s", "n"})
-	e := newRespEntry(&Request{}, sols, schema, testDict)
+	e := newRespEntry(sols, schema, testDict)
 	checksum := func() uint64 {
 		h := uint64(fnvOffset)
 		for _, col := range e.cols {
@@ -168,7 +168,7 @@ func TestReplaySharedByConcurrentOperators(t *testing.T) {
 	filters := sparql.MustParse(`SELECT * WHERE { ?s <http://ex/p> ?n . FILTER (?n >= 150) }`).Filters
 
 	ctx := context.Background()
-	replay := func() *engine.CStream { return e.stream(ctx, nil, schema, 16) }
+	replay := func() *engine.CStream { return e.stream(ctx, nil, true, schema, 16) }
 	pipelines := []struct {
 		name string
 		run  func() *engine.CStream

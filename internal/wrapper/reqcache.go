@@ -20,7 +20,9 @@ import (
 // same fragments — can skip translation, source evaluation and term
 // interning entirely and stream its remembered ID rows, while the
 // network-simulation contract is honored live at replay time: one latency
-// sample per solution for per-answer retrieval, one per block response.
+// sample per solution, or one per response for a block request. The
+// charge is the request's, not the entry's, so a per-answer request and a
+// block of the same seed share one entry.
 //
 // Keys are content-addressed: the request's shape fingerprint (derived
 // once per plan leaf and carried by its seeded forms, see shapeOf), the
@@ -77,9 +79,6 @@ type respKey struct {
 	// variant disambiguates wrapper configurations that answer the same
 	// request differently (the SQL translation mode).
 	variant uint8
-	// block distinguishes the multi-seed block form, whose response
-	// contract (one message per block) differs from the per-answer form.
-	block bool
 	// h folds the shape fingerprint, the schema's variable order and the
 	// seed IDs; the entry verifies all three on hit.
 	h uint64
@@ -87,17 +86,11 @@ type respKey struct {
 
 // respEntry is one remembered response: the decoded ID rows stored
 // column-major — one []dict.ID of nrows IDs per schema column, read-only
-// once built, so a replay sends slices of them — plus the delay contract
-// its replay follows.
+// once built, so a replay sends slices of them.
 type respEntry struct {
 	gen   uint64
 	nrows int
 	cols  [][]dict.ID
-	// perRow selects the delay contract: one latency sample per row
-	// (per-answer retrieval) versus one per response (block form). An
-	// empty per-row response samples nothing; an empty block still costs
-	// its one message.
-	perRow bool
 
 	// shape, vars and seeds are the request identity the entry was stored
 	// under, compared on every hit; used is its second-chance flag.
@@ -122,7 +115,7 @@ func respKeyFor(source string, variant uint8, req *Request, schema *engine.Schem
 	for _, id := range req.Seeds.IDs {
 		h = mixResp(h ^ uint64(id))
 	}
-	return respKey{source: source, variant: variant, block: req.Block, h: h}
+	return respKey{source: source, variant: variant, h: h}
 }
 
 // fnvString folds s into h, FNV-1a style.
@@ -149,8 +142,7 @@ func mixResp(x uint64) uint64 {
 }
 
 // matches verifies the stored request identity — shape, schema order and
-// seed IDs — against the request, guarding hash collisions in the key (the
-// key itself carries the per-answer / block form).
+// seed IDs — against the request, guarding hash collisions in the key.
 func (e *respEntry) matches(req *Request, schema *engine.Schema) bool {
 	if s := req.shapeOf(); e.shape != s && e.shape.canon != s.canon {
 		return false
@@ -197,8 +189,8 @@ func (c *ResponseCache) store(k respKey, req *Request, schema *engine.Schema, e 
 // stride IDs each, row-major: the rows are transposed once into columns
 // sharing one backing array, and the row buffer stays the caller's to
 // drop.
-func newColEntry(perRow bool, rows []dict.ID, n, stride int) *respEntry {
-	e := &respEntry{perRow: perRow, nrows: n, cols: make([][]dict.ID, stride)}
+func newColEntry(rows []dict.ID, n, stride int) *respEntry {
+	e := &respEntry{nrows: n, cols: make([][]dict.ID, stride)}
 	flat := make([]dict.ID, n*stride)
 	for c := range e.cols {
 		col := flat[c*n : (c+1)*n : (c+1)*n]
@@ -212,14 +204,15 @@ func newColEntry(perRow bool, rows []dict.ID, n, stride int) *respEntry {
 
 // stream sends the response on a fresh columnar stream, sampling the
 // network simulation live. It is the one place the paper's network model
-// is applied: one latency sample per solution for per-answer retrieval,
-// one per block response, which is charged even when empty because the
-// response itself still crosses the network. A cache hit changes where
-// the rows come from, not what the execution observes: same rows, same
-// per-message delay accounting, batched at the wrapper's current batch
-// size. Every batch is a view of the stored columns, so a replay copies
-// no row. sim may be nil for no network simulation.
-func (e *respEntry) stream(ctx context.Context, sim *netsim.Simulator, schema *engine.Schema, batch int) *engine.CStream {
+// is applied, with the charge the request asks for: perAnswer charges one
+// latency sample per solution, so an empty response samples nothing;
+// otherwise the response is one message, charged even when empty because
+// it still crosses the network. A cache hit changes where the rows come
+// from, not what the execution observes: same rows, same per-message
+// delay accounting, batched at the wrapper's current batch size. Every
+// batch is a view of the stored columns, so a replay copies no row. sim
+// may be nil for no network simulation.
+func (e *respEntry) stream(ctx context.Context, sim *netsim.Simulator, perAnswer bool, schema *engine.Schema, batch int) *engine.CStream {
 	out := engine.NewCStream(schema, 4)
 	if batch <= 0 {
 		batch = engine.DefaultBatchSize
@@ -233,8 +226,8 @@ func (e *respEntry) stream(ctx context.Context, sim *netsim.Simulator, schema *e
 	}
 	go func() {
 		defer out.Close()
-		if !e.perRow {
-			// Block form: the (possibly empty) response is one message.
+		if !perAnswer {
+			// The (possibly empty) response is one message.
 			if sim != nil {
 				sim.Delay()
 			}
@@ -245,7 +238,7 @@ func (e *respEntry) stream(ctx context.Context, sim *netsim.Simulator, schema *e
 			}
 			return
 		}
-		// Per-answer form: each chunk's rows are charged just before it
+		// Per answer: each chunk's rows are charged just before it
 		// goes out. Under a simulator that really sleeps, rows trickle one
 		// sample at a time instead, and the pending rows go out before any
 		// sleep that would hold the oldest of them past the flush interval,
@@ -282,40 +275,21 @@ func (e *respEntry) stream(ctx context.Context, sim *netsim.Simulator, schema *e
 	return out
 }
 
-// newRespEntry interns the materialized solutions of req into a response
-// entry following the request's delay contract — per-answer unless req
-// carries a seed block — in schema order: each row starts from the seed
-// template and each solution overwrites the positions it binds. Wrappers
-// that evaluate terms before the boundary (remote hops, custom sources,
-// the naive translation) build their response through it.
-func newRespEntry(req *Request, sols []sparql.Binding, schema *engine.Schema, d *dict.Dict) *respEntry {
+// newRespEntry interns materialized solutions into a response entry in
+// schema order: each row starts unbound and each solution fills the
+// positions it binds. Wrappers that evaluate terms before the boundary
+// (remote hops, custom sources, the naive translation) build their
+// response through it.
+func newRespEntry(sols []sparql.Binding, schema *engine.Schema, d *dict.Dict) *respEntry {
 	stride := len(schema.Vars)
-	template := seedTemplate(req, schema)
-	rows := make([]dict.ID, 0, len(sols)*stride)
-	for _, b := range sols {
-		rows = append(rows, template...)
-		row := rows[len(rows)-stride:]
+	rows := make([]dict.ID, len(sols)*stride)
+	for r, b := range sols {
+		row := rows[r*stride : (r+1)*stride]
 		for i, v := range schema.Vars {
 			if t, ok := b[v]; ok {
 				row[i] = d.Intern(t)
 			}
 		}
 	}
-	return newColEntry(!req.Block, rows, len(sols), stride)
-}
-
-// seedTemplate places a per-answer request's seed IDs at their schema
-// positions (all Unbound for an unseeded or block request, whose solutions
-// bind the seeded variables themselves).
-func seedTemplate(req *Request, schema *engine.Schema) []dict.ID {
-	template := make([]dict.ID, len(schema.Vars))
-	if req.Block || req.Seeds.Rows == 0 {
-		return template
-	}
-	for i, id := range req.Seeds.Row(0) {
-		if p := schema.Pos(req.Seeds.Vars[i]); p >= 0 && id != dict.Unbound {
-			template[p] = id
-		}
-	}
-	return template
+	return newColEntry(rows, len(sols), stride)
 }

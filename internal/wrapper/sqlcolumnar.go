@@ -9,8 +9,6 @@ import (
 	"ontario/internal/dict"
 	"ontario/internal/engine"
 	"ontario/internal/rdb"
-	"ontario/internal/sparql"
-	"ontario/internal/sql"
 )
 
 // cellIDs is one relational column's cells in dictionary IDs, rendered
@@ -73,29 +71,25 @@ func (vs *cellViews) get(k cellKey) *cellIDs {
 type sqlColDecoder struct {
 	rows *rdb.Rows
 	// template carries the IDs fixed for every row: the translation's
-	// constant bindings overlaid by the request's seed IDs (seed wins).
+	// constant bindings.
 	template []dict.ID
 	cols     []sqlDecoderCol
 }
 
 type sqlDecoderCol struct {
 	// pos is the schema position the decoded value lands in; -1 when the
-	// value is seed-overridden or outside the schema (the column is then
-	// only NULL-checked).
+	// variable is outside the schema (the column is then only
+	// NULL-checked).
 	pos  int
 	view *cellIDs
 }
 
-// newSQLColDecoder builds the decoder of a translation's rows; seed is the
-// request's seed template (seedTemplate), which becomes the decoder's.
-func newSQLColDecoder(tl *translation, rows *rdb.Rows, seed []dict.ID, schema *engine.Schema, d *dict.Dict, views *cellViews) *sqlColDecoder {
-	dec := &sqlColDecoder{rows: rows, template: seed}
+// newSQLColDecoder builds the decoder of a translation's rows.
+func newSQLColDecoder(tl *translation, rows *rdb.Rows, schema *engine.Schema, d *dict.Dict, views *cellViews) *sqlColDecoder {
+	dec := &sqlColDecoder{rows: rows, template: make([]dict.ID, len(schema.Vars))}
 	dec.cols = make([]sqlDecoderCol, len(tl.varOrder))
 	for i, v := range tl.varOrder {
 		c := sqlDecoderCol{pos: schema.Pos(v)}
-		if c.pos >= 0 && seed[c.pos] != dict.Unbound {
-			c.pos = -1
-		}
 		if c.pos >= 0 {
 			t, col := rows.Source(i)
 			c.view = views.get(cellKey{t, col, tl.varCols[v].template, d})
@@ -103,8 +97,8 @@ func newSQLColDecoder(tl *translation, rows *rdb.Rows, seed []dict.ID, schema *e
 		dec.cols[i] = c
 	}
 	for v, t := range tl.constBindings {
-		if p := schema.Pos(v); p >= 0 && seed[p] == dict.Unbound {
-			seed[p] = d.Intern(t)
+		if p := schema.Pos(v); p >= 0 {
+			dec.template[p] = d.Intern(t)
 		}
 	}
 	return dec
@@ -172,36 +166,11 @@ func matchesAnySeedIDs(ids []dict.ID, checks []seedIDCheck) bool {
 	return false
 }
 
-// blockTranslation translates a multi-seed block request and pushes the
-// seed predicate into the WHERE clause; empty is true when the
-// translation proves the result empty before touching the database.
-func (w *SQLWrapper) blockTranslation(req *Request, seeds []sparql.Binding) (*translation, bool, error) {
-	tl, err := translateRequest(w.src, req.Stars, req.Filters)
-	if err != nil {
-		return nil, false, err
-	}
-	if tl.empty {
-		return nil, true, nil
-	}
-	seedCond, provablyEmpty := tl.seedPredicate(seeds)
-	if provablyEmpty {
-		return nil, true, nil
-	}
-	if seedCond != nil {
-		if tl.sel.Where == nil {
-			tl.sel.Where = seedCond
-		} else {
-			tl.sel.Where = &sql.And{L: tl.sel.Where, R: seedCond}
-		}
-	}
-	return tl, false, nil
-}
-
-// ExecuteColumnar implements Wrapper: the request is translated to SQL
-// and the result rows are decoded straight into dictionary IDs
-// (sqlColDecoder), unpushable filters included (see fill). Only the naive
-// multi-star translation decodes rows into bindings and interns at the
-// boundary.
+// ExecuteColumnar implements Wrapper: the request is translated to SQL,
+// its seeds pushed down, and the result rows are decoded straight into
+// dictionary IDs (sqlColDecoder), unpushable filters included (see fill).
+// Only the naive multi-star translation decodes rows into bindings and
+// interns at the boundary.
 //
 // The decoded response is built as a respEntry and streamed from it, so a
 // repeated request — the engine's response cache hits on the request's
@@ -221,7 +190,7 @@ func (w *SQLWrapper) ExecuteColumnar(ctx context.Context, req *Request, schema *
 		if err != nil {
 			return nil, err
 		}
-		return e.stream(ctx, nil, schema, w.batch), nil
+		return e.stream(ctx, nil, true, schema, w.batch), nil
 	}
 	gen := w.src.DB.Gen()
 	var key respKey
@@ -229,18 +198,10 @@ func (w *SQLWrapper) ExecuteColumnar(ctx context.Context, req *Request, schema *
 		key = respKeyFor(w.src.ID, uint8(w.mode), req, schema)
 		if e := w.cache.lookup(key, req, schema, gen); e != nil {
 			w.replayedSQL(req, d)
-			return e.stream(ctx, w.sim, schema, w.batch), nil
+			return e.stream(ctx, w.sim, !req.Block, schema, w.batch), nil
 		}
 	}
-	var (
-		e   *respEntry
-		err error
-	)
-	if req.Block {
-		e, err = w.columnarBlockEntry(req, schema, d)
-	} else {
-		e, err = w.columnarEntry(req, schema, d)
-	}
+	e, err := w.columnarEntry(req, schema, d)
 	if err != nil {
 		return nil, err
 	}
@@ -248,27 +209,23 @@ func (w *SQLWrapper) ExecuteColumnar(ctx context.Context, req *Request, schema *
 	if w.cache != nil {
 		w.cache.store(key, req, schema, e)
 	}
-	return e.stream(ctx, w.sim, schema, w.batch), nil
+	return e.stream(ctx, w.sim, !req.Block, schema, w.batch), nil
 }
 
-// translate translates a per-answer or block request into the statement
-// a miss runs, with a block's seed predicate pushed into the WHERE clause;
-// the translation is nil when it proves the result empty before touching
-// the database.
+// translate translates a request into the statement a miss runs, with its
+// seeds pushed into the WHERE clause; the translation is nil when it
+// proves the result empty before touching the database.
 func (w *SQLWrapper) translate(req *Request, d *dict.Dict) (*translation, error) {
-	if req.Block {
-		tl, _, err := w.blockTranslation(req, req.blockSeeds(d))
-		return tl, err
-	}
-	tl, err := translateRequest(w.src, seedStars(req, d), req.Filters)
-	if err != nil || tl.empty {
+	tl, err := translateRequest(w.src, req.Stars, req.Filters)
+	if err != nil || tl.empty || tl.pushSeeds(req.seedBindings(d)) {
 		return nil, err
 	}
 	return tl, nil
 }
 
-// columnarEntry translates, executes and decodes a per-answer request
-// into a response entry (one latency sample per row on replay).
+// columnarEntry translates, executes and decodes a request into a
+// response entry. A provably empty request runs no SQL and answers no
+// rows.
 func (w *SQLWrapper) columnarEntry(req *Request, schema *engine.Schema, d *dict.Dict) (*respEntry, error) {
 	w.resetSQL()
 	tl, err := w.translate(req, d)
@@ -276,36 +233,18 @@ func (w *SQLWrapper) columnarEntry(req *Request, schema *engine.Schema, d *dict.
 	case err != nil:
 		return nil, err
 	case tl == nil:
-		// Provably empty before touching the database: no SQL, no rows,
-		// and on replay no latency samples.
-		return newColEntry(true, nil, 0, len(schema.Vars)), nil
+		return newColEntry(nil, 0, len(schema.Vars)), nil
 	}
-	return w.fill(true, tl, seedTemplate(req, schema), nil, schema, d)
-}
-
-// columnarBlockEntry answers a multi-seed block request natively: one
-// pushed SQL query, and the response decoded as ID rows with the
-// (possibly lossy) seed predicate re-checked by integer comparison. The
-// response is one simulated network message, sampled on replay.
-func (w *SQLWrapper) columnarBlockEntry(req *Request, schema *engine.Schema, d *dict.Dict) (*respEntry, error) {
-	w.resetSQL()
-	tl, err := w.translate(req, d)
-	switch {
-	case err != nil:
-		return nil, err
-	case tl == nil:
-		// The (empty) response still crosses the network as one message.
-		return newColEntry(false, nil, 0, len(schema.Vars)), nil
-	}
-	return w.fill(false, tl, seedTemplate(req, schema), buildSeedIDChecks(req.Seeds, schema), schema, d)
+	return w.fill(tl, buildSeedIDChecks(req.Seeds, schema), schema, d)
 }
 
 // fill runs the translated statement and decodes its rows into an entry
-// of ID rows over the seed template. A row is kept when it matches some
-// seed of checks (by ID) and passes the filters the translation left to
-// the wrapper, evaluated over a scratch binding of their variables filled
-// from the decoded row — constants and the per-answer seed included.
-func (w *SQLWrapper) fill(perRow bool, tl *translation, template []dict.ID, checks []seedIDCheck, schema *engine.Schema, d *dict.Dict) (*respEntry, error) {
+// of ID rows. A row is kept when it matches some seed of checks (by ID) —
+// the pushed seed predicate compares values, which a lossy coercion can
+// widen — and passes the filters the translation left to the wrapper,
+// evaluated over a scratch binding of their variables filled from the
+// decoded row.
+func (w *SQLWrapper) fill(tl *translation, checks []seedIDCheck, schema *engine.Schema, d *dict.Dict) (*respEntry, error) {
 	w.recordSQL(tl.sel)
 	res, err := w.src.DB.Execute(tl.sel)
 	if err != nil {
@@ -315,13 +254,13 @@ func (w *SQLWrapper) fill(perRow bool, tl *translation, template []dict.ID, chec
 	if w.cache != nil {
 		views = &w.cache.cells
 	}
-	dec := newSQLColDecoder(tl, res, template, schema, d, views)
+	dec := newSQLColDecoder(tl, res, schema, d, views)
 	ev := engine.NewScratchEval(tl.localFilters, schema, d)
 	stride := len(schema.Vars)
 	var rows []dict.ID
 	n := 0
 	for i := 0; i < res.Len(); i++ {
-		rows = append(rows, template...)
+		rows = append(rows, dec.template...)
 		ids := rows[len(rows)-stride:]
 		if !dec.decode(i, ids) || !matchesAnySeedIDs(ids, checks) || !ev.PassesIDs(ids) {
 			rows = rows[:len(rows)-stride]
@@ -329,5 +268,5 @@ func (w *SQLWrapper) fill(perRow bool, tl *translation, template []dict.ID, chec
 		}
 		n++
 	}
-	return newColEntry(perRow, rows, n, stride), nil
+	return newColEntry(rows, n, stride), nil
 }

@@ -110,45 +110,20 @@ func (w *SQLWrapper) recordSQL(stmt *sql.Select) {
 	w.sqlMu.Unlock()
 }
 
-// seedStars substitutes the per-answer seed into every star's patterns
-// (the stars themselves belong to a shared, read-only plan).
-func seedStars(req *Request, d *dict.Dict) []*StarQuery {
-	if req.Block || req.Seeds.Rows == 0 {
-		return req.Stars
-	}
-	seeded := make([]*StarQuery, len(req.Stars))
-	for i, s := range req.Stars {
-		seeded[i] = &StarQuery{
-			SubjectVar: s.SubjectVar,
-			Class:      s.Class,
-			Patterns:   substituteSeed(s.Patterns, req, d),
-		}
-	}
-	return seeded
-}
-
-// withSeed merges the seed into b for filter evaluation; filters may
-// reference seeded variables that the translation turned into constants.
-func withSeed(b, seed sparql.Binding) sparql.Binding {
-	if len(seed) == 0 {
-		return b
-	}
-	return seed.Merge(b)
-}
-
 // executeNaive translates and fetches each star separately (every row of
 // every star crossing the simulated network) and joins the results with a
 // nested loop inside the wrapper — Ontario's unoptimized combined-star
-// translation. The joined rows were already transferred, so the caller
+// translation. Each star's query carries the seeds its variables can
+// express, and its rows are re-checked against the seeds before they are
+// charged. The joined rows were already transferred, so the caller
 // streams the returned entry without a simulator.
 func (w *SQLWrapper) executeNaive(req *Request, schema *engine.Schema, d *dict.Dict) (*respEntry, error) {
-	seed := req.seed(d)
-	stars := seedStars(req, d)
+	seeds := req.seedBindings(d)
 	w.resetSQL()
-	perStar := make([][]sparql.Binding, len(stars))
+	perStar := make([][]sparql.Binding, len(req.Stars))
 	var leftoverFilters []sparql.Expr
 	usedFilter := make([]bool, len(req.Filters))
-	for i, star := range stars {
+	for i, star := range req.Stars {
 		// Only filters fully covered by this star's variables may be
 		// pushed into its SQL.
 		starVars := map[string]bool{}
@@ -176,8 +151,8 @@ func (w *SQLWrapper) executeNaive(req *Request, schema *engine.Schema, d *dict.D
 		if err != nil {
 			return nil, err
 		}
-		if tl.empty {
-			return newRespEntry(req, nil, schema, d), nil
+		if tl.empty || tl.pushSeeds(seeds) {
+			return newRespEntry(nil, schema, d), nil
 		}
 		w.recordSQL(tl.sel)
 		res, err := w.src.DB.QueryAST(tl.sel)
@@ -186,10 +161,7 @@ func (w *SQLWrapper) executeNaive(req *Request, schema *engine.Schema, d *dict.D
 		}
 		for _, row := range res.Rows {
 			b, ok := tl.decodeRow(row)
-			if !ok {
-				continue
-			}
-			if !passes(withSeed(b, seed), tl.localFilters) {
+			if !ok || !matchesAnySeed(b, seeds) || !passes(b, tl.localFilters) {
 				continue
 			}
 			// Every intermediate row is retrieved across the network.
@@ -220,11 +192,11 @@ func (w *SQLWrapper) executeNaive(req *Request, schema *engine.Schema, d *dict.D
 	}
 	var sols []sparql.Binding
 	for _, b := range joined {
-		if passes(withSeed(b, seed), leftoverFilters) {
+		if passes(b, leftoverFilters) {
 			sols = append(sols, b)
 		}
 	}
-	return newRespEntry(req, sols, schema, d), nil
+	return newRespEntry(sols, schema, d), nil
 }
 
 func passes(b sparql.Binding, filters []sparql.Expr) bool {

@@ -485,10 +485,25 @@ func (tr *translator) translateFunc(f *sparql.FuncExpr) (sql.BoolExpr, bool) {
 	return &sql.Like{Col: info.ref, Pattern: pattern}, true
 }
 
-// seedPredicate builds the multi-seed pushdown predicate of a block bind
-// join over the translated columns: a single `col IN (...)` when every
-// seed binds exactly one translatable variable, an OR of per-seed equality
-// conjunctions otherwise. It returns a nil condition when the block cannot
+// pushSeeds ANDs the seed predicate (seedPredicate) into the WHERE clause
+// and reports whether the seeds prove the result empty, so the query need
+// not run at all.
+func (t *translation) pushSeeds(seeds []sparql.Binding) (provablyEmpty bool) {
+	cond, provablyEmpty := t.seedPredicate(seeds)
+	switch {
+	case cond == nil:
+	case t.sel.Where == nil:
+		t.sel.Where = cond
+	default:
+		t.sel.Where = &sql.And{L: t.sel.Where, R: cond}
+	}
+	return provablyEmpty
+}
+
+// seedPredicate builds the seed pushdown predicate of a bind join over the
+// translated columns: a single `col IN (...)` when every seed binds
+// exactly one translatable variable, an OR of per-seed equality
+// conjunctions otherwise. It returns a nil condition when the seeds cannot
 // restrict the query (some seed constrains no translatable variable, so
 // the disjunction would be trivially true); the caller then relies on the
 // post-hoc seed-compatibility check. provablyEmpty reports that every seed

@@ -283,9 +283,39 @@ func refSeedProjections(seeds []sparql.Binding, vars []string) []sparql.Binding 
 	return initial
 }
 
+// seedStars substitutes a per-answer seed into every star's patterns: the
+// per-answer references below answer the request this way, independently
+// of the seed set the wrappers evaluate.
+func seedStars(req *Request, seed sparql.Binding) []*StarQuery {
+	seeded := make([]*StarQuery, len(req.Stars))
+	for i, s := range req.Stars {
+		seeded[i] = &StarQuery{SubjectVar: s.SubjectVar, Class: s.Class, Patterns: substituteSeed(s.Patterns, seed)}
+	}
+	return seeded
+}
+
+// withSeed merges a per-answer seed into a solution over the substituted
+// patterns, which no longer bind the seeded variables.
+func withSeed(b, seed sparql.Binding) sparql.Binding {
+	if len(seed) == 0 {
+		return b
+	}
+	return seed.Merge(b)
+}
+
+// perAnswerSeed returns the seed of a per-answer request (nil for an
+// unseeded or block request).
+func perAnswerSeed(req *Request, d *dict.Dict) sparql.Binding {
+	if req.Block || req.Seeds.Rows == 0 {
+		return nil
+	}
+	return req.Seeds.Bindings(d)[0]
+}
+
 // refRDFEntry is the RDF wrapper's response built the way it was before
 // the ID walk: binding-model solutions, then the seed checks and filters,
-// flattened by newRespEntry.
+// flattened by newRespEntry. A per-answer request is answered over its
+// substituted patterns, a block from its seeds' projections.
 func refRDFEntry(g *rdf.Graph, req *Request, schema *engine.Schema, d *dict.Dict) *respEntry {
 	patterns := req.Stars[0].Patterns
 	var sols []sparql.Binding
@@ -297,45 +327,45 @@ func refRDFEntry(g *rdf.Graph, req *Request, schema *engine.Schema, d *dict.Dict
 			}
 		}
 	} else {
-		seed := req.seed(d)
-		for _, b := range sparql.EvalBGP(g, substituteSeed(patterns, req, d)) {
-			if passes(withSeed(b, seed), req.Filters) {
+		seed := perAnswerSeed(req, d)
+		for _, b := range sparql.EvalBGP(g, substituteSeed(patterns, seed)) {
+			if b = withSeed(b, seed); passes(b, req.Filters) {
 				sols = append(sols, b)
 			}
 		}
 	}
-	return newRespEntry(req, sols, schema, d)
+	return newRespEntry(sols, schema, d)
 }
 
 // refSQLEntry is the SQL wrapper's response built the way it was before
 // unpushable filters ran on the decoder: rows decoded into bindings, seed
-// checks and filters over them, flattened by newRespEntry.
+// checks and filters over them, flattened by newRespEntry. A per-answer
+// request runs its substituted translation, a block its pushed seeds.
 func refSQLEntry(t *testing.T, w *SQLWrapper, req *Request, schema *engine.Schema, d *dict.Dict) *respEntry {
-	seed, seeds := req.seed(d), req.blockSeeds(d)
-	var tl *translation
-	var err error
-	empty := false
-	if req.Block {
-		tl, empty, err = w.blockTranslation(req, seeds)
-	} else if tl, err = translateRequest(w.src, seedStars(req, d), req.Filters); err == nil {
-		empty = tl.empty
+	seed, seeds := perAnswerSeed(req, d), req.Seeds.Bindings(d)
+	stars := req.Stars
+	if seed != nil {
+		stars, seeds = seedStars(req, seed), nil
 	}
+	tl, err := translateRequest(w.src, stars, req.Filters)
 	if err != nil {
 		t.Fatal(err)
 	}
 	var sols []sparql.Binding
-	if !empty {
+	if !tl.empty && !tl.pushSeeds(seeds) {
 		res, err := w.src.DB.QueryAST(tl.sel)
 		if err != nil {
 			t.Fatal(err)
 		}
 		for _, row := range res.Rows {
-			if b, ok := tl.decodeRow(row); ok && matchesAnySeed(b, seeds) && passes(withSeed(b, seed), tl.localFilters) {
-				sols = append(sols, b)
+			if b, ok := tl.decodeRow(row); ok && matchesAnySeed(b, seeds) {
+				if b = withSeed(b, seed); passes(b, tl.localFilters) {
+					sols = append(sols, b)
+				}
 			}
 		}
 	}
-	return newRespEntry(req, sols, schema, d)
+	return newRespEntry(sols, schema, d)
 }
 
 // TestWalkEntriesMatchReference is the ID walk's property: on generated
@@ -343,7 +373,9 @@ func refSQLEntry(t *testing.T, w *SQLWrapper, req *Request, schema *engine.Schem
 // rows are exactly — same rows, same order — those of the binding-model
 // reference over sparql.EvalBGP; on the relational source, the SQL
 // wrapper's entries with unpushable filters are exactly those of the
-// binding-decoding path they replace.
+// binding-decoding path they replace. The wrappers answer every seeded
+// request as a seed set; the references answer a per-answer one
+// independently, over its substituted patterns and translation.
 func TestWalkEntriesMatchReference(t *testing.T) {
 	src, g := walkLake(t)
 	d := dict.New()
@@ -352,7 +384,7 @@ func TestWalkEntriesMatchReference(t *testing.T) {
 	seen := map[string]int{}
 	check := func(i int, relational bool, c walkCase, got, want *respEntry) {
 		t.Helper()
-		if got.nrows != want.nrows || got.perRow != want.perRow || !slices.EqualFunc(got.cols, want.cols, slices.Equal[[]dict.ID]) {
+		if got.nrows != want.nrows || !slices.EqualFunc(got.cols, want.cols, slices.Equal[[]dict.ID]) {
 			diff := 0
 			for diff < min(got.nrows, want.nrows) && slices.EqualFunc(got.cols, want.cols, func(g, w []dict.ID) bool { return g[diff] == w[diff] }) {
 				diff++
@@ -379,13 +411,7 @@ func TestWalkEntriesMatchReference(t *testing.T) {
 	}
 	for i := 0; i < 200; i++ {
 		c := genWalkCase(rng, src, g, d, true)
-		var got *respEntry
-		var err error
-		if c.req.Block {
-			got, err = sqlw.columnarBlockEntry(c.req, c.schema, d)
-		} else {
-			got, err = sqlw.columnarEntry(c.req, c.schema, d)
-		}
+		got, err := sqlw.columnarEntry(c.req, c.schema, d)
 		if err != nil {
 			t.Fatal(err)
 		}

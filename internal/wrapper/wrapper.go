@@ -10,7 +10,6 @@ package wrapper
 import (
 	"context"
 	"fmt"
-	"slices"
 	"sync/atomic"
 
 	"ontario/internal/dict"
@@ -52,18 +51,20 @@ type Request struct {
 	Stars   []*StarQuery
 	Filters []sparql.Expr
 	// Seeds instantiates the request for a bind join, as dictionary IDs of
-	// the execution's dictionary. Without Block it holds at most one seed —
-	// the sequential bind join's per-answer instantiation. With Block it is
-	// the block bind join's multi-seed block: one invocation — and one
-	// simulated network message — answers the union of the request over
-	// every seed. The wrapper returns each matching solution exactly once,
-	// unmerged (the solutions bind the seeded variables themselves);
-	// relational sources push the block down as a single SQL query with an
-	// IN/OR seed predicate, RDF sources evaluate the patterns in one graph
-	// pass. The IDs are the request's seed identity in the response cache,
-	// which keeps them: like Stars and Filters they must not change once
-	// the request has been executed. The terms behind them are materialized
-	// only when the wrapper evaluates its source (seedBindings).
+	// the execution's dictionary: one seed for the sequential bind join's
+	// per-answer request, a block of them for the block bind join. Every
+	// wrapper evaluates a seeded request the same way, as the union of the
+	// request over its seeds: each matching solution is returned exactly
+	// once, unmerged, binding the seeded variables with the source's own
+	// terms; relational sources push the seeds down as an IN/OR predicate,
+	// RDF sources start one graph pass from them. The IDs are the request's
+	// seed identity in the response cache, which keeps them: like Stars and
+	// Filters they must not change once the request has been executed. The
+	// terms behind them are materialized only when the wrapper evaluates
+	// its source (seedBindings).
+	//
+	// Block decides only how the simulated network charges the response:
+	// one message per answer without it, one per response with it.
 	Seeds engine.Seeds
 	Block bool
 
@@ -74,9 +75,9 @@ type Request struct {
 }
 
 // seedBindings returns the seeds as row-model bindings, materialized from
-// d once per request: the term-evaluating paths — SQL translation, BGP
-// matching, remote and custom sources — share them, and a request the
-// response cache answers never builds them.
+// d once per request: the term-evaluating paths — SQL translation, remote
+// and custom sources — share them, and a request the response cache
+// answers never builds them.
 func (r *Request) seedBindings(d *dict.Dict) []sparql.Binding {
 	if r.Seeds.Rows == 0 {
 		return nil
@@ -89,25 +90,8 @@ func (r *Request) seedBindings(d *dict.Dict) []sparql.Binding {
 	return b
 }
 
-// seed returns the per-answer seed as a binding (nil for an unseeded or
-// block request).
-func (r *Request) seed(d *dict.Dict) sparql.Binding {
-	if r.Block || r.Seeds.Rows == 0 {
-		return nil
-	}
-	return r.seedBindings(d)[0]
-}
-
-// blockSeeds returns a block request's seeds as bindings (nil otherwise).
-func (r *Request) blockSeeds(d *dict.Dict) []sparql.Binding {
-	if !r.Block {
-		return nil
-	}
-	return r.seedBindings(d)
-}
-
 // matchesAnySeed reports whether the solution is compatible with at least
-// one seed of the block (always true for an unconstrained block request).
+// one seed (always true for an unseeded request).
 func matchesAnySeed(b sparql.Binding, seeds []sparql.Binding) bool {
 	if len(seeds) == 0 {
 		return true
@@ -143,35 +127,13 @@ type Wrapper interface {
 	SourceID() string
 	// ExecuteColumnar runs the request, streaming columnar batches over
 	// schema with all terms interned into d as they are retrieved across
-	// the simulated network: one latency sample per solution for
-	// per-answer retrieval, one per block response (see respEntry.stream).
+	// the simulated network: one latency sample per solution, or one per
+	// response for a block request (see respEntry.stream).
 	ExecuteColumnar(ctx context.Context, req *Request, schema *engine.Schema, d *dict.Dict) (*engine.CStream, error)
 }
 
 // ColumnarWrapper is the name the benchmark module knows Wrapper by.
 type ColumnarWrapper = Wrapper
-
-// substituteSeed replaces the variables a per-answer request's seed binds
-// in the patterns with their terms, looked up by ID (an unseeded or block
-// request keeps its patterns).
-func substituteSeed(patterns []sparql.TriplePattern, req *Request, d *dict.Dict) []sparql.TriplePattern {
-	if req.Block || req.Seeds.Rows == 0 {
-		return patterns
-	}
-	out := make([]sparql.TriplePattern, len(patterns))
-	sub := func(n sparql.Node) sparql.Node {
-		if n.IsVar {
-			if i := slices.Index(req.Seeds.Vars, n.Var); i >= 0 && req.Seeds.IDs[i] != dict.Unbound {
-				return sparql.TermNode(d.MustLookup(req.Seeds.IDs[i]))
-			}
-		}
-		return n
-	}
-	for i, tp := range patterns {
-		out[i] = sparql.TriplePattern{S: sub(tp.S), P: sub(tp.P), O: sub(tp.O)}
-	}
-	return out
-}
 
 // RDFWrapper answers star queries by BGP evaluation over an in-memory
 // graph.
@@ -217,7 +179,7 @@ func (w *RDFWrapper) ExecuteColumnar(ctx context.Context, req *Request, schema *
 	if w.cache != nil {
 		key = respKeyFor(w.id, 0, req, schema)
 		if e := w.cache.lookup(key, req, schema, 0); e != nil {
-			return e.stream(ctx, w.sim, schema, w.batch), nil
+			return e.stream(ctx, w.sim, !req.Block, schema, w.batch), nil
 		}
 		views = &w.cache.views
 	}
@@ -225,5 +187,5 @@ func (w *RDFWrapper) ExecuteColumnar(ctx context.Context, req *Request, schema *
 	if w.cache != nil {
 		w.cache.store(key, req, schema, e)
 	}
-	return e.stream(ctx, w.sim, schema, w.batch), nil
+	return e.stream(ctx, w.sim, !req.Block, schema, w.batch), nil
 }
