@@ -349,10 +349,7 @@ func (sec *seedSection) bind(shape *wrapper.Request, d *dict.Dict) *wrapper.Requ
 			seeds.IDs[i] = d.Intern(t)
 		}
 	}
-	if sec.block {
-		return shape.WithSeeds(seeds)
-	}
-	return shape.WithSeed(seeds)
+	return shape.WithSeeds(seeds, sec.block)
 }
 
 // appendScanTask builds the task frame for one wrapper request whose seed

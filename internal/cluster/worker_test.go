@@ -163,7 +163,7 @@ func TestWorkerReplaysScan(t *testing.T) {
 					seeds.Rows++
 				}
 			}
-			block := svc.Req.WithSeeds(seeds)
+			block := svc.Req.WithSeeds(seeds, true)
 			firstBlock := scan(svc, block)
 			if len(firstBlock) == 0 {
 				t.Fatalf("source %s: seed block of its own subjects has no answers", svc.SourceID)
@@ -175,7 +175,7 @@ func TestWorkerReplaysScan(t *testing.T) {
 			}
 			// An equal block built from scratch, not the same value.
 			fresh := engine.Seeds{Vars: []string{subject}, IDs: slices.Clone(seeds.IDs), Rows: seeds.Rows}
-			if again := scan(svc, svc.Req.WithSeeds(fresh)); !equalStrings(again, firstBlock) {
+			if again := scan(svc, svc.Req.WithSeeds(fresh, true)); !equalStrings(again, firstBlock) {
 				t.Fatalf("source %s: replayed block differs", svc.SourceID)
 			}
 			after := tw.w.Info()
@@ -444,8 +444,8 @@ func taskCorpus(t testing.TB) [][]byte {
 			seed := engine.Seeds{Vars: vars, IDs: []dict.ID{x1, seven}, Rows: 1}
 			block := engine.Seeds{Vars: vars, IDs: []dict.ID{x1, seven, x2, dict.Unbound, dict.Unbound, dict.Unbound}, Rows: 3}
 			add(appendScanTask(nil, svc.SourceID, svc.Req, svc.Vars(), d, env))
-			add(appendScanTask(nil, svc.SourceID, svc.Req.WithSeed(seed), svc.Vars(), d, env))
-			add(appendScanTask(nil, svc.SourceID, svc.Req.WithSeeds(block), svc.Vars(), d, env))
+			add(appendScanTask(nil, svc.SourceID, svc.Req.WithSeeds(seed, false), svc.Vars(), d, env))
+			add(appendScanTask(nil, svc.SourceID, svc.Req.WithSeeds(block, true), svc.Vars(), d, env))
 		}
 	}
 	for _, plan := range lslodPlans(t, cat, core.Options{JoinOperator: core.JoinSymmetricHash}) {

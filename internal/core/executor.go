@@ -419,35 +419,26 @@ func (x *Execution) runColumnar(ctx context.Context, n PlanNode, opts Options) (
 				// the right side shares it, so the join resolves the right
 				// layout once.
 				svcSchema := engine.NewSchema(svc.Vars())
-				if v.Op == JoinBlockBind {
-					service := func(ctx context.Context, seeds engine.Seeds) *engine.CStream {
-						s, err := runSvc(ctx, svc.Req.WithSeeds(seeds), svcSchema)
-						if err != nil {
-							// The join keeps draining other blocks; park the
-							// failure so the consumer sees it after the stream.
-							x.fail(fmt.Errorf("source %s: %w", svc.SourceID, err))
-							return emptyCStream(svcSchema)
-						}
-						return engine.CMeter(s, svcStats)
-					}
-					jctx := engine.WithOpStats(ctx,
-						x.stats(v, "block-bind-join", strings.Join(v.JoinVars, ",")))
-					return engine.CBlockBindJoin(jctx, left, service, v.JoinVars, out,
-						opts.EffectiveBindBlockSize(), opts.EffectiveBindConcurrency(),
-						opts.EffectiveBatchSize()), nil
+				// A sequential bind join is a block of one seed with one
+				// request in flight, charged per answer.
+				block := v.Op == JoinBlockBind
+				label, size, conc := "bind-join", 1, 1
+				if block {
+					label, size, conc = "block-bind-join", opts.EffectiveBindBlockSize(), opts.EffectiveBindConcurrency()
 				}
-				service := func(ctx context.Context, seed engine.Seeds) *engine.CStream {
-					s, err := runSvc(ctx, svc.Req.WithSeed(seed), svcSchema)
+				service := func(ctx context.Context, seeds engine.Seeds) *engine.CStream {
+					s, err := runSvc(ctx, svc.Req.WithSeeds(seeds, block), svcSchema)
 					if err != nil {
+						// The join keeps draining other blocks; park the
+						// failure so the consumer sees it after the stream.
 						x.fail(fmt.Errorf("source %s: %w", svc.SourceID, err))
 						return emptyCStream(svcSchema)
 					}
 					return engine.CMeter(s, svcStats)
 				}
-				jctx := engine.WithOpStats(ctx,
-					x.stats(v, "bind-join", strings.Join(v.JoinVars, ",")))
+				jctx := engine.WithOpStats(ctx, x.stats(v, label, strings.Join(v.JoinVars, ",")))
 				return engine.CBindJoin(jctx, left, service, v.JoinVars, out,
-					opts.EffectiveBatchSize()), nil
+					size, conc, opts.EffectiveBatchSize()), nil
 			}
 			// Fall through to symmetric hash when the right side is not a
 			// plain service.

@@ -141,31 +141,9 @@ func TestSymmetricHashJoinNoQuadraticProbeCopy(t *testing.T) {
 	}
 }
 
+// BenchmarkBindJoin runs the sequential bind join (a block of one seed,
+// one request in flight) and the block form over the same service.
 func BenchmarkBindJoin(b *testing.B) {
-	ctx := context.Background()
-	d := dict.New()
-	left := encodeInput(d, benchRelation(256, 64, "l"), 0)
-	right := benchRelation(512, 64, "r")
-	rSchema := NewSchema(varsOf(right))
-	svc := func(ctx context.Context, seeds Seeds) *CStream {
-		seed := seeds.Bindings(d)[0]
-		var rows []sparql.Binding
-		for _, rb := range right {
-			if seed.Compatible(rb) {
-				rows = append(rows, rb)
-			}
-		}
-		return CFromBindings(ctx, rows, rSchema, d, 0)
-	}
-	out := NewSchema([]string{"k", "l", "r"})
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		drain(CBindJoin(ctx, left.stream(), svc, []string{"k"}, out, 0))
-	}
-}
-
-func BenchmarkBlockBindJoin(b *testing.B) {
 	ctx := context.Background()
 	d := dict.New()
 	left := encodeInput(d, benchRelation(256, 64, "l"), 0)
@@ -185,10 +163,13 @@ func BenchmarkBlockBindJoin(b *testing.B) {
 		return CFromBindings(ctx, rows, rSchema, d, 0)
 	}
 	out := NewSchema([]string{"k", "l", "r"})
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		drain(CBlockBindJoin(ctx, left.stream(), svc, []string{"k"}, out, 16, 4, 0))
+	for _, cfg := range []struct{ block, conc int }{{1, 1}, {16, 4}} {
+		b.Run(fmt.Sprintf("B=%d,W=%d", cfg.block, cfg.conc), func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				drain(CBindJoin(ctx, left.stream(), svc, []string{"k"}, out, cfg.block, cfg.conc, 0))
+			}
+		})
 	}
 }
 
@@ -327,32 +308,6 @@ func BenchmarkExchangeBatchSize(b *testing.B) {
 				}
 			}
 		})
-	}
-}
-
-// BenchmarkColWriter measures the bind join's producer path: per-row
-// AppendMerged through the size/interval flush rules.
-func BenchmarkColWriter(b *testing.B) {
-	ctx := context.Background()
-	in := benchColBatch([]string{"k", "x"}, 4096)
-	ident, none := []int{0, 1}, []int{-1, -1}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		out := NewCStream(in.Schema, 4)
-		go func() {
-			defer out.Close()
-			w := NewColWriter(ctx, out, DefaultBatchSize)
-			defer w.Close()
-			for r := 0; r < in.Len; r++ {
-				if !w.AppendMerged(in, r, ident, in, r, none) {
-					return
-				}
-			}
-		}()
-		if n := drain(out); n != in.Len {
-			b.Fatalf("writer delivered %d, want %d", n, in.Len)
-		}
 	}
 }
 

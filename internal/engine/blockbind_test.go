@@ -6,6 +6,7 @@ import (
 	"math/rand"
 	"sort"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -14,26 +15,10 @@ import (
 	"ontario/internal/sparql"
 )
 
-// sliceService mimics a wrapper's sequential bind-join contract over a
-// materialized right relation: rights compatible with the seed, merged
-// with it.
+// sliceService mimics a wrapper's seeded contract over a materialized
+// right relation: every right binding compatible with at least one seed,
+// each exactly once, unmerged.
 func sliceService(d *dict.Dict, rights []sparql.Binding) CService {
-	schema := NewSchema(varsOf(rights))
-	return func(ctx context.Context, seeds Seeds) *CStream {
-		seed := seeds.Bindings(d)[0]
-		var out []sparql.Binding
-		for _, rb := range rights {
-			if seed.Compatible(rb) {
-				out = append(out, seed.Merge(rb))
-			}
-		}
-		return CFromBindings(ctx, out, schema, d, 0)
-	}
-}
-
-// sliceBlockService mimics a wrapper's multi-seed contract: every right
-// binding compatible with at least one seed, each exactly once, unmerged.
-func sliceBlockService(d *dict.Dict, rights []sparql.Binding) CBlockService {
 	schema := NewSchema(varsOf(rights))
 	return func(ctx context.Context, ids Seeds) *CStream {
 		var out []sparql.Binding
@@ -92,8 +77,9 @@ func randomRelation(rng *rand.Rand, vars []string, n int) []sparql.Binding {
 
 // TestJoinOperatorEquivalence is the property test: on randomized inputs —
 // including empty sides and an empty join-variable set (cross product) —
-// CBlockBindJoin, CBindJoin and CSymmetricHashJoin must all produce the
-// reference multiset of answers.
+// CBindJoin at every block size and concurrency, from the sequential
+// (1, 1) up, and CSymmetricHashJoin must all produce the reference
+// multiset of answers.
 func TestJoinOperatorEquivalence(t *testing.T) {
 	shapes := []struct {
 		leftVars, rightVars, joinVars []string
@@ -124,23 +110,20 @@ func TestJoinOperatorEquivalence(t *testing.T) {
 		label := func(op string) string {
 			return fmt.Sprintf("iter %d, %s join on %v (%dx%d)", iter, op, shape.joinVars, nl, nr)
 		}
-		got := collect(CBindJoin(ctx, feed(ctx, d, lefts, batch), sliceService(d, rights), shape.joinVars, out, batch), d)
-		assertSameMultiset(t, label("bind"), got, want)
-
-		for _, cfg := range [][2]int{{1, 1}, {3, 2}, {16, 4}, {100, 8}} {
-			got = collect(CBlockBindJoin(ctx, feed(ctx, d, lefts, batch), sliceBlockService(d, rights),
+		for _, cfg := range [][2]int{{1, 1}, {1, 4}, {3, 2}, {16, 4}, {100, 8}} {
+			got := collect(CBindJoin(ctx, feed(ctx, d, lefts, batch), sliceService(d, rights),
 				shape.joinVars, out, cfg[0], cfg[1], batch), d)
-			assertSameMultiset(t, label(fmt.Sprintf("block-bind B=%d W=%d", cfg[0], cfg[1])), got, want)
+			assertSameMultiset(t, label(fmt.Sprintf("bind B=%d W=%d", cfg[0], cfg[1])), got, want)
 		}
 
-		got = collect(CSymmetricHashJoin(ctx, feed(ctx, d, lefts, batch), feed(ctx, d, rights, batch), shape.joinVars, out, 1+iter%4, batch), d)
+		got := collect(CSymmetricHashJoin(ctx, feed(ctx, d, lefts, batch), feed(ctx, d, rights, batch), shape.joinVars, out, 1+iter%4, batch), d)
 		assertSameMultiset(t, label("symmetric-hash"), got, want)
 	}
 }
 
 // TestBlockBindJoinUnboundLeftJoinVar exercises the unconstrained-block
 // path: a left binding that does not bind the join variable joins with
-// every right binding, exactly as in the sequential bind join.
+// every right binding, in a block of one seed as in a larger block.
 func TestBlockBindJoinUnboundLeftJoinVar(t *testing.T) {
 	rng := rand.New(rand.NewSource(42))
 	for iter := 0; iter < 20; iter++ {
@@ -155,13 +138,11 @@ func TestBlockBindJoinUnboundLeftJoinVar(t *testing.T) {
 		ctx := context.Background()
 		d := dict.New()
 		out := outSchema(lefts, rights)
-		for _, blockSize := range []int{1, 4, 64} {
-			got := collect(CBlockBindJoin(ctx, feed(ctx, d, lefts, 0), sliceBlockService(d, rights),
-				[]string{"x"}, out, blockSize, 3, 0), d)
-			assertSameMultiset(t, fmt.Sprintf("iter %d B=%d", iter, blockSize), got, want)
+		for _, cfg := range [][2]int{{1, 1}, {1, 3}, {4, 3}, {64, 3}} {
+			got := collect(CBindJoin(ctx, feed(ctx, d, lefts, 0), sliceService(d, rights),
+				[]string{"x"}, out, cfg[0], cfg[1], 0), d)
+			assertSameMultiset(t, fmt.Sprintf("iter %d B=%d W=%d", iter, cfg[0], cfg[1]), got, want)
 		}
-		got := collect(CBindJoin(ctx, feed(ctx, d, lefts, 0), sliceService(d, rights), []string{"x"}, out, 0), d)
-		assertSameMultiset(t, fmt.Sprintf("iter %d bind", iter), got, want)
 	}
 }
 
@@ -185,7 +166,7 @@ func TestBlockBindJoinBatchesRequests(t *testing.T) {
 			return CFromBindings(ctx, nil, schema, d, 0)
 		}
 		ctx := context.Background()
-		collect(CBlockBindJoin(ctx, feed(ctx, d, lefts, 0), svc, []string{"x"}, schema, tc.block, 4, 0), d)
+		collect(CBindJoin(ctx, feed(ctx, d, lefts, 0), svc, []string{"x"}, schema, tc.block, 4, 0), d)
 		if calls != tc.want {
 			t.Errorf("n=%d B=%d: %d service calls, want %d", tc.n, tc.block, calls, tc.want)
 		}
@@ -203,10 +184,10 @@ func TestBlockBindJoinCancellation(t *testing.T) {
 	out := outSchema(lefts, rights)
 	streams := map[string]func(ctx context.Context) *CStream{
 		"bind": func(ctx context.Context) *CStream {
-			return CBindJoin(ctx, feed(ctx, d, lefts, 0), sliceService(d, rights), []string{"x"}, out, 0)
+			return CBindJoin(ctx, feed(ctx, d, lefts, 0), sliceService(d, rights), []string{"x"}, out, 1, 1, 0)
 		},
 		"block-bind": func(ctx context.Context) *CStream {
-			return CBlockBindJoin(ctx, feed(ctx, d, lefts, 0), sliceBlockService(d, rights), []string{"x"}, out, 16, 4, 0)
+			return CBindJoin(ctx, feed(ctx, d, lefts, 0), sliceService(d, rights), []string{"x"}, out, 16, 4, 0)
 		},
 		"symmetric-hash": func(ctx context.Context) *CStream {
 			return CSymmetricHashJoin(ctx, feed(ctx, d, lefts, 0), feed(ctx, d, rights, 0), []string{"x"}, out, 4, 0)
@@ -239,7 +220,7 @@ func TestBlockBindJoinCancellationDoesNotLeak(t *testing.T) {
 	rights := randomRelation(rng, []string{"x", "b"}, 500)
 	ctx, cancel := context.WithCancel(context.Background())
 	d := dict.New()
-	out := CBlockBindJoin(ctx, feed(ctx, d, lefts, 0), sliceBlockService(d, rights), []string{"x"}, outSchema(lefts, rights), 8, 4, 0)
+	out := CBindJoin(ctx, feed(ctx, d, lefts, 0), sliceService(d, rights), []string{"x"}, outSchema(lefts, rights), 8, 4, 0)
 	out.Recv(nil) // first answers prove the pipeline is running
 	cancel()
 	done := make(chan struct{})
@@ -251,5 +232,80 @@ func TestBlockBindJoinCancellationDoesNotLeak(t *testing.T) {
 	case <-done:
 	case <-time.After(10 * time.Second):
 		t.Fatal("block bind join did not terminate after context cancellation")
+	}
+}
+
+// TestBindJoinInFlightBound: concurrency bounds the requests in flight —
+// one at a time for the sequential bind join — and a response's answers
+// go downstream as its batches arrive, not when its stream ends.
+func TestBindJoinInFlightBound(t *testing.T) {
+	rng := rand.New(rand.NewSource(11))
+	lefts := randomRelation(rng, []string{"x", "a"}, 200)
+	rights := randomRelation(rng, []string{"x", "b"}, 50)
+	out := outSchema(lefts, rights)
+	for _, cfg := range []struct{ block, conc int }{{1, 1}, {1, 4}, {8, 4}} {
+		label := fmt.Sprintf("B=%d W=%d", cfg.block, cfg.conc)
+		ctx := context.Background()
+		d := dict.New()
+		answer := sliceService(d, rights)
+		var inFlight, peak atomic.Int64
+		svc := func(ctx context.Context, seeds Seeds) *CStream {
+			n := inFlight.Add(1)
+			for p := peak.Load(); n > p && !peak.CompareAndSwap(p, n); p = peak.Load() {
+			}
+			src := answer(ctx, seeds)
+			s := NewCStream(src.Schema(), 1)
+			go func() {
+				for b, ok := src.Recv(nil); ok; b, ok = src.Recv(nil) {
+					s.SendBatch(ctx, b)
+				}
+				time.Sleep(50 * time.Microsecond) // let the other slots overlap
+				inFlight.Add(-1)                  // before the join sees the end
+				s.Close()
+			}()
+			return s
+		}
+		got := collect(CBindJoin(ctx, feed(ctx, d, lefts, 0), svc, []string{"x"}, out, cfg.block, cfg.conc, 0), d)
+		assertSameMultiset(t, label, got, referenceJoin(lefts, rights))
+		if p := peak.Load(); p > int64(cfg.conc) || (cfg.conc == 1 && p != 1) {
+			t.Errorf("%s: %d requests in flight at once", label, p)
+		}
+
+		// A response that sends one batch and then stalls: its answer must
+		// reach the consumer while the stream is still open.
+		release := make(chan struct{})
+		stall := func(ctx context.Context, seeds Seeds) *CStream {
+			s := NewCStream(NewSchema([]string{"x", "b"}), 1)
+			go func() {
+				defer s.Close()
+				s.SendBatch(ctx, EncodeBatch(seeds.Bindings(d)[:1], s.Schema(), d))
+				<-release
+			}()
+			return s
+		}
+		one := []sparql.Binding{b("x", "1")}
+		ctx, cancel := context.WithCancel(context.Background())
+		stream := CBindJoin(ctx, feed(ctx, d, one, 0), stall, []string{"x"}, NewSchema([]string{"x"}), cfg.block, cfg.conc, 0)
+		first := make(chan bool, 1)
+		go func() {
+			_, ok := stream.Recv(nil)
+			first <- ok
+		}()
+		var ok, early bool
+		select {
+		case ok = <-first:
+			early = true
+		case <-time.After(5 * time.Second):
+		}
+		close(release)
+		if !early {
+			ok = <-first
+			t.Errorf("%s: the answer was held back until the response stream ended", label)
+		}
+		if !ok {
+			t.Errorf("%s: stream ended without the stalled response's answer", label)
+		}
+		cancel()
+		stream.Drain()
 	}
 }

@@ -151,8 +151,8 @@ func NewColBuilder(schema *Schema) *ColBuilder {
 }
 
 // colBuilderInitCap caps the up-front per-column allocation. Most streams
-// carry far fewer rows than the exchange batch size (bind-join probes
-// answer a handful of rows each), so committing the full batch capacity
+// carry far fewer rows than the exchange batch size (a bind-join request
+// answers a handful of rows for its block of seeds), so committing the full batch capacity
 // per column per builder costs more allocation and GC work than it saves;
 // the builder starts at one small block and append growth reaches the
 // full batch capacity only for the streams that actually fill it.

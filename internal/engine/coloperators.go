@@ -2,6 +2,7 @@ package engine
 
 import (
 	"context"
+	"slices"
 	"sort"
 	"sync"
 
@@ -71,6 +72,13 @@ type colTable struct {
 
 func newColTable(stride int) *colTable {
 	return &colTable{stride: stride, buckets: make(map[uint64][]int32)}
+}
+
+// reset empties the table, keeping its storage.
+func (t *colTable) reset() {
+	t.rows = 0
+	t.data = t.data[:0]
+	clear(t.buckets)
 }
 
 // insert appends row r of b and returns its index. A zero-column schema
@@ -172,8 +180,8 @@ func compatBT(b *ColBatch, r int, bPos []int, t *colTable, tr int32, tPos []int)
 // After a failed send (context cancelled) it goes dead — every further
 // append/flush is a cheap no-op and ok() reports false — so callers fall
 // through to draining their inputs without special-casing dropped
-// batches. Not safe for concurrent use; concurrent producers (block bind
-// join dispatches, hash-join shard workers) each own one emitter. Sends
+// batches. Not safe for concurrent use; concurrent producers (bind-join
+// requests in flight, hash-join shard workers) each own one emitter. Sends
 // are accounted to st (nil records nothing).
 type cEmitter struct {
 	ctx  context.Context
@@ -422,98 +430,32 @@ func CSymmetricHashJoin(ctx context.Context, left, right *CStream, joinVars []st
 	return outS
 }
 
-// CService produces a columnar stream for a request instantiated with one
-// seed (Rows == 1): the left row's join-variable IDs, handed to the
-// wrapper as they are — a request the response cache answers never turns
-// them into terms.
-type CService func(ctx context.Context, seed Seeds) *CStream
+// CService produces a stream for a request instantiated with a block of
+// seeds in a single invocation; it abstracts a seeded wrapper call for the
+// bind join. The service returns the union of the right solutions
+// compatible with at least one seed, each underlying solution exactly once
+// and NOT merged with the seeds (the solutions bind the join variables
+// themselves, so the join matches them back to the block's left rows by
+// compatibility). A seed binding none of the variables (all Unbound)
+// leaves the request unconstrained.
+type CService func(ctx context.Context, seeds Seeds) *CStream
 
-// CBindJoin is a dependent (nested-loop) join: per left row it extracts
-// the join variables' IDs as a seed, invokes the right service
-// instantiated with it and merges the compatible results. It trades
-// per-answer requests for smaller transfers. Results trickle in per
-// sequential service call, so the output is batched like a leaf
-// producer's: a ColWriter accumulates across seeds and its flush interval
-// preserves time-to-first-answer while service calls are slow. After a
-// failed send the output is abandoned: the join stops invoking the right
-// service but keeps draining the left (and any in-flight right) stream so
-// producers can finish.
-func CBindJoin(ctx context.Context, left *CStream, right CService, joinVars []string, out *Schema, batch int) *CStream {
-	if batch <= 0 {
-		batch = DefaultBatchSize
-	}
-	st := StatsFrom(ctx)
-	outS := NewCStream(out, bufBatches(batch))
-	go func() {
-		defer outS.Close()
-		defer st.close()
-		lPos := left.schema.Positions(joinVars)
-		outL := left.schema.Positions(out.Vars)
-		w := NewColWriter(ctx, outS, batch)
-		w.SetStats(st)
-		defer w.Close()
-		cancelled := false
-		var pairL, pairR, outR []int
-		var rSchema *Schema
-		for {
-			lb, open := left.Recv(st)
-			if !open {
-				break
-			}
-			for lr := 0; lr < lb.Len; lr++ {
-				if cancelled {
-					continue
-				}
-				seed := Seeds{Vars: joinVars, IDs: make([]dict.ID, len(lPos)), Rows: 1}
-				for i, p := range lPos {
-					if p >= 0 {
-						seed.IDs[i] = lb.Cols[p][lr]
-					}
-				}
-				st.AddBlock()
-				rs := right(ctx, seed)
-				if rSchema != rs.Schema() {
-					// Resolve the right-side layout once per distinct schema
-					// (service streams share one schema per plan node).
-					rSchema = rs.Schema()
-					pairL, pairR = sharedPairs(left.schema, rSchema, nil)
-					outR = rSchema.Positions(out.Vars)
-				}
-				for rb, ok := rs.Recv(st); ok && !cancelled; rb, ok = rs.Recv(st) {
-					for rr := 0; rr < rb.Len && !cancelled; rr++ {
-						if compatBB(lb, lr, rb, rr, pairL, pairR) && !w.AppendMerged(lb, lr, outL, rb, rr, outR) {
-							cancelled = true
-						}
-					}
-				}
-				rs.Drain()
-			}
-		}
-	}()
-	return outS
-}
-
-// CBlockService produces a stream for a request instantiated with a whole
-// block of seeds in a single invocation; it abstracts a multi-seed wrapper
-// call for the block bind join. The service returns the union of the right
-// solutions compatible with at least one seed, each underlying solution
-// exactly once and NOT merged with the seeds (the solutions bind the join
-// variables themselves, so the join matches them back to the block's left
-// rows by compatibility). A seed binding none of the variables (all
-// Unbound) leaves the request unconstrained.
-type CBlockService func(ctx context.Context, seeds Seeds) *CStream
-
-// CBlockBindJoin is the block-based variant of CBindJoin (the FedX/ANAPSID
-// lineage "bound join"): left rows are gathered into blocks of blockSize,
-// each block's distinct seeds (deduplicated on raw ID tuples, which are
-// handed over as the block's Seeds) are pushed to the right service in
-// ONE invocation — and hence one simulated network message — and up to
-// concurrency block requests are in flight at once.
-// Output stays streaming: a block's answers are emitted as soon as its
-// service call returns, independent of later blocks. When joinVars is
-// empty the operator degrades to a cross product, like its sequential
-// counterpart.
-func CBlockBindJoin(ctx context.Context, left *CStream, right CBlockService, joinVars []string, out *Schema, blockSize, concurrency, batch int) *CStream {
+// CBindJoin is the dependent join (the FedX/ANAPSID lineage "bound
+// join"): left rows are gathered into blocks of blockSize, each block's
+// distinct seeds (deduplicated on raw ID tuples, which are handed over as
+// the block's Seeds) are pushed to the right service in ONE invocation,
+// and up to concurrency requests are in flight at once. A block of one
+// seed with one request in flight is the sequential bind join: its
+// requests follow one another strictly. Output stays streaming: each
+// response batch's answers are emitted as soon as it arrives, independent
+// of later blocks. When joinVars is empty the operator degrades to a
+// cross product.
+//
+// Once the output is abandoned — the context is done or a send failed —
+// the join dispatches no further request (it checks before each
+// dispatch) but keeps draining the left input and the in-flight responses
+// so their producers can finish.
+func CBindJoin(ctx context.Context, left *CStream, right CService, joinVars []string, out *Schema, blockSize, concurrency, batch int) *CStream {
 	if blockSize < 1 {
 		blockSize = 1
 	}
@@ -531,18 +473,43 @@ func CBlockBindJoin(ctx context.Context, left *CStream, right CBlockService, joi
 		lPos := left.schema.Positions(joinVars)
 		ident := left.schema.Positions(left.schema.Vars)
 		outL := left.schema.Positions(out.Vars)
-		sem := make(chan struct{}, concurrency)
-		var wg sync.WaitGroup
+		// The pool holds the emitters of the idle request slots: taking one
+		// is the concurrency bound. An emitter is built on first need and
+		// reused by later dispatches.
+		pool := make(chan *cEmitter, concurrency)
+		made := 0
+		acquire := func() *cEmitter {
+			if made < concurrency {
+				select {
+				case em := <-pool:
+					return em
+				default:
+					made++
+					return newCEmitter(ctx, outS, batch, st)
+				}
+			}
+			return <-pool
+		}
 		var pmu sync.Mutex // guards the lazily resolved right-side layout
 		var pairL, pairR, outR []int
 		var rSchema *Schema
+		seedTbl := newColTable(len(lPos)) // reused by every block
+		stopped := false
 		dispatch := func(block *ColBatch) {
+			if stopped {
+				return
+			}
+			em := acquire()
+			if !em.ok() || ctx.Err() != nil {
+				pool <- em
+				stopped = true
+				return
+			}
 			// Distinct seeds by their join-variable ID tuple; a row with no
 			// bound join variable joins with every right solution, so it
 			// forces an unconstrained request for the whole block: one seed
 			// binding nothing.
-			seedTbl := newColTable(len(lPos))
-			seedTbl.data = make([]dict.ID, 0, block.Len*len(lPos))
+			seedTbl.reset()
 			for r := 0; r < block.Len; r++ {
 				allUnbound := true
 				for _, p := range lPos {
@@ -552,7 +519,7 @@ func CBlockBindJoin(ctx context.Context, left *CStream, right CBlockService, joi
 					}
 				}
 				if allUnbound {
-					seedTbl = newColTable(len(lPos))
+					seedTbl.reset()
 					seedTbl.insertKey(block, r, lPos, 0)
 					break
 				}
@@ -560,14 +527,11 @@ func CBlockBindJoin(ctx context.Context, left *CStream, right CBlockService, joi
 					seedTbl.insertKey(block, r, lPos, h)
 				}
 			}
-			seeds := Seeds{Vars: joinVars, IDs: seedTbl.data, Rows: seedTbl.rows}
-			sem <- struct{}{}
-			wg.Add(1)
+			// The request keeps its own copy: the response cache keys on it.
+			seeds := Seeds{Vars: joinVars, IDs: slices.Clone(seedTbl.data), Rows: seedTbl.rows}
 			st.AddBlock()
 			go func() {
-				defer wg.Done()
-				defer func() { <-sem }()
-				em := newCEmitter(ctx, outS, batch, st)
+				defer func() { pool <- em }()
 				rs := right(ctx, seeds)
 				pmu.Lock()
 				if rSchema != rs.Schema() {
@@ -596,6 +560,9 @@ func CBlockBindJoin(ctx context.Context, left *CStream, right CBlockService, joi
 			if !open {
 				break
 			}
+			if stopped {
+				continue // drain the left so its producer can finish
+			}
 			for r := 0; r < lb.Len; r++ {
 				blockB.AppendRow(lb, r, ident)
 				if blockB.Rows() >= blockSize {
@@ -606,7 +573,9 @@ func CBlockBindJoin(ctx context.Context, left *CStream, right CBlockService, joi
 		if blockB.Rows() > 0 {
 			dispatch(blockB.Take())
 		}
-		wg.Wait()
+		for ; made > 0; made-- {
+			<-pool // every emitter back: no request is in flight
+		}
 	}()
 	return outS
 }

@@ -14,16 +14,16 @@
 // them — the service meter, FILTER, projection, DISTINCT, OFFSET and
 // LIMIT — are stages fused onto the stream they read, applied batch by
 // batch by whichever operator receives it (CStream.Recv), so a linear
-// pipeline runs in one goroutine. A producer whose rows trickle in
-// flushes a partial batch once its oldest row has waited
+// pipeline runs in one goroutine. A wrapper response whose rows trickle
+// in flushes a partial batch once its oldest row has waited
 // DefaultFlushInterval (so the first answer is never held back behind an
-// unfilled batch) and on close.
+// unfilled batch) and on close; the bind join forwards each response
+// batch's answers as they arrive.
 package engine
 
 import (
 	"context"
 	"runtime"
-	"sync"
 	"time"
 
 	"ontario/internal/dict"
@@ -254,123 +254,6 @@ func CMeter(in *CStream, st *OpStats) *CStream {
 		return in
 	}
 	return in.with(in.schema, st, func(b *ColBatch) (*ColBatch, bool) { return b, true })
-}
-
-// ColWriter accumulates rows into batches on behalf of a producer whose
-// rows trickle in (the bind join's probes) and flushes to the underlying
-// stream when a batch fills, when the flush interval elapses with a
-// partial batch pending, and on Close. It is safe for concurrent use (the
-// flush timer fires on its own goroutine).
-type ColWriter struct {
-	ctx   context.Context
-	out   *CStream
-	size  int
-	every time.Duration
-
-	mu     sync.Mutex
-	b      *ColBuilder
-	timer  *time.Timer
-	failed bool
-	// first is the arrival time of the oldest buffered row; timed flushes
-	// only fire once that row has waited out the interval, so a timer armed
-	// before a size-triggered flush cannot flush the next partial batch
-	// early.
-	first time.Time
-
-	st *OpStats
-}
-
-// NewColWriter returns a writer cutting batches of at most size rows
-// (<= 0 means DefaultBatchSize) with the default flush interval.
-func NewColWriter(ctx context.Context, out *CStream, size int) *ColWriter {
-	if size <= 0 {
-		size = DefaultBatchSize
-	}
-	return &ColWriter{ctx: ctx, out: out, size: size, every: DefaultFlushInterval,
-		b: NewColBuilderCap(out.schema, size)}
-}
-
-// SetStats attributes the writer's flushed batches to st (nil records
-// nothing). Call before the first append.
-func (w *ColWriter) SetStats(st *OpStats) {
-	w.mu.Lock()
-	w.st = st
-	w.mu.Unlock()
-}
-
-// AppendMerged appends the merge of two batch rows (left wins when
-// bound; see ColBuilder.AppendMerged); it returns false once the context
-// is cancelled.
-func (w *ColWriter) AppendMerged(l *ColBatch, lr int, lmap []int, r *ColBatch, rr int, rmap []int) bool {
-	w.mu.Lock()
-	defer w.mu.Unlock()
-	if w.failed {
-		return false
-	}
-	w.b.AppendMerged(l, lr, lmap, r, rr, rmap)
-	return w.appendedLocked()
-}
-
-// appendedLocked applies the size/interval flush rules after one append;
-// the caller holds w.mu.
-func (w *ColWriter) appendedLocked() bool {
-	if w.b.Rows() >= w.size {
-		return w.flushLocked()
-	}
-	if w.b.Rows() == 1 && w.every > 0 {
-		w.first = time.Now()
-		if w.timer == nil {
-			w.timer = time.AfterFunc(w.every, w.timedFlush)
-		} else {
-			w.timer.Reset(w.every)
-		}
-	}
-	return true
-}
-
-func (w *ColWriter) timedFlush() {
-	w.mu.Lock()
-	defer w.mu.Unlock()
-	if w.failed || w.b.Rows() == 0 {
-		return
-	}
-	// A stale fire for a batch that already went out size-triggered: hold
-	// the fresh partial batch for the remainder of its own interval.
-	if wait := w.every - time.Since(w.first); wait > 0 {
-		if w.timer != nil {
-			w.timer.Reset(wait)
-		}
-		return
-	}
-	w.flushLocked()
-}
-
-// Close flushes the remaining partial batch and stops the flush timer; it
-// does not close the underlying stream.
-func (w *ColWriter) Close() bool {
-	w.mu.Lock()
-	defer w.mu.Unlock()
-	if w.timer != nil {
-		w.timer.Stop()
-	}
-	return w.flushLocked()
-}
-
-func (w *ColWriter) flushLocked() bool {
-	if w.failed {
-		return false
-	}
-	if w.b.Rows() == 0 {
-		return true
-	}
-	if w.timer != nil {
-		w.timer.Stop()
-	}
-	if !w.st.sendC(w.ctx, w.out, w.b.Take()) {
-		w.failed = true
-		return false
-	}
-	return true
 }
 
 // CFromBindings returns a closed columnar stream delivering the given

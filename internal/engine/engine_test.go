@@ -149,23 +149,23 @@ func TestBindJoin(t *testing.T) {
 	d := dict.New()
 	svcSchema := NewSchema([]string{"w", "x"})
 	svc := func(ctx context.Context, seeds Seeds) *CStream {
-		seed := seeds.Bindings(d)[0]
 		var rows []sparql.Binding
-		if v, ok := seed["x"]; ok && (v.Value == "2" || v.Value == "3") {
-			rows = []sparql.Binding{
-				seed.Merge(b("w", "a"+v.Value)),
-				seed.Merge(b("w", "b"+v.Value)),
+		for _, seed := range seeds.Bindings(d) {
+			if v, ok := seed["x"]; ok && (v.Value == "2" || v.Value == "3") {
+				rows = append(rows, seed.Merge(b("w", "a"+v.Value)), seed.Merge(b("w", "b"+v.Value)))
 			}
 		}
 		return CFromBindings(ctx, rows, svcSchema, d, 0)
 	}
-	got := collect(CBindJoin(ctx, feed(ctx, d, left, 0), svc, []string{"x"}, svcSchema, 0), d)
-	if len(got) != 4 {
-		t.Fatalf("bind join produced %d, want 4: %v", len(got), got)
-	}
-	for _, g := range got {
-		if _, ok := g["w"]; !ok {
-			t.Fatalf("missing right-side binding: %v", g)
+	for _, cfg := range [][2]int{{1, 1}, {2, 2}} {
+		got := collect(CBindJoin(ctx, feed(ctx, d, left, 0), svc, []string{"x"}, svcSchema, cfg[0], cfg[1], 0), d)
+		if len(got) != 4 {
+			t.Fatalf("B=%d W=%d: bind join produced %d, want 4: %v", cfg[0], cfg[1], len(got), got)
+		}
+		for _, g := range got {
+			if _, ok := g["w"]; !ok {
+				t.Fatalf("B=%d W=%d: missing right-side binding: %v", cfg[0], cfg[1], g)
+			}
 		}
 	}
 }
@@ -383,5 +383,34 @@ func TestLeftJoinAllFilteredOutKeepsLeft(t *testing.T) {
 	}
 	if _, ok := got[0]["v"]; ok {
 		t.Fatalf("left row should be unextended: %v", got[0])
+	}
+}
+
+func TestSendBatchEmptyIsNoOp(t *testing.T) {
+	ctx := context.Background()
+	s := NewCStream(NewSchema([]string{"x"}), 0) // unbuffered: a real send would block
+	if !s.SendBatch(ctx, nil) {
+		t.Fatal("empty SendBatch failed")
+	}
+	if !s.TrySendBatch(nil) {
+		t.Fatal("empty TrySendBatch failed")
+	}
+}
+
+func TestCFromBindingsChunks(t *testing.T) {
+	ctx := context.Background()
+	in := make([]sparql.Binding, 10)
+	for i := range in {
+		in[i] = b("x", fmt.Sprint(i))
+	}
+	s := CFromBindings(ctx, in, NewSchema([]string{"x"}), dict.New(), 4)
+	var sizes []int
+	total := 0
+	for batch := range s.Batches() {
+		sizes = append(sizes, batch.Len)
+		total += batch.Len
+	}
+	if total != 10 || len(sizes) != 3 || sizes[0] != 4 || sizes[1] != 4 || sizes[2] != 2 {
+		t.Fatalf("chunking = %v (total %d), want [4 4 2]", sizes, total)
 	}
 }

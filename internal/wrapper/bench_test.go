@@ -47,9 +47,9 @@ func BenchmarkSQLMiss(b *testing.B) {
 		req  func(i int) *Request
 	}{
 		{"per-answer", func(i int) *Request {
-			return req.WithSeed(engine.Seeds{Vars: []string{"s"}, IDs: []dict.ID{block.IDs[i%block.Rows]}, Rows: 1})
+			return req.WithSeeds(engine.Seeds{Vars: []string{"s"}, IDs: []dict.ID{block.IDs[i%block.Rows]}, Rows: 1}, false)
 		}},
-		{"block", func(int) *Request { return req.WithSeeds(block) }},
+		{"block", func(int) *Request { return req.WithSeeds(block, true) }},
 	} {
 		b.Run(bc.name, func(b *testing.B) {
 			b.ReportAllocs()

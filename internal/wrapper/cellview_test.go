@@ -118,13 +118,13 @@ func seededForms(req *Request, schema *engine.Schema, e *respEntry) []*Request {
 	block := engine.Seeds{Vars: []string{sv}}
 	for r := 0; r < min(e.nrows, 8); r++ {
 		if r < 3 {
-			out = append(out, req.WithSeed(engine.Seeds{Vars: []string{sv}, IDs: []dict.ID{col[r]}, Rows: 1}))
+			out = append(out, req.WithSeeds(engine.Seeds{Vars: []string{sv}, IDs: []dict.ID{col[r]}, Rows: 1}, false))
 		}
 		block.IDs = append(block.IDs, col[r])
 		block.Rows++
 	}
 	if block.Rows > 0 {
-		out = append(out, req.WithSeeds(block))
+		out = append(out, req.WithSeeds(block, true))
 	}
 	return out
 }
@@ -294,7 +294,7 @@ func TestLastSQLSameOnReplay(t *testing.T) {
 		}
 		schema := engine.NewSchema(c.req.Vars())
 		e := entryFor(t, NewSQLWrapper(c.src, nil, TranslationOptimized, 0), c.req, schema, d)
-		unmatched := c.req.WithSeed(engine.Seeds{Vars: []string{c.req.Stars[0].SubjectVar}, IDs: []dict.ID{d.Intern(rdf.NewIRI("http://elsewhere/x"))}, Rows: 1})
+		unmatched := c.req.WithSeeds(engine.Seeds{Vars: []string{c.req.Stars[0].SubjectVar}, IDs: []dict.ID{d.Intern(rdf.NewIRI("http://elsewhere/x"))}, Rows: 1}, false)
 		for j, req := range append(seededForms(c.req, schema, e), c.req, unmatched) {
 			miss := run(w, req, schema)
 			hits := cache.Stats().Hits

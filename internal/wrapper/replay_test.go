@@ -52,14 +52,14 @@ func TestBindJoinReplayStaysInIDs(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		var s *engine.CStream
-		if block {
-			svc := func(ctx context.Context, seeds engine.Seeds) *engine.CStream { return call(right.WithSeeds(seeds)) }
-			s = engine.CBlockBindJoin(ctx, l, svc, []string{"p"}, out, 2, 2, 0)
-		} else {
-			svc := func(ctx context.Context, seed engine.Seeds) *engine.CStream { return call(right.WithSeed(seed)) }
-			s = engine.CBindJoin(ctx, l, svc, []string{"p"}, out, 0)
+		svc := func(ctx context.Context, seeds engine.Seeds) *engine.CStream {
+			return call(right.WithSeeds(seeds, block))
 		}
+		size, conc := 1, 1
+		if block {
+			size, conc = 2, 2
+		}
+		s := engine.CBindJoin(ctx, l, svc, []string{"p"}, out, size, conc, 0)
 		var answers []string
 		for _, b := range drain(t, s) {
 			answers = append(answers, b.FullKey())

@@ -196,18 +196,11 @@ func (r *Request) shapeOf() *shape {
 	return r.shape.Load()
 }
 
-// WithSeed returns r's per-answer form for one bind-join seed (seed.Rows
-// == 1). The derived request shares r's stars, filters and fingerprint.
-func (r *Request) WithSeed(seed engine.Seeds) *Request {
-	out := &Request{Stars: r.Stars, Filters: r.Filters, Seeds: seed}
-	out.shape.Store(r.shapeOf())
-	return out
-}
-
-// WithSeeds returns r's block form for one block of bind-join seeds,
-// sharing r's stars, filters and fingerprint.
-func (r *Request) WithSeeds(seeds engine.Seeds) *Request {
-	out := &Request{Stars: r.Stars, Filters: r.Filters, Seeds: seeds, Block: true}
+// WithSeeds returns r's seeded form for one block of bind-join seeds,
+// sharing r's stars, filters and fingerprint; block picks the response
+// charge (see Request.Block).
+func (r *Request) WithSeeds(seeds engine.Seeds, block bool) *Request {
+	out := &Request{Stars: r.Stars, Filters: r.Filters, Seeds: seeds, Block: block}
 	out.shape.Store(r.shapeOf())
 	return out
 }
@@ -299,7 +292,7 @@ func (t *ShapeTable) Len() int {
 }
 
 // Resolve returns the unseeded request b encodes; callers derive seeded
-// forms with WithSeed / WithSeeds and must not modify it.
+// forms with WithSeeds and must not modify it.
 func (t *ShapeTable) Resolve(b []byte) (*Request, error) {
 	t.mu.RLock()
 	slot := t.slots[string(b)]

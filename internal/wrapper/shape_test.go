@@ -202,7 +202,7 @@ func TestResponseCacheSweep(t *testing.T) {
 	c.store(hotKey, hot, schema, newRespEntry(nil, schema, testDict))
 
 	block := func(i int) *Request {
-		return hot.WithSeeds(engine.Seeds{Vars: []string{"s"}, IDs: []dict.ID{dict.ID(i + 1)}, Rows: 1})
+		return hot.WithSeeds(engine.Seeds{Vars: []string{"s"}, IDs: []dict.ID{dict.ID(i + 1)}, Rows: 1}, true)
 	}
 	reused := block(0)
 	reusedKey := respKeyFor("src", 0, reused, schema)
@@ -264,7 +264,7 @@ func TestShapeLazyOnBareLiteral(t *testing.T) {
 		}
 	}
 	seed := engine.Seeds{Vars: []string{"s"}, IDs: []dict.ID{1}, Rows: 1}
-	if req.WithSeed(seed).shapeOf() != shapes[0] || req.WithSeeds(seed).shapeOf() != shapes[0] {
+	if req.WithSeeds(seed, false).shapeOf() != shapes[0] || req.WithSeeds(seed, true).shapeOf() != shapes[0] {
 		t.Fatal("seeded forms do not carry the leaf's shape")
 	}
 	if !req.Binds("s") || !req.Binds("o0") || req.Binds("nope") {

@@ -464,11 +464,11 @@ func TestTripleIDViewConcurrentMisses(t *testing.T) {
 			for i := range drugs {
 				s := drugs[(i*(gi+1))%len(drugs)]
 				seed := engine.Seeds{Vars: []string{"s"}, IDs: []dict.ID{d.Intern(s)}, Rows: 1}
-				run((&Request{Stars: st}).WithSeed(seed))
+				run((&Request{Stars: st}).WithSeeds(seed, false))
 				if i%8 == 0 {
 					seed.IDs = append(seed.IDs, d.Intern(drugs[(i+gi)%len(drugs)]))
 					seed.Rows++
-					run((&Request{Stars: st}).WithSeeds(seed))
+					run((&Request{Stars: st}).WithSeeds(seed, true))
 				}
 			}
 		}()

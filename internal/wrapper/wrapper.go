@@ -45,14 +45,14 @@ func (s *StarQuery) Vars() []string {
 // Request is a wrapper invocation: one or more stars (more than one only
 // for relational sources under Heuristic 1) plus the filters the planner
 // decided to push to the source (Heuristic 2). A bare struct literal is a
-// complete request; derive the seeded forms of a plan leaf with WithSeed /
-// WithSeeds so they carry its fingerprint instead of re-deriving it.
+// complete request; derive the seeded forms of a plan leaf with WithSeeds
+// so they carry its fingerprint instead of re-deriving it.
 type Request struct {
 	Stars   []*StarQuery
 	Filters []sparql.Expr
 	// Seeds instantiates the request for a bind join, as dictionary IDs of
 	// the execution's dictionary: one seed for the sequential bind join's
-	// per-answer request, a block of them for the block bind join. Every
+	// request, a block of them for the block bind join. Every
 	// wrapper evaluates a seeded request the same way, as the union of the
 	// request over its seeds: each matching solution is returned exactly
 	// once, unmerged, binding the seeded variables with the source's own

@@ -405,7 +405,7 @@ func TestRDFWrapper(t *testing.T) {
 		t.Errorf("messages = %d, want 2", sim.Messages())
 	}
 	// Seeded execution.
-	got = collect(t, w, req.WithSeed(seedsOf(sparql.Binding{"n": rdf.NewLiteral("ada")})))
+	got = collect(t, w, req.WithSeeds(seedsOf(sparql.Binding{"n": rdf.NewLiteral("ada")}), false))
 	if len(got) != 1 {
 		t.Fatalf("seeded RDF wrapper: %v", got)
 	}
