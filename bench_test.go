@@ -254,44 +254,6 @@ func BenchmarkIndexKinds(b *testing.B) {
 	}
 }
 
-// BenchmarkDecomposition is ablation A4 (the paper's future-work
-// question): star-shaped vs triple-based decomposition. Triple-based plans
-// issue more service requests and transfer more intermediate results.
-func BenchmarkDecomposition(b *testing.B) {
-	lake := benchLake(b)
-	ctx := context.Background()
-	for _, mode := range []string{"star", "triple"} {
-		for _, net := range []ontario.Profile{ontario.NoDelay, ontario.Gamma2} {
-			b.Run(mode+"/"+profileSlug(net.Name), func(b *testing.B) {
-				eng := ontario.New(lake.Lake)
-				opts := []ontario.Option{
-					ontario.WithUnawarePlan(),
-					ontario.WithNetwork(net),
-					ontario.WithNetworkScale(benchNetScale),
-				}
-				if mode == "triple" {
-					opts = append(opts, ontario.WithTripleDecomposition(), ontario.WithUnawarePlan())
-				}
-				b.ReportAllocs()
-				var answers, messages int
-				for i := 0; i < b.N; i++ {
-					res, err := eng.Query(ctx, lslod.Queries()[1].Text, opts...)
-					if err != nil {
-						b.Fatal(err)
-					}
-					if _, err := res.Collect(); err != nil {
-						b.Fatal(err)
-					}
-					st := res.Stats()
-					answers, messages = st.Answers, st.Messages
-				}
-				b.ReportMetric(float64(answers), "answers")
-				b.ReportMetric(float64(messages), "messages")
-			})
-		}
-	}
-}
-
 // BenchmarkNormalization is ablation A5 (the paper's future-work
 // question): 3NF vs denormalized storage of Diseasome, on Q2 (same-source
 // star join).

@@ -267,14 +267,14 @@ func TestClusterWorkerRestart(t *testing.T) {
 	}
 }
 
-// TestClusterCoPartitionedPushdown forces a subject-subject
-// symmetric-hash join (triple decomposition, greedy ordering) whose two
-// scans are both partitioned by the join variable: the coordinator must
-// push the join subtree down to the co-partitioned workers — the
-// executed operator is "co-join" and zero batches cross the wire as
-// shuffle traffic — while the answer multiset stays identical to the
-// single-node run. A subject-object join over the same pool is the
-// control: not co-partitioned, so it must shuffle.
+// TestClusterCoPartitionedPushdown plans, under greedy ordering, a
+// subject-subject symmetric-hash join of a scan and a union of two scans,
+// all three partitioned by the join variable: the coordinator must push
+// the join subtree down to the co-partitioned workers — the executed
+// operator is "co-join" and zero batches cross the wire as shuffle
+// traffic — while the answer multiset stays identical to the single-node
+// run. A subject-object join over the same pool is the control: not
+// co-partitioned, so it must shuffle.
 func TestClusterCoPartitionedPushdown(t *testing.T) {
 	lk := buildEquivLake(t)
 	eng := ontario.New(lk.Lake)
@@ -282,19 +282,19 @@ func TestClusterCoPartitionedPushdown(t *testing.T) {
 
 	base := []ontario.Option{
 		ontario.WithAwarePlan(),
-		ontario.WithTripleDecomposition(),
 		ontario.WithOptimizer(ontario.OptimizerGreedy),
 		ontario.WithNetwork(ontario.NoDelay),
 		ontario.WithNetworkScale(0),
 		ontario.WithSeed(1),
 	}
 
-	// Both patterns share the subject ?disease, so both sides of the join
-	// are partitioned by the join variable.
-	coQuery := fmt.Sprintf(`SELECT ?disease ?name ?drug WHERE {
+	// Every pattern has the subject ?disease, so both sides of the join
+	// are partitioned by the join variable; the union keeps the name star
+	// and the drug or gene stars apart.
+	coQuery := fmt.Sprintf(`SELECT ?disease ?name ?x WHERE {
   ?disease <%s> ?name .
-  ?disease <%s> ?drug .
-}`, lslod.PredDiseaseName, lslod.PredPossibleDrug)
+  { ?disease <%s> ?x } UNION { ?disease <%s> ?x }
+}`, lslod.PredDiseaseName, lslod.PredPossibleDrug, lslod.PredAssociatedGene)
 	_, want := runCanon(t, eng, coQuery, base...)
 	if len(want) == 0 {
 		t.Fatal("co-partitioned query returned no solutions single-node")

@@ -160,7 +160,7 @@ SELECT ?d ?g WHERE {
 	}
 	fmt.Println(plan)
 	// Output:
-	// Plan[physical-design-aware, optimizer=cost, filters=source-if-indexed, translation=optimized, join=per-join, decomposition=star-shaped]
+	// Plan[physical-design-aware, optimizer=cost, filters=source-if-indexed, translation=optimized, join=per-join]
 	//   MergedService[diseasome] star(?d:Disease, 2 patterns) star(?g:Gene, 1 patterns)  {est card=150 msgs=150 cost=9.0}
 }
 

@@ -230,31 +230,23 @@ func (c *Client) fanOut(ctx context.Context, task []byte, schema *engine.Schema,
 	return out, nil
 }
 
-// Service implements core.Distributor: the request fans out to every
-// worker's partition and the result stream is the union of their batches.
-func (c *Client) Service(ctx context.Context, sourceID string, req *wrapper.Request, schema *engine.Schema, d *dict.Dict, env core.FragmentEnv) (*engine.CStream, error) {
-	bp := getWireBuf(0)
-	defer putWireBuf(bp)
-	task, err := appendScanTask(*bp, sourceID, req, schema.Vars, d, env)
-	if err != nil {
-		return nil, err
-	}
-	*bp = task
-	return c.fanOut(ctx, task, schema, d, env, "source "+sourceID)
-}
-
 // RunFragment implements core.Distributor: the serializable plan subtree
-// runs whole on every worker's partition — each worker joins locally and
-// streams only results, zero shuffled batches.
+// runs whole on every worker's partition — a one-leaf fragment is one
+// wrapper request, a larger one joins locally — and only results stream
+// back, zero shuffled batches.
 func (c *Client) RunFragment(ctx context.Context, root core.PlanNode, out *engine.Schema, d *dict.Dict, env core.FragmentEnv) (*engine.CStream, error) {
 	bp := getWireBuf(0)
 	defer putWireBuf(bp)
-	task, err := appendFragTask(*bp, root, env)
+	task, err := appendFragTask(*bp, root, d, env)
 	if err != nil {
 		return nil, err
 	}
 	*bp = task
-	return c.fanOut(ctx, task, out, d, env, "fragment")
+	what := "fragment"
+	if svc, ok := root.(*core.ServiceNode); ok {
+		what = "source " + svc.SourceID
+	}
+	return c.fanOut(ctx, task, out, d, env, what)
 }
 
 // Colocated implements core.Distributor: it reports whether the pool is a

@@ -11,7 +11,6 @@ import (
 	"ontario/internal/engine"
 	"ontario/internal/netsim"
 	"ontario/internal/rdf"
-	"ontario/internal/sparql"
 	"ontario/internal/wirefmt"
 	"ontario/internal/wrapper"
 )
@@ -20,21 +19,23 @@ import (
 // strings, terms and uvarints):
 //
 //	task  := 'h'                                        (hello: status probe)
-//	       | 's' env source vars shape seeds            (scan)
-//	       | 'j' env joinVars leftVars rightVars outVars (join)
-//	       | 'f' env node                               (frag)
-//	node  := 's' vars source shape | 'j' vars joinVars node node
-//	       | 'F' vars nexprs expr* node | 'u' vars nnodes node*
+//	       | 'j' env joinVars leftVars rightVars outVars (shuffled join)
+//	       | 'f' env node                               (plan fragment)
+//	node  := 's' source shape seeds | 'j' joinVars node node
+//	       | 'F' nexprs expr* node | 'u' nnodes node*
 //	shape := the request's canonical form as one string (wrapper.Request.Shape)
 //	seeds := 0 | 1 block | 2 block                      (none, per-answer, block)
 //	block := vars nrows (0xff | term)*                  (one cell per row and var)
 //
-// A request's shape — stars and pushed filters — is serialised once per
-// plan leaf on the coordinator and resolved through the worker's shape
-// table, so per task only env, schema and seeds are encoded and decoded.
+// A scan — one wrapper request, seeded or not — is the fragment of one
+// 's' leaf. No schema crosses the wire: both ends take a node's output
+// schema from the plan node's Vars(), which the canonical shape fixes
+// because it keeps the order of stars and patterns. A request's shape is
+// serialised once per plan leaf on the coordinator and resolved through
+// the worker's shape table, so per task only env and seeds are encoded
+// and decoded.
 const (
 	taskHello byte = 'h'
-	taskScan  byte = 's'
 	taskJoin  byte = 'j'
 	taskFrag  byte = 'f'
 
@@ -58,78 +59,52 @@ type task struct {
 	kind byte
 	env  wireEnv
 
-	// scan: one wrapper request against the worker's partition of a source,
-	// result batches streamed back as SideOut over schema.
-	source string
-	schema []string
-	req    *wrapper.Request
-
 	// join: symmetric-hash-join the SideLeft/SideRight batches the
 	// coordinator shuffles in, streaming joined SideOut batches back.
 	joinVars, left, right, out []string
 
-	// frag: a whole serializable plan subtree — a co-partitioned join
-	// pushdown — run against the worker's partition, only the local results
-	// streamed back: zero shuffled batches.
-	root *fragNode
-}
-
-// fragNode is the closed serializable subset of the plan AST a
-// co-partitioned fragment can contain: single-star scans, symmetric-hash
-// joins, filters and unions. appendFrag proves membership; anything else
-// stays on the coordinator.
-type fragNode struct {
-	kind     byte
-	vars     []string // the node's output schema
-	source   string   // scan
-	req      *wrapper.Request
-	joinVars []string
-	filters  []sparql.Expr
-	children []*fragNode // join: left, right; filter: one; union: one or more
-}
-
-// appendShape writes req's canonical stars-and-filters form.
-func appendShape(buf []byte, req *wrapper.Request) ([]byte, error) {
-	shape, err := req.Shape()
-	if err != nil {
-		return nil, err
-	}
-	return wirefmt.AppendString(buf, shape), nil
+	// frag: a plan subtree run against the worker's partition by the core
+	// executor, only its results streamed back — a one-leaf scan, or a
+	// co-partitioned join pushed down whole with zero shuffled batches.
+	// It is the closed serializable subset of the plan: services,
+	// symmetric-hash joins, filters and unions.
+	root core.PlanNode
 }
 
 // appendFrag serializes a plan subtree for worker-side execution,
-// erroring on any node kind the fragment protocol cannot carry.
-func appendFrag(buf []byte, n core.PlanNode) ([]byte, error) {
+// resolving seed IDs through d and erroring on any node kind the fragment
+// protocol cannot carry.
+func appendFrag(buf []byte, n core.PlanNode, d *dict.Dict) ([]byte, error) {
 	var err error
 	switch v := n.(type) {
 	case *core.ServiceNode:
-		buf = wirefmt.AppendStrings(append(buf, fragScan), v.Vars())
-		buf = wirefmt.AppendString(buf, v.SourceID)
-		return appendShape(buf, v.Req)
+		shape, err := v.Req.Shape()
+		if err != nil {
+			return nil, err
+		}
+		buf = wirefmt.AppendString(wirefmt.AppendString(append(buf, fragScan), v.SourceID), shape)
+		return appendSeeds(buf, v.Req, d), nil
 	case *core.JoinNode:
 		if v.Op != core.JoinSymmetricHash {
 			return nil, fmt.Errorf("cluster: fragment cannot carry join operator %v", v.Op)
 		}
-		buf = wirefmt.AppendStrings(append(buf, fragJoin), v.Vars())
-		buf = wirefmt.AppendStrings(buf, v.JoinVars)
-		if buf, err = appendFrag(buf, v.L); err != nil {
+		buf = wirefmt.AppendStrings(append(buf, fragJoin), v.JoinVars)
+		if buf, err = appendFrag(buf, v.L, d); err != nil {
 			return nil, err
 		}
-		return appendFrag(buf, v.R)
+		return appendFrag(buf, v.R, d)
 	case *core.FilterNode:
-		buf = wirefmt.AppendStrings(append(buf, fragFilter), v.Vars())
-		buf = binary.AppendUvarint(buf, uint64(len(v.Exprs)))
+		buf = binary.AppendUvarint(append(buf, fragFilter), uint64(len(v.Exprs)))
 		for _, e := range v.Exprs {
 			if buf, err = wrapper.AppendExpr(buf, e); err != nil {
 				return nil, err
 			}
 		}
-		return appendFrag(buf, v.Child)
+		return appendFrag(buf, v.Child, d)
 	case *core.UnionNode:
-		buf = wirefmt.AppendStrings(append(buf, fragUnion), v.Vars())
-		buf = binary.AppendUvarint(buf, uint64(len(v.Children)))
+		buf = binary.AppendUvarint(append(buf, fragUnion), uint64(len(v.Children)))
 		for _, c := range v.Children {
-			if buf, err = appendFrag(buf, c); err != nil {
+			if buf, err = appendFrag(buf, c, d); err != nil {
 				return nil, err
 			}
 		}
@@ -139,65 +114,65 @@ func appendFrag(buf []byte, n core.PlanNode) ([]byte, error) {
 	}
 }
 
-// readScan reads a scan's schema, source and shape, resolving the shape
-// through the table and rejecting a schema the shape cannot fill: a
-// duplicated variable or one no star binds.
-func readScan(c *wirefmt.Cursor, shapes *wrapper.ShapeTable) (vars []string, source string, req *wrapper.Request) {
-	vars = c.Strings()
-	source = c.String()
-	shape := c.Bytes(c.Count())
-	if c.Err != nil {
-		return nil, "", nil
-	}
-	req, err := shapes.Resolve(shape)
-	if err != nil {
-		c.Fail("request shape: %v", err)
-		return nil, "", nil
-	}
-	for i, v := range vars {
-		if !req.Binds(v) {
-			c.Fail("schema variable ?%s is not bound by the request", v)
-		}
-		for _, u := range vars[:i] {
-			if u == v {
-				c.Fail("schema repeats variable ?%s", v)
-			}
-		}
-	}
-	return vars, source, req
+// seededLeaf is a decoded leaf whose seed section waits to be interned.
+type seededLeaf struct {
+	svc *core.ServiceNode
+	sec *seedSection
 }
 
-func readFrag(c *wirefmt.Cursor, shapes *wrapper.ShapeTable, depth int) *fragNode {
+// readFrag decodes a fragment tree into plan nodes, resolving each leaf's
+// shape through the table and collecting its seed section into seeded, so
+// that no term is interned before the whole frame has parsed.
+func readFrag(c *wirefmt.Cursor, shapes *wrapper.ShapeTable, depth int, seeded *[]seededLeaf) core.PlanNode {
 	if depth > maxFragDepth {
 		c.Fail("fragment nested deeper than %d", maxFragDepth)
 		return nil
 	}
-	n := &fragNode{kind: c.Byte()}
-	switch n.kind {
+	switch kind := c.Byte(); kind {
 	case fragScan:
-		n.vars, n.source, n.req = readScan(c, shapes)
-	case fragJoin:
-		n.vars, n.joinVars = c.Strings(), c.Strings()
-		n.children = []*fragNode{readFrag(c, shapes, depth+1), readFrag(c, shapes, depth+1)}
-	case fragFilter:
-		n.vars = c.Strings()
-		for i, ne := 0, c.Count(); i < ne && c.Err == nil; i++ {
-			n.filters = append(n.filters, wrapper.ReadExpr(c))
+		svc := &core.ServiceNode{SourceID: c.String()}
+		shape := c.Bytes(c.Count())
+		if c.Err != nil {
+			return nil
 		}
-		n.children = []*fragNode{readFrag(c, shapes, depth+1)}
+		req, err := shapes.Resolve(shape)
+		if err != nil {
+			c.Fail("request shape: %v", err)
+			return nil
+		}
+		svc.Req = req
+		if sec := readSeeds(c); sec != nil {
+			*seeded = append(*seeded, seededLeaf{svc, sec})
+		}
+		return svc
+	case fragJoin:
+		return &core.JoinNode{
+			JoinVars: c.Strings(),
+			Op:       core.JoinSymmetricHash,
+			L:        readFrag(c, shapes, depth+1, seeded),
+			R:        readFrag(c, shapes, depth+1, seeded),
+		}
+	case fragFilter:
+		f := &core.FilterNode{}
+		for i, ne := 0, c.Count(); i < ne && c.Err == nil; i++ {
+			f.Exprs = append(f.Exprs, wrapper.ReadExpr(c))
+		}
+		f.Child = readFrag(c, shapes, depth+1, seeded)
+		return f
 	case fragUnion:
-		n.vars = c.Strings()
+		u := &core.UnionNode{}
 		nc := c.Count()
 		if nc == 0 {
 			c.Fail("fragment union without children")
 		}
 		for i := 0; i < nc && c.Err == nil; i++ {
-			n.children = append(n.children, readFrag(c, shapes, depth+1))
+			u.Children = append(u.Children, readFrag(c, shapes, depth+1, seeded))
 		}
+		return u
 	default:
-		c.Fail("unknown fragment kind 0x%02x", n.kind)
+		c.Fail("unknown fragment kind 0x%02x", kind)
+		return nil
 	}
-	return n
 }
 
 // wireEnv ships the execution-shaping slice of core.Options plus the
@@ -352,19 +327,6 @@ func (sec *seedSection) bind(shape *wrapper.Request, d *dict.Dict) *wrapper.Requ
 	return shape.WithSeeds(seeds, sec.block)
 }
 
-// appendScanTask builds the task frame for one wrapper request whose seed
-// IDs belong to d.
-func appendScanTask(buf []byte, sourceID string, req *wrapper.Request, schema []string, d *dict.Dict, env core.FragmentEnv) ([]byte, error) {
-	buf = appendEnv(append(buf, taskScan), env)
-	buf = wirefmt.AppendStrings(buf, schema)
-	buf = wirefmt.AppendString(buf, sourceID)
-	buf, err := appendShape(buf, req)
-	if err != nil {
-		return nil, err
-	}
-	return appendSeeds(buf, req, d), nil
-}
-
 // appendJoinTask builds the task frame for a shuffled symmetric hash join.
 func appendJoinTask(buf []byte, joinVars, left, right, out []string, env core.FragmentEnv) []byte {
 	buf = appendEnv(append(buf, taskJoin), env)
@@ -374,35 +336,29 @@ func appendJoinTask(buf []byte, joinVars, left, right, out []string, env core.Fr
 	return buf
 }
 
-// appendFragTask builds the task frame for a co-partitioned plan subtree.
-func appendFragTask(buf []byte, root core.PlanNode, env core.FragmentEnv) ([]byte, error) {
-	return appendFrag(appendEnv(append(buf, taskFrag), env), root)
+// appendFragTask builds the task frame for a plan subtree whose seed IDs
+// belong to d.
+func appendFragTask(buf []byte, root core.PlanNode, d *dict.Dict, env core.FragmentEnv) ([]byte, error) {
+	return appendFrag(appendEnv(append(buf, taskFrag), env), root, d)
 }
 
 // parseTask decodes a task frame's payload, resolving request shapes
 // through the worker's shape table and interning seed terms straight into
 // d's IDs. Anything malformed — an unknown kind or tag, a truncated
-// section, a schema its shape cannot fill, trailing bytes — is an error;
-// only shapes that decoded are remembered, and only a header that parsed
-// whole interns its seeds.
+// section, trailing bytes — is an error; only shapes that decoded are
+// remembered, and only a header that parsed whole interns its seeds.
 func parseTask(p []byte, shapes *wrapper.ShapeTable, d *dict.Dict) (*task, error) {
 	c := &wirefmt.Cursor{P: p}
 	t := &task{kind: c.Byte()}
-	var seeds *seedSection
+	var seeded []seededLeaf
 	switch t.kind {
 	case taskHello:
-	case taskScan:
-		t.env = readEnv(c)
-		t.schema, t.source, t.req = readScan(c, shapes)
-		if c.Err == nil {
-			seeds = readSeeds(c)
-		}
 	case taskJoin:
 		t.env = readEnv(c)
 		t.joinVars, t.left, t.right, t.out = c.Strings(), c.Strings(), c.Strings(), c.Strings()
 	case taskFrag:
 		t.env = readEnv(c)
-		t.root = readFrag(c, shapes, 0)
+		t.root = readFrag(c, shapes, 0, &seeded)
 	default:
 		c.Fail("unknown task kind 0x%02x", t.kind)
 	}
@@ -412,8 +368,8 @@ func parseTask(p []byte, shapes *wrapper.ShapeTable, d *dict.Dict) (*task, error
 	if c.Err != nil {
 		return nil, c.Err
 	}
-	if seeds != nil {
-		t.req = seeds.bind(t.req, d)
+	for _, l := range seeded {
+		l.svc.Req = l.sec.bind(l.svc.Req, d)
 	}
 	return t, nil
 }

@@ -33,13 +33,14 @@ type WorkerConfig struct {
 // (in-process test pools start several workers at once).
 var epochSeq atomic.Int64
 
-// Worker executes plan fragments against one partition of the lake: scan
-// tasks run a wrapper request through the partitioned catalog, join tasks
-// symmetric-hash-join the batches the coordinator shuffles in, and frag
-// tasks run a whole co-partitioned plan subtree locally. One TCP
-// connection carries many concurrent task streams; the worker greets
-// every accepted connection with a hello on stream 0 carrying its
-// session epoch, so a coordinator can tell reconnects from restarts.
+// Worker executes plan fragments against one partition of the lake: frag
+// tasks run a plan subtree — one wrapper request, or a whole
+// co-partitioned join — through the core executor over the partitioned
+// catalog, and join tasks symmetric-hash-join the batches the coordinator
+// shuffles in. One TCP connection carries many concurrent task streams;
+// the worker greets every accepted connection with a hello on stream 0
+// carrying its session epoch, so a coordinator can tell reconnects from
+// restarts.
 type Worker struct {
 	exec *core.Executor
 	d    *dict.Dict
@@ -385,8 +386,6 @@ func (w *Worker) runTask(wc *workerConn, st *workerStream, t *task) {
 
 	var runErr error
 	switch t.kind {
-	case taskScan:
-		runErr = w.runScan(st, wc.enc, t)
 	case taskJoin:
 		runErr = w.runJoin(st, wc.enc, t)
 	case taskFrag:
@@ -410,33 +409,16 @@ func (w *Worker) sendOut(st *workerStream, enc *Encoder, s *engine.CStream) erro
 	return nil
 }
 
-// runScan executes one wrapper request against this worker's partition
-// and streams the result batches back.
-func (w *Worker) runScan(st *workerStream, enc *Encoder, t *task) error {
-	x := w.exec.NewExecution(t.env.Scale, t.env.Seed)
-	s, err := x.RunService(st.ctx, t.source, t.req, engine.NewSchema(t.schema), t.env.options())
-	if err != nil {
-		return err
-	}
-	return w.finish(st, enc, x, s)
-}
-
-// runFrag executes a co-partitioned plan subtree locally and streams only
-// its results back — the shuffle-elision path.
+// runFrag builds a plan fragment with the core executor against this
+// worker's partition and streams only its results back. A fragment that
+// fails to build may leave started children running; the connection
+// handler cancels st.ctx as soon as the task returns, which stops them.
 func (w *Worker) runFrag(st *workerStream, enc *Encoder, t *task) error {
-	ctx, cancel := context.WithCancel(st.ctx)
-	defer cancel()
 	x := w.exec.NewExecution(t.env.Scale, t.env.Seed)
-	s, err := w.buildFrag(ctx, cancel, x, t.root, t.env.options())
+	s, err := x.Run(st.ctx, t.root, t.env.options())
 	if err != nil {
 		return err
 	}
-	return w.finish(st, enc, x, s)
-}
-
-// finish streams a task's result out, then reports the execution's
-// deferred error or closes the stream's SideOut.
-func (w *Worker) finish(st *workerStream, enc *Encoder, x *core.Execution, s *engine.CStream) error {
 	if err := w.sendOut(st, enc, s); err != nil {
 		return err
 	}
@@ -444,38 +426,6 @@ func (w *Worker) finish(st *workerStream, enc *Encoder, x *core.Execution, s *en
 		return err
 	}
 	return enc.Done(st.id, SideOut)
-}
-
-// buildFrag instantiates the fragment tree as local columnar operators
-// over this worker's partition (parseTask has checked its structure).
-// When a child fails to build, its started siblings are cancelled through
-// cancel, which must cancel ctx, and drained before the error returns.
-func (w *Worker) buildFrag(ctx context.Context, cancel context.CancelFunc, x *core.Execution, f *fragNode, opts core.Options) (*engine.CStream, error) {
-	schema := engine.NewSchema(f.vars)
-	if f.kind == fragScan {
-		return x.RunService(ctx, f.source, f.req, schema, opts)
-	}
-	ins := make([]*engine.CStream, 0, len(f.children))
-	for _, ch := range f.children {
-		s, err := w.buildFrag(ctx, cancel, x, ch, opts)
-		if err != nil {
-			cancel()
-			for _, in := range ins {
-				in.Drain()
-			}
-			return nil, err
-		}
-		ins = append(ins, s)
-	}
-	switch f.kind {
-	case fragJoin:
-		return engine.CSymmetricHashJoin(ctx, ins[0], ins[1], f.joinVars, schema,
-			opts.EffectiveProbeParallelism(), opts.EffectiveBatchSize()), nil
-	case fragFilter:
-		return engine.CFilter(ctx, ins[0], f.filters, w.d), nil
-	default:
-		return engine.CUnion(ctx, schema, opts.EffectiveBatchSize(), ins...), nil
-	}
 }
 
 // runJoin symmetric-hash-joins the left/right batches the coordinator

@@ -119,10 +119,10 @@ func rows(s *engine.CStream, d *dict.Dict) []string {
 	return out
 }
 
-// TestWorkerReplaysScan: the same scan task — unseeded, and a seed block
-// cut from its own answers — run twice against one worker returns the same
-// rows in the same order, and the second run evaluates no source: every
-// request of it is a response-cache hit.
+// TestWorkerReplaysScan: the same one-leaf fragment — unseeded, and a seed
+// block cut from its own answers — run twice against one worker returns
+// the same rows in the same order, and the second run evaluates no
+// source: every request of it is a response-cache hit.
 func TestWorkerReplaysScan(t *testing.T) {
 	tw := bootWorker(t)
 	client, err := NewClient([]string{tw.addr}, ClientConfig{})
@@ -134,8 +134,12 @@ func TestWorkerReplaysScan(t *testing.T) {
 	env := testEnv(t)
 	ctx := context.Background()
 
+	run := func(svc *core.ServiceNode, req *wrapper.Request) (*engine.CStream, error) {
+		leaf := &core.ServiceNode{SourceID: svc.SourceID, Req: req}
+		return client.RunFragment(ctx, leaf, engine.NewSchema(svc.Vars()), d, env)
+	}
 	scan := func(svc *core.ServiceNode, req *wrapper.Request) []string {
-		s, err := client.Service(ctx, svc.SourceID, req, engine.NewSchema(svc.Vars()), d, env)
+		s, err := run(svc, req)
 		if err != nil {
 			t.Fatalf("source %s: %v", svc.SourceID, err)
 		}
@@ -151,7 +155,7 @@ func TestWorkerReplaysScan(t *testing.T) {
 			}
 			// A block of the first answers' subjects, as a block bind join
 			// would send it.
-			s, err := client.Service(ctx, svc.SourceID, svc.Req, engine.NewSchema(svc.Vars()), d, env)
+			s, err := run(svc, svc.Req)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -246,19 +250,20 @@ func TestWorkerReplaysFrag(t *testing.T) {
 	}
 }
 
-// TestBuildFragReleasesStartedChildren: a fragment join whose right child
-// names a source the worker does not have fails to build after its left
-// child's scan has started. The error comes back, and the left scan —
-// far more batches than its stream buffers — is cancelled and drained
-// rather than left blocked on a send nobody will receive.
-func TestBuildFragReleasesStartedChildren(t *testing.T) {
+// TestRunReleasesStartedChildren: a fragment join whose right leaf names
+// a source the worker does not have fails to build after its left leaf's
+// scan has started. The error comes back, and once the context is
+// cancelled — as the connection handler does when the task returns — the
+// left scan, far more batches than its stream buffers, unwinds rather
+// than staying blocked on a send nobody will receive.
+func TestRunReleasesStartedChildren(t *testing.T) {
 	tw := bootWorker(t)
 	// The largest scan of the unaware plans.
 	var svc *core.ServiceNode
 	most := 0
 	for _, plan := range lslodPlans(t, tw.cat, core.Options{JoinOperator: core.JoinSymmetricHash}) {
 		for _, s := range services(plan.Root) {
-			out, err := tw.w.exec.NewExecution(0, 1).RunService(context.Background(), s.SourceID, s.Req, engine.NewSchema(s.Vars()), core.Options{})
+			out, err := tw.w.exec.NewExecution(0, 1).Run(context.Background(), s, core.Options{})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -270,26 +275,22 @@ func TestBuildFragReleasesStartedChildren(t *testing.T) {
 	if most < 100 {
 		t.Fatalf("the largest scan has %d rows, too few to fill a stream's buffer", most)
 	}
-	left := &fragNode{kind: fragScan, vars: svc.Vars(), source: svc.SourceID, req: svc.Req}
-	right := &fragNode{kind: fragScan, vars: svc.Vars(), source: "no-such-source", req: svc.Req}
-	root := &fragNode{kind: fragJoin, vars: svc.Vars(), joinVars: svc.Vars()[:1], children: []*fragNode{left, right}}
+	root := &core.JoinNode{
+		L:        svc,
+		R:        &core.ServiceNode{SourceID: "no-such-source", Req: svc.Req},
+		JoinVars: svc.Vars()[:1],
+		Op:       core.JoinSymmetricHash,
+	}
 	settle := func() int {
 		runtime.GC()
 		time.Sleep(50 * time.Millisecond)
 		return runtime.NumGoroutine()
 	}
 	before := settle()
-	var cancels []context.CancelFunc // called only after the count: buildFrag must not rely on them
-	defer func() {
-		for _, cancel := range cancels {
-			cancel()
-		}
-	}()
 	for i := 0; i < 3; i++ {
 		ctx, cancel := context.WithCancel(context.Background())
-		cancels = append(cancels, cancel)
-		x := tw.w.exec.NewExecution(0, 1)
-		s, err := tw.w.buildFrag(ctx, cancel, x, root, core.Options{BatchSize: 1})
+		s, err := tw.w.exec.NewExecution(0, 1).Run(ctx, root, core.Options{BatchSize: 1})
+		cancel()
 		if err == nil || !strings.Contains(err.Error(), "no-such-source") {
 			t.Fatalf("build %d: stream %v, error %v, want the unknown source's error", i, s, err)
 		}
@@ -312,42 +313,51 @@ func equalStrings(a, b []string) bool {
 }
 
 // badTaskFrames returns task payloads a worker must reject, built around
-// one valid scan task.
+// one valid one-leaf fragment.
 func badTaskFrames(t testing.TB, svc *core.ServiceNode, env core.FragmentEnv) map[string][]byte {
 	t.Helper()
-	valid, err := appendScanTask(nil, svc.SourceID, svc.Req, svc.Vars(), nil, env)
+	valid, err := appendFragTask(nil, svc, nil, env)
 	if err != nil {
 		t.Fatal(err)
 	}
-	scanWith := func(schema []string, shape string) []byte {
-		buf := wirefmt.AppendStrings(appendEnv([]byte{taskScan}, env), schema)
-		buf = wirefmt.AppendString(wirefmt.AppendString(buf, svc.SourceID), shape)
+	frag := func(node ...byte) []byte { return append(appendEnv([]byte{taskFrag}, env), node...) }
+	leaf := func(shape string) []byte {
+		buf := wirefmt.AppendString(wirefmt.AppendString([]byte{fragScan}, svc.SourceID), shape)
 		return append(buf, seedsNone)
 	}
+	// A union whose first leaf carries a valid seed section, naming a term
+	// no lake holds, and whose second leaf does not decode: the seed must
+	// not be interned.
+	d := dict.New()
+	late := d.Intern(rdf.NewIRI("http://example.org/late-bound-seed"))
+	seeds := engine.Seeds{Vars: []string{svc.Req.Stars[0].SubjectVar}, IDs: []dict.ID{late}, Rows: 1}
+	lateUnion, err := appendFrag([]byte{fragUnion, 2}, &core.ServiceNode{SourceID: svc.SourceID, Req: svc.Req.WithSeeds(seeds, false)}, d)
+	if err != nil {
+		t.Fatal(err)
+	}
 	shape, _ := svc.Req.Shape()
-	vars := svc.Vars()
+	badTag := shape[:len(shape)-1] + "\x01\x55" // one filter, tag 0x55
 	return map[string][]byte{
-		"unknown task kind":       {0x7e},
-		"empty":                   {},
-		"truncated header":        valid[:len(valid)/2],
-		"trailing bytes":          append(append([]byte(nil), valid...), 0),
-		"truncated shape":         scanWith(vars, shape[:len(shape)/2]),
-		"unknown shape version":   scanWith(vars, "\x09"+shape[1:]),
-		"unknown shape tag":       scanWith(vars, shape[:len(shape)-1]+"\x01\x55"), // one filter, tag 0x55
-		"schema names a stranger": scanWith(append(append([]string(nil), vars...), "stranger"), shape),
-		"schema repeats a var":    scanWith(append(append([]string(nil), vars...), vars[0]), shape),
-		"unknown seed form":       append(append([]byte(nil), valid[:len(valid)-1]...), 9),
-		"seed block over payload": append(append([]byte(nil), valid[:len(valid)-1]...), seedsBlock, 1, 1, 'x', 0xff, 0xff, 0x03),
-		"seeds repeat a var":      append(append([]byte(nil), valid[:len(valid)-1]...), seedsOne, 2, 1, 'x', 1, 'x', 1, seedAbsent, seedAbsent),
-		"unknown fragment kind":   append(appendEnv([]byte{taskFrag}, env), 'z'),
-		"frag union of nothing":   append(appendEnv([]byte{taskFrag}, env), fragUnion, 0, 0),
+		"unknown task kind":          {0x7e},
+		"empty":                      {},
+		"truncated header":           valid[:len(valid)/2],
+		"trailing bytes":             append(append([]byte(nil), valid...), 0),
+		"truncated shape":            frag(leaf(shape[:len(shape)/2])...),
+		"unknown shape version":      frag(leaf("\x09" + shape[1:])...),
+		"unknown shape tag":          frag(leaf(badTag)...),
+		"unknown seed form":          append(append([]byte(nil), valid[:len(valid)-1]...), 9),
+		"seed block over payload":    append(append([]byte(nil), valid[:len(valid)-1]...), seedsBlock, 1, 1, 'x', 0xff, 0xff, 0x03),
+		"seeds repeat a var":         append(append([]byte(nil), valid[:len(valid)-1]...), seedsOne, 2, 1, 'x', 1, 'x', 1, seedAbsent, seedAbsent),
+		"unknown fragment kind":      frag('z'),
+		"frag union of nothing":      frag(fragUnion, 0),
+		"seeded leaf, then bad leaf": frag(append(lateUnion, leaf(badTag)...)...),
 	}
 }
 
 // TestWorkerRejectsBadTaskHeader: a task header that is unknown,
-// truncated, carries shape bytes that do not decode or a schema its shape
-// cannot fill is answered with an error frame; nothing of it is remembered
-// and the link keeps serving.
+// truncated, or carries shape or seed bytes that do not decode is
+// answered with an error frame; nothing of it is remembered, no seed of it
+// is interned, and the link keeps serving.
 func TestWorkerRejectsBadTaskHeader(t *testing.T) {
 	tw := bootWorker(t)
 	env := testEnv(t)
@@ -367,6 +377,7 @@ func TestWorkerRejectsBadTaskHeader(t *testing.T) {
 		t.Fatalf("handshake: frame %#x, %v", f.Type, err)
 	}
 
+	terms := tw.w.Info().Terms
 	stream := uint64(0)
 	for name, payload := range badTaskFrames(t, svc, env) {
 		stream++
@@ -384,14 +395,18 @@ func TestWorkerRejectsBadTaskHeader(t *testing.T) {
 	if info := tw.w.Info(); info.CacheEntries != 0 || info.CacheMisses != 0 {
 		t.Fatalf("a rejected task reached a source: %+v", info)
 	}
-	// Only the schema cases carried a shape that decodes; that shape is
+	// Only the seed cases carried a shape that decodes; that shape is
 	// well-formed and may be remembered, the others never are.
-	if n := tw.w.Info().Shapes; n > 1 {
-		t.Fatalf("%d shapes remembered from rejected headers", n)
+	info := tw.w.Info()
+	if info.Shapes > 1 {
+		t.Fatalf("%d shapes remembered from rejected headers", info.Shapes)
+	}
+	if info.Terms != terms {
+		t.Fatalf("rejected headers interned %d terms", info.Terms-terms)
 	}
 
 	// The link is not wedged: the valid task still answers.
-	valid, _ := appendScanTask(nil, svc.SourceID, svc.Req, svc.Vars(), nil, env)
+	valid, _ := appendFragTask(nil, svc, nil, env)
 	stream++
 	if err := enc.Task(stream, valid); err != nil {
 		t.Fatal(err)
@@ -417,10 +432,18 @@ func TestWorkerRejectsBadTaskHeader(t *testing.T) {
 	}
 }
 
+// corpusFrame is a well-formed task frame and, for a fragment, the plan
+// node the coordinator encoded into it.
+type corpusFrame struct {
+	frame []byte
+	root  core.PlanNode
+}
+
 // taskCorpus builds well-formed task frames from the five LSLOD texts:
-// every leaf as an unseeded, a per-answer and a block scan, every unaware
-// plan as a fragment, and a join task.
-func taskCorpus(t testing.TB) [][]byte {
+// every leaf as an unseeded, a per-answer and a block one-leaf fragment,
+// every unaware plan as a fragment, a union of two seeded leaves, and a
+// join task.
+func taskCorpus(t testing.TB) []corpusFrame {
 	t.Helper()
 	lk, err := lslod.BuildLake(lslod.SmallScale(), 1)
 	if err != nil {
@@ -428,44 +451,80 @@ func taskCorpus(t testing.TB) [][]byte {
 	}
 	cat := bridge.LakeCatalog(lk.Lake)
 	env := core.FragmentEnv{Opts: core.Options{Network: netsim.Gamma2, BatchSize: 64}, Scale: 0.5, Seed: -3}
-	corpus := [][]byte{{taskHello}}
+	corpus := []corpusFrame{{frame: []byte{taskHello}}}
 	d := dict.New()
 	term := func(t rdf.Term) dict.ID { return d.Intern(t) }
-	add := func(b []byte, err error) {
+	frag := func(root core.PlanNode) {
+		b, err := appendFragTask(nil, root, d, env)
 		if err != nil {
 			t.Fatal(err)
 		}
-		corpus = append(corpus, b)
+		corpus = append(corpus, corpusFrame{b, root})
 	}
+	var seeded []core.PlanNode
 	for _, plan := range lslodPlans(t, cat, core.Options{Aware: true, FilterPolicy: core.FilterAtSourceIfIndexed}) {
 		for _, svc := range services(plan.Root) {
 			vars := []string{svc.Req.Stars[0].SubjectVar, "other"}
 			x1, x2, seven := term(rdf.NewIRI("http://lake.tib.eu/x/1")), term(rdf.NewIRI("http://lake.tib.eu/x/2")), term(rdf.IntLiteral(7))
 			seed := engine.Seeds{Vars: vars, IDs: []dict.ID{x1, seven}, Rows: 1}
 			block := engine.Seeds{Vars: vars, IDs: []dict.ID{x1, seven, x2, dict.Unbound, dict.Unbound, dict.Unbound}, Rows: 3}
-			add(appendScanTask(nil, svc.SourceID, svc.Req, svc.Vars(), d, env))
-			add(appendScanTask(nil, svc.SourceID, svc.Req.WithSeeds(seed, false), svc.Vars(), d, env))
-			add(appendScanTask(nil, svc.SourceID, svc.Req.WithSeeds(block, true), svc.Vars(), d, env))
+			seeded = []core.PlanNode{
+				&core.ServiceNode{SourceID: svc.SourceID, Req: svc.Req.WithSeeds(seed, false)},
+				&core.ServiceNode{SourceID: svc.SourceID, Req: svc.Req.WithSeeds(block, true)},
+			}
+			frag(svc)
+			frag(seeded[0])
+			frag(seeded[1])
 		}
 	}
 	for _, plan := range lslodPlans(t, cat, core.Options{JoinOperator: core.JoinSymmetricHash}) {
-		add(appendFragTask(nil, plan.Root, env))
+		frag(plan.Root)
 	}
-	add(appendJoinTask(nil, []string{"d"}, []string{"d", "n"}, []string{"d", "g"}, []string{"d", "n", "g"}, env), nil)
-	return corpus
+	frag(&core.UnionNode{Children: seeded})
+	join := appendJoinTask(nil, []string{"d"}, []string{"d", "n"}, []string{"d", "g"}, []string{"d", "n", "g"}, env)
+	return append(corpus, corpusFrame{frame: join})
+}
+
+// children returns a fragment node's inputs.
+func children(n core.PlanNode) []core.PlanNode {
+	switch v := n.(type) {
+	case *core.JoinNode:
+		return []core.PlanNode{v.L, v.R}
+	case *core.FilterNode:
+		return []core.PlanNode{v.Child}
+	case *core.UnionNode:
+		return v.Children
+	}
+	return nil
+}
+
+// sameVars checks that every decoded node's output schema — derived, since
+// no schema crosses the wire — is the coordinator node's, in order.
+func sameVars(t *testing.T, got, want core.PlanNode) {
+	t.Helper()
+	gc, wc := children(got), children(want)
+	if fmt.Sprintf("%T", got) != fmt.Sprintf("%T", want) || !slices.Equal(got.Vars(), want.Vars()) || len(gc) != len(wc) {
+		t.Fatalf("decoded %T binds %v, the coordinator's %T binds %v", got, got.Vars(), want, want.Vars())
+	}
+	for i := range gc {
+		sameVars(t, gc[i], wc[i])
+	}
 }
 
 // TestTaskHeaderRoundTrip: what the coordinator encodes, the worker
-// decodes — env, schema, request shape, filters and seeds — and a second
-// header naming the same shape resolves to the same decoded request.
+// decodes — env, request shapes, filters, seeds, and every node's output
+// schema — and a second header naming the same shape resolves to the same
+// decoded request.
 func TestTaskHeaderRoundTrip(t *testing.T) {
 	shapes := wrapper.NewShapeTable()
 	d := dict.New()
 	kinds := map[byte]int{}
-	for _, frame := range taskCorpus(t) {
-		tk, err := parseTask(frame, shapes, d)
+	forms := map[string]int{} // leaves by seed form
+	trees := 0                // fragments larger than one leaf
+	for _, cf := range taskCorpus(t) {
+		tk, err := parseTask(cf.frame, shapes, d)
 		if err != nil {
-			t.Fatalf("frame %q: %v", frame, err)
+			t.Fatalf("frame %q: %v", cf.frame, err)
 		}
 		kinds[tk.kind]++
 		if tk.kind == taskHello {
@@ -474,50 +533,64 @@ func TestTaskHeaderRoundTrip(t *testing.T) {
 		if tk.env.Network != netsim.Gamma2.Name || tk.env.Batch != 64 || tk.env.Scale != 0.5 || tk.env.Seed != -3 {
 			t.Fatalf("env %+v did not survive", tk.env)
 		}
-		if tk.kind != taskScan {
+		if tk.kind != taskFrag {
 			continue
 		}
-		again, err := parseTask(frame, shapes, d)
+		sameVars(t, tk.root, cf.root)
+		if _, ok := cf.root.(*core.ServiceNode); !ok {
+			trees++
+		}
+		again, err := parseTask(cf.frame, shapes, d)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if again.req.Stars[0] != tk.req.Stars[0] {
-			t.Fatal("a known shape was decoded again")
-		}
-		if again.req.Block != tk.req.Block || !slices.Equal(again.req.Seeds.IDs, tk.req.Seeds.IDs) {
-			t.Fatal("seed section decoded differently")
-		}
-		seeds := tk.req.Seeds
-		if seeds.Rows == 0 {
-			continue
-		}
-		bound := func(row int) (n int) {
-			for _, id := range seeds.Row(row) {
-				if id != dict.Unbound {
-					n++
-				}
+		againLeaves := services(again.root)
+		for i, leaf := range services(tk.root) {
+			req, re := leaf.Req, againLeaves[i].Req
+			if re.Stars[0] != req.Stars[0] {
+				t.Fatal("a known shape was decoded again")
 			}
-			return n
-		}
-		if tk.req.Block && (seeds.Rows != 3 || bound(0) != 2 || bound(1) != 1 || bound(2) != 0) {
-			t.Fatalf("seed block %+v lost its shape", seeds)
-		}
-		if other := seeds.Row(0)[1]; len(seeds.Vars) != 2 || seeds.Vars[1] != "other" || d.MustLookup(other) != rdf.IntLiteral(7) {
-			t.Fatalf("seed %+v lost a term", seeds)
+			if re.Block != req.Block || !slices.Equal(re.Seeds.IDs, req.Seeds.IDs) {
+				t.Fatal("seed section decoded differently")
+			}
+			seeds := req.Seeds
+			switch {
+			case seeds.Rows == 0:
+				forms["none"]++
+				continue
+			case req.Block:
+				forms["block"]++
+			default:
+				forms["per-answer"]++
+			}
+			bound := func(row int) (n int) {
+				for _, id := range seeds.Row(row) {
+					if id != dict.Unbound {
+						n++
+					}
+				}
+				return n
+			}
+			if req.Block && (seeds.Rows != 3 || bound(0) != 2 || bound(1) != 1 || bound(2) != 0) {
+				t.Fatalf("seed block %+v lost its shape", seeds)
+			}
+			if other := seeds.Row(0)[1]; len(seeds.Vars) != 2 || seeds.Vars[1] != "other" || d.MustLookup(other) != rdf.IntLiteral(7) {
+				t.Fatalf("seed %+v lost a term", seeds)
+			}
 		}
 	}
-	if kinds[taskScan] == 0 || kinds[taskFrag] != 5 || kinds[taskJoin] != 1 {
-		t.Fatalf("corpus kinds %v", kinds)
+	if forms["none"] == 0 || forms["per-answer"] == 0 || forms["block"] == 0 || trees != 6 || kinds[taskJoin] != 1 {
+		t.Fatalf("corpus kinds %v, leaves by seed form %v, %d fragment trees", kinds, forms, trees)
 	}
 }
 
 // FuzzTaskHeader feeds arbitrary bytes to the task-frame parser — header,
 // request shape, filter expressions, fragment tree, seed section: it must
 // reject or decode, never crash, and whatever decodes must be servable
-// (canonical shape, schema the shape fills).
+// (canonical shapes, and a schema every node derives).
 func FuzzTaskHeader(f *testing.F) {
-	for _, frame := range taskCorpus(f) {
-		f.Add(frame)
+	for _, cf := range taskCorpus(f) {
+		f.Add(cf.frame)
 	}
 	lk, err := lslod.BuildLake(lslod.SmallScale(), 1)
 	if err != nil {
@@ -541,32 +614,24 @@ func FuzzTaskHeader(f *testing.F) {
 			}
 			return
 		}
-		var check func(n *fragNode)
-		checkScan := func(req *wrapper.Request, vars []string) {
-			if _, err := req.Shape(); err != nil {
-				t.Fatalf("decoded request does not serialize: %v", err)
-			}
-			for _, v := range vars {
-				if !req.Binds(v) {
-					t.Fatalf("schema variable %q is not bound by the decoded request", v)
+		var check func(n core.PlanNode)
+		check = func(n core.PlanNode) {
+			_ = n.Vars()
+			switch v := n.(type) {
+			case *core.ServiceNode:
+				if _, err := v.Req.Shape(); err != nil {
+					t.Fatalf("decoded request does not serialize: %v", err)
+				}
+			case *core.FilterNode:
+				for _, e := range v.Exprs {
+					_ = e.String()
 				}
 			}
-		}
-		check = func(n *fragNode) {
-			if n.kind == fragScan {
-				checkScan(n.req, n.vars)
-			}
-			for _, e := range n.filters {
-				_ = e.String()
-			}
-			for _, c := range n.children {
+			for _, c := range children(n) {
 				check(c)
 			}
 		}
-		switch tk.kind {
-		case taskScan:
-			checkScan(tk.req, tk.schema)
-		case taskFrag:
+		if tk.kind == taskFrag {
 			check(tk.root)
 		}
 	})

@@ -17,9 +17,6 @@ import (
 type Distributor interface {
 	// Workers returns the size of the worker pool.
 	Workers() int
-	// Service runs one wrapper request on every worker's partition of
-	// the source, streaming the union of their batches.
-	Service(ctx context.Context, sourceID string, req *wrapper.Request, schema *engine.Schema, d *dict.Dict, env FragmentEnv) (*engine.CStream, error)
 	// ShuffleJoin hash-partitions both inputs by join key across the
 	// workers and streams back the union of the per-worker symmetric
 	// hash joins.
@@ -29,9 +26,11 @@ type Distributor interface {
 	// for pushing a partition-aligned join down whole via RunFragment.
 	Colocated(ctx context.Context, d *dict.Dict) bool
 	// RunFragment runs a serializable plan subtree on every worker's
-	// partition and streams back the union of their local results; the
-	// caller must have proven (via partition analysis plus Colocated)
-	// that local evaluation distributes over the partitioning.
+	// partition and streams back the union of their local results. A
+	// ServiceNode is the one-leaf fragment: one wrapper request, seeded or
+	// not, whose seed IDs belong to d. A larger subtree requires the
+	// caller to have proven (via partition analysis plus Colocated) that
+	// local evaluation distributes over the partitioning.
 	RunFragment(ctx context.Context, root PlanNode, out *engine.Schema, d *dict.Dict, env FragmentEnv) (*engine.CStream, error)
 }
 
@@ -50,17 +49,6 @@ type FragmentEnv struct {
 // fragmentEnv builds the distributor context for this execution.
 func (x *Execution) fragmentEnv(opts Options) FragmentEnv {
 	return FragmentEnv{Opts: opts, Scale: x.scale, Seed: x.seed, Fail: x.fail}
-}
-
-// RunService executes one wrapper request on the columnar plane against
-// this execution's catalog — the worker-side entry point for distributed
-// scan fragments.
-func (x *Execution) RunService(ctx context.Context, sourceID string, req *wrapper.Request, schema *engine.Schema, opts Options) (*engine.CStream, error) {
-	w, err := x.wrapperFor(sourceID, opts)
-	if err != nil {
-		return nil, err
-	}
-	return w.ExecuteColumnar(ctx, req, schema, x.dict)
 }
 
 // Dict returns the executor's shared term dictionary (the lake-lifetime

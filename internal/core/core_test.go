@@ -453,11 +453,6 @@ func TestPlanNodeStringAndPolicyNames(t *testing.T) {
 			t.Error("empty join operator name")
 		}
 	}
-	for _, d := range []DecompositionMode{DecomposeStars, DecomposeTriples} {
-		if d.String() == "" {
-			t.Error("empty decomposition name")
-		}
-	}
 }
 
 func TestUnionNodeVarsAndExplain(t *testing.T) {

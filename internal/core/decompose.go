@@ -90,43 +90,6 @@ func (s *SSQ) String() string {
 	return fmt.Sprintf("SSQ(%s, %d patterns)", s.Subject, len(s.Patterns))
 }
 
-// DecompositionMode selects how the basic graph pattern is partitioned
-// into sub-queries. The paper's engine uses star-shaped sub-queries;
-// triple-based decomposition (each triple pattern its own sub-query, as in
-// early federated engines) is the alternative its future-work section
-// proposes to study.
-type DecompositionMode int
-
-// Decomposition modes.
-const (
-	DecomposeStars DecompositionMode = iota
-	DecomposeTriples
-)
-
-// String names the mode.
-func (m DecompositionMode) String() string {
-	if m == DecomposeTriples {
-		return "triple-based"
-	}
-	return "star-shaped"
-}
-
-// DecomposeTriplePatterns partitions the query with one sub-query per
-// triple pattern.
-func DecomposeTriplePatterns(q *sparql.Query) []*SSQ {
-	out := make([]*SSQ, 0, len(q.Patterns))
-	for _, tp := range q.Patterns {
-		ssq := &SSQ{Patterns: []sparql.TriplePattern{tp}}
-		if tp.S.IsVar {
-			ssq.SubjectVar = tp.S.Var
-		} else {
-			ssq.Subject = tp.S.Term
-		}
-		out = append(out, ssq)
-	}
-	return out
-}
-
 // Decompose partitions the query's basic graph pattern into star-shaped
 // sub-queries, grouping triple patterns by subject (Vidal et al., ESWC
 // 2010). Stars are returned in order of first appearance.

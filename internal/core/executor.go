@@ -311,7 +311,7 @@ func (x *Execution) ExecuteColumnar(ctx context.Context, p *Plan) (*engine.CStre
 		// through the distributed shuffle instead.
 		rootNode = unmergeServices(rootNode)
 	}
-	root, err := x.runColumnar(ctx, rootNode, p.Opts)
+	root, err := x.Run(ctx, rootNode, p.Opts)
 	if err != nil {
 		return nil, nil, err
 	}
@@ -348,16 +348,19 @@ func emptyCStream(schema *engine.Schema) *engine.CStream {
 	return s
 }
 
-// runColumnar builds the operator tree of a plan node, registering each
+// Run builds the operator tree of a plan node, registering each
 // operator's stats record and fixing its output schema to the plan node's
-// variables.
-func (x *Execution) runColumnar(ctx context.Context, n PlanNode, opts Options) (*engine.CStream, error) {
+// variables. It is the one executor entry point: ExecuteColumnar runs a
+// plan's root through it, and a cluster worker runs every fragment it is
+// sent. When a child fails to build, its started siblings keep running
+// until ctx is cancelled, so the caller must cancel ctx on error.
+func (x *Execution) Run(ctx context.Context, n PlanNode, opts Options) (*engine.CStream, error) {
 	d := x.dict
 	switch v := n.(type) {
 	case *ServiceNode:
 		schema := engine.NewSchema(v.Vars())
 		if dist := opts.Cluster; dist != nil {
-			s, err := dist.Service(ctx, v.SourceID, v.Req, schema, d, x.fragmentEnv(opts))
+			s, err := dist.RunFragment(ctx, v, schema, d, x.fragmentEnv(opts))
 			if err != nil {
 				return nil, err
 			}
@@ -391,14 +394,14 @@ func (x *Execution) runColumnar(ctx context.Context, n PlanNode, opts Options) (
 		}
 		if v.Op == JoinBind || v.Op == JoinBlockBind {
 			if svc, ok := v.R.(*ServiceNode); ok {
-				left, err := x.runColumnar(ctx, v.L, opts)
+				left, err := x.Run(ctx, v.L, opts)
 				if err != nil {
 					return nil, err
 				}
-				// Under cluster execution seeded requests fan out to the
-				// worker pool instead of a local wrapper; the partitions are
-				// disjoint so the union over workers answers each seed
-				// exactly once.
+				// Under cluster execution each seeded request fans out to the
+				// worker pool as a one-leaf fragment instead of a local
+				// wrapper; the partitions are disjoint so the union over
+				// workers answers each seed exactly once.
 				dist := opts.Cluster
 				var w wrapper.Wrapper
 				if dist == nil {
@@ -410,7 +413,8 @@ func (x *Execution) runColumnar(ctx context.Context, n PlanNode, opts Options) (
 				}
 				runSvc := func(ctx context.Context, req *wrapper.Request, schema *engine.Schema) (*engine.CStream, error) {
 					if dist != nil {
-						return dist.Service(ctx, svc.SourceID, req, schema, d, x.fragmentEnv(opts))
+						leaf := &ServiceNode{SourceID: svc.SourceID, Req: req}
+						return dist.RunFragment(ctx, leaf, schema, d, x.fragmentEnv(opts))
 					}
 					return w.ExecuteColumnar(ctx, req, schema, d)
 				}
@@ -443,11 +447,11 @@ func (x *Execution) runColumnar(ctx context.Context, n PlanNode, opts Options) (
 			// Fall through to symmetric hash when the right side is not a
 			// plain service.
 		}
-		left, err := x.runColumnar(ctx, v.L, opts)
+		left, err := x.Run(ctx, v.L, opts)
 		if err != nil {
 			return nil, err
 		}
-		right, err := x.runColumnar(ctx, v.R, opts)
+		right, err := x.Run(ctx, v.R, opts)
 		if err != nil {
 			return nil, err
 		}
@@ -464,11 +468,11 @@ func (x *Execution) runColumnar(ctx context.Context, n PlanNode, opts Options) (
 		return engine.CSymmetricHashJoin(jctx, left, right, v.JoinVars, out,
 			opts.EffectiveProbeParallelism(), opts.EffectiveBatchSize()), nil
 	case *LeftJoinNode:
-		left, err := x.runColumnar(ctx, v.L, opts)
+		left, err := x.Run(ctx, v.L, opts)
 		if err != nil {
 			return nil, err
 		}
-		right, err := x.runColumnar(ctx, v.R, opts)
+		right, err := x.Run(ctx, v.R, opts)
 		if err != nil {
 			return nil, err
 		}
@@ -476,7 +480,7 @@ func (x *Execution) runColumnar(ctx context.Context, n PlanNode, opts Options) (
 		return engine.CLeftJoin(jctx, left, right, v.Filters, engine.NewSchema(v.Vars()), d,
 			opts.EffectiveBatchSize()), nil
 	case *FilterNode:
-		in, err := x.runColumnar(ctx, v.Child, opts)
+		in, err := x.Run(ctx, v.Child, opts)
 		if err != nil {
 			return nil, err
 		}
@@ -485,7 +489,7 @@ func (x *Execution) runColumnar(ctx context.Context, n PlanNode, opts Options) (
 	case *UnionNode:
 		var streams []*engine.CStream
 		for _, c := range v.Children {
-			s, err := x.runColumnar(ctx, c, opts)
+			s, err := x.Run(ctx, c, opts)
 			if err != nil {
 				return nil, err
 			}

@@ -1,70 +1,12 @@
 package core
 
 import (
-	"strings"
 	"testing"
 
 	"ontario/internal/lslod"
 	"ontario/internal/netsim"
 	"ontario/internal/sparql"
 )
-
-// TestTripleDecomposition checks the alternative decomposition produces
-// one sub-query per pattern and still returns reference-correct answers.
-func TestTripleDecomposition(t *testing.T) {
-	q := lslod.Query("Q2")
-	ssqs := DecomposeTriplePatterns(q)
-	if len(ssqs) != len(q.Patterns) {
-		t.Fatalf("triple decomposition produced %d SSQs, want %d", len(ssqs), len(q.Patterns))
-	}
-	for i, s := range ssqs {
-		if len(s.Patterns) != 1 {
-			t.Fatalf("SSQ %d has %d patterns", i, len(s.Patterns))
-		}
-	}
-
-	lake := testLake(t)
-	ref := referenceGraph(t, lake)
-	for _, id := range []string{"Q1", "Q2", "Q5"} {
-		q := lslod.Query(id)
-		want := sparql.EvalQuery(ref, q)
-		opts := UnawareOptions(netsim.NoDelay)
-		opts.Decomposition = DecomposeTriples
-		got := runQuery(t, lake, q, opts)
-		assertSameBindings(t, id+"/triple-unaware", got, want, q.ProjectedVars())
-
-		// Aware mode re-merges same-source triples via Heuristic 1.
-		aopts := AwareOptions(netsim.NoDelay)
-		aopts.Decomposition = DecomposeTriples
-		got = runQuery(t, lake, q, aopts)
-		assertSameBindings(t, id+"/triple-aware", got, want, q.ProjectedVars())
-	}
-}
-
-// TestTripleDecompositionMoreServices: triple-based plans issue at least
-// as many service requests as star-shaped plans (the reason star-shaped
-// decomposition wins).
-func TestTripleDecompositionMoreServices(t *testing.T) {
-	lake := testLake(t)
-	planner := NewPlanner(lake.Catalog)
-	for _, id := range []string{"Q2", "Q4", "Q5"} {
-		q := lslod.Query(id)
-		star, err := planner.Plan(q, UnawareOptions(netsim.NoDelay))
-		if err != nil {
-			t.Fatal(err)
-		}
-		opts := UnawareOptions(netsim.NoDelay)
-		opts.Decomposition = DecomposeTriples
-		triple, err := planner.Plan(q, opts)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if CountServices(triple.Root) <= CountServices(star.Root) {
-			t.Errorf("%s: triple plan has %d services, star plan %d — expected strictly more",
-				id, CountServices(triple.Root), CountServices(star.Root))
-		}
-	}
-}
 
 // TestDenormalizedLakeMatchesReference: the denormalized Diseasome layout
 // must return exactly the answers of the 3NF layout.
@@ -110,20 +52,5 @@ func TestDenormalizedPlanUsesDistinct(t *testing.T) {
 	// (denormalization blow-up).
 	if src.DB.Table("disease_wide").RowCount() <= len(den.Data.Diseases) {
 		t.Error("denormalized table did not blow up row count")
-	}
-}
-
-// TestExplainMentionsDecomposition sanity-checks the plan header.
-func TestExplainMentionsDecomposition(t *testing.T) {
-	lake := testLake(t)
-	planner := NewPlanner(lake.Catalog)
-	opts := UnawareOptions(netsim.NoDelay)
-	opts.Decomposition = DecomposeTriples
-	p, err := planner.Plan(lslod.Query("Q1"), opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !strings.Contains(p.Explain(), "decomposition=triple-based") {
-		t.Errorf("explain missing decomposition:\n%s", p.Explain())
 	}
 }

@@ -128,9 +128,6 @@ type Options struct {
 	Translation wrapper.TranslationMode
 	// JoinOperator selects the engine-level join implementation.
 	JoinOperator JoinOperator
-	// Decomposition selects star-shaped (default) or triple-based
-	// sub-queries.
-	Decomposition DecompositionMode
 	// BindBlockSize is the number of left bindings gathered into one
 	// multi-seed service request by the block bind join (0 means
 	// DefaultBindBlockSize; 1 degenerates to the sequential bind join's
@@ -414,8 +411,8 @@ func (p *Plan) Explain() string {
 	if p.Opts.Optimizer == OptimizerCost && p.Opts.JoinOperator == JoinSymmetricHash {
 		join = "per-join"
 	}
-	fmt.Fprintf(&b, "Plan[%s, optimizer=%s, filters=%s, translation=%s, join=%s, decomposition=%s]\n",
-		mode, p.Opts.Optimizer, p.effectiveFilterPolicy(), p.Opts.Translation, join, p.Opts.Decomposition)
+	fmt.Fprintf(&b, "Plan[%s, optimizer=%s, filters=%s, translation=%s, join=%s]\n",
+		mode, p.Opts.Optimizer, p.effectiveFilterPolicy(), p.Opts.Translation, join)
 	p.Root.explain(&b, 1)
 	return b.String()
 }

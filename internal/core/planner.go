@@ -54,12 +54,7 @@ func (u *unit) vars() []string {
 // Plan decomposes, selects sources, applies the heuristics per opts, and
 // returns the execution plan.
 func (p *Planner) Plan(q *sparql.Query, opts Options) (*Plan, error) {
-	var ssqs []*SSQ
-	if opts.Decomposition == DecomposeTriples {
-		ssqs = DecomposeTriplePatterns(q)
-	} else {
-		ssqs = Decompose(q)
-	}
+	ssqs := Decompose(q)
 	if len(ssqs) == 0 && len(q.Unions) == 0 {
 		return nil, fmt.Errorf("core: query has no triple patterns")
 	}
@@ -302,12 +297,7 @@ func (p *Planner) planUnionOnly(q *sparql.Query, opts Options) (*Plan, error) {
 // OPTIONAL groups.
 func (p *Planner) planPatterns(patterns []sparql.TriplePattern, opts Options) (PlanNode, error) {
 	sub := &sparql.Query{Patterns: patterns}
-	var ssqs []*SSQ
-	if opts.Decomposition == DecomposeTriples {
-		ssqs = DecomposeTriplePatterns(sub)
-	} else {
-		ssqs = Decompose(sub)
-	}
+	ssqs := Decompose(sub)
 	cands, err := SelectSources(p.cat, ssqs)
 	if err != nil {
 		return nil, err

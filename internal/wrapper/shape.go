@@ -12,16 +12,15 @@ import (
 )
 
 // shape is what a request is, independent of where it lives: the canonical
-// encoding of its stars and pushed filters, that encoding's hash, and the
-// variables the stars bind. Two requests built independently — a plan
-// prepared again after eviction, a task header decoded by a cluster worker
-// — have equal canon strings exactly when they ask the same question, so
-// the response cache keys on the hash and verifies the string. The same
-// bytes are the request's wire form (Request.Shape / DecodeShape).
+// encoding of its stars and pushed filters, and that encoding's hash. Two
+// requests built independently — a plan prepared again after eviction, a
+// task header decoded by a cluster worker — have equal canon strings
+// exactly when they ask the same question, so the response cache keys on
+// the hash and verifies the string. The same bytes are the request's wire
+// form (Request.Shape / DecodeShape).
 type shape struct {
 	canon string
 	h     uint64
-	vars  map[string]struct{}
 	// opaque marks a filter of a type outside the closed expression AST:
 	// it still fingerprints (by its rendering) but cannot cross the wire.
 	opaque bool
@@ -162,7 +161,7 @@ func readExpr(c *wirefmt.Cursor, depth int) sparql.Expr {
 
 // newShape derives the shape of a star/filter pair from its content.
 func newShape(stars []*StarQuery, filters []sparql.Expr) *shape {
-	s := &shape{vars: make(map[string]struct{})}
+	s := &shape{}
 	buf := make([]byte, 0, 256)
 	buf = binary.AppendUvarint(append(buf, shapeVersion), uint64(len(stars)))
 	for _, st := range stars {
@@ -171,9 +170,6 @@ func newShape(stars []*StarQuery, filters []sparql.Expr) *shape {
 		buf = binary.AppendUvarint(buf, uint64(len(st.Patterns)))
 		for _, tp := range st.Patterns {
 			buf = appendNode(appendNode(appendNode(buf, tp.S), tp.P), tp.O)
-			for _, v := range tp.Vars() {
-				s.vars[v] = struct{}{}
-			}
 		}
 	}
 	buf = binary.AppendUvarint(buf, uint64(len(filters)))
@@ -203,12 +199,6 @@ func (r *Request) WithSeeds(seeds engine.Seeds, block bool) *Request {
 	out := &Request{Stars: r.Stars, Filters: r.Filters, Seeds: seeds, Block: block}
 	out.shape.Store(r.shapeOf())
 	return out
-}
-
-// Binds reports whether one of r's stars binds variable v.
-func (r *Request) Binds(v string) bool {
-	_, ok := r.shapeOf().vars[v]
-	return ok
 }
 
 // Shape returns the canonical form of r's stars and filters — the bytes

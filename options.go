@@ -172,7 +172,6 @@ type config struct {
 	optimizer  *Optimizer
 	joinOp     *JoinOperator
 	naive      bool
-	triples    bool
 	bindBlock  int
 	bindConc   int
 	batchSize  int
@@ -220,9 +219,6 @@ func (c config) resolve() core.Options {
 	}
 	if c.naive {
 		opts.Translation = wrapper.TranslationNaive
-	}
-	if c.triples {
-		opts.Decomposition = core.DecomposeTriples
 	}
 	opts.BindBlockSize = c.bindBlock
 	opts.BindConcurrency = c.bindConc
@@ -272,12 +268,6 @@ func WithJoinOperator(op JoinOperator) Option {
 // merged stars (the limitation the paper reports for Ontario).
 func WithNaiveTranslation() Option {
 	return func(c *config) { c.naive = true }
-}
-
-// WithTripleDecomposition decomposes the query into one sub-query per
-// triple pattern instead of star-shaped sub-queries.
-func WithTripleDecomposition() Option {
-	return func(c *config) { c.triples = true }
 }
 
 // WithBindBlockSize sets the number of left bindings the block bind join

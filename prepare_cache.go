@@ -143,8 +143,6 @@ func (c config) appendFingerprint(b []byte) []byte {
 	}
 	b = append(b, "|naive="...)
 	b = strconv.AppendBool(b, c.naive)
-	b = append(b, "|triples="...)
-	b = strconv.AppendBool(b, c.triples)
 	for _, n := range [...]int{c.bindBlock, c.bindConc, c.batchSize, c.probePar} {
 		b = append(b, '|')
 		b = strconv.AppendInt(b, int64(n), 10)

@@ -109,7 +109,7 @@ func TestPlanFingerprintSeparatesPlanOptions(t *testing.T) {
 		"aware": WithAwarePlan(), "unaware": WithUnawarePlan(), "h2": WithHeuristic2(),
 		"network": WithNetwork(Gamma2), "optimizer": WithOptimizer(OptimizerGreedy),
 		"join": WithJoinOperator(JoinBind), "naive": WithNaiveTranslation(),
-		"triples": WithTripleDecomposition(), "block": WithBindBlockSize(8),
+		"block":       WithBindBlockSize(8),
 		"concurrency": WithBindConcurrency(3), "batch": WithBatchSize(16),
 		"probe": WithProbeParallelism(2),
 	} {
