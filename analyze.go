@@ -39,9 +39,9 @@ type Actual struct {
 	Wall        time.Duration `json:"wall_ns"`
 	BlockedRecv time.Duration `json:"blocked_recv_ns"`
 	BlockedSend time.Duration `json:"blocked_send_ns"`
-	// HashEntries counts a symmetric hash join's table insertions across
-	// shards; BlocksIssued a (block) bind join's service requests. Zero for
-	// other operators.
+	// HashEntries counts a symmetric hash join's table insertions;
+	// BlocksIssued a (block) bind join's service requests. Zero for other
+	// operators.
 	HashEntries  int64 `json:"hash_entries,omitempty"`
 	BlocksIssued int64 `json:"blocks_issued,omitempty"`
 }

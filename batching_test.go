@@ -38,9 +38,9 @@ func canonAnswers(t *testing.T, answers []ontario.Binding) []string {
 
 // TestBatchSizesAnswerEquivalenceLSLOD is the correctness contract of the
 // vectorized data plane: on every LSLOD benchmark query, every batch size
-// × probe parallelism combination must return the byte-identical answer
-// multiset that batch=1/par=1 — the binding-at-a-time semantics of the
-// pre-vectorization engine — returns, in both plan modes.
+// must return the byte-identical answer multiset that batch=1 — the
+// binding-at-a-time semantics of the pre-vectorization engine — returns,
+// in both plan modes.
 func TestBatchSizesAnswerEquivalenceLSLOD(t *testing.T) {
 	lake := facadeLake(t)
 	eng := ontario.New(lake.Lake)
@@ -55,31 +55,30 @@ func TestBatchSizesAnswerEquivalenceLSLOD(t *testing.T) {
 	}
 	for _, q := range lslod.Queries() {
 		for _, mode := range modes {
-			run := func(batch, par int) []string {
+			run := func(batch int) []string {
 				res, err := eng.Query(ctx, q.Text, mode.opt,
 					ontario.WithNetworkScale(0),
-					ontario.WithBatchSize(batch),
-					ontario.WithProbeParallelism(par))
+					ontario.WithBatchSize(batch))
 				if err != nil {
-					t.Fatalf("%s %s batch=%d par=%d: %v", q.ID, mode.name, batch, par, err)
+					t.Fatalf("%s %s batch=%d: %v", q.ID, mode.name, batch, err)
 				}
 				answers, err := res.Collect()
 				if err != nil {
-					t.Fatalf("%s %s batch=%d par=%d: %v", q.ID, mode.name, batch, par, err)
+					t.Fatalf("%s %s batch=%d: %v", q.ID, mode.name, batch, err)
 				}
 				return canonAnswers(t, answers)
 			}
-			want := run(1, 1) // binding-at-a-time reference semantics
-			for _, cfg := range [][2]int{{2, 1}, {64, 4}, {256, 1}, {256, 8}, {4096, 3}} {
-				got := run(cfg[0], cfg[1])
+			want := run(1) // binding-at-a-time reference semantics
+			for _, batch := range []int{2, 64, 256, 4096} {
+				got := run(batch)
 				if len(got) != len(want) {
-					t.Fatalf("%s %s batch=%d par=%d: %d answers, reference %d",
-						q.ID, mode.name, cfg[0], cfg[1], len(got), len(want))
+					t.Fatalf("%s %s batch=%d: %d answers, reference %d",
+						q.ID, mode.name, batch, len(got), len(want))
 				}
 				for i := range got {
 					if got[i] != want[i] {
-						t.Fatalf("%s %s batch=%d par=%d: answer multiset differs at %d:\n got %s\nwant %s",
-							q.ID, mode.name, cfg[0], cfg[1], i, got[i], want[i])
+						t.Fatalf("%s %s batch=%d: answer multiset differs at %d:\n got %s\nwant %s",
+							q.ID, mode.name, batch, i, got[i], want[i])
 					}
 				}
 			}

@@ -41,7 +41,6 @@ func main() {
 		bindBlk   = flag.Int("bind-block", 0, "block bind join: left bindings per multi-seed request (0 = default)")
 		bindConc  = flag.Int("bind-concurrency", 0, "block bind join: concurrent in-flight block requests (0 = default)")
 		batchSz   = flag.Int("batch", 0, "exchange batch size: bindings per batch in the execution data plane (0 = default 256, 1 = binding-at-a-time)")
-		probePar  = flag.Int("probe-par", 0, "symmetric hash join: morsel-parallel probe workers / hash shards (0 = default, 1 = serial)")
 		rawSQL    = flag.String("sql", "", "run raw SQL directly against one dataset (requires -dataset)")
 		dataset   = flag.String("dataset", "", "dataset for -sql (e.g. diseasome)")
 	)
@@ -145,9 +144,6 @@ func main() {
 	}
 	if *batchSz > 0 {
 		opts = append(opts, ontario.WithBatchSize(*batchSz))
-	}
-	if *probePar > 0 {
-		opts = append(opts, ontario.WithProbeParallelism(*probePar))
 	}
 
 	eng := ontario.New(lake.Lake)

@@ -21,7 +21,7 @@ import (
 // reference is sparql.EvalQuery over the whole lake materialized as one
 // RDF graph, which shares no code with planner, wrappers or operators —
 // for every execution configuration: same solution multisets across batch
-// sizes, probe parallelism, and plan modes, with OPTIONAL unbound columns,
+// sizes and plan modes, with OPTIONAL unbound columns,
 // ORDER BY over materialized values, and typed literals decoded from SQL
 // wrappers all surviving the ID round-trip.
 
@@ -157,7 +157,7 @@ func mergesStars(p *ontario.PlanSummary) bool {
 }
 
 // TestColumnarEquivalenceLSLOD sweeps the five LSLOD benchmark queries
-// across batch size x probe parallelism x plan mode and requires every
+// across batch size x plan mode and requires every
 // configuration to reproduce the reference multiset. Each cell also runs
 // twice on the same engine, so a repeated query — the configuration the
 // lake-level response cache memoizes — must return the identical multiset.
@@ -195,17 +195,12 @@ func TestColumnarEquivalenceLSLOD(t *testing.T) {
 				ontario.WithSeed(1),
 			}, mode.opts...)
 			for _, batch := range []int{1, 16, 64, 256} {
-				for _, par := range []int{1, 4} {
-					label := fmt.Sprintf("%s/%s/batch=%d/par=%d", q.ID, mode.name, batch, par)
-					opts := append([]ontario.Option{
-						ontario.WithBatchSize(batch),
-						ontario.WithProbeParallelism(par),
-					}, base...)
-					_, got := runCanon(t, eng, q.Text, opts...)
-					diffMultisets(t, label, want, got)
-					_, again := runCanon(t, eng, q.Text, opts...)
-					diffMultisets(t, label+"/repeat", want, again)
-				}
+				label := fmt.Sprintf("%s/%s/batch=%d", q.ID, mode.name, batch)
+				opts := append([]ontario.Option{ontario.WithBatchSize(batch)}, base...)
+				_, got := runCanon(t, eng, q.Text, opts...)
+				diffMultisets(t, label, want, got)
+				_, again := runCanon(t, eng, q.Text, opts...)
+				diffMultisets(t, label+"/repeat", want, again)
 			}
 			res, _ := runResults(t, eng, q.Text, base...)
 			messages[mode.name] = res.Stats().Messages
@@ -267,14 +262,9 @@ SELECT ?disease ?name ?drug WHERE {
 			t.Fatalf("%s: coverage needs both bound and unbound ?drug rows, got bound=%d unbound=%d", name, bound, unbound)
 		}
 		for _, batch := range []int{1, 64, 256} {
-			for _, par := range []int{1, 4} {
-				opts := append([]ontario.Option{
-					ontario.WithBatchSize(batch),
-					ontario.WithProbeParallelism(par),
-				}, base...)
-				_, got := runCanon(t, eng, query, opts...)
-				diffMultisets(t, fmt.Sprintf("%s/batch=%d/par=%d", name, batch, par), want, got)
-			}
+			opts := append([]ontario.Option{ontario.WithBatchSize(batch)}, base...)
+			_, got := runCanon(t, eng, query, opts...)
+			diffMultisets(t, fmt.Sprintf("%s/batch=%d", name, batch), want, got)
 		}
 	}
 }

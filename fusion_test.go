@@ -66,30 +66,68 @@ func TestLimitEndsQuery(t *testing.T) {
 	}
 }
 
+// diseaseGenes is joined by a symmetric hash join in the unaware plan:
+// the disease star and the gene star are two services over Diseasome.
+const diseaseGenes = `SELECT ?n ?l WHERE {
+  ?d <http://www.w3.org/1999/02/22-rdf-syntax-ns#type> <http://lake.tib.eu/diseasome/vocab#Disease> .
+  ?d <http://lake.tib.eu/diseasome/vocab#name> ?n .
+  ?d <http://lake.tib.eu/diseasome/vocab#associatedGene> ?g .
+  ?g <http://www.w3.org/1999/02/22-rdf-syntax-ns#type> <http://lake.tib.eu/diseasome/vocab#Gene> .
+  ?g <http://lake.tib.eu/diseasome/vocab#geneLabel> ?l .
+}`
+
 // TestBlockedTimeCountedOnce: a wait is charged once, to the operator that
-// receives, so on a linear plan the operators' summed blocked-receive time
-// cannot exceed the query's wall time.
+// receives, so no operator is blocked longer than it runs — a symmetric
+// hash join waiting on both inputs at once included — and on a linear
+// plan the operators' summed blocked-receive time cannot exceed the
+// query's wall time.
 func TestBlockedTimeCountedOnce(t *testing.T) {
 	eng := ontario.New(facadeLake(t).Lake)
-	res, err := eng.Query(context.Background(), diseaseNames, sleepingSource...)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := res.Collect(); err != nil {
-		t.Fatal(err)
-	}
-	a := res.Analyze()
-	var blocked time.Duration
-	for _, n := range walkSummaries(a.Plan) {
-		if n.Actual == nil {
-			t.Fatalf("node %s lacks actuals", n.Operator)
+	for _, tc := range []struct {
+		name, query string
+		opts        []ontario.Option
+		linear      bool
+	}{
+		{"linear", diseaseNames, sleepingSource, true},
+		{"hash-join", diseaseGenes, []ontario.Option{
+			ontario.WithUnawarePlan(),
+			ontario.WithNetwork(ontario.Gamma2),
+			ontario.WithNetworkScale(0.25),
+			ontario.WithSeed(1),
+		}, false},
+	} {
+		res, err := eng.Query(context.Background(), tc.query, tc.opts...)
+		if err != nil {
+			t.Fatal(err)
 		}
-		blocked += n.Actual.BlockedRecv
-	}
-	for _, m := range a.Modifiers {
-		blocked += m.BlockedRecv
-	}
-	if wall := res.Stats().Duration; blocked > wall {
-		t.Errorf("operators blocked %v receiving in a query of %v: a wait was charged more than once", blocked, wall)
+		if _, err := res.Collect(); err != nil {
+			t.Fatal(err)
+		}
+		a := res.Analyze()
+		actuals := a.Modifiers
+		joins := 0
+		for _, n := range walkSummaries(a.Plan) {
+			if n.Actual == nil {
+				t.Fatalf("%s: node %s lacks actuals", tc.name, n.Operator)
+			}
+			if n.Actual.Kind == "hash-join" {
+				joins++
+			}
+			actuals = append(actuals, *n.Actual)
+		}
+		if !tc.linear && joins == 0 {
+			t.Fatalf("%s: the plan has no symmetric hash join:\n%s", tc.name, a)
+		}
+		var blocked time.Duration
+		for _, x := range actuals {
+			if x.BlockedRecv > x.Wall {
+				t.Errorf("%s: %s blocked %v receiving in a wall time of %v: a wait was charged more than once",
+					tc.name, x.Kind, x.BlockedRecv, x.Wall)
+			}
+			blocked += x.BlockedRecv
+		}
+		if wall := res.Stats().Duration; tc.linear && blocked > wall {
+			t.Errorf("%s: operators blocked %v receiving in a query of %v: a wait was charged more than once", tc.name, blocked, wall)
+		}
 	}
 }

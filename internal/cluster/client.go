@@ -284,8 +284,8 @@ func (c *Client) Colocated(ctx context.Context, d *dict.Dict) bool {
 }
 
 // ShuffleJoin implements core.Distributor: both inputs hash-partition by
-// join key across the workers (the same row hash the in-process exchange
-// shards by), each worker symmetric-hash-joins its partition, and the
+// join key across the workers (the row hash the in-process join buckets
+// by), each worker symmetric-hash-joins its partition, and the
 // output is the union of the per-worker joins.
 func (c *Client) ShuffleJoin(ctx context.Context, left, right *engine.CStream, joinVars []string, out *engine.Schema, d *dict.Dict, env core.FragmentEnv) (*engine.CStream, error) {
 	bp := getWireBuf(0)

@@ -181,8 +181,7 @@ func readFrag(c *wirefmt.Cursor, shapes *wrapper.ShapeTable, depth int, seeded *
 type wireEnv struct {
 	Network     string
 	Alpha, Beta float64
-	Naive       bool
-	Batch, Par  int
+	Batch       int
 	Scale       float64
 	Seed        int64
 }
@@ -202,13 +201,7 @@ func readFloat(c *wirefmt.Cursor) float64 {
 func appendEnv(buf []byte, env core.FragmentEnv) []byte {
 	buf = wirefmt.AppendString(buf, env.Opts.Network.Name)
 	buf = appendFloat(appendFloat(buf, env.Opts.Network.Alpha), env.Opts.Network.Beta)
-	var naive byte
-	if env.Opts.Translation == wrapper.TranslationNaive {
-		naive = 1
-	}
-	buf = append(buf, naive)
 	buf = binary.AppendVarint(buf, int64(env.Opts.BatchSize))
-	buf = binary.AppendVarint(buf, int64(env.Opts.ProbeParallelism))
 	return binary.AppendVarint(appendFloat(buf, env.Scale), env.Seed)
 }
 
@@ -217,24 +210,17 @@ func readEnv(c *wirefmt.Cursor) wireEnv {
 		Network: c.String(),
 		Alpha:   readFloat(c),
 		Beta:    readFloat(c),
-		Naive:   c.Byte() != 0,
 		Batch:   int(c.Varint()),
-		Par:     int(c.Varint()),
 		Scale:   readFloat(c),
 		Seed:    c.Varint(),
 	}
 }
 
 func (we wireEnv) options() core.Options {
-	opts := core.Options{
-		Network:          netsim.Profile{Name: we.Network, Alpha: we.Alpha, Beta: we.Beta},
-		BatchSize:        we.Batch,
-		ProbeParallelism: we.Par,
+	return core.Options{
+		Network:   netsim.Profile{Name: we.Network, Alpha: we.Alpha, Beta: we.Beta},
+		BatchSize: we.Batch,
 	}
-	if we.Naive {
-		opts.Translation = wrapper.TranslationNaive
-	}
-	return opts
 }
 
 // appendSeeds writes req's seed section: the seeds' variable names once,

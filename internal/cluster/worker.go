@@ -435,11 +435,10 @@ func (w *Worker) runJoin(st *workerStream, enc *Encoder, t *task) error {
 	rightSchema := st.schemas[SideRight]
 	outSchema := engine.NewSchema(t.out)
 
-	opts := t.env.options()
 	left := engine.NewCStream(leftSchema, 4)
 	right := engine.NewCStream(rightSchema, 4)
 	out := engine.CSymmetricHashJoin(st.ctx, left, right, t.joinVars, outSchema,
-		opts.EffectiveProbeParallelism(), opts.EffectiveBatchSize())
+		t.env.options().EffectiveBatchSize())
 
 	writeErr := make(chan error, 1)
 	go func() {

@@ -456,17 +456,15 @@ func (x *Execution) Run(ctx context.Context, n PlanNode, opts Options) (*engine.
 			return nil, err
 		}
 		if dist := opts.Cluster; dist != nil {
-			// The morsel-sharded exchange becomes the distributed shuffle:
-			// rows shard by join-key hash across workers instead of across
-			// local shard workers.
+			// The join becomes the distributed shuffle: rows shard by
+			// join-key hash across workers, each joining its partition.
 			jctx := engine.WithOpStats(ctx,
 				x.stats(v, "shuffle-join", strings.Join(v.JoinVars, ",")))
 			return dist.ShuffleJoin(jctx, left, right, v.JoinVars, out, d, x.fragmentEnv(opts))
 		}
 		jctx := engine.WithOpStats(ctx,
 			x.stats(v, "hash-join", strings.Join(v.JoinVars, ",")))
-		return engine.CSymmetricHashJoin(jctx, left, right, v.JoinVars, out,
-			opts.EffectiveProbeParallelism(), opts.EffectiveBatchSize()), nil
+		return engine.CSymmetricHashJoin(jctx, left, right, v.JoinVars, out, opts.EffectiveBatchSize()), nil
 	case *LeftJoinNode:
 		left, err := x.Run(ctx, v.L, opts)
 		if err != nil {

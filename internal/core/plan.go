@@ -146,11 +146,6 @@ type Options struct {
 	// operators consume (0 means engine.DefaultBatchSize; 1 degenerates
 	// to binding-at-a-time execution).
 	BatchSize int
-	// ProbeParallelism is the number of morsel-parallel probe workers —
-	// and hash-table shards — of every symmetric hash join (0 means a
-	// default derived from GOMAXPROCS; 1 disables intra-operator
-	// parallelism).
-	ProbeParallelism int
 	// MeasuredLatency, when set, reports the observed per-request latency
 	// of a source (typically a remote endpoint's health EWMA inflated by
 	// its failure rate). The cost model prices service calls against a
@@ -191,15 +186,6 @@ func (o Options) EffectiveBatchSize() int {
 		return engine.DefaultBatchSize
 	}
 	return o.BatchSize
-}
-
-// EffectiveProbeParallelism returns ProbeParallelism with the engine
-// default applied.
-func (o Options) EffectiveProbeParallelism() int {
-	if o.ProbeParallelism <= 0 {
-		return engine.DefaultProbeParallelism()
-	}
-	return o.ProbeParallelism
 }
 
 // AwareOptions returns the paper's physical-design-aware configuration.

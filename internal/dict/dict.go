@@ -12,7 +12,7 @@
 // path only.
 //
 // A Dict is safe for concurrent use: the intern map is sharded by term
-// hash, so parallel wrappers and morsel workers intern without contending
+// hash, so wrappers running in parallel intern without contending
 // on a single lock. The reverse direction is lock-free: each shard
 // publishes its append-only term slice behind an atomic pointer, so
 // Lookup — the materialization hot path under a serving load — costs one

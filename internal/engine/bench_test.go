@@ -65,11 +65,7 @@ func drain(s *CStream) int {
 	return n
 }
 
-func BenchmarkSymmetricHashJoinPar1(b *testing.B) { benchSymmetricHashJoin(b, 1) }
-func BenchmarkSymmetricHashJoinPar4(b *testing.B) { benchSymmetricHashJoin(b, 4) }
-func BenchmarkSymmetricHashJoinPar8(b *testing.B) { benchSymmetricHashJoin(b, 8) }
-
-func benchSymmetricHashJoin(b *testing.B, par int) {
+func BenchmarkSymmetricHashJoin(b *testing.B) {
 	ctx := context.Background()
 	d := dict.New()
 	left := encodeInput(d, benchRelation(2048, 256, "l"), 0)
@@ -78,7 +74,7 @@ func benchSymmetricHashJoin(b *testing.B, par int) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		n := drain(CSymmetricHashJoin(ctx, left.stream(), right.stream(), []string{"k"}, out, par, 0))
+		n := drain(CSymmetricHashJoin(ctx, left.stream(), right.stream(), []string{"k"}, out, 0))
 		if n != 2048*8 {
 			b.Fatalf("join produced %d, want %d", n, 2048*8)
 		}
@@ -89,8 +85,8 @@ func benchSymmetricHashJoin(b *testing.B, par int) {
 // probe path: every input shares ONE join key but no pair is compatible,
 // so nothing is emitted and the measured allocs/op are pure insert+probe
 // overhead. A probe that copies the opposite side's match list per
-// arriving row allocates quadratic bytes on this workload; the sharded
-// operator probes in place. A regression shows up as an explosion of B/op
+// arriving row allocates quadratic bytes on this workload; the operator
+// probes in place. A regression shows up as an explosion of B/op
 // here.
 func BenchmarkSymmetricHashJoinProbeAllocs(b *testing.B) {
 	ctx := context.Background()
@@ -98,7 +94,7 @@ func BenchmarkSymmetricHashJoinProbeAllocs(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if got := drain(CSymmetricHashJoin(ctx, left.stream(), right.stream(), []string{"k"}, left.schema, 1, 0)); got != 0 {
+		if got := drain(CSymmetricHashJoin(ctx, left.stream(), right.stream(), []string{"k"}, left.schema, 0)); got != 0 {
 			b.Fatalf("incompatible workload emitted %d bindings", got)
 		}
 	}
@@ -130,7 +126,7 @@ func TestSymmetricHashJoinNoQuadraticProbeCopy(t *testing.T) {
 	var before, after runtime.MemStats
 	runtime.GC()
 	runtime.ReadMemStats(&before)
-	if got := drain(CSymmetricHashJoin(ctx, left.stream(), right.stream(), []string{"k"}, left.schema, 1, 0)); got != 0 {
+	if got := drain(CSymmetricHashJoin(ctx, left.stream(), right.stream(), []string{"k"}, left.schema, 0)); got != 0 {
 		t.Fatalf("incompatible workload emitted %d bindings", got)
 	}
 	runtime.ReadMemStats(&after)

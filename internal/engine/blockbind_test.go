@@ -116,7 +116,7 @@ func TestJoinOperatorEquivalence(t *testing.T) {
 			assertSameMultiset(t, label(fmt.Sprintf("bind B=%d W=%d", cfg[0], cfg[1])), got, want)
 		}
 
-		got := collect(CSymmetricHashJoin(ctx, feed(ctx, d, lefts, batch), feed(ctx, d, rights, batch), shape.joinVars, out, 1+iter%4, batch), d)
+		got := collect(CSymmetricHashJoin(ctx, feed(ctx, d, lefts, batch), feed(ctx, d, rights, batch), shape.joinVars, out, batch), d)
 		assertSameMultiset(t, label("symmetric-hash"), got, want)
 	}
 }
@@ -190,7 +190,7 @@ func TestBlockBindJoinCancellation(t *testing.T) {
 			return CBindJoin(ctx, feed(ctx, d, lefts, 0), sliceService(d, rights), []string{"x"}, out, 16, 4, 0)
 		},
 		"symmetric-hash": func(ctx context.Context) *CStream {
-			return CSymmetricHashJoin(ctx, feed(ctx, d, lefts, 0), feed(ctx, d, rights, 0), []string{"x"}, out, 4, 0)
+			return CSymmetricHashJoin(ctx, feed(ctx, d, lefts, 0), feed(ctx, d, rights, 0), []string{"x"}, out, 0)
 		},
 	}
 	for name, mk := range streams {

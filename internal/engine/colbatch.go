@@ -82,10 +82,9 @@ func mix64(x uint64) uint64 {
 }
 
 // HashRowKey combines the IDs of row's key columns (given as column
-// positions; -1 contributes Unbound) into the exchange's row hash. It is
-// the exported face of the morsel exchange's shard hash, so a
-// distributed shuffle partitions rows exactly like the in-process
-// symmetric hash join shards them.
+// positions; -1 contributes Unbound) into the exchange's row hash: the
+// bucket hash of the symmetric hash join and the partition hash of the
+// distributed shuffle.
 func HashRowKey(b *ColBatch, row int, cols []int) uint64 {
 	h := uint64(0x9e3779b97f4a7c15)
 	for _, c := range cols {

@@ -180,9 +180,9 @@ func compatBT(b *ColBatch, r int, bPos []int, t *colTable, tr int32, tPos []int)
 // After a failed send (context cancelled) it goes dead — every further
 // append/flush is a cheap no-op and ok() reports false — so callers fall
 // through to draining their inputs without special-casing dropped
-// batches. Not safe for concurrent use; concurrent producers (bind-join
-// requests in flight, hash-join shard workers) each own one emitter. Sends
-// are accounted to st (nil records nothing).
+// batches. Not safe for concurrent use; concurrent producers (the
+// bind-join requests in flight) each own one emitter. Sends are accounted
+// to st (nil records nothing).
 type cEmitter struct {
 	ctx  context.Context
 	out  *CStream
@@ -275,8 +275,8 @@ func (e *cEmitter) mergeTB(t *colTable, tr int32, tmap []int, r *ColBatch, rr in
 	e.full()
 }
 
-// flush forwards the buffered partial batch (typically at a morsel or
-// input-batch boundary, keeping answers streaming).
+// flush forwards the buffered partial batch (typically at an input-batch
+// boundary, keeping answers streaming).
 func (e *cEmitter) flush() {
 	if e.b.Rows() == 0 {
 		return
@@ -290,33 +290,22 @@ func (e *cEmitter) flush() {
 	}
 }
 
-// cMorsel is one partitioned fragment of an input batch with its join-key
-// hashes precomputed by the reader.
-type cMorsel struct {
-	fromLeft bool
-	hashes   []uint64
-	batch    *ColBatch
-}
-
 // CSymmetricHashJoin joins two streams on joinVars without blocking: each
 // arriving row is inserted into its side's hash table and immediately
 // probed against the other side's table, so answers are emitted as soon as
 // both matching inputs have arrived (the adaptive operator ANAPSID calls
-// agjoin). The shard hash, the bucket key and the compatibility check all
+// agjoin). The bucket hash, the bucket key and the compatibility check all
 // operate on raw dictionary IDs — no string key is ever built.
 //
-// The hash tables are sharded by join-key hash across par probe workers,
-// morsel-style: each input batch is partitioned by key hash and each
-// fragment is handed to the worker owning that shard. A worker owns its
-// shard's two hash tables exclusively, so insert and probe run without any
-// lock. par <= 1 degrades to a single worker; when joinVars is empty every
-// row lands in one shard and the operator degrades to a cross product. out
-// is the operator's output schema (the plan node's variables); batch
-// bounds the output batches (<= 0 means DefaultBatchSize).
-func CSymmetricHashJoin(ctx context.Context, left, right *CStream, joinVars []string, out *Schema, par, batch int) *CStream {
-	if par < 1 {
-		par = 1
-	}
+// The join is one goroutine that owns both hash tables and receives from
+// whichever input delivers first, so insert and probe run without any
+// lock. Answers are flushed at each input-batch boundary. When joinVars is
+// empty every row lands in one bucket and the operator degrades to a
+// cross product. out is the operator's output schema (the plan node's
+// variables); batch bounds the output batches (<= 0 means
+// DefaultBatchSize). Once the output is abandoned the join keeps draining
+// both inputs so their producers can finish.
+func CSymmetricHashJoin(ctx context.Context, left, right *CStream, joinVars []string, out *Schema, batch int) *CStream {
 	if batch <= 0 {
 		batch = DefaultBatchSize
 	}
@@ -328,104 +317,52 @@ func CSymmetricHashJoin(ctx context.Context, left, right *CStream, joinVars []st
 	pairL, pairR := sharedPairs(left.schema, right.schema, joinVars)
 	outL, outR := left.schema.Positions(out.Vars), right.schema.Positions(out.Vars)
 
-	shardCh := make([]chan cMorsel, par)
-	for i := range shardCh {
-		shardCh[i] = make(chan cMorsel, 2)
-	}
-
-	var workers sync.WaitGroup
-	workers.Add(par)
-	for i := 0; i < par; i++ {
-		go func(in <-chan cMorsel) {
-			defer workers.Done()
-			leftTbl := newColTable(len(left.schema.Vars))
-			rightTbl := newColTable(len(right.schema.Vars))
-			em := newCEmitter(ctx, outS, batch, st)
-			for m := range in {
-				if !em.ok() {
-					continue // keep consuming so the readers can finish
-				}
-				st.addHashEntries(m.batch.Len)
-				if m.fromLeft {
-					for r := 0; r < m.batch.Len; r++ {
-						h := m.hashes[r]
-						leftTbl.insert(m.batch, r, h)
-						for _, oi := range rightTbl.buckets[h] {
-							if !keysEqualBT(m.batch, r, lKey, rightTbl, oi, rKey) {
-								continue
-							}
-							if !compatBT(m.batch, r, pairL, rightTbl, oi, pairR) {
-								continue
-							}
-							em.mergeBT(m.batch, r, outL, rightTbl, oi, outR)
-						}
-					}
-				} else {
-					for r := 0; r < m.batch.Len; r++ {
-						h := m.hashes[r]
-						rightTbl.insert(m.batch, r, h)
-						for _, oi := range leftTbl.buckets[h] {
-							if !keysEqualBT(m.batch, r, rKey, leftTbl, oi, lKey) {
-								continue
-							}
-							if !compatBT(m.batch, r, pairR, leftTbl, oi, pairL) {
-								continue
-							}
-							em.mergeTB(leftTbl, oi, outL, m.batch, r, outR)
-						}
-					}
-				}
-				em.flush() // morsel boundary: keep answers streaming
-			}
-		}(shardCh[i])
-	}
-
-	var readers sync.WaitGroup
-	readers.Add(2)
-	consume := func(in *CStream, keyPos []int, fromLeft bool) {
-		defer readers.Done()
-		ident := in.schema.Positions(in.schema.Vars)
+	go func() {
+		defer outS.Close()
+		defer st.close()
+		leftTbl := newColTable(len(left.schema.Vars))
+		rightTbl := newColTable(len(right.schema.Vars))
+		em := newCEmitter(ctx, outS, batch, st)
 		for {
-			b, open := in.Recv(st)
+			b, fromLeft, open := recvEither(left, right, st)
 			if !open {
 				return
 			}
-			hashes := make([]uint64, b.Len)
-			for r := 0; r < b.Len; r++ {
-				hashes[r] = HashRowKey(b, r, keyPos)
+			if !em.ok() {
+				continue // keep draining so the producers can finish
 			}
-			if par == 1 {
-				shardCh[0] <- cMorsel{fromLeft: fromLeft, hashes: hashes, batch: b}
-				continue
-			}
-			parts := make([]*ColBuilder, par)
-			partHashes := make([][]uint64, par)
-			for r := 0; r < b.Len; r++ {
-				s := int(hashes[r] % uint64(par))
-				if parts[s] == nil {
-					parts[s] = NewColBuilder(in.schema)
+			st.addHashEntries(b.Len)
+			if fromLeft {
+				for r := 0; r < b.Len; r++ {
+					h := HashRowKey(b, r, lKey)
+					leftTbl.insert(b, r, h)
+					for _, oi := range rightTbl.buckets[h] {
+						if !keysEqualBT(b, r, lKey, rightTbl, oi, rKey) {
+							continue
+						}
+						if !compatBT(b, r, pairL, rightTbl, oi, pairR) {
+							continue
+						}
+						em.mergeBT(b, r, outL, rightTbl, oi, outR)
+					}
 				}
-				parts[s].AppendRow(b, r, ident)
-				partHashes[s] = append(partHashes[s], hashes[r])
-			}
-			for s := range parts {
-				if parts[s] != nil {
-					shardCh[s] <- cMorsel{fromLeft: fromLeft, hashes: partHashes[s], batch: parts[s].Take()}
+			} else {
+				for r := 0; r < b.Len; r++ {
+					h := HashRowKey(b, r, rKey)
+					rightTbl.insert(b, r, h)
+					for _, oi := range leftTbl.buckets[h] {
+						if !keysEqualBT(b, r, rKey, leftTbl, oi, lKey) {
+							continue
+						}
+						if !compatBT(b, r, pairR, leftTbl, oi, pairL) {
+							continue
+						}
+						em.mergeTB(leftTbl, oi, outL, b, r, outR)
+					}
 				}
 			}
+			em.flush() // input-batch boundary: keep answers streaming
 		}
-	}
-
-	go consume(left, lKey, true)
-	go consume(right, rKey, false)
-	go func() {
-		readers.Wait()
-		for _, ch := range shardCh {
-			close(ch)
-		}
-		workers.Wait()
-		st.close()
-		outS.Close()
 	}()
 	return outS
 }

@@ -9,7 +9,7 @@
 // per variable — instead of single solutions, amortizing the per-tuple
 // channel send and context select over DefaultBatchSize rows. Only real
 // producers and pipeline breakers own a goroutine and an output channel:
-// wrapper responses, bind-join dispatch, hash-join readers and shards, the
+// wrapper responses, bind-join dispatch, the symmetric hash join, the
 // left join, union branches and ORDER BY. The streaming operators between
 // them — the service meter, FILTER, projection, DISTINCT, OFFSET and
 // LIMIT — are stages fused onto the stream they read, applied batch by
@@ -23,7 +23,6 @@ package engine
 
 import (
 	"context"
-	"runtime"
 	"time"
 
 	"ontario/internal/dict"
@@ -40,21 +39,6 @@ const DefaultBatchSize = 256
 // flushed regardless of fill, preserving time-to-first-answer under slow
 // (simulated-latency) production.
 const DefaultFlushInterval = time.Millisecond
-
-// DefaultProbeParallelism derives the default number of morsel-parallel
-// probe workers (and hash-table shards) of a symmetric hash join from the
-// machine, capped so a deep plan of many joins does not explode into
-// thousands of goroutines.
-func DefaultProbeParallelism() int {
-	n := runtime.GOMAXPROCS(0)
-	if n > 8 {
-		n = 8
-	}
-	if n < 1 {
-		n = 1
-	}
-	return n
-}
 
 // bufBatches sizes an operator's output buffer in batches so the buffered
 // row count stays roughly constant across batch sizes: small batches get
@@ -167,26 +151,65 @@ func (s *CStream) Recv(st *OpStats) (*ColBatch, bool) {
 			s.end()
 			break
 		}
-		more := true
-		for _, g := range s.stages {
-			g.st.in(b.Len)
-			var m bool
-			b, m = g.fn(b)
-			more = more && m
-			if b == nil || b.Len == 0 {
-				break
-			}
-			g.st.out(b.Len)
-		}
-		if !more {
-			s.end()
-		}
-		if b != nil && b.Len > 0 {
+		if b = s.apply(b); b != nil {
 			st.in(b.Len)
 			return b, true
 		}
 	}
 	return nil, false
+}
+
+// recvEither is Recv over two streams: it returns the next non-empty batch
+// whichever of l and r delivers first, with that stream's stages applied,
+// and whether it came from l; false once both have ended. The time blocked
+// waiting for either exchange is charged to st once.
+func recvEither(l, r *CStream, st *OpStats) (b *ColBatch, fromLeft, ok bool) {
+	for !l.ended || !r.ended {
+		var lch, rch chan *ColBatch // an ended stream's nil channel never delivers
+		if !l.ended {
+			lch = l.ch
+		}
+		if !r.ended {
+			rch = r.ch
+		}
+		b, fromLeft, ok = st.waitEither(lch, rch)
+		s := r
+		if fromLeft {
+			s = l
+		}
+		if !ok {
+			s.end()
+			continue
+		}
+		if b = s.apply(b); b != nil {
+			st.in(b.Len)
+			return b, fromLeft, true
+		}
+	}
+	return nil, false, false
+}
+
+// apply runs the stream's stages over a batch received from its exchange,
+// returning nil when they drop it. A stage that ends the stream ends it.
+func (s *CStream) apply(b *ColBatch) *ColBatch {
+	more := true
+	for _, g := range s.stages {
+		g.st.in(b.Len)
+		var m bool
+		b, m = g.fn(b)
+		more = more && m
+		if b == nil || b.Len == 0 {
+			break
+		}
+		g.st.out(b.Len)
+	}
+	if !more {
+		s.end()
+	}
+	if b == nil || b.Len == 0 {
+		return nil
+	}
+	return b
 }
 
 // Drain discards the rest of the exchange, so its producers can finish,
@@ -224,6 +247,31 @@ func (o *OpStats) wait(ch chan *ColBatch) (*ColBatch, bool) {
 	b, ok := <-ch
 	o.recvNS.Add(time.Since(t0).Nanoseconds())
 	return b, ok
+}
+
+// waitEither receives from whichever of l and r delivers first (a nil
+// channel never does), accounting the blocked time once, like wait.
+func (o *OpStats) waitEither(l, r chan *ColBatch) (b *ColBatch, fromLeft, ok bool) {
+	select {
+	case b, ok = <-l:
+		return b, true, ok
+	case b, ok = <-r:
+		return b, false, ok
+	default:
+	}
+	var t0 time.Time
+	if o != nil {
+		t0 = time.Now()
+	}
+	select {
+	case b, ok = <-l:
+		fromLeft = true
+	case b, ok = <-r:
+	}
+	if o != nil {
+		o.recvNS.Add(time.Since(t0).Nanoseconds())
+	}
+	return b, fromLeft, ok
 }
 
 // sendC delivers a batch to out, accounting the blocked time and the

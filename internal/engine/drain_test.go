@@ -64,7 +64,7 @@ func TestSymmetricHashJoinDrainsInputsOnCancel(t *testing.T) {
 	d := dict.New()
 	left, leftDone := rawProducer(d, 500)
 	right, rightDone := rawProducer(d, 500)
-	out := CSymmetricHashJoin(ctx, left, right, []string{"x"}, left.Schema(), 4, 0)
+	out := CSymmetricHashJoin(ctx, left, right, []string{"x"}, left.Schema(), 0)
 	out.Recv(nil)
 	cancel()
 	awaitDone(t, "hash-join left", leftDone)

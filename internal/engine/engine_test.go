@@ -104,7 +104,7 @@ func TestSymmetricHashJoinBasic(t *testing.T) {
 	left := []sparql.Binding{b("x", "1", "y", "a"), b("x", "2", "y", "b"), b("x", "3", "y", "c")}
 	right := []sparql.Binding{b("x", "2", "z", "q"), b("x", "3", "z", "r"), b("x", "3", "z", "s"), b("x", "9", "z", "t")}
 	d := dict.New()
-	got := collect(CSymmetricHashJoin(ctx, feed(ctx, d, left, 0), feed(ctx, d, right, 0), []string{"x"}, outSchema(left, right), DefaultProbeParallelism(), 0), d)
+	got := collect(CSymmetricHashJoin(ctx, feed(ctx, d, left, 0), feed(ctx, d, right, 0), []string{"x"}, outSchema(left, right), 0), d)
 	assertSame(t, got, referenceJoin(left, right))
 	if len(got) != 3 {
 		t.Fatalf("join produced %d, want 3", len(got))
@@ -116,7 +116,7 @@ func TestSymmetricHashJoinCrossProduct(t *testing.T) {
 	left := []sparql.Binding{b("a", "1"), b("a", "2")}
 	right := []sparql.Binding{b("c", "x"), b("c", "y"), b("c", "z")}
 	d := dict.New()
-	got := collect(CSymmetricHashJoin(ctx, feed(ctx, d, left, 0), feed(ctx, d, right, 0), nil, outSchema(left, right), 4, 0), d)
+	got := collect(CSymmetricHashJoin(ctx, feed(ctx, d, left, 0), feed(ctx, d, right, 0), nil, outSchema(left, right), 0), d)
 	if len(got) != 6 {
 		t.Fatalf("cross product produced %d, want 6", len(got))
 	}
@@ -124,7 +124,7 @@ func TestSymmetricHashJoinCrossProduct(t *testing.T) {
 
 func TestSymmetricHashJoinEmitsExactlyOncePerPair(t *testing.T) {
 	// Heavily duplicated keys: every (l, r) pair with equal keys must be
-	// emitted exactly once even under concurrency.
+	// emitted exactly once, however the two inputs' batches interleave.
 	ctx := context.Background()
 	var left, right []sparql.Binding
 	for i := 0; i < 50; i++ {
@@ -133,9 +133,10 @@ func TestSymmetricHashJoinEmitsExactlyOncePerPair(t *testing.T) {
 	}
 	d := dict.New()
 	for round := 0; round < 20; round++ {
-		// Alternate probe parallelism so both the serial and the sharded
-		// paths prove exactly-once emission.
-		got := collect(CSymmetricHashJoin(ctx, feed(ctx, d, left, 0), feed(ctx, d, right, 0), []string{"k"}, outSchema(left, right), 1+round%4, 1+round%3), d)
+		// Alternate the input batch size so rows arrive in differently
+		// interleaved batches.
+		in := 1 + round%4
+		got := collect(CSymmetricHashJoin(ctx, feed(ctx, d, left, in), feed(ctx, d, right, in), []string{"k"}, outSchema(left, right), 1+round%3), d)
 		if len(got) != 500 { // 5 groups x 10 x 10
 			t.Fatalf("round %d: got %d, want 500", round, len(got))
 		}
@@ -183,7 +184,7 @@ func TestQuickJoinEquivalence(t *testing.T) {
 			right = append(right, b("k", fmt.Sprint(k%8), "r", fmt.Sprint(i)))
 		}
 		d := dict.New()
-		got := collect(CSymmetricHashJoin(ctx, feed(ctx, d, left, 0), feed(ctx, d, right, 0), []string{"k"}, outSchema(left, right), 3, 0), d)
+		got := collect(CSymmetricHashJoin(ctx, feed(ctx, d, left, 0), feed(ctx, d, right, 0), []string{"k"}, outSchema(left, right), 0), d)
 		want := referenceJoin(left, right)
 		if len(got) != len(want) {
 			return false

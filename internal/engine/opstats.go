@@ -34,7 +34,7 @@ type OpStats struct {
 	sendNS      atomic.Int64 // time blocked sending to the output
 	wallNS      atomic.Int64 // construction -> output close (0 while running)
 
-	hashEntries  atomic.Int64 // symmetric hash join: table entries across shards
+	hashEntries  atomic.Int64 // symmetric hash join: table entries
 	blocksIssued atomic.Int64 // bind joins: service requests issued
 }
 
@@ -64,7 +64,7 @@ type OpActuals struct {
 	BlockedRecv time.Duration
 	BlockedSend time.Duration
 	// HashEntries is the number of hash-table entries a symmetric hash
-	// join inserted across its shards; BlocksIssued the number of service
+	// join inserted into its two tables; BlocksIssued the number of service
 	// requests a (block) bind join dispatched. Zero for other operators.
 	HashEntries  int64
 	BlocksIssued int64
@@ -122,7 +122,7 @@ func (o *OpStats) out(bindings int) {
 	o.bindingsOut.Add(int64(bindings))
 }
 
-// addHashEntries accounts hash-table insertions (one call per morsel).
+// addHashEntries accounts hash-table insertions (one call per input batch).
 func (o *OpStats) addHashEntries(n int) {
 	if o == nil {
 		return

@@ -80,7 +80,7 @@ func TestOpStatsChildrenNotShared(t *testing.T) {
 	d := dict.New()
 	left := feed(context.Background(), d, []sparql.Binding{b("x", "1")}, 0)
 	right := feed(context.Background(), d, []sparql.Binding{b("x", "1", "y", "2")}, 0)
-	got := collect(CSymmetricHashJoin(ctx, left, right, []string{"x"}, right.Schema(), 4, 0), d)
+	got := collect(CSymmetricHashJoin(ctx, left, right, []string{"x"}, right.Schema(), 0), d)
 	if len(got) != 1 {
 		t.Fatalf("join produced %d, want 1", len(got))
 	}

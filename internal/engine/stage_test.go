@@ -61,6 +61,54 @@ func TestLinearPipelineGoroutines(t *testing.T) {
 	}
 }
 
+// settledGoroutines returns the goroutine count once it has held steady
+// for a moment, so goroutines an earlier test left exiting do not skew a
+// before/after comparison.
+func settledGoroutines() int {
+	n := runtime.NumGoroutine()
+	for i := 0; i < 100; i++ {
+		time.Sleep(5 * time.Millisecond)
+		m := runtime.NumGoroutine()
+		if m == n {
+			break
+		}
+		n = m
+	}
+	return n
+}
+
+// TestSymmetricHashJoinOneGoroutine: the join receives from whichever
+// input is ready and applies an input's fused stages itself, so building
+// one over two open inputs — one with a FILTER stage — starts exactly one
+// goroutine, and that goroutine ends once both inputs close.
+func TestSymmetricHashJoinOneGoroutine(t *testing.T) {
+	ctx := context.Background()
+	d := dict.New()
+	schema := NewSchema([]string{"x"})
+	left, right := NewCStream(schema, 1), NewCStream(schema, 1)
+	q := sparql.MustParse(`SELECT ?x WHERE { ?s ?p ?x . FILTER (STRLEN(?x) > 1) }`)
+	before := settledGoroutines()
+	out := CSymmetricHashJoin(ctx, left, CFilter(ctx, right, q.Filters, d), []string{"x"}, schema, 0)
+	if started := runtime.NumGoroutine() - before; started != 1 {
+		t.Fatalf("the join started %d goroutines, want 1", started)
+	}
+	rows := EncodeBatch([]sparql.Binding{b("x", "1"), b("x", "22"), b("x", "333")}, schema, d)
+	left.SendBatch(ctx, rows)
+	right.SendBatch(ctx, rows)
+	left.Close()
+	right.Close()
+	if got := len(collect(out, d)); got != 2 {
+		t.Fatalf("join delivered %d rows, want 2 (the filter keeps 22 and 333)", got)
+	}
+	deadline := time.Now().Add(5 * time.Second)
+	for runtime.NumGoroutine() > before {
+		if time.Now().After(deadline) {
+			t.Fatalf("%d goroutines still running after both inputs closed", runtime.NumGoroutine()-before)
+		}
+		time.Sleep(time.Millisecond)
+	}
+}
+
 // TestStageWallFinalWhenStreamEnds: every stage's wall time is frozen once
 // its stream ends — by the producer closing it, by a satisfied LIMIT, or
 // by a cancelled consumer draining it.

@@ -175,7 +175,6 @@ type config struct {
 	bindBlock  int
 	bindConc   int
 	batchSize  int
-	probePar   int
 	scale      float64
 	seed       int64
 	// cluster distributes the execution over a partitioned worker pool.
@@ -223,7 +222,6 @@ func (c config) resolve() core.Options {
 	opts.BindBlockSize = c.bindBlock
 	opts.BindConcurrency = c.bindConc
 	opts.BatchSize = c.batchSize
-	opts.ProbeParallelism = c.probePar
 	return opts
 }
 
@@ -295,16 +293,6 @@ func WithBindConcurrency(n int) Option {
 // behaviour, useful as an ablation baseline).
 func WithBatchSize(n int) Option {
 	return func(c *config) { c.batchSize = n }
-}
-
-// WithProbeParallelism sets the number of morsel-parallel probe workers —
-// and hash-table shards — of every symmetric hash join (default derived
-// from GOMAXPROCS, capped at 8). Input batches are partitioned by
-// join-key hash and each worker owns its shard's hash tables exclusively,
-// so insert and probe run lock-free. A value of 1 disables intra-operator
-// parallelism.
-func WithProbeParallelism(n int) Option {
-	return func(c *config) { c.probePar = n }
 }
 
 // WithNetworkScale multiplies the real sleeping of the network simulation;

@@ -143,7 +143,7 @@ func (c config) appendFingerprint(b []byte) []byte {
 	}
 	b = append(b, "|naive="...)
 	b = strconv.AppendBool(b, c.naive)
-	for _, n := range [...]int{c.bindBlock, c.bindConc, c.batchSize, c.probePar} {
+	for _, n := range [...]int{c.bindBlock, c.bindConc, c.batchSize} {
 		b = append(b, '|')
 		b = strconv.AppendInt(b, int64(n), 10)
 	}

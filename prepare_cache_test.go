@@ -111,7 +111,6 @@ func TestPlanFingerprintSeparatesPlanOptions(t *testing.T) {
 		"join": WithJoinOperator(JoinBind), "naive": WithNaiveTranslation(),
 		"block":       WithBindBlockSize(8),
 		"concurrency": WithBindConcurrency(3), "batch": WithBatchSize(16),
-		"probe": WithProbeParallelism(2),
 	} {
 		k := fp(o)
 		if prev, dup := seen[k]; dup {
