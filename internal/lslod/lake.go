@@ -6,7 +6,6 @@ import (
 
 	"ontario/internal/bridge"
 	"ontario/internal/catalog"
-	"ontario/internal/rdf"
 	"ontario/lake"
 )
 
@@ -99,7 +98,10 @@ func BuildLakeCustom(scale Scale, seed int64, customize func(*lake.Builder)) (*L
 
 // BuildMixedLake keeps the named datasets in their native RDF model and the
 // rest relational, exercising the Semantic-Data-Lake heterogeneity the
-// system is designed for.
+// system is designed for. An RDF dataset is built once, as a graph whose
+// triples are emitted straight from the generated rows: it is the graph
+// GraphFromSource exports from the same dataset stored relationally,
+// triple for triple and in the same order, without building that source.
 func BuildMixedLake(scale Scale, seed int64, rdfDatasets []string) (*Lake, error) {
 	asRDF := map[string]bool{}
 	for _, ds := range rdfDatasets {
@@ -125,9 +127,11 @@ func buildLake(scale Scale, seed int64, asRDF map[string]bool, customize func(*l
 }
 
 // assembleLake drives the public lake builder: relational datasets apply
-// their table and mapping specs, RDF datasets register the materialized
-// graph, and the paper's molecule templates are declared explicitly (the
-// builder's automatic derivation merges in behind them).
+// their table and mapping specs; a dataset in asRDF registers, through
+// AddGraph, the triples datasetSpec.triples emits from its rows and class
+// mappings, and no relational copy of it is built; the paper's molecule
+// templates are declared explicitly (the builder's automatic derivation
+// merges in behind them).
 func assembleLake(data *Data, specs map[string]*datasetSpec, denied []string, asRDF map[string]bool, customize func(*lake.Builder)) (*Lake, error) {
 	b := lake.NewBuilder()
 
@@ -138,11 +142,7 @@ func assembleLake(data *Data, specs map[string]*datasetSpec, denied []string, as
 	sort.Strings(ids)
 	for _, id := range ids {
 		if asRDF[id] {
-			triples, err := specTriples(specs[id])
-			if err != nil {
-				return nil, err
-			}
-			b.AddGraph(id, triples)
+			b.AddGraph(id, specs[id].triples())
 			continue
 		}
 		specs[id].apply(b)
@@ -162,31 +162,4 @@ func assembleLake(data *Data, specs map[string]*datasetSpec, denied []string, as
 		return nil, err
 	}
 	return &Lake{Lake: l, Catalog: bridge.LakeCatalog(l), Data: data, DeniedIndexes: denied}, nil
-}
-
-// specTriples materializes the RDF view of one relational dataset spec: it
-// builds the dataset alone through the public builder and exports the
-// resulting tables through their class mappings.
-func specTriples(spec *datasetSpec) ([]lake.Triple, error) {
-	tb := lake.NewBuilder()
-	spec.apply(tb)
-	tl, err := tb.Build()
-	if err != nil {
-		return nil, err
-	}
-	src := bridge.LakeCatalog(tl).Source(spec.id)
-	g, err := GraphFromSource(src)
-	if err != nil {
-		return nil, err
-	}
-	triples := g.Triples()
-	out := make([]lake.Triple, len(triples))
-	for i, t := range triples {
-		out[i] = lake.Triple{S: lakeTerm(t.S), P: lakeTerm(t.P), O: lakeTerm(t.O)}
-	}
-	return out, nil
-}
-
-func lakeTerm(t rdf.Term) lake.Term {
-	return lake.Term{Kind: lake.TermKind(t.Kind), Value: t.Value, Datatype: t.Datatype, Lang: t.Lang}
 }

@@ -183,7 +183,7 @@ func TestApplyIndexRule(t *testing.T) {
 		t.Errorf("denied = %v, want [t.skewed]", denied)
 	}
 	want := []lake.Index{{Column: "uniform", Kind: lake.HashIndex}, {Column: "edge", Kind: lake.BTreeIndex}}
-	if got := spec.tables[0].Indexes; !reflect.DeepEqual(got, want) {
+	if got := spec.tables[0].idx; !reflect.DeepEqual(got, want) {
 		t.Errorf("indexes = %+v, want %+v", got, want)
 	}
 }

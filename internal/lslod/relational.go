@@ -27,23 +27,24 @@ type indexRequest struct {
 	kind   rdb.IndexKind
 }
 
-// datasetSpec is one dataset's relational declaration in public
-// lake-builder terms: the generator produces specs, and the lake is
-// assembled by handing them to lake.NewBuilder — the same path external
-// library users take.
+// datasetSpec is one dataset as the generator produced it: its tables with
+// their rows and rule-filtered indexes, and its class mappings sorted by
+// class. A relational dataset is applied to lake.NewBuilder in public
+// lake-builder terms — the same path external library users take; an RDF
+// dataset emits its triples straight from the rows (triples).
 type datasetSpec struct {
 	id       string
-	tables   []lake.TableSpec
-	mappings []lake.ClassMapping
+	tables   []*specTable
+	mappings []*catalog.ClassMapping
 }
 
 // apply registers the dataset's tables and class mappings on the builder.
 func (s *datasetSpec) apply(b *lake.Builder) {
 	for _, t := range s.tables {
-		b.AddTable(s.id, t)
+		b.AddTable(s.id, tableSpec(t))
 	}
 	for _, m := range s.mappings {
-		b.MapClass(s.id, m)
+		b.MapClass(s.id, classMappingSpec(m))
 	}
 }
 
@@ -135,17 +136,14 @@ func (b *relationalBuilder) finish(ds string) (*datasetSpec, []string) {
 		}
 		t.idx = append(t.idx, lake.Index{Column: req.column, Kind: kind})
 	}
-	spec := &datasetSpec{id: ds}
-	for _, t := range b.tables {
-		spec.tables = append(spec.tables, tableSpec(t))
-	}
+	spec := &datasetSpec{id: ds, tables: b.tables}
 	classes := make([]string, 0, len(b.mappings))
 	for c := range b.mappings {
 		classes = append(classes, c)
 	}
 	sort.Strings(classes)
 	for _, c := range classes {
-		spec.mappings = append(spec.mappings, classMappingSpec(b.mappings[c]))
+		spec.mappings = append(spec.mappings, b.mappings[c])
 	}
 	return spec, b.denied
 }
