@@ -90,11 +90,11 @@ func subjectHash(t rdf.Term) uint64 {
 
 func partitionGraph(g *rdf.Graph, part, of int) *rdf.Graph {
 	out := rdf.NewGraph()
-	for _, t := range g.Triples() {
+	g.ForEach(func(t rdf.Triple) {
 		if subjectHash(t.S)%uint64(of) == uint64(part) {
 			out.Add(t)
 		}
-	}
+	})
 	return out
 }
 

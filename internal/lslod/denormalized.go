@@ -11,7 +11,7 @@ import (
 // drugs keep a NULL in that column. The subject column repeats across
 // rows, so it is no longer the primary key; wrappers recover RDF set
 // semantics with SELECT DISTINCT.
-func buildDiseasomeDenormalized(d *Data) (*datasetSpec, []string) {
+func buildDiseasomeDenormalized(d *Data) *datasetSpec {
 	b := newRelationalBuilder(DSDiseasome)
 	wide := b.table(&rdb.Schema{
 		Name: "disease_wide",
@@ -103,9 +103,9 @@ func buildDiseasomeDenormalized(d *Data) (*datasetSpec, []string) {
 // ablation.
 func BuildDenormalizedLake(scale Scale, seed int64) (*Lake, error) {
 	data := Generate(scale, seed)
-	specs, denied := relationalSpecs(data)
-	dspec, extraDenied := buildDiseasomeDenormalized(data)
+	specs, denied := relationalSpecs(data, nil)
+	dspec := buildDiseasomeDenormalized(data)
 	specs[DSDiseasome] = dspec
-	denied = append(denied, extraDenied...)
+	denied = append(denied, dspec.applyIndexRule()...)
 	return assembleLake(data, specs, denied, nil, nil)
 }

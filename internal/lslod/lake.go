@@ -122,7 +122,7 @@ func BuildMixedLake(scale Scale, seed int64, rdfDatasets []string) (*Lake, error
 
 func buildLake(scale Scale, seed int64, asRDF map[string]bool, customize func(*lake.Builder)) (*Lake, error) {
 	data := Generate(scale, seed)
-	specs, denied := relationalSpecs(data)
+	specs, denied := relationalSpecs(data, asRDF)
 	return assembleLake(data, specs, denied, asRDF, customize)
 }
 

@@ -2,6 +2,7 @@ package lslod
 
 import (
 	"reflect"
+	"slices"
 	"strings"
 	"testing"
 
@@ -178,7 +179,8 @@ func TestApplyIndexRule(t *testing.T) {
 	b.want("t", "skewed", rdb.IndexHash)
 	b.want("t", "uniform", rdb.IndexHash)
 	b.want("t", "edge", rdb.IndexBTree)
-	spec, denied := b.finish("x")
+	spec := b.finish("x")
+	denied := spec.applyIndexRule()
 	if !reflect.DeepEqual(denied, []string{"t.skewed"}) {
 		t.Errorf("denied = %v, want [t.skewed]", denied)
 	}
@@ -226,6 +228,32 @@ func TestMixedLake(t *testing.T) {
 	}
 	if _, err := BuildMixedLake(SmallScale(), 1, []string{"nope"}); err == nil {
 		t.Error("unknown dataset accepted")
+	}
+}
+
+// TestIndexRuleOnlyForRelationalDatasets: the 15% rule decides the indexes
+// of the datasets stored relationally only. With LinkedCT kept as RDF, no
+// trial column is listed as denied, while the relational lake still denies
+// trial.phase and the mixed lake still applies the rule to the others.
+func TestIndexRuleOnlyForRelationalDatasets(t *testing.T) {
+	mixed, err := BuildMixedLake(SmallScale(), 1, []string{DSLinkedCT})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, d := range mixed.DeniedIndexes {
+		if strings.HasPrefix(d, "trial.") {
+			t.Errorf("the mixed lake denies %s of the RDF dataset (denied: %v)", d, mixed.DeniedIndexes)
+		}
+	}
+	if !slices.Contains(mixed.DeniedIndexes, "probeset.species") {
+		t.Errorf("the mixed lake no longer applies the rule to relational datasets (denied: %v)", mixed.DeniedIndexes)
+	}
+	rel, err := BuildLake(SmallScale(), 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !slices.Contains(rel.DeniedIndexes, "trial.phase") {
+		t.Errorf("the relational lake does not deny trial.phase (denied: %v)", rel.DeniedIndexes)
 	}
 }
 

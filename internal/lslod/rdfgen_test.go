@@ -90,7 +90,7 @@ func TestGraphFromSourceQuotedKey(t *testing.T) {
 			nick: sideTable(nick, "nick", "person", "nick", "", ""),
 		},
 	}
-	spec, _ := b.finish("people")
+	spec := b.finish("people")
 	lb := lake.NewBuilder()
 	spec.apply(lb)
 	l, err := lb.Build()

@@ -22,20 +22,23 @@ func indexDenied(maxValueFraction float64) bool {
 
 // indexRequest is one desired secondary index, subject to the 15% rule.
 type indexRequest struct {
-	table  string
+	t      *specTable
 	column string
 	kind   rdb.IndexKind
 }
 
 // datasetSpec is one dataset as the generator produced it: its tables with
-// their rows and rule-filtered indexes, and its class mappings sorted by
-// class. A relational dataset is applied to lake.NewBuilder in public
+// their rows and index requests, and its class mappings sorted by class. A
+// relational dataset decides its indexes by the 15% rule
+// (applyIndexRule) and is applied to lake.NewBuilder in public
 // lake-builder terms — the same path external library users take; an RDF
-// dataset emits its triples straight from the rows (triples).
+// dataset builds no indexes and emits its triples straight from the rows
+// (triples).
 type datasetSpec struct {
 	id       string
 	tables   []*specTable
 	mappings []*catalog.ClassMapping
+	requests []indexRequest
 }
 
 // apply registers the dataset's tables and class mappings on the builder.
@@ -63,9 +66,6 @@ type relationalBuilder struct {
 	byName   map[string]*specTable
 	mappings map[string]*catalog.ClassMapping
 	requests []indexRequest
-	// denied records columns denied by the 15% rule (for reports and
-	// tests).
-	denied []string
 }
 
 func newRelationalBuilder(ds string) *relationalBuilder {
@@ -91,7 +91,11 @@ func (b *relationalBuilder) insert(t *specTable, rows ...rdb.Row) {
 }
 
 func (b *relationalBuilder) want(table, column string, kind rdb.IndexKind) {
-	b.requests = append(b.requests, indexRequest{table, column, kind})
+	t := b.byName[table]
+	if t == nil {
+		panic(fmt.Sprintf("lslod: index request on unknown table %s.%s", table, column))
+	}
+	b.requests = append(b.requests, indexRequest{t: t, column: column, kind: kind})
 }
 
 // maxValueFraction returns the frequency of the column's most common
@@ -118,25 +122,9 @@ func maxValueFraction(t *specTable, column string) float64 {
 	return float64(maxN) / float64(len(t.rows))
 }
 
-// finish applies the 15% rule to the index requests and emits the dataset
-// spec plus the denied columns.
-func (b *relationalBuilder) finish(ds string) (*datasetSpec, []string) {
-	for _, req := range b.requests {
-		t := b.byName[req.table]
-		if t == nil {
-			panic(fmt.Sprintf("lslod: index request on unknown table %s.%s", req.table, req.column))
-		}
-		if indexDenied(maxValueFraction(t, req.column)) {
-			b.denied = append(b.denied, req.table+"."+req.column)
-			continue
-		}
-		kind := lake.HashIndex
-		if req.kind == rdb.IndexBTree {
-			kind = lake.BTreeIndex
-		}
-		t.idx = append(t.idx, lake.Index{Column: req.column, Kind: kind})
-	}
-	spec := &datasetSpec{id: ds, tables: b.tables}
+// finish emits the dataset spec.
+func (b *relationalBuilder) finish(ds string) *datasetSpec {
+	spec := &datasetSpec{id: ds, tables: b.tables, requests: b.requests}
 	classes := make([]string, 0, len(b.mappings))
 	for c := range b.mappings {
 		classes = append(classes, c)
@@ -145,7 +133,24 @@ func (b *relationalBuilder) finish(ds string) (*datasetSpec, []string) {
 	for _, c := range classes {
 		spec.mappings = append(spec.mappings, b.mappings[c])
 	}
-	return spec, b.denied
+	return spec
+}
+
+// applyIndexRule declares the requested indexes the 15% rule grants and
+// returns the "table.column" of those it denies.
+func (s *datasetSpec) applyIndexRule() (denied []string) {
+	for _, req := range s.requests {
+		if indexDenied(maxValueFraction(req.t, req.column)) {
+			denied = append(denied, req.t.schema.Name+"."+req.column)
+			continue
+		}
+		kind := lake.HashIndex
+		if req.kind == rdb.IndexBTree {
+			kind = lake.BTreeIndex
+		}
+		req.t.idx = append(req.t.idx, lake.Index{Column: req.column, Kind: kind})
+	}
+	return denied
 }
 
 // tableSpec converts an accumulated table into the public declaration.
@@ -237,31 +242,27 @@ func sideTable(pred, table, fk, val, tmpl, class string) *catalog.PropertyMappin
 	}
 }
 
-// relationalSpecs declares the ten per-dataset relational databases with
-// mappings and rule-filtered indexes in public lake-builder terms. It
-// returns the specs by dataset ID and the list of index requests denied by
-// the 15% rule.
-func relationalSpecs(d *Data) (map[string]*datasetSpec, []string) {
+// relationalSpecs declares the ten per-dataset databases with mappings in
+// public lake-builder terms, and the indexes the 15% rule grants to the
+// datasets stored relationally — those not in asRDF. It returns the specs
+// by dataset ID and the list of index requests the rule denies.
+func relationalSpecs(d *Data, asRDF map[string]bool) (map[string]*datasetSpec, []string) {
 	out := map[string]*datasetSpec{}
 	var denied []string
-	add := func(spec *datasetSpec, d []string) {
+	for _, build := range []func(*Data) *datasetSpec{
+		buildDiseasome, buildAffymetrix, buildDrugBank, buildTCGA, buildKEGG,
+		buildChEBI, buildSider, buildLinkedCT, buildMedicare, buildPharmGKB,
+	} {
+		spec := build(d)
 		out[spec.id] = spec
-		denied = append(denied, d...)
+		if !asRDF[spec.id] {
+			denied = append(denied, spec.applyIndexRule()...)
+		}
 	}
-	add(buildDiseasome(d))
-	add(buildAffymetrix(d))
-	add(buildDrugBank(d))
-	add(buildTCGA(d))
-	add(buildKEGG(d))
-	add(buildChEBI(d))
-	add(buildSider(d))
-	add(buildLinkedCT(d))
-	add(buildMedicare(d))
-	add(buildPharmGKB(d))
 	return out, denied
 }
 
-func buildDiseasome(d *Data) (*datasetSpec, []string) {
+func buildDiseasome(d *Data) *datasetSpec {
 	b := newRelationalBuilder(DSDiseasome)
 	disease := b.table(&rdb.Schema{
 		Name:       "disease",
@@ -345,7 +346,7 @@ func buildDiseasome(d *Data) (*datasetSpec, []string) {
 	return b.finish(DSDiseasome)
 }
 
-func buildAffymetrix(d *Data) (*datasetSpec, []string) {
+func buildAffymetrix(d *Data) *datasetSpec {
 	b := newRelationalBuilder(DSAffymetrix)
 	probeset := b.table(&rdb.Schema{
 		Name: "probeset",
@@ -382,7 +383,7 @@ func buildAffymetrix(d *Data) (*datasetSpec, []string) {
 	return b.finish(DSAffymetrix)
 }
 
-func buildDrugBank(d *Data) (*datasetSpec, []string) {
+func buildDrugBank(d *Data) *datasetSpec {
 	b := newRelationalBuilder(DSDrugBank)
 	drug := b.table(&rdb.Schema{
 		Name: "drug",
@@ -450,7 +451,7 @@ func buildDrugBank(d *Data) (*datasetSpec, []string) {
 	return b.finish(DSDrugBank)
 }
 
-func buildTCGA(d *Data) (*datasetSpec, []string) {
+func buildTCGA(d *Data) *datasetSpec {
 	b := newRelationalBuilder(DSTCGA)
 	patient := b.table(&rdb.Schema{
 		Name: "patient",
@@ -499,7 +500,7 @@ func buildTCGA(d *Data) (*datasetSpec, []string) {
 	return b.finish(DSTCGA)
 }
 
-func buildKEGG(d *Data) (*datasetSpec, []string) {
+func buildKEGG(d *Data) *datasetSpec {
 	b := newRelationalBuilder(DSKEGG)
 	compound := b.table(&rdb.Schema{
 		Name:       "compound",
@@ -527,7 +528,7 @@ func buildKEGG(d *Data) (*datasetSpec, []string) {
 	return b.finish(DSKEGG)
 }
 
-func buildChEBI(d *Data) (*datasetSpec, []string) {
+func buildChEBI(d *Data) *datasetSpec {
 	b := newRelationalBuilder(DSChEBI)
 	ent := b.table(&rdb.Schema{
 		Name:       "chem_entity",
@@ -556,7 +557,7 @@ func buildChEBI(d *Data) (*datasetSpec, []string) {
 	return b.finish(DSChEBI)
 }
 
-func buildSider(d *Data) (*datasetSpec, []string) {
+func buildSider(d *Data) *datasetSpec {
 	b := newRelationalBuilder(DSSider)
 	eff := b.table(&rdb.Schema{
 		Name:       "side_effect",
@@ -582,7 +583,7 @@ func buildSider(d *Data) (*datasetSpec, []string) {
 	return b.finish(DSSider)
 }
 
-func buildLinkedCT(d *Data) (*datasetSpec, []string) {
+func buildLinkedCT(d *Data) *datasetSpec {
 	b := newRelationalBuilder(DSLinkedCT)
 	trial := b.table(&rdb.Schema{
 		Name: "trial",
@@ -618,7 +619,7 @@ func buildLinkedCT(d *Data) (*datasetSpec, []string) {
 	return b.finish(DSLinkedCT)
 }
 
-func buildMedicare(d *Data) (*datasetSpec, []string) {
+func buildMedicare(d *Data) *datasetSpec {
 	b := newRelationalBuilder(DSMedicare)
 	prov := b.table(&rdb.Schema{
 		Name:       "provider",
@@ -663,7 +664,7 @@ func buildMedicare(d *Data) (*datasetSpec, []string) {
 	return b.finish(DSMedicare)
 }
 
-func buildPharmGKB(d *Data) (*datasetSpec, []string) {
+func buildPharmGKB(d *Data) *datasetSpec {
 	b := newRelationalBuilder(DSPharmGKB)
 	assoc := b.table(&rdb.Schema{
 		Name: "association",

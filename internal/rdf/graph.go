@@ -216,6 +216,17 @@ func (g *Graph) Objects(s, p *Term) []Term {
 	return out
 }
 
+// ForEach calls fn on every triple in insertion order, under the graph's
+// read lock and without copying the triple list; fn must not write to the
+// graph.
+func (g *Graph) ForEach(fn func(Triple)) {
+	g.mu.RLock()
+	defer g.mu.RUnlock()
+	for _, t := range g.triples {
+		fn(t)
+	}
+}
+
 // Triples returns a copy of all triples in insertion order.
 func (g *Graph) Triples() []Triple {
 	g.mu.RLock()

@@ -77,6 +77,28 @@ func TestGraphAddDuplicate(t *testing.T) {
 	}
 }
 
+// TestGraphForEachVisitsTriples: ForEach visits exactly the triples
+// Triples copies, in the same (insertion) order, duplicates dropped.
+func TestGraphForEachVisitsTriples(t *testing.T) {
+	g := NewGraph()
+	for n := 0; n < 50; n++ {
+		i := n % 40 // the last ten are duplicates
+		s := NewIRI("http://s/" + strings.Repeat("x", i%7))
+		g.Add(Triple{s, NewIRI("http://p/" + strings.Repeat("y", i%3)), IntLiteral(int64(i % 11))})
+	}
+	var got []Triple
+	g.ForEach(func(t Triple) { got = append(got, t) })
+	want := g.Triples()
+	if len(got) != len(want) || len(got) != 40 {
+		t.Fatalf("ForEach visited %d triples, Triples has %d, want 40", len(got), len(want))
+	}
+	for i := range want {
+		if got[i] != want[i] {
+			t.Fatalf("triple %d: ForEach visited %v, Triples has %v", i, got[i], want[i])
+		}
+	}
+}
+
 func TestGraphMatchPatterns(t *testing.T) {
 	g := mkGraph()
 	a := NewIRI("http://s/a")

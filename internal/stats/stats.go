@@ -129,24 +129,23 @@ func rdfStats(src *catalog.Source) *SourceStats {
 		Classes:  make(map[string]*ClassStats),
 	}
 	classOf := make(map[rdf.Term][]string)
-	triples := g.Triples()
-	for _, t := range triples {
+	g.ForEach(func(t rdf.Triple) {
 		if t.P.Value != rdf.RDFType || !t.O.IsIRI() {
-			continue
+			return
 		}
 		class := t.O.Value
 		classOf[t.S] = append(classOf[t.S], class)
 		cs := ss.class(class)
 		cs.Extent++
-	}
+	})
 	type distinctSets struct {
 		subjects map[rdf.Term]bool
 		objects  map[rdf.Term]bool
 	}
 	distinct := make(map[string]map[string]*distinctSets) // class -> predicate
-	for _, t := range triples {
+	g.ForEach(func(t rdf.Triple) {
 		if t.P.Value == rdf.RDFType {
-			continue
+			return
 		}
 		classes := classOf[t.S]
 		if len(classes) == 0 {
@@ -175,7 +174,7 @@ func rdfStats(src *catalog.Source) *SourceStats {
 			sets.subjects[t.S] = true
 			sets.objects[t.O] = true
 		}
-	}
+	})
 	for class, byPred := range distinct {
 		cs := ss.Classes[class]
 		for pred, sets := range byPred {

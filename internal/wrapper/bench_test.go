@@ -12,12 +12,14 @@ import (
 
 var benchSQLRows int
 
-// BenchmarkSQLMiss times the SQL wrapper's miss path — translation, the
-// statement run in row ordinals, the cells decoded through the cell-ID
-// views — for a per-answer request and a 16-seed block request of a drug
-// star with a side-table property, over the small lake's DrugBank source.
-// There is no response cache, so every iteration misses; the views are
-// warm after the first.
+// BenchmarkSQLMiss times the SQL wrapper's miss path — the seed condition
+// built from the seed IDs over the leaf's translation, the statement run
+// in row ordinals, the cells decoded through the cell-ID views — for a
+// per-answer request and a 16-seed block request of a drug star with a
+// side-table property, over the small lake's DrugBank source. Both are
+// derived from one leaf with WithSeeds, as a bind join derives them, so
+// the stars are translated once for the whole run. There is no response
+// cache, so every iteration misses; the views are warm after the first.
 func BenchmarkSQLMiss(b *testing.B) {
 	lk, err := lslod.BuildLake(lslod.SmallScale(), 1)
 	if err != nil {

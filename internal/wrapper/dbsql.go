@@ -57,15 +57,15 @@ func (w *DBSQLWrapper) ExecuteColumnar(ctx context.Context, req *Request, schema
 // the translation proves empty returns no solutions without touching the
 // database.
 func (w *DBSQLWrapper) solutions(ctx context.Context, req *Request, d *dict.Dict) ([]sparql.Binding, error) {
-	seeds := req.seedBindings(d)
-	tl, err := translateRequest(w.src, req.Stars, req.Filters)
-	if err != nil || tl.empty || tl.pushSeeds(seeds) {
+	tl, err := req.translate(w.src, d)
+	if err != nil || tl == nil {
 		return nil, err
 	}
 	rows, err := w.query(ctx, tl)
 	if err != nil {
 		return nil, fmt.Errorf("wrapper %s: %w", w.src.ID, err)
 	}
+	seeds := req.seedBindings(d)
 	var sols []sparql.Binding
 	for _, row := range rows {
 		if b, ok := tl.decodeRow(row); ok && matchesAnySeed(b, seeds) && passes(b, tl.localFilters) {

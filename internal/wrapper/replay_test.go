@@ -17,9 +17,10 @@ import (
 // TestBindJoinReplayStaysInIDs: a bind join replayed against warm wrappers
 // answers every seeded request from the response cache without turning a
 // seed into terms or a term into an ID. The replay hands the wrappers a
-// fresh, empty dictionary — anything interned would land there — and
-// records every request the join issued: the dictionary must stay empty,
-// no request may have materialized its seed bindings, and every request
+// fresh, empty dictionary — anything interned would land there, and a
+// seed turned into terms through it would not resolve — and a fresh plan
+// leaf, and records every request the join issued: the dictionary must
+// stay empty, the leaf must never have been translated, and every request
 // must be a hit. Both join forms, both source models.
 func TestBindJoinReplayStaysInIDs(t *testing.T) {
 	ctx := context.Background()
@@ -29,13 +30,15 @@ func TestBindJoinReplayStaysInIDs(t *testing.T) {
 	rdfw := NewRDFWrapper("people-rdf", peopleGraph(t, sqlw), nil, 0)
 	rdfw.SetResponseCache(cache)
 	left := &Request{Stars: []*StarQuery{star(t, "p", "http://c/Person", `?p <http://p/name> ?n .`)}}
-	right := &Request{Stars: []*StarQuery{star(t, "p", "http://c/Person", `?p <http://p/age> ?a .`)}}
-	rSchema := engine.NewSchema(right.Vars())
+	rightStars := []*StarQuery{star(t, "p", "http://c/Person", `?p <http://p/age> ?a .`)}
+	rSchema := engine.NewSchema((&Request{Stars: rightStars}).Vars())
 	out := engine.NewSchema([]string{"p", "n", "a"})
 
 	// run executes the join with the right side's wrapper interning into d,
-	// recording the seeded requests it issues.
+	// recording the seeded requests it issues. Each run plans its own right
+	// leaf, as a query prepared again would.
 	run := func(w Wrapper, block bool, d *dict.Dict) ([]string, []*Request) {
+		right := &Request{Stars: rightStars}
 		var mu sync.Mutex
 		var issued []*Request
 		call := func(req *Request) *engine.CStream {
@@ -84,8 +87,8 @@ func TestBindJoinReplayStaysInIDs(t *testing.T) {
 				t.Errorf("%s block=%v: the replay interned %d terms", w.SourceID(), block, n)
 			}
 			for _, req := range issued {
-				if req.terms.Load() != nil {
-					t.Errorf("%s block=%v: a replayed request materialized its seeds %+v", w.SourceID(), block, req.Seeds)
+				if m := req.memo(); len(m.bySrc) != 0 {
+					t.Errorf("%s block=%v: a replayed request translated its leaf (seeds %+v)", w.SourceID(), block, req.Seeds)
 				}
 			}
 			// The left side's unseeded request is the other hit.

@@ -193,11 +193,12 @@ func (r *Request) shapeOf() *shape {
 }
 
 // WithSeeds returns r's seeded form for one block of bind-join seeds,
-// sharing r's stars, filters and fingerprint; block picks the response
-// charge (see Request.Block).
+// sharing r's stars, filters, fingerprint and translation memo; block
+// picks the response charge (see Request.Block).
 func (r *Request) WithSeeds(seeds engine.Seeds, block bool) *Request {
 	out := &Request{Stars: r.Stars, Filters: r.Filters, Seeds: seeds, Block: block}
 	out.shape.Store(r.shapeOf())
+	out.leaf.Store(r.memo())
 	return out
 }
 

@@ -212,23 +212,12 @@ func (w *SQLWrapper) ExecuteColumnar(ctx context.Context, req *Request, schema *
 	return e.stream(ctx, w.sim, !req.Block, schema, w.batch), nil
 }
 
-// translate translates a request into the statement a miss runs, with its
-// seeds pushed into the WHERE clause; the translation is nil when it
-// proves the result empty before touching the database.
-func (w *SQLWrapper) translate(req *Request, d *dict.Dict) (*translation, error) {
-	tl, err := translateRequest(w.src, req.Stars, req.Filters)
-	if err != nil || tl.empty || tl.pushSeeds(req.seedBindings(d)) {
-		return nil, err
-	}
-	return tl, nil
-}
-
 // columnarEntry translates, executes and decodes a request into a
 // response entry. A provably empty request runs no SQL and answers no
 // rows.
 func (w *SQLWrapper) columnarEntry(req *Request, schema *engine.Schema, d *dict.Dict) (*respEntry, error) {
 	w.resetSQL()
-	tl, err := w.translate(req, d)
+	tl, err := req.translate(w.src, d)
 	switch {
 	case err != nil:
 		return nil, err

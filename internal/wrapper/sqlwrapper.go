@@ -84,7 +84,7 @@ func (w *SQLWrapper) LastSQL() []string {
 	sels, hit, d := w.lastSQL, w.lastHit, w.hitDict
 	w.sqlMu.Unlock()
 	if hit != nil {
-		if tl, err := w.translate(hit, d); err == nil && tl != nil {
+		if tl, err := hit.translate(w.src, d); err == nil && tl != nil {
 			sels = []*sql.Select{tl.sel}
 		}
 	}
@@ -151,7 +151,11 @@ func (w *SQLWrapper) executeNaive(req *Request, schema *engine.Schema, d *dict.D
 		if err != nil {
 			return nil, err
 		}
-		if tl.empty || tl.pushSeeds(seeds) {
+		if tl.empty {
+			return newRespEntry(nil, schema, d), nil
+		}
+		tl, empty := tl.withSeeds(tl.seedSlot(req.Seeds.Vars), req.Seeds, d)
+		if empty {
 			return newRespEntry(nil, schema, d), nil
 		}
 		w.recordSQL(tl.sel)

@@ -3,11 +3,13 @@ package wrapper
 import (
 	"fmt"
 	"slices"
-	"sort"
 	"strconv"
 	"strings"
+	"sync"
 
 	"ontario/internal/catalog"
+	"ontario/internal/dict"
+	"ontario/internal/engine"
 	"ontario/internal/rdb"
 	"ontario/internal/rdf"
 	"ontario/internal/sparql"
@@ -39,6 +41,82 @@ type translation struct {
 	// empty marks a provably empty result (e.g. subject IRI outside the
 	// mapping's namespace).
 	empty bool
+}
+
+// leafMemo is what the requests of one plan leaf share of their SQL
+// translation. WithSeeds hands the leaf's memo to every seeded form, so
+// the stars and filters are translated once per source the leaf goes to,
+// and a seeded request only builds its seed condition (withSeeds). The
+// memo lives and dies with the leaf's request.
+type leafMemo struct {
+	mu    sync.Mutex
+	bySrc map[*catalog.Source]*leafTranslation
+}
+
+// leafTranslation is one source's translation of a leaf: the immutable
+// base statement, and the seed slot of the seed variables the leaf was
+// first seeded with.
+type leafTranslation struct {
+	tl       *translation
+	slotVars []string
+	slot     []seedCol
+}
+
+// memo returns the memo r shares with the other requests of its leaf,
+// creating it on first use.
+func (r *Request) memo() *leafMemo {
+	if m := r.leaf.Load(); m != nil {
+		return m
+	}
+	r.leaf.CompareAndSwap(nil, &leafMemo{})
+	return r.leaf.Load()
+}
+
+// translated returns the leaf's base translation at src and the seed slot
+// of r's seed variables. The leaf's first request to src translates its
+// stars and filters; every later one, from any goroutine, shares that.
+func (r *Request) translated(src *catalog.Source) (*translation, []seedCol, error) {
+	m := r.memo()
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	lt := m.bySrc[src]
+	if lt == nil {
+		tl, err := translateRequest(src, r.Stars, r.Filters)
+		if err != nil {
+			return nil, nil, err
+		}
+		if m.bySrc == nil {
+			m.bySrc = make(map[*catalog.Source]*leafTranslation)
+		}
+		lt = &leafTranslation{tl: tl}
+		m.bySrc[src] = lt
+	}
+	if r.Seeds.Rows == 0 {
+		return lt.tl, nil, nil
+	}
+	if lt.slotVars == nil {
+		lt.slotVars, lt.slot = r.Seeds.Vars, lt.tl.seedSlot(r.Seeds.Vars)
+	}
+	if !slices.Equal(lt.slotVars, r.Seeds.Vars) {
+		// A leaf resolved from its shape alone can be seeded on other
+		// variables by another plan.
+		return lt.tl, lt.tl.seedSlot(r.Seeds.Vars), nil
+	}
+	return lt.tl, lt.slot, nil
+}
+
+// translate returns the statement r runs at src: its leaf's translation
+// with r's seeds pushed into the WHERE clause. The translation is nil when
+// it proves the result empty before touching the database.
+func (r *Request) translate(src *catalog.Source, d *dict.Dict) (*translation, error) {
+	base, slot, err := r.translated(src)
+	if err != nil || base.empty {
+		return nil, err
+	}
+	if tl, empty := base.withSeeds(slot, r.Seeds, d); !empty {
+		return tl, nil
+	}
+	return nil, nil
 }
 
 // translator builds a SQL query for one or more stars over one relational
@@ -485,95 +563,121 @@ func (tr *translator) translateFunc(f *sparql.FuncExpr) (sql.BoolExpr, bool) {
 	return &sql.Like{Col: info.ref, Pattern: pattern}, true
 }
 
-// pushSeeds ANDs the seed predicate (seedPredicate) into the WHERE clause
-// and reports whether the seeds prove the result empty, so the query need
-// not run at all.
-func (t *translation) pushSeeds(seeds []sparql.Binding) (provablyEmpty bool) {
-	cond, provablyEmpty := t.seedPredicate(seeds)
-	switch {
-	case cond == nil:
-	case t.sel.Where == nil:
-		t.sel.Where = cond
-	default:
-		t.sel.Where = &sql.And{L: t.sel.Where, R: cond}
-	}
-	return provablyEmpty
+// seedCol is one seed variable a translation can push down: its index in
+// Seeds.Vars and the column that stores it.
+type seedCol struct {
+	at   int
+	info colInfo
 }
 
-// seedPredicate builds the seed pushdown predicate of a bind join over the
-// translated columns: a single `col IN (...)` when every seed binds
-// exactly one translatable variable, an OR of per-seed equality
-// conjunctions otherwise. It returns a nil condition when the seeds cannot
-// restrict the query (some seed constrains no translatable variable, so
+// seedSlot lists the seed variables that map to translated columns, in
+// sorted-variable order — the order a seed's equalities are conjoined in.
+func (t *translation) seedSlot(vars []string) []seedCol {
+	var slot []seedCol
+	for i, v := range vars {
+		if info, ok := t.varCols[v]; ok {
+			slot = append(slot, seedCol{at: i, info: info})
+		}
+	}
+	slices.SortFunc(slot, func(a, b seedCol) int { return strings.Compare(vars[a.at], vars[b.at]) })
+	return slot
+}
+
+// withSeeds returns the translation of t's request seeded with seeds: the
+// seed condition (seedCond) ANDed into a shallow copy of t's statement.
+// t is a leaf's shared base and is never changed. provablyEmpty reports
+// that the seeds prove the result empty, so the query need not run at all.
+func (t *translation) withSeeds(slot []seedCol, seeds engine.Seeds, d *dict.Dict) (_ *translation, provablyEmpty bool) {
+	cond, provablyEmpty := seedCond(slot, seeds, d)
+	if provablyEmpty || cond == nil {
+		return t, provablyEmpty
+	}
+	sel := *t.sel
+	if sel.Where == nil {
+		sel.Where = cond
+	} else {
+		sel.Where = &sql.And{L: sel.Where, R: cond}
+	}
+	out := *t
+	out.sel = &sel
+	return &out, false
+}
+
+// seedCond builds the seed pushdown predicate of a bind join straight from
+// the seed IDs: a single `col IN (...)` when every satisfiable seed binds
+// one slot column, the same one, and an OR of per-seed equality
+// conjunctions (in slot order) otherwise. It returns a nil condition when
+// the seeds cannot restrict the query (some seed binds no slot column, so
 // the disjunction would be trivially true); the caller then relies on the
 // post-hoc seed-compatibility check. provablyEmpty reports that every seed
 // is unsatisfiable at this source (e.g. all seed IRIs fall outside the
 // mapping's namespace), so the query need not run at all.
-func (t *translation) seedPredicate(seeds []sparql.Binding) (cond sql.BoolExpr, provablyEmpty bool) {
-	if len(seeds) == 0 {
+func seedCond(slot []seedCol, seeds engine.Seeds, d *dict.Dict) (cond sql.BoolExpr, provablyEmpty bool) {
+	if seeds.Rows == 0 {
 		return nil, false
 	}
-	var disjuncts []sql.BoolExpr
-	for _, seed := range seeds {
-		vars := make([]string, 0, len(seed))
-		for v := range seed {
-			if _, ok := t.varCols[v]; ok {
-				vars = append(vars, v)
+	lits := make([]sql.Literal, 0, seeds.Rows) // the satisfiable seeds' equalities, seed after seed
+	cols := make([]int, 0, seeds.Rows)         // each equality's slot column
+	ends := make([]int, 0, seeds.Rows)         // each satisfiable seed's end in lits
+	for i := 0; i < seeds.Rows; i++ {
+		row := seeds.Row(i)
+		start, bound, sat := len(lits), false, true
+		for k, c := range slot {
+			id := row[c.at]
+			if id == dict.Unbound {
+				continue
 			}
+			bound = true
+			lit, ok := seedEqLiteral(c.info, d.MustLookup(id))
+			if !ok {
+				sat = false
+				break
+			}
+			lits, cols = append(lits, lit), append(cols, k)
 		}
-		sort.Strings(vars)
-		if len(vars) == 0 {
+		switch {
+		case !bound:
 			// This seed cannot be expressed over the translated columns;
 			// ORing a tautology in would defeat the pushdown entirely.
 			return nil, false
-		}
-		var conj []sql.BoolExpr
-		unsat := false
-		for _, v := range vars {
-			info := t.varCols[v]
-			lit, ok := seedEqLiteral(info, seed[v])
-			if !ok {
-				unsat = true
-				break
-			}
-			conj = append(conj, &sql.Comparison{
-				Op: sql.CmpEq, L: sql.ColOperand(info.ref), R: sql.LitOperand(lit),
-			})
-		}
-		if unsat {
+		case !sat:
 			// The seed matches no row of this source; it contributes no
 			// disjunct.
-			continue
+			lits, cols = lits[:start], cols[:start]
+		default:
+			ends = append(ends, len(lits))
 		}
-		disjuncts = append(disjuncts, sql.AndAll(conj))
 	}
-	if len(disjuncts) == 0 {
+	if len(ends) == 0 {
 		return nil, true
 	}
-	if col, lits, ok := inShape(disjuncts); ok {
-		return &sql.In{Col: col, List: lits}, false
+	if len(lits) == len(ends) && sameColumn(slot, cols) {
+		return &sql.In{Col: slot[cols[0]].info.ref, List: lits}, false
+	}
+	disjuncts := make([]sql.BoolExpr, len(ends))
+	conj := make([]sql.BoolExpr, 0, len(slot))
+	start := 0
+	for i, end := range ends {
+		conj = conj[:0]
+		for j := start; j < end; j++ {
+			conj = append(conj, &sql.Comparison{
+				Op: sql.CmpEq, L: sql.ColOperand(slot[cols[j]].info.ref), R: sql.LitOperand(lits[j]),
+			})
+		}
+		disjuncts[i], start = sql.AndAll(conj), end
 	}
 	return orAll(disjuncts), false
 }
 
-// inShape reports whether every disjunct is a single equality on the same
-// column, collapsing the disjunction into one IN list.
-func inShape(disjuncts []sql.BoolExpr) (sql.ColumnRef, []sql.Literal, bool) {
-	var col sql.ColumnRef
-	lits := make([]sql.Literal, 0, len(disjuncts))
-	for i, d := range disjuncts {
-		cmp, ok := d.(*sql.Comparison)
-		if !ok || cmp.Op != sql.CmpEq || !cmp.L.IsCol || cmp.R.IsCol {
-			return sql.ColumnRef{}, nil, false
+// sameColumn reports whether the slot columns cols all store in the same
+// column.
+func sameColumn(slot []seedCol, cols []int) bool {
+	for _, k := range cols[1:] {
+		if slot[k].info.ref != slot[cols[0]].info.ref {
+			return false
 		}
-		if i == 0 {
-			col = cmp.L.Col
-		} else if cmp.L.Col != col {
-			return sql.ColumnRef{}, nil, false
-		}
-		lits = append(lits, cmp.R.Lit)
 	}
-	return col, lits, true
+	return true
 }
 
 // orAll combines the expressions into a right-leaning OR chain.

@@ -56,12 +56,13 @@ type Request struct {
 	// wrapper evaluates a seeded request the same way, as the union of the
 	// request over its seeds: each matching solution is returned exactly
 	// once, unmerged, binding the seeded variables with the source's own
-	// terms; relational sources push the seeds down as an IN/OR predicate,
-	// RDF sources start one graph pass from them. The IDs are the request's
-	// seed identity in the response cache, which keeps them: like Stars and
-	// Filters they must not change once the request has been executed. The
-	// terms behind them are materialized only when the wrapper evaluates
-	// its source (seedBindings).
+	// terms; relational sources push the seeds down as an IN/OR predicate
+	// built straight from the IDs, RDF sources start one graph pass from
+	// them. The IDs are the request's seed identity in the response cache,
+	// which keeps them: like Stars and Filters they must not change once
+	// the request has been executed. Only the term-evaluating paths — the
+	// row-model seed checks, remote and custom sources — materialize the
+	// terms behind them (seedBindings).
 	//
 	// Block decides only how the simulated network charges the response:
 	// one message per answer without it, one per response with it.
@@ -69,25 +70,20 @@ type Request struct {
 	Block bool
 
 	// shape memoizes the content-derived identity of Stars and Filters
-	// (see shapeOf); terms memoizes seedBindings.
+	// (see shapeOf); leaf memoizes their SQL translation (see leafMemo).
+	// WithSeeds shares both with every seeded form of the request.
 	shape atomic.Pointer[shape]
-	terms atomic.Pointer[[]sparql.Binding]
+	leaf  atomic.Pointer[leafMemo]
 }
 
 // seedBindings returns the seeds as row-model bindings, materialized from
-// d once per request: the term-evaluating paths — SQL translation, remote
-// and custom sources — share them, and a request the response cache
-// answers never builds them.
+// d: the term-evaluating paths call it once per request, and a request the
+// response cache answers never builds them.
 func (r *Request) seedBindings(d *dict.Dict) []sparql.Binding {
 	if r.Seeds.Rows == 0 {
 		return nil
 	}
-	if p := r.terms.Load(); p != nil {
-		return *p
-	}
-	b := r.Seeds.Bindings(d)
-	r.terms.Store(&b)
-	return b
+	return r.Seeds.Bindings(d)
 }
 
 // matchesAnySeed reports whether the solution is compatible with at least

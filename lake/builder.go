@@ -528,15 +528,15 @@ func (b *Builder) deriveMolecules(id string, cat *catalog.Catalog) []Molecule {
 // graph contributes its class as the predicate's link.
 func deriveGraphMolecules(id string, g *rdf.Graph) []Molecule {
 	types := make(map[rdf.Term][]string) // subject -> classes
-	for _, t := range g.Triples() {
+	g.ForEach(func(t rdf.Triple) {
 		if t.P.Value == rdf.RDFType && t.P.Kind == rdf.TermIRI && t.O.Kind == rdf.TermIRI {
 			types[t.S] = append(types[t.S], t.O.Value)
 		}
-	}
+	})
 	preds := make(map[string]map[string]string) // class -> predicate -> linked class
-	for _, t := range g.Triples() {
+	g.ForEach(func(t rdf.Triple) {
 		if t.P.Value == rdf.RDFType {
-			continue
+			return
 		}
 		linked := ""
 		if t.O.Kind == rdf.TermIRI {
@@ -554,7 +554,7 @@ func deriveGraphMolecules(id string, g *rdf.Graph) []Molecule {
 				pm[t.P.Value] = linked
 			}
 		}
-	}
+	})
 	classes := make([]string, 0, len(preds))
 	for c := range preds {
 		classes = append(classes, c)

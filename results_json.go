@@ -1,10 +1,11 @@
 package ontario
 
 import (
-	"encoding/json"
+	"slices"
 	"sort"
 	"sync"
 	"time"
+	"unicode/utf8"
 
 	"ontario/internal/dict"
 	"ontario/internal/rdf"
@@ -57,38 +58,118 @@ type jsonCol struct {
 }
 
 func marshalKey(v string) []byte {
-	k, _ := json.Marshal(v)
-	return append(k, ':')
+	return append(appendJSONString(make([]byte, 0, jsonStringLen(v)+1), v), ':')
 }
 
 // marshalTerm appends the sparql-results+json encoding of one term:
 // {"type":...,"value":...} with datatype and xml:lang only when present —
 // byte for byte what encoding/json produces for the equivalent struct with
 // omitempty datatype and xml:lang members (TestMarshalTermMatchesJSON).
+// dst grows once, to the encoding's exact size.
 func marshalTerm(dst []byte, t rdf.Term) []byte {
-	dst = append(dst, `{"type":`...)
+	typ := `"literal"`
 	switch t.Kind {
 	case rdf.TermIRI:
-		dst = append(dst, `"uri"`...)
+		typ = `"uri"`
 	case rdf.TermBlank:
-		dst = append(dst, `"bnode"`...)
-	default:
-		dst = append(dst, `"literal"`...)
+		typ = `"bnode"`
 	}
-	dst = append(dst, `,"value":`...)
-	v, _ := json.Marshal(t.Value)
-	dst = append(dst, v...)
-	if t.Kind == rdf.TermLiteral && t.Datatype != "" {
-		dst = append(dst, `,"datatype":`...)
-		dt, _ := json.Marshal(t.Datatype)
-		dst = append(dst, dt...)
+	var dt, lang string
+	if t.Kind == rdf.TermLiteral {
+		dt, lang = t.Datatype, t.Lang
 	}
-	if t.Kind == rdf.TermLiteral && t.Lang != "" {
-		dst = append(dst, `,"xml:lang":`...)
-		l, _ := json.Marshal(t.Lang)
-		dst = append(dst, l...)
+	n := len(`{"type":,"value":}`) + len(typ) + jsonStringLen(t.Value)
+	if dt != "" {
+		n += len(`,"datatype":`) + jsonStringLen(dt)
+	}
+	if lang != "" {
+		n += len(`,"xml:lang":`) + jsonStringLen(lang)
+	}
+	dst = slices.Grow(dst, n)
+	dst = append(append(append(dst, `{"type":`...), typ...), `,"value":`...)
+	dst = appendJSONString(dst, t.Value)
+	if dt != "" {
+		dst = appendJSONString(append(dst, `,"datatype":`...), dt)
+	}
+	if lang != "" {
+		dst = appendJSONString(append(dst, `,"xml:lang":`...), lang)
 	}
 	return append(dst, '}')
+}
+
+// jsonEscapes holds, per ASCII byte, its escape in a JSON string as
+// encoding/json writes it (HTML-sensitive <>& included), or "" for a byte
+// written as is.
+var jsonEscapes = func() (esc [utf8.RuneSelf]string) {
+	const hex = "0123456789abcdef"
+	for b := 0; b < 0x20; b++ {
+		esc[b] = `\u00` + string(hex[b>>4]) + string(hex[b&0xF])
+	}
+	esc['\b'], esc['\f'], esc['\n'], esc['\r'], esc['\t'] = `\b`, `\f`, `\n`, `\r`, `\t`
+	esc['"'], esc['\\'] = `\"`, `\\`
+	esc['<'], esc['>'], esc['&'] = `\u003c`, `\u003e`, `\u0026`
+	return esc
+}()
+
+// jsonStep returns the width of the character at s[i] and its escape in a
+// JSON string, "" when it is written as is: ASCII by jsonEscapes, invalid
+// UTF-8 as U+FFFD, and the JavaScript line separators U+2028/U+2029
+// escaped, as encoding/json does.
+func jsonStep(s string, i int) (int, string) {
+	if b := s[i]; b < utf8.RuneSelf {
+		return 1, jsonEscapes[b]
+	}
+	c, w := utf8.DecodeRuneInString(s[i:])
+	switch {
+	case c == utf8.RuneError && w == 1:
+		return 1, `\ufffd`
+	case c == '\u2028':
+		return w, `\u2028`
+	case c == '\u2029':
+		return w, `\u2029`
+	}
+	return w, ""
+}
+
+// jsonStringLen returns the length of s encoded as a JSON string
+// (appendJSONString), quotes included.
+func jsonStringLen(s string) int {
+	n := 2
+	for i := 0; i < len(s); {
+		if s[i] < utf8.RuneSelf && jsonEscapes[s[i]] == "" {
+			n++
+			i++
+			continue
+		}
+		w, esc := jsonStep(s, i)
+		if esc == "" {
+			n += w
+		} else {
+			n += len(esc)
+		}
+		i += w
+	}
+	return n
+}
+
+// appendJSONString appends s as a JSON string, byte for byte as
+// encoding/json marshals it.
+func appendJSONString(dst []byte, s string) []byte {
+	dst = append(dst, '"')
+	start := 0
+	for i := 0; i < len(s); {
+		if s[i] < utf8.RuneSelf && jsonEscapes[s[i]] == "" {
+			i++
+			continue
+		}
+		w, esc := jsonStep(s, i)
+		if esc != "" {
+			dst = append(append(dst, s[start:i]...), esc...)
+			start = i + w
+		}
+		i += w
+	}
+	return append(append(dst, s[start:]...), '"')
 }
 
 func (r *Results) jsonState() *resultsJSON {
