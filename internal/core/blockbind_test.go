@@ -158,8 +158,7 @@ func TestBlockBindJoinMessageReduction(t *testing.T) {
 		t.Fatalf("symmetric-hash reference produced %d answers, want %d", len(wantAnswers), answers)
 	}
 
-	// Sequential bind join: block size 1 keeps the planner from promoting.
-	seq := Options{Network: netsim.NoDelay, JoinOperator: JoinBind, BindBlockSize: 1}
+	seq := Options{Network: netsim.NoDelay, JoinOperator: JoinBind}
 	seqAnswers, seqMessages, seqPlan := runBlockBind(t, cat, seq)
 	assertSameBindings(t, "sequential bind join", seqAnswers, wantAnswers, vars)
 	if !strings.Contains(seqPlan.Explain(), "Join[bind]") {
@@ -191,37 +190,55 @@ func TestBlockBindJoinMessageReduction(t *testing.T) {
 	}
 }
 
-// TestPlannerPromotesBindJoinToBlock: with the plain bind operator
-// selected and a left star whose extent fills at least one block, the
-// planner upgrades to the block variant on its own — and leaves it alone
-// when the block size is 1 or the left side is small.
-func TestPlannerPromotesBindJoinToBlock(t *testing.T) {
-	big := blockBindLake(t, 64, 1)
-	small := blockBindLake(t, 3, 1)
-	q := blockBindQuery(t)
-
-	plan, err := NewPlanner(big).Plan(q, Options{JoinOperator: JoinBind})
-	if err != nil {
-		t.Fatal(err)
+// TestForcedJoinOperatorKeptAsGiven: a forced bind or block bind join is
+// the operator of every join in the plan, under both optimizers, whatever
+// the left input's size — a 64-drug left star fills four blocks, a 3-drug
+// one does not — and on the benchmark queries in both plan modes.
+func TestForcedJoinOperatorKeptAsGiven(t *testing.T) {
+	type planCase struct {
+		name string
+		cat  *catalog.Catalog
+		q    *sparql.Query
+		opts Options
 	}
-	if !strings.Contains(plan.Explain(), "Join[block-bind]") {
-		t.Errorf("planner did not promote bind join over 64-drug left star:\n%s", plan.Explain())
+	var cases []planCase
+	for _, n := range []int{64, 3} {
+		cases = append(cases, planCase{fmt.Sprintf("%d drugs", n), blockBindLake(t, n, 1), blockBindQuery(t), Options{}})
 	}
-
-	plan, err = NewPlanner(small).Plan(q, Options{JoinOperator: JoinBind})
-	if err != nil {
-		t.Fatal(err)
+	lake := testLake(t)
+	for _, id := range []string{"Q2", "Q3", "Q4", "Q5"} {
+		cases = append(cases,
+			planCase{id + " aware", lake.Catalog, lslod.Query(id), AwareOptions(netsim.NoDelay)},
+			planCase{id + " unaware", lake.Catalog, lslod.Query(id), UnawareOptions(netsim.NoDelay)})
 	}
-	if !strings.Contains(plan.Explain(), "Join[bind]") {
-		t.Errorf("planner promoted bind join despite a 3-drug left star:\n%s", plan.Explain())
-	}
-
-	plan, err = NewPlanner(big).Plan(q, Options{JoinOperator: JoinBind, BindBlockSize: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !strings.Contains(plan.Explain(), "Join[bind]") {
-		t.Errorf("block size 1 must keep the sequential bind join:\n%s", plan.Explain())
+	for _, c := range cases {
+		for _, opt := range []OptimizerMode{OptimizerGreedy, OptimizerCost} {
+			for _, op := range []JoinOperator{JoinBind, JoinBlockBind} {
+				opts := c.opts
+				opts.Optimizer, opts.JoinOperator = opt, op
+				plan, err := NewPlanner(c.cat).Plan(c.q, opts)
+				if err != nil {
+					t.Fatal(err)
+				}
+				joins := 0
+				var walk func(PlanNode)
+				walk = func(n PlanNode) {
+					if j, ok := n.(*JoinNode); ok {
+						joins++
+						if j.Op != op {
+							t.Errorf("%s, %s optimizer, forced %s: plan has Join[%s]:\n%s", c.name, opt, op, j.Op, plan.Explain())
+						}
+					}
+					for _, ch := range children(n) {
+						walk(ch)
+					}
+				}
+				walk(plan.Root)
+				if joins == 0 && !c.opts.Aware {
+					t.Errorf("%s, %s optimizer: plan has no join to check:\n%s", c.name, opt, plan.Explain())
+				}
+			}
+		}
 	}
 }
 

@@ -106,7 +106,7 @@ func (cm *costModel) orderGreedy(plans []*orderedPlan) PlanNode {
 
 // orderJoinsGreedyVars is the legacy physical-design-unaware ordering: a
 // left-deep tree built greedily by shared-variable count with one global
-// operator — the single routine behind both Plan and planPatterns.
+// operator.
 func orderJoinsGreedyVars(leaves []PlanNode, op JoinOperator) PlanNode {
 	if len(leaves) == 0 {
 		return nil

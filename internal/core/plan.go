@@ -131,7 +131,8 @@ type Options struct {
 	// BindBlockSize is the number of left bindings gathered into one
 	// multi-seed service request by the block bind join (0 means
 	// DefaultBindBlockSize; 1 degenerates to the sequential bind join's
-	// request pattern).
+	// request pattern). The cost optimizer prices the block variant with
+	// it; a forced JoinOperator is kept as given whatever its value.
 	BindBlockSize int
 	// BindConcurrency bounds the number of in-flight block requests the
 	// block bind join dispatches concurrently (0 means
@@ -423,53 +424,42 @@ func localName(iri string) string {
 	return iri
 }
 
+// children returns the sub-plans of a node, left before right.
+func children(n PlanNode) []PlanNode {
+	switch v := n.(type) {
+	case *JoinNode:
+		return []PlanNode{v.L, v.R}
+	case *LeftJoinNode:
+		return []PlanNode{v.L, v.R}
+	case *FilterNode:
+		return []PlanNode{v.Child}
+	case *UnionNode:
+		return v.Children
+	}
+	return nil
+}
+
 // CountServices returns the number of service requests in the plan (the
 // paper's "number of requests" consideration).
 func CountServices(n PlanNode) int {
-	switch v := n.(type) {
-	case *ServiceNode:
+	if _, ok := n.(*ServiceNode); ok {
 		return 1
-	case *JoinNode:
-		return CountServices(v.L) + CountServices(v.R)
-	case *LeftJoinNode:
-		return CountServices(v.L) + CountServices(v.R)
-	case *FilterNode:
-		return CountServices(v.Child)
-	case *UnionNode:
-		total := 0
-		for _, c := range v.Children {
-			total += CountServices(c)
-		}
-		return total
-	default:
-		return 0
 	}
+	total := 0
+	for _, c := range children(n) {
+		total += CountServices(c)
+	}
+	return total
 }
 
 // mergedServices returns the Heuristic-1 merged service nodes in the plan.
 func mergedServices(n PlanNode) []*ServiceNode {
-	var out []*ServiceNode
-	var walk func(PlanNode)
-	walk = func(n PlanNode) {
-		switch v := n.(type) {
-		case *ServiceNode:
-			if v.Merged {
-				out = append(out, v)
-			}
-		case *JoinNode:
-			walk(v.L)
-			walk(v.R)
-		case *LeftJoinNode:
-			walk(v.L)
-			walk(v.R)
-		case *FilterNode:
-			walk(v.Child)
-		case *UnionNode:
-			for _, c := range v.Children {
-				walk(c)
-			}
-		}
+	if v, ok := n.(*ServiceNode); ok && v.Merged {
+		return []*ServiceNode{v}
 	}
-	walk(n)
+	var out []*ServiceNode
+	for _, c := range children(n) {
+		out = append(out, mergedServices(c)...)
+	}
 	return out
 }

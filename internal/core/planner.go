@@ -37,36 +37,31 @@ type unit struct {
 	merged bool
 }
 
-func (u *unit) vars() []string {
-	seen := map[string]bool{}
-	var out []string
-	for _, s := range u.stars {
-		for _, v := range s.Vars() {
-			if !seen[v] {
-				seen[v] = true
-				out = append(out, v)
-			}
-		}
+// Plan decomposes, selects sources, applies the heuristics per opts, and
+// returns the execution plan. A forced Options.JoinOperator is kept as
+// given on every join; otherwise the cost optimizer's per-join choice
+// (chooseJoin) is the only place bind and block bind joins are decided.
+func (p *Planner) Plan(q *sparql.Query, opts Options) (*Plan, error) {
+	root, err := p.planGroup(q, opts)
+	if err != nil {
+		return nil, err
 	}
-	return out
+	return &Plan{Query: q, Root: root, Opts: opts}, nil
 }
 
-// Plan decomposes, selects sources, applies the heuristics per opts, and
-// returns the execution plan.
-func (p *Planner) Plan(q *sparql.Query, opts Options) (*Plan, error) {
+// planGroup plans one group graph pattern: its basic graph pattern
+// (decomposition, source selection, Heuristic 1, filter placement, leaves
+// and join tree), joined with its UNION groups and left-joined with its
+// OPTIONAL groups. UNION branches and OPTIONAL groups are planned as
+// groups of their own patterns, with no filters to place: a branch's
+// filters run at the engine over the branch, an OPTIONAL group's follow
+// SPARQL LeftJoin semantics (evaluated over the merged binding).
+func (p *Planner) planGroup(q *sparql.Query, opts Options) (PlanNode, error) {
 	ssqs := Decompose(q)
-	if len(ssqs) == 0 && len(q.Unions) == 0 {
-		return nil, fmt.Errorf("core: query has no triple patterns")
-	}
-	if len(ssqs) == 0 {
-		// Pure-union query: plan the union groups and join them.
-		return p.planUnionOnly(q, opts)
-	}
 	cands, err := SelectSources(p.cat, ssqs)
 	if err != nil {
 		return nil, err
 	}
-
 	units := make([]*unit, len(ssqs))
 	for i := range ssqs {
 		u := &unit{stars: []*SSQ{ssqs[i]}, cands: cands[i]}
@@ -98,172 +93,32 @@ func (p *Planner) Plan(q *sparql.Query, opts Options) (*Plan, error) {
 		}
 	}
 
-	// Build leaf nodes.
 	leaves := make([]PlanNode, len(units))
 	for i, u := range units {
 		leaves[i] = p.unitNode(u, pushed[i])
 	}
 
 	// Join ordering: cost-based (DP/cost-greedy with per-join operator
-	// selection) or the legacy shared-variable greedy tree.
-	cm := newCostModel(p.prov, opts)
-	root := p.buildJoinTree(leaves, opts, cm)
-
-	// UNION groups are planned per branch and joined with the required
-	// part on the shared variables.
-	for _, ug := range q.Unions {
-		un, err := p.planUnionGroup(ug, opts)
-		if err != nil {
-			return nil, err
-		}
-		root = &JoinNode{
-			L: root, R: un,
-			JoinVars: sparql.SharedVars(root.Vars(), un.Vars()),
-			Op:       opts.JoinOperator,
-		}
-	}
-
-	// OPTIONAL groups are planned as sub-plans left-joined at the engine;
-	// their filters follow SPARQL LeftJoin semantics (evaluated over the
-	// merged binding).
-	for _, og := range q.Optionals {
-		sub, err := p.planPatterns(og.Patterns, opts)
-		if err != nil {
-			return nil, err
-		}
-		root = &LeftJoinNode{L: root, R: sub, Filters: og.Filters}
-	}
-
-	// Engine-level filters: attach at the lowest node covering their vars
-	// (here: group on top; sub-tree placement happens for single-unit
-	// coverage via placeFilter already).
-	if len(engineFilters) > 0 {
-		root = &FilterNode{Child: root, Exprs: engineFilters}
-	}
-
-	p.finishPlan(root, opts, cm)
-	return &Plan{Query: q, Root: root, Opts: opts}, nil
-}
-
-// buildJoinTree orders the leaves into one join tree — the single ordering
-// routine behind Plan and planPatterns.
-func (p *Planner) buildJoinTree(leaves []PlanNode, opts Options, cm *costModel) PlanNode {
-	if opts.Optimizer == OptimizerCost {
-		return cm.orderJoins(leaves)
-	}
-	return orderJoinsGreedyVars(leaves, opts.JoinOperator)
-}
-
-// finishPlan applies the bind-join promotion and leaves the tree's
-// estimates consistent: after a promotion the stale join estimates (priced
-// for the sequential operator) are recomputed; greedy plans render without
-// estimates, as before the cost optimizer existed.
-func (p *Planner) finishPlan(root PlanNode, opts Options, cm *costModel) {
-	promoted := p.applyBindJoinHeuristic(root, opts, cm)
-	if opts.Optimizer != OptimizerCost {
-		clearEstimates(root, true)
-		return
-	}
-	if promoted {
-		clearEstimates(root, false)
-		cm.estimate(root)
-	}
-}
-
-// clearEstimates drops the join estimates of the tree (they embed operator
-// prices); withServices also drops the service-scan estimates.
-func clearEstimates(n PlanNode, withServices bool) {
-	switch v := n.(type) {
-	case *ServiceNode:
-		if withServices {
-			v.Est = nil
-		}
-	case *JoinNode:
-		v.Est = nil
-		clearEstimates(v.L, withServices)
-		clearEstimates(v.R, withServices)
-	case *LeftJoinNode:
-		clearEstimates(v.L, withServices)
-		clearEstimates(v.R, withServices)
-	case *FilterNode:
-		clearEstimates(v.Child, withServices)
-	case *UnionNode:
-		for _, c := range v.Children {
-			clearEstimates(c, withServices)
-		}
-	}
-}
-
-// applyBindJoinHeuristic upgrades sequential bind joins to block bind
-// joins when the left input is estimated to deliver at least one full
-// block of bindings: that is when batching pays — one multi-seed request
-// replaces a block's worth of per-binding requests. Small left inputs stay
-// on the sequential operator, which reaches the source without waiting for
-// a block to fill. Cardinalities come from the statistics-backed cost
-// model; under the cost optimizer the pass only matters for a forced
-// JoinBind (the per-join selection already decided everything else). It
-// reports whether any join was promoted, so the caller can refresh stale
-// estimates.
-func (p *Planner) applyBindJoinHeuristic(n PlanNode, opts Options, cm *costModel) bool {
-	promoted := false
-	switch v := n.(type) {
-	case *JoinNode:
-		promoted = p.applyBindJoinHeuristic(v.L, opts, cm) || promoted
-		promoted = p.applyBindJoinHeuristic(v.R, opts, cm) || promoted
-		if v.Op != JoinBind {
-			return promoted
-		}
-		if _, ok := v.R.(*ServiceNode); !ok {
-			return promoted
-		}
-		// A block size of 1 disables the promotion entirely — it is the
-		// explicit way to keep the sequential operator (e.g. as a
-		// measurement baseline) — regardless of the cardinality estimate.
-		blockSize := opts.EffectiveBindBlockSize()
-		if blockSize <= 1 {
-			return promoted
-		}
-		if cm.estimate(v.L).Card >= float64(blockSize) {
-			v.Op = JoinBlockBind
-			promoted = true
-		}
-	case *LeftJoinNode:
-		promoted = p.applyBindJoinHeuristic(v.L, opts, cm) || promoted
-		promoted = p.applyBindJoinHeuristic(v.R, opts, cm) || promoted
-	case *FilterNode:
-		promoted = p.applyBindJoinHeuristic(v.Child, opts, cm)
-	case *UnionNode:
-		for _, c := range v.Children {
-			promoted = p.applyBindJoinHeuristic(c, opts, cm) || promoted
-		}
-	}
-	return promoted
-}
-
-// planUnionGroup plans every branch (patterns plus branch filters at the
-// engine) and unions them.
-func (p *Planner) planUnionGroup(ug sparql.UnionGroup, opts Options) (PlanNode, error) {
-	un := &UnionNode{}
-	for _, br := range ug.Branches {
-		sub, err := p.planPatterns(br.Patterns, opts)
-		if err != nil {
-			return nil, err
-		}
-		if len(br.Filters) > 0 {
-			sub = &FilterNode{Child: sub, Exprs: br.Filters}
-		}
-		un.Children = append(un.Children, sub)
-	}
-	return un, nil
-}
-
-// planUnionOnly handles queries whose WHERE clause is only UNION groups.
-func (p *Planner) planUnionOnly(q *sparql.Query, opts Options) (*Plan, error) {
+	// selection) or the legacy shared-variable greedy tree; nil when the
+	// group has no triple patterns of its own.
 	var root PlanNode
+	if opts.Optimizer == OptimizerCost {
+		root = newCostModel(p.prov, opts).orderJoins(leaves)
+	} else {
+		root = orderJoinsGreedyVars(leaves, opts.JoinOperator)
+	}
+
 	for _, ug := range q.Unions {
-		un, err := p.planUnionGroup(ug, opts)
-		if err != nil {
-			return nil, err
+		un := &UnionNode{}
+		for _, br := range ug.Branches {
+			sub, err := p.planGroup(&sparql.Query{Patterns: br.Patterns}, opts)
+			if err != nil {
+				return nil, err
+			}
+			if len(br.Filters) > 0 {
+				sub = &FilterNode{Child: sub, Exprs: br.Filters}
+			}
+			un.Children = append(un.Children, sub)
 		}
 		if root == nil {
 			root = un
@@ -278,46 +133,21 @@ func (p *Planner) planUnionOnly(q *sparql.Query, opts Options) (*Plan, error) {
 	if root == nil {
 		return nil, fmt.Errorf("core: query has no triple patterns")
 	}
+
 	for _, og := range q.Optionals {
-		sub, err := p.planPatterns(og.Patterns, opts)
+		sub, err := p.planGroup(&sparql.Query{Patterns: og.Patterns}, opts)
 		if err != nil {
 			return nil, err
 		}
 		root = &LeftJoinNode{L: root, R: sub, Filters: og.Filters}
 	}
-	if len(q.Filters) > 0 {
-		root = &FilterNode{Child: root, Exprs: q.Filters}
-	}
-	p.finishPlan(root, opts, newCostModel(p.prov, opts))
-	return &Plan{Query: q, Root: root, Opts: opts}, nil
-}
 
-// planPatterns plans a bare basic graph pattern (no filter placement):
-// decomposition, source selection, Heuristic 1, join ordering. Used for
-// OPTIONAL groups.
-func (p *Planner) planPatterns(patterns []sparql.TriplePattern, opts Options) (PlanNode, error) {
-	sub := &sparql.Query{Patterns: patterns}
-	ssqs := Decompose(sub)
-	cands, err := SelectSources(p.cat, ssqs)
-	if err != nil {
-		return nil, err
+	// Engine-level filters go on top of the group (filters one unit
+	// covers were pushed by placeFilter).
+	if len(engineFilters) > 0 {
+		root = &FilterNode{Child: root, Exprs: engineFilters}
 	}
-	units := make([]*unit, len(ssqs))
-	for i := range ssqs {
-		u := &unit{stars: []*SSQ{ssqs[i]}, cands: cands[i]}
-		if len(cands[i]) == 1 {
-			u.classes = []string{cands[i][0].Class}
-		}
-		units[i] = u
-	}
-	if opts.Aware {
-		units = p.applyHeuristic1(units)
-	}
-	leaves := make([]PlanNode, len(units))
-	for i, u := range units {
-		leaves[i] = p.unitNode(u, nil)
-	}
-	return p.buildJoinTree(leaves, opts, newCostModel(p.prov, opts)), nil
+	return root, nil
 }
 
 // applyHeuristic1 merges star units pairwise (transitively) when they have
@@ -434,7 +264,7 @@ func (p *Planner) placeFilter(f sparql.Expr, units []*unit, policy FilterPolicy,
 	// Find the unique unit covering all filter variables.
 	owner := -1
 	for i, u := range units {
-		if coversAll(u.vars(), fvars) {
+		if coversAll(varsOfStars(u.stars), fvars) {
 			if owner >= 0 {
 				return -1 // ambiguous: evaluate at engine
 			}

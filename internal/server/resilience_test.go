@@ -86,7 +86,6 @@ func TestServerMidStreamFailure(t *testing.T) {
 	})}
 	srv, base := newCustomServer(t, Config{DefaultOptions: []ontario.Option{
 		ontario.WithJoinOperator(ontario.JoinBind),
-		ontario.WithBindBlockSize(1),
 		ontario.WithBindConcurrency(1),
 		ontario.WithBatchSize(1),
 	}}, left, right)

@@ -117,9 +117,9 @@ func (p *CatalogProvider) Source(id string) *SourceStats {
 	return ss
 }
 
-// rdfStats derives class and predicate statistics in two passes over the
-// graph: one to type the subjects, one to attribute each triple to the
-// classes of its subject.
+// rdfStats derives class and predicate statistics: one pass over the graph
+// types the subjects, then each predicate's triples are attributed to the
+// classes of their subjects.
 func rdfStats(src *catalog.Source) *SourceStats {
 	g := src.Graph
 	ss := &SourceStats{
@@ -138,49 +138,49 @@ func rdfStats(src *catalog.Source) *SourceStats {
 		cs := ss.class(class)
 		cs.Extent++
 	})
-	type distinctSets struct {
-		subjects map[rdf.Term]bool
-		objects  map[rdf.Term]bool
+	// Counts are taken one predicate at a time, with two sets cleared
+	// between predicates: a subject counts once for each of its classes, an
+	// object once for each class of the subjects pointing at it.
+	type classTerm struct {
+		class string
+		term  rdf.Term
 	}
-	distinct := make(map[string]map[string]*distinctSets) // class -> predicate
-	g.ForEach(func(t rdf.Triple) {
-		if t.P.Value == rdf.RDFType {
-			return
+	subjects := make(map[rdf.Term]struct{})
+	objects := make(map[classTerm]struct{})
+	untyped := []string{""}
+	for _, p := range g.Predicates() {
+		if p.Value == rdf.RDFType {
+			continue
 		}
-		classes := classOf[t.S]
-		if len(classes) == 0 {
-			// Untyped subject: attribute under the pseudo-class "" so
-			// predicate-only stars still find source-wide numbers.
-			classes = []string{""}
-		}
-		for _, class := range classes {
-			cs := ss.class(class)
-			ps := cs.Predicates[t.P.Value]
-			if ps == nil {
-				ps = &PredicateStats{Predicate: t.P.Value, Indexed: true}
-				cs.Predicates[t.P.Value] = ps
+		clear(subjects)
+		clear(objects)
+		g.ForEachMatch(nil, &p, nil, func(_ int, t *rdf.Triple) {
+			classes := classOf[t.S]
+			if len(classes) == 0 {
+				// Untyped subject: attribute under the pseudo-class "" so
+				// predicate-only stars still find source-wide numbers.
+				classes = untyped
 			}
-			ps.Count++
-			byPred := distinct[class]
-			if byPred == nil {
-				byPred = make(map[string]*distinctSets)
-				distinct[class] = byPred
+			_, seenSubject := subjects[t.S]
+			subjects[t.S] = struct{}{}
+			for _, class := range classes {
+				cs := ss.class(class)
+				ps := cs.Predicates[p.Value]
+				if ps == nil {
+					ps = &PredicateStats{Predicate: p.Value, Indexed: true}
+					cs.Predicates[p.Value] = ps
+				}
+				ps.Count++
+				if !seenSubject {
+					ps.DistinctSubjects++
+				}
+				k := classTerm{class, t.O}
+				if _, ok := objects[k]; !ok {
+					objects[k] = struct{}{}
+					ps.DistinctObjects++
+				}
 			}
-			sets := byPred[t.P.Value]
-			if sets == nil {
-				sets = &distinctSets{subjects: make(map[rdf.Term]bool), objects: make(map[rdf.Term]bool)}
-				byPred[t.P.Value] = sets
-			}
-			sets.subjects[t.S] = true
-			sets.objects[t.O] = true
-		}
-	})
-	for class, byPred := range distinct {
-		cs := ss.Classes[class]
-		for pred, sets := range byPred {
-			cs.Predicates[pred].DistinctSubjects = len(sets.subjects)
-			cs.Predicates[pred].DistinctObjects = len(sets.objects)
-		}
+		})
 	}
 	for _, cs := range ss.Classes {
 		cs.SubjectIndexed = true

@@ -198,10 +198,14 @@ func (tr *translator) nextAlias() string {
 	return fmt.Sprintf("t%d", tr.aliasN)
 }
 
-// bindVar records that variable v is stored at info; repeated occurrences
-// add equality conditions.
+// bindVar records that variable v is stored at info; a repeated occurrence
+// in another column adds an equality condition (one in the same column,
+// such as a star's shared subject, adds none).
 func (tr *translator) bindVar(v string, info colInfo) {
 	if prev, ok := tr.varCols[v]; ok {
+		if prev.ref == info.ref {
+			return
+		}
 		tr.conds = append(tr.conds, &sql.Comparison{
 			Op: sql.CmpEq,
 			L:  sql.ColOperand(prev.ref),

@@ -2,6 +2,7 @@ package wrapper
 
 import (
 	"context"
+	"regexp"
 	"strings"
 	"testing"
 
@@ -175,6 +176,28 @@ func TestRepeatedObjectVariableAddsEquality(t *testing.T) {
 	if !strings.Contains(w.LastSQL()[0], "t1.name = t1.age") &&
 		!strings.Contains(w.LastSQL()[0], "t1.age = t1.name") {
 		t.Errorf("repeated variable equality missing: %v", w.LastSQL())
+	}
+}
+
+func TestSharedSubjectAddsNoSelfEquality(t *testing.T) {
+	// Every pattern of a star binds the subject variable to the same key
+	// column: the repeats must not turn into "t1.id = t1.id".
+	src := testSource(t)
+	w := NewSQLWrapper(src, nil, TranslationOptimized, 0)
+	req := &Request{Stars: []*StarQuery{
+		star(t, "p", "http://c/Person", `?p <http://p/name> ?n . ?p <http://p/age> ?a . ?p <http://p/friend> ?f .`),
+	}}
+	if got := collect(t, w, req); len(got) != 4 {
+		t.Fatalf("star over four friend links returned %d answers: %v", len(got), got)
+	}
+	stmt := w.LastSQL()[0]
+	for _, m := range regexp.MustCompile(`([\w.]+) = ([\w.]+)`).FindAllStringSubmatch(stmt, -1) {
+		if m[1] == m[2] {
+			t.Errorf("self-equality %q in %s", m[0], stmt)
+		}
+	}
+	if !strings.Contains(stmt, "t2.person_id = t1.id") && !strings.Contains(stmt, "t1.id = t2.person_id") {
+		t.Errorf("join-table equality missing: %s", stmt)
 	}
 }
 

@@ -231,7 +231,6 @@ func TestFacadeSourceLimitBindJoinSameSource(t *testing.T) {
 	opts := []ontario.Option{
 		ontario.WithUnawarePlan(), // keep the stars separate so the join runs at the engine
 		ontario.WithJoinOperator(ontario.JoinBind),
-		ontario.WithBindBlockSize(1), // strictly sequential bind join
 		ontario.WithNetworkScale(0),
 	}
 
@@ -359,7 +358,7 @@ func TestFacadeBlockBindJoinOptions(t *testing.T) {
 	}
 	ref, _ := collect(ontario.WithAwarePlan(), ontario.WithNetworkScale(0))
 	seq, seqRes := collect(ontario.WithAwarePlan(), ontario.WithNetworkScale(0),
-		ontario.WithJoinOperator(ontario.JoinBind), ontario.WithBindBlockSize(1))
+		ontario.WithJoinOperator(ontario.JoinBind))
 	blk, blkRes := collect(ontario.WithAwarePlan(), ontario.WithNetworkScale(0),
 		ontario.WithJoinOperator(ontario.JoinBlockBind),
 		ontario.WithBindBlockSize(16), ontario.WithBindConcurrency(4))

@@ -257,7 +257,9 @@ func WithOptimizer(o Optimizer) Option {
 }
 
 // WithJoinOperator forces one engine-level join implementation for every
-// join, instead of the optimizer's per-join choice.
+// join, instead of the optimizer's per-join choice. The forced operator is
+// kept as given: JoinBind is the strictly sequential bind join even where
+// the left input would fill a block.
 func WithJoinOperator(op JoinOperator) Option {
 	return func(c *config) { c.joinOp = &op }
 }
@@ -273,7 +275,9 @@ func WithNaiveTranslation() Option {
 // pushed down as a single SQL IN/OR predicate at relational sources and
 // evaluated in one graph pass at RDF sources, so each block costs one
 // simulated network message instead of one per left binding. A size of 1
-// degenerates to per-binding requests.
+// degenerates to per-binding requests. The size prices the block variant
+// in the cost optimizer's per-join choice; it never turns a forced
+// JoinBind into a block bind join.
 func WithBindBlockSize(n int) Option {
 	return func(c *config) { c.bindBlock = n }
 }
