@@ -146,6 +146,47 @@ func TestClusterEquivalenceLSLOD(t *testing.T) {
 	}
 }
 
+// TestClusterEquivalenceShuffleTinyBatches runs the LSLOD queries under
+// the unaware plan, whose symmetric hash joins shuffle, with batches of 1
+// and 3 rows: the shuffle's per-worker partition builders are then sent
+// and refilled on nearly every row, and the distributed multiset must
+// still equal the single-node one.
+func TestClusterEquivalenceShuffleTinyBatches(t *testing.T) {
+	lk := buildEquivLake(t)
+	eng := ontario.New(lk.Lake)
+	tc := bootCluster(t, 2, cluster.ClientConfig{})
+	base := []ontario.Option{
+		ontario.WithUnawarePlan(),
+		ontario.WithNetwork(ontario.NoDelay),
+		ontario.WithNetworkScale(0),
+		ontario.WithSeed(1),
+	}
+	shuffled := func() int64 {
+		ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
+		defer cancel()
+		var n int64
+		for _, ws := range tc.client.Probe(ctx) {
+			n += ws.ShuffledBatches
+		}
+		return n
+	}
+	for _, batch := range []int{1, 3} {
+		before := shuffled()
+		for _, q := range lslod.Queries() {
+			label := fmt.Sprintf("%s/unaware/batch=%d", q.ID, batch)
+			_, want := runCanon(t, eng, q.Text, base...)
+			if len(want) == 0 {
+				t.Fatalf("%s: single-node run returned no solutions", label)
+			}
+			_, got := runCanon(t, eng, q.Text, append([]ontario.Option{tc.opt, ontario.WithBatchSize(batch)}, base...)...)
+			diffMultisets(t, label, want, got)
+		}
+		if shuffled() == before {
+			t.Fatalf("batch=%d: the unaware plans shuffled no batches; the test is not reaching the shuffle", batch)
+		}
+	}
+}
+
 // TestClusterEquivalenceOptional shuffles OPTIONAL-unbound rows across
 // the wire: the absent ?drug cells, Unbound in memory and clear bits in
 // the wire-only presence bitmap, must survive the worker hop in both

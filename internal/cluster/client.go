@@ -319,6 +319,9 @@ func (c *Client) ShuffleJoin(ctx context.Context, left, right *engine.CStream, j
 		for i := range mapping {
 			mapping[i] = i
 		}
+		// Each worker's builder is reused: the encoder copies a batch's
+		// rows onto the wire before it returns, so a flush sends a view of
+		// the builder's columns and then refills them.
 		builders := make([]*engine.ColBuilder, W)
 		for i := range builders {
 			builders[i] = engine.NewColBuilderCap(in.Schema(), batch)
@@ -327,7 +330,9 @@ func (c *Client) ShuffleJoin(ctx context.Context, left, right *engine.CStream, j
 			if builders[wi].Rows() == 0 || dead[wi].Load() {
 				return
 			}
-			if err := streams[wi].batch(side, builders[wi].Take()); err != nil {
+			err := streams[wi].batch(side, builders[wi].View())
+			builders[wi].Reset()
+			if err != nil {
 				fail(wi, err)
 			}
 		}

@@ -213,6 +213,18 @@ func TestSourceSelectionNoSource(t *testing.T) {
 	}
 }
 
+// mergedServices returns the Heuristic-1 merged service nodes in the plan.
+func mergedServices(n PlanNode) []*ServiceNode {
+	if v, ok := n.(*ServiceNode); ok && v.Merged {
+		return []*ServiceNode{v}
+	}
+	var out []*ServiceNode
+	for _, c := range children(n) {
+		out = append(out, mergedServices(c)...)
+	}
+	return out
+}
+
 // TestHeuristic1MergesQ2 checks the Q2 plan shape: aware merges the two
 // Diseasome stars into one service; unaware keeps two services joined at
 // the engine.

@@ -451,15 +451,3 @@ func CountServices(n PlanNode) int {
 	}
 	return total
 }
-
-// mergedServices returns the Heuristic-1 merged service nodes in the plan.
-func mergedServices(n PlanNode) []*ServiceNode {
-	if v, ok := n.(*ServiceNode); ok && v.Merged {
-		return []*ServiceNode{v}
-	}
-	var out []*ServiceNode
-	for _, c := range children(n) {
-		out = append(out, mergedServices(c)...)
-	}
-	return out
-}

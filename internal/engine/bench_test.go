@@ -383,10 +383,11 @@ func BenchmarkColBatchMerge(b *testing.B) {
 }
 
 // TestProbeInnerLoopZeroAlloc is the layout regression guard: the
-// symmetric hash join's probe inner loop — hash the key columns, look up
-// the bucket, compare candidate keys — must run entirely on uint64 IDs
-// with zero allocations per probed row. If this fails, something on the
-// probe path fell back to materializing terms or string keys.
+// symmetric hash join's probe inner loop — hash the key columns, walk the
+// hash's chain in the flat table, compare candidate keys — must run
+// entirely on uint64 IDs with zero allocations per probed row. If this
+// fails, something on the probe path fell back to materializing terms or
+// string keys.
 func TestProbeInnerLoopZeroAlloc(t *testing.T) {
 	batch := benchColBatch([]string{"k", "v"}, 512)
 	keyCols := []int{0}
@@ -398,7 +399,7 @@ func TestProbeInnerLoopZeroAlloc(t *testing.T) {
 	allocs := testing.AllocsPerRun(100, func() {
 		for r := 0; r < batch.Len; r++ {
 			h := HashRowKey(batch, r, keyCols)
-			for _, cand := range tbl.buckets[h] {
+			for cand := tbl.first(h); cand >= 0; cand = tbl.after(cand, h) {
 				if keysEqualBT(batch, r, keyCols, tbl, cand, keyCols) {
 					matches++
 				}

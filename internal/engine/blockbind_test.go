@@ -4,7 +4,10 @@ import (
 	"context"
 	"fmt"
 	"math/rand"
+	"runtime"
+	"slices"
 	"sort"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -307,5 +310,148 @@ func TestBindJoinInFlightBound(t *testing.T) {
 		}
 		cancel()
 		stream.Drain()
+	}
+}
+
+// batchedStream sends rows as consecutive batches of the given sizes over
+// schema and closes the stream.
+func batchedStream(d *dict.Dict, schema *Schema, rows []sparql.Binding, sizes []int) *CStream {
+	s := NewCStream(schema, len(sizes))
+	for _, n := range sizes {
+		s.ch <- EncodeBatch(rows[:n], schema, d)
+		rows = rows[n:]
+	}
+	s.Close()
+	return s
+}
+
+// TestBindJoinBlockComposition records the seeds of every service call
+// while the left input arrives in uneven batches, so that blocks lie
+// inside a batch, span two or more, and end the input short: whatever the
+// batching, the calls must carry the consecutive B-row windows of the
+// concatenated left input, in order, each deduplicated on the join value
+// in first-occurrence order (a row leaving the join variable unbound
+// makes its window one unconstrained seed), and the answers must be the
+// reference join's.
+func TestBindJoinBlockComposition(t *testing.T) {
+	sizes := []int{5, 40, 3, 16, 1}
+	rng := rand.New(rand.NewSource(5))
+	lefts := randomRelation(rng, []string{"x", "a"}, 65)
+	delete(lefts[20], "x")
+	delete(lefts[50], "x")
+	rights := randomRelation(rng, []string{"x", "b"}, 30)
+	want := referenceJoin(lefts, rights)
+	schema := NewSchema([]string{"a", "x"})
+	out := outSchema(lefts, rights)
+	for _, block := range []int{1, 3, 16} {
+		var wantSeeds [][]string
+		for w := 0; w < len(lefts); w += block {
+			var seeds []string
+			for _, l := range lefts[w:min(w+block, len(lefts))] {
+				x, ok := l["x"]
+				if !ok {
+					seeds = []string{"(unbound)"}
+					break
+				}
+				if !slices.Contains(seeds, x.String()) {
+					seeds = append(seeds, x.String())
+				}
+			}
+			wantSeeds = append(wantSeeds, seeds)
+		}
+		for _, conc := range []int{1, 3} {
+			label := fmt.Sprintf("B=%d W=%d", block, conc)
+			ctx := context.Background()
+			d := dict.New()
+			answer := sliceService(d, rights)
+			var mu sync.Mutex
+			var calls [][]string
+			svc := func(ctx context.Context, ids Seeds) *CStream {
+				var seeds []string
+				for _, s := range ids.Bindings(d) {
+					if x, ok := s["x"]; ok {
+						seeds = append(seeds, x.String())
+					} else {
+						seeds = append(seeds, "(unbound)")
+					}
+				}
+				mu.Lock()
+				calls = append(calls, seeds)
+				mu.Unlock()
+				return answer(ctx, ids)
+			}
+			got := collect(CBindJoin(ctx, batchedStream(d, schema, lefts, sizes), svc, []string{"x"}, out, block, conc, 0), d)
+			assertSameMultiset(t, label, got, want)
+			wantCalls := wantSeeds
+			if conc > 1 { // requests in flight reach the service in any order
+				key := func(s []string) string { return strings.Join(s, " ") }
+				wantCalls = slices.Clone(wantSeeds)
+				slices.SortFunc(wantCalls, func(a, b []string) int { return strings.Compare(key(a), key(b)) })
+				slices.SortFunc(calls, func(a, b []string) int { return strings.Compare(key(a), key(b)) })
+			}
+			if !slices.EqualFunc(calls, wantCalls, slices.Equal[[]string]) {
+				t.Errorf("%s: service calls carried seeds\n %v\nwant\n %v", label, calls, wantCalls)
+			}
+		}
+	}
+}
+
+// TestBlockBindJoinOutputBytesPerCell is the allocation budget of a block
+// bind join's output: the service answers 256 rows per block of 16 seeds,
+// and each response batch becomes one output batch. Built at its exact
+// size, an output cell costs its 8 bytes plus a share of the per-block
+// overhead (the seeds, the request, the stream); an output that grows
+// from a small block by doubling allocates about twice the cells it keeps
+// and trips the budget.
+func TestBlockBindJoinOutputBytesPerCell(t *testing.T) {
+	const keys, perKey, block = 256, 16, 16
+	d := dict.New()
+	lefts := make([]sparql.Binding, keys)
+	rights := make([]sparql.Binding, 0, keys*perKey)
+	for k := range lefts {
+		lefts[k] = b("x", fmt.Sprint(k), "l", fmt.Sprint(k))
+		for j := 0; j < perKey; j++ {
+			rights = append(rights, b("x", fmt.Sprint(k), "r", fmt.Sprint(j)))
+		}
+	}
+	left := encodeInput(d, lefts, 0)
+	// One pre-encoded response per block, looked up by the block's first
+	// seed, so the service itself allocates only the stream it returns.
+	rSchema := NewSchema([]string{"r", "x"})
+	xPos := left.schema.Pos("x")
+	responses := map[dict.ID]*ColBatch{}
+	for k := 0; k < keys; k += block {
+		first := left.batches[0].Cols[xPos][k]
+		responses[first] = EncodeBatch(rights[k*perKey:(k+block)*perKey], rSchema, d)
+	}
+	svc := func(ctx context.Context, seeds Seeds) *CStream {
+		s := NewCStream(rSchema, 1)
+		s.ch <- responses[seeds.Row(0)[0]]
+		s.Close()
+		return s
+	}
+	out := NewSchema([]string{"l", "r", "x"})
+	ctx := context.Background()
+	run := func() uint64 {
+		var before, after runtime.MemStats
+		runtime.GC()
+		runtime.ReadMemStats(&before)
+		if n := drain(CBindJoin(ctx, left.stream(), svc, []string{"x"}, out, block, 4, 0)); n != keys*perKey {
+			t.Fatalf("join produced %d rows, want %d", n, keys*perKey)
+		}
+		runtime.ReadMemStats(&after)
+		return after.TotalAlloc - before.TotalAlloc
+	}
+	// The least of a few runs: allocations of goroutines other tests left
+	// draining can only add to a run.
+	bytes := run()
+	for i := 0; i < 2; i++ {
+		bytes = min(bytes, run())
+	}
+	cells := uint64(keys * perKey * len(out.Vars))
+	if perCell := float64(bytes) / float64(cells); perCell > 12 {
+		t.Errorf("block bind join allocated %.1f bytes per output cell (budget 12): output not built at its exact size?", perCell)
+	} else {
+		t.Logf("%.1f bytes per output cell", perCell)
 	}
 }

@@ -134,10 +134,12 @@ func (s Seeds) Bindings(d *dict.Dict) []sparql.Binding {
 // ColBuilder accumulates rows into a ColBatch. Builders are how every
 // columnar producer — operators, wrappers, the row-to-columnar adapter —
 // assembles output; Take hands the finished batch over and resets the
-// builder for the next one.
+// builder for the next one. Columns are made on a builder's first row,
+// so a builder that is done (taken and never appended to again) holds
+// and allocates nothing.
 type ColBuilder struct {
 	schema *Schema
-	cols   [][]dict.ID
+	cols   [][]dict.ID // nil until the first row after creation or Take
 	rows   int
 	// hint is the expected batch size; alloc seeds each column with a
 	// small initial block when it is set (see colBuilderInitCap).
@@ -161,9 +163,7 @@ const colBuilderInitCap = 16
 // rows (0 means grow from empty). The capacity is a hint: columns start
 // at a small initial block (see colBuilderInitCap) and grow on demand.
 func NewColBuilderCap(schema *Schema, capacity int) *ColBuilder {
-	b := &ColBuilder{schema: schema, hint: capacity}
-	b.alloc()
-	return b
+	return &ColBuilder{schema: schema, hint: capacity}
 }
 
 // alloc starts fresh column slices at the clamped capacity hint.
@@ -185,6 +185,9 @@ func (b *ColBuilder) Rows() int { return b.rows }
 // growRow appends one all-unbound row to every column, returning its
 // index; callers then overwrite the bound positions.
 func (b *ColBuilder) growRow() int {
+	if b.cols == nil {
+		b.alloc()
+	}
 	r := b.rows
 	b.rows++
 	for c := range b.cols {
@@ -246,13 +249,34 @@ func (b *ColBuilder) AppendBinding(bind sparql.Binding, d *dict.Dict) {
 	}
 }
 
-// Take returns the accumulated batch and resets the builder (the returned
-// batch owns its columns; the builder starts fresh slices).
+// Take returns the accumulated batch and resets the builder: the
+// returned batch owns its columns, and the builder makes fresh ones on
+// its next row.
 func (b *ColBuilder) Take() *ColBatch {
+	if b.cols == nil {
+		b.alloc() // an empty batch still carries one column per variable
+	}
 	out := &ColBatch{Schema: b.schema, Len: b.rows, Cols: b.cols}
-	b.alloc()
+	b.cols = nil
 	b.rows = 0
 	return out
+}
+
+// View returns the buffered rows as a batch over the builder's own
+// columns, valid only until the builder's next append or Reset. It is for
+// a consumer that copies the rows out before it returns (the cluster
+// encoder); such a builder then calls Reset and refills the same columns.
+// A view must never be sent on a CStream.
+func (b *ColBuilder) View() *ColBatch {
+	return &ColBatch{Schema: b.schema, Len: b.rows, Cols: b.cols}
+}
+
+// Reset drops the buffered rows, keeping the columns' storage for reuse.
+func (b *ColBuilder) Reset() {
+	for c := range b.cols {
+		b.cols[c] = b.cols[c][:0]
+	}
+	b.rows = 0
 }
 
 // EncodeBatch converts a row-model batch into a columnar batch over

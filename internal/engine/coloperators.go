@@ -2,6 +2,7 @@ package engine
 
 import (
 	"context"
+	"math/bits"
 	"slices"
 	"sort"
 	"sync"
@@ -59,38 +60,133 @@ func compatBB(l *ColBatch, lr int, r *ColBatch, rr int, lp, rp []int) bool {
 	return true
 }
 
-// colTable is a hash table over dictionary-encoded rows: the rows are
-// stored flattened (stride IDs per row) in one arena, and the buckets map
-// a key hash to row indices. Collisions are resolved by the caller
-// comparing the key columns of the candidate rows. Owned by one goroutine.
+// colTable is a hash table over dictionary-encoded rows, kept in flat
+// arrays with no map and no per-key slice: the rows are stored flattened
+// (stride IDs per row) in one arena, with each row's hash and chain link
+// beside it, and a power-of-two slot array heads one chain per slot,
+// linked in insertion order. The table doubles and rehashes before its
+// rows would outnumber its slots. Probes walk the rows of one hash in insertion
+// order (first, then after); collisions of equal hashes are resolved by
+// the caller comparing the key columns of the candidate rows. Owned by
+// one goroutine.
 type colTable struct {
-	stride  int
-	rows    int
-	data    []dict.ID
-	buckets map[uint64][]int32
+	stride int
+	data   []dict.ID
+	hashes []uint64 // hashes[i]: row i's hash
+	next   []int32  // next[i]: the row after i in its slot's chain, -1 at the end
+	heads  []int32  // heads[s]: the first row in slot s, -1 when empty
+	tails  []int32  // tails[s]: the last row in slot s
+	shift  uint     // a hash's slot is its top log2(len(heads)) bits
 }
 
+// colTableMinSlots is the slot count a table starts at on its first row.
+const colTableMinSlots = 8
+
 func newColTable(stride int) *colTable {
-	return &colTable{stride: stride, buckets: make(map[uint64][]int32)}
+	return &colTable{stride: stride}
 }
 
 // reset empties the table, keeping its storage.
 func (t *colTable) reset() {
-	t.rows = 0
 	t.data = t.data[:0]
-	clear(t.buckets)
+	t.hashes = t.hashes[:0]
+	t.next = t.next[:0]
+	for s := range t.heads {
+		t.heads[s] = -1
+	}
+}
+
+// link records a new row of hash h at the end of its slot's chain and
+// returns its index; the caller then appends the row's IDs to data,
+// within the capacity grow gave it.
+func (t *colTable) link(h uint64) int32 {
+	idx := int32(t.len())
+	if t.len() >= len(t.heads) {
+		t.grow()
+	}
+	t.hashes = append(t.hashes, h)
+	t.next = append(t.next, -1)
+	t.chain(idx, h)
+	return idx
+}
+
+// chain appends row idx to the end of the chain of hash h's slot.
+func (t *colTable) chain(idx int32, h uint64) {
+	s := h >> t.shift
+	if t.heads[s] < 0 {
+		t.heads[s] = idx
+	} else {
+		t.next[t.tails[s]] = idx
+	}
+	t.tails[s] = idx
+}
+
+// grow doubles the slot array and relinks every stored row, in index
+// order, so each chain stays in insertion order. The row arrays are sized
+// for as many rows as slots here, once per doubling: append would grow a
+// large arena by a quarter at a time, allocating several times its final
+// size along the way.
+func (t *colTable) grow() {
+	n := max(colTableMinSlots, 2*len(t.heads))
+	t.data = withCap(t.data, n*t.stride)
+	t.hashes = withCap(t.hashes, n)
+	t.next = withCap(t.next, n)
+	t.heads = make([]int32, n)
+	t.tails = make([]int32, n)
+	for s := range t.heads {
+		t.heads[s] = -1
+	}
+	t.shift = uint(64 - bits.TrailingZeros(uint(n)))
+	for i, h := range t.hashes {
+		t.next[i] = -1
+		t.chain(int32(i), h)
+	}
+}
+
+// len returns the number of stored rows.
+func (t *colTable) len() int { return len(t.hashes) }
+
+// withCap returns s with room for n elements, copied into a new array of
+// exactly that capacity when it has less.
+func withCap[E any](s []E, n int) []E {
+	if cap(s) >= n {
+		return s
+	}
+	out := make([]E, len(s), n)
+	copy(out, s)
+	return out
+}
+
+// first returns the earliest stored row of hash h, or -1 when none is.
+func (t *colTable) first(h uint64) int32 {
+	if t.len() == 0 {
+		return -1
+	}
+	return t.from(t.heads[h>>t.shift], h)
+}
+
+// after returns the next stored row of hash h after row i (itself of
+// hash h), or -1 when none is.
+func (t *colTable) after(i int32, h uint64) int32 {
+	return t.from(t.next[i], h)
+}
+
+// from returns the first row of hash h on the chain from row i on.
+func (t *colTable) from(i int32, h uint64) int32 {
+	for i >= 0 && t.hashes[i] != h {
+		i = t.next[i]
+	}
+	return i
 }
 
 // insert appends row r of b and returns its index. A zero-column schema
 // (a cross-product input binding nothing) still counts rows: every row
 // gets its own index, so the cross product multiplies correctly.
 func (t *colTable) insert(b *ColBatch, r int, h uint64) int32 {
-	idx := int32(t.rows)
-	t.rows++
+	idx := t.link(h)
 	for c := 0; c < t.stride; c++ {
 		t.data = append(t.data, b.Cols[c][r])
 	}
-	t.buckets[h] = append(t.buckets[h], idx)
 	return idx
 }
 
@@ -98,8 +194,7 @@ func (t *colTable) insert(b *ColBatch, r int, h uint64) int32 {
 // pos (-1 stores Unbound) — a table of keys, not rows, with stride
 // len(pos) — and returns its index.
 func (t *colTable) insertKey(b *ColBatch, r int, pos []int, h uint64) int32 {
-	idx := int32(t.rows)
-	t.rows++
+	idx := t.link(h)
 	for _, p := range pos {
 		id := dict.Unbound
 		if p >= 0 {
@@ -107,7 +202,6 @@ func (t *colTable) insertKey(b *ColBatch, r int, pos []int, h uint64) int32 {
 		}
 		t.data = append(t.data, id)
 	}
-	t.buckets[h] = append(t.buckets[h], idx)
 	return idx
 }
 
@@ -115,7 +209,7 @@ func (t *colTable) insertKey(b *ColBatch, r int, pos []int, h uint64) int32 {
 // b, h being their hash; the stored rows hold exactly those columns, in
 // pos order (full rows under the identity mapping, or insertKey's keys).
 func (t *colTable) contains(b *ColBatch, r int, pos []int, h uint64) bool {
-	for _, si := range t.buckets[h] {
+	for si := t.first(h); si >= 0; si = t.after(si, h) {
 		stored := t.data[int(si)*t.stride : int(si+1)*t.stride]
 		eq := true
 		for i, p := range pos {
@@ -180,9 +274,11 @@ func compatBT(b *ColBatch, r int, bPos []int, t *colTable, tr int32, tPos []int)
 // After a failed send (context cancelled) it goes dead — every further
 // append/flush is a cheap no-op and ok() reports false — so callers fall
 // through to draining their inputs without special-casing dropped
-// batches. Not safe for concurrent use; concurrent producers (the
-// bind-join requests in flight) each own one emitter. Sends are accounted
-// to st (nil records nothing).
+// batches. Rows go through a builder, or, for the bind join, as buffered
+// (left row, right row) pairs built into batches of exactly their size
+// (pair, flushPairs). Not safe for concurrent use; concurrent producers
+// (the bind-join requests in flight) each own one emitter. Sends are
+// accounted to st (nil records nothing).
 type cEmitter struct {
 	ctx  context.Context
 	out  *CStream
@@ -190,6 +286,9 @@ type cEmitter struct {
 	st   *OpStats
 	b    *ColBuilder
 	dead bool
+	// pairs buffers the (left row, right row) pairs of the next output
+	// batch of pair, flattened; reused from batch to batch.
+	pairs []int32
 }
 
 func newCEmitter(ctx context.Context, out *CStream, size int, st *OpStats) *cEmitter {
@@ -275,6 +374,58 @@ func (e *cEmitter) mergeTB(t *colTable, tr int32, tmap []int, r *ColBatch, rr in
 	e.full()
 }
 
+// pair forwards the merge of row lr of l and row rr of r (left wins when
+// bound), like merge. The pairs are buffered as row indices and built
+// into an exactly sized batch once size of them are pending or at
+// flushPairs, so they must all come from the same l and r; the builder
+// must hold no rows meanwhile.
+func (e *cEmitter) pair(l *ColBatch, lr int, lmap []int, r *ColBatch, rr int, rmap []int) {
+	if e.dead {
+		return
+	}
+	e.pairs = append(e.pairs, int32(lr), int32(rr))
+	if len(e.pairs) >= 2*e.size {
+		e.flushPairs(l, lmap, r, rmap)
+	}
+}
+
+// flushPairs forwards the buffered pairs as one batch built column by
+// column in a single arena of exactly its size.
+func (e *cEmitter) flushPairs(l *ColBatch, lmap []int, r *ColBatch, rmap []int) {
+	n := len(e.pairs) / 2
+	if n == 0 {
+		return
+	}
+	schema := e.out.schema
+	arena := make([]dict.ID, n*len(schema.Vars))
+	cols := make([][]dict.ID, len(schema.Vars))
+	for c := range cols {
+		col := arena[c*n : (c+1)*n : (c+1)*n]
+		var lcol, rcol []dict.ID
+		if lc := lmap[c]; lc >= 0 {
+			lcol = l.Cols[lc]
+		}
+		if rc := rmap[c]; rc >= 0 {
+			rcol = r.Cols[rc]
+		}
+		for k := range col {
+			id := dict.Unbound
+			if lcol != nil {
+				id = lcol[e.pairs[2*k]]
+			}
+			if id == dict.Unbound && rcol != nil {
+				id = rcol[e.pairs[2*k+1]]
+			}
+			col[k] = id
+		}
+		cols[c] = col
+	}
+	e.pairs = e.pairs[:0]
+	if !e.st.sendC(e.ctx, e.out, &ColBatch{Schema: schema, Len: n, Cols: cols}) {
+		e.dead = true
+	}
+}
+
 // flush forwards the buffered partial batch (typically at an input-batch
 // boundary, keeping answers streaming).
 func (e *cEmitter) flush() {
@@ -336,7 +487,7 @@ func CSymmetricHashJoin(ctx context.Context, left, right *CStream, joinVars []st
 				for r := 0; r < b.Len; r++ {
 					h := HashRowKey(b, r, lKey)
 					leftTbl.insert(b, r, h)
-					for _, oi := range rightTbl.buckets[h] {
+					for oi := rightTbl.first(h); oi >= 0; oi = rightTbl.after(oi, h) {
 						if !keysEqualBT(b, r, lKey, rightTbl, oi, rKey) {
 							continue
 						}
@@ -350,7 +501,7 @@ func CSymmetricHashJoin(ctx context.Context, left, right *CStream, joinVars []st
 				for r := 0; r < b.Len; r++ {
 					h := HashRowKey(b, r, rKey)
 					rightTbl.insert(b, r, h)
-					for _, oi := range leftTbl.buckets[h] {
+					for oi := leftTbl.first(h); oi >= 0; oi = leftTbl.after(oi, h) {
 						if !keysEqualBT(b, r, rKey, leftTbl, oi, lKey) {
 							continue
 						}
@@ -383,10 +534,12 @@ type CService func(ctx context.Context, seeds Seeds) *CStream
 // the block's Seeds) are pushed to the right service in ONE invocation,
 // and up to concurrency requests are in flight at once. A block of one
 // seed with one request in flight is the sequential bind join: its
-// requests follow one another strictly. Output stays streaming: each
-// response batch's answers are emitted as soon as it arrives, independent
-// of later blocks. When joinVars is empty the operator degrades to a
-// cross product.
+// requests follow one another strictly. A block is blockSize consecutive
+// left rows in arrival order; one that lies inside a left batch is a view
+// of that batch, and only a block spanning batches is copied. Output stays
+// streaming: each response batch's answers are emitted as soon as it
+// arrives, independent of later blocks, in batches built at their exact
+// size. When joinVars is empty the operator degrades to a cross product.
 //
 // Once the output is abandoned — the context is done or a send failed —
 // the join dispatches no further request (it checks before each
@@ -465,7 +618,7 @@ func CBindJoin(ctx context.Context, left *CStream, right CService, joinVars []st
 				}
 			}
 			// The request keeps its own copy: the response cache keys on it.
-			seeds := Seeds{Vars: joinVars, IDs: slices.Clone(seedTbl.data), Rows: seedTbl.rows}
+			seeds := Seeds{Vars: joinVars, IDs: slices.Clone(seedTbl.data), Rows: seedTbl.len()}
 			st.AddBlock()
 			go func() {
 				defer func() { pool <- em }()
@@ -482,16 +635,21 @@ func CBindJoin(ctx context.Context, left *CStream, right CService, joinVars []st
 					for rr := 0; rr < rb.Len; rr++ {
 						for lr := 0; lr < block.Len; lr++ {
 							if compatBB(block, lr, rb, rr, pL, pR) {
-								em.merge(block, lr, outL, rb, rr, oR)
+								em.pair(block, lr, outL, rb, rr, oR)
 							}
 						}
 					}
-					em.flush()
+					em.flushPairs(block, outL, rb, oR)
 				}
 				rs.Drain() // so the service's producer can finish
 			}()
 		}
-		blockB := NewColBuilder(left.schema)
+		// A received batch is read-only, so a block inside one is a view
+		// its request reads while later batches arrive. tail is the view of
+		// a batch's last rows still short of a block; it is copied into
+		// spanB only once the next batch continues it.
+		spanB := NewColBuilderCap(left.schema, blockSize)
+		var tail *ColBatch
 		for {
 			lb, open := left.Recv(st)
 			if !open {
@@ -500,15 +658,34 @@ func CBindJoin(ctx context.Context, left *CStream, right CService, joinVars []st
 			if stopped {
 				continue // drain the left so its producer can finish
 			}
-			for r := 0; r < lb.Len; r++ {
-				blockB.AppendRow(lb, r, ident)
-				if blockB.Rows() >= blockSize {
-					dispatch(blockB.Take())
+			r := 0
+			if tail != nil || spanB.Rows() > 0 {
+				if tail != nil {
+					for tr := 0; tr < tail.Len; tr++ {
+						spanB.AppendRow(tail, tr, ident)
+					}
+					tail = nil
 				}
+				for ; r < lb.Len && spanB.Rows() < blockSize; r++ {
+					spanB.AppendRow(lb, r, ident)
+				}
+				if spanB.Rows() < blockSize {
+					continue
+				}
+				dispatch(spanB.Take())
+			}
+			for ; r+blockSize <= lb.Len; r += blockSize {
+				dispatch(slice(lb, r, r+blockSize))
+			}
+			if r < lb.Len {
+				tail = slice(lb, r, lb.Len)
 			}
 		}
-		if blockB.Rows() > 0 {
-			dispatch(blockB.Take())
+		switch {
+		case tail != nil:
+			dispatch(tail)
+		case spanB.Rows() > 0:
+			dispatch(spanB.Take())
 		}
 		for ; made > 0; made-- {
 			<-pool // every emitter back: no request is in flight
@@ -719,16 +896,29 @@ func CProject(ctx context.Context, in *CStream, vars []string) *CStream {
 	schema := NewSchema(vars)
 	pos := in.schema.Positions(vars)
 	return in.with(schema, StatsFrom(ctx), func(b *ColBatch) (*ColBatch, bool) {
-		nb := &ColBatch{Schema: schema, Len: b.Len, Cols: make([][]dict.ID, len(vars))}
-		for c, p := range pos {
-			if p >= 0 {
-				nb.Cols[c] = b.Cols[p]
-			} else {
-				nb.Cols[c] = make([]dict.ID, b.Len)
-			}
-		}
-		return nb, true
+		return selectCols(b, schema, pos), true
 	})
+}
+
+// selectCols lays b out as schema by column selection: output column c
+// shares the backing array of b's column pos[c]; the columns with
+// pos[c] < 0 (variables b does not carry) share one all-unbound column,
+// allocated only when there is such a variable. Sharing is sound because
+// a batch is read-only once sent.
+func selectCols(b *ColBatch, schema *Schema, pos []int) *ColBatch {
+	nb := &ColBatch{Schema: schema, Len: b.Len, Cols: make([][]dict.ID, len(pos))}
+	var unbound []dict.ID
+	for c, p := range pos {
+		if p >= 0 {
+			nb.Cols[c] = b.Cols[p]
+			continue
+		}
+		if unbound == nil {
+			unbound = make([]dict.ID, b.Len)
+		}
+		nb.Cols[c] = unbound
+	}
+	return nb
 }
 
 // CDistinct drops duplicate rows: the seen-set hashes the full ID tuple
@@ -772,9 +962,9 @@ func COffset(ctx context.Context, in *CStream, n int) *CStream {
 }
 
 // CUnion merges the inputs in batch-arrival order, padding each child's
-// batches to the union schema (variables a child does not bind stay
-// unbound). A child whose schema already matches forwards batches
-// untouched.
+// batches to the union schema by column selection (variables a child does
+// not bind stay unbound). A child whose schema already matches forwards
+// batches untouched.
 func CUnion(ctx context.Context, out *Schema, batch int, ins ...*CStream) *CStream {
 	st := StatsFrom(ctx)
 	outS := NewCStream(out, bufBatches(batch))
@@ -799,12 +989,7 @@ func CUnion(ctx context.Context, out *Schema, batch int, ins ...*CStream) *CStre
 					return
 				}
 				if !same {
-					nb := NewColBuilder(out)
-					for r := 0; r < b.Len; r++ {
-						nb.AppendRow(b, r, mapping)
-					}
-					b = nb.Take()
-					b.Schema = out
+					b = selectCols(b, out, mapping)
 				}
 				if !st.sendC(ctx, outS, b) {
 					in.Drain() // so its producer can finish

@@ -57,9 +57,11 @@ func bufBatches(batch int) int {
 // CStream is an asynchronous exchange of ColBatch values plus the stages
 // fused onto it. The buffer is counted in batches. A batch is read-only
 // once sent: its columns may be shared — a response-cache replay sends
-// slices of the stored response to every hit, and projection, OFFSET and
-// LIMIT forward their input's columns — so no producer, stage or consumer
-// may write into them. A consumer that needs different rows builds a new
+// slices of the stored response to every hit, projection, union padding,
+// OFFSET and LIMIT forward their input's columns, and a bind-join block
+// is a view of the left batch it lies in, read by the block's request
+// while later left batches arrive — so no producer, stage or consumer may
+// write into them. A consumer that needs different rows builds a new
 // batch.
 //
 // A stream has one consumer. The stage constructors (CMeter, CFilter,
