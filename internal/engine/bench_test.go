@@ -360,23 +360,29 @@ func BenchmarkColBatchProject(b *testing.B) {
 	}
 }
 
-// BenchmarkColBatchMerge measures the join output kernel: merging a left
-// and a right row into one output row under the row model's Merge
-// semantics (left wins when both bound), over raw ID columns.
+// BenchmarkColBatchMerge measures the join output kernel: the emitter
+// building one output batch from buffered (left row, right row) pairs,
+// merging a batch row with a stored table row under the row model's Merge
+// semantics (left wins when both bound) — the symmetric hash join's case.
 func BenchmarkColBatchMerge(b *testing.B) {
 	left := benchColBatch([]string{"k", "l"}, 1024)
 	right := benchColBatch([]string{"k", "r"}, 1024)
-	out := NewSchema([]string{"k", "l", "r"})
-	lmap := []int{0, 1, -1}
-	rmap := []int{0, -1, 1}
+	tbl := newColTable(len(right.Cols))
+	for r := 0; r < right.Len; r++ {
+		tbl.insert(right, r, 0)
+	}
+	out := NewCStream(NewSchema([]string{"k", "l", "r"}), 1)
+	em := newCEmitter(context.Background(), out, left.Len, nil)
+	l := joinSide{b: left, pos: []int{0, 1, -1}}
+	r := joinSide{t: tbl, pos: []int{0, -1, 1}}
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		cb := NewColBuilderCap(out, left.Len)
-		for r := 0; r < left.Len; r++ {
-			cb.AppendMerged(left, r, lmap, right, r, rmap)
+		for row := 0; row < left.Len; row++ {
+			em.pair(l, row, r, row)
 		}
-		if got := cb.Take(); got.Len != left.Len {
+		em.flushPairs(l, r)
+		if got, _ := out.Recv(nil); got.Len != left.Len {
 			b.Fatalf("merged %d rows, want %d", got.Len, left.Len)
 		}
 	}
@@ -411,5 +417,93 @@ func TestProbeInnerLoopZeroAlloc(t *testing.T) {
 	}
 	if allocs != 0 {
 		t.Fatalf("probe inner loop allocates %.1f times per run, want 0", allocs)
+	}
+}
+
+// TestJoinOutputBytesPerCell is the allocation budget of the joins'
+// output. Each workload answers many output rows per input row, so the
+// output is most of what a run allocates: built at its exact size, an
+// output cell costs its 8 bytes plus a share of the fixed overhead (join
+// state, seeds, requests, streams); an output batch grown from a small
+// block by doubling allocates about twice the cells it keeps and trips the
+// budget. The block bind join's service answers 256 rows per block of 16
+// seeds, each response batch becoming one output batch; the symmetric
+// hash join and the left join join 16 rows per key with 16 rows per key.
+func TestJoinOutputBytesPerCell(t *testing.T) {
+	const keys, perKey, block = 256, 16, 16
+	d := dict.New()
+	lefts := make([]sparql.Binding, keys)
+	rights := make([]sparql.Binding, 0, keys*perKey)
+	for k := range lefts {
+		lefts[k] = b("x", fmt.Sprint(k), "l", fmt.Sprint(k))
+		for j := 0; j < perKey; j++ {
+			rights = append(rights, b("x", fmt.Sprint(k), "r", fmt.Sprint(j)))
+		}
+	}
+	left := encodeInput(d, lefts, 0)
+	// One pre-encoded response per block, looked up by the block's first
+	// seed, so the service itself allocates only the stream it returns.
+	rSchema := NewSchema([]string{"r", "x"})
+	xPos := left.schema.Pos("x")
+	responses := map[dict.ID]*ColBatch{}
+	for k := 0; k < keys; k += block {
+		first := left.batches[0].Cols[xPos][k]
+		responses[first] = EncodeBatch(rights[k*perKey:(k+block)*perKey], rSchema, d)
+	}
+	svc := func(ctx context.Context, seeds Seeds) *CStream {
+		s := NewCStream(rSchema, 1)
+		s.ch <- responses[seeds.Row(0)[0]]
+		s.Close()
+		return s
+	}
+	// keys/perKey join keys with perKey rows each on either side.
+	fanL := make([]sparql.Binding, keys)
+	fanR := make([]sparql.Binding, keys)
+	for i := range fanL {
+		fanL[i] = b("x", fmt.Sprint(i%(keys/perKey)), "l", fmt.Sprint(i))
+		fanR[i] = b("x", fmt.Sprint(i%(keys/perKey)), "r", fmt.Sprint(i))
+	}
+	hashL, hashR := encodeInput(d, fanL, 0), encodeInput(d, fanR, 0)
+	out := NewSchema([]string{"l", "r", "x"})
+	ctx := context.Background()
+	for _, tc := range []struct {
+		name   string
+		budget float64
+		join   func() *CStream
+	}{
+		{"block bind join", 12, func() *CStream {
+			return CBindJoin(ctx, left.stream(), svc, []string{"x"}, out, block, 4, 0)
+		}},
+		{"symmetric hash join", 15, func() *CStream {
+			return CSymmetricHashJoin(ctx, hashL.stream(), hashR.stream(), []string{"x"}, out, 0)
+		}},
+		{"left join", 12, func() *CStream {
+			return CLeftJoin(ctx, hashL.stream(), hashR.stream(), nil, out, d, 0)
+		}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			run := func() uint64 {
+				var before, after runtime.MemStats
+				runtime.GC()
+				runtime.ReadMemStats(&before)
+				if n := drain(tc.join()); n != keys*perKey {
+					t.Fatalf("join produced %d rows, want %d", n, keys*perKey)
+				}
+				runtime.ReadMemStats(&after)
+				return after.TotalAlloc - before.TotalAlloc
+			}
+			// The least of a few runs: allocations of goroutines other
+			// tests left draining can only add to a run.
+			bytes := run()
+			for i := 0; i < 2; i++ {
+				bytes = min(bytes, run())
+			}
+			cells := uint64(keys * perKey * len(out.Vars))
+			if perCell := float64(bytes) / float64(cells); perCell > tc.budget {
+				t.Errorf("allocated %.1f bytes per output cell (budget %g): output not built at its exact size?", perCell, tc.budget)
+			} else {
+				t.Logf("%.1f bytes per output cell", perCell)
+			}
+		})
 	}
 }

@@ -4,7 +4,6 @@ import (
 	"context"
 	"fmt"
 	"math/rand"
-	"runtime"
 	"slices"
 	"sort"
 	"strings"
@@ -393,65 +392,5 @@ func TestBindJoinBlockComposition(t *testing.T) {
 				t.Errorf("%s: service calls carried seeds\n %v\nwant\n %v", label, calls, wantCalls)
 			}
 		}
-	}
-}
-
-// TestBlockBindJoinOutputBytesPerCell is the allocation budget of a block
-// bind join's output: the service answers 256 rows per block of 16 seeds,
-// and each response batch becomes one output batch. Built at its exact
-// size, an output cell costs its 8 bytes plus a share of the per-block
-// overhead (the seeds, the request, the stream); an output that grows
-// from a small block by doubling allocates about twice the cells it keeps
-// and trips the budget.
-func TestBlockBindJoinOutputBytesPerCell(t *testing.T) {
-	const keys, perKey, block = 256, 16, 16
-	d := dict.New()
-	lefts := make([]sparql.Binding, keys)
-	rights := make([]sparql.Binding, 0, keys*perKey)
-	for k := range lefts {
-		lefts[k] = b("x", fmt.Sprint(k), "l", fmt.Sprint(k))
-		for j := 0; j < perKey; j++ {
-			rights = append(rights, b("x", fmt.Sprint(k), "r", fmt.Sprint(j)))
-		}
-	}
-	left := encodeInput(d, lefts, 0)
-	// One pre-encoded response per block, looked up by the block's first
-	// seed, so the service itself allocates only the stream it returns.
-	rSchema := NewSchema([]string{"r", "x"})
-	xPos := left.schema.Pos("x")
-	responses := map[dict.ID]*ColBatch{}
-	for k := 0; k < keys; k += block {
-		first := left.batches[0].Cols[xPos][k]
-		responses[first] = EncodeBatch(rights[k*perKey:(k+block)*perKey], rSchema, d)
-	}
-	svc := func(ctx context.Context, seeds Seeds) *CStream {
-		s := NewCStream(rSchema, 1)
-		s.ch <- responses[seeds.Row(0)[0]]
-		s.Close()
-		return s
-	}
-	out := NewSchema([]string{"l", "r", "x"})
-	ctx := context.Background()
-	run := func() uint64 {
-		var before, after runtime.MemStats
-		runtime.GC()
-		runtime.ReadMemStats(&before)
-		if n := drain(CBindJoin(ctx, left.stream(), svc, []string{"x"}, out, block, 4, 0)); n != keys*perKey {
-			t.Fatalf("join produced %d rows, want %d", n, keys*perKey)
-		}
-		runtime.ReadMemStats(&after)
-		return after.TotalAlloc - before.TotalAlloc
-	}
-	// The least of a few runs: allocations of goroutines other tests left
-	// draining can only add to a run.
-	bytes := run()
-	for i := 0; i < 2; i++ {
-		bytes = min(bytes, run())
-	}
-	cells := uint64(keys * perKey * len(out.Vars))
-	if perCell := float64(bytes) / float64(cells); perCell > 12 {
-		t.Errorf("block bind join allocated %.1f bytes per output cell (budget 12): output not built at its exact size?", perCell)
-	} else {
-		t.Logf("%.1f bytes per output cell", perCell)
 	}
 }

@@ -131,12 +131,15 @@ func (s Seeds) Bindings(d *dict.Dict) []sparql.Binding {
 	return out
 }
 
-// ColBuilder accumulates rows into a ColBatch. Builders are how every
-// columnar producer — operators, wrappers, the row-to-columnar adapter —
-// assembles output; Take hands the finished batch over and resets the
-// builder for the next one. Columns are made on a builder's first row,
-// so a builder that is done (taken and never appended to again) holds
-// and allocates nothing.
+// ColBuilder accumulates rows into a ColBatch, one row at a time, for the
+// producers that really work a row at a time: the wrappers and the
+// row-to-columnar adapter (AppendBinding), a bind-join block spanning two
+// left batches, and the cluster shuffle's partition builders. Operators
+// that assemble rows from their inputs gather row indices instead and
+// build each batch at its exact size (cEmitter, gather). Take hands the
+// finished batch over and resets the builder for the next one. Columns
+// are made on a builder's first row, so a builder that is done (taken and
+// never appended to again) holds and allocates nothing.
 type ColBuilder struct {
 	schema *Schema
 	cols   [][]dict.ID // nil until the first row after creation or Take
@@ -214,27 +217,6 @@ func (b *ColBuilder) AppendRow(from *ColBatch, src int, mapping []int) {
 		if fc >= 0 {
 			b.cols[c][r] = from.Cols[fc][src]
 		}
-	}
-}
-
-// AppendMerged appends the merge of row lr of l and row rr of r: for each
-// output column, the left value wins when bound, else the right's (the
-// inputs were checked compatible, so both-bound means equal — the row
-// model's Merge semantics). lmap/rmap give each output column's position
-// in l/r, -1 when that side does not carry the variable.
-func (b *ColBuilder) AppendMerged(l *ColBatch, lr int, lmap []int, r *ColBatch, rr int, rmap []int) {
-	row := b.growRow()
-	for c := range b.cols {
-		id := dict.Unbound
-		if lc := lmap[c]; lc >= 0 {
-			id = l.Cols[lc][lr]
-		}
-		if id == dict.Unbound {
-			if rc := rmap[c]; rc >= 0 {
-				id = r.Cols[rc][rr]
-			}
-		}
-		b.cols[c][row] = id
 	}
 }
 

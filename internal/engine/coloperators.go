@@ -269,152 +269,95 @@ func compatBT(b *ColBatch, r int, bPos []int, t *colTable, tr int32, tPos []int)
 	return true
 }
 
-// cEmitter is the shared output side of the batch-building operators: it
-// accumulates result rows and forwards them as batches of at most size.
-// After a failed send (context cancelled) it goes dead — every further
-// append/flush is a cheap no-op and ok() reports false — so callers fall
-// through to draining their inputs without special-casing dropped
-// batches. Rows go through a builder, or, for the bind join, as buffered
-// (left row, right row) pairs built into batches of exactly their size
-// (pair, flushPairs). Not safe for concurrent use; concurrent producers
-// (the bind-join requests in flight) each own one emitter. Sends are
-// accounted to st (nil records nothing).
+// joinSide is one input of the rows an emitter builds: a batch, or a
+// colTable whose rows are read as strided columns of its arena. pos[c] is
+// output column c's position in that input, -1 when it does not carry
+// the variable.
+type joinSide struct {
+	b   *ColBatch
+	t   *colTable
+	pos []int
+}
+
+// col returns output column c on this side as a strided view, row i's ID
+// being col[off+i*stride]; col is nil when the side does not carry c.
+func (s joinSide) col(c int) (col []dict.ID, off, stride int) {
+	p := s.pos[c]
+	switch {
+	case p < 0:
+		return nil, 0, 0
+	case s.t != nil:
+		return s.t.data, p, s.t.stride
+	}
+	return s.b.Cols[p], 0, 1
+}
+
+// cEmitter is the output side of the joins: it buffers result rows as
+// (left row, right row) index pairs and forwards them as batches of at
+// most size rows, each built column by column in one arena of exactly its
+// size. After a failed send (context cancelled) it goes dead — every
+// further pair/flushPairs is a cheap no-op and ok() reports false — so
+// callers fall through to draining their inputs without special-casing
+// dropped batches. Not safe for concurrent use; concurrent producers (the
+// bind-join requests in flight) each own one emitter. Sends are accounted
+// to st (nil records nothing).
 type cEmitter struct {
 	ctx  context.Context
 	out  *CStream
 	size int
 	st   *OpStats
-	b    *ColBuilder
 	dead bool
 	// pairs buffers the (left row, right row) pairs of the next output
-	// batch of pair, flattened; reused from batch to batch.
+	// batch, flattened; reused from batch to batch.
 	pairs []int32
 }
 
 func newCEmitter(ctx context.Context, out *CStream, size int, st *OpStats) *cEmitter {
-	return &cEmitter{ctx: ctx, out: out, size: size, st: st, b: NewColBuilderCap(out.schema, size)}
+	return &cEmitter{ctx: ctx, out: out, size: size, st: st}
 }
 
 func (e *cEmitter) ok() bool { return !e.dead }
 
-func (e *cEmitter) full() {
-	if e.b.Rows() >= e.size {
-		e.flush()
-	}
-}
-
-// row forwards one row of b mapped into the output schema.
-func (e *cEmitter) row(b *ColBatch, r int, mapping []int) {
-	if e.dead {
-		return
-	}
-	e.b.AppendRow(b, r, mapping)
-	e.full()
-}
-
-// ids forwards one row given directly as output-schema IDs.
-func (e *cEmitter) ids(ids []dict.ID) {
-	if e.dead {
-		return
-	}
-	e.b.AppendIDs(ids)
-	e.full()
-}
-
-// merge forwards the merge of two batch rows (left wins when bound).
-func (e *cEmitter) merge(l *ColBatch, lr int, lmap []int, r *ColBatch, rr int, rmap []int) {
-	if e.dead {
-		return
-	}
-	e.b.AppendMerged(l, lr, lmap, r, rr, rmap)
-	e.full()
-}
-
-// mergeBT forwards the merge of a batch row (left side) with a stored
-// table row (right side).
-func (e *cEmitter) mergeBT(l *ColBatch, lr int, lmap []int, t *colTable, tr int32, tmap []int) {
-	if e.dead {
-		return
-	}
-	row := e.b.growRow()
-	for c := range e.b.cols {
-		id := dict.Unbound
-		if lc := lmap[c]; lc >= 0 {
-			id = l.Cols[lc][lr]
-		}
-		if id == dict.Unbound {
-			if tc := tmap[c]; tc >= 0 {
-				id = t.id(tr, tc)
-			}
-		}
-		e.b.cols[c][row] = id
-	}
-	e.full()
-}
-
-// mergeTB forwards the merge of a stored table row (left side) with a
-// batch row (right side).
-func (e *cEmitter) mergeTB(t *colTable, tr int32, tmap []int, r *ColBatch, rr int, rmap []int) {
-	if e.dead {
-		return
-	}
-	row := e.b.growRow()
-	for c := range e.b.cols {
-		id := dict.Unbound
-		if tc := tmap[c]; tc >= 0 {
-			id = t.id(tr, tc)
-		}
-		if id == dict.Unbound {
-			if rc := rmap[c]; rc >= 0 {
-				id = r.Cols[rc][rr]
-			}
-		}
-		e.b.cols[c][row] = id
-	}
-	e.full()
-}
-
-// pair forwards the merge of row lr of l and row rr of r (left wins when
-// bound), like merge. The pairs are buffered as row indices and built
-// into an exactly sized batch once size of them are pending or at
-// flushPairs, so they must all come from the same l and r; the builder
-// must hold no rows meanwhile.
-func (e *cEmitter) pair(l *ColBatch, lr int, lmap []int, r *ColBatch, rr int, rmap []int) {
+// pair forwards the merge of row lr of l and row rr of r: each output
+// column takes the left value when bound, else the right's (the inputs
+// were checked compatible, so both-bound means equal — the row model's
+// Merge semantics); rr < 0 leaves the right side unbound. The pairs are
+// buffered as row indices and built into a batch once size of them are
+// pending or at flushPairs, so they must all come from the same l and r.
+func (e *cEmitter) pair(l joinSide, lr int, r joinSide, rr int) {
 	if e.dead {
 		return
 	}
 	e.pairs = append(e.pairs, int32(lr), int32(rr))
 	if len(e.pairs) >= 2*e.size {
-		e.flushPairs(l, lmap, r, rmap)
+		e.flushPairs(l, r)
 	}
 }
 
-// flushPairs forwards the buffered pairs as one batch built column by
+// flushPairs forwards the buffered pairs (at least at every input-batch
+// boundary, keeping answers streaming) as one batch built column by
 // column in a single arena of exactly its size.
-func (e *cEmitter) flushPairs(l *ColBatch, lmap []int, r *ColBatch, rmap []int) {
+func (e *cEmitter) flushPairs(l, r joinSide) {
 	n := len(e.pairs) / 2
 	if n == 0 {
 		return
 	}
-	schema := e.out.schema
+	schema, pairs := e.out.schema, e.pairs
 	arena := make([]dict.ID, n*len(schema.Vars))
 	cols := make([][]dict.ID, len(schema.Vars))
 	for c := range cols {
 		col := arena[c*n : (c+1)*n : (c+1)*n]
-		var lcol, rcol []dict.ID
-		if lc := lmap[c]; lc >= 0 {
-			lcol = l.Cols[lc]
-		}
-		if rc := rmap[c]; rc >= 0 {
-			rcol = r.Cols[rc]
-		}
+		lcol, loff, lstride := l.col(c)
+		rcol, roff, rstride := r.col(c)
 		for k := range col {
 			id := dict.Unbound
 			if lcol != nil {
-				id = lcol[e.pairs[2*k]]
+				id = lcol[loff+int(pairs[2*k])*lstride]
 			}
 			if id == dict.Unbound && rcol != nil {
-				id = rcol[e.pairs[2*k+1]]
+				if rr := int(pairs[2*k+1]); rr >= 0 {
+					id = rcol[roff+rr*rstride]
+				}
 			}
 			col[k] = id
 		}
@@ -422,21 +365,6 @@ func (e *cEmitter) flushPairs(l *ColBatch, lmap []int, r *ColBatch, rmap []int) 
 	}
 	e.pairs = e.pairs[:0]
 	if !e.st.sendC(e.ctx, e.out, &ColBatch{Schema: schema, Len: n, Cols: cols}) {
-		e.dead = true
-	}
-}
-
-// flush forwards the buffered partial batch (typically at an input-batch
-// boundary, keeping answers streaming).
-func (e *cEmitter) flush() {
-	if e.b.Rows() == 0 {
-		return
-	}
-	batch := e.b.Take()
-	if e.dead {
-		return
-	}
-	if !e.st.sendC(e.ctx, e.out, batch) {
 		e.dead = true
 	}
 }
@@ -483,36 +411,41 @@ func CSymmetricHashJoin(ctx context.Context, left, right *CStream, joinVars []st
 				continue // keep draining so the producers can finish
 			}
 			st.addHashEntries(b.Len)
+			// The arriving batch is one side of every pair and the other
+			// side's table the other; that table takes no row meanwhile.
+			var l, r joinSide
 			if fromLeft {
-				for r := 0; r < b.Len; r++ {
-					h := HashRowKey(b, r, lKey)
-					leftTbl.insert(b, r, h)
+				l, r = joinSide{b: b, pos: outL}, joinSide{t: rightTbl, pos: outR}
+				for br := 0; br < b.Len; br++ {
+					h := HashRowKey(b, br, lKey)
+					leftTbl.insert(b, br, h)
 					for oi := rightTbl.first(h); oi >= 0; oi = rightTbl.after(oi, h) {
-						if !keysEqualBT(b, r, lKey, rightTbl, oi, rKey) {
+						if !keysEqualBT(b, br, lKey, rightTbl, oi, rKey) {
 							continue
 						}
-						if !compatBT(b, r, pairL, rightTbl, oi, pairR) {
+						if !compatBT(b, br, pairL, rightTbl, oi, pairR) {
 							continue
 						}
-						em.mergeBT(b, r, outL, rightTbl, oi, outR)
+						em.pair(l, br, r, int(oi))
 					}
 				}
 			} else {
-				for r := 0; r < b.Len; r++ {
-					h := HashRowKey(b, r, rKey)
-					rightTbl.insert(b, r, h)
+				l, r = joinSide{t: leftTbl, pos: outL}, joinSide{b: b, pos: outR}
+				for br := 0; br < b.Len; br++ {
+					h := HashRowKey(b, br, rKey)
+					rightTbl.insert(b, br, h)
 					for oi := leftTbl.first(h); oi >= 0; oi = leftTbl.after(oi, h) {
-						if !keysEqualBT(b, r, rKey, leftTbl, oi, lKey) {
+						if !keysEqualBT(b, br, rKey, leftTbl, oi, lKey) {
 							continue
 						}
-						if !compatBT(b, r, pairR, leftTbl, oi, pairL) {
+						if !compatBT(b, br, pairR, leftTbl, oi, pairL) {
 							continue
 						}
-						em.mergeTB(leftTbl, oi, outL, b, r, outR)
+						em.pair(l, int(oi), r, br)
 					}
 				}
 			}
-			em.flush() // input-batch boundary: keep answers streaming
+			em.flushPairs(l, r) // input-batch boundary: keep answers streaming
 		}
 	}()
 	return outS
@@ -631,15 +564,17 @@ func CBindJoin(ctx context.Context, left *CStream, right CService, joinVars []st
 				}
 				pL, pR, oR := pairL, pairR, outR
 				pmu.Unlock()
+				l := joinSide{b: block, pos: outL}
 				for rb, ok := rs.Recv(st); ok && em.ok(); rb, ok = rs.Recv(st) {
+					r := joinSide{b: rb, pos: oR}
 					for rr := 0; rr < rb.Len; rr++ {
 						for lr := 0; lr < block.Len; lr++ {
 							if compatBB(block, lr, rb, rr, pL, pR) {
-								em.pair(block, lr, outL, rb, rr, oR)
+								em.pair(l, lr, r, rr)
 							}
 						}
 					}
-					em.flushPairs(block, outL, rb, oR)
+					em.flushPairs(l, r)
 				}
 				rs.Drain() // so the service's producer can finish
 			}()
@@ -788,8 +723,9 @@ func CLeftJoin(ctx context.Context, left, right *CStream, filters []sparql.Expr,
 		pairL, pairR := sharedPairs(left.schema, right.schema, nil)
 		outL, outR := left.schema.Positions(out.Vars), right.schema.Positions(out.Vars)
 		ev := NewScratchEval(filters, out, d)
-		merged := make([]dict.ID, len(out.Vars))
+		merged := make([]dict.ID, len(out.Vars)) // the filters' scratch row
 		em := newCEmitter(ctx, outS, batch, st)
+		r := joinSide{b: rights, pos: outR}
 		for {
 			lb, open := left.Recv(st)
 			if !open {
@@ -798,6 +734,7 @@ func CLeftJoin(ctx context.Context, left, right *CStream, filters []sparql.Expr,
 			if !em.ok() {
 				continue // drain the left so its producer can finish
 			}
+			l := joinSide{b: lb, pos: outL}
 			for lr := 0; lr < lb.Len; lr++ {
 				matched := false
 				for rr := 0; rr < rights.Len; rr++ {
@@ -820,18 +757,15 @@ func CLeftJoin(ctx context.Context, left, right *CStream, filters []sparql.Expr,
 						if !ev.PassesIDs(merged) {
 							continue
 						}
-						matched = true
-						em.ids(merged)
-						continue
 					}
 					matched = true
-					em.merge(lb, lr, outL, rights, rr, outR)
+					em.pair(l, lr, r, rr)
 				}
 				if !matched {
-					em.row(lb, lr, outL)
+					em.pair(l, lr, r, -1)
 				}
 			}
-			em.flush()
+			em.flushPairs(l, r)
 		}
 	}()
 	return outS
@@ -846,15 +780,23 @@ func pick(b *ColBatch, rows []int32) *ColBatch {
 	case 0:
 		return nil
 	}
+	return gather(b, rows)
+}
+
+// gather returns the rows of b listed in rows, in that order, built
+// column by column in one arena of exactly their size.
+func gather(b *ColBatch, rows []int32) *ColBatch {
+	n := len(rows)
+	arena := make([]dict.ID, n*len(b.Cols))
 	cols := make([][]dict.ID, len(b.Cols))
 	for c, col := range b.Cols {
-		kept := make([]dict.ID, len(rows))
+		kept := arena[c*n : (c+1)*n : (c+1)*n]
 		for i, r := range rows {
 			kept[i] = col[r]
 		}
 		cols[c] = kept
 	}
-	return &ColBatch{Schema: b.Schema, Len: len(rows), Cols: cols}
+	return &ColBatch{Schema: b.Schema, Len: n, Cols: cols}
 }
 
 // slice returns rows [from, to) of b as views of its columns.
@@ -1008,7 +950,8 @@ func CUnion(ctx context.Context, out *Schema, batch int, ins ...*CStream) *CStre
 
 // COrderBy materializes the input and emits it sorted; a blocking
 // operator. Only the ORDER BY key columns are materialized to terms —
-// the sort permutes row indices and the output is rebuilt from IDs.
+// the sort permutes row indices, and each output batch is gathered from
+// them at its exact size.
 func COrderBy(ctx context.Context, in *CStream, keys []sparql.OrderKey, d *dict.Dict, batch int) *CStream {
 	if batch <= 0 {
 		batch = DefaultBatchSize
@@ -1019,7 +962,6 @@ func COrderBy(ctx context.Context, in *CStream, keys []sparql.OrderKey, d *dict.
 		defer out.Close()
 		defer st.close()
 		all := st.collectC(in)
-		ident := in.schema.Positions(in.schema.Vars)
 		// Decode just the key columns (an unbound or uncarried key yields
 		// the zero term, exactly like a missing map entry in SortBindings).
 		keyTerms := make([][]rdf.Term, len(keys))
@@ -1034,9 +976,9 @@ func COrderBy(ctx context.Context, in *CStream, keys []sparql.OrderKey, d *dict.
 			}
 			keyTerms[k] = terms
 		}
-		idx := make([]int, all.Len)
+		idx := make([]int32, all.Len)
 		for i := range idx {
-			idx[i] = i
+			idx[i] = int32(i)
 		}
 		sort.SliceStable(idx, func(i, j int) bool {
 			for k, key := range keys {
@@ -1051,17 +993,11 @@ func COrderBy(ctx context.Context, in *CStream, keys []sparql.OrderKey, d *dict.
 			}
 			return false
 		})
-		nb := NewColBuilder(in.schema)
-		for _, r := range idx {
-			nb.AppendRow(all, r, ident)
-			if nb.Rows() >= batch {
-				if !st.sendC(ctx, out, nb.Take()) {
-					return
-				}
+		// Not pick: a permutation listing every row is not the input.
+		for from := 0; from < len(idx); from += batch {
+			if !st.sendC(ctx, out, gather(all, idx[from:min(from+batch, len(idx))])) {
+				return
 			}
-		}
-		if nb.Rows() > 0 {
-			st.sendC(ctx, out, nb.Take())
 		}
 	}()
 	return out

@@ -330,18 +330,19 @@ func CFromBindings(ctx context.Context, rows []sparql.Binding, schema *Schema, d
 	return out
 }
 
-// collectC drains a columnar stream into one concatenated batch,
-// accounting the consumed batches to the operator (nil-safe).
+// collectC drains a columnar stream into one concatenated batch, a
+// whole column at a time, accounting the consumed batches to the operator
+// (nil-safe).
 func (o *OpStats) collectC(in *CStream) *ColBatch {
-	b := NewColBuilder(in.schema)
-	ident := in.schema.Positions(in.schema.Vars)
+	all := &ColBatch{Schema: in.schema, Cols: make([][]dict.ID, len(in.schema.Vars))}
 	for {
 		batch, ok := in.Recv(o)
 		if !ok {
-			return b.Take()
+			return all
 		}
-		for r := 0; r < batch.Len; r++ {
-			b.AppendRow(batch, r, ident)
+		for c, col := range batch.Cols {
+			all.Cols[c] = append(all.Cols[c], col...)
 		}
+		all.Len += batch.Len
 	}
 }

@@ -3,6 +3,7 @@ package engine
 import (
 	"context"
 	"fmt"
+	"slices"
 	"sort"
 	"testing"
 	"testing/quick"
@@ -171,8 +172,40 @@ func TestBindJoin(t *testing.T) {
 	}
 }
 
+// collectBatches is collect for an operator that builds each output
+// batch at its exact size: it returns the rows batch by batch, and the
+// first batch holding more than batch rows (<= 0 means DefaultBatchSize)
+// or a column that is not exactly Len long, capacity included, as an
+// error.
+func collectBatches(s *CStream, d *dict.Dict, batch int) ([][]sparql.Binding, error) {
+	if batch <= 0 {
+		batch = DefaultBatchSize
+	}
+	var out [][]sparql.Binding
+	var err error
+	for ob, ok := s.Recv(nil); ok; ob, ok = s.Recv(nil) {
+		if ob.Len > batch && err == nil {
+			err = fmt.Errorf("output batch of %d rows, batch size %d", ob.Len, batch)
+		}
+		for c, col := range ob.Cols {
+			if (len(col) != ob.Len || cap(col) != ob.Len) && err == nil {
+				err = fmt.Errorf("column %d of a %d-row batch has len %d, cap %d", c, ob.Len, len(col), cap(col))
+			}
+		}
+		out = append(out, DecodeBatch(ob, d))
+	}
+	s.Drain()
+	return out, err
+}
+
+// joinBatchSizes are the input and output batch sizes the join properties
+// run at: one row, a few rows (cuts inside and across input batches), and
+// the default.
+var joinBatchSizes = []int{1, 3, 0}
+
 // Property: symmetric hash join equals the reference join for arbitrary
-// small inputs.
+// small inputs, at every input and output batch size, in batches of
+// exactly their size.
 func TestQuickJoinEquivalence(t *testing.T) {
 	ctx := context.Background()
 	f := func(lKeys, rKeys []uint8) bool {
@@ -183,22 +216,101 @@ func TestQuickJoinEquivalence(t *testing.T) {
 		for i, k := range rKeys {
 			right = append(right, b("k", fmt.Sprint(k%8), "r", fmt.Sprint(i)))
 		}
-		d := dict.New()
-		got := collect(CSymmetricHashJoin(ctx, feed(ctx, d, left, 0), feed(ctx, d, right, 0), []string{"k"}, outSchema(left, right), 0), d)
-		want := referenceJoin(left, right)
-		if len(got) != len(want) {
-			return false
-		}
-		g, w := keysOf(got), keysOf(want)
-		for i := range g {
-			if g[i] != w[i] {
-				return false
+		want := keysOf(referenceJoin(left, right))
+		for _, in := range joinBatchSizes {
+			for _, batch := range joinBatchSizes {
+				d := dict.New()
+				got, err := collectBatches(CSymmetricHashJoin(ctx, feed(ctx, d, left, in), feed(ctx, d, right, in), []string{"k"}, outSchema(left, right), batch), d, batch)
+				if err != nil {
+					t.Logf("input batch %d, output batch %d: %v", in, batch, err)
+					return false
+				}
+				if !slices.Equal(keysOf(slices.Concat(got...)), want) {
+					return false
+				}
 			}
 		}
 		return true
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 60}); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// referenceLeftJoin is the OPTIONAL oracle: every left row merged with
+// each compatible right row whose merge passes the filters, or the left
+// row alone when none does.
+func referenceLeftJoin(left, right []sparql.Binding, filters []sparql.Expr) []sparql.Binding {
+	var out []sparql.Binding
+	for _, l := range left {
+		matched := false
+		for _, r := range right {
+			if !l.Compatible(r) {
+				continue
+			}
+			m := l.Merge(r)
+			if !slices.ContainsFunc(filters, func(e sparql.Expr) bool { return !sparql.EvalBool(e, m) }) {
+				matched = true
+				out = append(out, m)
+			}
+		}
+		if !matched {
+			out = append(out, l)
+		}
+	}
+	return out
+}
+
+// Property: the left join equals the reference left join, with and
+// without an OPTIONAL filter, at every input and output batch size, in
+// batches of exactly their size — including unmatched left rows on both
+// sides of a flush boundary.
+func TestQuickLeftJoinEquivalence(t *testing.T) {
+	ctx := context.Background()
+	filter := sparql.MustParse(`SELECT ?l WHERE { ?s ?p ?o . FILTER (?r > ?l) }`).Filters
+	straddled := 0 // flush boundaries with an unmatched left row on either side
+	f := func(lKeys, rKeys []uint8) bool {
+		var left, right []sparql.Binding
+		for i, k := range lKeys {
+			left = append(left, sparql.Binding{"k": rdf.NewLiteral(fmt.Sprint(k % 8)), "l": rdf.IntLiteral(int64(i))})
+		}
+		for i, k := range rKeys {
+			right = append(right, sparql.Binding{"k": rdf.NewLiteral(fmt.Sprint(k % 8)), "r": rdf.IntLiteral(int64(i))})
+		}
+		for _, filters := range [][]sparql.Expr{nil, filter} {
+			want := keysOf(referenceLeftJoin(left, right, filters))
+			for _, in := range joinBatchSizes {
+				for _, batch := range joinBatchSizes {
+					d := dict.New()
+					got, err := collectBatches(CLeftJoin(ctx, feed(ctx, d, left, in), feed(ctx, d, right, in), filters, outSchema(left, right), d, batch), d, batch)
+					for i := 1; i < len(got); i++ {
+						_, before := got[i-1][len(got[i-1])-1]["r"]
+						if _, after := got[i][0]["r"]; !before && !after {
+							straddled++
+						}
+					}
+					if err != nil {
+						t.Logf("input batch %d, output batch %d: %v", in, batch, err)
+						return false
+					}
+					if !slices.Equal(keysOf(slices.Concat(got...)), want) {
+						return false
+					}
+				}
+			}
+		}
+		return true
+	}
+	// Left keys 3 to 7 find no right row: unmatched runs at every batch
+	// size.
+	if !f([]uint8{0, 3, 4, 1, 5, 6, 7, 2}, []uint8{0, 1, 1, 2}) {
+		t.Fatal("left join differs from the reference on the fixed input")
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 60}); err != nil {
+		t.Fatal(err)
+	}
+	if straddled == 0 {
+		t.Fatal("no flush boundary had an unmatched left row on both sides")
 	}
 }
 
