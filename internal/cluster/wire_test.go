@@ -19,22 +19,21 @@ import (
 // a nil term leaves the cell unbound (the OPTIONAL case).
 func buildBatch(t testing.TB, d *dict.Dict, schema *engine.Schema, rows [][]*rdf.Term) *engine.ColBatch {
 	t.Helper()
-	bld := engine.NewColBuilder(schema)
-	ids := make([]dict.ID, len(schema.Vars))
-	for _, row := range rows {
+	b := &engine.ColBatch{Schema: schema, Len: len(rows), Cols: make([][]dict.ID, len(schema.Vars))}
+	for c := range b.Cols {
+		b.Cols[c] = make([]dict.ID, len(rows))
+	}
+	for r, row := range rows {
 		if len(row) != len(schema.Vars) {
 			t.Fatalf("row has %d cells, schema %d", len(row), len(schema.Vars))
 		}
-		for i, cell := range row {
-			if cell == nil {
-				ids[i] = dict.Unbound
-			} else {
-				ids[i] = d.Intern(*cell)
+		for c, cell := range row {
+			if cell != nil {
+				b.Cols[c][r] = d.Intern(*cell)
 			}
 		}
-		bld.AppendIDs(ids)
 	}
-	return bld.Take()
+	return b
 }
 
 func term(t rdf.Term) *rdf.Term { return &t }
@@ -141,11 +140,11 @@ func TestWireDictionaryDeltaShipsOncePerLink(t *testing.T) {
 	sender := dict.New()
 	schema := engine.NewSchema([]string{"x"})
 	mk := func(vals ...string) *engine.ColBatch {
-		bld := engine.NewColBuilder(schema)
-		for _, v := range vals {
-			bld.AppendIDs([]dict.ID{sender.Intern(rdf.NewIRI(v))})
+		col := make([]dict.ID, len(vals))
+		for r, v := range vals {
+			col[r] = sender.Intern(rdf.NewIRI(v))
 		}
-		return bld.Take()
+		return &engine.ColBatch{Schema: schema, Len: len(vals), Cols: [][]dict.ID{col}}
 	}
 
 	var buf bytes.Buffer
@@ -454,9 +453,8 @@ func TestWireEncoderRunsOutOfWireIDs(t *testing.T) {
 	if buf.Len() != 0 || enc.SentTerms() != math.MaxUint32-1 {
 		t.Fatalf("failed batch wrote %d bytes and left %d terms shipped", buf.Len(), enc.SentTerms())
 	}
-	one := engine.NewColBuilder(engine.NewSchema([]string{"x"}))
-	one.AppendIDs([]dict.ID{two.Cols[1][0]})
-	if err := enc.Batch(1, SideOut, one.Take()); err != nil {
+	one := &engine.ColBatch{Schema: engine.NewSchema([]string{"x"}), Len: 1, Cols: [][]dict.ID{{two.Cols[1][0]}}}
+	if err := enc.Batch(1, SideOut, one); err != nil {
 		t.Fatalf("batch needing the last wire ID: %v", err)
 	}
 	if w := enc.wire[two.Cols[1][0]]; w != math.MaxUint32 {

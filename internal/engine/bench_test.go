@@ -310,16 +310,14 @@ func BenchmarkExchangeBatchSize(b *testing.B) {
 // benchColBatch builds one columnar batch of n rows over vars with dense,
 // nonzero dictionary IDs — the raw material of the uint64 hot paths.
 func benchColBatch(vars []string, n int) *ColBatch {
-	schema := NewSchema(vars)
-	cb := NewColBuilderCap(schema, n)
-	ids := make([]dict.ID, len(vars))
-	for r := 0; r < n; r++ {
-		for c := range ids {
-			ids[c] = dict.ID(uint64(r*len(vars)+c) + 1)
+	b := &ColBatch{Schema: NewSchema(vars), Len: n, Cols: make([][]dict.ID, len(vars))}
+	for c := range b.Cols {
+		b.Cols[c] = make([]dict.ID, n)
+		for r := range b.Cols[c] {
+			b.Cols[c][r] = dict.ID(uint64(r*len(vars)+c) + 1)
 		}
-		cb.AppendIDs(ids)
 	}
-	return cb.Take()
+	return b
 }
 
 // BenchmarkColBatchHash measures the row-hash kernel every columnar join

@@ -132,9 +132,9 @@ func (s Seeds) Bindings(d *dict.Dict) []sparql.Binding {
 }
 
 // ColBuilder accumulates rows into a ColBatch, one row at a time, for the
-// producers that really work a row at a time: the wrappers and the
-// row-to-columnar adapter (AppendBinding), a bind-join block spanning two
-// left batches, and the cluster shuffle's partition builders. Operators
+// producers that really work a row at a time: the row-to-columnar adapter
+// (AppendBinding), a bind-join block spanning two left batches, and the
+// cluster shuffle's partition builders. Operators
 // that assemble rows from their inputs gather row indices instead and
 // build each batch at its exact size (cEmitter, gather). Take hands the
 // finished batch over and resets the builder for the next one. Columns
@@ -197,15 +197,6 @@ func (b *ColBuilder) growRow() int {
 		b.cols[c] = append(b.cols[c], dict.Unbound)
 	}
 	return r
-}
-
-// AppendIDs appends one row given as one ID per schema variable (in
-// schema order; dict.Unbound marks absent values). The slice is copied.
-func (b *ColBuilder) AppendIDs(ids []dict.ID) {
-	r := b.growRow()
-	for c, id := range ids {
-		b.cols[c][r] = id
-	}
 }
 
 // AppendRow appends row src of batch from, mapped into this builder's

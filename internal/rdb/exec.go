@@ -100,19 +100,14 @@ func (r *Rows) Ord(i, c int) int32 { return r.tuples[i*r.stride+r.cols[c].slot] 
 // table: read it, never write it.
 func (r *Rows) Value(i, c int) *Value { return r.cols[c].of(r.Ord(i, c)) }
 
-// Query parses and executes a SELECT statement.
+// Query parses and executes a SELECT statement and materializes its rows.
+// There is no statement cache: repeated requests are answered above the
+// database, by the wrapper response cache.
 func (db *Database) Query(stmt string) (*Result, error) {
 	sel, err := sql.Parse(stmt)
 	if err != nil {
 		return nil, err
 	}
-	return db.QueryAST(sel)
-}
-
-// QueryAST executes a parsed SELECT statement and materializes its rows.
-// There is no statement cache: repeated requests are answered above the
-// database, by the wrapper response cache.
-func (db *Database) QueryAST(sel *sql.Select) (*Result, error) {
 	rs, err := db.Execute(sel)
 	if err != nil {
 		return nil, err

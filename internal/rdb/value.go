@@ -14,7 +14,7 @@
 // a list of ordinals into its table, a join output one ordinal per
 // relation, and every predicate is compiled once per statement against
 // (relation, column ordinal). Execute returns the result as ordinals
-// (Rows); Query and QueryAST materialize it.
+// (Rows); Query parses a statement's text and materializes them.
 package rdb
 
 import (

@@ -139,11 +139,13 @@ func entryFor(t *testing.T, w *SQLWrapper, req *Request, schema *engine.Schema, 
 	return e
 }
 
-// TestCellIDViewMatchesIntern: rows decoded through the cell-ID views equal
-// the rows decoded by valueToTerm and Intern — on the SQL requests of
-// Q1–Q5 over the small lake and their seeded forms, after a row is
-// inserted past a view's size, and when concurrent misses fill the views
-// of one response cache.
+// TestCellIDViewMatchesIntern: rows decoded through a response cache's
+// ID views of table columns equal the rows decoded by valueToTerm and
+// Intern — on the SQL requests of Q1–Q5 over the small lake and their
+// seeded forms, after a row is inserted past a view's size, and when
+// concurrent misses fill the views of one response cache. The misses run
+// through columnarEntry, which reads the cache's views but never its
+// entries.
 func TestCellIDViewMatchesIntern(t *testing.T) {
 	lk, err := lslod.BuildLake(lslod.SmallScale(), 1)
 	if err != nil {
@@ -153,12 +155,14 @@ func TestCellIDViewMatchesIntern(t *testing.T) {
 
 	t.Run("requests", func(t *testing.T) {
 		d := dict.New()
+		cache := NewResponseCache()
 		wrappers := map[*catalog.Source]*SQLWrapper{}
 		nonEmpty := 0
 		for i, c := range cases {
 			w := wrappers[c.src]
 			if w == nil {
 				w = NewSQLWrapper(c.src, nil, TranslationOptimized, 0)
+				w.SetResponseCache(cache)
 				wrappers[c.src] = w
 			}
 			schema := engine.NewSchema(c.req.Vars())
@@ -184,7 +188,9 @@ func TestCellIDViewMatchesIntern(t *testing.T) {
 		}
 		src := lk.Catalog.Source(lslod.DSDrugBank)
 		d := dict.New()
+		cache := NewResponseCache()
 		w := NewSQLWrapper(src, nil, TranslationOptimized, 0)
+		w.SetResponseCache(cache)
 		req := &Request{Stars: []*StarQuery{{SubjectVar: "s", Class: lslod.ClassDrug, Patterns: []sparql.TriplePattern{
 			{S: sparql.VarNode("s"), P: sparql.TermNode(rdf.NewIRI(rdf.RDFType)), O: sparql.TermNode(rdf.NewIRI(lslod.ClassDrug))},
 			{S: sparql.VarNode("s"), P: sparql.TermNode(rdf.NewIRI(lslod.PredGenericName)), O: sparql.VarNode("n")},
@@ -207,9 +213,9 @@ func TestCellIDViewMatchesIntern(t *testing.T) {
 			t.Fatalf("%d rows after the insert, want %d", after.nrows, before.nrows+1)
 		}
 		sameEntry(t, "after the insert", after, refSQLEntry(t, w, req, schema, d))
-		for _, v := range w.cells.m {
-			if len(v.ids) >= tab.RowCount() {
-				t.Fatalf("a view of %d slots covers the grown table of %d rows", len(v.ids), tab.RowCount())
+		for _, v := range cache.views {
+			if len(v) >= tab.RowCount() {
+				t.Fatalf("a view of %d slots covers the grown table of %d rows", len(v), tab.RowCount())
 			}
 		}
 	})
@@ -248,9 +254,9 @@ func TestCellIDViewMatchesIntern(t *testing.T) {
 		}
 		wg.Wait()
 		filled := 0
-		for k, v := range cache.cells.m {
-			for ord := range v.ids {
-				if id := dict.ID(v.ids[ord].Load()); id != dict.Unbound {
+		for k, v := range cache.views {
+			for ord := range v {
+				if id := v.load(ord); id != dict.Unbound {
 					filled++
 					if want := d.Intern(valueToTerm(k.t.Row(ord)[k.col], k.tmpl)); id != want {
 						t.Fatalf("%s column %d row %d holds %d, want %d", k.t.Schema.Name, k.col, ord, id, want)

@@ -3,6 +3,7 @@ package wrapper
 import (
 	"context"
 	"fmt"
+	"slices"
 	"strconv"
 	"sync/atomic"
 	"time"
@@ -12,7 +13,6 @@ import (
 	"ontario/internal/engine"
 	"ontario/internal/netsim"
 	"ontario/internal/rdb"
-	"ontario/internal/sparql"
 	"ontario/internal/trace"
 )
 
@@ -45,34 +45,44 @@ func (w *DBSQLWrapper) ExecuteColumnar(ctx context.Context, req *Request, schema
 	if len(req.Stars) == 0 {
 		return nil, fmt.Errorf("wrapper %s: empty request", w.src.ID)
 	}
-	sols, err := w.solutions(ctx, req, d)
+	e, err := w.entry(ctx, req, schema, d)
 	if err != nil {
 		return nil, err
 	}
-	return newRespEntry(sols, schema, d).stream(ctx, w.sim, !req.Block, schema, w.batch), nil
+	return e.stream(ctx, w.sim, !req.Block, schema, w.batch), nil
 }
 
-// solutions translates the request with its seeds pushed down, runs it on
-// the live connection and decodes the rows that match a seed; a request
-// the translation proves empty returns no solutions without touching the
-// database.
-func (w *DBSQLWrapper) solutions(ctx context.Context, req *Request, d *dict.Dict) ([]sparql.Binding, error) {
+// entry translates the request with its seeds pushed down, runs it on the
+// live connection and interns the rows at the boundary, through the row
+// check; a request the translation proves empty answers no rows without
+// touching the database.
+func (w *DBSQLWrapper) entry(ctx context.Context, req *Request, schema *engine.Schema, d *dict.Dict) (*respEntry, error) {
 	tl, err := req.translate(w.src, d)
-	if err != nil || tl == nil {
+	if err != nil {
 		return nil, err
+	}
+	if tl == nil {
+		return newColEntry(nil, 0, len(schema.Vars)), nil
 	}
 	rows, err := w.query(ctx, tl)
 	if err != nil {
 		return nil, fmt.Errorf("wrapper %s: %w", w.src.ID, err)
 	}
-	seeds := req.seedBindings(d)
-	var sols []sparql.Binding
-	for _, row := range rows {
-		if b, ok := tl.decodeRow(row); ok && matchesAnySeed(b, seeds) && passes(b, tl.localFilters) {
-			sols = append(sols, b)
+	rc := newRowCheck(req.Seeds, tl.localFilters, schema, schema, d)
+	row := tl.template(schema, d)
+	pos := schema.Positions(tl.varOrder)
+	for _, r := range rows {
+		if slices.ContainsFunc(r, func(v rdb.Value) bool { return v.Null }) {
+			continue // the property is absent: the row does not match
 		}
+		for i, v := range tl.varOrder {
+			if pos[i] >= 0 {
+				row[pos[i]] = d.Intern(valueToTerm(r[i], tl.varCols[v].template))
+			}
+		}
+		rc.add(row)
 	}
-	return sols, nil
+	return rc.entry(), nil
 }
 
 // query runs the translated SELECT on the live connection under the

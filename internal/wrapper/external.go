@@ -12,9 +12,10 @@ import (
 
 // ExternalWrapper adapts a user-provided catalog.ExternalSource (a custom
 // backend registered through the public lake API) to the Wrapper contract.
-// It forwards star sub-queries, re-checks seed compatibility on the results
-// (the custom implementation is free to ignore seeds), evaluates any pushed
-// filters wrapper-side, and charges the simulated network like the built-in
+// It forwards star sub-queries, interns the results at the boundary and
+// runs them through the row check — seed compatibility (the custom
+// implementation is free to ignore seeds) and any pushed filters — and
+// charges the simulated network like the built-in
 // wrappers: one latency sample per answer, or one per response for a block
 // request.
 type ExternalWrapper struct {
@@ -42,16 +43,9 @@ func (w *ExternalWrapper) ExecuteColumnar(ctx context.Context, req *Request, sch
 	for i, s := range req.Stars {
 		stars[i] = catalog.ExternalStar{SubjectVar: s.SubjectVar, Class: s.Class, Patterns: s.Patterns}
 	}
-	seeds := req.seedBindings(d)
-	sols, err := w.src.ExecuteStars(ctx, stars, seeds)
+	sols, err := w.src.ExecuteStars(ctx, stars, req.seedBindings(d))
 	if err != nil {
 		return nil, fmt.Errorf("wrapper %s: %w", w.id, err)
 	}
-	kept := sols[:0:0]
-	for _, b := range sols {
-		if matchesAnySeed(b, seeds) && passes(b, req.Filters) {
-			kept = append(kept, b)
-		}
-	}
-	return newRespEntry(kept, schema, d).stream(ctx, w.sim, !req.Block, schema, w.batch), nil
+	return boundaryEntry(sols, req, req.Filters, false, schema, d).stream(ctx, w.sim, !req.Block, schema, w.batch), nil
 }

@@ -15,9 +15,11 @@ import (
 // oneRow is the batch the test wrappers emit: a single row binding
 // nothing, over the empty schema of an empty Request.
 func oneRow(schema *engine.Schema) *engine.ColBatch {
-	b := engine.NewColBuilder(schema)
-	b.AppendIDs(nil)
-	return b.Take()
+	b := &engine.ColBatch{Schema: schema, Len: 1, Cols: make([][]dict.ID, len(schema.Vars))}
+	for c := range b.Cols {
+		b.Cols[c] = []dict.ID{dict.Unbound}
+	}
+	return b
 }
 
 // slowWrapper is a test wrapper whose ExecuteColumnar tracks its own

@@ -124,7 +124,7 @@ func typedSource(t *testing.T) *catalog.Source {
 
 // TestSQLWrapperMultiSeedTypeRoundTrip pushes a seed block down on each
 // column type in turn and checks the decoded rows hand the exact seed
-// terms back — the decodeRow round trip of the multi-seed path.
+// terms back — the value-to-term round trip of the multi-seed path.
 func TestSQLWrapperMultiSeedTypeRoundTrip(t *testing.T) {
 	src := typedSource(t)
 	w := NewSQLWrapper(src, nil, TranslationOptimized, 0)
@@ -313,7 +313,7 @@ func TestBlockSeededMatchesUninstantiated(t *testing.T) {
 			for bname, seeds := range blocks {
 				var want []sparql.Binding
 				for _, b := range all {
-					if matchesAnySeed(b, seeds) {
+					if refMatchesAnySeed(b, seeds) {
 						want = append(want, b)
 					}
 				}

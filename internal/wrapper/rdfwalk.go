@@ -3,8 +3,6 @@ package wrapper
 import (
 	"encoding/binary"
 	"slices"
-	"sync"
-	"sync/atomic"
 
 	"ontario/internal/dict"
 	"ontario/internal/engine"
@@ -12,64 +10,15 @@ import (
 	"ontario/internal/sparql"
 )
 
-// tripleIDs is a graph's triples in dictionary IDs: three slots per triple
-// (S, P, O), each filled by Intern the first time a walk touches it and
-// read with one atomic load afterwards. It is bounded by the graph and
-// holds no pointers, so the collector never scans it. Racing fills store
-// the same ID: Intern is idempotent.
-type tripleIDs struct {
-	d   *dict.Dict
-	ids []atomic.Uint64
-}
-
-// id returns the ID of t, the term in slot i.
-func (v *tripleIDs) id(i int, t *rdf.Term) dict.ID {
-	if i >= len(v.ids) { // the graph grew after the view was sized
-		return v.d.Intern(*t)
-	}
-	if id := v.ids[i].Load(); id != 0 {
-		return dict.ID(id)
-	}
-	id := v.d.Intern(*t)
-	v.ids[i].Store(uint64(id))
-	return id
-}
-
-// tripleViews holds one triple-ID view per graph and dictionary, created
-// on the graph's first miss.
-type tripleViews struct {
-	mu sync.Mutex
-	m  map[viewKey]*tripleIDs
-}
-
-type viewKey struct {
-	g *rdf.Graph
-	d *dict.Dict
-}
-
-func (vs *tripleViews) get(g *rdf.Graph, d *dict.Dict) *tripleIDs {
-	vs.mu.Lock()
-	defer vs.mu.Unlock()
-	v := vs.m[viewKey{g, d}]
-	if v == nil {
-		if vs.m == nil {
-			vs.m = make(map[viewKey]*tripleIDs)
-		}
-		v = &tripleIDs{d: d, ids: make([]atomic.Uint64, 3*g.Len())}
-		vs.m[viewKey{g, d}] = v
-	}
-	return v
-}
-
-// walkEntry answers a missed RDF request in dictionary IDs. Solutions are
-// flat rows over req.Vars(), walked as sparql.EvalBGP walks them —
-// patterns in OrderPatterns' order, each one's matches in the graph's
-// index order. A seeded request starts from its seeds' projections
-// (blockStarts) and its rows are re-checked against the seeds by ID, so
-// they bind the seeded variables with the graph's own terms. Pushed
-// filters see only the rows that reach them, and rows land at their
-// schema positions.
-func walkEntry(g *rdf.Graph, view *tripleIDs, req *Request, schema *engine.Schema, d *dict.Dict) *respEntry {
+// walkEntry answers a missed RDF request in dictionary IDs, reading the
+// graph's terms through view. Solutions are flat rows over req.Vars(),
+// walked as sparql.EvalBGP walks them — patterns in OrderPatterns' order,
+// each one's matches in the graph's index order. A seeded request starts
+// from its seeds' projections (blockStarts); the row check then re-checks
+// the rows against the seeds by ID, so they bind the seeded variables with
+// the graph's own terms, runs the pushed filters on the rows that reach
+// them and places the kept rows at their schema positions.
+func walkEntry(g *rdf.Graph, view idView, req *Request, schema *engine.Schema, d *dict.Dict) *respEntry {
 	vars := req.Vars()
 	var patterns []sparql.TriplePattern
 	for _, s := range req.Stars {
@@ -81,34 +30,17 @@ func walkEntry(g *rdf.Graph, view *tripleIDs, req *Request, schema *engine.Schem
 	wk.cur = blockStarts(req.Seeds, vars, wk.stride, bound)
 	rows := wk.run(sparql.OrderPatterns(g, patterns, bound), vars)
 
-	walked := engine.NewSchema(vars)
-	checks := buildSeedIDChecks(req.Seeds, walked)
-	ev := engine.NewScratchEval(req.Filters, walked, d)
-	stride := len(schema.Vars)
-	place := schema.Positions(vars)
-	var kept []dict.ID
-	n := 0
+	rc := newRowCheck(req.Seeds, req.Filters, engine.NewSchema(vars), schema, d)
 	for r := 0; r < len(rows); r += wk.stride {
-		row := rows[r : r+wk.stride]
-		if !matchesAnySeedIDs(row, checks) || !ev.PassesIDs(row) {
-			continue
-		}
-		kept = append(kept, make([]dict.ID, stride)...)
-		out := kept[len(kept)-stride:]
-		for i, p := range place {
-			if p >= 0 {
-				out[p] = row[i]
-			}
-		}
-		n++
+		rc.add(rows[r : r+wk.stride])
 	}
-	return newColEntry(kept, n, stride)
+	return rc.entry()
 }
 
 // bgpWalk extends flat ID rows pattern by pattern in two reused buffers.
 type bgpWalk struct {
 	g         *rdf.Graph
-	view      *tripleIDs
+	view      idView
 	d         *dict.Dict
 	stride    int
 	cur, next []dict.ID
@@ -170,13 +102,23 @@ func (wk *bgpWalk) extend(tid int, t *rdf.Triple) {
 		if c < 0 {
 			continue
 		}
-		if id := wk.view.id(3*tid+k, term); row[c] == dict.Unbound {
+		if id := wk.id(3*tid+k, term); row[c] == dict.Unbound {
 			row[c] = id
 		} else if row[c] != id {
 			wk.next = wk.next[:start]
 			return
 		}
 	}
+}
+
+// id returns the ID of t, the term in slot i of the graph's view.
+func (wk *bgpWalk) id(i int, t *rdf.Term) dict.ID {
+	id := wk.view.load(i)
+	if id == dict.Unbound {
+		id = wk.d.Intern(*t)
+		wk.view.store(i, id)
+	}
+	return id
 }
 
 // blockStarts returns a walk's first rows: the distinct projections of

@@ -100,16 +100,7 @@ func (w *RemoteSPARQLWrapper) ExecuteColumnar(ctx context.Context, req *Request,
 	// A single seed went down as constants and is merged back; several
 	// went down as a FILTER disjunction. Either way the solutions are
 	// re-checked locally, so a permissive endpoint cannot widen the join.
-	kept := sols[:0]
-	for _, b := range sols {
-		if len(seeds) == 1 {
-			b = seeds[0].Merge(b)
-		}
-		if matchesAnySeed(b, seeds) {
-			kept = append(kept, b)
-		}
-	}
-	return newRespEntry(kept, schema, d).stream(ctx, w.sim, !req.Block, schema, w.batch), nil
+	return boundaryEntry(sols, req, nil, req.Seeds.Rows == 1, schema, d).stream(ctx, w.sim, !req.Block, schema, w.batch), nil
 }
 
 // buildRemoteQuery compiles the request back to SPARQL text. A single

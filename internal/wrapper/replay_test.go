@@ -157,7 +157,7 @@ func TestReplaySharedByConcurrentOperators(t *testing.T) {
 		})
 	}
 	schema := engine.NewSchema([]string{"s", "n"})
-	e := newRespEntry(sols, schema, testDict)
+	e := refEntry(sols, schema, testDict)
 	checksum := func() uint64 {
 		h := uint64(fnvOffset)
 		for _, col := range e.cols {

@@ -10,7 +10,8 @@ import (
 	"ontario/internal/dict"
 	"ontario/internal/engine"
 	"ontario/internal/netsim"
-	"ontario/internal/sparql"
+	"ontario/internal/rdb"
+	"ontario/internal/rdf"
 )
 
 // ResponseCache memoizes the decoded, dictionary-encoded response of a
@@ -40,11 +41,10 @@ type ResponseCache struct {
 
 	hits, misses, evictions atomic.Int64
 
-	// views and cells hold the RDF sources' triple-ID views and the
-	// relational sources' cell-ID views: like the entries they live as
-	// long as the lake and hold IDs of its dictionary.
-	views tripleViews
-	cells cellViews
+	// views holds the sources' ID views (see idView): like the entries
+	// they live as long as the lake and hold IDs of its dictionary.
+	viewMu sync.Mutex
+	views  map[viewKey]idView
 }
 
 // respCacheCap bounds the cache; crossing it sweeps (see store).
@@ -52,7 +52,7 @@ const respCacheCap = 4096
 
 // NewResponseCache returns an empty cache.
 func NewResponseCache() *ResponseCache {
-	return &ResponseCache{entries: make(map[respKey]*respEntry)}
+	return &ResponseCache{entries: make(map[respKey]*respEntry), views: make(map[viewKey]idView)}
 }
 
 // ResponseCacheStats is a snapshot of a cache's counters.
@@ -76,9 +76,6 @@ func (c *ResponseCache) Stats() ResponseCacheStats {
 
 type respKey struct {
 	source string
-	// variant disambiguates wrapper configurations that answer the same
-	// request differently (the SQL translation mode).
-	variant uint8
 	// h folds the shape fingerprint, the schema's variable order and the
 	// seed IDs; the entry verifies all three on hit.
 	h uint64
@@ -103,7 +100,7 @@ type respEntry struct {
 // respKeyFor builds the cache key of req as issued against source with
 // the given output schema: integer work over the shape hash, the schema's
 // names and the seed IDs — no term is looked up or interned.
-func respKeyFor(source string, variant uint8, req *Request, schema *engine.Schema) respKey {
+func respKeyFor(source string, req *Request, schema *engine.Schema) respKey {
 	h := req.shapeOf().h
 	for _, v := range schema.Vars {
 		h = fnvString(h, v) * fnvPrime // the extra round separates the names
@@ -115,7 +112,7 @@ func respKeyFor(source string, variant uint8, req *Request, schema *engine.Schem
 	for _, id := range req.Seeds.IDs {
 		h = mixResp(h ^ uint64(id))
 	}
-	return respKey{source: source, variant: variant, h: h}
+	return respKey{source: source, h: h}
 }
 
 // fnvString folds s into h, FNV-1a style.
@@ -275,21 +272,59 @@ func (e *respEntry) stream(ctx context.Context, sim *netsim.Simulator, perAnswer
 	return out
 }
 
-// newRespEntry interns materialized solutions into a response entry in
-// schema order: each row starts unbound and each solution fills the
-// positions it binds. Wrappers that evaluate terms before the boundary
-// (remote hops, custom sources, the naive translation) build their
-// response through it.
-func newRespEntry(sols []sparql.Binding, schema *engine.Schema, d *dict.Dict) *respEntry {
-	stride := len(schema.Vars)
-	rows := make([]dict.ID, len(sols)*stride)
-	for r, b := range sols {
-		row := rows[r*stride : (r+1)*stride]
-		for i, v := range schema.Vars {
-			if t, ok := b[v]; ok {
-				row[i] = d.Intern(t)
-			}
-		}
+// idView is one column of a source's terms in dictionary IDs: a slot per
+// term, filled with the term's ID the first time a miss touches it and
+// read with one atomic load afterwards. An RDF graph has one view with
+// three slots per triple (S, P, O); a relational table has one per
+// column, IRI template and dictionary, with a slot per row. A view holds
+// no pointers, so the collector never scans it, and racing fills store
+// the same ID: Intern is idempotent. A slot past the view's end — the
+// source grew after the view was sized — or of the nil view of a wrapper
+// without a response cache reads Unbound and keeps nothing, so its term
+// is interned on every touch.
+type idView []atomic.Uint64
+
+// load returns the ID in slot i, or Unbound when the slot is not filled.
+func (v idView) load(i int) dict.ID {
+	if i >= len(v) {
+		return dict.Unbound
 	}
-	return newColEntry(rows, len(sols), stride)
+	return dict.ID(v[i].Load())
+}
+
+// store fills slot i with id.
+func (v idView) store(i int, id dict.ID) {
+	if i < len(v) {
+		v[i].Store(uint64(id))
+	}
+}
+
+// viewKey names an ID view: a graph's triples (g), or column col of a
+// table (t) rendered through an IRI template, in dictionary d.
+type viewKey struct {
+	g    *rdf.Graph
+	t    *rdb.Table
+	col  int
+	tmpl string
+	d    *dict.Dict
+}
+
+// view returns the view named k, sized to its source on the first miss
+// that asks for it; a nil cache has no views.
+func (c *ResponseCache) view(k viewKey) idView {
+	if c == nil {
+		return nil
+	}
+	c.viewMu.Lock()
+	defer c.viewMu.Unlock()
+	v, ok := c.views[k]
+	if !ok {
+		if k.g != nil {
+			v = make(idView, 3*k.g.Len())
+		} else {
+			v = make(idView, k.t.RowCount())
+		}
+		c.views[k] = v
+	}
+	return v
 }

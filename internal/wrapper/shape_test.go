@@ -25,7 +25,6 @@ type reqSpec struct {
 	filterVal rdf.Term
 	seeds     engine.Seeds // Rows == 0: unseeded
 	block     bool
-	variant   uint8
 	schema    []string
 }
 
@@ -61,7 +60,6 @@ func randomSpec(rng *rand.Rand) reqSpec {
 		filterOp:  sparql.CompareOp(rng.Intn(6)),
 		filterVal: rdf.Term{Kind: rdf.TermLiteral, Value: fmt.Sprint(rng.Intn(50)), Datatype: rdf.XSDInteger},
 		block:     rng.Intn(2) == 0,
-		variant:   uint8(rng.Intn(2)),
 		schema:    []string{"s"},
 	}
 	for i := 0; i < sp.npatterns; i++ {
@@ -92,8 +90,7 @@ func randomSeeds(rng *rand.Rand, block bool) engine.Seeds {
 // per-answer and block forms of the same seeds (a per-answer seed and a
 // block of that one seed included) — the charge is the request's, not the
 // entry's. A request that differs in any one of class, a pattern
-// constant, a filter constant, a filter operator, the translation variant,
-// the schema order, or the seed IDs — one ID changed, a variable turned
+// constant, a filter constant, a filter operator, the schema order, or the seed IDs — one ID changed, a variable turned
 // Unbound, two seeds of a block swapped, no seed at all — does not.
 func TestResponseCacheKeyIsContent(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
@@ -108,12 +105,12 @@ func TestResponseCacheKeyIsContent(t *testing.T) {
 		}
 		c := NewResponseCache()
 		req, schema := sp.build()
-		stored := newRespEntry(nil, schema, testDict)
-		c.store(respKeyFor("src", sp.variant, req, schema), req, schema, stored)
+		stored := newColEntry(nil, 0, len(schema.Vars))
+		c.store(respKeyFor("src", req, schema), req, schema, stored)
 
 		lookup := func(sp reqSpec) *respEntry {
 			req, schema := sp.build()
-			return c.lookup(respKeyFor("src", sp.variant, req, schema), req, schema, 0)
+			return c.lookup(respKeyFor("src", req, schema), req, schema, 0)
 		}
 		if got := lookup(sp); got != stored {
 			t.Fatalf("spec %+v: an equal request built from scratch missed", sp)
@@ -128,7 +125,6 @@ func TestResponseCacheKeyIsContent(t *testing.T) {
 			"pattern constant": func(m *reqSpec) { m.constant.Value += "x" },
 			"filter constant":  func(m *reqSpec) { m.filterVal.Value += "0" },
 			"filter operator":  func(m *reqSpec) { m.filterOp = (m.filterOp + 1) % 6 },
-			"variant":          func(m *reqSpec) { m.variant ^= 1 },
 			"schema order": func(m *reqSpec) {
 				m.schema = append([]string(nil), m.schema...)
 				m.schema[0], m.schema[1] = m.schema[1], m.schema[0]
@@ -170,15 +166,15 @@ func TestResponseCacheKeyIsContent(t *testing.T) {
 func TestResponseCacheCollisionIsMiss(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
 	a, b := randomSpec(rng), randomSpec(rng)
-	b.variant, b.block, b.seeds, b.schema = a.variant, a.block, a.seeds, a.schema
+	b.block, b.seeds, b.schema = a.block, a.seeds, a.schema
 	reqA, schema := a.build()
 	reqB, _ := b.build()
 	if reqA.shapeOf().canon == reqB.shapeOf().canon {
 		t.Fatal("specs are equal")
 	}
 	c := NewResponseCache()
-	k := respKeyFor("src", a.variant, reqA, schema)
-	c.store(k, reqA, schema, newRespEntry(nil, schema, testDict))
+	k := respKeyFor("src", reqA, schema)
+	c.store(k, reqA, schema, newColEntry(nil, 0, len(schema.Vars)))
 	if c.lookup(k, reqB, schema, 0) != nil {
 		t.Fatal("a different request under the same key was served")
 	}
@@ -190,6 +186,30 @@ func TestResponseCacheCollisionIsMiss(t *testing.T) {
 	}
 }
 
+// TestResponseCacheSharedAcrossTranslationModes: a cached SQL request is
+// translated the same way in either mode — naive mode diverts only
+// multi-star per-answer requests, which are never cached — so a naive-mode
+// and an optimized-mode wrapper over one cache share the entry of a
+// single-star request: one miss, then one hit.
+func TestResponseCacheSharedAcrossTranslationModes(t *testing.T) {
+	src := testSource(t)
+	cache := NewResponseCache()
+	naive := NewSQLWrapper(src, nil, TranslationNaive, 0)
+	naive.SetResponseCache(cache)
+	opt := NewSQLWrapper(src, nil, TranslationOptimized, 0)
+	opt.SetResponseCache(cache)
+	req := func() *Request {
+		return &Request{Stars: []*StarQuery{star(t, "p", "http://c/Person", `?p <http://p/name> ?n .`)}}
+	}
+	first, second := collect(t, naive, req()), collect(t, opt, req())
+	if len(first) != 5 || len(second) != 5 {
+		t.Fatalf("naive answered %d rows, optimized %d; want 5 each", len(first), len(second))
+	}
+	if st := cache.Stats(); st.Misses != 1 || st.Hits != 1 || st.Entries != 1 {
+		t.Fatalf("stats %+v, want 1 miss, then 1 hit, on 1 entry", st)
+	}
+}
+
 // TestResponseCacheSweep: at the cap the cache evicts instead of dropping
 // everything — never-reused seeded entries go, the hot unseeded entry and
 // a seeded entry that was hit stay — and it stays bounded.
@@ -198,18 +218,18 @@ func TestResponseCacheSweep(t *testing.T) {
 	sp.seeds = engine.Seeds{}
 	c := NewResponseCache()
 	hot, schema := sp.build()
-	hotKey := respKeyFor("src", 0, hot, schema)
-	c.store(hotKey, hot, schema, newRespEntry(nil, schema, testDict))
+	hotKey := respKeyFor("src", hot, schema)
+	c.store(hotKey, hot, schema, newColEntry(nil, 0, len(schema.Vars)))
 
 	block := func(i int) *Request {
 		return hot.WithSeeds(engine.Seeds{Vars: []string{"s"}, IDs: []dict.ID{dict.ID(i + 1)}, Rows: 1}, true)
 	}
 	reused := block(0)
-	reusedKey := respKeyFor("src", 0, reused, schema)
-	c.store(reusedKey, reused, schema, newRespEntry(nil, schema, testDict))
+	reusedKey := respKeyFor("src", reused, schema)
+	c.store(reusedKey, reused, schema, newColEntry(nil, 0, len(schema.Vars)))
 	for i := 1; i <= 3*respCacheCap; i++ {
 		req := block(i)
-		c.store(respKeyFor("src", 0, req, schema), req, schema, newRespEntry(nil, schema, testDict))
+		c.store(respKeyFor("src", req, schema), req, schema, newColEntry(nil, 0, len(schema.Vars)))
 		if i%100 == 0 {
 			// The hot entries are asked for between sweeps, as a replayed
 			// workload does; the other blocks never again.

@@ -1,7 +1,7 @@
 package wrapper
 
 import (
-	"fmt"
+	"slices"
 	"sync"
 
 	"ontario/internal/catalog"
@@ -46,11 +46,10 @@ type SQLWrapper struct {
 	batch int
 
 	// cache, when non-nil, memoizes decoded columnar responses across
-	// executions (see ResponseCache); entries are invalidated by the
-	// source database's content generation.
+	// executions (see ResponseCache) and holds the tables' ID views;
+	// entries are invalidated by the source database's content
+	// generation.
 	cache *ResponseCache
-	// cells holds the wrapper's own cell-ID views when it has no cache.
-	cells cellViews
 
 	// lastSQL records the statements of the most recent request, for
 	// EXPLAIN output and tests: the statements a miss ran, or, when the
@@ -114,98 +113,91 @@ func (w *SQLWrapper) recordSQL(stmt *sql.Select) {
 // every star crossing the simulated network) and joins the results with a
 // nested loop inside the wrapper — Ontario's unoptimized combined-star
 // translation. Each star's query carries the seeds its variables can
-// express, and its rows are re-checked against the seeds before they are
-// charged. The joined rows were already transferred, so the caller
-// streams the returned entry without a simulator.
+// express and its rows go through fill, the row check included, before
+// they are charged; the join runs on those ID rows, laid out over the
+// request's variables. The joined rows were already transferred, so the
+// caller streams the returned entry without a simulator.
 func (w *SQLWrapper) executeNaive(req *Request, schema *engine.Schema, d *dict.Dict) (*respEntry, error) {
-	seeds := req.seedBindings(d)
 	w.resetSQL()
-	perStar := make([][]sparql.Binding, len(req.Stars))
-	var leftoverFilters []sparql.Expr
-	usedFilter := make([]bool, len(req.Filters))
+	layout := engine.NewSchema(req.Vars())
+	stride := len(layout.Vars)
+	rest := req.Filters // those no star so far covers
+	var joined []dict.ID
+	n := 0
 	for i, star := range req.Stars {
 		// Only filters fully covered by this star's variables may be
 		// pushed into its SQL.
-		starVars := map[string]bool{}
-		for _, v := range star.Vars() {
-			starVars[v] = true
-		}
-		var pushed []sparql.Expr
-		for fi, f := range req.Filters {
-			if usedFilter[fi] {
-				continue
-			}
-			covered := true
-			for _, v := range f.Vars() {
-				if !starVars[v] {
-					covered = false
-					break
-				}
-			}
-			if covered {
+		starVars := star.Vars()
+		var pushed, uncovered []sparql.Expr
+		for _, f := range rest {
+			if slices.ContainsFunc(f.Vars(), func(v string) bool { return !slices.Contains(starVars, v) }) {
+				uncovered = append(uncovered, f)
+			} else {
 				pushed = append(pushed, f)
-				usedFilter[fi] = true
 			}
 		}
+		rest = uncovered
 		tl, err := translateRequest(w.src, []*StarQuery{star}, pushed)
 		if err != nil {
 			return nil, err
 		}
 		if tl.empty {
-			return newRespEntry(nil, schema, d), nil
+			return newColEntry(nil, 0, len(schema.Vars)), nil
 		}
 		tl, empty := tl.withSeeds(tl.seedSlot(req.Seeds.Vars), req.Seeds, d)
 		if empty {
-			return newRespEntry(nil, schema, d), nil
+			return newColEntry(nil, 0, len(schema.Vars)), nil
 		}
-		w.recordSQL(tl.sel)
-		res, err := w.src.DB.QueryAST(tl.sel)
+		rc, err := w.fill(tl, req.Seeds, layout, d)
 		if err != nil {
-			return nil, fmt.Errorf("wrapper %s: %w", w.src.ID, err)
+			return nil, err
 		}
-		for _, row := range res.Rows {
-			b, ok := tl.decodeRow(row)
-			if !ok || !matchesAnySeed(b, seeds) || !passes(b, tl.localFilters) {
-				continue
-			}
-			// Every intermediate row is retrieved across the network.
-			if w.sim != nil {
+		// Every intermediate row is retrieved across the network.
+		if w.sim != nil {
+			for range rc.n {
 				w.sim.Delay()
 			}
-			perStar[i] = append(perStar[i], b)
 		}
-	}
-	for fi, f := range req.Filters {
-		if !usedFilter[fi] {
-			leftoverFilters = append(leftoverFilters, f)
+		if i == 0 {
+			joined, n = rc.rows, rc.n
+			continue
 		}
-	}
-
-	// Nested-loop join across the stars inside the wrapper.
-	joined := perStar[0]
-	for i := 1; i < len(perStar); i++ {
-		var next []sparql.Binding
-		for _, l := range joined {
-			for _, r := range perStar[i] {
-				if l.Compatible(r) {
-					next = append(next, l.Merge(r))
+		// Nested-loop join across the stars inside the wrapper: a row of
+		// each side binds only its own star's variables, so two rows join
+		// when no position both bind differs.
+		var next []dict.ID
+		m := 0
+		for l := 0; l < n; l++ {
+			left := joined[l*stride : (l+1)*stride]
+			for r := 0; r < rc.n; r++ {
+				right := rc.rows[r*stride : (r+1)*stride]
+				if !compatibleIDs(left, right) {
+					continue
 				}
+				next = append(next, left...)
+				merged := next[len(next)-stride:]
+				for c, id := range right {
+					if merged[c] == dict.Unbound {
+						merged[c] = id
+					}
+				}
+				m++
 			}
 		}
-		joined = next
+		joined, n = next, m
 	}
-	var sols []sparql.Binding
-	for _, b := range joined {
-		if passes(b, leftoverFilters) {
-			sols = append(sols, b)
-		}
+	rc := newRowCheck(engine.Seeds{}, rest, layout, schema, d)
+	for r := 0; r < n; r++ {
+		rc.add(joined[r*stride : (r+1)*stride])
 	}
-	return newRespEntry(sols, schema, d), nil
+	return rc.entry(), nil
 }
 
-func passes(b sparql.Binding, filters []sparql.Expr) bool {
-	for _, f := range filters {
-		if !sparql.EvalBool(f, b) {
+// compatibleIDs reports whether two rows of one layout agree wherever
+// both are bound.
+func compatibleIDs(a, b []dict.ID) bool {
+	for c, id := range a {
+		if id != dict.Unbound && b[c] != dict.Unbound && b[c] != id {
 			return false
 		}
 	}

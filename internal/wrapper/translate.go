@@ -725,23 +725,16 @@ func seedEqLiteral(info colInfo, term rdf.Term) (sql.Literal, bool) {
 	return lit, true
 }
 
-// decodeRow converts one SQL result row into a solution binding; ok is
-// false when a decoded column is NULL (the property is absent, so the row
-// does not match the star).
-func (t *translation) decodeRow(row rdb.Row) (sparql.Binding, bool) {
-	b := sparql.NewBinding()
-	for i, v := range t.varOrder {
-		val := row[i]
-		if val.Null {
-			return nil, false
-		}
-		info := t.varCols[v]
-		b[v] = valueToTerm(val, info.template)
-	}
+// template returns a row in schema order binding only the translation's
+// constant bindings: what every decoded row of it starts from.
+func (t *translation) template(schema *engine.Schema, d *dict.Dict) []dict.ID {
+	row := make([]dict.ID, len(schema.Vars))
 	for v, term := range t.constBindings {
-		b[v] = term
+		if p := schema.Pos(v); p >= 0 {
+			row[p] = d.Intern(term)
+		}
 	}
-	return b, true
+	return row
 }
 
 // valueToTerm converts a storage value into an RDF term, applying the IRI

@@ -14,6 +14,7 @@ import (
 	"ontario/internal/dict"
 	"ontario/internal/engine"
 	"ontario/internal/lslod"
+	"ontario/internal/rdb"
 	"ontario/internal/rdf"
 	"ontario/internal/sparql"
 )
@@ -312,9 +313,83 @@ func perAnswerSeed(req *Request, d *dict.Dict) sparql.Binding {
 	return req.Seeds.Bindings(d)[0]
 }
 
+// The row-model reference below is what the wrappers computed before
+// every answer went through the ID row check: solutions as bindings,
+// seed-checked and filtered term by term, interned only at the end. It
+// lives here, sharing no code with the row check it is held against.
+
+// refMatchesAnySeed reports whether the solution is compatible with at
+// least one seed (always true without seeds).
+func refMatchesAnySeed(b sparql.Binding, seeds []sparql.Binding) bool {
+	if len(seeds) == 0 {
+		return true
+	}
+	for _, s := range seeds {
+		if s.Compatible(b) {
+			return true
+		}
+	}
+	return false
+}
+
+// refPasses reports whether the solution satisfies every filter.
+func refPasses(b sparql.Binding, filters []sparql.Expr) bool {
+	for _, f := range filters {
+		if !sparql.EvalBool(f, b) {
+			return false
+		}
+	}
+	return true
+}
+
+// refDecodeRow converts one SQL result row of tl into a solution; ok is
+// false when a decoded column is NULL (the property is absent, so the row
+// does not match the star).
+func refDecodeRow(tl *translation, row rdb.Row) (sparql.Binding, bool) {
+	b := sparql.NewBinding()
+	for i, v := range tl.varOrder {
+		if row[i].Null {
+			return nil, false
+		}
+		b[v] = valueToTerm(row[i], tl.varCols[v].template)
+	}
+	for v, term := range tl.constBindings {
+		b[v] = term
+	}
+	return b, true
+}
+
+// refQuery runs tl's statement from its SQL text.
+func refQuery(t *testing.T, src *catalog.Source, tl *translation) []rdb.Row {
+	t.Helper()
+	res, err := src.DB.Query(tl.sel.String())
+	if err != nil {
+		t.Fatal(err)
+	}
+	return res.Rows
+}
+
+// refEntry interns solutions into a response entry in schema order, row
+// by row: each row starts unbound and each solution fills the positions it
+// binds.
+func refEntry(sols []sparql.Binding, schema *engine.Schema, d *dict.Dict) *respEntry {
+	e := &respEntry{nrows: len(sols), cols: make([][]dict.ID, len(schema.Vars))}
+	for c := range e.cols {
+		e.cols[c] = make([]dict.ID, len(sols))
+	}
+	for r, b := range sols {
+		for c, v := range schema.Vars {
+			if t, ok := b[v]; ok {
+				e.cols[c][r] = d.Intern(t)
+			}
+		}
+	}
+	return e
+}
+
 // refRDFEntry is the RDF wrapper's response built the way it was before
 // the ID walk: binding-model solutions, then the seed checks and filters,
-// flattened by newRespEntry. A per-answer request is answered over its
+// flattened by refEntry. A per-answer request is answered over its
 // substituted patterns, a block from its seeds' projections.
 func refRDFEntry(g *rdf.Graph, req *Request, schema *engine.Schema, d *dict.Dict) *respEntry {
 	patterns := req.Stars[0].Patterns
@@ -322,24 +397,24 @@ func refRDFEntry(g *rdf.Graph, req *Request, schema *engine.Schema, d *dict.Dict
 	if req.Block {
 		seeds := req.Seeds.Bindings(d)
 		for _, b := range refBGP(g, patterns, refSeedProjections(seeds, req.Vars())) {
-			if matchesAnySeed(b, seeds) && passes(b, req.Filters) {
+			if refMatchesAnySeed(b, seeds) && refPasses(b, req.Filters) {
 				sols = append(sols, b)
 			}
 		}
 	} else {
 		seed := perAnswerSeed(req, d)
 		for _, b := range sparql.EvalBGP(g, substituteSeed(patterns, seed)) {
-			if b = withSeed(b, seed); passes(b, req.Filters) {
+			if b = withSeed(b, seed); refPasses(b, req.Filters) {
 				sols = append(sols, b)
 			}
 		}
 	}
-	return newRespEntry(sols, schema, d)
+	return refEntry(sols, schema, d)
 }
 
 // refSQLEntry is the SQL wrapper's response built the way it was before
 // unpushable filters ran on the decoder: rows decoded into bindings, seed
-// checks and filters over them, flattened by newRespEntry. A per-answer
+// checks and filters over them, flattened by refEntry. A per-answer
 // request runs its substituted translation, a block its pushed seeds.
 func refSQLEntry(t *testing.T, w *SQLWrapper, req *Request, schema *engine.Schema, d *dict.Dict) *respEntry {
 	seed, seeds := perAnswerSeed(req, d), req.Seeds.Bindings(d)
@@ -353,19 +428,76 @@ func refSQLEntry(t *testing.T, w *SQLWrapper, req *Request, schema *engine.Schem
 	}
 	var sols []sparql.Binding
 	if !tl.empty && !tl.pushSeeds(seeds) {
-		res, err := w.src.DB.QueryAST(tl.sel)
-		if err != nil {
-			t.Fatal(err)
-		}
-		for _, row := range res.Rows {
-			if b, ok := tl.decodeRow(row); ok && matchesAnySeed(b, seeds) {
-				if b = withSeed(b, seed); passes(b, tl.localFilters) {
+		for _, row := range refQuery(t, w.src, tl) {
+			if b, ok := refDecodeRow(tl, row); ok && refMatchesAnySeed(b, seeds) {
+				if b = withSeed(b, seed); refPasses(b, tl.localFilters) {
 					sols = append(sols, b)
 				}
 			}
 		}
 	}
-	return newRespEntry(sols, schema, d)
+	return refEntry(sols, schema, d)
+}
+
+// refNaive is the naive translation in the row model: each star's rows,
+// with the seeds pushed down and the filters its variables cover, decoded
+// into bindings and re-checked against the seeds, then joined by a nested
+// loop and filtered by the rest. kept counts the star rows retrieved — one
+// message each.
+func refNaive(t *testing.T, src *catalog.Source, req *Request, d *dict.Dict) (sols []sparql.Binding, kept int) {
+	var seeds []sparql.Binding
+	if req.Seeds.Rows > 0 {
+		seeds = req.Seeds.Bindings(d)
+	}
+	used := make([]bool, len(req.Filters))
+	for i, st := range req.Stars {
+		var pushed []sparql.Expr
+		for fi, f := range req.Filters {
+			if !used[fi] && !slices.ContainsFunc(f.Vars(), func(v string) bool { return !slices.Contains(st.Vars(), v) }) {
+				pushed, used[fi] = append(pushed, f), true
+			}
+		}
+		tl, err := translateRequest(src, []*StarQuery{st}, pushed)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if tl.empty || tl.pushSeeds(seeds) {
+			return nil, kept
+		}
+		var rows []sparql.Binding
+		for _, row := range refQuery(t, src, tl) {
+			if b, ok := refDecodeRow(tl, row); ok && refMatchesAnySeed(b, seeds) && refPasses(b, tl.localFilters) {
+				rows = append(rows, b)
+			}
+		}
+		kept += len(rows)
+		if i == 0 {
+			sols = rows
+			continue
+		}
+		var next []sparql.Binding
+		for _, l := range sols {
+			for _, r := range rows {
+				if l.Compatible(r) {
+					next = append(next, l.Merge(r))
+				}
+			}
+		}
+		sols = next
+	}
+	var rest []sparql.Expr
+	for fi, f := range req.Filters {
+		if !used[fi] {
+			rest = append(rest, f)
+		}
+	}
+	out := sols[:0:0]
+	for _, b := range sols {
+		if refPasses(b, rest) {
+			out = append(out, b)
+		}
+	}
+	return out, kept
 }
 
 // TestWalkEntriesMatchReference is the ID walk's property: on generated
@@ -379,7 +511,7 @@ func refSQLEntry(t *testing.T, w *SQLWrapper, req *Request, schema *engine.Schem
 func TestWalkEntriesMatchReference(t *testing.T) {
 	src, g := walkLake(t)
 	d := dict.New()
-	var views tripleViews
+	view := NewResponseCache().view(viewKey{g: g, d: d})
 	sqlw := NewSQLWrapper(src, nil, TranslationOptimized, 0)
 	seen := map[string]int{}
 	check := func(i int, relational bool, c walkCase, got, want *respEntry) {
@@ -407,7 +539,7 @@ func TestWalkEntriesMatchReference(t *testing.T) {
 		if !slices.EqualFunc(ref, oracle, func(a, b sparql.Binding) bool { return a.FullKey() == b.FullKey() }) {
 			t.Fatalf("case %d: the reference walk disagrees with sparql.EvalBGP on %v", i, pats)
 		}
-		check(i, false, c, walkEntry(g, views.get(g, d), c.req, c.schema, d), refRDFEntry(g, c.req, c.schema, d))
+		check(i, false, c, walkEntry(g, view, c.req, c.schema, d), refRDFEntry(g, c.req, c.schema, d))
 	}
 	for i := 0; i < 200; i++ {
 		c := genWalkCase(rng, src, g, d, true)
@@ -474,11 +606,11 @@ func TestTripleIDViewConcurrentMisses(t *testing.T) {
 		}()
 	}
 	wg.Wait()
-	v := cache.views.get(g, d)
+	v := cache.view(viewKey{g: g, d: d})
 	triples := g.Triples()
 	filled := 0
-	for i := range v.ids {
-		if id := dict.ID(v.ids[i].Load()); id != dict.Unbound {
+	for i := range v {
+		if id := v.load(i); id != dict.Unbound {
 			filled++
 			tr := triples[i/3]
 			if want := d.Intern([3]rdf.Term{tr.S, tr.P, tr.O}[i%3]); id != want {
@@ -488,5 +620,107 @@ func TestTripleIDViewConcurrentMisses(t *testing.T) {
 	}
 	if filled == 0 {
 		t.Fatal("the walks filled no slot of the cache's view")
+	}
+}
+
+// TestNaiveAndExternalMatchReference holds the two paths that checked
+// their rows as bindings before the row check took them over — the naive
+// translation and a custom source that ignores its seeds — to the
+// row-model reference, as answer multisets: unseeded and seeded, with
+// filters the SQL translation cannot push inside a star and across the
+// stars. The naive path charges one message per star row it keeps, as
+// many as the reference keeps.
+func TestNaiveAndExternalMatchReference(t *testing.T) {
+	src := testSource(t)
+	sqlw := NewSQLWrapper(src, nil, TranslationOptimized, 0)
+	g := peopleGraph(t, sqlw)
+	person := func(id string) rdf.Term { return rdf.NewIRI("http://e/person/" + id) }
+	regex := func(v, pattern string) sparql.Expr {
+		return &sparql.FuncExpr{Name: "REGEX", Args: []sparql.Expr{
+			&sparql.FuncExpr{Name: "STR", Args: []sparql.Expr{&sparql.VarExpr{Name: v}}},
+			&sparql.ConstExpr{Term: rdf.NewLiteral(pattern)}}}
+	}
+	across := &sparql.CompareExpr{Op: sparql.OpLt, L: &sparql.VarExpr{Name: "a"}, R: &sparql.VarExpr{Name: "fa"}}
+	multiset := func(bs []sparql.Binding, vars []string) string {
+		keys := make([]string, len(bs))
+		for i, b := range bs {
+			keys[i] = b.Project(vars).FullKey()
+		}
+		sort.Strings(keys)
+		return strings.Join(keys, "\n")
+	}
+	cases := []struct {
+		name    string
+		filters []sparql.Expr
+		seeds   []sparql.Binding
+	}{
+		{"unseeded", nil, nil},
+		{"unseeded, local filter", []sparql.Expr{regex("fn", "a")}, nil},
+		{"unseeded, filter across the stars", []sparql.Expr{across, regex("n", "a")}, nil},
+		{"seeded on the first star", nil, []sparql.Binding{{"p": person("1")}}},
+		{"seeded on the join variable, local filter", []sparql.Expr{regex("n", "a")}, []sparql.Binding{{"f": person("3")}}},
+		{"seeded on both stars, filter across", []sparql.Expr{across}, []sparql.Binding{{"p": person("1"), "fn": rdf.NewLiteral("alan")}}},
+		{"seed matching nothing", nil, []sparql.Binding{{"p": person("1"), "fn": rdf.NewLiteral("nobody")}}},
+		{"seed outside the namespace", nil, []sparql.Binding{{"f": rdf.NewIRI("http://other/3")}}},
+		{"foreign seed variable", []sparql.Expr{regex("fn", "^[ag]")}, []sparql.Binding{{"z": rdf.NewLiteral("z")}}},
+	}
+	answered := 0
+	for _, c := range cases {
+		t.Run("naive/"+c.name, func(t *testing.T) {
+			sim := NoDelaySim(1)
+			w := NewSQLWrapper(src, sim, TranslationNaive, 0)
+			req := &Request{Stars: []*StarQuery{
+				star(t, "p", "http://c/Person", `?p <http://p/name> ?n . ?p <http://p/age> ?a . ?p <http://p/friend> ?f .`),
+				star(t, "f", "http://c/Person", `?f <http://p/name> ?fn . ?f <http://p/age> ?fa .`),
+			}, Filters: c.filters}
+			if c.seeds != nil {
+				req.Seeds = seedsOf(c.seeds...)
+			}
+			want, wantMsgs := refNaive(t, src, req, testDict)
+			got := collect(t, w, req)
+			if vars := req.Vars(); multiset(got, vars) != multiset(want, vars) {
+				t.Fatalf("naive path answered %d rows, the reference %d:\n got %v\nwant %v", len(got), len(want), got, want)
+			}
+			if n := sim.Messages(); n != wantMsgs {
+				t.Fatalf("naive path charged %d messages, the reference keeps %d star rows", n, wantMsgs)
+			}
+			answered += len(want)
+		})
+		for _, block := range []bool{false, true} {
+			if block && c.seeds == nil {
+				continue
+			}
+			t.Run(fmt.Sprintf("external/%s/block=%v", c.name, block), func(t *testing.T) {
+				st := star(t, "p", "http://c/Person", `?p <http://p/name> ?n . ?p <http://p/age> ?a . ?p <http://p/friend> ?f .`)
+				canned := sparql.EvalBGP(g, st.Patterns)
+				req := &Request{Stars: []*StarQuery{st}, Block: block}
+				for _, f := range c.filters { // those over the star's own variables
+					if !slices.ContainsFunc(f.Vars(), func(v string) bool { return !slices.Contains(st.Vars(), v) }) {
+						req.Filters = append(req.Filters, f)
+					}
+				}
+				seeds := c.seeds
+				if block { // a second seed widens the set
+					seeds = append(slices.Clone(seeds), sparql.Binding{"p": person("4")})
+				}
+				if seeds != nil {
+					req.Seeds = seedsOf(seeds...)
+				}
+				var want []sparql.Binding
+				for _, b := range canned {
+					if refMatchesAnySeed(b, seeds) && refPasses(b, req.Filters) {
+						want = append(want, b)
+					}
+				}
+				got := collect(t, NewExternalWrapper("x", cannedSource(canned), nil, 0), req)
+				if vars := req.Vars(); multiset(got, vars) != multiset(want, vars) {
+					t.Fatalf("external wrapper answered %d rows, the reference %d:\n got %v\nwant %v", len(got), len(want), got, want)
+				}
+				answered += len(want)
+			})
+		}
+	}
+	if answered == 0 {
+		t.Fatal("no case answered a row")
 	}
 }

@@ -10,6 +10,7 @@ package wrapper
 import (
 	"context"
 	"fmt"
+	"slices"
 	"sync/atomic"
 
 	"ontario/internal/dict"
@@ -30,11 +31,9 @@ type StarQuery struct {
 // Vars returns the distinct variables of the star.
 func (s *StarQuery) Vars() []string {
 	var out []string
-	seen := map[string]bool{}
 	for _, tp := range s.Patterns {
 		for _, v := range tp.Vars() {
-			if !seen[v] {
-				seen[v] = true
+			if !slices.Contains(out, v) {
 				out = append(out, v)
 			}
 		}
@@ -58,11 +57,11 @@ type Request struct {
 	// once, unmerged, binding the seeded variables with the source's own
 	// terms; relational sources push the seeds down as an IN/OR predicate
 	// built straight from the IDs, RDF sources start one graph pass from
-	// them. The IDs are the request's seed identity in the response cache,
-	// which keeps them: like Stars and Filters they must not change once
-	// the request has been executed. Only the term-evaluating paths — the
-	// row-model seed checks, remote and custom sources — materialize the
-	// terms behind them (seedBindings).
+	// them, and every wrapper re-checks its rows against them by ID
+	// (rowCheck). The IDs are the request's seed identity in the response
+	// cache, which keeps them: like Stars and Filters they must not change
+	// once the request has been executed. Only remote and custom sources
+	// are sent the terms behind them (seedBindings).
 	//
 	// Block decides only how the simulated network charges the response:
 	// one message per answer without it, one per response with it.
@@ -77,8 +76,8 @@ type Request struct {
 }
 
 // seedBindings returns the seeds as row-model bindings, materialized from
-// d: the term-evaluating paths call it once per request, and a request the
-// response cache answers never builds them.
+// d, to be sent to a remote or custom source; a request the response
+// cache answers never builds them.
 func (r *Request) seedBindings(d *dict.Dict) []sparql.Binding {
 	if r.Seeds.Rows == 0 {
 		return nil
@@ -86,28 +85,130 @@ func (r *Request) seedBindings(d *dict.Dict) []sparql.Binding {
 	return r.Seeds.Bindings(d)
 }
 
-// matchesAnySeed reports whether the solution is compatible with at least
-// one seed (always true for an unseeded request).
-func matchesAnySeed(b sparql.Binding, seeds []sparql.Binding) bool {
-	if len(seeds) == 0 {
-		return true
+// rowCheck is the wrapper layer's one row check. Every wrapper hands it
+// its candidate solutions as rows of dictionary IDs in one layout — the
+// RDF walk's rows, the SQL decoder's, the naive translation's joined rows,
+// the answers of remote, custom and database/sql sources interned at the
+// boundary —
+// and it keeps a row when the row is compatible with some seed of the
+// request, compared by ID, and passes the filters left to the wrapper. A
+// kept row is placed into the output schema. The seed re-check is what
+// makes a seed set exact: a pushed seed predicate compares values, which
+// a lossy coercion can widen, a block walk starts from the seeds'
+// projections only, and a remote or custom source may ignore the seeds.
+type rowCheck struct {
+	seeds  []seedIDCheck
+	ev     *engine.ScratchEval
+	place  []int // per layout column, its output position or -1
+	stride int
+	rows   []dict.ID // the kept rows, row-major in the output schema
+	n      int
+}
+
+// newRowCheck returns the check of rows laid out as layout against seeds
+// and filters, keeping them in the order of out.
+func newRowCheck(seeds engine.Seeds, filters []sparql.Expr, layout, out *engine.Schema, d *dict.Dict) rowCheck {
+	c := rowCheck{
+		seeds:  make([]seedIDCheck, seeds.Rows),
+		ev:     engine.NewScratchEval(filters, layout, d),
+		place:  out.Positions(layout.Vars),
+		stride: len(out.Vars),
 	}
-	for _, s := range seeds {
-		if s.Compatible(b) {
-			return true
+	pos := layout.Positions(seeds.Vars)
+	for r := range c.seeds {
+		s := &c.seeds[r]
+		for i, id := range seeds.Row(r) {
+			if pos[i] >= 0 && id != dict.Unbound {
+				s.pos, s.ids = append(s.pos, pos[i]), append(s.ids, id)
+			}
 		}
 	}
+	return c
+}
+
+// add keeps row if it passes the check. The row stays the caller's.
+func (c *rowCheck) add(row []dict.ID) {
+	if !c.matchesAnySeed(row) || !c.ev.PassesIDs(row) {
+		return
+	}
+	c.rows = append(c.rows, make([]dict.ID, c.stride)...)
+	out := c.rows[len(c.rows)-c.stride:]
+	for i, p := range c.place {
+		if p >= 0 {
+			out[p] = row[i]
+		}
+	}
+	c.n++
+}
+
+// entry returns the kept rows as a response entry.
+func (c *rowCheck) entry() *respEntry { return newColEntry(c.rows, c.n, c.stride) }
+
+// seedIDCheck is one seed as a compatibility test over ID rows: one
+// (position, ID) pair per seed variable the layout holds and the seed
+// binds. A row matches the seed when every checked position is either
+// unbound (compatible by the row model's rules) or equal — dictionary IDs
+// make term equality an integer compare.
+type seedIDCheck struct {
+	pos []int
+	ids []dict.ID
+}
+
+// matchesAnySeed reports whether the row is compatible with at least one
+// seed (always true for an unseeded request).
+func (c *rowCheck) matchesAnySeed(row []dict.ID) bool {
+	if len(c.seeds) == 0 {
+		return true
+	}
+next:
+	for _, s := range c.seeds {
+		for i, p := range s.pos {
+			if id := row[p]; id != dict.Unbound && id != s.ids[i] {
+				continue next
+			}
+		}
+		return true
+	}
 	return false
+}
+
+// boundaryEntry is the boundary of the wrappers whose sources answer in
+// bindings — remote endpoints and custom sources: each solution is
+// interned into a row in schema order and goes through the row check with
+// filters. With merge, the request's single seed fills the positions
+// a solution leaves unbound, as Binding.Merge does: the seed went down as
+// constants, so the source does not bind it.
+func boundaryEntry(sols []sparql.Binding, req *Request, filters []sparql.Expr, merge bool, schema *engine.Schema, d *dict.Dict) *respEntry {
+	rc := newRowCheck(req.Seeds, filters, schema, schema, d)
+	var seed []dict.ID
+	var seedPos []int
+	if merge {
+		seed, seedPos = req.Seeds.Row(0), schema.Positions(req.Seeds.Vars)
+	}
+	row := make([]dict.ID, len(schema.Vars))
+	for _, b := range sols {
+		for i, v := range schema.Vars {
+			row[i] = dict.Unbound
+			if t, ok := b[v]; ok {
+				row[i] = d.Intern(t)
+			}
+		}
+		for c, p := range seedPos {
+			if p >= 0 && row[p] == dict.Unbound {
+				row[p] = seed[c]
+			}
+		}
+		rc.add(row)
+	}
+	return rc.entry()
 }
 
 // Vars returns the distinct variables across all stars.
 func (r *Request) Vars() []string {
 	var out []string
-	seen := map[string]bool{}
 	for _, s := range r.Stars {
 		for _, v := range s.Vars() {
-			if !seen[v] {
-				seen[v] = true
+			if !slices.Contains(out, v) {
 				out = append(out, v)
 			}
 		}
@@ -140,13 +241,11 @@ type RDFWrapper struct {
 	batch int
 
 	// cache, when non-nil, memoizes decoded columnar responses across
-	// executions and holds the graph's triple-ID view. The graph is loaded
-	// once and treated as read-only by the engine (there is no content
+	// executions and holds the graph's ID view. The graph is loaded once
+	// and treated as read-only by the engine (there is no content
 	// generation to track), matching the static-lake premise of the shared
 	// dictionary.
 	cache *ResponseCache
-	// views holds the wrapper's own triple-ID view when it has no cache.
-	views tripleViews
 }
 
 // NewRDFWrapper wraps an RDF graph. sim may be nil for no network
@@ -171,15 +270,13 @@ func (w *RDFWrapper) ExecuteColumnar(ctx context.Context, req *Request, schema *
 		return nil, fmt.Errorf("wrapper %s: empty request", w.id)
 	}
 	var key respKey
-	views := &w.views
 	if w.cache != nil {
-		key = respKeyFor(w.id, 0, req, schema)
+		key = respKeyFor(w.id, req, schema)
 		if e := w.cache.lookup(key, req, schema, 0); e != nil {
 			return e.stream(ctx, w.sim, !req.Block, schema, w.batch), nil
 		}
-		views = &w.cache.views
 	}
-	e := walkEntry(w.graph, views.get(w.graph, d), req, schema, d)
+	e := walkEntry(w.graph, w.cache.view(viewKey{g: w.graph, d: d}), req, schema, d)
 	if w.cache != nil {
 		w.cache.store(key, req, schema, e)
 	}
