@@ -4,13 +4,24 @@
 // the R2RML-style mappings from RDF classes to 3NF relational stars, and
 // the physical-design metadata (which columns are indexed) the paper's
 // heuristics depend on.
+//
+// It also owns the one mapping between stored values and RDF terms:
+// ValueTerm reads a stored value as the term it stands for, and TermValue
+// is its exact inverse. A constant, seed or filter constant a column
+// cannot hold exactly (TermValue says no) matches nothing there: a
+// constant makes the star provably empty, a seed drops out of the pushed
+// seed condition, and a filter is not pushed into SQL but runs at the
+// wrapper on the terms, so a physical design changes a plan's cost and
+// never its answers.
 package catalog
 
 import (
 	"context"
 	dbsql "database/sql"
 	"fmt"
+	"math"
 	"sort"
+	"strconv"
 	"strings"
 	"sync"
 
@@ -130,41 +141,88 @@ func (cm *ClassMapping) Property(pred string) *PropertyMapping {
 	return cm.Properties[pred]
 }
 
-// SubjectIRI renders the subject IRI for a key value.
-func (cm *ClassMapping) SubjectIRI(key string) string {
-	return strings.Replace(cm.SubjectTemplate, "{value}", key, 1)
-}
-
-// SubjectKey extracts the key from a subject IRI; ok is false when the IRI
-// does not match the template.
-func (cm *ClassMapping) SubjectKey(iri string) (string, bool) {
-	return templateKey(cm.SubjectTemplate, iri)
-}
-
-// templateKey inverts a "{value}" template.
-func templateKey(template, s string) (string, bool) {
-	i := strings.Index(template, "{value}")
-	if i < 0 {
-		return "", false
+// ValueTerm returns the RDF term a stored value stands for. A column with
+// a "{value}" template stores IRIs: the template with the value's text in
+// place of "{value}". Any other column stores literals: xsd:integer,
+// xsd:double and xsd:boolean for INTEGER, DOUBLE and BOOLEAN columns, and a
+// plain literal for VARCHAR. Every reading of a relational row as RDF (the
+// SQL wrappers' decoders, the RDF export, the cluster's partitioning) goes
+// through it.
+func ValueTerm(v rdb.Value, template string) rdf.Term {
+	if template != "" {
+		return rdf.NewIRI(strings.Replace(template, "{value}", v.String(), 1))
 	}
-	prefix, suffix := template[:i], template[i+len("{value}"):]
-	if !strings.HasPrefix(s, prefix) || !strings.HasSuffix(s, suffix) {
-		return "", false
+	switch v.Type {
+	case rdb.TypeInt:
+		return rdf.IntLiteral(v.Int)
+	case rdb.TypeFloat:
+		return rdf.FloatLiteral(v.Float)
+	case rdb.TypeBool:
+		return rdf.BoolLiteral(v.Bool)
+	default:
+		return rdf.NewLiteral(v.Str)
 	}
-	v := s[len(prefix) : len(s)-len(suffix)]
-	if v == "" {
-		return "", false
-	}
-	return v, true
 }
 
-// RenderTemplate renders the "{value}" template with v.
-func RenderTemplate(template, v string) string {
-	return strings.Replace(template, "{value}", v, 1)
+// TermValue is ValueTerm's exact inverse: the value of column type typ
+// whose term under template is t itself. ok is false when a column of
+// that type and template holds no value standing for t: an IRI outside
+// the template or on a literal column, a literal on an IRI column, a
+// literal of another datatype or with a language tag, a lexical form
+// other than the one ValueTerm writes ("030", "+1", "1.50"
+// for xsd:double), or a double SQL equality cannot express (NaN, ±Inf).
+// A constant or seed the column cannot hold thus matches no stored row.
+// It allocates nothing: the canonical form is rendered into a stack
+// buffer and compared with the term's.
+func TermValue(t rdf.Term, typ rdb.Type, template string) (rdb.Value, bool) {
+	lex := t.Value
+	if template != "" {
+		i := strings.Index(template, "{value}")
+		if i < 0 || !t.IsIRI() {
+			return rdb.Value{}, false
+		}
+		prefix, suffix := template[:i], template[i+len("{value}"):]
+		if len(lex) < len(prefix)+len(suffix) || !strings.HasPrefix(lex, prefix) || !strings.HasSuffix(lex, suffix) {
+			return rdb.Value{}, false
+		}
+		lex = lex[len(prefix) : len(lex)-len(suffix)]
+	} else if !t.IsLiteral() || t.Lang != "" || t.Datatype != literalDatatype(typ) {
+		return rdb.Value{}, false
+	}
+	var buf [32]byte
+	switch typ {
+	case rdb.TypeInt:
+		n, err := strconv.ParseInt(lex, 10, 64)
+		return rdb.IntValue(n), err == nil && string(strconv.AppendInt(buf[:0], n, 10)) == lex
+	case rdb.TypeFloat:
+		f, err := strconv.ParseFloat(lex, 64)
+		return rdb.FloatValue(f), err == nil && !math.IsInf(f, 0) && !math.IsNaN(f) &&
+			string(strconv.AppendFloat(buf[:0], f, 'g', -1, 64)) == lex
+	case rdb.TypeBool:
+		v := rdb.BoolValue(strings.EqualFold(lex, "true"))
+		if template != "" {
+			return v, v.String() == lex
+		}
+		return v, strconv.FormatBool(v.Bool) == lex
+	default:
+		return rdb.StringValue(lex), true
+	}
 }
 
-// TemplateKey exposes templateKey for wrappers.
-func TemplateKey(template, s string) (string, bool) { return templateKey(template, s) }
+// literalDatatype is the datatype of the literals a column of type typ
+// stores ("" for plain literals).
+func literalDatatype(typ rdb.Type) string {
+	switch typ {
+	case rdb.TypeInt:
+		return rdf.XSDInteger
+	case rdb.TypeFloat:
+		return rdf.XSDDouble
+	case rdb.TypeBool:
+		return rdf.XSDBoolean
+	default:
+		return ""
+	}
+}
 
 // Source is one dataset in the lake.
 type Source struct {

@@ -9,38 +9,156 @@ import (
 
 func TestTemplateKey(t *testing.T) {
 	tmpl := "http://lake/disease/{value}"
-	if got := RenderTemplate(tmpl, "42"); got != "http://lake/disease/42" {
-		t.Errorf("RenderTemplate = %s", got)
+	if got := ValueTerm(rdb.StringValue("42"), tmpl); got != rdf.NewIRI("http://lake/disease/42") {
+		t.Errorf("ValueTerm = %v", got)
 	}
-	k, ok := TemplateKey(tmpl, "http://lake/disease/42")
-	if !ok || k != "42" {
-		t.Errorf("TemplateKey = %q/%v", k, ok)
-	}
-	if _, ok := TemplateKey(tmpl, "http://other/disease/42"); ok {
-		t.Error("TemplateKey matched wrong prefix")
-	}
-	if _, ok := TemplateKey(tmpl, "http://lake/disease/"); ok {
-		t.Error("TemplateKey matched empty key")
-	}
-	if _, ok := TemplateKey("no-placeholder", "no-placeholder"); ok {
-		t.Error("TemplateKey without placeholder matched")
-	}
-	// Template with suffix.
-	k, ok = TemplateKey("http://x/{value}/end", "http://x/7/end")
-	if !ok || k != "7" {
-		t.Errorf("TemplateKey with suffix = %q/%v", k, ok)
+	for _, c := range []struct {
+		tmpl, iri string
+		key       string
+		ok        bool
+	}{
+		{tmpl, "http://lake/disease/42", "42", true},
+		{tmpl, "http://other/disease/42", "", false},
+		{tmpl, "http://lake/disease/", "", true}, // the empty string renders to it
+		{"no-placeholder", "no-placeholder", "", false},
+		{"http://x/{value}/end", "http://x/7/end", "7", true},
+		{"http://x/{value}/end", "http://x/7/en", "", false},
+		{"a{value}a", "a", "", false}, // prefix and suffix overlap
+		{"a{value}a", "aa", "", true},
+	} {
+		v, ok := TermValue(rdf.NewIRI(c.iri), rdb.TypeString, c.tmpl)
+		if ok != c.ok || ok && v != rdb.StringValue(c.key) {
+			t.Errorf("TermValue(<%s>, VARCHAR, %q) = %v/%v, want %q/%v", c.iri, c.tmpl, v, ok, c.key, c.ok)
+		}
 	}
 }
 
 func TestClassMappingSubject(t *testing.T) {
 	cm := &ClassMapping{SubjectTemplate: "http://lake/gene/{value}"}
-	if got := cm.SubjectIRI("9"); got != "http://lake/gene/9" {
-		t.Errorf("SubjectIRI = %s", got)
+	if got := ValueTerm(rdb.IntValue(9), cm.SubjectTemplate); got != rdf.NewIRI("http://lake/gene/9") {
+		t.Errorf("subject of key 9 = %v", got)
 	}
-	k, ok := cm.SubjectKey("http://lake/gene/9")
-	if !ok || k != "9" {
-		t.Errorf("SubjectKey = %q/%v", k, ok)
+	v, ok := TermValue(rdf.NewIRI("http://lake/gene/9"), rdb.TypeInt, cm.SubjectTemplate)
+	if !ok || v != rdb.IntValue(9) {
+		t.Errorf("key of <http://lake/gene/9> = %v/%v", v, ok)
 	}
+}
+
+func TestValueTerm(t *testing.T) {
+	for _, c := range []struct {
+		v    rdb.Value
+		tmpl string
+		want rdf.Term
+	}{
+		{rdb.IntValue(5), "", rdf.NewTypedLiteral("5", rdf.XSDInteger)},
+		{rdb.FloatValue(1.5), "", rdf.NewTypedLiteral("1.5", rdf.XSDDouble)},
+		{rdb.BoolValue(true), "", rdf.NewTypedLiteral("true", rdf.XSDBoolean)},
+		{rdb.StringValue("s"), "", rdf.NewLiteral("s")},
+		{rdb.IntValue(9), "http://e/{value}", rdf.NewIRI("http://e/9")},
+		{rdb.BoolValue(false), "http://e/{value}", rdf.NewIRI("http://e/FALSE")},
+	} {
+		if got := ValueTerm(c.v, c.tmpl); got != c.want {
+			t.Errorf("ValueTerm(%v, %q) = %v, want %v", c.v, c.tmpl, got, c.want)
+		}
+	}
+}
+
+// TestTermValue lists, per column type and template, the terms a column
+// holds a value for and those it does not.
+func TestTermValue(t *testing.T) {
+	const tmpl = "http://e/{value}"
+	typed := rdf.NewTypedLiteral
+	for _, c := range []struct {
+		term rdf.Term
+		typ  rdb.Type
+		tmpl string
+		want rdb.Value
+		ok   bool
+	}{
+		// Keys rendered into an IRI template.
+		{rdf.NewIRI("http://e/42"), rdb.TypeInt, tmpl, rdb.IntValue(42), true},
+		{rdf.NewIRI("http://e/-3"), rdb.TypeInt, tmpl, rdb.IntValue(-3), true},
+		{rdf.NewIRI("http://e/abc"), rdb.TypeInt, tmpl, rdb.Value{}, false},
+		{rdf.NewIRI("http://e/007"), rdb.TypeInt, tmpl, rdb.Value{}, false},
+		{rdf.NewIRI("http://e/+7"), rdb.TypeInt, tmpl, rdb.Value{}, false},
+		{rdf.NewIRI("http://e/99999999999999999999"), rdb.TypeInt, tmpl, rdb.Value{}, false},
+		{rdf.NewIRI("http://e/2.5"), rdb.TypeFloat, tmpl, rdb.FloatValue(2.5), true},
+		{rdf.NewIRI("http://e/2.50"), rdb.TypeFloat, tmpl, rdb.Value{}, false},
+		{rdf.NewIRI("http://e/x-1"), rdb.TypeString, tmpl, rdb.StringValue("x-1"), true},
+		{rdf.NewIRI("http://e/TRUE"), rdb.TypeBool, tmpl, rdb.BoolValue(true), true},
+		{rdf.NewIRI("http://e/true"), rdb.TypeBool, tmpl, rdb.Value{}, false},
+		{rdf.NewIRI("http://other/42"), rdb.TypeInt, tmpl, rdb.Value{}, false},
+		{rdf.NewLiteral("42"), rdb.TypeInt, tmpl, rdb.Value{}, false},
+		{rdf.IntLiteral(42), rdb.TypeInt, tmpl, rdb.Value{}, false},
+		{rdf.NewBlank("b42"), rdb.TypeString, tmpl, rdb.Value{}, false},
+		// Literals.
+		{rdf.IntLiteral(7), rdb.TypeInt, "", rdb.IntValue(7), true},
+		{typed("030", rdf.XSDInteger), rdb.TypeInt, "", rdb.Value{}, false},
+		{rdf.NewLiteral("7"), rdb.TypeInt, "", rdb.Value{}, false},
+		{typed("7", rdf.XSDDecimal), rdb.TypeInt, "", rdb.Value{}, false},
+		{rdf.FloatLiteral(3.5), rdb.TypeFloat, "", rdb.FloatValue(3.5), true},
+		{typed("1e+21", rdf.XSDDouble), rdb.TypeFloat, "", rdb.FloatValue(1e21), true},
+		{typed("1e21", rdf.XSDDouble), rdb.TypeFloat, "", rdb.Value{}, false},
+		{typed("NaN", rdf.XSDDouble), rdb.TypeFloat, "", rdb.Value{}, false},
+		{typed("+Inf", rdf.XSDDouble), rdb.TypeFloat, "", rdb.Value{}, false},
+		{rdf.NewLiteral("3.5"), rdb.TypeFloat, "", rdb.Value{}, false},
+		{typed("x", rdf.XSDDouble), rdb.TypeFloat, "", rdb.Value{}, false},
+		{rdf.BoolLiteral(true), rdb.TypeBool, "", rdb.BoolValue(true), true},
+		{rdf.BoolLiteral(false), rdb.TypeBool, "", rdb.BoolValue(false), true},
+		{typed("1", rdf.XSDBoolean), rdb.TypeBool, "", rdb.Value{}, false},
+		{typed("TRUE", rdf.XSDBoolean), rdb.TypeBool, "", rdb.Value{}, false},
+		{rdf.NewLiteral("maybe"), rdb.TypeBool, "", rdb.Value{}, false},
+		{rdf.NewLiteral("ada"), rdb.TypeString, "", rdb.StringValue("ada"), true},
+		{rdf.NewLiteral(""), rdb.TypeString, "", rdb.StringValue(""), true},
+		{rdf.NewLangLiteral("ada", "en"), rdb.TypeString, "", rdb.Value{}, false},
+		{typed("ada", rdf.XSDString), rdb.TypeString, "", rdb.Value{}, false},
+		{rdf.IntLiteral(5), rdb.TypeString, "", rdb.Value{}, false},
+		{rdf.NewIRI("http://e/1"), rdb.TypeString, "", rdb.Value{}, false},
+	} {
+		v, ok := TermValue(c.term, c.typ, c.tmpl)
+		if ok != c.ok || ok && v != c.want {
+			t.Errorf("TermValue(%v, %v, %q) = %v/%v, want %v/%v", c.term, c.typ, c.tmpl, v, ok, c.want, c.ok)
+		}
+		if ok && ValueTerm(v, c.tmpl) != c.term {
+			t.Errorf("ValueTerm(TermValue(%v)) = %v", c.term, ValueTerm(v, c.tmpl))
+		}
+	}
+	lit, iri, float := rdf.IntLiteral(123456), rdf.NewIRI("http://e/123456"), rdf.FloatLiteral(0.125)
+	if n := testing.AllocsPerRun(100, func() {
+		TermValue(lit, rdb.TypeInt, "")
+		TermValue(iri, rdb.TypeInt, tmpl)
+		TermValue(float, rdb.TypeFloat, "")
+	}); n != 0 {
+		t.Errorf("TermValue allocates %v times per call", n)
+	}
+}
+
+// FuzzTermValue: whenever TermValue answers, for any term and template
+// over any column type, ValueTerm of its answer is the term itself.
+func FuzzTermValue(f *testing.F) {
+	f.Add("30", rdf.XSDInteger, "", "", false)
+	f.Add("http://e/007", "", "", "http://e/{value}", true)
+	f.Add("1.50", rdf.XSDDouble, "", "", false)
+	f.Add("ada", "", "en", "", false)
+	f.Add("http://e/TRUE", "", "", "http://e/{value}", true)
+	f.Fuzz(func(t *testing.T, lex, datatype, lang, tmpl string, iri bool) {
+		term := rdf.Term{Kind: rdf.TermLiteral, Value: lex, Datatype: datatype, Lang: lang}
+		if iri {
+			term = rdf.NewIRI(lex)
+		}
+		for _, typ := range []rdb.Type{rdb.TypeInt, rdb.TypeFloat, rdb.TypeString, rdb.TypeBool} {
+			v, ok := TermValue(term, typ, tmpl)
+			if !ok {
+				continue
+			}
+			if v.Type != typ || v.Null {
+				t.Fatalf("TermValue(%v, %v, %q) = %v, not a %v value", term, typ, tmpl, v, typ)
+			}
+			if got := ValueTerm(v, tmpl); got != term {
+				t.Fatalf("TermValue(%v, %v, %q) = %v, whose term is %v", term, typ, tmpl, v, got)
+			}
+		}
+	})
 }
 
 func relSource(t *testing.T) *Source {

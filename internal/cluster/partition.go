@@ -161,7 +161,7 @@ func partitionDB(src *catalog.Source, part, of int) (*rdb.Database, error) {
 			// templates; keep them whole on every worker so any future
 			// mapping still sees complete data.
 			if mapped {
-				subject := rdf.NewIRI(catalog.RenderTemplate(spec.template, row[ci].String()))
+				subject := catalog.ValueTerm(row[ci], spec.template)
 				if subjectHash(subject)%uint64(of) != uint64(part) {
 					continue
 				}

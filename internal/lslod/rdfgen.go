@@ -52,7 +52,7 @@ func exportClass(g *rdf.Graph, src *catalog.Source, cm *catalog.ClassMapping) er
 	sort.Strings(preds)
 
 	for _, row := range res.Rows {
-		subj := rdf.NewIRI(cm.SubjectIRI(row[pkIdx].String()))
+		subj := catalog.ValueTerm(row[pkIdx], cm.SubjectTemplate)
 		g.Add(rdf.Triple{S: subj, P: typeIRI, O: classIRI})
 		for _, p := range preds {
 			pm := cm.Properties[p]
@@ -68,7 +68,7 @@ func exportClass(g *rdf.Graph, src *catalog.Source, cm *catalog.ClassMapping) er
 			if v.Null {
 				continue
 			}
-			g.Add(rdf.Triple{S: subj, P: predIRI, O: storageTerm(v, pm.ObjectTemplate)})
+			g.Add(rdf.Triple{S: subj, P: predIRI, O: catalog.ValueTerm(v, pm.ObjectTemplate)})
 		}
 	}
 	return nil
@@ -85,7 +85,7 @@ func exportSideTable(g *rdf.Graph, src *catalog.Source, subj, pred rdf.Term, key
 		if row[0].Null {
 			continue
 		}
-		g.Add(rdf.Triple{S: subj, P: pred, O: storageTerm(row[0], pm.ObjectTemplate)})
+		g.Add(rdf.Triple{S: subj, P: pred, O: catalog.ValueTerm(row[0], pm.ObjectTemplate)})
 	}
 	return nil
 }
@@ -95,22 +95,6 @@ func sqlLiteral(v rdb.Value) string {
 		return "'" + strings.ReplaceAll(v.Str, "'", "''") + "'"
 	}
 	return v.String()
-}
-
-func storageTerm(v rdb.Value, template string) rdf.Term {
-	if template != "" {
-		return rdf.NewIRI(catalog.RenderTemplate(template, v.String()))
-	}
-	switch v.Type {
-	case rdb.TypeInt:
-		return rdf.IntLiteral(v.Int)
-	case rdb.TypeFloat:
-		return rdf.FloatLiteral(v.Float)
-	case rdb.TypeBool:
-		return rdf.BoolLiteral(v.Bool)
-	default:
-		return rdf.NewLiteral(v.Str)
-	}
 }
 
 // triples emits the dataset's RDF view straight from its generated rows,
@@ -163,12 +147,12 @@ func (s *datasetSpec) triples() []lake.Triple {
 		out = slices.Grow(out, n)
 		for _, row := range t.rows {
 			k := row[key]
-			subj := iri(cm.SubjectIRI(k.String()))
+			subj := lakeTerm(catalog.ValueTerm(k, cm.SubjectTemplate))
 			out = append(out, lake.Triple{S: subj, P: typeIRI, O: class})
 			for _, p := range props {
 				if p.side == nil {
 					if v := row[p.col]; !v.Null {
-						out = append(out, lake.Triple{S: subj, P: p.pred, O: lakeTerm(storageTerm(v, p.tmpl))})
+						out = append(out, lake.Triple{S: subj, P: p.pred, O: lakeTerm(catalog.ValueTerm(v, p.tmpl))})
 					}
 					continue
 				}
@@ -195,7 +179,7 @@ func sideObjects(t *specTable, pm *catalog.PropertyMapping) map[string][]lake.Te
 			continue
 		}
 		k := row[fk].IndexKey()
-		out[k] = append(out[k], lakeTerm(storageTerm(row[vc], pm.ObjectTemplate)))
+		out[k] = append(out[k], lakeTerm(catalog.ValueTerm(row[vc], pm.ObjectTemplate)))
 	}
 	return out
 }

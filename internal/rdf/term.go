@@ -5,7 +5,7 @@
 package rdf
 
 import (
-	"fmt"
+	"strconv"
 	"strings"
 )
 
@@ -66,12 +66,12 @@ func NewBlank(label string) Term { return Term{Kind: TermBlank, Value: label} }
 
 // IntLiteral returns an xsd:integer literal for v.
 func IntLiteral(v int64) Term {
-	return NewTypedLiteral(fmt.Sprintf("%d", v), XSDInteger)
+	return NewTypedLiteral(strconv.FormatInt(v, 10), XSDInteger)
 }
 
 // FloatLiteral returns an xsd:double literal for v.
 func FloatLiteral(v float64) Term {
-	return NewTypedLiteral(fmt.Sprintf("%g", v), XSDDouble)
+	return NewTypedLiteral(strconv.FormatFloat(v, 'g', -1, 64), XSDDouble)
 }
 
 // BoolLiteral returns an xsd:boolean literal for v.

@@ -105,7 +105,7 @@ func mappedClass(src *catalog.Source, s *StarQuery) string {
 func sameEntry(t *testing.T, what string, got, want *respEntry) {
 	t.Helper()
 	if got.nrows != want.nrows || !slices.EqualFunc(got.cols, want.cols, slices.Equal[[]dict.ID]) {
-		t.Fatalf("%s: decoded %d rows, valueToTerm+Intern decodes %d, or the rows differ", what, got.nrows, want.nrows)
+		t.Fatalf("%s: decoded %d rows, catalog.ValueTerm+Intern decodes %d, or the rows differ", what, got.nrows, want.nrows)
 	}
 }
 
@@ -140,7 +140,7 @@ func entryFor(t *testing.T, w *SQLWrapper, req *Request, schema *engine.Schema, 
 }
 
 // TestCellIDViewMatchesIntern: rows decoded through a response cache's
-// ID views of table columns equal the rows decoded by valueToTerm and
+// ID views of table columns equal the rows decoded by catalog.ValueTerm and
 // Intern — on the SQL requests of Q1–Q5 over the small lake and their
 // seeded forms, after a row is inserted past a view's size, and when
 // concurrent misses fill the views of one response cache. The misses run
@@ -258,7 +258,7 @@ func TestCellIDViewMatchesIntern(t *testing.T) {
 			for ord := range v {
 				if id := v.load(ord); id != dict.Unbound {
 					filled++
-					if want := d.Intern(valueToTerm(k.t.Row(ord)[k.col], k.tmpl)); id != want {
+					if want := d.Intern(catalog.ValueTerm(k.t.Row(ord)[k.col], k.tmpl)); id != want {
 						t.Fatalf("%s column %d row %d holds %d, want %d", k.t.Schema.Name, k.col, ord, id, want)
 					}
 				}

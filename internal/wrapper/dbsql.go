@@ -77,7 +77,7 @@ func (w *DBSQLWrapper) entry(ctx context.Context, req *Request, schema *engine.S
 		}
 		for i, v := range tl.varOrder {
 			if pos[i] >= 0 {
-				row[pos[i]] = d.Intern(valueToTerm(r[i], tl.varCols[v].template))
+				row[pos[i]] = d.Intern(catalog.ValueTerm(r[i], tl.varCols[v].template))
 			}
 		}
 		rc.add(row)

@@ -2,14 +2,17 @@ package wrapper
 
 import (
 	"fmt"
+	"math"
 	"math/rand"
 	"slices"
 	"sort"
+	"strings"
 	"sync"
 	"testing"
 
 	"ontario/internal/dict"
 	"ontario/internal/engine"
+	"ontario/internal/rdb"
 	"ontario/internal/rdf"
 	"ontario/internal/sparql"
 	"ontario/internal/sql"
@@ -55,7 +58,7 @@ func (t *translation) seedPredicate(seeds []sparql.Binding) (cond sql.BoolExpr, 
 		unsat := false
 		for _, v := range vars {
 			info := t.varCols[v]
-			lit, ok := seedEqLiteral(info, seed[v])
+			lit, ok := refSeedLiteral(info, seed[v])
 			if !ok {
 				unsat = true
 				break
@@ -76,6 +79,47 @@ func (t *translation) seedPredicate(seeds []sparql.Binding) (cond sql.BoolExpr, 
 		return &sql.In{Col: col, List: lits}, false
 	}
 	return orAll(disjuncts), false
+}
+
+// refSeedLiteral is the reference conversion of a seed value into the SQL
+// literal of the stored value it stands for, written apart from the
+// translation's: the text (the IRI's key, or the literal's lexical form)
+// is coerced the way a SQL engine coerces a string to the column type, and
+// kept only when the column's own reading of the coerced value gives back
+// the seed term exactly. A non-finite double has no SQL equality.
+func refSeedLiteral(info colInfo, term rdf.Term) (sql.Literal, bool) {
+	text := term.Value
+	if info.template != "" {
+		prefix, suffix, found := strings.Cut(info.template, "{value}")
+		if !found || !term.IsIRI() || len(text) < len(prefix)+len(suffix) ||
+			!strings.HasPrefix(text, prefix) || !strings.HasSuffix(text, suffix) {
+			return sql.Literal{}, false
+		}
+		text = text[len(prefix) : len(text)-len(suffix)]
+	}
+	v, err := rdb.FromLiteral(sql.Literal{Kind: sql.LitString, Str: text}, info.typ)
+	if err != nil {
+		return sql.Literal{}, false
+	}
+	var back rdf.Term
+	var lit sql.Literal
+	switch v.Type {
+	case rdb.TypeInt:
+		back, lit = rdf.IntLiteral(v.Int), sql.Literal{Kind: sql.LitInt, Int: v.Int}
+	case rdb.TypeFloat:
+		if math.IsNaN(v.Float) || math.IsInf(v.Float, 0) {
+			return sql.Literal{}, false
+		}
+		back, lit = rdf.FloatLiteral(v.Float), sql.Literal{Kind: sql.LitFloat, Float: v.Float}
+	case rdb.TypeBool:
+		back, lit = rdf.BoolLiteral(v.Bool), sql.Literal{Kind: sql.LitBool, Bool: v.Bool}
+	default:
+		back, lit = rdf.NewLiteral(v.Str), sql.Literal{Kind: sql.LitString, Str: v.Str}
+	}
+	if info.template != "" {
+		back = rdf.NewIRI(strings.Replace(info.template, "{value}", v.String(), 1))
+	}
+	return lit, back == term
 }
 
 // inShape reports whether every disjunct is a single equality on the same

@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 
+	"ontario/internal/catalog"
 	"ontario/internal/dict"
 	"ontario/internal/engine"
 	"ontario/internal/rdb"
@@ -65,7 +66,7 @@ func (dec *sqlColDecoder) decode(i int) bool {
 		ord := int(dec.rows.Ord(i, c))
 		id := col.view.load(ord)
 		if id == dict.Unbound {
-			id = dec.d.Intern(valueToTerm(*dec.rows.Value(i, c), col.tmpl))
+			id = dec.d.Intern(catalog.ValueTerm(*dec.rows.Value(i, c), col.tmpl))
 			col.view.store(ord, id)
 		}
 		dec.row[col.pos] = id

@@ -3,7 +3,6 @@ package wrapper
 import (
 	"fmt"
 	"slices"
-	"strconv"
 	"strings"
 	"sync"
 
@@ -152,6 +151,13 @@ func translateRequest(src *catalog.Source, stars []*StarQuery, filters []sparql.
 			return nil, err
 		}
 	}
+	// A variable bound both by a class (?s a ?t) and by a column must be
+	// stored there as the class IRI.
+	for _, v := range tr.varSeen {
+		if class, ok := tr.consts[v]; ok {
+			tr.eqConst(tr.varCols[v], class)
+		}
+	}
 	out := &translation{
 		varCols:       tr.varCols,
 		constBindings: tr.consts,
@@ -248,22 +254,10 @@ func (tr *translator) addStar(star *StarQuery) error {
 				return fmt.Errorf("wrapper: pattern %s does not share star subject ?%s", tp, star.SubjectVar)
 			}
 			tr.bindVar(tp.S.Var, subjectInfo)
-		case tp.S.Term.IsIRI():
-			key, ok := cm.SubjectKey(tp.S.Term.Value)
-			if !ok {
-				tr.empty = true
-				continue
-			}
-			lit, err := keyLiteral(key, pkType)
-			if err != nil {
-				tr.empty = true
-				continue
-			}
-			tr.conds = append(tr.conds, &sql.Comparison{
-				Op: sql.CmpEq, L: sql.ColOperand(subjectRef), R: sql.LitOperand(lit),
-			})
 		default:
-			return fmt.Errorf("wrapper: unsupported subject %s", tp.S)
+			if !tr.eqConst(subjectInfo, tp.S.Term) {
+				continue
+			}
 		}
 
 		// Predicate must be a constant IRI at a relational source.
@@ -276,7 +270,11 @@ func (tr *translator) addStar(star *StarQuery) error {
 		if pred == rdf.RDFType {
 			switch {
 			case tp.O.IsVar:
-				tr.consts[tp.O.Var] = rdf.NewIRI(star.Class)
+				class := rdf.NewIRI(star.Class)
+				if prev, ok := tr.consts[tp.O.Var]; ok && prev != class {
+					tr.empty = true
+				}
+				tr.consts[tp.O.Var] = class
 			case tp.O.Term.IsIRI():
 				if tp.O.Term.Value != star.Class {
 					tr.empty = true
@@ -320,97 +318,52 @@ func (tr *translator) addStar(star *StarQuery) error {
 			nullable = !baseTable.Schema.Columns[ci].NotNull
 		}
 
-		switch {
-		case tp.O.IsVar:
-			tr.bindVar(tp.O.Var, colInfo{ref: valRef, typ: valType, template: pm.ObjectTemplate, nullable: nullable})
-		default:
-			lit, ok := tr.objectLiteral(tp.O.Term, pm, valType)
-			if !ok {
-				tr.empty = true
-				continue
-			}
-			tr.conds = append(tr.conds, &sql.Comparison{
-				Op: sql.CmpEq, L: sql.ColOperand(valRef), R: sql.LitOperand(lit),
-			})
+		info := colInfo{ref: valRef, typ: valType, template: pm.ObjectTemplate, nullable: nullable}
+		if tp.O.IsVar {
+			tr.bindVar(tp.O.Var, info)
+		} else {
+			tr.eqConst(info, tp.O.Term)
 		}
 	}
 	return nil
 }
 
-// objectLiteral converts a constant RDF object into the SQL literal to
-// compare against the storage column.
-func (tr *translator) objectLiteral(t rdf.Term, pm *catalog.PropertyMapping, colType rdb.Type) (sql.Literal, bool) {
-	if t.IsIRI() {
-		if pm.ObjectTemplate == "" {
-			return sql.Literal{}, false
-		}
-		key, ok := catalog.TemplateKey(pm.ObjectTemplate, t.Value)
-		if !ok {
-			return sql.Literal{}, false
-		}
-		lit, err := keyLiteral(key, colType)
-		if err != nil {
-			return sql.Literal{}, false
-		}
-		return lit, true
+// eqConst requires the column info to store the constant t. A constant
+// the column cannot hold makes the result provably empty, and eqConst
+// reports false.
+func (tr *translator) eqConst(info colInfo, t rdf.Term) bool {
+	lit, ok := info.literal(t)
+	if !ok {
+		tr.empty = true
+		return false
 	}
-	if !t.IsLiteral() {
-		return sql.Literal{}, false
-	}
-	lit, err := termToSQLLiteral(t, colType)
-	if err != nil {
-		return sql.Literal{}, false
-	}
-	return lit, true
+	tr.conds = append(tr.conds, eqLit(info.ref, lit))
+	return true
 }
 
-// keyLiteral converts an IRI key string to a literal of the column type.
-func keyLiteral(key string, t rdb.Type) (sql.Literal, error) {
-	switch t {
-	case rdb.TypeInt:
-		n, err := strconv.ParseInt(key, 10, 64)
-		if err != nil {
-			return sql.Literal{}, err
-		}
-		return sql.Literal{Kind: sql.LitInt, Int: n}, nil
-	case rdb.TypeFloat:
-		f, err := strconv.ParseFloat(key, 64)
-		if err != nil {
-			return sql.Literal{}, err
-		}
-		return sql.Literal{Kind: sql.LitFloat, Float: f}, nil
-	default:
-		return sql.Literal{Kind: sql.LitString, Str: key}, nil
+// literal returns the SQL literal of the stored value that stands for t in
+// the column (catalog.TermValue); ok is false when the column holds no
+// such value.
+func (info colInfo) literal(t rdf.Term) (sql.Literal, bool) {
+	v, ok := catalog.TermValue(t, info.typ, info.template)
+	if !ok {
+		return sql.Literal{}, false
 	}
-}
-
-// termToSQLLiteral converts an RDF literal to a SQL literal of the column
-// type.
-func termToSQLLiteral(t rdf.Term, colType rdb.Type) (sql.Literal, error) {
-	switch colType {
+	switch v.Type {
 	case rdb.TypeInt:
-		n, err := strconv.ParseInt(t.Value, 10, 64)
-		if err != nil {
-			return sql.Literal{}, err
-		}
-		return sql.Literal{Kind: sql.LitInt, Int: n}, nil
+		return sql.Literal{Kind: sql.LitInt, Int: v.Int}, true
 	case rdb.TypeFloat:
-		f, err := strconv.ParseFloat(t.Value, 64)
-		if err != nil {
-			return sql.Literal{}, err
-		}
-		return sql.Literal{Kind: sql.LitFloat, Float: f}, nil
+		return sql.Literal{Kind: sql.LitFloat, Float: v.Float}, true
 	case rdb.TypeBool:
-		switch t.Value {
-		case "true", "1":
-			return sql.Literal{Kind: sql.LitBool, Bool: true}, nil
-		case "false", "0":
-			return sql.Literal{Kind: sql.LitBool, Bool: false}, nil
-		}
-		return sql.Literal{}, fmt.Errorf("not a boolean: %s", t.Value)
+		return sql.Literal{Kind: sql.LitBool, Bool: v.Bool}, true
 	default:
-		return sql.Literal{Kind: sql.LitString, Str: t.Value}, nil
+		return sql.Literal{Kind: sql.LitString, Str: v.Str}, true
 	}
+}
+
+// eqLit is the condition col = lit.
+func eqLit(col sql.ColumnRef, lit sql.Literal) sql.BoolExpr {
+	return &sql.Comparison{Op: sql.CmpEq, L: sql.ColOperand(col), R: sql.LitOperand(lit)}
 }
 
 // translateFilter converts a SPARQL filter into a SQL predicate over the
@@ -452,36 +405,15 @@ func (tr *translator) translateCompare(c *sparql.CompareExpr) (sql.BoolExpr, boo
 		return nil, false
 	}
 	info, bound := tr.varCols[ve.Name]
-	if !bound {
+	if !bound || info.template != "" && op != sql.CmpEq && op != sql.CmpNeq {
+		// IRIs have no order: only equality is pushed on an IRI column.
 		return nil, false
 	}
-	var lit sql.Literal
-	if info.template != "" {
-		// IRI-valued column: only equality against a matching IRI.
-		if op != sql.CmpEq && op != sql.CmpNeq {
-			return nil, false
-		}
-		if !konst.IsIRI() {
-			return nil, false
-		}
-		key, okKey := catalog.TemplateKey(info.template, konst.Value)
-		if !okKey {
-			return nil, false
-		}
-		l, err := keyLiteral(key, info.typ)
-		if err != nil {
-			return nil, false
-		}
-		lit = l
-	} else {
-		if !konst.IsLiteral() {
-			return nil, false
-		}
-		l, err := termToSQLLiteral(konst, info.typ)
-		if err != nil {
-			return nil, false
-		}
-		lit = l
+	lit, ok := info.literal(konst)
+	if !ok {
+		// The column holds no value standing for the constant; the
+		// wrapper's row check evaluates the filter on the terms.
+		return nil, false
 	}
 	return &sql.Comparison{Op: op, L: sql.ColOperand(info.ref), R: sql.LitOperand(lit)}, true
 }
@@ -632,7 +564,7 @@ func seedCond(slot []seedCol, seeds engine.Seeds, d *dict.Dict) (cond sql.BoolEx
 				continue
 			}
 			bound = true
-			lit, ok := seedEqLiteral(c.info, d.MustLookup(id))
+			lit, ok := c.info.literal(d.MustLookup(id))
 			if !ok {
 				sat = false
 				break
@@ -664,9 +596,7 @@ func seedCond(slot []seedCol, seeds engine.Seeds, d *dict.Dict) (cond sql.BoolEx
 	for i, end := range ends {
 		conj = conj[:0]
 		for j := start; j < end; j++ {
-			conj = append(conj, &sql.Comparison{
-				Op: sql.CmpEq, L: sql.ColOperand(slot[cols[j]].info.ref), R: sql.LitOperand(lits[j]),
-			})
+			conj = append(conj, eqLit(slot[cols[j]].info.ref, lits[j]))
 		}
 		disjuncts[i], start = sql.AndAll(conj), end
 	}
@@ -697,34 +627,6 @@ func orAll(es []sql.BoolExpr) sql.BoolExpr {
 	return out
 }
 
-// seedEqLiteral converts a seed value into the SQL literal to compare
-// against the variable's storage column; ok is false when the value can
-// never equal a column value (wrong shape or outside the IRI template).
-func seedEqLiteral(info colInfo, term rdf.Term) (sql.Literal, bool) {
-	if info.template != "" {
-		if !term.IsIRI() {
-			return sql.Literal{}, false
-		}
-		key, ok := catalog.TemplateKey(info.template, term.Value)
-		if !ok {
-			return sql.Literal{}, false
-		}
-		lit, err := keyLiteral(key, info.typ)
-		if err != nil {
-			return sql.Literal{}, false
-		}
-		return lit, true
-	}
-	if !term.IsLiteral() {
-		return sql.Literal{}, false
-	}
-	lit, err := termToSQLLiteral(term, info.typ)
-	if err != nil {
-		return sql.Literal{}, false
-	}
-	return lit, true
-}
-
 // template returns a row in schema order binding only the translation's
 // constant bindings: what every decoded row of it starts from.
 func (t *translation) template(schema *engine.Schema, d *dict.Dict) []dict.ID {
@@ -735,22 +637,4 @@ func (t *translation) template(schema *engine.Schema, d *dict.Dict) []dict.ID {
 		}
 	}
 	return row
-}
-
-// valueToTerm converts a storage value into an RDF term, applying the IRI
-// template when present.
-func valueToTerm(v rdb.Value, template string) rdf.Term {
-	if template != "" {
-		return rdf.NewIRI(catalog.RenderTemplate(template, v.String()))
-	}
-	switch v.Type {
-	case rdb.TypeInt:
-		return rdf.IntLiteral(v.Int)
-	case rdb.TypeFloat:
-		return rdf.FloatLiteral(v.Float)
-	case rdb.TypeBool:
-		return rdf.BoolLiteral(v.Bool)
-	default:
-		return rdf.NewLiteral(v.Str)
-	}
 }

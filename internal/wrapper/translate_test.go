@@ -6,67 +6,9 @@ import (
 	"strings"
 	"testing"
 
-	"ontario/internal/rdb"
 	"ontario/internal/rdf"
 	"ontario/internal/sparql"
 )
-
-func TestKeyLiteral(t *testing.T) {
-	lit, err := keyLiteral("42", rdb.TypeInt)
-	if err != nil || lit.Int != 42 {
-		t.Errorf("int key: %v/%v", lit, err)
-	}
-	if _, err := keyLiteral("abc", rdb.TypeInt); err == nil {
-		t.Error("non-numeric key accepted for INTEGER column")
-	}
-	lit, err = keyLiteral("2.5", rdb.TypeFloat)
-	if err != nil || lit.Float != 2.5 {
-		t.Errorf("float key: %v/%v", lit, err)
-	}
-	lit, err = keyLiteral("x-1", rdb.TypeString)
-	if err != nil || lit.Str != "x-1" {
-		t.Errorf("string key: %v/%v", lit, err)
-	}
-}
-
-func TestTermToSQLLiteral(t *testing.T) {
-	lit, err := termToSQLLiteral(rdf.IntLiteral(7), rdb.TypeInt)
-	if err != nil || lit.Int != 7 {
-		t.Errorf("int: %v/%v", lit, err)
-	}
-	lit, err = termToSQLLiteral(rdf.NewLiteral("3.5"), rdb.TypeFloat)
-	if err != nil || lit.Float != 3.5 {
-		t.Errorf("float: %v/%v", lit, err)
-	}
-	if _, err := termToSQLLiteral(rdf.NewLiteral("x"), rdb.TypeFloat); err == nil {
-		t.Error("non-numeric literal accepted for DOUBLE column")
-	}
-	lit, err = termToSQLLiteral(rdf.BoolLiteral(true), rdb.TypeBool)
-	if err != nil || !lit.Bool {
-		t.Errorf("bool: %v/%v", lit, err)
-	}
-	if _, err := termToSQLLiteral(rdf.NewLiteral("maybe"), rdb.TypeBool); err == nil {
-		t.Error("non-boolean literal accepted for BOOLEAN column")
-	}
-}
-
-func TestValueToTerm(t *testing.T) {
-	if got := valueToTerm(rdb.IntValue(5), ""); got.Datatype != rdf.XSDInteger {
-		t.Errorf("int term = %v", got)
-	}
-	if got := valueToTerm(rdb.FloatValue(1.5), ""); got.Datatype != rdf.XSDDouble {
-		t.Errorf("float term = %v", got)
-	}
-	if got := valueToTerm(rdb.BoolValue(true), ""); got.Datatype != rdf.XSDBoolean {
-		t.Errorf("bool term = %v", got)
-	}
-	if got := valueToTerm(rdb.StringValue("s"), ""); got.Kind != rdf.TermLiteral || got.Datatype != "" {
-		t.Errorf("string term = %v", got)
-	}
-	if got := valueToTerm(rdb.IntValue(9), "http://e/{value}"); !got.IsIRI() || got.Value != "http://e/9" {
-		t.Errorf("templated term = %v", got)
-	}
-}
 
 func TestFilterWithWildcardNeedleStaysLocal(t *testing.T) {
 	src := testSource(t)

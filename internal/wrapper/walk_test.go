@@ -351,7 +351,7 @@ func refDecodeRow(tl *translation, row rdb.Row) (sparql.Binding, bool) {
 		if row[i].Null {
 			return nil, false
 		}
-		b[v] = valueToTerm(row[i], tl.varCols[v].template)
+		b[v] = catalog.ValueTerm(row[i], tl.varCols[v].template)
 	}
 	for v, term := range tl.constBindings {
 		b[v] = term
