@@ -15,16 +15,14 @@ type Graph struct {
 	spo     map[Term]map[Term][]int // subject -> predicate -> triple ids
 	pos     map[Term]map[Term][]int // predicate -> object -> triple ids
 	osp     map[Term]map[Term][]int // object -> subject -> triple ids
-	seen    map[Triple]bool
 }
 
 // NewGraph returns an empty graph.
 func NewGraph() *Graph {
 	return &Graph{
-		spo:  make(map[Term]map[Term][]int),
-		pos:  make(map[Term]map[Term][]int),
-		osp:  make(map[Term]map[Term][]int),
-		seen: make(map[Triple]bool),
+		spo: make(map[Term]map[Term][]int),
+		pos: make(map[Term]map[Term][]int),
+		osp: make(map[Term]map[Term][]int),
 	}
 }
 
@@ -33,16 +31,27 @@ func NewGraph() *Graph {
 func (g *Graph) Add(t Triple) bool {
 	g.mu.Lock()
 	defer g.mu.Unlock()
-	if g.seen[t] {
+	if g.find(t) >= 0 {
 		return false
 	}
 	id := len(g.triples)
 	g.triples = append(g.triples, t)
-	g.seen[t] = true
 	addIdx(g.spo, t.S, t.P, id)
 	addIdx(g.pos, t.P, t.O, id)
 	addIdx(g.osp, t.O, t.S, id)
 	return true
+}
+
+// find returns the ID of triple t, or -1 when the graph does not hold it.
+// osp[O][S] lists one triple per predicate linking S to O, so the scan is
+// short.
+func (g *Graph) find(t Triple) int {
+	for _, id := range g.osp[t.O][t.S] {
+		if g.triples[id].P == t.P {
+			return id
+		}
+	}
+	return -1
 }
 
 // AddAll inserts every triple in ts.
@@ -72,7 +81,7 @@ func (g *Graph) Len() int {
 func (g *Graph) Contains(t Triple) bool {
 	g.mu.RLock()
 	defer g.mu.RUnlock()
-	return g.seen[t]
+	return g.find(t) >= 0
 }
 
 // Match returns all triples matching the pattern. A nil position is a
@@ -124,12 +133,8 @@ func (g *Graph) Count(s, p, o *Term) int {
 func (g *Graph) matchIDs(s, p, o *Term) []int {
 	switch {
 	case s != nil && p != nil && o != nil:
-		if g.seen[Triple{*s, *p, *o}] {
-			for _, id := range g.spo[*s][*p] {
-				if g.triples[id].O == *o {
-					return []int{id}
-				}
-			}
+		if id := g.find(Triple{*s, *p, *o}); id >= 0 {
+			return []int{id}
 		}
 		return nil
 	case s != nil && p != nil:
