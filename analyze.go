@@ -125,16 +125,17 @@ func (a *Analysis) String() string {
 // call while the cursor is open (a snapshot) or after it finished (final
 // numbers).
 func (r *Results) Analyze() *Analysis {
-	a := &Analysis{Plan: r.Plan()}
+	a := &Analysis{}
+	var exec *core.Execution
+	var spans map[string][]RemoteSpan
 	if qt := r.exec.Trace(); qt != nil {
-		a.TraceID = qt.TraceID
-		a.QueryID = qt.QueryID
-		spans := make(map[string][]RemoteSpan)
+		a.TraceID, a.QueryID, exec = qt.TraceID, qt.QueryID, r.exec
+		spans = make(map[string][]RemoteSpan)
 		for _, sp := range qt.RemoteSpans() {
 			spans[sp.Source] = append(spans[sp.Source], remoteSpanFromInternal(sp))
 		}
-		attachActuals(a.Plan, r.plan.Root, r.exec, spans)
 	}
+	a.Plan = summarize(r.plan.Root, exec, spans)
 	for _, m := range r.exec.ModifierActuals() {
 		a.Modifiers = append(a.Modifiers, actualFromInternal(m))
 	}
@@ -180,40 +181,6 @@ func (e *Engine) ExplainAnalyze(ctx context.Context, queryText string, options .
 		st.Answers, st.Messages, st.Duration.Round(time.Microsecond),
 		st.TimeToFirstAnswer.Round(time.Microsecond))
 	return b.String(), res.Err()
-}
-
-// attachActuals walks the summary tree and the plan tree in lockstep
-// (summarize mirrors the plan structure exactly), pairing every node with
-// its observed stats and every service node with its remote spans.
-func attachActuals(s *PlanSummary, n core.PlanNode, exec *core.Execution, spans map[string][]RemoteSpan) {
-	if act, ok := exec.NodeActuals(n); ok {
-		a := actualFromInternal(act)
-		s.Actual = &a
-	}
-	switch v := n.(type) {
-	case *core.ServiceNode:
-		s.Remote = spans[v.SourceID]
-	case *core.JoinNode:
-		if len(s.Children) == 2 {
-			attachActuals(s.Children[0], v.L, exec, spans)
-			attachActuals(s.Children[1], v.R, exec, spans)
-		}
-	case *core.LeftJoinNode:
-		if len(s.Children) == 2 {
-			attachActuals(s.Children[0], v.L, exec, spans)
-			attachActuals(s.Children[1], v.R, exec, spans)
-		}
-	case *core.FilterNode:
-		if len(s.Children) == 1 {
-			attachActuals(s.Children[0], v.Child, exec, spans)
-		}
-	case *core.UnionNode:
-		if len(s.Children) == len(v.Children) {
-			for i, c := range v.Children {
-				attachActuals(s.Children[i], c, exec, spans)
-			}
-		}
-	}
 }
 
 func actualFromInternal(a engine.OpActuals) Actual {

@@ -268,7 +268,7 @@ type Prepared struct {
 func (p *Prepared) Explain() string { return p.plan.Explain() }
 
 // Summary returns the prepared plan as a public summary tree.
-func (p *Prepared) Summary() *PlanSummary { return summarize(p.plan.Root) }
+func (p *Prepared) Summary() *PlanSummary { return summarize(p.plan.Root, nil, nil) }
 
 // Prepare parses and plans a query without executing it. All plan-shaping
 // options (mode, network, optimizer, join operator, ...) are fixed at

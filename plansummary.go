@@ -98,11 +98,16 @@ func (s *PlanSummary) render(b *strings.Builder, depth int) {
 	}
 }
 
-// summarize renders an internal plan tree into public value types.
-func summarize(n core.PlanNode) *PlanSummary {
+// summarize renders an internal plan tree into public value types. With
+// an execution, every node also carries its observed actuals and every
+// service node the spans of its source's remote requests (EXPLAIN
+// ANALYZE); a plain plan passes nil for both.
+func summarize(n core.PlanNode, exec *core.Execution, spans map[string][]RemoteSpan) *PlanSummary {
+	sum := func(c core.PlanNode) *PlanSummary { return summarize(c, exec, spans) }
+	var s *PlanSummary
 	switch v := n.(type) {
 	case *core.ServiceNode:
-		s := &PlanSummary{Operator: "service", Source: v.SourceID, Estimate: estimate(v.Est)}
+		s = &PlanSummary{Operator: "service", Source: v.SourceID, Estimate: estimate(v.Est), Remote: spans[v.SourceID]}
 		if v.Merged {
 			s.Operator = "merged-service"
 		}
@@ -119,19 +124,18 @@ func summarize(n core.PlanNode) *PlanSummary {
 			parts = append(parts, "pushed-filters{"+strings.Join(fs, "; ")+"}")
 		}
 		s.Detail = strings.Join(parts, " ")
-		return s
 	case *core.JoinNode:
-		return &PlanSummary{
+		s = &PlanSummary{
 			Operator: "join",
 			Detail:   v.Op.String(),
 			JoinVars: append([]string(nil), v.JoinVars...),
 			Estimate: estimate(v.Est),
-			Children: []*PlanSummary{summarize(v.L), summarize(v.R)},
+			Children: []*PlanSummary{sum(v.L), sum(v.R)},
 		}
 	case *core.LeftJoinNode:
-		s := &PlanSummary{
+		s = &PlanSummary{
 			Operator: "left-join",
-			Children: []*PlanSummary{summarize(v.L), summarize(v.R)},
+			Children: []*PlanSummary{sum(v.L), sum(v.R)},
 		}
 		if len(v.Filters) > 0 {
 			var fs []string
@@ -140,26 +144,31 @@ func summarize(n core.PlanNode) *PlanSummary {
 			}
 			s.Detail = "filters{" + strings.Join(fs, "; ") + "}"
 		}
-		return s
 	case *core.FilterNode:
 		var fs []string
 		for _, f := range v.Exprs {
 			fs = append(fs, f.String())
 		}
-		return &PlanSummary{
+		s = &PlanSummary{
 			Operator: "filter",
 			Detail:   strings.Join(fs, "; "),
-			Children: []*PlanSummary{summarize(v.Child)},
+			Children: []*PlanSummary{sum(v.Child)},
 		}
 	case *core.UnionNode:
-		s := &PlanSummary{Operator: "union"}
+		s = &PlanSummary{Operator: "union"}
 		for _, c := range v.Children {
-			s.Children = append(s.Children, summarize(c))
+			s.Children = append(s.Children, sum(c))
 		}
-		return s
 	default:
-		return &PlanSummary{Operator: fmt.Sprintf("%T", n)}
+		s = &PlanSummary{Operator: fmt.Sprintf("%T", n)}
 	}
+	if exec != nil {
+		if act, ok := exec.NodeActuals(n); ok {
+			a := actualFromInternal(act)
+			s.Actual = &a
+		}
+	}
+	return s
 }
 
 func estimate(e *core.Estimate) *Estimate {

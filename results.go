@@ -203,7 +203,7 @@ func (r *Results) Stats() Stats {
 // Plan returns the executed plan as a public summary tree.
 func (r *Results) Plan() *PlanSummary {
 	if r.summary == nil {
-		r.summary = summarize(r.plan.Root)
+		r.summary = summarize(r.plan.Root, nil, nil)
 	}
 	return r.summary
 }
