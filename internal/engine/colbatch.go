@@ -132,9 +132,8 @@ func (s Seeds) Bindings(d *dict.Dict) []sparql.Binding {
 }
 
 // ColBuilder accumulates rows into a ColBatch, one row at a time, for the
-// producers that really work a row at a time: the row-to-columnar adapter
-// (AppendBinding), a bind-join block spanning two left batches, and the
-// cluster shuffle's partition builders. Operators
+// producers that really work a row at a time: a bind-join block spanning
+// two left batches, and the cluster shuffle's partition builders. Operators
 // that assemble rows from their inputs gather row indices instead and
 // build each batch at its exact size (cEmitter, gather). Take hands the
 // finished batch over and resets the builder for the next one. Columns
@@ -211,17 +210,6 @@ func (b *ColBuilder) AppendRow(from *ColBatch, src int, mapping []int) {
 	}
 }
 
-// AppendBinding appends a row-model binding, interning its terms into d.
-// Variables outside the schema are dropped (a batch cannot carry them).
-func (b *ColBuilder) AppendBinding(bind sparql.Binding, d *dict.Dict) {
-	r := b.growRow()
-	for c, v := range b.schema.Vars {
-		if t, ok := bind[v]; ok {
-			b.cols[c][r] = d.Intern(t)
-		}
-	}
-}
-
 // Take returns the accumulated batch and resets the builder: the
 // returned batch owns its columns, and the builder makes fresh ones on
 // its next row.
@@ -250,16 +238,6 @@ func (b *ColBuilder) Reset() {
 		b.cols[c] = b.cols[c][:0]
 	}
 	b.rows = 0
-}
-
-// EncodeBatch converts a row-model batch into a columnar batch over
-// schema, interning every term into d.
-func EncodeBatch(rows []sparql.Binding, schema *Schema, d *dict.Dict) *ColBatch {
-	b := NewColBuilder(schema)
-	for _, bind := range rows {
-		b.AppendBinding(bind, d)
-	}
-	return b.Take()
 }
 
 // DecodeBatch materializes a columnar batch back into row-model bindings

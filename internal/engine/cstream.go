@@ -26,7 +26,6 @@ import (
 	"time"
 
 	"ontario/internal/dict"
-	"ontario/internal/sparql"
 )
 
 // DefaultBatchSize is the batch granularity of the exchange when no
@@ -304,30 +303,6 @@ func CMeter(in *CStream, st *OpStats) *CStream {
 		return in
 	}
 	return in.with(in.schema, st, func(b *ColBatch) (*ColBatch, bool) { return b, true })
-}
-
-// CFromBindings returns a closed columnar stream delivering the given
-// rows in batches of batch (<= 0 means DefaultBatchSize); the input side
-// of operator tests (DecodeBatch is the output side).
-func CFromBindings(ctx context.Context, rows []sparql.Binding, schema *Schema, d *dict.Dict, batch int) *CStream {
-	if batch <= 0 {
-		batch = DefaultBatchSize
-	}
-	out := NewCStream(schema, (len(rows)+batch-1)/batch)
-	go func() {
-		defer out.Close()
-		for len(rows) > 0 {
-			n := batch
-			if n > len(rows) {
-				n = len(rows)
-			}
-			if !out.SendBatch(ctx, EncodeBatch(rows[:n], schema, d)) {
-				return
-			}
-			rows = rows[n:]
-		}
-	}()
-	return out
 }
 
 // collectC drains a columnar stream into one concatenated batch, a
