@@ -257,18 +257,7 @@ func TestRDFWrapperMultiSeedBlock(t *testing.T) {
 // peopleGraph is testSource as an RDF graph, built from the relational
 // wrapper's own answers so both models hold identical terms.
 func peopleGraph(t *testing.T, sqlw *SQLWrapper) *rdf.Graph {
-	t.Helper()
-	g := rdf.NewGraph()
-	add := func(patterns string, pred, v string) {
-		for _, b := range collect(t, sqlw, &Request{Stars: []*StarQuery{star(t, "p", "http://c/Person", patterns)}}) {
-			g.Add(rdf.Triple{S: b["p"], P: rdf.NewIRI(rdf.RDFType), O: rdf.NewIRI("http://c/Person")})
-			g.Add(rdf.Triple{S: b["p"], P: rdf.NewIRI(pred), O: b[v]})
-		}
-	}
-	add(`?p <http://p/name> ?n .`, "http://p/name", "n")
-	add(`?p <http://p/age> ?a .`, "http://p/age", "a")
-	add(`?p <http://p/friend> ?f .`, "http://p/friend", "f")
-	return g
+	return sourceGraph(t, sqlw, "p", "http://c/Person", "http://p/name", "http://p/age", "http://p/friend")
 }
 
 // TestBlockSeededMatchesUninstantiated: a block request — served from the

@@ -405,8 +405,9 @@ func (tr *translator) translateCompare(c *sparql.CompareExpr) (sql.BoolExpr, boo
 		return nil, false
 	}
 	info, bound := tr.varCols[ve.Name]
-	if !bound || info.template != "" && op != sql.CmpEq && op != sql.CmpNeq {
-		// IRIs have no order: only equality is pushed on an IRI column.
+	if !bound || (info.template != "" || info.typ == rdb.TypeBool) && op != sql.CmpEq && op != sql.CmpNeq {
+		// SPARQL orders neither IRIs nor booleans: only equality is pushed
+		// on their columns.
 		return nil, false
 	}
 	lit, ok := info.literal(konst)
