@@ -169,11 +169,10 @@ func ValueTerm(v rdb.Value, template string) rdf.Term {
 // that type and template holds no value standing for t: an IRI outside
 // the template or on a literal column, a literal on an IRI column, a
 // literal of another datatype or with a language tag, a lexical form
-// other than the one ValueTerm writes ("030", "+1", "1.50"
-// for xsd:double), or a double SQL equality cannot express (NaN, ±Inf).
-// A constant or seed the column cannot hold thus matches no stored row.
-// It allocates nothing: the canonical form is rendered into a stack
-// buffer and compared with the term's.
+// other than the one ValueTerm writes ("030" or "+1" for an integer,
+// "1.50" for a double), or a double SQL equality cannot express (NaN,
+// ±Inf). It allocates nothing: the canonical form is rendered into a
+// stack buffer and compared with the term's.
 func TermValue(t rdf.Term, typ rdb.Type, template string) (rdb.Value, bool) {
 	lex := t.Value
 	if template != "" {
