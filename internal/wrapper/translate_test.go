@@ -6,9 +6,67 @@ import (
 	"strings"
 	"testing"
 
+	"ontario/internal/rdb"
 	"ontario/internal/rdf"
 	"ontario/internal/sparql"
+	"ontario/internal/sql"
 )
+
+// TestKeyLiteral: an IRI inside a column's template becomes the SQL
+// literal of its key in the column's type; any other IRI has none.
+func TestKeyLiteral(t *testing.T) {
+	const tmpl = "http://e/{value}"
+	key := func(typ rdb.Type) colInfo { return colInfo{typ: typ, template: tmpl} }
+	lit, ok := key(rdb.TypeInt).literal(rdf.NewIRI("http://e/42"))
+	if !ok || lit.Kind != sql.LitInt || lit.Int != 42 {
+		t.Errorf("int key: %v/%v", lit, ok)
+	}
+	if _, ok := key(rdb.TypeInt).literal(rdf.NewIRI("http://e/abc")); ok {
+		t.Error("non-numeric key accepted for INTEGER column")
+	}
+	if _, ok := key(rdb.TypeInt).literal(rdf.NewIRI("http://other/42")); ok {
+		t.Error("IRI outside the template accepted")
+	}
+	lit, ok = key(rdb.TypeFloat).literal(rdf.NewIRI("http://e/2.5"))
+	if !ok || lit.Kind != sql.LitFloat || lit.Float != 2.5 {
+		t.Errorf("float key: %v/%v", lit, ok)
+	}
+	lit, ok = key(rdb.TypeString).literal(rdf.NewIRI("http://e/x-1"))
+	if !ok || lit.Kind != sql.LitString || lit.Str != "x-1" {
+		t.Errorf("string key: %v/%v", lit, ok)
+	}
+}
+
+// TestTermToSQLLiteral: a literal of exactly the column's datatype becomes
+// the SQL literal of its value; any other literal has none.
+func TestTermToSQLLiteral(t *testing.T) {
+	col := func(typ rdb.Type) colInfo { return colInfo{typ: typ} }
+	lit, ok := col(rdb.TypeInt).literal(rdf.IntLiteral(7))
+	if !ok || lit.Kind != sql.LitInt || lit.Int != 7 {
+		t.Errorf("int: %v/%v", lit, ok)
+	}
+	lit, ok = col(rdb.TypeFloat).literal(rdf.FloatLiteral(3.5))
+	if !ok || lit.Kind != sql.LitFloat || lit.Float != 3.5 {
+		t.Errorf("float: %v/%v", lit, ok)
+	}
+	if _, ok := col(rdb.TypeFloat).literal(rdf.NewLiteral("3.5")); ok {
+		t.Error("plain literal accepted for DOUBLE column")
+	}
+	if _, ok := col(rdb.TypeFloat).literal(rdf.NewLiteral("x")); ok {
+		t.Error("non-numeric literal accepted for DOUBLE column")
+	}
+	lit, ok = col(rdb.TypeBool).literal(rdf.BoolLiteral(true))
+	if !ok || lit.Kind != sql.LitBool || !lit.Bool {
+		t.Errorf("bool: %v/%v", lit, ok)
+	}
+	if _, ok := col(rdb.TypeBool).literal(rdf.NewLiteral("maybe")); ok {
+		t.Error("non-boolean literal accepted for BOOLEAN column")
+	}
+	lit, ok = col(rdb.TypeString).literal(rdf.NewLiteral("ada"))
+	if !ok || lit.Kind != sql.LitString || lit.Str != "ada" {
+		t.Errorf("string: %v/%v", lit, ok)
+	}
+}
 
 func TestFilterWithWildcardNeedleStaysLocal(t *testing.T) {
 	src := testSource(t)
