@@ -38,6 +38,7 @@ type Value struct {
 	Bool bool
 	Num  float64
 	Str  string
+	Lang string // a ValString's language tag; empty for a simple literal
 	Term rdf.Term
 }
 
@@ -73,7 +74,7 @@ func TermValue(t rdf.Term) Value {
 		}
 		return Null
 	default:
-		return StringValue(t.Value)
+		return Value{Kind: ValString, Str: t.Value, Lang: t.Lang}
 	}
 }
 
@@ -202,10 +203,17 @@ func (e *CompareExpr) Eval(b Binding) (Value, error) {
 }
 
 // compareValues compares two values, returning (-1|0|1, whether only
-// equality is meaningful, error).
+// equality is meaningful, error). A language-tagged literal equals only
+// the same term; any other comparison involving one is a type error.
 func compareValues(l, r Value) (cmp int, eqOnly bool, err error) {
 	if l.Kind == ValNull || r.Kind == ValNull {
 		return 0, false, fmt.Errorf("sparql: comparison with error value")
+	}
+	if l.Lang != "" || r.Lang != "" {
+		if l.Kind == r.Kind && l.Str == r.Str && strings.EqualFold(l.Lang, r.Lang) {
+			return 0, true, nil
+		}
+		return 0, false, fmt.Errorf("sparql: language-tagged literal compared with another term")
 	}
 	if l.Kind == ValNumber && r.Kind == ValNumber {
 		switch {
@@ -378,17 +386,17 @@ func (e *FuncExpr) Eval(b Binding) (Value, error) {
 		}
 		return StringValue(valueLexical(v)), nil
 	case "UCASE":
-		s, err := e.argString(0, b)
+		v, err := e.argValue(0, b)
 		if err != nil {
 			return Null, err
 		}
-		return StringValue(strings.ToUpper(s)), nil
+		return Value{Kind: ValString, Str: strings.ToUpper(v.Str), Lang: v.Lang}, nil
 	case "LCASE":
-		s, err := e.argString(0, b)
+		v, err := e.argValue(0, b)
 		if err != nil {
 			return Null, err
 		}
-		return StringValue(strings.ToLower(s)), nil
+		return Value{Kind: ValString, Str: strings.ToLower(v.Str), Lang: v.Lang}, nil
 	case "STRLEN":
 		s, err := e.argString(0, b)
 		if err != nil {
@@ -424,30 +432,42 @@ func (e *FuncExpr) Eval(b Binding) (Value, error) {
 	}
 }
 
+// binaryString applies f to two argument-compatible string literals
+// (SPARQL 1.1 §17.4.3.1.1): the second is a simple literal, or both carry
+// the same language tag.
 func (e *FuncExpr) binaryString(b Binding, f func(string, string) bool) (Value, error) {
-	s, err := e.argString(0, b)
+	s, err := e.argValue(0, b)
 	if err != nil {
 		return Null, err
 	}
-	t, err := e.argString(1, b)
+	t, err := e.argValue(1, b)
 	if err != nil {
 		return Null, err
 	}
-	return BoolValue(f(s, t)), nil
+	if t.Lang != "" && !strings.EqualFold(s.Lang, t.Lang) {
+		return Null, fmt.Errorf("sparql: %s: incompatible language tags", e.Name)
+	}
+	return BoolValue(f(s.Str, t.Str)), nil
 }
 
-func (e *FuncExpr) argString(i int, b Binding) (string, error) {
+// argValue evaluates argument i, which must be a string literal.
+func (e *FuncExpr) argValue(i int, b Binding) (Value, error) {
 	if i >= len(e.Args) {
-		return "", fmt.Errorf("sparql: %s: missing argument %d", e.Name, i)
+		return Null, fmt.Errorf("sparql: %s: missing argument %d", e.Name, i)
 	}
 	v, err := e.Args[i].Eval(b)
 	if err != nil {
-		return "", err
+		return Null, err
 	}
-	if v.Kind == ValString {
-		return v.Str, nil
+	if v.Kind != ValString {
+		return Null, fmt.Errorf("sparql: %s: argument %d is not a string", e.Name, i)
 	}
-	return "", fmt.Errorf("sparql: %s: argument %d is not a string", e.Name, i)
+	return v, nil
+}
+
+func (e *FuncExpr) argString(i int, b Binding) (string, error) {
+	v, err := e.argValue(i, b)
+	return v.Str, err
 }
 
 func valueLexical(v Value) string {

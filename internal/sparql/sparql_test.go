@@ -1,6 +1,7 @@
 package sparql
 
 import (
+	"fmt"
 	"strings"
 	"testing"
 
@@ -123,6 +124,58 @@ func TestFilterFunctions(t *testing.T) {
 		}
 		if got := EvalBool(q.Filters[0], tc.b); got != tc.want {
 			t.Errorf("EvalBool(%s, %s) = %v, want %v", tc.expr, tc.b, got, tc.want)
+		}
+	}
+}
+
+// TestLanguageTaggedLiterals: a language-tagged literal equals only the
+// same term (tags compare case-insensitively), any other comparison
+// involving one is a type error, and CONTAINS, STRSTARTS and STRENDS take
+// a language-tagged needle only from a text with the same tag.
+func TestLanguageTaggedLiterals(t *testing.T) {
+	ada, adaEN := rdf.NewLiteral("ada"), rdf.NewLangLiteral("ada", "en")
+	for _, tc := range []struct {
+		expr string
+		n    rdf.Term
+		want string // "true", "false" or "error"
+	}{
+		{`?n = "ada"@en`, adaEN, "true"},
+		{`?n = "ada"@en`, rdf.NewLangLiteral("ada", "EN"), "true"},
+		{`?n != "ada"@en`, adaEN, "false"},
+		{`?n = "ada"@en`, ada, "error"},
+		{`?n != "ada"@en`, ada, "error"},
+		{`?n = "ada"`, adaEN, "error"},
+		{`?n = "ada"@fr`, adaEN, "error"},
+		{`?n = "bob"@en`, adaEN, "error"},
+		{`?n < "bob"@en`, adaEN, "error"},
+		{`?n <= "ada"@en`, adaEN, "error"},
+		{`?n < "bob"`, adaEN, "error"},
+		{`?n = <http://e/ada>`, adaEN, "error"},
+		{`CONTAINS(?n, "ad"@en)`, ada, "error"},
+		{`CONTAINS(?n, "ad"@en)`, adaEN, "true"},
+		{`CONTAINS(?n, "ad")`, adaEN, "true"},
+		{`CONTAINS(?n, "ad"@fr)`, adaEN, "error"},
+		{`STRSTARTS(?n, "a"@en)`, ada, "error"},
+		{`STRSTARTS(?n, "a"@en)`, adaEN, "true"},
+		{`STRSTARTS(?n, "d"@en)`, adaEN, "false"},
+		{`STRENDS(?n, "da"^^<http://www.w3.org/2001/XMLSchema#string>)`, adaEN, "true"},
+		{`STRENDS(?n, "x")`, adaEN, "false"},
+		{`STRENDS(?n, "da"@en)`, ada, "error"},
+		{`STR(?n) = "ada"`, adaEN, "true"},
+		{`UCASE(?n) = "ADA"@en`, adaEN, "true"},
+		{`UCASE(?n) = "ADA"`, adaEN, "error"},
+	} {
+		q, err := Parse("SELECT ?n WHERE { ?s ?p ?n . FILTER (" + tc.expr + ") }")
+		if err != nil {
+			t.Fatalf("parse %q: %v", tc.expr, err)
+		}
+		v, err := q.Filters[0].Eval(Binding{"n": tc.n})
+		got := "error"
+		if err == nil {
+			got = fmt.Sprint(v.Bool)
+		}
+		if got != tc.want {
+			t.Errorf("%s with ?n = %s: %s, want %s", tc.expr, tc.n, got, tc.want)
 		}
 	}
 }

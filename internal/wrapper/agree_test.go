@@ -81,6 +81,9 @@ func TestSQLAndRDFReadingsAgree(t *testing.T) {
 		{"non-canonical double object", `?m <http://p/value> "2.50"^^` + double + ` .`, "", typed},
 		{"canonical double object", `?m <http://p/value> "2.5"^^` + double + ` .`, "", typed},
 	}
+	// A language-tagged constant equals no stored plain literal and is not
+	// argument-compatible with one, so these cases answer nothing.
+	empty := map[string]bool{"language-tagged filter constant": true, "language-tagged CONTAINS constant": true}
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {
 			text := c.patterns
@@ -104,6 +107,9 @@ func TestSQLAndRDFReadingsAgree(t *testing.T) {
 				}
 			}
 			agree("unseeded", req)
+			if got := collect(t, c.sqlw, req); empty[c.name] && len(got) != 0 {
+				t.Errorf("answered %d rows, want none: %v", len(got), got)
+			}
 			for _, v := range req.Vars() {
 				var block []sparql.Binding
 				for _, term := range agreeSeedTerms {

@@ -472,8 +472,11 @@ func (tr *translator) translateFunc(f *sparql.FuncExpr) (sql.BoolExpr, bool) {
 	if !ok {
 		return nil, false
 	}
+	// Only a simple-literal needle becomes LIKE: with a language-tagged or
+	// non-string needle the function is a type error (SPARQL 1.1 argument
+	// compatibility), which the row check evaluates.
 	k, ok := f.Args[1].(*sparql.ConstExpr)
-	if !ok || !k.Term.IsLiteral() {
+	if !ok || !k.Term.IsLiteral() || k.Term.Lang != "" || k.Term.Datatype != "" && k.Term.Datatype != rdf.XSDString {
 		return nil, false
 	}
 	info, bound := tr.varCols[v.Name]
