@@ -205,11 +205,11 @@ func (tr *translator) nextAlias() string {
 }
 
 // bindVar records that variable v is stored at info; a repeated occurrence
-// in another column adds an equality condition (one in the same column,
-// such as a star's shared subject, adds none).
+// in another column adds an equality condition once (one in the same
+// column, such as a star's shared subject, adds none).
 func (tr *translator) bindVar(v string, info colInfo) {
 	if prev, ok := tr.varCols[v]; ok {
-		if prev.ref == info.ref {
+		if prev.ref == info.ref || tr.hasColEq(prev.ref, info.ref) {
 			return
 		}
 		tr.conds = append(tr.conds, &sql.Comparison{
@@ -224,6 +224,18 @@ func (tr *translator) bindVar(v string, info colInfo) {
 	if info.nullable && !slices.Contains(tr.notNull, info.ref) {
 		tr.notNull = append(tr.notNull, info.ref)
 	}
+}
+
+// hasColEq reports whether the conditions already equate columns a and b,
+// in either orientation.
+func (tr *translator) hasColEq(a, b sql.ColumnRef) bool {
+	for _, c := range tr.conds {
+		if cmp, ok := c.(*sql.Comparison); ok && cmp.Op == sql.CmpEq && cmp.L.IsCol && cmp.R.IsCol &&
+			(cmp.L.Col == a && cmp.R.Col == b || cmp.L.Col == b && cmp.R.Col == a) {
+			return true
+		}
+	}
+	return false
 }
 
 func (tr *translator) addStar(star *StarQuery) error {

@@ -6,6 +6,7 @@ import (
 	"strings"
 	"testing"
 
+	"ontario/internal/lslod"
 	"ontario/internal/rdb"
 	"ontario/internal/rdf"
 	"ontario/internal/sparql"
@@ -65,6 +66,50 @@ func TestTermToSQLLiteral(t *testing.T) {
 	lit, ok = col(rdb.TypeString).literal(rdf.NewLiteral("ada"))
 	if !ok || lit.Kind != sql.LitString || lit.Str != "ada" {
 		t.Errorf("string: %v/%v", lit, ok)
+	}
+}
+
+// TestMergedStarJoinEqualityOnce: Q2's two Diseasome stars, merged into
+// one statement, repeat ?gene in three of their patterns; the statement
+// equates the association's gene column with the gene key once, and no
+// other condition of any Q1–Q5 statement is repeated either.
+func TestMergedStarJoinEqualityOnce(t *testing.T) {
+	lk, err := lslod.BuildLake(lslod.SmallScale(), 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	q := lslod.Query("Q2")
+	req := &Request{
+		Stars: []*StarQuery{
+			{SubjectVar: "disease", Class: lslod.ClassDisease, Patterns: q.Patterns[:3]},
+			{SubjectVar: "gene", Class: lslod.ClassGene, Patterns: q.Patterns[3:]},
+		},
+		Filters: q.Filters,
+	}
+	w := NewSQLWrapper(lk.Catalog.Source(lslod.DSDiseasome), nil, TranslationOptimized, 0)
+	if got := collect(t, w, req); len(got) == 0 {
+		t.Fatal("Q2's merged star answered nothing")
+	}
+	stmts := w.LastSQL()
+	if len(stmts) != 1 {
+		t.Fatalf("Q2's merged star issued %d statements, want 1: %v", len(stmts), stmts)
+	}
+	if n := len(regexp.MustCompile(`t\d+\.gene_id = t\d+\.id`).FindAllString(stmts[0], -1)); n != 1 {
+		t.Errorf("Q2's merged statement equates gene_id with the gene key %d times, want once: %s", n, stmts[0])
+	}
+	for _, c := range lakeSQLRequests(lk) {
+		w := NewSQLWrapper(c.src, nil, TranslationOptimized, 0)
+		collect(t, w, c.req)
+		for _, stmt := range w.LastSQL() {
+			_, where, _ := strings.Cut(stmt, " WHERE ")
+			seen := map[string]bool{}
+			for _, cond := range strings.Split(where, " AND ") {
+				if seen[cond] {
+					t.Errorf("condition %q repeated in %s", cond, stmt)
+				}
+				seen[cond] = true
+			}
+		}
 	}
 }
 
