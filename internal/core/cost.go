@@ -358,9 +358,10 @@ func (cm *costModel) blockBindEstimate(lNode, rNode PlanNode, joinVars []string)
 
 // chooseJoin builds the cheapest join of l and r on their shared variables:
 // a forced Options.JoinOperator is honored as-is (the ablation override);
-// otherwise the physical operator is picked per join from the estimated
-// left cardinality and the cost of re-scanning versus seeding the right
-// side.
+// otherwise the symmetric hash join is weighed against seeding the right
+// side. The dependent candidate is the block bind join, whose block grows
+// from one seed, so it never bets on the left estimate reaching a block;
+// the sequential bind join stands in only when blocks hold one seed.
 func (cm *costModel) chooseJoin(l, r *orderedPlan, shared []string) *orderedPlan {
 	op := JoinSymmetricHash
 	est := cm.hashEstimate(l.node, r.node, shared)
@@ -368,9 +369,9 @@ func (cm *costModel) chooseJoin(l, r *orderedPlan, shared []string) *orderedPlan
 		op = cm.opts.JoinOperator
 		est = cm.operatorEstimate(op, l.node, r.node, shared)
 	} else if _, isSvc := r.node.(*ServiceNode); isSvc && len(shared) > 0 {
-		depOp := JoinBind
-		if cm.block > 1 && l.est.Card >= float64(cm.block) {
-			depOp = JoinBlockBind
+		depOp := JoinBlockBind
+		if cm.block == 1 {
+			depOp = JoinBind
 		}
 		depEst := cm.operatorEstimate(depOp, l.node, r.node, shared)
 		if depEst.Cost < est.Cost {

@@ -128,11 +128,13 @@ type Options struct {
 	Translation wrapper.TranslationMode
 	// JoinOperator selects the engine-level join implementation.
 	JoinOperator JoinOperator
-	// BindBlockSize is the number of left bindings gathered into one
-	// multi-seed service request by the block bind join (0 means
-	// DefaultBindBlockSize; 1 degenerates to the sequential bind join's
-	// request pattern). The cost optimizer prices the block variant with
-	// it; a forced JoinOperator is kept as given whatever its value.
+	// BindBlockSize caps the number of left bindings gathered into one
+	// multi-seed service request by the block bind join, whose block
+	// grows from one seed to it (0 means DefaultBindBlockSize; 1
+	// degenerates to the sequential bind join's request pattern, and the
+	// cost optimizer then picks JoinBind as its dependent join). The cost
+	// optimizer prices the block variant with it; a forced JoinOperator is
+	// kept as given whatever its value.
 	BindBlockSize int
 	// BindConcurrency bounds the number of in-flight block requests the
 	// block bind join dispatches concurrently (0 means

@@ -324,16 +324,38 @@ func batchedStream(d *dict.Dict, schema *Schema, rows []sparql.Binding, sizes []
 	return s
 }
 
+// growingBlocks is the reference block rule, written from the batch sizes
+// alone: a block is sent once the rows that arrived but were not yet sent
+// reach the current size, takes at most limit of them, and doubles the size
+// up to limit; the end of the input sends the rest. It returns the blocks
+// as [from, to) windows of the concatenated input.
+func growingBlocks(sizes []int, limit int) [][2]int {
+	var blocks [][2]int
+	arrived, sent, size := 0, 0, 1
+	for _, n := range sizes {
+		arrived += n
+		for arrived-sent >= size {
+			to := sent + min(limit, arrived-sent)
+			blocks = append(blocks, [2]int{sent, to})
+			sent = to
+			size = min(2*size, limit)
+		}
+	}
+	if sent < arrived {
+		blocks = append(blocks, [2]int{sent, arrived})
+	}
+	return blocks
+}
+
 // TestBindJoinBlockComposition records the seeds of every service call
-// while the left input arrives in uneven batches, so that blocks lie
-// inside a batch, span two or more, and end the input short: whatever the
-// batching, the calls must carry the consecutive B-row windows of the
-// concatenated left input, in order, each deduplicated on the join value
-// in first-occurrence order (a row leaving the join variable unbound
-// makes its window one unconstrained seed), and the answers must be the
-// reference join's.
+// while the left input arrives in uneven batches, in one-row batches and
+// in a single batch, so that blocks lie inside a batch, span two or more,
+// and end the input short: the calls must carry the windows of the
+// concatenated left input that growingBlocks derives from the batch sizes,
+// in order, each deduplicated on the join value in first-occurrence order
+// (a row leaving the join variable unbound makes its window one
+// unconstrained seed), and the answers must be the reference join's.
 func TestBindJoinBlockComposition(t *testing.T) {
-	sizes := []int{5, 40, 3, 16, 1}
 	rng := rand.New(rand.NewSource(5))
 	lefts := randomRelation(rng, []string{"x", "a"}, 65)
 	delete(lefts[20], "x")
@@ -342,54 +364,83 @@ func TestBindJoinBlockComposition(t *testing.T) {
 	want := referenceJoin(lefts, rights)
 	schema := NewSchema([]string{"a", "x"})
 	out := outSchema(lefts, rights)
+	ones := make([]int, len(lefts))
+	for i := range ones {
+		ones[i] = 1
+	}
+
+	// The reference itself: rows one at a time ramp 1, 2, 4, 8, then full
+	// blocks; the whole input in one batch gets fixed windows of B rows.
+	var lens []int
+	for _, w := range growingBlocks(ones, 16) {
+		lens = append(lens, w[1]-w[0])
+	}
+	if wantLens := []int{1, 2, 4, 8, 16, 16, 16, 2}; !slices.Equal(lens, wantLens) {
+		t.Fatalf("one-row batches, B=16: reference blocks of %v rows, want %v", lens, wantLens)
+	}
 	for _, block := range []int{1, 3, 16} {
-		var wantSeeds [][]string
+		var fixed [][2]int
 		for w := 0; w < len(lefts); w += block {
-			var seeds []string
-			for _, l := range lefts[w:min(w+block, len(lefts))] {
-				x, ok := l["x"]
-				if !ok {
-					seeds = []string{"(unbound)"}
-					break
-				}
-				if !slices.Contains(seeds, x.String()) {
-					seeds = append(seeds, x.String())
-				}
-			}
-			wantSeeds = append(wantSeeds, seeds)
+			fixed = append(fixed, [2]int{w, min(w+block, len(lefts))})
 		}
-		for _, conc := range []int{1, 3} {
-			label := fmt.Sprintf("B=%d W=%d", block, conc)
-			ctx := context.Background()
-			d := dict.New()
-			answer := sliceService(d, rights)
-			var mu sync.Mutex
-			var calls [][]string
-			svc := func(ctx context.Context, ids Seeds) *CStream {
+		if got := growingBlocks([]int{len(lefts)}, block); !slices.Equal(got, fixed) {
+			t.Fatalf("one batch, B=%d: reference blocks %v, want the fixed windows %v", block, got, fixed)
+		}
+	}
+
+	for _, sizes := range [][]int{{5, 40, 3, 16, 1}, ones, {len(lefts)}} {
+		for _, block := range []int{1, 3, 16} {
+			var wantSeeds [][]string
+			for _, w := range growingBlocks(sizes, block) {
 				var seeds []string
-				for _, s := range ids.Bindings(d) {
-					if x, ok := s["x"]; ok {
+				for _, l := range lefts[w[0]:w[1]] {
+					x, ok := l["x"]
+					if !ok {
+						seeds = []string{"(unbound)"}
+						break
+					}
+					if !slices.Contains(seeds, x.String()) {
 						seeds = append(seeds, x.String())
-					} else {
-						seeds = append(seeds, "(unbound)")
 					}
 				}
-				mu.Lock()
-				calls = append(calls, seeds)
-				mu.Unlock()
-				return answer(ctx, ids)
+				wantSeeds = append(wantSeeds, seeds)
 			}
-			got := collect(CBindJoin(ctx, batchedStream(d, schema, lefts, sizes), svc, []string{"x"}, out, block, conc, 0), d)
-			assertSameMultiset(t, label, got, want)
-			wantCalls := wantSeeds
-			if conc > 1 { // requests in flight reach the service in any order
-				key := func(s []string) string { return strings.Join(s, " ") }
-				wantCalls = slices.Clone(wantSeeds)
-				slices.SortFunc(wantCalls, func(a, b []string) int { return strings.Compare(key(a), key(b)) })
-				slices.SortFunc(calls, func(a, b []string) int { return strings.Compare(key(a), key(b)) })
-			}
-			if !slices.EqualFunc(calls, wantCalls, slices.Equal[[]string]) {
-				t.Errorf("%s: service calls carried seeds\n %v\nwant\n %v", label, calls, wantCalls)
+			for _, conc := range []int{1, 3} {
+				label := fmt.Sprintf("batches %v B=%d W=%d", sizes, block, conc)
+				if len(sizes) > 5 {
+					label = fmt.Sprintf("%d one-row batches B=%d W=%d", len(sizes), block, conc)
+				}
+				ctx := context.Background()
+				d := dict.New()
+				answer := sliceService(d, rights)
+				var mu sync.Mutex
+				var calls [][]string
+				svc := func(ctx context.Context, ids Seeds) *CStream {
+					var seeds []string
+					for _, s := range ids.Bindings(d) {
+						if x, ok := s["x"]; ok {
+							seeds = append(seeds, x.String())
+						} else {
+							seeds = append(seeds, "(unbound)")
+						}
+					}
+					mu.Lock()
+					calls = append(calls, seeds)
+					mu.Unlock()
+					return answer(ctx, ids)
+				}
+				got := collect(CBindJoin(ctx, batchedStream(d, schema, lefts, sizes), svc, []string{"x"}, out, block, conc, 0), d)
+				assertSameMultiset(t, label, got, want)
+				wantCalls := wantSeeds
+				if conc > 1 { // requests in flight reach the service in any order
+					key := func(s []string) string { return strings.Join(s, " ") }
+					wantCalls = slices.Clone(wantSeeds)
+					slices.SortFunc(wantCalls, func(a, b []string) int { return strings.Compare(key(a), key(b)) })
+					slices.SortFunc(calls, func(a, b []string) int { return strings.Compare(key(a), key(b)) })
+				}
+				if !slices.EqualFunc(calls, wantCalls, slices.Equal[[]string]) {
+					t.Errorf("%s: service calls carried seeds\n %v\nwant\n %v", label, calls, wantCalls)
+				}
 			}
 		}
 	}

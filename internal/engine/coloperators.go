@@ -462,17 +462,24 @@ func CSymmetricHashJoin(ctx context.Context, left, right *CStream, joinVars []st
 type CService func(ctx context.Context, seeds Seeds) *CStream
 
 // CBindJoin is the dependent join (the FedX/ANAPSID lineage "bound
-// join"): left rows are gathered into blocks of blockSize, each block's
-// distinct seeds (deduplicated on raw ID tuples, which are handed over as
-// the block's Seeds) are pushed to the right service in ONE invocation,
-// and up to concurrency requests are in flight at once. A block of one
-// seed with one request in flight is the sequential bind join: its
-// requests follow one another strictly. A block is blockSize consecutive
-// left rows in arrival order; one that lies inside a left batch is a view
-// of that batch, and only a block spanning batches is copied. Output stays
-// streaming: each response batch's answers are emitted as soon as it
-// arrives, independent of later blocks, in batches built at their exact
-// size. When joinVars is empty the operator degrades to a cross product.
+// join"): left rows are gathered into blocks, each block's distinct seeds
+// (deduplicated on raw ID tuples, which are handed over as the block's
+// Seeds) are pushed to the right service in ONE invocation, and up to
+// concurrency requests are in flight at once. The block grows as left
+// rows arrive: a block is sent once the rows in hand reach the current
+// size, which starts at one row and doubles with every block sent up to
+// blockSize; it takes at most blockSize of them, in arrival order, and the
+// end of the left input sends what is left. A left of n rows that arrives
+// in one batch is thus cut into ⌈n/blockSize⌉ blocks of blockSize rows
+// (the last one short), while one that trickles in gets blocks of 1, 2,
+// 4, … rows, so the first answers need not wait for a full block. A
+// blockSize of one with one request in flight is the sequential bind
+// join: its requests follow one another strictly. A block that lies
+// inside a left batch is a view of that batch, and only a block spanning
+// batches is copied. Output stays streaming: each response batch's
+// answers are emitted as soon as it arrives, independent of later blocks,
+// in batches built at their exact size. When joinVars is empty the
+// operator degrades to a cross product.
 //
 // Once the output is abandoned — the context is done or a send failed —
 // the join dispatches no further request (it checks before each
@@ -582,9 +589,12 @@ func CBindJoin(ctx context.Context, left *CStream, right CService, joinVars []st
 		// A received batch is read-only, so a block inside one is a view
 		// its request reads while later batches arrive. tail is the view of
 		// a batch's last rows still short of a block; it is copied into
-		// spanB only once the next batch continues it.
+		// spanB only once the next batch continues it. A block is sent once
+		// the rows in hand reach size, which starts at one row and doubles
+		// with every block up to blockSize.
 		spanB := NewColBuilderCap(left.schema, blockSize)
 		var tail *ColBatch
+		size := 1
 		for {
 			lb, open := left.Recv(st)
 			if !open {
@@ -593,26 +603,32 @@ func CBindJoin(ctx context.Context, left *CStream, right CService, joinVars []st
 			if stopped {
 				continue // drain the left so its producer can finish
 			}
-			r := 0
-			if tail != nil || spanB.Rows() > 0 {
-				if tail != nil {
-					for tr := 0; tr < tail.Len; tr++ {
-						spanB.AppendRow(tail, tr, ident)
-					}
-					tail = nil
+			if tail != nil {
+				for tr := 0; tr < tail.Len; tr++ {
+					spanB.AppendRow(tail, tr, ident)
 				}
-				for ; r < lb.Len && spanB.Rows() < blockSize; r++ {
+				tail = nil
+			}
+			r := 0
+			for inHand := spanB.Rows() + lb.Len; inHand >= size; inHand = spanB.Rows() + lb.Len - r {
+				n := min(blockSize, inHand)
+				if spanB.Rows() > 0 {
+					for ; spanB.Rows() < n; r++ {
+						spanB.AppendRow(lb, r, ident)
+					}
+					dispatch(spanB.Take())
+				} else {
+					dispatch(slice(lb, r, r+n))
+					r += n
+				}
+				size = min(2*size, blockSize)
+			}
+			switch {
+			case r < lb.Len && spanB.Rows() > 0:
+				for ; r < lb.Len; r++ {
 					spanB.AppendRow(lb, r, ident)
 				}
-				if spanB.Rows() < blockSize {
-					continue
-				}
-				dispatch(spanB.Take())
-			}
-			for ; r+blockSize <= lb.Len; r += blockSize {
-				dispatch(slice(lb, r, r+blockSize))
-			}
-			if r < lb.Len {
+			case r < lb.Len:
 				tail = slice(lb, r, lb.Len)
 			}
 		}

@@ -475,3 +475,50 @@ func TestResponsesSurvivePlanEviction(t *testing.T) {
 		}
 	}
 }
+
+// TestWarmReplayBlockBindMissesNothing: the aware plan of Q4 on the small
+// relational lake is a block bind join whose left is one leaf (the merged
+// Diseasome service). Run twice through one engine, the second run answers
+// every request from the response cache — its blocks carry the seeds the
+// first run's did — with the same answers and the same messages.
+func TestWarmReplayBlockBindMissesNothing(t *testing.T) {
+	lk, err := lslod.BuildLake(lslod.SmallScale(), 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	eng := ontario.New(lk.Lake)
+	run := func() ([]string, int) {
+		res, err := eng.Query(context.Background(), lslod.QueryText("Q4"),
+			ontario.WithAwarePlan(), ontario.WithNetwork(ontario.Gamma2), ontario.WithNetworkScale(0))
+		if err != nil {
+			t.Fatal(err)
+		}
+		answers, err := res.Collect()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !strings.Contains(res.Plan().String(), "block-bind") {
+			t.Fatalf("Q4's aware plan has no block bind join:\n%s", res.Plan())
+		}
+		return canonAnswers(t, answers), res.Stats().Messages
+	}
+	want, wantMsgs := run()
+	if len(want) == 0 {
+		t.Fatal("Q4 answered nothing")
+	}
+	before := eng.ResponseCacheStats()
+	got, msgs := run()
+	after := eng.ResponseCacheStats()
+	if after.Misses != before.Misses {
+		t.Errorf("the replay evaluated its sources %d times", after.Misses-before.Misses)
+	}
+	if after.Hits == before.Hits {
+		t.Error("the replay hit no remembered response")
+	}
+	if strings.Join(got, "\n") != strings.Join(want, "\n") {
+		t.Errorf("the replay answered %d rows, the first run %d", len(got), len(want))
+	}
+	if msgs != wantMsgs {
+		t.Errorf("the replay sent %d messages, the first run %d", msgs, wantMsgs)
+	}
+}

@@ -270,14 +270,18 @@ func WithNaiveTranslation() Option {
 	return func(c *config) { c.naive = true }
 }
 
-// WithBindBlockSize sets the number of left bindings the block bind join
-// gathers into one multi-seed service request (default 16). The block is
-// pushed down as a single SQL IN/OR predicate at relational sources and
-// evaluated in one graph pass at RDF sources, so each block costs one
-// simulated network message instead of one per left binding. A size of 1
-// degenerates to per-binding requests. The size prices the block variant
-// in the cost optimizer's per-join choice; it never turns a forced
-// JoinBind into a block bind join.
+// WithBindBlockSize caps the number of left bindings the block bind join
+// gathers into one multi-seed service request (default 16). The block
+// grows as left bindings arrive — one seed, then 2, 4, … up to the cap —
+// so a left input that arrives at once is cut into full blocks and one
+// that trickles in sends its first seed at once. The block is pushed down
+// as a single SQL IN/OR predicate at relational sources and evaluated in
+// one graph pass at RDF sources, so each block costs one simulated network
+// message instead of one per left binding. A size of 1 degenerates to
+// per-binding requests, and the cost optimizer then considers the
+// sequential bind join instead. The cap prices the block variant in the
+// cost optimizer's per-join choice; it never turns a forced JoinBind into
+// a block bind join.
 func WithBindBlockSize(n int) Option {
 	return func(c *config) { c.bindBlock = n }
 }
