@@ -99,7 +99,7 @@ func main() {
 		mode      = flag.String("mode", "aware", "default plan mode: aware | unaware")
 		maxConc   = flag.Int("max-concurrent", 4, "max concurrently executing queries")
 		queue     = flag.Int("queue-depth", 16, "max queries waiting for an execution slot (negative disables queueing)")
-		srcLimit  = flag.Int("source-limit", 4, "max in-flight wrapper requests per source (0 = unlimited)")
+		srcLimit  = flag.Int("source-limit", 4, "max in-flight wrapper requests per source, a slot held while the source answers; the simulated transfer is not source work (0 = unlimited)")
 		timeout   = flag.Duration("timeout", 30*time.Second, "per-query deadline")
 		slowLog   = flag.Int("slow-query-log", 128, "slow-query log capacity for /debug/queries (negative disables)")
 		enablePpf = flag.Bool("pprof", true, "mount net/http/pprof under /debug/pprof/")

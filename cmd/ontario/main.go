@@ -37,7 +37,7 @@ func main() {
 		limit     = flag.Int("print", 20, "print at most this many answers")
 		naive     = flag.Bool("naive-translation", false, "use the naive SPARQL-to-SQL translation")
 		optimizer = flag.String("optimizer", "", "join ordering / operator selection: cost | greedy (default: cost for aware plans, greedy for unaware)")
-		joinOp    = flag.String("join", "hash", "engine join operator: hash | bind | block-bind (forces the operator for every join)")
+		joinOp    = flag.String("join", "hash", "engine join operator: hash | bind | block-bind (forced for every join; under the cost optimizer hash forces nothing and each join is chosen by cost)")
 		bindBlk   = flag.Int("bind-block", 0, "block bind join: left bindings per multi-seed request (0 = default)")
 		bindConc  = flag.Int("bind-concurrency", 0, "block bind join: concurrent in-flight block requests (0 = default)")
 		batchSz   = flag.Int("batch", 0, "exchange batch size: bindings per batch in the execution data plane (0 = default 256, 1 = binding-at-a-time)")

@@ -71,7 +71,12 @@ func runWithMessages(t *testing.T, cat *catalog.Catalog, q *sparql.Query, opts O
 		t.Fatal(err)
 	}
 	answers, x := executePlan(t, cat, plan)
-	return answers, x.Messages(), plan
+	msgs, _ := x.Network()
+	total := 0
+	for _, n := range msgs {
+		total += n
+	}
+	return answers, total, plan
 }
 
 func runQuery(t *testing.T, lake *lslod.Lake, q *sparql.Query, opts Options) []sparql.Binding {
@@ -439,18 +444,17 @@ func TestExecutorAccounting(t *testing.T) {
 		t.Fatal(err)
 	}
 	_, x := executePlan(t, lake.Catalog, plan)
-	if x.Messages() == 0 {
-		t.Error("no messages accounted")
+	msgs, delays := x.Network()
+	if len(msgs) == 0 || len(delays) != len(msgs) {
+		t.Fatalf("network snapshot covers %d sources with messages, %d with delays", len(msgs), len(delays))
 	}
-	if x.SimulatedDelay() == 0 {
-		t.Error("no simulated delay accounted")
-	}
-	perSource := 0
-	for _, n := range x.SourceMessages() {
-		perSource += n
-	}
-	if perSource != x.Messages() {
-		t.Errorf("per-source messages sum to %d, total is %d", perSource, x.Messages())
+	for id, n := range msgs {
+		if n == 0 {
+			t.Errorf("source %s: no messages accounted", id)
+		}
+		if delays[id] == 0 {
+			t.Errorf("source %s: no simulated delay accounted", id)
+		}
 	}
 }
 

@@ -239,49 +239,17 @@ func (x *Execution) wrapperFor(sourceID string, opts Options) (wrapper.Wrapper, 
 	return w, nil
 }
 
-// SimulatedDelay sums the sampled network delay across this execution's
-// sources.
-func (x *Execution) SimulatedDelay() time.Duration {
+// Network snapshots the simulated network of this execution under one
+// lock: the messages and the sampled delay of each contacted source.
+func (x *Execution) Network() (messages map[string]int, delays map[string]time.Duration) {
 	x.mu.Lock()
 	defer x.mu.Unlock()
-	var total time.Duration
-	for _, s := range x.sims {
-		total += s.SimulatedDelay()
-	}
-	return total
-}
-
-// Messages sums the simulated network messages of this execution.
-func (x *Execution) Messages() int {
-	x.mu.Lock()
-	defer x.mu.Unlock()
-	total := 0
-	for _, s := range x.sims {
-		total += s.Messages()
-	}
-	return total
-}
-
-// SourceDelays returns the sampled network delay per contacted source.
-func (x *Execution) SourceDelays() map[string]time.Duration {
-	x.mu.Lock()
-	defer x.mu.Unlock()
-	out := make(map[string]time.Duration, len(x.sims))
+	messages = make(map[string]int, len(x.sims))
+	delays = make(map[string]time.Duration, len(x.sims))
 	for id, s := range x.sims {
-		out[id] = s.SimulatedDelay()
+		messages[id], delays[id] = s.Messages(), s.SimulatedDelay()
 	}
-	return out
-}
-
-// SourceMessages returns the simulated message count per contacted source.
-func (x *Execution) SourceMessages() map[string]int {
-	x.mu.Lock()
-	defer x.mu.Unlock()
-	out := make(map[string]int, len(x.sims))
-	for id, s := range x.sims {
-		out[id] = s.Messages()
-	}
-	return out
+	return messages, delays
 }
 
 // ExecuteColumnar runs the plan on the dictionary-encoded columnar data

@@ -34,6 +34,9 @@ const (
 // RDFType is the rdf:type predicate IRI.
 const RDFType = "http://www.w3.org/1999/02/22-rdf-syntax-ns#type"
 
+// RDFLangString is the datatype IRI of a language-tagged literal.
+const RDFLangString = "http://www.w3.org/1999/02/22-rdf-syntax-ns#langString"
+
 // Term is an RDF term. The zero value is not a valid term; use the
 // constructors NewIRI, NewLiteral, NewTypedLiteral, NewLangLiteral and
 // NewBlank.

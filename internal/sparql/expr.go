@@ -423,7 +423,10 @@ func (e *FuncExpr) Eval(b Binding) (Value, error) {
 			return Null, fmt.Errorf("sparql: DATATYPE of non-literal")
 		}
 		dt := t.Datatype
-		if dt == "" {
+		switch {
+		case t.Lang != "":
+			dt = rdf.RDFLangString
+		case dt == "":
 			dt = rdf.XSDString
 		}
 		return Value{Kind: ValTerm, Term: rdf.NewIRI(dt)}, nil

@@ -115,6 +115,9 @@ func TestFilterFunctions(t *testing.T) {
 		{`UCASE(?s) = "ABC"`, Binding{"s": rdf.NewLiteral("abc")}, true},
 		{`LCASE(?s) = "abc"`, Binding{"s": rdf.NewLiteral("ABC")}, true},
 		{`LANG(?s) = "en"`, Binding{"s": rdf.NewLangLiteral("hi", "en")}, true},
+		{`DATATYPE(?s) = <` + rdf.RDFLangString + `>`, Binding{"s": rdf.NewLangLiteral("hi", "en")}, true},
+		{`DATATYPE(?s) = <` + rdf.XSDString + `>`, Binding{"s": rdf.NewLiteral("hi")}, true},
+		{`DATATYPE(?x) = <` + rdf.XSDInteger + `>`, Binding{"x": rdf.IntLiteral(42)}, true},
 		{`STR(?x) = "42"`, Binding{"x": rdf.IntLiteral(42)}, true},
 		{`?a = ?b || ?a > 5`, Binding{"a": rdf.IntLiteral(7), "b": rdf.IntLiteral(1)}, true},
 	} {
@@ -130,8 +133,9 @@ func TestFilterFunctions(t *testing.T) {
 
 // TestLanguageTaggedLiterals: a language-tagged literal equals only the
 // same term (tags compare case-insensitively), any other comparison
-// involving one is a type error, and CONTAINS, STRSTARTS and STRENDS take
-// a language-tagged needle only from a text with the same tag.
+// involving one is a type error, CONTAINS, STRSTARTS and STRENDS take a
+// language-tagged needle only from a text with the same tag, and a filter
+// on DATATYPE xsd:string drops it (its datatype is rdf:langString).
 func TestLanguageTaggedLiterals(t *testing.T) {
 	ada, adaEN := rdf.NewLiteral("ada"), rdf.NewLangLiteral("ada", "en")
 	for _, tc := range []struct {
@@ -164,6 +168,8 @@ func TestLanguageTaggedLiterals(t *testing.T) {
 		{`STR(?n) = "ada"`, adaEN, "true"},
 		{`UCASE(?n) = "ADA"@en`, adaEN, "true"},
 		{`UCASE(?n) = "ADA"`, adaEN, "error"},
+		{`DATATYPE(?n) = <http://www.w3.org/2001/XMLSchema#string>`, adaEN, "false"},
+		{`DATATYPE(?n) = <http://www.w3.org/2001/XMLSchema#string>`, ada, "true"},
 	} {
 		q, err := Parse("SELECT ?n WHERE { ?s ?p ?n . FILTER (" + tc.expr + ") }")
 		if err != nil {

@@ -5,8 +5,6 @@ import (
 	"fmt"
 	"slices"
 	"strconv"
-	"sync/atomic"
-	"time"
 
 	"ontario/internal/catalog"
 	"ontario/internal/dict"
@@ -87,28 +85,13 @@ func (w *DBSQLWrapper) entry(ctx context.Context, req *Request, schema *engine.S
 
 // query runs the translated SELECT on the live connection under the
 // resilience policy and materializes the rows in translation column order.
-// Each call records a remote span in the query trace (a database hop has
-// no traceparent to forward, but its attempts, breaker state and latency
-// belong in the federation tree).
+// Each call is one hop in the query trace (a database hop has no
+// traceparent to forward, but its attempts, breaker state, latency and
+// error belong in the federation tree).
 func (w *DBSQLWrapper) query(ctx context.Context, tl *translation) ([]rdb.Row, error) {
 	stmt := tl.sel.String()
 	var out []rdb.Row
-	var attempts atomic.Int64
-	started := time.Now()
-	defer func() {
-		qt := trace.FromContext(ctx)
-		if qt == nil {
-			return
-		}
-		qt.AddRemoteSpan(trace.RemoteSpan{
-			Source:    w.src.ID,
-			Attempts:  int(attempts.Load()),
-			Breaker:   w.health.State(w.src.ID).String(),
-			LatencyMS: float64(time.Since(started)) / float64(time.Millisecond),
-		})
-	}()
-	err := w.health.Do(ctx, w.src.ID, func(actx context.Context) error {
-		attempts.Add(1)
+	err := w.health.Hop(ctx, w.src.ID, func(actx context.Context, _ *trace.RemoteSpan) error {
 		rows, err := w.src.SQLDB.QueryContext(actx, stmt)
 		if err != nil {
 			return err
@@ -147,10 +130,7 @@ func (w *DBSQLWrapper) query(ctx context.Context, tl *translation) ([]rdb.Row, e
 		out = got
 		return nil
 	})
-	if err != nil {
-		return nil, err
-	}
-	return out, nil
+	return out, err
 }
 
 // sqlValueToRDB converts one driver value into the rdb value of the

@@ -11,10 +11,10 @@ import (
 // SourceLimiter bounds the number of in-flight requests per source. It is
 // shared across every query execution of an engine, so a burst of
 // bind-join blocks issued by many concurrent queries cannot stampede a
-// single source: at most Limit() requests per source are executing (from
-// wrapper invocation until the response stream is fully consumed) and the
-// rest wait in FIFO-ish order on the source's semaphore, honouring context
-// cancellation while they wait.
+// single source: at most Limit() requests per source are executing and
+// the rest wait in FIFO-ish order on the source's semaphore, honouring
+// context cancellation while they wait. A slot is held while the source
+// answers (see Limited); the simulated transfer is not source work.
 type SourceLimiter struct {
 	limit int
 
@@ -105,11 +105,12 @@ func (l *SourceLimiter) Sources() []string {
 }
 
 // Limited wraps w so that every request holds one of the limiter's
-// in-flight slots for the source from invocation until the response stream
-// is drained (or the context is cancelled), except when a slow consumer
-// falls relayBacklogCap batches behind — then the slot is released early
-// rather than held while blocked (see ExecuteColumnar). A nil limiter
-// returns w unchanged.
+// in-flight slots for the source while the source answers: from
+// invocation until ExecuteColumnar returns, which under the Wrapper
+// contract is when the whole response is in hand. The simulated transfer
+// of the returned stream is not source work and holds no slot, so no slot
+// outlives the call and a consumer waiting on another request to the same
+// source cannot deadlock the limiter. A nil limiter returns w unchanged.
 func Limited(w Wrapper, l *SourceLimiter) Wrapper {
 	if l == nil {
 		return w
@@ -125,81 +126,12 @@ type limitedWrapper struct {
 // SourceID implements Wrapper.
 func (w *limitedWrapper) SourceID() string { return w.inner.SourceID() }
 
-// relayBacklogCap bounds how many batches the limiter's relay buffers on
-// behalf of a slow consumer. Below the cap the relay absorbs batches so a
-// dependent join waiting on another request to the same source cannot
-// deadlock the limiter; at the cap it gives the source slot back and
-// relays the rest with backpressure instead of buffering the whole
-// response in memory.
-const relayBacklogCap = 64
-
-// ExecuteColumnar implements Wrapper. The slot is held while the source
-// produces the response — from invocation until the inner stream closes
-// (all simulated response messages transferred) — but never while blocked on
-// the downstream consumer: up to relayBacklogCap batches the consumer is
-// slow to read are buffered locally (and opportunistically drained
-// between receives), and once the consumer falls the full cap behind, the
-// slot is released BEFORE the relay starts blocking sends. Either way a
-// dependent join waiting on another request to the same source cannot
-// deadlock the limiter — at the price, past the cap, of the source's true
-// concurrency briefly exceeding the limit.
+// ExecuteColumnar implements Wrapper.
 func (w *limitedWrapper) ExecuteColumnar(ctx context.Context, req *Request, schema *engine.Schema, d *dict.Dict) (*engine.CStream, error) {
 	id := w.inner.SourceID()
 	if err := w.lim.Acquire(ctx, id); err != nil {
 		return nil, err
 	}
-	in, err := w.inner.ExecuteColumnar(ctx, req, schema, d)
-	if err != nil {
-		w.lim.Release(id)
-		return nil, err
-	}
-	out := engine.NewCStream(schema, 4)
-	go func() {
-		defer out.Close()
-		released := false
-		release := func() {
-			if !released {
-				released = true
-				w.lim.Release(id)
-			}
-		}
-		defer release()
-		var backlog []*engine.ColBatch
-		for batch := range in.Batches() {
-			// Drain whatever the consumer will take before growing the
-			// backlog; order is preserved because the backlog always goes
-			// first.
-			for len(backlog) > 0 && out.TrySendBatch(backlog[0]) {
-				backlog[0] = nil
-				backlog = backlog[1:]
-			}
-			if len(backlog) == 0 && out.TrySendBatch(batch) {
-				continue
-			}
-			backlog = append(backlog, batch)
-			if len(backlog) >= relayBacklogCap {
-				// The consumer is a full cap behind: stop absorbing and relay
-				// with backpressure. Release the slot first — blocking on the
-				// consumer while holding it would reintroduce the dependent-
-				// join deadlock the backlog exists to prevent (the consumer
-				// may be waiting on another request to this same source).
-				release()
-				for _, b := range backlog {
-					if !out.SendBatch(ctx, b) {
-						return
-					}
-				}
-				backlog = nil
-			}
-		}
-		release()
-		for _, batch := range backlog {
-			if !out.SendBatch(ctx, batch) {
-				// SendBatch only fails on cancellation; the inner producer
-				// observes the same context and has already closed.
-				return
-			}
-		}
-	}()
-	return out, nil
+	defer w.lim.Release(id)
+	return w.inner.ExecuteColumnar(ctx, req, schema, d)
 }

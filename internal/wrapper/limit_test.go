@@ -22,9 +22,21 @@ func oneRow(schema *engine.Schema) *engine.ColBatch {
 	return b
 }
 
-// slowWrapper is a test wrapper whose ExecuteColumnar tracks its own
-// concurrency and emits a fixed number of single-row batches with a small
-// delay, so that many overlapping invocations are observable.
+// answered returns a closed stream already holding n single-row batches:
+// a response in hand, the way every wrapper answers before it streams.
+func answered(ctx context.Context, schema *engine.Schema, n int) *engine.CStream {
+	out := engine.NewCStream(schema, n)
+	for range n {
+		out.SendBatch(ctx, oneRow(schema))
+	}
+	out.Close()
+	return out
+}
+
+// slowWrapper is a test wrapper that works for delay inside
+// ExecuteColumnar, tracking its own concurrency while it does, and then
+// answers a fixed number of single-row batches, so that many overlapping
+// invocations are observable.
 type slowWrapper struct {
 	id      string
 	delay   time.Duration
@@ -38,24 +50,15 @@ func (w *slowWrapper) SourceID() string { return w.id }
 
 func (w *slowWrapper) ExecuteColumnar(ctx context.Context, req *Request, schema *engine.Schema, d *dict.Dict) (*engine.CStream, error) {
 	n := w.cur.Add(1)
+	defer w.cur.Add(-1)
 	for {
 		p := w.peak.Load()
 		if n <= p || w.peak.CompareAndSwap(p, n) {
 			break
 		}
 	}
-	out := engine.NewCStream(schema, 0)
-	go func() {
-		defer out.Close()
-		defer w.cur.Add(-1)
-		for i := 0; i < w.answers; i++ {
-			time.Sleep(w.delay)
-			if !out.SendBatch(ctx, oneRow(schema)) {
-				return
-			}
-		}
-	}()
-	return out, nil
+	time.Sleep(w.delay)
+	return answered(ctx, schema, w.answers), nil
 }
 
 func TestSourceLimiterBoundsInFlight(t *testing.T) {
@@ -159,8 +162,8 @@ func TestLimitedReleasesOnConsumerCancellation(t *testing.T) {
 	}
 }
 
-// fountainWrapper produces n single-row batches as fast as the
-// consumer will take them, counting how many it managed to hand over.
+// fountainWrapper answers n single-row batches as fast as it can,
+// counting how many it handed over.
 type fountainWrapper struct {
 	id   string
 	n    int
@@ -170,27 +173,18 @@ type fountainWrapper struct {
 func (w *fountainWrapper) SourceID() string { return w.id }
 
 func (w *fountainWrapper) ExecuteColumnar(ctx context.Context, req *Request, schema *engine.Schema, d *dict.Dict) (*engine.CStream, error) {
-	out := engine.NewCStream(schema, 0)
-	go func() {
-		defer out.Close()
-		for i := 0; i < w.n; i++ {
-			if !out.SendBatch(ctx, oneRow(schema)) {
-				return
-			}
-			w.sent.Add(1)
-		}
-	}()
+	out := answered(ctx, schema, w.n)
+	w.sent.Add(int32(w.n))
 	return out, nil
 }
 
-// TestLimitedReleasesSlotAtBacklogCap is the regression test for the
-// dependent-join deadlock past the backlog cap: once the relay stops
-// absorbing on the source's behalf and has to block on a stalled
-// consumer, it must give the source slot back — otherwise, at limit=1, a
-// consumer that is itself waiting on another request to the same source
-// (a dependent join over a large response) would deadlock.
-func TestLimitedReleasesSlotAtBacklogCap(t *testing.T) {
-	const total = relayBacklogCap * 4
+// TestLimitedHoldsSlotOnlyWhileSourceAnswers: a source slot is held while
+// the source answers, never while its response waits to be read. At
+// limit 1 a consumer that is itself waiting on another request to the
+// same source — a dependent join over an unread response — must not
+// deadlock the limiter.
+func TestLimitedHoldsSlotOnlyWhileSourceAnswers(t *testing.T) {
+	const total = 256
 	inner := &fountainWrapper{id: "src", n: total}
 	lim := NewSourceLimiter(1)
 	w := Limited(inner, lim)
@@ -199,17 +193,14 @@ func TestLimitedReleasesSlotAtBacklogCap(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Nobody reads out: the relay fills its backlog to the cap and must
-	// release the slot before its first blocking send.
-	deadline := time.Now().Add(2 * time.Second)
-	for lim.InFlight("src") != 0 {
-		if time.Now().After(deadline) {
-			t.Fatal("slot still held while blocked on a stalled consumer at the backlog cap")
-		}
-		time.Sleep(time.Millisecond)
+	// Nobody has read out: the source has answered and its slot is free.
+	if got := lim.InFlight("src"); got != 0 {
+		t.Fatalf("in-flight with the response unread = %d, want 0", got)
 	}
-	// A second request to the same source — what a dependent join issues
-	// while the first response is still pending — runs to completion.
+	if got := inner.sent.Load(); got != total {
+		t.Fatalf("source handed over %d batches before returning, want %d", got, total)
+	}
+	// A second request to the same source runs to completion.
 	out2, err := execute(context.Background(), w, &Request{})
 	if err != nil {
 		t.Fatal(err)
@@ -228,38 +219,5 @@ func TestLimitedReleasesSlotAtBacklogCap(t *testing.T) {
 	}
 	if got != total {
 		t.Fatalf("first request received %d batches, want %d", got, total)
-	}
-}
-
-// TestLimitedBacklogBounded is the regression test for the unbounded relay
-// backlog: with a consumer that reads nothing, the relay must stop pulling
-// from the source once its bounded backlog fills instead of buffering the
-// whole response in memory.
-func TestLimitedBacklogBounded(t *testing.T) {
-	const total = relayBacklogCap * 20
-	inner := &fountainWrapper{id: "src", n: total}
-	w := Limited(inner, NewSourceLimiter(1))
-	out, err := execute(context.Background(), w, &Request{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Nobody reads out yet: wait until the relay has absorbed what it will.
-	deadline := time.Now().Add(2 * time.Second)
-	for time.Now().Before(deadline) && int(inner.sent.Load()) < relayBacklogCap {
-		time.Sleep(time.Millisecond)
-	}
-	time.Sleep(50 * time.Millisecond) // would-be runaway time
-	// Bound: the backlog cap plus the relay stream's small buffer and the
-	// batches in hand.
-	if got := int(inner.sent.Load()); got > relayBacklogCap+8 {
-		t.Fatalf("relay buffered %d batches with an idle consumer (cap %d)", got, relayBacklogCap)
-	}
-	// Once the consumer starts reading, the full response still arrives.
-	got := 0
-	for range out.Batches() {
-		got++
-	}
-	if got != total {
-		t.Fatalf("consumer received %d batches, want %d", got, total)
 	}
 }

@@ -8,8 +8,6 @@ import (
 	"net/http"
 	"sort"
 	"strings"
-	"sync/atomic"
-	"time"
 
 	"ontario/internal/dict"
 	"ontario/internal/engine"
@@ -64,36 +62,12 @@ func (w *RemoteSPARQLWrapper) ExecuteColumnar(ctx context.Context, req *Request,
 	if len(req.Stars) == 0 {
 		return nil, fmt.Errorf("wrapper %s: empty request", w.id)
 	}
-	seeds := req.seedBindings(d)
-	query := buildRemoteQuery(req, seeds)
-	qt := trace.FromContext(ctx)
+	query := buildRemoteQuery(req, req.seedBindings(d))
 	var sols []sparql.Binding
-	var attempts atomic.Int64
-	var peer peerTrace
-	started := time.Now()
-	err := w.health.Do(ctx, w.id, func(actx context.Context) error {
-		attempts.Add(1)
-		got, p, ferr := w.fetch(actx, query, qt)
-		if ferr != nil {
-			return ferr
-		}
-		sols, peer = got, p
-		return nil
+	err := w.health.Hop(ctx, w.id, func(actx context.Context, span *trace.RemoteSpan) (err error) {
+		sols, err = w.fetch(actx, query, span)
+		return err
 	})
-	if qt != nil {
-		span := trace.RemoteSpan{
-			Source:    w.id,
-			QueryID:   peer.queryID,
-			Attempts:  int(attempts.Load()),
-			Breaker:   w.health.State(w.id).String(),
-			LatencyMS: float64(time.Since(started)) / float64(time.Millisecond),
-			Children:  peer.spans,
-		}
-		if err != nil {
-			span.Error = err.Error()
-		}
-		qt.AddRemoteSpan(span)
-	}
 	if err != nil {
 		return nil, fmt.Errorf("wrapper %s: endpoint %s: %w", w.id, w.endpoint, err)
 	}
@@ -223,38 +197,31 @@ func (t remoteTerm) term() rdf.Term {
 // message.
 const maxErrorBody = 4 << 10
 
-// peerTrace is what a remote hop reports back for the coordinator's trace:
-// the peer's query ID (when the endpoint is an ontario server) and the
-// peer's own remote spans, nesting deeper federation levels.
-type peerTrace struct {
-	queryID string
-	spans   []trace.RemoteSpan
-}
-
 // fetch runs one attempt: POST the query, read and decode the full result
 // document. A truncated body (an upstream node that died mid-stream writes
 // a valid-looking prefix with no closing braces) surfaces as a JSON decode
 // error, and an ontario-server upstream that failed mid-stream announces it
-// in the X-Ontario-Error trailer — both are retryable. When qt is non-nil
-// the hop propagates the W3C traceparent header and collects the peer's
-// trace identity from the response.
-func (w *RemoteSPARQLWrapper) fetch(ctx context.Context, query string, qt *trace.QueryTrace) ([]sparql.Binding, peerTrace, error) {
-	var peer peerTrace
+// in the X-Ontario-Error trailer — both are retryable. When ctx carries a
+// query trace the hop propagates the W3C traceparent header; the peer's
+// trace identity — its query ID (when the endpoint is an ontario server)
+// and its own remote spans, nesting deeper federation levels — goes into
+// span.
+func (w *RemoteSPARQLWrapper) fetch(ctx context.Context, query string, span *trace.RemoteSpan) ([]sparql.Binding, error) {
 	hreq, err := http.NewRequestWithContext(ctx, http.MethodPost, w.endpoint, strings.NewReader(query))
 	if err != nil {
-		return nil, peer, Permanent(err)
+		return nil, Permanent(err)
 	}
 	hreq.Header.Set("Content-Type", "application/sparql-query")
 	hreq.Header.Set("Accept", "application/sparql-results+json")
-	if qt != nil {
+	if qt := trace.FromContext(ctx); qt != nil {
 		hreq.Header.Set("Traceparent", qt.Traceparent())
 	}
 	resp, err := w.client.Do(hreq)
 	if err != nil {
-		return nil, peer, err
+		return nil, err
 	}
 	defer resp.Body.Close()
-	peer.queryID = resp.Header.Get("X-Ontario-Query-Id")
+	span.QueryID, span.Children = resp.Header.Get("X-Ontario-Query-Id"), nil
 	if resp.StatusCode != http.StatusOK {
 		body, _ := io.ReadAll(io.LimitReader(resp.Body, maxErrorBody))
 		err := fmt.Errorf("HTTP %d: %s", resp.StatusCode, strings.TrimSpace(string(body)))
@@ -262,9 +229,9 @@ func (w *RemoteSPARQLWrapper) fetch(ctx context.Context, query string, qt *trace
 			resp.StatusCode != http.StatusRequestTimeout && resp.StatusCode != http.StatusTooManyRequests {
 			// The request itself is wrong (parse error, bad parameter):
 			// retrying the same text cannot help.
-			return nil, peer, Permanent(err)
+			return nil, Permanent(err)
 		}
-		return nil, peer, err
+		return nil, err
 	}
 	var doc struct {
 		Results struct {
@@ -273,17 +240,17 @@ func (w *RemoteSPARQLWrapper) fetch(ctx context.Context, query string, qt *trace
 	}
 	dec := json.NewDecoder(resp.Body)
 	if err := dec.Decode(&doc); err != nil {
-		return nil, peer, fmt.Errorf("decoding results: %w", err)
+		return nil, fmt.Errorf("decoding results: %w", err)
 	}
 	// Trailers are only populated once the body has been fully read.
 	io.Copy(io.Discard, resp.Body)
 	if raw := resp.Trailer.Get("X-Ontario-Spans"); raw != "" {
 		// Best effort: a peer sending malformed spans only loses its
 		// subtree in the coordinator trace.
-		_ = json.Unmarshal([]byte(raw), &peer.spans)
+		_ = json.Unmarshal([]byte(raw), &span.Children)
 	}
 	if msg := resp.Trailer.Get("X-Ontario-Error"); msg != "" {
-		return nil, peer, fmt.Errorf("upstream failed mid-stream: %s", msg)
+		return nil, fmt.Errorf("upstream failed mid-stream: %s", msg)
 	}
 	sols := make([]sparql.Binding, 0, len(doc.Results.Bindings))
 	for _, row := range doc.Results.Bindings {
@@ -293,7 +260,7 @@ func (w *RemoteSPARQLWrapper) fetch(ctx context.Context, query string, qt *trace
 		}
 		sols = append(sols, b)
 	}
-	return sols, peer, nil
+	return sols, nil
 }
 
 // NoDelaySim returns a simulator that accounts request/response messages

@@ -7,6 +7,8 @@ import (
 	"sort"
 	"sync"
 	"time"
+
+	"ontario/internal/trace"
 )
 
 // This file is the shared resilience layer of the remote wrappers: every
@@ -370,6 +372,28 @@ func (h *HealthRegistry) Do(ctx context.Context, sourceID string, op func(contex
 			return lastErr
 		}
 	}
+}
+
+// Hop runs op under Do as one hop to a live source and, when ctx carries
+// a query trace, records the hop as one remote span: its attempts, the
+// breaker state after it, its latency and its error. op may fill in the
+// span's QueryID and Children from the peer's answer.
+func (h *HealthRegistry) Hop(ctx context.Context, sourceID string, op func(actx context.Context, span *trace.RemoteSpan) error) error {
+	span := trace.RemoteSpan{Source: sourceID}
+	started := time.Now()
+	err := h.Do(ctx, sourceID, func(actx context.Context) error {
+		span.Attempts++
+		return op(actx, &span)
+	})
+	if qt := trace.FromContext(ctx); qt != nil {
+		span.Breaker = h.State(sourceID).String()
+		span.LatencyMS = float64(time.Since(started)) / float64(time.Millisecond)
+		if err != nil {
+			span.Error = err.Error()
+		}
+		qt.AddRemoteSpan(span)
+	}
+	return err
 }
 
 // ReportFailure records one externally observed failure against the

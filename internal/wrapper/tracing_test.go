@@ -3,11 +3,14 @@ package wrapper
 import (
 	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"net/http"
 	"net/http/httptest"
+	"strings"
 	"sync/atomic"
 	"testing"
+	"time"
 
 	"ontario/internal/trace"
 )
@@ -93,28 +96,63 @@ func TestRemoteWrapperNoTraceNoHeader(t *testing.T) {
 	}
 }
 
-// TestRemoteWrapperRecordsFailedHop: a hop that exhausts its retries must
-// still land on the trace, with the error and the attempt count — a broken
-// hop is exactly what the coordinator wants to see.
+// TestRemoteWrapperRecordsFailedHop: a failed hop to either live source
+// — an HTTP endpoint or a database — must still land on the trace, with
+// its error and attempt count; a broken hop is exactly what the
+// coordinator wants to see. A hop that exhausts its retries made several
+// attempts; a hop its open breaker rejected made none.
 func TestRemoteWrapperRecordsFailedHop(t *testing.T) {
 	srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		http.Error(w, "boom", http.StatusInternalServerError)
 	}))
 	defer srv.Close()
-	qt := trace.NewQueryTrace()
-	ctx := trace.WithQuery(context.Background(), qt)
-	w := newRemote(t, srv.URL, fastResilience())
-	if _, err := execute(ctx, w, &Request{Stars: []*StarQuery{personStar()}}); err == nil {
-		t.Fatal("Execute should fail against an always-500 endpoint")
+	remote := func(h *HealthRegistry) (Wrapper, *Request) {
+		return NewRemoteSPARQLWrapper("remote", srv.URL, h, nil, 0), &Request{Stars: []*StarQuery{personStar()}}
 	}
-	spans := qt.RemoteSpans()
-	if len(spans) != 1 {
-		t.Fatalf("failed hop produced %d spans, want 1", len(spans))
+	database := func(h *HealthRegistry) (Wrapper, *Request) {
+		src := personSQLSource(t, &stubConn{cols: []string{"c0", "c1"}, fail: 1 << 20})
+		return NewDBSQLWrapper(src, h, nil, 0), &Request{Stars: []*StarQuery{personSQLStar()}}
 	}
-	if spans[0].Error == "" {
-		t.Error("failed hop span lacks the error")
-	}
-	if spans[0].Attempts < 2 {
-		t.Errorf("failed hop attempts = %d, want >= 2 (retries)", spans[0].Attempts)
+	for _, tc := range []struct {
+		name     string
+		build    func(*HealthRegistry) (Wrapper, *Request)
+		open     bool // the breaker is open before the hop
+		attempts func(int) bool
+	}{
+		{"endpoint down", remote, false, func(n int) bool { return n >= 2 }},
+		{"endpoint breaker open", remote, true, func(n int) bool { return n == 0 }},
+		{"database down", database, false, func(n int) bool { return n >= 2 }},
+		{"database breaker open", database, true, func(n int) bool { return n == 0 }},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			cfg := fastResilience()
+			cfg.BreakerCooldown = time.Hour
+			h := NewHealthRegistry(cfg)
+			w, req := tc.build(h)
+			for i := 0; tc.open && i < cfg.BreakerThreshold; i++ {
+				h.ReportFailure(w.SourceID(), errors.New("down"))
+			}
+			qt := trace.NewQueryTrace()
+			if _, err := execute(trace.WithQuery(context.Background(), qt), w, req); err == nil {
+				t.Fatal("Execute should fail")
+			}
+			spans := qt.RemoteSpans()
+			if len(spans) != 1 {
+				t.Fatalf("failed hop produced %d spans, want 1", len(spans))
+			}
+			sp := spans[0]
+			if sp.Source != w.SourceID() {
+				t.Errorf("span source = %q, want %q", sp.Source, w.SourceID())
+			}
+			if sp.Error == "" {
+				t.Error("failed hop span lacks the error")
+			}
+			if tc.open && !strings.Contains(sp.Error, ErrCircuitOpen.Error()) {
+				t.Errorf("span error = %q, want it to name %v", sp.Error, ErrCircuitOpen)
+			}
+			if !tc.attempts(sp.Attempts) {
+				t.Errorf("failed hop attempts = %d", sp.Attempts)
+			}
+		})
 	}
 }

@@ -222,10 +222,12 @@ func (r *Request) Vars() []string {
 type Wrapper interface {
 	// SourceID identifies the wrapped source.
 	SourceID() string
-	// ExecuteColumnar runs the request, streaming columnar batches over
-	// schema with all terms interned into d as they are retrieved across
-	// the simulated network: one latency sample per solution, or one per
-	// response for a block request (see respEntry.stream).
+	// ExecuteColumnar runs the request. The source answers before it
+	// returns: the whole response is in hand, its terms interned into d,
+	// and a source failure is its error. The returned stream only replays
+	// that response over schema across the simulated network: one latency
+	// sample per solution, or one per response for a block request (see
+	// respEntry.stream).
 	ExecuteColumnar(ctx context.Context, req *Request, schema *engine.Schema, d *dict.Dict) (*engine.CStream, error)
 }
 

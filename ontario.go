@@ -46,9 +46,10 @@
 //
 // The engine is safe for concurrent use: every query runs on an isolated
 // execution, and WithSourceLimit bounds in-flight wrapper requests per
-// source across all running queries. internal/server exposes an engine as
-// a concurrent HTTP SPARQL endpoint with admission control and streaming
-// results (see cmd/ontario-server).
+// source across all running queries, a slot held while the source
+// answers; the simulated transfer is not source work. internal/server
+// exposes an engine as a concurrent HTTP SPARQL endpoint with admission
+// control and streaming results (see cmd/ontario-server).
 package ontario
 
 import (
@@ -134,7 +135,9 @@ type EngineOption func(*Engine)
 // WithSourceLimit bounds the number of concurrently in-flight wrapper
 // requests per source, across all queries running on the engine: a burst
 // of bind-join blocks from many concurrent queries queues at the source's
-// semaphore instead of stampeding it. n < 1 is treated as 1.
+// semaphore instead of stampeding it. A slot is held while the source
+// answers; the simulated transfer is not source work. n < 1 is treated
+// as 1.
 func WithSourceLimit(n int) EngineOption {
 	return func(e *Engine) {
 		e.executor.Limiter = wrapper.NewSourceLimiter(n)

@@ -259,7 +259,8 @@ func WithOptimizer(o Optimizer) Option {
 // WithJoinOperator forces one engine-level join implementation for every
 // join, instead of the optimizer's per-join choice. The forced operator is
 // kept as given: JoinBind is the strictly sequential bind join even where
-// the left input would fill a block.
+// the left input would fill a block. Under OptimizerCost, JoinSymmetricHash
+// (the default) forces nothing: the optimizer still chooses each join.
 func WithJoinOperator(op JoinOperator) Option {
 	return func(c *config) { c.joinOp = &op }
 }

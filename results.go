@@ -17,9 +17,11 @@ import (
 type Stats struct {
 	// Answers is the number of solutions delivered through the cursor.
 	Answers int
-	// Messages is the number of simulated network messages retrieved.
+	// Messages is the number of simulated network messages retrieved, the
+	// sum of SourceMessages.
 	Messages int
-	// SimulatedDelay is the total sampled network latency.
+	// SimulatedDelay is the total sampled network latency, the sum of
+	// SourceDelays.
 	SimulatedDelay time.Duration
 	// Duration is the wall-clock execution time.
 	Duration time.Duration
@@ -189,15 +191,13 @@ func (r *Results) Stats() Stats {
 	if r.n == 0 {
 		ttfa = d
 	}
-	return Stats{
-		Answers:           r.n,
-		Messages:          r.exec.Messages(),
-		SimulatedDelay:    r.exec.SimulatedDelay(),
-		Duration:          d,
-		TimeToFirstAnswer: ttfa,
-		SourceMessages:    r.exec.SourceMessages(),
-		SourceDelays:      r.exec.SourceDelays(),
+	st := Stats{Answers: r.n, Duration: d, TimeToFirstAnswer: ttfa}
+	st.SourceMessages, st.SourceDelays = r.exec.Network()
+	for id, n := range st.SourceMessages {
+		st.Messages += n
+		st.SimulatedDelay += st.SourceDelays[id]
 	}
+	return st
 }
 
 // Plan returns the executed plan as a public summary tree.
