@@ -9,9 +9,11 @@
 //	Gamma 3  — slow network, gamma(α=3, β=1.5)   ≈ 4.5 ms mean latency
 //
 // The paper samples with numpy.random.gamma and sleeps with time.sleep
-// inside the SQL wrapper; here the wrapper calls Profile.Delay per message.
-// A configurable time scale lets tests and benchmarks shrink real sleeping
-// while keeping the sampled (reported) delays intact.
+// inside the SQL wrapper; here wrapper.respEntry.stream samples each
+// message and sleeps to a running deadline, so late timer wake-ups do not
+// add up, while Simulator.Delay is one unpaced sleep. A configurable time
+// scale lets tests and benchmarks shrink real sleeping while keeping the
+// sampled (reported) delays intact.
 package netsim
 
 import (

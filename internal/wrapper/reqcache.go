@@ -89,6 +89,10 @@ type respEntry struct {
 	nrows int
 	cols  [][]dict.ID
 
+	// crossed counts the rows a wrapper-side join (the naive translation)
+	// consumed from across the network; stream charges them, not answers.
+	crossed int
+
 	// shape, vars and seeds are the request identity the entry was stored
 	// under, compared on every hit; used is its second-chance flag.
 	shape *shape
@@ -204,11 +208,14 @@ func newColEntry(rows []dict.ID, n, stride int) *respEntry {
 // is applied, with the charge the request asks for: perAnswer charges one
 // latency sample per solution, so an empty response samples nothing;
 // otherwise the response is one message, charged even when empty because
-// it still crosses the network. A cache hit changes where the rows come
+// it still crosses the network; an entry with crossed rows charges those
+// before its first answer instead. A cache hit changes where the rows come
 // from, not what the execution observes: same rows, same per-message
 // delay accounting, batched at the wrapper's current batch size. Every
 // batch is a view of the stored columns, so a replay copies no row. sim
-// may be nil for no network simulation.
+// may be nil for no network simulation. Under a simulator that really
+// sleeps, per-answer rows wait to a running deadline (see pace), so late
+// timer wake-ups do not add up.
 func (e *respEntry) stream(ctx context.Context, sim *netsim.Simulator, perAnswer bool, schema *engine.Schema, batch int) *engine.CStream {
 	out := engine.NewCStream(schema, 4)
 	if batch <= 0 {
@@ -221,55 +228,68 @@ func (e *respEntry) stream(ctx context.Context, sim *netsim.Simulator, perAnswer
 		}
 		return out.SendBatch(ctx, b)
 	}
+	// ahead counts the messages charged, in one wait, before any answer.
+	ahead, answers := e.crossed, perAnswer && e.crossed == 0
+	if !perAnswer && ahead == 0 {
+		ahead = 1
+	}
 	go func() {
 		defer out.Close()
-		if !perAnswer {
-			// The (possibly empty) response is one message.
-			if sim != nil {
-				sim.Delay()
-			}
-			for lo := 0; lo < e.nrows; lo += batch {
-				if !send(lo, min(lo+batch, e.nrows)) {
-					return
-				}
-			}
+		if sim != nil && ahead > 0 {
+			time.Sleep(sim.Pause(sim.SampleN(ahead)))
+		}
+		if sim != nil && answers && sim.Sleeps() {
+			e.pace(sim, batch, send)
 			return
 		}
-		// Per answer: each chunk's rows are charged just before it
-		// goes out. Under a simulator that really sleeps, rows trickle one
-		// sample at a time instead, and the pending rows go out before any
-		// sleep that would hold the oldest of them past the flush interval,
-		// so a first answer is never held back behind later ones.
-		step := batch
-		if sim != nil && sim.Sleeps() {
-			step = 1
-		}
-		var first time.Time // when the oldest pending row arrived
-		for lo, hi := 0, 0; hi < e.nrows; {
-			next := min(hi+step, e.nrows)
-			var pause time.Duration
-			if sim != nil {
-				pause = sim.Pause(sim.SampleN(next - hi))
+		for lo := 0; lo < e.nrows; lo += batch {
+			hi := min(lo+batch, e.nrows)
+			if sim != nil && answers {
+				sim.SampleN(hi - lo)
 			}
-			if hi > lo && time.Since(first)+pause > engine.DefaultFlushInterval {
-				if !send(lo, hi) {
-					return
-				}
-				lo = hi
-			}
-			time.Sleep(pause)
-			if lo == hi {
-				first = time.Now()
-			}
-			if hi = next; hi-lo >= batch || hi == e.nrows {
-				if !send(lo, hi) {
-					return
-				}
-				lo = hi
+			if !send(lo, hi) {
+				return
 			}
 		}
 	}()
 	return out
+}
+
+// pace sends a per-answer response under a sleeping simulator, one
+// sampled row at a time, each waiting to a running deadline: the start,
+// plus every pause so far, plus the time sends blocked on the consumer. A
+// late wake-up thus shortens the next wait, backpressure still delays all
+// later rows, and no row leaves before its own and every earlier pause.
+// Pending rows go out before a wait that would hold the oldest past the
+// flush interval, so a first answer is never held back behind later ones.
+func (e *respEntry) pace(sim *netsim.Simulator, batch int, send func(lo, hi int) bool) {
+	deadline := time.Now()
+	timed := func(lo, hi int) bool {
+		t := time.Now()
+		ok := send(lo, hi)
+		deadline = deadline.Add(time.Since(t))
+		return ok
+	}
+	var first time.Time // the deadline the oldest pending row arrived at
+	for lo, hi := 0, 0; hi < e.nrows; {
+		deadline = deadline.Add(sim.Pause(sim.SampleN(1)))
+		if hi > lo && deadline.Sub(first) > engine.DefaultFlushInterval {
+			if !timed(lo, hi) {
+				return
+			}
+			lo = hi
+		}
+		time.Sleep(time.Until(deadline))
+		if lo == hi {
+			first = deadline
+		}
+		if hi++; hi-lo >= batch || hi == e.nrows {
+			if !timed(lo, hi) {
+				return
+			}
+			lo = hi
+		}
+	}
 }
 
 // idView is one column of a source's terms in dictionary IDs: a slot per

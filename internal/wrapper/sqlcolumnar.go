@@ -92,11 +92,12 @@ func (w *SQLWrapper) ExecuteColumnar(ctx context.Context, req *Request, schema *
 		// behaviour, one latency sample per intermediate star row. Multi-seed
 		// block requests always use the single-query translation — the whole
 		// point of the block is one pushed-down query per block.
-		e, err := w.executeNaive(req, schema, d)
+		e, crossed, err := w.executeNaive(req, schema, d)
 		if err != nil {
 			return nil, err
 		}
-		return e.stream(ctx, nil, true, schema, w.batch), nil
+		e.crossed = crossed
+		return e.stream(ctx, w.sim, true, schema, w.batch), nil
 	}
 	gen := w.src.DB.Gen()
 	var key respKey

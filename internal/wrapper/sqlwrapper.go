@@ -114,16 +114,16 @@ func (w *SQLWrapper) recordSQL(stmt *sql.Select) {
 // nested loop inside the wrapper — Ontario's unoptimized combined-star
 // translation. Each star's query carries the seeds its variables can
 // express and its rows go through fill, the row check included, before
-// they are charged; the join runs on those ID rows, laid out over the
-// request's variables. The joined rows were already transferred, so the
-// caller streams the returned entry without a simulator.
-func (w *SQLWrapper) executeNaive(req *Request, schema *engine.Schema, d *dict.Dict) (*respEntry, error) {
+// they cross; the join runs on those ID rows, laid out over the request's
+// variables. It returns the joined answers and how many rows crossed, for
+// the stream to charge: the call itself never waits on the network.
+func (w *SQLWrapper) executeNaive(req *Request, schema *engine.Schema, d *dict.Dict) (*respEntry, int, error) {
 	w.resetSQL()
 	layout := engine.NewSchema(req.Vars())
 	stride := len(layout.Vars)
 	rest := req.Filters // those no star so far covers
 	var joined []dict.ID
-	n := 0
+	n, crossed := 0, 0
 	for i, star := range req.Stars {
 		// Only filters fully covered by this star's variables may be
 		// pushed into its SQL.
@@ -139,25 +139,20 @@ func (w *SQLWrapper) executeNaive(req *Request, schema *engine.Schema, d *dict.D
 		rest = uncovered
 		tl, err := translateRequest(w.src, []*StarQuery{star}, pushed)
 		if err != nil {
-			return nil, err
+			return nil, 0, err
 		}
 		if tl.empty {
-			return newColEntry(nil, 0, len(schema.Vars)), nil
+			return newColEntry(nil, 0, len(schema.Vars)), crossed, nil
 		}
 		tl, empty := tl.withSeeds(tl.seedSlot(req.Seeds.Vars), req.Seeds, d)
 		if empty {
-			return newColEntry(nil, 0, len(schema.Vars)), nil
+			return newColEntry(nil, 0, len(schema.Vars)), crossed, nil
 		}
 		rc, err := w.fill(tl, req.Seeds, layout, d)
 		if err != nil {
-			return nil, err
+			return nil, 0, err
 		}
-		// Every intermediate row is retrieved across the network.
-		if w.sim != nil {
-			for range rc.n {
-				w.sim.Delay()
-			}
-		}
+		crossed += rc.n // every intermediate row is retrieved across the network
 		if i == 0 {
 			joined, n = rc.rows, rc.n
 			continue
@@ -190,7 +185,7 @@ func (w *SQLWrapper) executeNaive(req *Request, schema *engine.Schema, d *dict.D
 	for r := 0; r < n; r++ {
 		rc.add(joined[r*stride : (r+1)*stride])
 	}
-	return rc.entry(), nil
+	return rc.entry(), crossed, nil
 }
 
 // compatibleIDs reports whether two rows of one layout agree wherever
