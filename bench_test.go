@@ -197,7 +197,7 @@ func BenchmarkSelectivityRule(b *testing.B) {
 	}
 }
 
-// BenchmarkIndexKinds is ablation A1: hash vs B+tree secondary indexes vs
+// BenchmarkIndexKinds is ablation A1: hash vs ordered secondary indexes vs
 // a sequential scan, for point lookups and range scans.
 func BenchmarkIndexKinds(b *testing.B) {
 	mk := func(kind string) *rdb.Database {

@@ -13,7 +13,6 @@ import (
 	"ontario/internal/bridge"
 	"ontario/internal/cluster"
 	"ontario/internal/lslod"
-	"ontario/internal/trace"
 	"ontario/internal/wrapper"
 )
 
@@ -340,11 +339,7 @@ func TestClusterCoPartitionedPushdown(t *testing.T) {
 	if len(want) == 0 {
 		t.Fatal("co-partitioned query returned no solutions single-node")
 	}
-	// Inject a query trace to observe the executed (post-unmerge) operator
-	// kinds — the plan summary shows the merged-service plan, not the
-	// distributed tree execution actually ran.
-	qt := trace.NewQueryTrace()
-	res, err := eng.Query(trace.WithQuery(context.Background(), qt), coQuery,
+	res, err := eng.Query(context.Background(), coQuery,
 		append([]ontario.Option{tc.opt}, base...)...)
 	if err != nil {
 		t.Fatalf("cluster query: %v", err)
@@ -353,6 +348,21 @@ func TestClusterCoPartitionedPushdown(t *testing.T) {
 	if err != nil {
 		t.Fatalf("cluster collect: %v", err)
 	}
+	// The executed operator kinds: EXPLAIN ANALYZE reports each plan
+	// node's actuals under the physical operator that ran it.
+	kinds := make([]string, 0, 8)
+	coJoin := false
+	var walk func(*ontario.PlanSummary)
+	walk = func(s *ontario.PlanSummary) {
+		if s.Actual != nil {
+			kinds = append(kinds, s.Actual.Kind)
+			coJoin = coJoin || s.Actual.Kind == "co-join"
+		}
+		for _, c := range s.Children {
+			walk(c)
+		}
+	}
+	walk(res.Analyze().Plan)
 	res.Close()
 	got := make([]string, len(rows))
 	for i, b := range rows {
@@ -360,14 +370,6 @@ func TestClusterCoPartitionedPushdown(t *testing.T) {
 	}
 	sort.Strings(got)
 	diffMultisets(t, "co-partitioned", want, got)
-	kinds := make([]string, 0, 8)
-	coJoin := false
-	for _, op := range qt.Ops() {
-		kinds = append(kinds, op.Kind)
-		if op.Kind == "co-join" {
-			coJoin = true
-		}
-	}
 	if !coJoin {
 		t.Fatalf("co-partitioned join did not execute as co-join; executed operators: %v", kinds)
 	}

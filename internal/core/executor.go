@@ -109,10 +109,10 @@ type Execution struct {
 	fmu sync.Mutex
 	err error
 
-	// qt is the query trace every operator's runtime stats register into;
-	// nodeStats maps plan nodes to their stats so EXPLAIN ANALYZE can pair
-	// actuals with the plan's estimates. Both are set by ExecuteColumnar
-	// (adopting a trace from the context or creating one) and guarded by mu.
+	// qt is the query trace; nodeStats maps plan nodes to their operators'
+	// runtime stats so EXPLAIN ANALYZE can pair actuals with the plan's
+	// estimates. Both are set by ExecuteColumnar (adopting a trace from the
+	// context or creating one) and guarded by mu.
 	qt        *trace.QueryTrace
 	nodeStats map[PlanNode]*engine.OpStats
 	modStats  []*engine.OpStats
@@ -139,15 +139,16 @@ func (x *Execution) NodeActuals(n PlanNode) (engine.OpActuals, bool) {
 	return st.Snapshot(), true
 }
 
-// stats registers one operator's stats record, remembering the plan node
-// it belongs to; n == nil registers a solution modifier.
+// stats mints one operator's stats record, remembering the plan node it
+// belongs to; n == nil records a solution modifier. An untraced execution
+// records nothing and returns nil.
 func (x *Execution) stats(n PlanNode, kind, label string) *engine.OpStats {
 	x.mu.Lock()
 	defer x.mu.Unlock()
 	if x.qt == nil {
 		return nil
 	}
-	st := x.qt.Register(kind, label)
+	st := engine.NewOpStats(kind, label)
 	if n == nil {
 		x.modStats = append(x.modStats, st)
 		return st

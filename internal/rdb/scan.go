@@ -8,12 +8,12 @@ import (
 )
 
 // scanRelation builds one base relation, choosing the best access path for
-// the local predicates: a point lookup (primary key, hash or B+tree) when
-// a predicate pins an indexed column to a finite set of values — an
-// equality or an IN list; a B+tree range scan for inequalities on a
-// tree-indexed column; else a sequential scan. Remaining predicates are
-// applied as a residual filter, and a relation without predicates stays
-// the table's own ordinal list (raw).
+// the local predicates: a point lookup (primary key, hash or ordered
+// index) when a predicate pins an indexed column to a finite set of
+// values — an equality or an IN list; an ordered-index range scan for
+// inequalities on an ordered-indexed column; else a sequential scan.
+// Remaining predicates are applied as a residual filter, and a relation
+// without predicates stays the table's own ordinal list (raw).
 func (ex *execution) scanRelation(slot int, preds []*pred) *relSet {
 	r := ex.rels[slot]
 	schema := r.table.Schema
@@ -112,8 +112,8 @@ func pointCandFor(r relation, p sql.BoolExpr) *pointCand {
 	default:
 		return nil
 	}
-	typ, hash, tree := indexedColumn(r, col)
-	if !hash && !tree {
+	typ, hash, ordered := indexedColumn(r, col)
+	if !hash && !ordered {
 		return nil
 	}
 	vals := make([]Value, 0, len(lits))
@@ -145,7 +145,7 @@ func coerceExact(lit sql.Literal, typ Type) (v Value, exact bool) {
 // indexedColumn resolves a column reference against relation r and reports
 // its type and index kinds; both kinds are false when the column belongs
 // to another relation, does not exist or has no index.
-func indexedColumn(r relation, col sql.ColumnRef) (typ Type, hash, tree bool) {
+func indexedColumn(r relation, col sql.ColumnRef) (typ Type, hash, ordered bool) {
 	if col.Table != "" && col.Table != r.name {
 		return 0, false, false
 	}
@@ -153,12 +153,12 @@ func indexedColumn(r relation, col sql.ColumnRef) (typ Type, hash, tree bool) {
 	if err != nil {
 		return 0, false, false
 	}
-	hash, tree = r.table.indexKindOn(col.Column)
-	return typ, hash, tree
+	hash, ordered = r.table.indexKindOn(col.Column)
+	return typ, hash, ordered
 }
 
-// rangeCand is a B+tree range scan assembled from the inequalities on one
-// tree-indexed column.
+// rangeCand is an ordered-index range scan assembled from the inequalities
+// on one ordered-indexed column.
 type rangeCand struct {
 	preds          []int
 	column         string
@@ -167,7 +167,7 @@ type rangeCand struct {
 }
 
 // narrow folds predicate i into the candidate when it is an inequality
-// against a literal on a tree-indexed column of r: a bound on the
+// against a literal on an ordered-indexed column of r: a bound on the
 // candidate's own column tightens it, a bound on another column starts a
 // new candidate.
 func (rc *rangeCand) narrow(r relation, i int, p sql.BoolExpr) *rangeCand {
@@ -179,9 +179,9 @@ func (rc *rangeCand) narrow(r relation, i int, p sql.BoolExpr) *rangeCand {
 	if !ok || op == sql.CmpEq || op == sql.CmpNeq {
 		return rc
 	}
-	typ, _, tree := indexedColumn(r, col)
+	typ, _, ordered := indexedColumn(r, col)
 	v, exact := coerceExact(lit, typ)
-	if !tree || !exact || v.Null {
+	if !ordered || !exact || v.Null {
 		return rc
 	}
 	if rc == nil || rc.column != col.Column {

@@ -17,7 +17,7 @@ type IndexKind int
 const (
 	// IndexHash is an equality-only hash index.
 	IndexHash IndexKind = iota
-	// IndexBTree is an ordered B+tree index supporting ranges.
+	// IndexBTree is an ordered index supporting ranges.
 	IndexBTree
 )
 
@@ -31,10 +31,8 @@ func (k IndexKind) String() string {
 
 // IndexSpec describes a (single-column) secondary index.
 type IndexSpec struct {
-	Name   string
 	Column string
 	Kind   IndexKind
-	Unique bool
 }
 
 // Schema describes a table.

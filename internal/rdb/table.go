@@ -1,11 +1,12 @@
 package rdb
 
 import (
+	"cmp"
 	"fmt"
 	"slices"
+	"sort"
+	"strings"
 	"sync"
-
-	"ontario/internal/btree"
 )
 
 // Table is an in-memory table with optional secondary indexes. The primary
@@ -19,7 +20,7 @@ type Table struct {
 	ords    []int32        // 0..len(rows)-1: the ordinals of an unfiltered scan
 	pk      map[string]int // primary-key IndexKey -> row id
 	hashIdx map[string]map[string][]int
-	treeIdx map[string]*btree.Tree
+	ordIdx  map[string]*orderedIndex
 	specs   []IndexSpec
 	stats   *Stats
 
@@ -42,7 +43,7 @@ func NewTable(schema *Schema) (*Table, error) {
 		Schema:  schema,
 		pk:      make(map[string]int),
 		hashIdx: make(map[string]map[string][]int),
-		treeIdx: make(map[string]*btree.Tree),
+		ordIdx:  make(map[string]*orderedIndex),
 	}, nil
 }
 
@@ -98,7 +99,7 @@ func (t *Table) indexRow(spec IndexSpec, r Row, id int) {
 		m := t.hashIdx[spec.Column]
 		m[key] = append(m[key], id)
 	case IndexBTree:
-		t.treeIdx[spec.Column].Insert(key, id)
+		t.ordIdx[spec.Column].insert(key, id)
 	}
 }
 
@@ -116,23 +117,16 @@ func (t *Table) CreateIndex(spec IndexSpec) error {
 			return fmt.Errorf("rdb: %s: duplicate index on %s", t.Schema.Name, spec.Column)
 		}
 	}
-	if spec.Name == "" {
-		spec.Name = fmt.Sprintf("idx_%s_%s", t.Schema.Name, spec.Column)
-	}
 	switch spec.Kind {
 	case IndexHash:
-		if _, ok := t.hashIdx[spec.Column]; !ok {
-			t.hashIdx[spec.Column] = make(map[string][]int)
+		t.hashIdx[spec.Column] = make(map[string][]int)
+		for id, r := range t.rows {
+			t.indexRow(spec, r, id)
 		}
 	case IndexBTree:
-		if _, ok := t.treeIdx[spec.Column]; !ok {
-			t.treeIdx[spec.Column] = btree.New()
-		}
+		t.ordIdx[spec.Column] = newOrderedIndex(t.rows, ci)
 	}
 	t.specs = append(t.specs, spec)
-	for id, r := range t.rows {
-		t.indexRow(spec, r, id)
-	}
 	if t.mutated != nil {
 		t.mutated()
 	}
@@ -163,8 +157,8 @@ func (t *Table) HasIndexOn(column string) bool {
 }
 
 // indexKindOn returns the best index available on the column:
-// (hasHash, hasTree). The primary key counts as a hash index.
-func (t *Table) indexKindOn(column string) (hasHash, hasTree bool) {
+// (hasHash, hasOrdered). The primary key counts as a hash index.
+func (t *Table) indexKindOn(column string) (hasHash, hasOrdered bool) {
 	if column == t.Schema.PrimaryKey {
 		hasHash = true
 	}
@@ -176,7 +170,7 @@ func (t *Table) indexKindOn(column string) (hasHash, hasTree bool) {
 		case IndexHash:
 			hasHash = true
 		case IndexBTree:
-			hasTree = true
+			hasOrdered = true
 		}
 	}
 	return
@@ -228,8 +222,9 @@ func (t *Table) lookupEqLocked(column string, v Value) (ids []int, usedIndex boo
 	if m, ok := t.hashIdx[column]; ok {
 		return m[key], true
 	}
-	if tr, ok := t.treeIdx[column]; ok {
-		return tr.Get(key), true
+	if ix, ok := t.ordIdx[column]; ok {
+		i, j := ix.search(key, false), ix.search(key, true)
+		return ix.ids[i:j:j], true
 	}
 	ci := t.Schema.ColumnIndex(column)
 	for id, r := range t.rows {
@@ -261,28 +256,74 @@ func (t *Table) lookupIn(column string, vals []Value, n int) []int32 {
 }
 
 // lookupRange returns the ordinals below n of the rows with column in the
-// given bounds, in key order, from the column's B+tree index.
+// given bounds, in key order, from the column's ordered index.
 func (t *Table) lookupRange(column string, lo *Value, loIncl bool, hi *Value, hiIncl bool, n int) []int32 {
 	t.mu.RLock()
 	defer t.mu.RUnlock()
-	tr := t.treeIdx[column]
-	var ids []int32
-	loKey, hasLo := "", false
+	ix := t.ordIdx[column]
+	i, j := 0, len(ix.keys)
 	if lo != nil {
-		loKey, hasLo = lo.IndexKey(), true
+		i = ix.search(lo.IndexKey(), !loIncl)
 	}
-	hiKey, hasHi, hiExcl := "", false, false
 	if hi != nil {
-		hiKey, hasHi, hiExcl = hi.IndexKey(), true, !hiIncl
+		j = ix.search(hi.IndexKey(), hiIncl)
 	}
-	loExcl := lo != nil && !loIncl
-	tr.Range(loKey, hasLo, hiKey, hasHi, hiExcl, func(k string, id int) bool {
-		if id < n && !(loExcl && k == loKey) {
+	var ids []int32
+	for ; i < j; i++ {
+		if id := ix.ids[i]; id < n {
 			ids = append(ids, int32(id))
 		}
-		return true
-	})
+	}
 	return ids
+}
+
+// orderedIndex is an ordered secondary index: the IndexKeys of a column's
+// non-NULL values and their row ids, sorted by (key, row id), so a point
+// or range lookup is two binary searches and a sub-slice of ids.
+type orderedIndex struct {
+	keys []string
+	ids  []int
+}
+
+// newOrderedIndex indexes column ci of rows.
+func newOrderedIndex(rows []Row, ci int) *orderedIndex {
+	type entry struct {
+		key string
+		id  int
+	}
+	es := make([]entry, 0, len(rows))
+	for id, r := range rows {
+		if !r[ci].Null {
+			es = append(es, entry{r[ci].IndexKey(), id})
+		}
+	}
+	slices.SortFunc(es, func(a, b entry) int {
+		return cmp.Or(strings.Compare(a.key, b.key), cmp.Compare(a.id, b.id))
+	})
+	ix := &orderedIndex{keys: make([]string, len(es)), ids: make([]int, len(es))}
+	for i, e := range es {
+		ix.keys[i], ix.ids[i] = e.key, e.id
+	}
+	return ix
+}
+
+// search returns the first position whose key is above k (after) or at
+// least k (!after).
+func (ix *orderedIndex) search(k string, after bool) int {
+	if after {
+		return sort.Search(len(ix.keys), func(i int) bool { return ix.keys[i] > k })
+	}
+	return sort.SearchStrings(ix.keys, k)
+}
+
+// insert places a row after every equal key, so equal keys stay in
+// row-id order. It copies both slices, so an id slice a lookup handed
+// out is never written afterwards; only tables indexed before they are
+// loaded pay for that.
+func (ix *orderedIndex) insert(key string, id int) {
+	i := ix.search(key, true)
+	ix.keys = slices.Insert(slices.Clip(ix.keys), i, key)
+	ix.ids = slices.Insert(slices.Clip(ix.ids), i, id)
 }
 
 // snapshot returns the rows present now and their ordinals. Rows are only

@@ -1,6 +1,6 @@
 // Package rdb implements the in-memory relational engine that plays the
 // role of the per-dataset MySQL instances in the paper's data lake: typed
-// tables with primary keys, hash and B+tree secondary indexes, per-column
+// tables with primary keys, hash and ordered secondary indexes, per-column
 // statistics, and an executor for the SQL subset of package sql with a
 // cost-guided access-path and join-order planner.
 //
@@ -257,7 +257,7 @@ func (v Value) key() valueKey {
 }
 
 // IndexKey encodes the value as an order-preserving byte-comparable string
-// so B+tree iteration yields values in type order. NULLs sort first.
+// so an ordered index keeps values in type order. NULLs sort first.
 func (v Value) IndexKey() string {
 	switch k := v.key(); k.kind {
 	case 0:

@@ -8,17 +8,14 @@ import (
 	"strings"
 	"sync"
 	"time"
-
-	"ontario/internal/engine"
 )
 
 // QueryTrace is the per-query runtime trace: the identity of one query
-// execution (W3C trace-context IDs) plus every operator's runtime stats
-// and the spans of the federated requests it fanned out. The coordinator
-// creates one per query (or adopts the IDs from an incoming traceparent
-// header), the executor registers each plan operator into it, and the
-// remote wrapper appends a span per federated source — so after execution
-// the trace shows the whole federation tree.
+// execution (W3C trace-context IDs) plus the spans of the federated
+// requests it fanned out. The coordinator creates one per query (or adopts
+// the IDs from an incoming traceparent header), and the remote wrapper
+// appends a span per federated source — so after execution the trace
+// shows the whole federation tree.
 type QueryTrace struct {
 	// TraceID is the 32-hex-digit W3C trace ID, shared by every node a
 	// federated query touches.
@@ -33,7 +30,6 @@ type QueryTrace struct {
 	Start time.Time
 
 	mu      sync.Mutex
-	ops     []*engine.OpStats
 	remotes []RemoteSpan
 }
 
@@ -87,22 +83,6 @@ func ParseTraceparent(header string) (*QueryTrace, bool) {
 // query ID becomes the peer's parent.
 func (q *QueryTrace) Traceparent() string {
 	return fmt.Sprintf("00-%s-%s-01", q.TraceID, q.QueryID)
-}
-
-// Register creates and records the stats of one plan operator.
-func (q *QueryTrace) Register(kind, label string) *engine.OpStats {
-	st := engine.NewOpStats(kind, label)
-	q.mu.Lock()
-	q.ops = append(q.ops, st)
-	q.mu.Unlock()
-	return st
-}
-
-// Ops returns the registered operator stats in registration order.
-func (q *QueryTrace) Ops() []*engine.OpStats {
-	q.mu.Lock()
-	defer q.mu.Unlock()
-	return append([]*engine.OpStats(nil), q.ops...)
 }
 
 // AddRemoteSpan records one federated request span. Safe for concurrent

@@ -82,7 +82,6 @@ const (
 type Index struct {
 	Column string
 	Kind   IndexKind
-	Unique bool
 }
 
 // TableSpec declares one relational table with its rows. Row values are
@@ -384,7 +383,7 @@ func buildTable(db *rdb.Database, spec TableSpec) error {
 		if ix.Kind == BTreeIndex {
 			kind = rdb.IndexBTree
 		}
-		if err := t.CreateIndex(rdb.IndexSpec{Column: ix.Column, Kind: kind, Unique: ix.Unique}); err != nil {
+		if err := t.CreateIndex(rdb.IndexSpec{Column: ix.Column, Kind: kind}); err != nil {
 			return err
 		}
 	}
